@@ -65,7 +65,8 @@ func (s *Scoop) AggregateQuery(table string, groupCols []string, specs []aggfilt
 	if err != nil {
 		return nil, err
 	}
-	splits, err := rel.Splits(opts.ctx())
+	qctx := opts.ctx()
+	splits, err := rel.Splits(qctx)
 	if err != nil {
 		return nil, err
 	}
@@ -82,7 +83,7 @@ func (s *Scoop) AggregateQuery(table string, groupCols []string, specs []aggfilt
 			return readPartials(rc)
 		}
 	}
-	results, cstats, err := s.driver.Run(opts.Context, tasks)
+	results, cstats, err := s.driver.Run(qctx, tasks)
 	if err != nil {
 		return nil, err
 	}

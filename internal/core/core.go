@@ -343,7 +343,16 @@ func (o QueryOptions) ctx() context.Context {
 	return context.Background()
 }
 
-// Query parses and executes a SQL SELECT against a registered table.
+// splitResult is what one task of Query returns: the partial result over its
+// split and the number of rows the data source delivered for it.
+type splitResult struct {
+	partial *exec.Partial
+	rows    int64
+}
+
+// Query parses and executes a SQL SELECT against a registered table. The
+// residual plan is compiled once; every task folds its split's rows into a
+// partial result as they arrive, and the driver merges and finishes them.
 func (s *Scoop) Query(sql string, opts QueryOptions) (*Result, error) {
 	start := time.Now()
 	qctx := opts.ctx()
@@ -386,6 +395,10 @@ func (s *Scoop) Query(sql string, opts QueryOptions) (*Result, error) {
 		return nil, err
 	}
 
+	prog, err := exec.Compile(p)
+	if err != nil {
+		return nil, err
+	}
 	before := s.conn.Stats()
 	tasks := make([]compute.Task, len(splits))
 	for i, split := range splits {
@@ -396,34 +409,42 @@ func (s *Scoop) Query(sql string, opts QueryOptions) (*Result, error) {
 				return nil, err
 			}
 			defer it.Close()
-			var rows []types.Row
+			// Built here, not outside the closure, so that a retried task
+			// starts from an empty partial.
+			out := splitResult{partial: prog.NewPartial()}
 			for {
 				if err := ctx.Err(); err != nil {
 					return nil, err
 				}
 				r, err := it.Next()
 				if err == io.EOF {
-					return rows, nil
+					return out, nil
 				}
 				if err != nil {
 					return nil, err
 				}
-				rows = append(rows, r)
+				out.rows++
+				if err := out.partial.Fold(r); err != nil {
+					return nil, err
+				}
 			}
 		}
 	}
-	results, cstats, err := s.driver.Run(opts.Context, tasks)
+	results, cstats, err := s.driver.Run(qctx, tasks)
 	if err != nil {
 		return nil, err
 	}
-	var all []types.Row
+	// Merge in split order, never completion order: first_value then sees
+	// the splits in dataset order, and float sums add up in one fixed order
+	// whatever the worker count and whichever task finished first.
+	merged := prog.NewPartial()
 	var scanned int64
 	for _, v := range results {
-		rows := v.([]types.Row)
-		scanned += int64(len(rows))
-		all = append(all, rows...)
+		sr := v.(splitResult)
+		scanned += sr.rows
+		merged.Merge(sr.partial)
 	}
-	res, err := exec.Execute(p, exec.NewSliceIterator(all))
+	res, err := merged.Finish()
 	if err != nil {
 		return nil, err
 	}

@@ -279,12 +279,12 @@ func (it *csvIterator) Next() (types.Row, error) {
 
 func (it *csvIterator) match() bool {
 	for _, bp := range it.preds {
-		var raw string
+		var raw []byte
 		null := bp.idx >= len(it.fields)
 		if !null {
-			raw = string(it.fields[bp.idx])
+			raw = it.fields[bp.idx]
 		}
-		if !bp.pred.Matches(raw, null) {
+		if !bp.pred.MatchesBytes(raw, null) {
 			return false
 		}
 	}

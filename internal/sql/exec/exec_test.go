@@ -434,3 +434,52 @@ func TestOrderByAggregate(t *testing.T) {
 		t.Errorf("rows = %v", res.Rows)
 	}
 }
+
+// Values that contain the bytes an unprefixed key would use as separators
+// must not move between neighbouring key columns.
+func TestGroupAndDistinctKeysDoNotCollide(t *testing.T) {
+	rows := []types.Row{
+		row("x\x00\x02y", "d", 1, "z", "NED"),
+		row("x", "d", 2, "y\x00\x02z", "NED"),
+	}
+	res := run(t, "SELECT vid, city, count(*) AS n FROM m GROUP BY vid, city", rows)
+	if len(res.Rows) != 2 {
+		t.Errorf("GROUP BY merged two distinct keys: %v", res.Rows)
+	}
+	res = run(t, "SELECT DISTINCT vid, city FROM m", rows)
+	if len(res.Rows) != 2 {
+		t.Errorf("DISTINCT merged two distinct rows: %v", res.Rows)
+	}
+}
+
+func compile(t *testing.T, q string) *Compiled {
+	t.Helper()
+	sel, err := parser.Parse(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := plan.Analyze(sel, schema, plan.Options{DisablePredicatePushdown: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// A group's vector holds each aggregate call and each aggregate-free
+// subexpression once, however often the query repeats it; DISTINCT variants
+// are calls of their own.
+func TestCompileDeduplicatesSlots(t *testing.T) {
+	c := compile(t, `SELECT SUBSTRING(date, 0, 10) AS day, sum(index) AS a, sum(index) + 1 AS b,
+		sum(DISTINCT index) AS d FROM m GROUP BY SUBSTRING(date, 0, 10), vid
+		HAVING sum(index) > 0 ORDER BY SUBSTRING(date, 0, 10), vid`)
+	if len(c.aggs) != 2 {
+		t.Errorf("aggregate slots = %d, want 2 (SUM, SUM DISTINCT)", len(c.aggs))
+	}
+	if len(c.firsts) != 2 {
+		t.Errorf("first-row slots = %d, want 2 (the SUBSTRING, vid)", len(c.firsts))
+	}
+}

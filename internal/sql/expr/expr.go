@@ -350,7 +350,8 @@ func (in *In) String() string {
 }
 
 // Call is a scalar function call. Aggregate functions are parsed as Call but
-// executed by the aggregation operator; Eval rejects them.
+// executed by the aggregation operator; Eval rejects them, after evaluating
+// their arguments, as it does any name that is not a scalar function.
 type Call struct {
 	Name string // upper-cased
 	Args []Expr
@@ -369,16 +370,19 @@ func IsAggregate(name string) bool { return aggregateFuncs[strings.ToUpper(name)
 
 // Eval evaluates a scalar function.
 func (c *Call) Eval(row types.Row) (types.Value, error) {
-	if IsAggregate(c.Name) {
-		return types.Value{}, fmt.Errorf("expr: aggregate %s evaluated outside aggregation", c.Name)
+	// Up to three arguments, which covers every scalar but long CONCAT and
+	// COALESCE lists, are evaluated into a stack array.
+	var few [3]types.Value
+	args := few[:0]
+	if len(c.Args) > len(few) {
+		args = make([]types.Value, 0, len(c.Args))
 	}
-	args := make([]types.Value, len(c.Args))
-	for i, a := range c.Args {
+	for _, a := range c.Args {
 		v, err := a.Eval(row)
 		if err != nil {
 			return types.Value{}, err
 		}
-		args[i] = v
+		args = append(args, v)
 	}
 	return evalScalar(c.Name, args)
 }
@@ -498,6 +502,9 @@ func evalScalar(name string, args []types.Value) (types.Value, error) {
 		}
 		return types.Str(strings.TrimSpace(args[0].AsString())), nil
 	default:
+		if IsAggregate(name) {
+			return types.Value{}, fmt.Errorf("expr: aggregate %s evaluated outside aggregation", name)
+		}
 		return types.Value{}, fmt.Errorf("expr: unknown function %q", name)
 	}
 }
@@ -532,6 +539,21 @@ func (Star) Eval(types.Row) (types.Value, error) {
 
 // String renders *.
 func (Star) String() string { return "*" }
+
+// Slot reads position Index of the row it is evaluated against. The
+// aggregation operator compiles each aggregate call, and each aggregate-free
+// subexpression over columns, of a select item, HAVING or ORDER BY into a
+// Slot of the group's value vector.
+type Slot struct {
+	Index int
+	Of    Expr // the expression the slot stands for
+}
+
+// Eval returns the vector's value at Index.
+func (s *Slot) Eval(row types.Row) (types.Value, error) { return row[s.Index], nil }
+
+// String renders the expression the slot stands for.
+func (s *Slot) String() string { return s.Of.String() }
 
 // LikeMatch implements SQL LIKE: '%' matches any run (including empty),
 // '_' matches exactly one byte. Matching is case-sensitive, as in Spark SQL.

@@ -40,21 +40,3 @@ func Transform(e Expr, fn func(Expr) (Expr, bool)) Expr {
 		return e
 	}
 }
-
-// Aggregates returns the distinct aggregate calls in the expression, keyed
-// and deduplicated by their String() rendering, in first-appearance order.
-func Aggregates(e Expr) []*Call {
-	var out []*Call
-	seen := make(map[string]bool)
-	_ = Walk(e, func(n Expr) error {
-		if c, ok := n.(*Call); ok && IsAggregate(c.Name) {
-			key := c.String()
-			if !seen[key] {
-				seen[key] = true
-				out = append(out, c)
-			}
-		}
-		return nil
-	})
-	return out
-}

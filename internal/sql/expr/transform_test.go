@@ -61,31 +61,6 @@ func TestTransformReplacement(t *testing.T) {
 	}
 }
 
-func TestAggregatesDedup(t *testing.T) {
-	e := &Binary{Op: OpAdd,
-		Left:  &Call{Name: "SUM", Args: []Expr{col("index")}},
-		Right: &Binary{Op: OpMul, Left: &Call{Name: "SUM", Args: []Expr{col("index")}}, Right: &Call{Name: "COUNT", Args: []Expr{Star{}}}},
-	}
-	aggs := Aggregates(e)
-	if len(aggs) != 2 {
-		t.Fatalf("aggs = %v", aggs)
-	}
-	if aggs[0].Name != "SUM" || aggs[1].Name != "COUNT" {
-		t.Errorf("order = %v, %v", aggs[0].Name, aggs[1].Name)
-	}
-	// DISTINCT variants are distinct keys.
-	e2 := &Binary{Op: OpAdd,
-		Left:  &Call{Name: "SUM", Args: []Expr{col("index")}},
-		Right: &Call{Name: "SUM", Args: []Expr{col("index")}, Distinct: true},
-	}
-	if got := Aggregates(e2); len(got) != 2 {
-		t.Errorf("distinct variants merged: %v", got)
-	}
-	if got := Aggregates(col("x")); len(got) != 0 {
-		t.Errorf("no aggs expected: %v", got)
-	}
-}
-
 func TestIsComparison(t *testing.T) {
 	for _, op := range []BinOp{OpEq, OpNe, OpLt, OpLe, OpGt, OpGe, OpLike} {
 		if !op.IsComparison() {
@@ -103,5 +78,23 @@ func TestCallStringDistinct(t *testing.T) {
 	c := &Call{Name: "count", Args: []Expr{col("city")}, Distinct: true}
 	if c.String() != "COUNT(DISTINCT city)" {
 		t.Errorf("String = %q", c.String())
+	}
+}
+
+func TestSlot(t *testing.T) {
+	s := &Slot{Index: 1, Of: &Call{Name: "SUM", Args: []Expr{col("index")}}}
+	v, err := s.Eval(types.Row{types.Str("a"), types.FloatV(2.5)})
+	if err != nil || v.F != 2.5 {
+		t.Errorf("Eval = %v, %v", v, err)
+	}
+	if s.String() != "SUM(index)" {
+		t.Errorf("String = %q", s.String())
+	}
+	// A slot is a leaf: Transform keeps it and Walk does not descend into Of.
+	if Transform(s, func(Expr) (Expr, bool) { return nil, false }) != Expr(s) {
+		t.Error("Transform copied a Slot")
+	}
+	if HasAggregate(s) || len(Columns(s)) != 0 {
+		t.Error("Walk descended into the expression a Slot stands for")
 	}
 }

@@ -16,10 +16,12 @@
 #                                     its own named step in the gate output
 #   5. go test -race -short ./...   fast-tier suite under the race detector
 #   6. go test -run TestAllocBudget   zero-allocation budgets for the record
-#                                     hot path — a separate non-race step
-#                                     because the //go:build !race budget
-#                                     tests need uninstrumented allocation
-#                                     counts (the race detector allocates)
+#                                     hot path and for the SQL fold (a row
+#                                     into an existing group) — a separate
+#                                     non-race step because the
+#                                     //go:build !race budget tests need
+#                                     uninstrumented allocation counts (the
+#                                     race detector allocates)
 #
 # The chaos suite (TestChaos* in internal/integration) skips itself under
 # -short; CI runs it as its own race-enabled job, and locally it runs with
@@ -46,6 +48,6 @@ echo "==> go test -race -short ./..."
 go test -race -short ./...
 
 echo "==> go test -run TestAllocBudget (alloc budgets, no race)"
-go test -run TestAllocBudget ./internal/csvio/ ./internal/storlet/csvfilter/
+go test -run TestAllocBudget ./internal/csvio/ ./internal/storlet/csvfilter/ ./internal/sql/exec/
 
 echo "verify: all gates passed"
