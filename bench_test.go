@@ -14,7 +14,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"strings"
 	"sync"
 	"testing"
 
@@ -25,9 +24,7 @@ import (
 	"scoop/internal/objectstore"
 	"scoop/internal/pushdown"
 	"scoop/internal/sql/parser"
-	"scoop/internal/storlet"
 	"scoop/internal/storlet/aggfilter"
-	"scoop/internal/storlet/csvfilter"
 )
 
 var (
@@ -188,92 +185,13 @@ func BenchmarkFig10StorageCPU(b *testing.B) {
 }
 
 // --- ablation micro-benchmarks (DESIGN.md §4) ---
-
-// benchCSVData is a ~1 MB CSV block for filter throughput benches.
-var benchCSVData = func() []byte {
-	var buf bytes.Buffer
-	for i := 0; buf.Len() < 1<<20; i++ {
-		fmt.Fprintf(&buf, "V%06d,2015-01-%02d 00:10:00,%d.25,%d.50,%d.75,elec,Rotterdam,NED,51.9225,4.4792\n",
-			i%1000, 1+i%28, i, i/2, i/3)
-	}
-	return buf.Bytes()
-}()
+//
+// The CSV-filter throughput benchmarks (passthrough, row, column and mixed
+// selectivity) are recorded by internal/benchrec/suite.go into BENCH_*.json,
+// and the end-to-end pushdown/baseline pair by bench/ (wan_pushdown,
+// wan_baseline); neither is repeated here.
 
 const benchSchema = "vid string, date string, index double, sumHC double, sumHP double, type string, city string, state string, lat double, long double"
-
-func runCSVFilter(b *testing.B, task *pushdown.Task) {
-	b.Helper()
-	f := csvfilter.New()
-	ctx := &storlet.Context{
-		Task:     task,
-		RangeEnd: int64(len(benchCSVData)), ObjectSize: int64(len(benchCSVData)),
-	}
-	b.SetBytes(int64(len(benchCSVData)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := f.Invoke(ctx, bytes.NewReader(benchCSVData), io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCSVFilterRowSelectivity measures storlet throughput when a
-// selection discards ~99.9% of rows — the cheap case the paper observes.
-func BenchmarkCSVFilterRowSelectivity(b *testing.B) {
-	runCSVFilter(b, &pushdown.Task{
-		Filter: "csv", Schema: benchSchema,
-		Predicates: []pushdown.Predicate{{Column: "vid", Op: pushdown.OpEq, Value: "V000007"}},
-	})
-}
-
-// BenchmarkCSVFilterColumnSelectivity measures throughput when all rows are
-// kept but only 2 of 10 columns are emitted — output re-assembly cost.
-func BenchmarkCSVFilterColumnSelectivity(b *testing.B) {
-	runCSVFilter(b, &pushdown.Task{
-		Filter: "csv", Schema: benchSchema,
-		Columns: []string{"vid", "index"},
-	})
-}
-
-// BenchmarkCSVFilterMixed measures the combined case.
-func BenchmarkCSVFilterMixed(b *testing.B) {
-	runCSVFilter(b, &pushdown.Task{
-		Filter: "csv", Schema: benchSchema,
-		Columns:    []string{"vid", "index"},
-		Predicates: []pushdown.Predicate{{Column: "city", Op: pushdown.OpLike, Value: "Rot%"}},
-	})
-}
-
-// BenchmarkCSVFilterPassthrough measures the zero-selectivity penalty: the
-// filter runs but discards nothing (paper: worst-case -3.4%).
-func BenchmarkCSVFilterPassthrough(b *testing.B) {
-	runCSVFilter(b, &pushdown.Task{Filter: "csv", Schema: benchSchema})
-}
-
-// BenchmarkQueryPushdown and BenchmarkQueryBaseline time the same end-to-end
-// query in both modes on the real system.
-func BenchmarkQueryPushdown(b *testing.B) {
-	benchQuery(b, core.ModePushdown)
-}
-
-// BenchmarkQueryBaseline is the ingest-then-compute twin of the above.
-func BenchmarkQueryBaseline(b *testing.B) {
-	benchQuery(b, core.ModeBaseline)
-}
-
-func benchQuery(b *testing.B, mode core.Mode) {
-	e := benchEnv(b)
-	q := experiment.GridPocketQueries[5].SQL // ShowGraphHCHP
-	b.SetBytes(e.DatasetBytes)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Scoop.Query(q, core.QueryOptions{Mode: mode}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // BenchmarkStagingObjectVsProxy is the staging ablation: the same filtered
 // GET executed at the object node versus at the proxy tier (paper §V added
@@ -399,12 +317,12 @@ func BenchmarkSQLParse(b *testing.B) {
 // BenchmarkLikeMatch times the storage-side LIKE matcher on a dense input.
 func BenchmarkLikeMatch(b *testing.B) {
 	p := pushdown.Predicate{Column: "date", Op: pushdown.OpLike, Value: "2015-01-%"}
-	s := strings.Repeat("2015-01-17 10:20:00", 1)
+	s := []byte("2015-01-17 10:20:00")
 	b.SetBytes(int64(len(s)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !p.Matches(s, false) {
+		if !p.MatchesBytes(s, false) {
 			b.Fatal("no match")
 		}
 	}

@@ -18,8 +18,9 @@ import (
 // approximating the data selectivity".
 type TableStats struct {
 	schema *types.Schema
-	// sample[i] is the raw string rendering of the sampled rows' column i.
-	sample [][]string
+	// sample[r] is sampled row r as the raw fields a storage-side filter
+	// would see, one per schema column.
+	sample [][][]byte
 	// colBytes[i] is the total rendered width of column i in the sample.
 	colBytes []int64
 	rows     int
@@ -33,7 +34,6 @@ func CollectStats(ctx context.Context, rel datasource.Relation, maxRows int) (*T
 	schema := rel.Schema()
 	st := &TableStats{
 		schema:   schema,
-		sample:   make([][]string, schema.Len()),
 		colBytes: make([]int64, schema.Len()),
 	}
 	splits, err := rel.Splits(ctx)
@@ -57,11 +57,12 @@ func CollectStats(ctx context.Context, rel datasource.Relation, maxRows int) (*T
 				it.Close()
 				return nil, err
 			}
+			fields := make([][]byte, len(row))
 			for i, v := range row {
-				s := v.AsString()
-				st.sample[i] = append(st.sample[i], s)
-				st.colBytes[i] += int64(len(s)) + 1 // +1 for the delimiter
+				fields[i] = []byte(v.AsString())
+				st.colBytes[i] += int64(len(fields[i])) + 1 // +1 for the delimiter
 			}
+			st.sample = append(st.sample, fields)
 			st.rows++
 		}
 		it.Close()
@@ -81,25 +82,13 @@ func (st *TableStats) PredicateSelectivity(preds []pushdown.Predicate) (float64,
 	if len(preds) == 0 {
 		return 0, nil
 	}
-	idx := make([]int, len(preds))
-	for i, p := range preds {
-		j := st.schema.Index(p.Column)
-		if j < 0 {
-			return 0, fmt.Errorf("adaptive: predicate column %q not in schema", p.Column)
-		}
-		idx[i] = j
+	m, err := pushdown.Bind(preds, st.schema.Index)
+	if err != nil {
+		return 0, fmt.Errorf("adaptive: %w", err)
 	}
 	kept := 0
-	for r := 0; r < st.rows; r++ {
-		ok := true
-		for i, p := range preds {
-			v := st.sample[idx[i]][r]
-			if !p.Matches(v, v == "") {
-				ok = false
-				break
-			}
-		}
-		if ok {
+	for _, fields := range st.sample {
+		if m.Match(fields) {
 			kept++
 		}
 	}

@@ -140,7 +140,7 @@ func joinComma(parts []string) string {
 func readPartials(r io.Reader) ([][]string, error) {
 	rr := csvio.NewRangeReader(r, 0, int64(1)<<62)
 	var out [][]string
-	var fields [][]byte
+	var sc csvio.FieldScanner
 	for {
 		rec, err := rr.Next()
 		if errors.Is(err, io.EOF) {
@@ -149,7 +149,7 @@ func readPartials(r io.Reader) ([][]string, error) {
 		if err != nil {
 			return nil, err
 		}
-		fields = csvio.Fields(rec, csvio.DefaultDelimiter, fields)
+		fields := sc.Scan(rec, csvio.DefaultDelimiter)
 		row := make([]string, len(fields))
 		for i, f := range fields {
 			row[i] = string(f)

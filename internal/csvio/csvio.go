@@ -23,7 +23,6 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
-	"fmt"
 	"io"
 	"sync"
 )
@@ -201,61 +200,10 @@ func (r *RangeReader) readLine() ([]byte, error) {
 	return line, nil
 }
 
-// Fields splits a record into fields. Quoted fields ("a,b" style, with ""
-// escaping) are supported; the fast path for unquoted records makes no
-// copies. dst is reused when non-nil.
-func Fields(record []byte, delim byte, dst [][]byte) [][]byte {
-	dst = dst[:0]
-	if bytes.IndexByte(record, '"') < 0 {
-		// Fast path: plain split.
-		for {
-			i := bytes.IndexByte(record, delim)
-			if i < 0 {
-				return append(dst, record)
-			}
-			dst = append(dst, record[:i])
-			record = record[i+1:]
-		}
-	}
-	// Quoted path.
-	for len(record) >= 0 {
-		if len(record) > 0 && record[0] == '"' {
-			var field []byte
-			i := 1
-			for i < len(record) {
-				if record[i] == '"' {
-					if i+1 < len(record) && record[i+1] == '"' {
-						field = append(field, '"')
-						i += 2
-						continue
-					}
-					i++
-					break
-				}
-				field = append(field, record[i])
-				i++
-			}
-			dst = append(dst, field)
-			if i < len(record) && record[i] == delim {
-				record = record[i+1:]
-				continue
-			}
-			return dst
-		}
-		i := bytes.IndexByte(record, delim)
-		if i < 0 {
-			return append(dst, record)
-		}
-		dst = append(dst, record[:i])
-		record = record[i+1:]
-	}
-	return dst
-}
-
 // FieldScanner splits records into fields with zero steady-state
 // allocations: the field-slice header and the unquoting scratch buffer are
-// owned by the scanner and reused across records. Semantics are identical to
-// Fields (the equivalence tests assert it byte for byte).
+// owned by the scanner and reused across records. Quoted fields ("a,b" style,
+// with "" escaping) are supported; the zero value is ready to use.
 type FieldScanner struct {
 	fields  [][]byte
 	scratch []byte
@@ -268,26 +216,17 @@ type FieldScanner struct {
 //scoop:hotpath
 func (s *FieldScanner) Scan(record []byte, delim byte) [][]byte {
 	s.fields = s.fields[:0]
-	if bytes.IndexByte(record, '"') < 0 {
-		// Fast path: plain split, no copies.
-		for {
-			i := bytes.IndexByte(record, delim)
-			if i < 0 {
-				s.fields = append(s.fields, record)
-				return s.fields
-			}
-			s.fields = append(s.fields, record[:i])
-			record = record[i+1:]
+	if bytes.IndexByte(record, '"') >= 0 {
+		// Quoted fields unescape into scratch. Sizing it to the whole record
+		// up front keeps the emitted sub-slices stable — unescaped content
+		// never exceeds the record length, so scratch cannot reallocate
+		// mid-record.
+		if cap(s.scratch) < len(record) {
+			s.scratch = make([]byte, 0, len(record))
 		}
+		s.scratch = s.scratch[:0]
 	}
-	// Quoted path: unescape into scratch. Sizing scratch to the whole record
-	// up front keeps the emitted sub-slices stable — unescaped content never
-	// exceeds the record length, so scratch cannot reallocate mid-record.
-	if cap(s.scratch) < len(record) {
-		s.scratch = make([]byte, 0, len(record))
-	}
-	s.scratch = s.scratch[:0]
-	for len(record) >= 0 {
+	for {
 		if len(record) > 0 && record[0] == '"' {
 			start := len(s.scratch)
 			i := 1
@@ -319,7 +258,6 @@ func (s *FieldScanner) Scan(record []byte, delim byte) [][]byte {
 		s.fields = append(s.fields, record[:i])
 		record = record[i+1:]
 	}
-	return s.fields
 }
 
 // NeedsQuoting reports whether a field must be quoted when written.
@@ -355,6 +293,12 @@ func WriteRecord(w io.Writer, fields [][]byte, delim byte) error {
 }
 
 func writeRecord(bw *bufio.Writer, fields [][]byte, delim byte) error {
+	if len(fields) == 1 && len(fields[0]) == 0 {
+		// A lone empty field would be a blank line, which readers skip as
+		// "not a record"; quoted, it reads back as one empty field.
+		_, err := bw.WriteString("\"\"\n")
+		return err
+	}
 	for i, f := range fields {
 		if i > 0 {
 			if err := bw.WriteByte(delim); err != nil {
@@ -386,26 +330,6 @@ func writeRecord(bw *bufio.Writer, fields [][]byte, delim byte) error {
 		}
 	}
 	return bw.WriteByte('\n')
-}
-
-// ReadHeader reads the first record of r and returns its fields as strings.
-func ReadHeader(r io.Reader) ([]string, int64, error) {
-	br := bufio.NewReader(r)
-	line, err := br.ReadBytes('\n')
-	if err != nil && !errors.Is(err, io.EOF) {
-		return nil, 0, fmt.Errorf("csvio: read header: %w", err)
-	}
-	n := int64(len(line))
-	line = bytes.TrimRight(line, "\r\n")
-	if len(line) == 0 {
-		return nil, 0, fmt.Errorf("csvio: empty header")
-	}
-	fields := Fields(line, DefaultDelimiter, nil)
-	out := make([]string, len(fields))
-	for i, f := range fields {
-		out[i] = string(f)
-	}
-	return out, n, nil
 }
 
 // Partition describes one byte range of an object, in absolute offsets.

@@ -141,34 +141,36 @@ func TestRangePartitioningExactlyOnce(t *testing.T) {
 }
 
 func TestFieldsFastPath(t *testing.T) {
-	got := Fields([]byte("a,b,,c"), ',', nil)
+	var sc FieldScanner
+	got := sc.Scan([]byte("a,b,,c"), ',')
 	if len(got) != 4 || string(got[0]) != "a" || string(got[2]) != "" || string(got[3]) != "c" {
 		t.Errorf("got %q", got)
 	}
-	got = Fields([]byte(""), ',', nil)
+	got = sc.Scan([]byte(""), ',')
 	if len(got) != 1 || len(got[0]) != 0 {
 		t.Errorf("empty record: %q", got)
 	}
-	got = Fields([]byte("single"), ',', got) // reuse dst
+	got = sc.Scan([]byte("single"), ',')
 	if len(got) != 1 || string(got[0]) != "single" {
 		t.Errorf("single: %q", got)
 	}
 }
 
 func TestFieldsQuoted(t *testing.T) {
-	got := Fields([]byte(`a,"b,c",d`), ',', nil)
+	var sc FieldScanner
+	got := sc.Scan([]byte(`a,"b,c",d`), ',')
 	if len(got) != 3 || string(got[1]) != "b,c" {
 		t.Errorf("got %q", got)
 	}
-	got = Fields([]byte(`"he said ""hi""",x`), ',', nil)
+	got = sc.Scan([]byte(`"he said ""hi""",x`), ',')
 	if len(got) != 2 || string(got[0]) != `he said "hi"` {
 		t.Errorf("got %q", got)
 	}
-	got = Fields([]byte(`"unterminated`), ',', nil)
+	got = sc.Scan([]byte(`"unterminated`), ',')
 	if len(got) != 1 || string(got[0]) != "unterminated" {
 		t.Errorf("got %q", got)
 	}
-	got = Fields([]byte(`"a",`), ',', nil)
+	got = sc.Scan([]byte(`"a",`), ',')
 	if len(got) != 2 || string(got[1]) != "" {
 		t.Errorf("got %q", got)
 	}
@@ -180,6 +182,7 @@ func TestWriteRecordRoundTrip(t *testing.T) {
 		{"with,comma", "plain"},
 		{`with"quote`, ""},
 		{"with\nnewline", "x"},
+		{""},
 	}
 	for _, fields := range cases {
 		var buf bytes.Buffer
@@ -191,7 +194,7 @@ func TestWriteRecordRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		line := bytes.TrimRight(buf.Bytes(), "\n")
-		got := Fields(line, ',', nil)
+		got := new(FieldScanner).Scan(line, ',')
 		if len(got) != len(fields) {
 			t.Fatalf("%v: got %q", fields, got)
 		}
@@ -212,31 +215,12 @@ func TestWriteRecordProperty(t *testing.T) {
 			return false
 		}
 		line := bytes.TrimSuffix(buf.Bytes(), []byte("\n"))
-		got := Fields(line, ',', nil)
+		got := new(FieldScanner).Scan(line, ',')
 		return len(got) == 2 && string(got[0]) == a && string(got[1]) == b
 	}
 	cfg := &quick.Config{MaxCount: 200}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestReadHeader(t *testing.T) {
-	cols, n, err := ReadHeader(strings.NewReader("vid,date,index\nV1,2015,3\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 15 {
-		t.Errorf("header length = %d", n)
-	}
-	if len(cols) != 3 || cols[0] != "vid" || cols[2] != "index" {
-		t.Errorf("cols = %v", cols)
-	}
-	if _, _, err := ReadHeader(strings.NewReader("")); err == nil {
-		t.Error("empty header should fail")
-	}
-	if _, _, err := ReadHeader(strings.NewReader("\n")); err == nil {
-		t.Error("blank header should fail")
 	}
 }
 

@@ -212,20 +212,11 @@ func (r *CSVRelation) ScanPrunedFiltered(ctx context.Context, split connector.Sp
 			it.projIdx[i] = idx
 		}
 	}
-	for _, p := range preds {
-		idx := r.schema.Index(p.Column)
-		if idx < 0 {
-			rc.Close()
-			return nil, fmt.Errorf("datasource: unknown predicate column %q", p.Column)
-		}
-		it.preds = append(it.preds, boundPred{idx: idx, pred: p})
+	if it.match, err = pushdown.Bind(preds, r.schema.Index); err != nil {
+		rc.Close()
+		return nil, fmt.Errorf("datasource: %w", err)
 	}
 	return it, nil
-}
-
-type boundPred struct {
-	idx  int
-	pred pushdown.Predicate
 }
 
 // csvIterator parses a CSV stream into typed rows.
@@ -238,8 +229,8 @@ type csvIterator struct {
 	// projIdx maps output column -> raw field index; nil means identity
 	// (raw fields are already in output order, as in pushdown mode).
 	projIdx []int
-	preds   []boundPred
-	fields  [][]byte
+	match   pushdown.Matcher
+	sc      csvio.FieldScanner
 	closed  bool
 }
 
@@ -257,8 +248,8 @@ func (it *csvIterator) Next() (types.Row, error) {
 			it.skipHeader = false
 			continue
 		}
-		it.fields = csvio.Fields(rec, it.delim, it.fields)
-		if !it.match() {
+		fields := it.sc.Scan(rec, it.delim)
+		if !it.match.Match(fields) {
 			continue
 		}
 		row := make(types.Row, it.schema.Len())
@@ -267,28 +258,14 @@ func (it *csvIterator) Next() (types.Row, error) {
 			if it.projIdx != nil {
 				idx = it.projIdx[i]
 			}
-			if idx < len(it.fields) {
-				row[i] = types.Coerce(string(it.fields[idx]), it.schema.Columns[i].Type)
+			if idx < len(fields) {
+				row[i] = types.Coerce(string(fields[idx]), it.schema.Columns[i].Type)
 			} else {
 				row[i] = types.NullValue()
 			}
 		}
 		return row, nil
 	}
-}
-
-func (it *csvIterator) match() bool {
-	for _, bp := range it.preds {
-		var raw []byte
-		null := bp.idx >= len(it.fields)
-		if !null {
-			raw = it.fields[bp.idx]
-		}
-		if !bp.pred.MatchesBytes(raw, null) {
-			return false
-		}
-	}
-	return true
 }
 
 // Close implements exec.Iterator.

@@ -3,11 +3,8 @@ package datasource
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 
 	"scoop/internal/connector"
 	"scoop/internal/csvio"
@@ -138,24 +135,24 @@ func (it *jsonIterator) Next() (types.Row, error) {
 		if len(bytes.TrimSpace(rec)) == 0 {
 			continue
 		}
-		doc, err := decodeDoc(rec)
+		doc, err := jsonfilter.ParseDoc(rec)
 		if err != nil {
 			if it.skipInvalid {
 				continue
 			}
 			return nil, fmt.Errorf("datasource: json: %w", err)
 		}
-		if !docMatches(it.preds, doc) {
+		if !jsonfilter.Matches(it.preds, doc) {
 			continue
 		}
 		row := make(types.Row, len(it.columns))
 		for i, path := range it.columns {
-			v, ok := docLookup(doc, path)
+			v, ok := jsonfilter.Lookup(doc, path)
 			if !ok || v == nil {
 				row[i] = types.NullValue()
 				continue
 			}
-			row[i] = types.Coerce(renderJSON(v), it.schema.Columns[i].Type)
+			row[i] = types.Coerce(jsonfilter.Render(v), it.schema.Columns[i].Type)
 		}
 		return row, nil
 	}
@@ -168,61 +165,4 @@ func (it *jsonIterator) Close() error {
 	}
 	it.closed = true
 	return it.rc.Close()
-}
-
-func decodeDoc(line []byte) (map[string]any, error) {
-	dec := json.NewDecoder(bytes.NewReader(line))
-	dec.UseNumber()
-	var doc map[string]any
-	if err := dec.Decode(&doc); err != nil {
-		return nil, err
-	}
-	return doc, nil
-}
-
-func docLookup(doc map[string]any, path string) (any, bool) {
-	cur := any(doc)
-	for _, part := range strings.Split(path, ".") {
-		m, ok := cur.(map[string]any)
-		if !ok {
-			return nil, false
-		}
-		cur, ok = m[part]
-		if !ok {
-			return nil, false
-		}
-	}
-	return cur, true
-}
-
-func renderJSON(v any) string {
-	switch x := v.(type) {
-	case string:
-		return x
-	case json.Number:
-		return x.String()
-	case bool:
-		return strconv.FormatBool(x)
-	default:
-		b, err := json.Marshal(x)
-		if err != nil {
-			return ""
-		}
-		return string(b)
-	}
-}
-
-func docMatches(preds []pushdown.Predicate, doc map[string]any) bool {
-	for _, p := range preds {
-		v, ok := docLookup(doc, p.Column)
-		null := !ok || v == nil
-		raw := ""
-		if !null {
-			raw = renderJSON(v)
-		}
-		if !p.Matches(raw, null) {
-			return false
-		}
-	}
-	return true
 }

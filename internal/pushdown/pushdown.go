@@ -191,99 +191,117 @@ func (t *Task) Validate() error {
 	return nil
 }
 
-// Matches evaluates the predicate against a single value. The caller resolves
-// the column to the value; NULL is represented by ok=false from the resolver.
-// It implements SQL semantics: comparisons against NULL are not satisfied
-// (except IS NULL).
-func (p Predicate) Matches(raw string, null bool) bool {
-	switch p.Op {
-	case OpIsNull:
-		return null || raw == ""
-	case OpNotNull:
-		return !null && raw != ""
+// Matcher is a conjunction of predicates bound to field positions: each
+// column resolved to its index and each literal parsed once, so evaluating a
+// record does no per-record setup. Filters bind a task's predicates once per
+// invocation and call Match per record. An empty Matcher matches everything.
+type Matcher []bound
+
+// bound is one predicate resolved for evaluation: the record satisfies it
+// when the field at idx stands in relation op to any of lits. OpIn is bound
+// as OpEq over its value list; every other operator has exactly one literal.
+type bound struct {
+	idx     int
+	op      Op
+	numeric bool
+	lits    []literal
+}
+
+// literal is a predicate operand: its text (lexical comparison, LIKE
+// pattern) and, for numeric predicates, its parsed value.
+type literal struct {
+	text  string
+	num   float64
+	isNum bool // false on a numeric predicate: the literal matches nothing
+}
+
+// newLiteral parses a numeric literal with the parser its fields go through,
+// so both sides of a comparison coerce alike. The text arrives as a string
+// (the wire form) and is staged in a stack buffer, which keeps the per-value
+// MatchesBytes entry allocation-free for every literal of realistic length.
+func newLiteral(text string, numeric bool) literal {
+	l := literal{text: text}
+	if numeric {
+		var stack [32]byte
+		buf := stack[:]
+		if cap(buf) < len(text) {
+			buf = make([]byte, len(text))
+		}
+		l.num, l.isNum = parseFloat(buf[:copy(buf, text)])
 	}
-	if null {
-		return false
+	return l
+}
+
+// Bind resolves preds against a record layout. index maps a column name to
+// its field position and reports a negative value for an unknown column,
+// which is an error.
+func Bind(preds []Predicate, index func(column string) int) (Matcher, error) {
+	m := make(Matcher, len(preds))
+	for i, p := range preds {
+		idx := index(p.Column)
+		if idx < 0 {
+			return nil, fmt.Errorf("pushdown: predicate column %q not in schema", p.Column)
+		}
+		op, values := p.Op, []string{p.Value}
+		if op == OpIn {
+			op, values = OpEq, p.Values
+		}
+		m[i] = bound{idx: idx, op: op, numeric: p.Numeric, lits: make([]literal, len(values))}
+		for j, v := range values {
+			m[i].lits[j] = newLiteral(v, p.Numeric)
+		}
 	}
+	return m, nil
+}
+
+// Match reports whether a record's fields satisfy every bound predicate. A
+// field index past the end of a short record reads as NULL.
+//
+//scoop:hotpath
+func (m Matcher) Match(fields [][]byte) bool {
+	for i := range m {
+		b := &m[i]
+		var raw []byte
+		null := b.idx >= len(fields)
+		if !null {
+			raw = fields[b.idx]
+		}
+		if !match(b.op, b.numeric, b.lits, raw, null) {
+			return false
+		}
+	}
+	return true
+}
+
+// MatchesBytes evaluates the predicate against a single raw field value,
+// parsing the literal on every call; record loops use Bind and Match. NULL
+// follows SQL semantics: comparisons against it are not satisfied (except IS
+// NULL), and an empty field is NULL to IS NULL / IS NOT NULL.
+//
+//scoop:hotpath
+func (p Predicate) MatchesBytes(raw []byte, null bool) bool {
 	if p.Op == OpIn {
 		for _, v := range p.Values {
-			if matchOne(OpEq, raw, v, p.Numeric) {
+			lit := [1]literal{newLiteral(v, p.Numeric)}
+			if match(OpEq, p.Numeric, lit[:], raw, null) {
 				return true
 			}
 		}
 		return false
 	}
-	return matchOne(p.Op, raw, p.Value, p.Numeric)
+	lit := [1]literal{newLiteral(p.Value, p.Numeric)}
+	return match(p.Op, p.Numeric, lit[:], raw, null)
 }
 
-func matchOne(op Op, raw, lit string, numeric bool) bool {
-	if op == OpLike {
-		return likeMatch(raw, lit)
-	}
-	var cmp int
-	if numeric {
-		a, aok := parseFloat(raw)
-		b, bok := parseFloat(lit)
-		if !aok || !bok {
-			return false // non-numeric field never satisfies a numeric predicate
-		}
-		switch {
-		case a < b:
-			cmp = -1
-		case a > b:
-			cmp = 1
-		}
-	} else {
-		cmp = strings.Compare(raw, lit)
-	}
+// Matches is MatchesBytes for callers holding a string (document and
+// columnar sources, which evaluate per value off the CSV record path).
+func (p Predicate) Matches(raw string, null bool) bool {
+	return p.MatchesBytes([]byte(raw), null)
+}
+
+// match is the one comparison: raw <op> any of lits.
+func match(op Op, numeric bool, lits []literal, raw []byte, null bool) bool {
 	switch op {
-	case OpEq:
-		return cmp == 0
-	case OpNe:
-		return cmp != 0
-	case OpLt:
-		return cmp < 0
-	case OpLe:
-		return cmp <= 0
-	case OpGt:
-		return cmp > 0
-	case OpGe:
-		return cmp >= 0
-	}
-	return false
-}
-
-// parseFloat parses a numeric operand with SQL coercion semantics (leading/
-// trailing space ignored, non-numeric text is NULL), matching what
-// types.Coerce(s, types.Float) used to produce here — without pulling the SQL
-// engine's Value box into the predicate hot path. fastFloatString handles the
-// plain-decimal shapes that dominate both CSV fields and predicate literals
-// allocation-free; only exotic syntax (exponents, hex floats, inf/NaN,
-// >19-digit mantissas) falls back to strconv.
-func parseFloat(s string) (float64, bool) {
-	s = strings.TrimSpace(s)
-	if len(s) == 0 {
-		return 0, false
-	}
-	if f, ok := fastFloatString(s); ok {
-		return f, true
-	}
-	//lint:ignore allocfree strconv.ParseFloat only allocates on its error path (*strconv.NumError), reached once per non-numeric exotic literal, not per plain-decimal record — fastFloatString above absorbs those
-	f, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, false
-	}
-	return f, true
-}
-
-// MatchesBytes is Matches for a raw byte-slice field value. It exists so the
-// storage-side filters can evaluate predicates per record without converting
-// fields to strings (the old per-record allocation on the pushdown hot
-// path); semantics are identical to Matches and checked by equivalence tests.
-//
-//scoop:hotpath
-func (p Predicate) MatchesBytes(raw []byte, null bool) bool {
-	switch p.Op {
 	case OpIsNull:
 		return null || len(raw) == 0
 	case OpNotNull:
@@ -292,37 +310,44 @@ func (p Predicate) MatchesBytes(raw []byte, null bool) bool {
 	if null {
 		return false
 	}
-	if p.Op == OpIn {
-		for _, v := range p.Values {
-			if matchOneBytes(OpEq, raw, v, p.Numeric) {
-				return true
-			}
-		}
-		return false
-	}
-	return matchOneBytes(p.Op, raw, p.Value, p.Numeric)
-}
-
-func matchOneBytes(op Op, raw []byte, lit string, numeric bool) bool {
-	if op == OpLike {
-		return likeMatchBytes(raw, lit)
-	}
-	var cmp int
-	if numeric {
-		a, aok := parseFloatBytes(raw)
-		b, bok := parseFloat(lit)
-		if !aok || !bok {
+	var a float64
+	if numeric && op != OpLike {
+		var ok bool
+		if a, ok = parseFloat(raw); !ok {
 			return false // non-numeric field never satisfies a numeric predicate
 		}
-		switch {
-		case a < b:
-			cmp = -1
-		case a > b:
-			cmp = 1
-		}
-	} else {
-		cmp = compareBytesString(raw, lit)
 	}
+	for i := range lits {
+		l := &lits[i]
+		var cmp int
+		switch {
+		case op == OpLike:
+			if likeMatch(raw, l.text) {
+				return true
+			}
+			continue
+		case numeric:
+			if !l.isNum {
+				continue
+			}
+			switch {
+			case a < l.num:
+				cmp = -1
+			case a > l.num:
+				cmp = 1
+			}
+		default:
+			cmp = compareBytesString(raw, l.text)
+		}
+		if holds(op, cmp) {
+			return true
+		}
+	}
+	return false
+}
+
+// holds maps a three-way comparison result onto the operator.
+func holds(op Op, cmp int) bool {
 	switch op {
 	case OpEq:
 		return cmp == 0
@@ -361,12 +386,14 @@ func compareBytesString(b []byte, s string) int {
 	return 0
 }
 
-// parseFloatBytes parses a float from a raw field without allocating for the
-// plain-decimal shapes that dominate CSV numerics. The fallback conversion
-// allocates (strconv.ParseFloat retains its argument in errors), but only
-// for exotic syntax — exponents, hex floats, inf/NaN, >19-digit mantissas.
-// Null/ok semantics match parseFloat exactly.
-func parseFloatBytes(b []byte) (float64, bool) {
+// parseFloat parses a numeric operand with SQL coercion semantics (leading/
+// trailing space ignored, non-numeric text is NULL) without pulling the SQL
+// engine's Value box into the predicate hot path. fastFloat handles the
+// plain-decimal shapes that dominate CSV numerics allocation-free; only
+// exotic syntax (exponents, hex floats, inf/NaN, >19-digit mantissas) falls
+// back to strconv, and that conversion allocates (strconv.ParseFloat retains
+// its argument in errors).
+func parseFloat(b []byte) (float64, bool) {
 	b = bytes.TrimSpace(b)
 	if len(b) == 0 {
 		return 0, false
@@ -435,95 +462,21 @@ func fastFloat(b []byte) (float64, bool) {
 	return f, true
 }
 
-// fastFloatString is fastFloat over a string, duplicated rather than
-// converted (like likeMatch/likeMatchBytes) so neither side of the predicate
-// evaluator pays a conversion allocation. Keep the two in lockstep — the
-// bit-identity tests cover both through parseFloat/parseFloatBytes.
-func fastFloatString(s string) (float64, bool) {
-	if len(s) == 0 {
-		return 0, false
-	}
-	i, neg := 0, false
-	if s[0] == '+' || s[0] == '-' {
-		neg = s[0] == '-'
-		i++
-	}
-	var mant uint64
-	frac, sawDot, sawDigit := 0, false, false
-	for ; i < len(s); i++ {
-		c := s[i]
-		if c == '.' {
-			if sawDot {
-				return 0, false
-			}
-			sawDot = true
-			continue
-		}
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		sawDigit = true
-		if mant >= 1<<53/10+1 {
-			return 0, false // mantissa may leave the exact-representation range
-		}
-		mant = mant*10 + uint64(c-'0')
-		if sawDot {
-			frac++
-		}
-	}
-	if !sawDigit || mant >= 1<<53 || frac >= len(pow10) {
-		return 0, false
-	}
-	f := float64(mant) / pow10[frac]
-	if neg {
-		f = -f
-	}
-	return f, true
-}
-
-// likeMatch duplicates expr.LikeMatch so the storage-side filter code does
-// not depend on the SQL engine (the paper's CSVStorlet is a standalone
-// artifact deployed into the store).
-func likeMatch(s, p string) bool {
+// likeMatch evaluates a SQL LIKE pattern (% any run, _ any byte) over a raw
+// field. It is the store-side copy of expr.LikeMatch: the storage-side filter
+// code does not depend on the SQL engine (the paper's CSVStorlet is a
+// standalone artifact deployed into the store).
+func likeMatch(s []byte, p string) bool {
 	var si, pi int
 	star, sBack := -1, 0
 	for si < len(s) {
 		switch {
-		case pi < len(p) && (p[pi] == '_' || p[pi] == s[si]):
-			si++
-			pi++
-		case pi < len(p) && p[pi] == '%':
+		case pi < len(p) && p[pi] == '%': // before the literal case: a '%' in the subject is no match for it
 			star = pi
 			sBack = si
 			pi++
-		case star >= 0:
-			pi = star + 1
-			sBack++
-			si = sBack
-		default:
-			return false
-		}
-	}
-	for pi < len(p) && p[pi] == '%' {
-		pi++
-	}
-	return pi == len(p)
-}
-
-// likeMatchBytes is likeMatch with a byte-slice subject, avoiding the
-// per-record string conversion on the filter hot path. The algorithm is
-// byte-indexed, so the two implementations are line-for-line identical.
-func likeMatchBytes(s []byte, p string) bool {
-	var si, pi int
-	star, sBack := -1, 0
-	for si < len(s) {
-		switch {
 		case pi < len(p) && (p[pi] == '_' || p[pi] == s[si]):
 			si++
-			pi++
-		case pi < len(p) && p[pi] == '%':
-			star = pi
-			sBack = si
 			pi++
 		case star >= 0:
 			pi = star + 1

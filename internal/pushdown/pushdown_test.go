@@ -107,6 +107,26 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// viaAllEntries evaluates p on one value through the three entry points —
+// Matches, MatchesBytes and a one-predicate Bind + Match, where NULL is a
+// record too short to hold the field — and fails the test if they disagree.
+func viaAllEntries(t *testing.T, p Predicate, raw string, null bool) bool {
+	t.Helper()
+	m, err := Bind([]Predicate{p}, func(string) int { return 0 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	fields := [][]byte{[]byte(raw)}
+	if null {
+		fields = nil
+	}
+	got := [3]bool{p.Matches(raw, null), p.MatchesBytes([]byte(raw), null), m.Match(fields)}
+	if got[0] != got[1] || got[1] != got[2] {
+		t.Fatalf("%v on (%q, null=%v): Matches=%v MatchesBytes=%v Bind+Match=%v", p, raw, null, got[0], got[1], got[2])
+	}
+	return got[0]
+}
+
 func TestPredicateMatchesString(t *testing.T) {
 	cases := []struct {
 		p    Predicate
@@ -124,6 +144,7 @@ func TestPredicateMatchesString(t *testing.T) {
 		{Predicate{Column: "c", Op: OpLike, Value: "2015-01%"}, "2015-01-17", false, true},
 		{Predicate{Column: "c", Op: OpLike, Value: "U%"}, "UKR", false, true},
 		{Predicate{Column: "c", Op: OpLike, Value: "U%"}, "FRA", false, false},
+		{Predicate{Column: "c", Op: OpLike, Value: "0%"}, "0%0", false, true}, // '%' in the subject
 		{Predicate{Column: "c", Op: OpIsNull}, "", false, true},
 		{Predicate{Column: "c", Op: OpIsNull}, "x", false, false},
 		{Predicate{Column: "c", Op: OpIsNull}, "x", true, true},
@@ -134,8 +155,8 @@ func TestPredicateMatchesString(t *testing.T) {
 		{Predicate{Column: "c", Op: OpIn, Values: []string{"FRA", "NED"}}, "UKR", false, false},
 	}
 	for _, c := range cases {
-		if got := c.p.Matches(c.raw, c.null); got != c.want {
-			t.Errorf("%v.Matches(%q, %v) = %v, want %v", c.p, c.raw, c.null, got, c.want)
+		if got := viaAllEntries(t, c.p, c.raw, c.null); got != c.want {
+			t.Errorf("%v on (%q, null=%v) = %v, want %v", c.p, c.raw, c.null, got, c.want)
 		}
 	}
 }
@@ -154,8 +175,8 @@ func TestPredicateMatchesNumeric(t *testing.T) {
 		{Predicate{Column: "c", Op: OpIn, Values: []string{"1.0", "2.0"}, Numeric: true}, "2", true},
 	}
 	for _, c := range cases {
-		if got := c.p.Matches(c.raw, false); got != c.want {
-			t.Errorf("%v.Matches(%q) = %v, want %v", c.p, c.raw, got, c.want)
+		if got := viaAllEntries(t, c.p, c.raw, false); got != c.want {
+			t.Errorf("%v on %q = %v, want %v", c.p, c.raw, got, c.want)
 		}
 	}
 }
@@ -198,12 +219,12 @@ func TestEncodeDecodeProperty(t *testing.T) {
 	}
 }
 
-// Property: the duplicated likeMatch agrees with a reference implementation
-// on wildcard-free patterns (exact equality).
+// Property: a wildcard-free LIKE pattern is exact equality.
 func TestLikeMatchExactProperty(t *testing.T) {
 	f := func(s string) bool {
 		clean := strings.NewReplacer("%", "x", "_", "y").Replace(s)
-		return likeMatch(clean, clean)
+		p := Predicate{Column: "c", Op: OpLike, Value: clean}
+		return viaAllEntries(t, p, clean, false) && !viaAllEntries(t, p, clean+"z", false)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

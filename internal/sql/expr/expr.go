@@ -568,12 +568,12 @@ func likeMatch(s, p string) bool {
 	star, sBack := -1, 0
 	for si < len(s) {
 		switch {
-		case pi < len(p) && (p[pi] == '_' || p[pi] == s[si]):
-			si++
-			pi++
-		case pi < len(p) && p[pi] == '%':
+		case pi < len(p) && p[pi] == '%': // before the literal case: a '%' in the subject is no match for it
 			star = pi
 			sBack = si
+			pi++
+		case pi < len(p) && (p[pi] == '_' || p[pi] == s[si]):
+			si++
 			pi++
 		case star >= 0:
 			pi = star + 1

@@ -296,6 +296,8 @@ func TestLikeMatch(t *testing.T) {
 		{"mississippi", "m%iss%pix", false},
 		{"abc", "%%%", true},
 		{"ab", "a%b%", true},
+		{"0%0", "0%", true}, // a '%' in the subject must not consume the wildcard as a literal
+		{"50%", "%", true},
 	}
 	for _, c := range cases {
 		if got := LikeMatch(c.s, c.p); got != c.want {

@@ -155,20 +155,16 @@ func (f *Filter) Invoke(ctx *storlet.Context, in io.Reader, out io.Writer) error
 			groupIdx = append(groupIdx, idx)
 		}
 	}
-	preds := make([]boundPred, 0, len(task.Predicates))
-	for _, p := range task.Predicates {
-		idx := schema.Index(p.Column)
-		if idx < 0 {
-			return fmt.Errorf("aggfilter: predicate column %q not in schema", p.Column)
-		}
-		preds = append(preds, boundPred{idx: idx, pred: p})
+	preds, err := pushdown.Bind(task.Predicates, schema.Index)
+	if err != nil {
+		return fmt.Errorf("aggfilter: %w", err)
 	}
 
 	rr := csvio.AcquireRangeReader(in, ctx.RangeStart, ctx.RangeEnd)
 	defer rr.Release()
 	skippedHeader := task.Options[OptHeader] != "true" || ctx.RangeStart > 0
 	groups := make(map[string]*groupState)
-	var fields [][]byte
+	var sc csvio.FieldScanner
 	for {
 		rec, err := rr.Next()
 		if errors.Is(err, io.EOF) {
@@ -181,8 +177,8 @@ func (f *Filter) Invoke(ctx *storlet.Context, in io.Reader, out io.Writer) error
 			skippedHeader = true
 			continue
 		}
-		fields = csvio.Fields(rec, csvio.DefaultDelimiter, fields)
-		if !match(preds, fields) {
+		fields := sc.Scan(rec, csvio.DefaultDelimiter)
+		if !preds.Match(fields) {
 			continue
 		}
 		key, keys := groupKey(groupIdx, fields)
@@ -220,26 +216,6 @@ func (f *Filter) Invoke(ctx *storlet.Context, in io.Reader, out io.Writer) error
 	}
 	ctx.Logf("aggfilter: range [%d,%d): %d groups", ctx.RangeStart, ctx.RangeEnd, len(groups))
 	return bw.Flush()
-}
-
-type boundPred struct {
-	idx  int
-	pred pushdown.Predicate
-}
-
-func match(preds []boundPred, fields [][]byte) bool {
-	for i := range preds {
-		bp := &preds[i]
-		var raw []byte
-		null := bp.idx >= len(fields)
-		if !null {
-			raw = fields[bp.idx]
-		}
-		if !bp.pred.MatchesBytes(raw, null) {
-			return false
-		}
-	}
-	return true
 }
 
 func groupKey(groupIdx []int, fields [][]byte) (string, []string) {

@@ -28,12 +28,13 @@ func invoke(t *testing.T, task *pushdown.Task, input string, start, end int64) [
 		t.Fatal(err)
 	}
 	var recs [][]string
+	var sc csvio.FieldScanner
 	for _, line := range strings.Split(strings.TrimRight(out.String(), "\n"), "\n") {
 		if line == "" {
 			continue
 		}
 		var rec []string
-		for _, fld := range csvio.Fields([]byte(line), ',', nil) {
+		for _, fld := range sc.Scan([]byte(line), ',') {
 			rec = append(rec, string(fld))
 		}
 		recs = append(recs, rec)
@@ -68,6 +69,54 @@ func TestGlobalAggregation(t *testing.T) {
 	}
 	if recs[0][0] != "43" || recs[0][1] != "1" || recs[0][2] != "20" || recs[0][3] != "5" {
 		t.Errorf("rec = %v", recs[0])
+	}
+}
+
+// Quoted fields unescape into the scanner's scratch buffer, which the next
+// record overwrites: group keys and min/max values taken from one record
+// must survive the scan of the following ones.
+func TestQuotedFieldsOutliveTheirRecord(t *testing.T) {
+	input := `V1,d,1,"a,b",NED` + "\n" +
+		`V2,d,2,"say ""hi""",NED` + "\n" +
+		`V3,d,4,"a,b",NED` + "\n" +
+		`V4,d,8,"zzzzzzzzzzzz",NED` + "\n"
+	recs := invoke(t, task(map[string]string{OptGroup: "city", OptAggs: "sum:index,min:city,max:city"},
+		pushdown.Predicate{Column: "city", Op: pushdown.OpNe, Value: "zzzzzzzzzzzz"}),
+		input, 0, int64(len(input)))
+	want := [][]string{
+		{"a,b", "5", "a,b", "a,b"},
+		{`say "hi"`, "2", `say "hi"`, `say "hi"`},
+	}
+	if len(recs) != len(want) {
+		t.Fatalf("recs = %q, want %q", recs, want)
+	}
+	for i := range want {
+		if strings.Join(recs[i], "|") != strings.Join(want[i], "|") {
+			t.Errorf("group %d = %q, want %q", i, recs[i], want[i])
+		}
+	}
+}
+
+// A global aggregate whose only cell renders empty (a sum over no numeric
+// value) is still one record: it must not be written as a blank line, which
+// the compute side would skip.
+func TestEmptyOnlyCellIsARecord(t *testing.T) {
+	input := "V1,d,n/a,Paris,FRA\nV2,d,,Rome,ITA\n"
+	f := New()
+	ctx := &storlet.Context{Task: task(map[string]string{OptAggs: "sum:index"}), RangeEnd: int64(len(input)), ObjectSize: int64(len(input))}
+	var out bytes.Buffer
+	if err := f.Invoke(ctx, strings.NewReader(input), &out); err != nil {
+		t.Fatal(err)
+	}
+	if out.String() != "\"\"\n" {
+		t.Fatalf("output = %q, want one record holding one empty field", out.String())
+	}
+	rec, err := csvio.NewRangeReader(&out, 0, 1<<62).Next()
+	if err != nil {
+		t.Fatalf("compute-side reader dropped the record: %v", err)
+	}
+	if fields := new(csvio.FieldScanner).Scan(rec, ','); len(fields) != 1 || len(fields[0]) != 0 {
+		t.Fatalf("fields = %q, want one empty field", fields)
 	}
 }
 

@@ -9,7 +9,6 @@
 package csvfilter
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -48,13 +47,8 @@ type compiled struct {
 	skipHeader bool
 	// projIdx are the field indexes to emit, in output order; nil = all.
 	projIdx []int
-	// preds pair each predicate with its resolved field index.
-	preds []boundPred
-}
-
-type boundPred struct {
-	idx  int
-	pred pushdown.Predicate
+	// match is the task's selection, bound to the schema's field positions.
+	match pushdown.Matcher
 }
 
 // scanPool recycles the per-invocation field scanner (field-slice header
@@ -77,8 +71,9 @@ func (f *Filter) Invoke(ctx *storlet.Context, in io.Reader, out io.Writer) error
 	defer storlet.ReleaseWriter(bw)
 	// A pure passthrough (no selection, no projection) emits records
 	// verbatim; splitting them into fields would be pure overhead.
-	needFields := c.projIdx != nil || len(c.preds) > 0
+	needFields := c.projIdx != nil || len(c.match) > 0
 	var fields [][]byte
+	projected := make([][]byte, len(c.projIdx))
 	skippedHeader := !c.skipHeader || ctx.RangeStart > 0
 	rows, kept := 0, 0
 	// The per-record loop: everything below runs once per CSV record, so it
@@ -100,7 +95,7 @@ func (f *Filter) Invoke(ctx *storlet.Context, in io.Reader, out io.Writer) error
 		if needFields {
 			fields = sc.Scan(rec, c.delim)
 		}
-		if !c.match(fields) {
+		if !c.match.Match(fields) {
 			continue
 		}
 		kept++
@@ -115,45 +110,17 @@ func (f *Filter) Invoke(ctx *storlet.Context, in io.Reader, out io.Writer) error
 			continue
 		}
 		for i, idx := range c.projIdx {
-			if i > 0 {
-				if err := bw.WriteByte(c.delim); err != nil {
-					return err
-				}
-			}
+			projected[i] = nil // a short record projects NULL as an empty field
 			if idx < len(fields) {
-				if csvio.NeedsQuoting(fields[idx], c.delim) {
-					if err := writeQuoted(bw, fields[idx]); err != nil {
-						return err
-					}
-				} else if _, err := bw.Write(fields[idx]); err != nil {
-					return err
-				}
+				projected[i] = fields[idx]
 			}
 		}
-		if err := bw.WriteByte('\n'); err != nil {
+		if err := csvio.WriteRecord(bw, projected, c.delim); err != nil {
 			return err
 		}
 	}
 	ctx.Logf("csvfilter: range [%d,%d): %d rows in, %d rows out", ctx.RangeStart, ctx.RangeEnd, rows, kept)
 	return bw.Flush()
-}
-
-func writeQuoted(bw *bufio.Writer, field []byte) error {
-	if err := bw.WriteByte('"'); err != nil {
-		return err
-	}
-	for _, ch := range field {
-		if ch == '"' {
-			if _, err := bw.WriteString(`""`); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := bw.WriteByte(ch); err != nil {
-			return err
-		}
-	}
-	return bw.WriteByte('"')
 }
 
 func compile(task *pushdown.Task) (*compiled, error) {
@@ -188,29 +155,8 @@ func compile(task *pushdown.Task) (*compiled, error) {
 			c.projIdx[i] = idx
 		}
 	}
-	for _, p := range task.Predicates {
-		idx := schema.Index(p.Column)
-		if idx < 0 {
-			return nil, fmt.Errorf("csvfilter: predicate column %q not in schema", p.Column)
-		}
-		c.preds = append(c.preds, boundPred{idx: idx, pred: p})
+	if c.match, err = pushdown.Bind(task.Predicates, schema.Index); err != nil {
+		return nil, fmt.Errorf("csvfilter: %w", err)
 	}
 	return c, nil
-}
-
-// match applies the conjunction of predicates to raw fields, comparing
-// byte slices directly — no per-record string conversion.
-func (c *compiled) match(fields [][]byte) bool {
-	for i := range c.preds {
-		bp := &c.preds[i]
-		var raw []byte
-		null := bp.idx >= len(fields)
-		if !null {
-			raw = fields[bp.idx]
-		}
-		if !bp.pred.MatchesBytes(raw, null) {
-			return false
-		}
-	}
-	return true
 }

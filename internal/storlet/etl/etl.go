@@ -58,7 +58,7 @@ func (*Cleanse) Invoke(ctx *storlet.Context, in io.Reader, out io.Writer) error 
 	defer rr.Release()
 	bw := storlet.AcquireWriter(out)
 	defer storlet.ReleaseWriter(bw)
-	var fields [][]byte
+	var sc csvio.FieldScanner
 	total, dropped := 0, 0
 	for {
 		rec, err := rr.Next()
@@ -69,7 +69,7 @@ func (*Cleanse) Invoke(ctx *storlet.Context, in io.Reader, out io.Writer) error 
 			return err
 		}
 		total++
-		fields = csvio.Fields(rec, csvio.DefaultDelimiter, fields)
+		fields := sc.Scan(rec, csvio.DefaultDelimiter)
 		if len(fields) != want {
 			dropped++
 			continue
@@ -133,7 +133,7 @@ func (*Split) Invoke(ctx *storlet.Context, in io.Reader, out io.Writer) error {
 	defer rr.Release()
 	bw := storlet.AcquireWriter(out)
 	defer storlet.ReleaseWriter(bw)
-	var fields [][]byte
+	var sc csvio.FieldScanner
 	sepB := []byte(sep)
 	for {
 		rec, err := rr.Next()
@@ -143,7 +143,7 @@ func (*Split) Invoke(ctx *storlet.Context, in io.Reader, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		fields = csvio.Fields(rec, csvio.DefaultDelimiter, fields)
+		fields := sc.Scan(rec, csvio.DefaultDelimiter)
 		if col >= len(fields) {
 			// Leave short records untouched; a cleansing stage upstream in
 			// the pipeline is responsible for dropping them.

@@ -36,6 +36,24 @@ func TestCleanseTrimsAndDrops(t *testing.T) {
 	}
 }
 
+// Quoted fields unescape into the scanner's scratch buffer, valid until the
+// next record is scanned: each record must be written before that, trimmed
+// and re-quoted, whatever the quoted record before it left in the buffer.
+func TestCleanseQuotedFields(t *testing.T) {
+	data := `" a,b ",x,1` + "\n" +
+		`V2,"say ""hi""", 2 ` + "\n" +
+		`"long quoted field that fills the scratch buffer",y,3` + "\n" +
+		`V4,"a,b",4` + "\n"
+	got := invokeFilter(t, NewCleanse(), map[string]string{"columns": "3", "required": "0"}, data)
+	want := `"a,b",x,1` + "\n" +
+		`V2,"say ""hi""",2` + "\n" +
+		`long quoted field that fills the scratch buffer,y,3` + "\n" +
+		`V4,"a,b",4` + "\n"
+	if got != want {
+		t.Errorf("got %q, want %q", got, want)
+	}
+}
+
 func TestCleanseNoRequired(t *testing.T) {
 	data := ",b,c\n"
 	got := invokeFilter(t, NewCleanse(), map[string]string{"columns": "3"}, data)
@@ -69,6 +87,19 @@ func TestSplitDateColumn(t *testing.T) {
 	got := invokeFilter(t, NewSplit(), map[string]string{"column": "1"}, data)
 	if got != "V1,2015-01-01,00:10:00,10.5\n" {
 		t.Errorf("got %q", got)
+	}
+}
+
+func TestSplitQuotedFields(t *testing.T) {
+	data := `"a,b","2015-01-17 10:20",1` + "\n" +
+		`"say ""hi""",2015-01-18 11:30,2` + "\n" +
+		`"short, quoted"` + "\n"
+	got := invokeFilter(t, NewSplit(), map[string]string{"column": "1"}, data)
+	want := `"a,b",2015-01-17,10:20,1` + "\n" +
+		`"say ""hi""",2015-01-18,11:30,2` + "\n" +
+		`"short, quoted"` + "\n"
+	if got != want {
+		t.Errorf("got %q, want %q", got, want)
 	}
 }
 

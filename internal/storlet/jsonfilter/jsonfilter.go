@@ -72,25 +72,25 @@ func (f *Filter) Invoke(ctx *storlet.Context, in io.Reader, out io.Writer) error
 			continue
 		}
 		rows++
-		doc, err := parseDoc(rec)
+		doc, err := ParseDoc(rec)
 		if err != nil {
 			if skipInvalid {
 				continue
 			}
 			return fmt.Errorf("jsonfilter: line %d: %w", rows, err)
 		}
-		if !matches(task.Predicates, doc) {
+		if !Matches(task.Predicates, doc) {
 			continue
 		}
 		kept++
 		fields := make([][]byte, len(task.Columns))
 		for i, path := range task.Columns {
-			v, ok := lookup(doc, path)
+			v, ok := Lookup(doc, path)
 			if !ok {
 				fields[i] = nil
 				continue
 			}
-			fields[i] = []byte(render(v))
+			fields[i] = []byte(Render(v))
 		}
 		if err := csvio.WriteRecord(bw, fields, csvio.DefaultDelimiter); err != nil {
 			return err
@@ -100,8 +100,8 @@ func (f *Filter) Invoke(ctx *storlet.Context, in io.Reader, out io.Writer) error
 	return bw.Flush()
 }
 
-// parseDoc decodes one JSON object, preserving number precision.
-func parseDoc(line []byte) (map[string]any, error) {
+// ParseDoc decodes one JSON object, preserving number precision.
+func ParseDoc(line []byte) (map[string]any, error) {
 	dec := json.NewDecoder(bytes.NewReader(line))
 	dec.UseNumber()
 	var doc map[string]any
@@ -111,8 +111,8 @@ func parseDoc(line []byte) (map[string]any, error) {
 	return doc, nil
 }
 
-// lookup resolves a dotted path in the document.
-func lookup(doc map[string]any, path string) (any, bool) {
+// Lookup resolves a dotted path in the document.
+func Lookup(doc map[string]any, path string) (any, bool) {
 	cur := any(doc)
 	for _, part := range strings.Split(path, ".") {
 		m, ok := cur.(map[string]any)
@@ -127,8 +127,8 @@ func lookup(doc map[string]any, path string) (any, bool) {
 	return cur, true
 }
 
-// render turns a JSON value into its CSV field text.
-func render(v any) string {
+// Render turns a JSON value into its CSV field text.
+func Render(v any) string {
 	switch x := v.(type) {
 	case nil:
 		return ""
@@ -148,14 +148,16 @@ func render(v any) string {
 	}
 }
 
-// matches applies the predicate conjunction to the document.
-func matches(preds []pushdown.Predicate, doc map[string]any) bool {
+// Matches applies the predicate conjunction to the document. The compute-side
+// JSON source evaluates documents with these same functions when it runs
+// without pushdown.
+func Matches(preds []pushdown.Predicate, doc map[string]any) bool {
 	for _, p := range preds {
-		v, ok := lookup(doc, p.Column)
+		v, ok := Lookup(doc, p.Column)
 		null := !ok || v == nil
 		raw := ""
 		if !null {
-			raw = render(v)
+			raw = Render(v)
 		}
 		if !p.Matches(raw, null) {
 			return false

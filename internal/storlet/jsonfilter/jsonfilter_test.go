@@ -67,6 +67,18 @@ func TestMissingFieldIsNull(t *testing.T) {
 	}
 }
 
+// A document whose single projected path is null or missing still yields a
+// record — one empty field, written quoted so that no reader takes it for a
+// blank line.
+func TestSingleNullProjectionIsARecord(t *testing.T) {
+	data := `{"vid": "V1", "city": null}` + "\n" + `{"vid": "V2", "city": "Rome"}` + "\n" + `{"vid": "V3"}` + "\n"
+	task := &pushdown.Task{Filter: FilterName, Columns: []string{"city"}}
+	got := invoke(t, task, data, 0, int64(len(data)))
+	if want := "\"\"\nRome\n\"\"\n"; got != want {
+		t.Errorf("got %q, want %q", got, want)
+	}
+}
+
 func TestByteRangeSplit(t *testing.T) {
 	task := &pushdown.Task{Filter: FilterName, Columns: []string{"vid"}}
 	for _, cut := range []int64{5, 40, 95, 120} {
