@@ -43,8 +43,7 @@ func main() {
 	timeout := flag.Duration("filter-timeout", 5*time.Minute, "per-invocation filter timeout")
 	dataDir := flag.String("data-dir", "", "persist objects under this directory (default: in-memory)")
 	cacheBytes := flag.Int64("result-cache-bytes", 256<<20, "pushdown result cache capacity in bytes (0 disables)")
-	repairIvl := flag.Duration("repair-interval", 2*time.Second, "background repair pass interval (0 disables)")
-	migrateIvl := flag.Duration("migrate-interval", 2*time.Second, "background migration pass interval (0 disables)")
+	reconcileIvl := flag.Duration("reconcile-interval", 2*time.Second, "background reconcile (repair + migration) pass interval (0 disables)")
 	healthIvl := flag.Duration("health-interval", 5*time.Second, "node health probe interval (0 disables)")
 	healthFails := flag.Int("health-fail-threshold", 3, "consecutive probe failures before auto-eject")
 	seed := flag.Int64("seed", 1, "seed for background-loop jitter (determinism knob)")
@@ -58,8 +57,7 @@ func main() {
 		Limits:              storlet.Limits{Timeout: *timeout},
 		DataDir:             *dataDir,
 		ResultCacheBytes:    *cacheBytes,
-		RepairInterval:      *repairIvl,
-		MigrateInterval:     *migrateIvl,
+		ReconcileInterval:   *reconcileIvl,
 		HealthInterval:      *healthIvl,
 		HealthFailThreshold: *healthFails,
 		Seed:                *seed,

@@ -154,7 +154,8 @@ func (c *Connector) Open(ctx context.Context, split Split, tasks []*pushdown.Tas
 	c.requests.Add(1)
 	stream := &counted{rc: rc, n: &c.bytesIngested}
 	if len(tasks) > 0 && c.fbEngine != nil && c.chainProven(tasks) {
-		return &fallbackReader{c: c, ctx: ctx, split: split, tasks: tasks, rc: stream}, nil
+		return objectstore.NewRecoveringReader(stream, 0, objectstore.UnknownEnd,
+			c.fallbackOnce(ctx, split, tasks)), nil
 	}
 	return stream, nil
 }

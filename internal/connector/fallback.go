@@ -2,7 +2,6 @@ package connector
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 
@@ -144,52 +143,17 @@ func (f *fallbackStream) Close() error {
 	return err
 }
 
-// fallbackReader watches a pushdown stream for degradable failures. On one,
-// it swaps in a compute-side fallback stream resynced past the bytes already
-// delivered, once; any further failure is surfaced.
-type fallbackReader struct {
-	c         *Connector
-	ctx       context.Context
-	split     Split
-	tasks     []*pushdown.Task
-	rc        io.ReadCloser
-	delivered int64
-	fellBack  bool
-	err       error // sticky terminal error
-}
-
-func (f *fallbackReader) Read(p []byte) (int, error) {
-	if f.err != nil {
-		return 0, f.err
-	}
-	for {
-		n, err := f.rc.Read(p)
-		f.delivered += int64(n)
-		if err == nil || errors.Is(err, io.EOF) {
-			return n, err
+// fallbackOnce is the connector's reopen rule for a pushdown stream (see
+// objectstore.NewRecoveringReader): on a degradable failure it swaps in a
+// compute-side fallback stream resynced past the bytes already delivered,
+// once; any other or further failure is surfaced as it is.
+func (c *Connector) fallbackOnce(ctx context.Context, split Split, tasks []*pushdown.Task) func(int64, error) (io.ReadCloser, error) {
+	fellBack := false
+	return func(delivered int64, cause error) (io.ReadCloser, error) {
+		if fellBack || !degradable(cause) {
+			return nil, cause
 		}
-		if f.fellBack || !degradable(err) {
-			f.err = err
-			if n > 0 {
-				return n, nil
-			}
-			return 0, err
-		}
-		nrc, ferr := f.c.openFallback(f.ctx, f.split, f.tasks, f.delivered, err)
-		if ferr != nil {
-			f.err = ferr
-			if n > 0 {
-				return n, nil
-			}
-			return 0, ferr
-		}
-		f.rc.Close()
-		f.rc = nrc
-		f.fellBack = true
-		if n > 0 {
-			return n, nil
-		}
+		fellBack = true
+		return c.openFallback(ctx, split, tasks, delivered, cause)
 	}
 }
-
-func (f *fallbackReader) Close() error { return f.rc.Close() }

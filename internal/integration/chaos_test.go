@@ -119,8 +119,8 @@ func TestChaosPutQuorumAndRepair(t *testing.T) {
 	if len(recs) != 1 {
 		t.Fatalf("repair records = %d, want 1", len(recs))
 	}
-	if len(recs[0].Missing) != 1 || recs[0].Missing[0] != sickNode {
-		t.Errorf("repair missing = %v, want [%s]", recs[0].Missing, sickNode)
+	if len(recs[0].Targets) != 1 || recs[0].Targets[0] != sickNode {
+		t.Errorf("repair targets = %v, want [%s]", recs[0].Targets, sickNode)
 	}
 	if len(recs[0].Causes) != 1 || !errors.Is(recs[0].Causes[0], faultinject.ErrInjected) {
 		t.Errorf("repair cause = %v, want wrapped faultinject.ErrInjected", recs[0].Causes)

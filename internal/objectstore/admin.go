@@ -145,40 +145,28 @@ func (h *AdminHandler) serveNodes(w http.ResponseWriter, r *http.Request) {
 	}
 	op := r.URL.Query().Get("op")
 	name := r.URL.Query().Get("name")
+	if name == "" && (op == "remove" || op == "drain") {
+		http.Error(w, "name query parameter required", http.StatusBadRequest)
+		return
+	}
 	var err error
+	var done string
 	switch op {
 	case "add":
-		var added string
-		added, err = h.cluster.AddNode(r.Context(), name)
-		if err == nil {
-			fmt.Fprintf(w, "added %s (epoch %d, %d partitions queued for migration)\n",
-				added, h.cluster.Ring().Epoch(), len(h.cluster.MigrationRecords()))
-			return
-		}
+		name, err = h.cluster.AddNode(r.Context(), name)
+		done = "added %s (epoch %d, %d partitions queued for migration)\n"
 	case "remove":
-		if name == "" {
-			http.Error(w, "name query parameter required", http.StatusBadRequest)
-			return
-		}
 		err = h.cluster.RemoveNode(r.Context(), name)
-		if err == nil {
-			fmt.Fprintf(w, "removed %s (epoch %d, %d partitions queued for re-replication)\n",
-				name, h.cluster.Ring().Epoch(), len(h.cluster.MigrationRecords()))
-			return
-		}
+		done = "removed %s (epoch %d, %d partitions queued for re-replication)\n"
 	case "drain":
-		if name == "" {
-			http.Error(w, "name query parameter required", http.StatusBadRequest)
-			return
-		}
 		err = h.cluster.DrainNode(r.Context(), name)
-		if err == nil {
-			fmt.Fprintf(w, "draining %s (epoch %d, %d partitions queued; node detaches on commit)\n",
-				name, h.cluster.Ring().Epoch(), len(h.cluster.MigrationRecords()))
-			return
-		}
+		done = "draining %s (epoch %d, %d partitions queued; node detaches on commit)\n"
 	default:
 		http.Error(w, "op must be add, remove or drain", http.StatusBadRequest)
+		return
+	}
+	if err == nil {
+		fmt.Fprintf(w, done, name, h.cluster.Ring().Epoch(), len(h.cluster.MigrationRecords()))
 		return
 	}
 	status := http.StatusBadRequest

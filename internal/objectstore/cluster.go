@@ -43,17 +43,14 @@ type ClusterConfig struct {
 	// ResultCacheBytes/8.
 	ResultCacheEntryBytes int64
 
-	// RepairInterval, when > 0, starts a background loop draining the
-	// proxies' repair queues at that pace (with seeded jitter). 0 leaves
-	// repair manual (RunRepairs), which the deterministic chaos suite
-	// depends on.
-	RepairInterval time.Duration
-	// MigrateInterval, when > 0, starts a background loop draining the
-	// partition-migration queue at that pace (with seeded jitter).
-	MigrateInterval time.Duration
+	// ReconcileInterval, when > 0, starts the background loop draining the
+	// reconcile queue — repairs and partition migrations alike — at that
+	// pace (with seeded jitter). 0 leaves reconciliation manual (RunRepairs,
+	// RunMigrations), which the deterministic chaos suite depends on.
+	ReconcileInterval time.Duration
 	// HealthInterval, when > 0, starts a background probe loop over the
 	// membership; HealthFailThreshold consecutive probe failures eject a
-	// node (re-replication via migration records).
+	// node (re-replication via reconcile records).
 	HealthInterval time.Duration
 	// HealthFailThreshold is the consecutive-failure count that marks a
 	// node dead; 0 defaults to 3.
@@ -86,12 +83,15 @@ type Cluster struct {
 	metrics *metrics.Registry
 	cache   *resultcache.Cache
 
+	// recon is the one queue of pending reconciliation (repairs and
+	// partition migrations), shared with the proxies.
+	recon *reconcileQueue
+
 	// memberMu serializes membership transitions (add/remove/drain, epoch
-	// commit) and guards the migration queue and health bookkeeping below.
-	// It is ordered before the ring's internal lock: membership operations
-	// take memberMu then call ring methods, never the reverse.
+	// commit) and guards the health bookkeeping below. It is ordered before
+	// the ring's internal lock and before recon's: membership operations
+	// take memberMu then call ring and queue methods, never the reverse.
 	memberMu      sync.Mutex
-	migrations    []MigrationRecord
 	draining      map[string]bool
 	healthFails   map[string]int
 	nodeSeq       int
@@ -153,6 +153,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		}
 	}
 	c.nodeSeq = cfg.ObjectNodes
+	c.recon = &reconcileQueue{metrics: c.metrics}
 	if err := rg.Rebalance(); err != nil {
 		return nil, err
 	}
@@ -173,6 +174,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		p.SetMetrics(c.metrics)
 		p.SetWriteQuorum(cfg.WriteQuorum)
 		p.SetResultCache(c.cache)
+		p.recon = c.recon
 		c.proxies = append(c.proxies, p)
 	}
 	c.startLoops()
@@ -198,37 +200,26 @@ func (c *Cluster) newStore(name string) (Store, error) {
 	return store, nil
 }
 
-// startLoops launches the configured background maintenance loops (repair,
-// migration, health probing). Each loop paces itself with seeded jitter so
-// two runs with the same seed fire in the same order relative to their own
-// timers, and exits promptly on Close.
+// startLoops launches the configured background maintenance loops
+// (reconciliation, health probing). Each loop paces itself with seeded
+// jitter so two runs with the same seed fire in the same order relative to
+// their own timers, and exits promptly on Close.
 func (c *Cluster) startLoops() {
-	if c.cfg.RepairInterval <= 0 && c.cfg.MigrateInterval <= 0 && c.cfg.HealthInterval <= 0 {
-		return
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	c.loopCancel = cancel
 	seed := c.cfg.Seed
 	if seed == 0 {
 		seed = 1
 	}
-	if d := c.cfg.RepairInterval; d > 0 {
+	c.startLoop(ctx, c.cfg.ReconcileInterval, seed, func(ctx context.Context) { _, _ = c.reconcile(ctx, anyScope) })
+	c.startLoop(ctx, c.cfg.HealthInterval, seed+1, func(ctx context.Context) { _, _ = c.RunHealthCheck(ctx) })
+}
+
+// startLoop starts one maintenance loop; an interval <= 0 leaves it off.
+func (c *Cluster) startLoop(ctx context.Context, interval time.Duration, seed int64, fn func(context.Context)) {
+	if interval > 0 {
 		c.loopWG.Add(1)
-		go c.maintenanceLoop(ctx, d, seed, func(ctx context.Context) {
-			_, _ = c.RunRepairs(ctx)
-		})
-	}
-	if d := c.cfg.MigrateInterval; d > 0 {
-		c.loopWG.Add(1)
-		go c.maintenanceLoop(ctx, d, seed+1, func(ctx context.Context) {
-			_, _ = c.RunMigrations(ctx)
-		})
-	}
-	if d := c.cfg.HealthInterval; d > 0 {
-		c.loopWG.Add(1)
-		go c.maintenanceLoop(ctx, d, seed+2, func(ctx context.Context) {
-			_, _ = c.RunHealthCheck(ctx)
-		})
+		go c.maintenanceLoop(ctx, interval, seed, fn)
 	}
 }
 
@@ -256,9 +247,7 @@ func (c *Cluster) Close() error {
 	if c.closed.Swap(true) {
 		return nil
 	}
-	if c.loopCancel != nil {
-		c.loopCancel()
-	}
+	c.loopCancel()
 	c.loopWG.Wait()
 	return nil
 }
@@ -269,31 +258,6 @@ func (c *Cluster) ResultCache() *resultcache.Cache { return c.cache }
 // Metrics returns the cluster's shared recovery-counter registry (failover,
 // resume, quorum and repair counts across all proxies).
 func (c *Cluster) Metrics() *metrics.Registry { return c.metrics }
-
-// RepairRecords aggregates the pending repair queues of every proxy.
-func (c *Cluster) RepairRecords() []RepairRecord {
-	var out []RepairRecord
-	for _, p := range c.proxies {
-		out = append(out, p.RepairRecords()...)
-	}
-	return out
-}
-
-// RunRepairs drains every proxy's repair queue (the in-process stand-in for
-// Swift's object-replicator pass), returning the total records repaired and
-// the first error.
-func (c *Cluster) RunRepairs(ctx context.Context) (int, error) {
-	total := 0
-	var firstErr error
-	for _, p := range c.proxies {
-		n, err := p.RunRepairs(ctx)
-		total += n
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return total, firstErr
-}
 
 // Engine returns the cluster's storlet engine for deploying filters.
 func (c *Cluster) Engine() *storlet.Engine { return c.engine }
@@ -379,7 +343,7 @@ func (l *lbClient) GetObject(ctx context.Context, account, container, object str
 	if err != nil {
 		return nil, info, err
 	}
-	return &lbCounted{rc: rc, c: l.c}, info, nil
+	return &countedBody{rc: rc, onClose: func(n int64) { l.c.lbBytes.Add(n) }}, info, nil
 }
 
 func (l *lbClient) HeadObject(ctx context.Context, account, container, object string) (ObjectInfo, error) {
@@ -400,26 +364,4 @@ func (l *lbClient) ListContainers(ctx context.Context, account string) ([]string
 
 func (l *lbClient) DeleteContainer(ctx context.Context, account, container string) error {
 	return l.pick().DeleteContainer(ctx, account, container)
-}
-
-type lbCounted struct {
-	rc io.ReadCloser
-	c  *Cluster
-}
-
-func (l *lbCounted) Read(p []byte) (int, error) {
-	n, err := l.rc.Read(p)
-	l.c.lbBytes.Add(int64(n))
-	return n, err
-}
-
-func (l *lbCounted) Close() error { return l.rc.Close() }
-
-// CacheStatus forwards the result-cache status so the HTTP handler (which
-// sees only the lb-wrapped stream) can still emit HeaderCacheStatus.
-func (l *lbCounted) CacheStatus() string {
-	if s, ok := l.rc.(CacheStatuser); ok {
-		return s.CacheStatus()
-	}
-	return ""
 }

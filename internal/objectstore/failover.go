@@ -1,6 +1,7 @@
 package objectstore
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -14,133 +15,45 @@ var errStaleReplica = errors.New("objectstore: stale replica")
 // peekFirst forces a replica's stream to produce its first byte (or a clean
 // EOF) before the proxy commits to it, converting open-then-fail streams —
 // a node that accepts the request and dies before sending anything — into
-// failures the replica loop can still route around. The peeked byte is
-// replayed to the caller, so the stream is byte-identical.
+// failures the replica loop can still route around. The peeked bytes sit in
+// a minimum-size bufio buffer and are replayed to the caller (as is any
+// error that arrived with them), so the stream is byte-identical; reads
+// larger than the buffer bypass it.
 func peekFirst(rc io.ReadCloser) (io.ReadCloser, error) {
-	var b [1]byte
-	for {
-		n, err := rc.Read(b[:])
-		if n > 0 {
-			var pending error
-			if err != nil {
-				pending = err
-			}
-			return &prefixed{pre: []byte{b[0]}, rc: rc, pending: pending}, nil
-		}
-		if err == nil {
-			continue // legal zero-byte read; ask again
-		}
-		if errors.Is(err, io.EOF) {
-			return &prefixed{rc: rc, pending: io.EOF}, nil
-		}
+	br := bufio.NewReaderSize(rc, 16)
+	if _, err := br.Peek(1); err != nil && !errors.Is(err, io.EOF) {
 		return nil, err
 	}
+	return struct {
+		io.Reader
+		io.Closer
+	}{br, rc}, nil
 }
 
-// prefixed replays peeked bytes before handing Reads through to the
-// underlying stream, preserving any error the peek observed after them.
-type prefixed struct {
-	pre     []byte
-	off     int
-	rc      io.ReadCloser
-	pending error
-}
-
-func (p *prefixed) Read(b []byte) (int, error) {
-	if p.off < len(p.pre) {
-		n := copy(b, p.pre[p.off:])
-		p.off += n
-		return n, nil
-	}
-	if p.pending != nil {
-		return 0, p.pending
-	}
-	return p.rc.Read(b)
-}
-
-func (p *prefixed) Close() error { return p.rc.Close() }
-
-// replicaStream is the proxy's mid-stream failover for plain (unfiltered)
-// object reads: when a replica's stream fails after its first byte — node
-// crash, disk error, injected truncation — the remaining replicas are tried
-// from the current byte offset, so the failure is invisible to the client
-// and the delivered stream stays byte-identical. Short EOFs count as
-// failures too: the expected length is known (end - start), which is what
-// catches truncation that arrives as a polite EOF.
+// resumeOnReplicas is the proxy's reopen rule for plain (unfiltered) reads
+// (see recoveringReader): when the serving replica's stream fails after its
+// first byte — node crash, disk error, injected truncation — the replicas
+// after nodes[idx] are tried from the break, so the failure is invisible to
+// the client and the delivered stream stays byte-identical. The walk only
+// moves forward: a replica that failed once is not retried.
 //
-// Filtered (storlet) streams never get this wrapper: a filter's output is
-// not byte-addressable, so re-entering it at an offset would be exactly the
-// non-idempotent retry the storlet path must avoid.
-type replicaStream struct {
-	ctx   context.Context
-	p     *Proxy
-	nodes []*Node
-	idx   int // replica currently being read
-	path  string
-	etag  string // version guard: a resumed replica must serve this version
-	rc    io.ReadCloser
-	off   int64 // next absolute object offset
-	end   int64 // absolute end offset (exclusive)
-	err   error // sticky terminal error
-}
-
-func (s *replicaStream) Read(b []byte) (int, error) {
-	if s.err != nil {
-		return 0, s.err
-	}
-	for {
-		n, err := s.rc.Read(b)
-		s.off += int64(n)
-		if err == nil {
-			return n, nil
-		}
-		if errors.Is(err, io.EOF) && s.off >= s.end {
-			return n, io.EOF
-		}
-		// Delivered bytes go out first; the next Read continues from the
-		// replacement replica or surfaces the terminal error.
-		if ferr := s.failover(err); ferr != nil {
-			s.err = ferr
-			if n > 0 {
-				return n, nil
-			}
-			return 0, ferr
-		}
-		if n > 0 {
-			return n, nil
-		}
-	}
-}
-
-// failover closes the broken stream and reopens [off, end) on the next
-// replica that can produce a first byte.
-func (s *replicaStream) failover(cause error) error {
-	s.rc.Close()
-	s.rc = brokenBody{}
-	for s.idx++; s.idx < len(s.nodes); s.idx++ {
-		if err := s.ctx.Err(); err != nil {
-			return err
-		}
-		// The resume is version-pinned: a replica holding a different
-		// version would splice foreign bytes into the delivered prefix.
-		rc, _, err := s.nodes[s.idx].GetVersion(s.ctx, s.path, s.off, s.end, nil, s.etag)
+// The resume is version-pinned to etag: a replica holding another version
+// would splice foreign bytes into the delivered prefix. Filtered (storlet)
+// streams never get this: a filter's output is not byte-addressable, so
+// re-entering it at an offset would be exactly the non-idempotent retry the
+// storlet path must avoid.
+func (p *Proxy) resumeOnReplicas(ctx context.Context, nodes []*Node, idx int, path, etag string, end int64) func(int64, error) (io.ReadCloser, error) {
+	return func(off int64, cause error) (io.ReadCloser, error) {
+		rc, _, i, err := p.fetchReplica(ctx, nodes[idx+1:], path, off, end, nil, etag)
 		if err != nil {
-			if errors.Is(err, errStaleReplica) {
-				s.p.count("proxy.get.stale_skips")
+			if cerr := ctx.Err(); cerr != nil {
+				return nil, cerr
 			}
-			continue
+			return nil, fmt.Errorf("objectstore: read %s failed at offset %d and no replica could resume: %w",
+				path, off, cause)
 		}
-		pk, perr := peekFirst(rc)
-		if perr != nil {
-			rc.Close()
-			continue
-		}
-		s.rc = pk
-		s.p.count("proxy.get.resumes")
-		return nil
+		idx += 1 + i
+		p.count("proxy.get.resumes")
+		return rc, nil
 	}
-	return fmt.Errorf("objectstore: read %s failed at offset %d and no replica could resume: %w",
-		s.path, s.off, cause)
 }
-
-func (s *replicaStream) Close() error { return s.rc.Close() }

@@ -100,6 +100,13 @@ func (c *HTTPClient) url(parts ...string) string {
 	return c.BaseURL + "/v1/" + strings.Join(parts, "/")
 }
 
+// do runs one bodyless (hence replayable) request under the retry policy.
+func (c *HTTPClient) do(ctx context.Context, method, url string) (*http.Response, error) {
+	return c.doRetry(ctx, method, true, func() (*http.Request, error) {
+		return http.NewRequestWithContext(ctx, method, url, nil)
+	})
+}
+
 // CreateContainer implements Client.
 func (c *HTTPClient) CreateContainer(ctx context.Context, account, container string, policy *ContainerPolicy) error {
 	var headers http.Header
@@ -205,14 +212,7 @@ func (c *HTTPClient) GetObject(ctx context.Context, account, container, object s
 		defer drainClose(resp.Body)
 		return nil, ObjectInfo{}, statusErr(resp)
 	}
-	info := ObjectInfo{
-		Account:   account,
-		Container: container,
-		Name:      object,
-		ETag:      resp.Header.Get("ETag"),
-		Size:      resp.ContentLength,
-		Meta:      metaFromHeaders(resp.Header),
-	}
+	info := infoFromResponse(resp, account, container, object)
 	body := resp.Body
 	if len(opts.Pushdown) > 0 {
 		// Filtered streams carry mid-stream failures in the error trailer
@@ -229,26 +229,16 @@ func (c *HTTPClient) GetObject(ctx context.Context, account, container, object s
 	// is detected against Content-Length and re-read from the break via a
 	// Range request. Filtered streams are exempt (not byte-addressable).
 	if len(opts.Pushdown) == 0 && resp.ContentLength > 0 && !c.Retry.Disabled {
-		body = &resumeReader{
-			c:         c,
-			ctx:       ctx,
-			account:   account,
-			container: container,
-			object:    object,
-			etag:      info.ETag,
-			rc:        resp.Body,
-			off:       opts.RangeStart,
-			end:       opts.RangeStart + resp.ContentLength,
-		}
+		end := opts.RangeStart + resp.ContentLength
+		body = NewRecoveringReader(resp.Body, opts.RangeStart, end,
+			c.resumeRanged(ctx, account, container, object, info.ETag, end))
 	}
 	return body, info, nil
 }
 
 // HeadObject implements Client.
 func (c *HTTPClient) HeadObject(ctx context.Context, account, container, object string) (ObjectInfo, error) {
-	resp, err := c.doRetry(ctx, http.MethodHead, true, func() (*http.Request, error) {
-		return http.NewRequestWithContext(ctx, http.MethodHead, c.url(account, container, object), nil)
-	})
+	resp, err := c.do(ctx, http.MethodHead, c.url(account, container, object))
 	if err != nil {
 		return ObjectInfo{}, err
 	}
@@ -256,21 +246,21 @@ func (c *HTTPClient) HeadObject(ctx context.Context, account, container, object 
 	if resp.StatusCode != http.StatusOK {
 		return ObjectInfo{}, statusErr(resp)
 	}
+	return infoFromResponse(resp, account, container, object), nil
+}
+
+// infoFromResponse reads object metadata off a GET/HEAD response. Size is
+// the Content-Length: the range length on a ranged GET, -1 on a filtered one.
+func infoFromResponse(resp *http.Response, account, container, object string) ObjectInfo {
 	return ObjectInfo{
-		Account:   account,
-		Container: container,
-		Name:      object,
-		ETag:      resp.Header.Get("ETag"),
-		Size:      resp.ContentLength,
-		Meta:      metaFromHeaders(resp.Header),
-	}, nil
+		Account: account, Container: container, Name: object,
+		ETag: resp.Header.Get("ETag"), Size: resp.ContentLength, Meta: metaFromHeaders(resp.Header),
+	}
 }
 
 // DeleteObject implements Client.
 func (c *HTTPClient) DeleteObject(ctx context.Context, account, container, object string) error {
-	resp, err := c.doRetry(ctx, http.MethodDelete, true, func() (*http.Request, error) {
-		return http.NewRequestWithContext(ctx, http.MethodDelete, c.url(account, container, object), nil)
-	})
+	resp, err := c.do(ctx, http.MethodDelete, c.url(account, container, object))
 	if err != nil {
 		return err
 	}
@@ -287,9 +277,7 @@ func (c *HTTPClient) ListObjects(ctx context.Context, account, container, prefix
 	if prefix != "" {
 		url += "?prefix=" + prefix
 	}
-	resp, err := c.doRetry(ctx, http.MethodGet, true, func() (*http.Request, error) {
-		return http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	})
+	resp, err := c.do(ctx, http.MethodGet, url)
 	if err != nil {
 		return nil, err
 	}
@@ -306,9 +294,7 @@ func (c *HTTPClient) ListObjects(ctx context.Context, account, container, prefix
 
 // ListContainers implements Client.
 func (c *HTTPClient) ListContainers(ctx context.Context, account string) ([]string, error) {
-	resp, err := c.doRetry(ctx, http.MethodGet, true, func() (*http.Request, error) {
-		return http.NewRequestWithContext(ctx, http.MethodGet, c.url(account), nil)
-	})
+	resp, err := c.do(ctx, http.MethodGet, c.url(account))
 	if err != nil {
 		return nil, err
 	}
@@ -325,9 +311,7 @@ func (c *HTTPClient) ListContainers(ctx context.Context, account string) ([]stri
 
 // DeleteContainer implements Client.
 func (c *HTTPClient) DeleteContainer(ctx context.Context, account, container string) error {
-	resp, err := c.doRetry(ctx, http.MethodDelete, true, func() (*http.Request, error) {
-		return http.NewRequestWithContext(ctx, http.MethodDelete, c.url(account, container), nil)
-	})
+	resp, err := c.do(ctx, http.MethodDelete, c.url(account, container))
 	if err != nil {
 		return err
 	}

@@ -93,15 +93,30 @@ func (c *Cluster) AddNode(ctx context.Context, name string) (string, error) {
 // For a graceful exit that keeps the node serving as a data source until
 // its partitions have moved, use DrainNode.
 func (c *Cluster) RemoveNode(ctx context.Context, name string) error {
+	return c.leave(ctx, name, false)
+}
+
+// DrainNode starts a graceful decommission: the node's devices leave the
+// ring (so no new writes land on it), but the node STAYS in the membership
+// as a read and migration source while its partitions move. When the
+// migration window commits, the node is detached and marked down.
+func (c *Cluster) DrainNode(ctx context.Context, name string) error {
+	return c.leave(ctx, name, true)
+}
+
+func (c *Cluster) leave(ctx context.Context, name string, drain bool) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	c.memberMu.Lock()
 	defer c.memberMu.Unlock()
-	return c.removeNodeLocked(name)
+	return c.leaveLocked(name, drain)
 }
 
-func (c *Cluster) removeNodeLocked(name string) error {
+// leaveLocked takes a member's devices out of the ring and files the moved
+// partitions for reconciliation. A draining node stays a member until the
+// window commits; a removed one detaches now. Caller holds memberMu.
+func (c *Cluster) leaveLocked(name string, drain bool) error {
 	if c.ring.Migrating() {
 		return ErrMigrationInProgress
 	}
@@ -116,39 +131,14 @@ func (c *Cluster) removeNodeLocked(name string) error {
 	if err := c.ring.Rebalance(); err != nil {
 		return err
 	}
-	c.members.Remove(name)
-	node.SetDown(true)
-	delete(c.draining, name)
-	delete(c.healthFails, name)
-	c.metrics.Gauge("ring.epoch").Set(int64(c.ring.Epoch()))
-	c.enqueueMigrationsLocked()
-	return nil
-}
-
-// DrainNode starts a graceful decommission: the node's devices leave the
-// ring (so no new writes land on it), but the node STAYS in the membership
-// as a read and migration source while its partitions move. When the
-// migration window commits, the node is detached and marked down.
-func (c *Cluster) DrainNode(ctx context.Context, name string) error {
-	if err := ctx.Err(); err != nil {
-		return err
+	if drain {
+		c.draining[name] = true
+	} else {
+		c.members.Remove(name)
+		node.SetDown(true)
+		delete(c.draining, name)
+		delete(c.healthFails, name)
 	}
-	c.memberMu.Lock()
-	defer c.memberMu.Unlock()
-	if c.ring.Migrating() {
-		return ErrMigrationInProgress
-	}
-	if _, ok := c.members.Get(name); !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownNode, name)
-	}
-	if c.members.Len() == 1 {
-		return ErrLastNode
-	}
-	c.ring.RemoveNodeDevices(name)
-	if err := c.ring.Rebalance(); err != nil {
-		return err
-	}
-	c.draining[name] = true
 	c.metrics.Gauge("ring.epoch").Set(int64(c.ring.Epoch()))
 	c.enqueueMigrationsLocked()
 	return nil
@@ -217,7 +207,7 @@ func (c *Cluster) RunHealthCheck(ctx context.Context) ([]string, error) {
 			c.memberMu.Unlock()
 			continue
 		}
-		rerr := c.removeNodeLocked(name)
+		rerr := c.leaveLocked(name, false)
 		c.memberMu.Unlock()
 		switch {
 		case rerr == nil:

@@ -471,8 +471,7 @@ func TestHealthCheckDefersDuringMigration(t *testing.T) {
 // converges with no manual RunMigrations calls, and Close stops the loops.
 func TestBackgroundLoopsDriveConvergence(t *testing.T) {
 	cfg := liveConfig()
-	cfg.RepairInterval = 2 * time.Millisecond
-	cfg.MigrateInterval = 2 * time.Millisecond
+	cfg.ReconcileInterval = 2 * time.Millisecond
 	cfg.HealthInterval = 2 * time.Millisecond
 	cfg.Seed = 42
 	cluster, objects := newLiveCluster(t, cfg, 12)

@@ -85,11 +85,19 @@ func (n *Node) countError() {
 	n.mu.Unlock()
 }
 
-// Put stores a replica of the object.
-func (n *Node) Put(ctx context.Context, info ObjectInfo, r io.Reader) (ObjectInfo, error) {
+// up fails (and accounts the failed operation) while the node is down.
+func (n *Node) up() error {
 	if n.down.Load() {
 		n.countError()
-		return ObjectInfo{}, fmt.Errorf("%w: %s", ErrNodeDown, n.name)
+		return fmt.Errorf("%w: %s", ErrNodeDown, n.name)
+	}
+	return nil
+}
+
+// Put stores a replica of the object.
+func (n *Node) Put(ctx context.Context, info ObjectInfo, r io.Reader) (ObjectInfo, error) {
+	if err := n.up(); err != nil {
+		return ObjectInfo{}, err
 	}
 	si, err := n.store.Put(ctx, info, r)
 	if err != nil {
@@ -111,9 +119,8 @@ func (n *Node) Get(ctx context.Context, path string, start, end int64, tasks []*
 // BEFORE any filter runs — a stale replica costs the proxy one metadata
 // miss, not a storlet invocation.
 func (n *Node) GetVersion(ctx context.Context, path string, start, end int64, tasks []*pushdown.Task, wantETag string) (io.ReadCloser, ObjectInfo, error) {
-	if n.down.Load() {
-		n.countError()
-		return nil, ObjectInfo{}, fmt.Errorf("%w: %s", ErrNodeDown, n.name)
+	if err := n.up(); err != nil {
+		return nil, ObjectInfo{}, err
 	}
 	// Pushdown filters over record-structured data must finish the record
 	// straddling the range end, so a filtered request is given the stream
@@ -144,7 +151,7 @@ func (n *Node) GetVersion(ctx context.Context, path string, start, end int64, ta
 	}
 	n.mu.Unlock()
 	if len(tasks) == 0 {
-		return &countedCloser{rc: rc, node: n}, info, nil
+		return &countedBody{rc: rc, onClose: func(sent int64) { n.addSent(sent, 0) }}, info, nil
 	}
 	sctx := &storlet.Context{
 		Ctx:        ctx,
@@ -161,7 +168,18 @@ func (n *Node) GetVersion(ctx context.Context, path string, start, end int64, ta
 	}
 	// The chain never closes its input; tie the store reader's lifetime to
 	// the filtered stream so disk-backed stores don't leak descriptors.
-	return &countedCloser{rc: out, node: n, filterStart: filterStart, filtered: true, also: rc}, info, nil
+	return &countedBody{rc: out, also: rc, onClose: func(sent int64) {
+		n.addSent(sent, time.Since(filterStart))
+	}}, info, nil
+}
+
+// addSent accounts a finished GET stream: bytes returned to the proxy and
+// the wall time its filter chain ran.
+func (n *Node) addSent(sent int64, filter time.Duration) {
+	n.mu.Lock()
+	n.stats.BytesSent += sent
+	n.stats.FilterTime += filter
+	n.mu.Unlock()
 }
 
 // Ping probes the node's storage engine for liveness — the health check's
@@ -182,18 +200,16 @@ func (n *Node) Ping(ctx context.Context) error {
 
 // Head returns a replica's metadata.
 func (n *Node) Head(ctx context.Context, path string) (ObjectInfo, error) {
-	if n.down.Load() {
-		n.countError()
-		return ObjectInfo{}, fmt.Errorf("%w: %s", ErrNodeDown, n.name)
+	if err := n.up(); err != nil {
+		return ObjectInfo{}, err
 	}
 	return n.store.Head(ctx, path)
 }
 
 // Delete removes a replica.
 func (n *Node) Delete(ctx context.Context, path string) error {
-	if n.down.Load() {
-		n.countError()
-		return fmt.Errorf("%w: %s", ErrNodeDown, n.name)
+	if err := n.up(); err != nil {
+		return err
 	}
 	n.store.Delete(ctx, path)
 	return nil
@@ -201,51 +217,8 @@ func (n *Node) Delete(ctx context.Context, path string) error {
 
 // List lists replicas by path prefix.
 func (n *Node) List(ctx context.Context, prefix string) ([]ObjectInfo, error) {
-	if n.down.Load() {
-		n.countError()
-		return nil, fmt.Errorf("%w: %s", ErrNodeDown, n.name)
+	if err := n.up(); err != nil {
+		return nil, err
 	}
 	return n.store.List(ctx, prefix), nil
-}
-
-// countedCloser accounts outbound bytes and filter wall time as the stream
-// is consumed.
-type countedCloser struct {
-	rc          io.ReadCloser
-	node        *Node
-	n           int64
-	filtered    bool
-	filterStart time.Time
-	closed      bool
-	// also is an extra resource released on Close (the raw store stream
-	// feeding a filter chain).
-	also io.Closer
-}
-
-func (c *countedCloser) Read(p []byte) (int, error) {
-	n, err := c.rc.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-func (c *countedCloser) Close() error {
-	if c.closed {
-		return nil
-	}
-	c.closed = true
-	c.node.mu.Lock()
-	c.node.stats.BytesSent += c.n
-	if c.filtered {
-		c.node.stats.FilterTime += time.Since(c.filterStart)
-	}
-	c.node.mu.Unlock()
-	err := c.rc.Close()
-	if c.also != nil {
-		// The chain goroutines may still be draining the store stream;
-		// closing rc (the pipe) stops them first, then this is safe.
-		if aerr := c.also.Close(); err == nil {
-			err = aerr
-		}
-	}
-	return err
 }

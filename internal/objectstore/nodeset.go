@@ -68,6 +68,21 @@ func (s *NodeSet) Get(name string) (*Node, bool) {
 	return n, ok
 }
 
+// resolve maps names to their member nodes, in order, skipping names that
+// are not (or no longer) members: an ejected node can neither serve nor
+// take bytes, so callers walking a placement simply do not see it.
+func (s *NodeSet) resolve(names []string) []*Node {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	out := make([]*Node, 0, len(names))
+	for _, name := range names {
+		if n, ok := s.nodes[name]; ok {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
 // Names returns the member names in insertion order.
 func (s *NodeSet) Names() []string {
 	s.mu.RLock()

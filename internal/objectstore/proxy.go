@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"scoop/internal/metrics"
 	"scoop/internal/pushdown"
@@ -29,6 +28,44 @@ type Registry struct {
 // NewRegistry returns an empty metadata registry.
 func NewRegistry() *Registry {
 	return &Registry{accounts: make(map[string]*accountState)}
+}
+
+// AllObjects snapshots every committed object's metadata across all
+// accounts and containers, sorted by ring path — the reconciler's work list.
+func (r *Registry) AllObjects() []ObjectInfo {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	var out []ObjectInfo
+	for _, acc := range r.accounts {
+		for _, cs := range acc.containers {
+			for _, info := range cs.objects {
+				out = append(out, info)
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Path() < out[j].Path() })
+	return out
+}
+
+// InfoByPath resolves a "/account/container/object" ring key to its
+// committed metadata.
+func (r *Registry) InfoByPath(path string) (ObjectInfo, bool) {
+	parts := strings.SplitN(strings.TrimPrefix(path, "/"), "/", 3)
+	if len(parts) != 3 {
+		return ObjectInfo{}, false
+	}
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	acc, ok := r.accounts[parts[0]]
+	if !ok {
+		return ObjectInfo{}, false
+	}
+	cs, ok := acc.containers[parts[1]]
+	if !ok {
+		return ObjectInfo{}, false
+	}
+	info, ok := cs.objects[parts[2]]
+	return info, ok
 }
 
 type accountState struct {
@@ -70,9 +107,9 @@ type Proxy struct {
 	// based, so sharing is always safe).
 	cache *resultcache.Cache
 
-	repairMu    sync.Mutex
-	repairs     []RepairRecord
-	asyncRepair func(RepairRecord)
+	// recon is the cluster's reconcile queue; an under-replicated PUT files
+	// its repair record there. Shared across proxies like the cache.
+	recon *reconcileQueue
 
 	statMu sync.Mutex
 	stats  ProxyStats
@@ -102,16 +139,12 @@ func (p *Proxy) SetResultCache(c *resultcache.Cache) { p.cache = c }
 // count bumps a named recovery counter; safe with no registry attached.
 func (p *Proxy) count(name string) { p.metrics.Counter(name).Inc() }
 
-// writeQuorum resolves the effective quorum for n replica targets.
-func (p *Proxy) writeQuorum(n int) int {
-	q := p.quorum
-	if q <= 0 {
-		q = n/2 + 1
-	}
-	if q > n {
-		q = n
-	}
-	return q
+// addBytes accounts a finished stream's traffic.
+func (p *Proxy) addBytes(fromNodes, toClient int64) {
+	p.statMu.Lock()
+	p.stats.BytesFromNodes += fromNodes
+	p.stats.BytesToClient += toClient
+	p.statMu.Unlock()
 }
 
 // Stats returns a copy of the proxy's counters.
@@ -193,10 +226,9 @@ func (p *Proxy) PutObject(ctx context.Context, account, container, object string
 	if err != nil {
 		return ObjectInfo{}, err
 	}
-	policy, err := p.containerPolicy(account, container)
-	if err != nil {
-		return ObjectInfo{}, err
-	}
+	p.reg.mu.RLock()
+	policy := cs.policy
+	p.reg.mu.RUnlock()
 	if err := validateName(object); err != nil {
 		return ObjectInfo{}, err
 	}
@@ -228,22 +260,22 @@ func (p *Proxy) PutObject(ctx context.Context, account, container, object string
 	var stored ObjectInfo
 	ok := 0
 	var causes []error
-	var missing []string
+	var missed []string
 	for _, node := range nodes {
 		si, err := node.Put(ctx, info, bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			causes = append(causes, fmt.Errorf("%s: %w", node.Name(), err))
-			missing = append(missing, node.Name())
+			missed = append(missed, node.Name())
 			continue
 		}
 		stored = si
 		ok++
 	}
 	// Write-quorum policy: the PUT succeeds when a majority of replicas
-	// (by default 2 of 3) hold the object; the durability gap is recorded
-	// for asynchronous repair. Below quorum the PUT fails with the typed
-	// per-node causes.
-	if quorum := p.writeQuorum(len(nodes)); ok < quorum {
+	// (by default 2 of 3) hold the object; the durability gap is filed with
+	// the reconciler as a one-object record. Below quorum the PUT fails with
+	// the typed per-node causes.
+	if quorum := writeQuorum(len(nodes), p.quorum); ok < quorum {
 		p.count("proxy.put.quorum_failed")
 		return ObjectInfo{}, &ReplicationError{
 			Path: info.Path(), Want: quorum, Got: ok, Replicas: len(nodes), Causes: causes,
@@ -251,7 +283,10 @@ func (p *Proxy) PutObject(ctx context.Context, account, container, object string
 	}
 	if ok < len(nodes) {
 		p.count("proxy.put.underreplicated")
-		p.recordRepair(RepairRecord{Path: info.Path(), Missing: missing, Causes: causes})
+		p.recon.file(ReconcileRecord{
+			Path: info.Path(), Partition: p.ring.Partition(info.Path()), Epoch: p.ring.Epoch(),
+			Targets: missed, Causes: causes,
+		})
 	}
 	p.reg.mu.Lock()
 	cs.objects[object] = stored
@@ -309,12 +344,7 @@ func (p *Proxy) readNodes(path string) ([]*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*Node, 0, len(names))
-	for _, n := range names {
-		if node, ok := p.nodes.Get(n); ok {
-			out = append(out, node)
-		}
-	}
+	out := p.nodes.resolve(names)
 	if len(out) == 0 {
 		return nil, fmt.Errorf("objectstore: no resolvable replica node for %s: %w", path, ErrNotFound)
 	}
@@ -363,15 +393,11 @@ func (p *Proxy) cachedGet(ctx context.Context, account, container, object string
 	if err != nil {
 		return nil, ObjectInfo{}, false, nil
 	}
-	end := opts.RangeEnd
-	if end <= 0 {
-		end = 0
-	}
 	key := resultcache.Key{
 		ETag:  info.ETag,
 		Chain: pushdown.ChainHash(opts.Pushdown),
 		Start: opts.RangeStart,
-		End:   end,
+		End:   max(opts.RangeEnd, 0), // every "to the end" spelling keys alike
 	}
 	path := "/" + account + "/" + container + "/" + object
 	fill := func(fctx context.Context) (io.ReadCloser, resultcache.FillInfo, error) {
@@ -396,14 +422,14 @@ func (p *Proxy) cachedGet(ctx context.Context, account, container, object string
 		p.statMu.Lock()
 		p.stats.Requests++
 		p.statMu.Unlock()
-		return &cacheCounted{rc: rc, p: p}, info, true, nil
+		return &countedBody{rc: rc, onClose: func(n int64) { p.addBytes(0, n) }}, info, true, nil
 	}
 }
 
 // getUncached is the uncached GET path: replica fetch with failover,
 // object-stage pushdown at the node, proxy-stage pushdown here.
 func (p *Proxy) getUncached(ctx context.Context, account, container, object string, opts GetOptions) (io.ReadCloser, ObjectInfo, error) {
-	objectStage, proxyStage := splitByStage(opts.Pushdown)
+	objectStage, proxyStage := pushdown.SplitByStage(opts.Pushdown)
 
 	path := "/" + account + "/" + container + "/" + object
 	nodes, err := p.readNodes(path)
@@ -427,48 +453,48 @@ func (p *Proxy) getUncached(ctx context.Context, account, container, object stri
 	if err != nil {
 		return nil, ObjectInfo{}, err
 	}
+	if idx > 0 {
+		p.count("proxy.get.failovers")
+	}
 	// Plain streams additionally survive mid-stream replica failure: the
 	// expected byte count is known, so truncation is detected and the read
 	// resumes on the next replica from the break. Filtered streams skip
-	// this (see replicaStream) — for them only pre-first-byte failover and
-	// whole-request retry are safe.
+	// this (see resumeOnReplicas) — for them only pre-first-byte failover
+	// and whole-request retry are safe.
+	//
+	// [start, end) is also the range proxy-stage filters are told: they see
+	// the (possibly already filtered) stream, not raw object bytes, so it
+	// covers the whole derived stream unless no object-stage filter ran, in
+	// which case the original byte range still describes the stream.
+	start, end := int64(0), int64(1)<<62
 	if len(objectStage) == 0 {
-		end := opts.RangeEnd
+		start, end = opts.RangeStart, opts.RangeEnd
 		if end <= 0 || end > info.Size {
 			end = info.Size
 		}
-		if opts.RangeStart < end {
-			rc = &replicaStream{
-				ctx: ctx, p: p, nodes: nodes, idx: idx,
-				path: path, etag: info.ETag, rc: rc, off: opts.RangeStart, end: end,
-			}
+		if start < end {
+			rc = NewRecoveringReader(rc, start, end, p.resumeOnReplicas(ctx, nodes, idx, path, info.ETag, end))
 		}
 	}
 	p.statMu.Lock()
 	p.stats.Requests++
 	p.statMu.Unlock()
-	counted := &proxyCounted{rc: rc, p: p, toClient: len(proxyStage) == 0}
+	// Bytes arriving from object nodes; absent proxy-stage filtering the
+	// same bytes continue to the client.
 	if len(proxyStage) == 0 {
-		return counted, info, nil
+		return &countedBody{rc: rc, onClose: func(n int64) { p.addBytes(n, n) }}, info, nil
 	}
-	// Proxy-stage filters see the (possibly already filtered) stream, not
-	// raw object bytes. Their range covers the whole derived stream unless
-	// no object-stage filter ran, in which case the original byte range
-	// still describes the stream.
-	sctx := &storlet.Context{Ctx: ctx, RangeStart: 0, RangeEnd: int64(1) << 62, ObjectSize: info.Size}
-	if len(objectStage) == 0 {
-		end := opts.RangeEnd
-		if end <= 0 || end > info.Size {
-			end = info.Size
-		}
-		sctx.RangeStart, sctx.RangeEnd = opts.RangeStart, end
-	}
+	counted := &countedBody{rc: rc, onClose: func(n int64) { p.addBytes(n, 0) }}
+	sctx := &storlet.Context{Ctx: ctx, RangeStart: start, RangeEnd: end, ObjectSize: info.Size}
 	out, err := p.engine.RunChain(sctx, proxyStage, counted)
 	if err != nil {
 		counted.Close()
 		return nil, ObjectInfo{}, err
 	}
-	return &proxyOutCounted{rc: out, p: p, inner: counted}, info, nil
+	// Post-filter bytes to the client. Closing tears down the filter chain,
+	// then flushes the node-side counter under it (the storlet engine never
+	// closes its input stream).
+	return &countedBody{rc: out, also: counted, onClose: func(n int64) { p.addBytes(0, n) }}, info, nil
 }
 
 // fetchReplica opens the object on the first replica that can deliver its
@@ -511,19 +537,9 @@ func (p *Proxy) fetchReplica(ctx context.Context, nodes []*Node, path string, st
 			lastErr = fmt.Errorf("objectstore: replica %s failed before first byte: %w", node.Name(), perr)
 			continue
 		}
-		if i > 0 {
-			p.count("proxy.get.failovers")
-		}
 		return pk, info, i, nil
 	}
 	return nil, ObjectInfo{}, 0, lastErr
-}
-
-// splitByStage partitions a chain by execution tier, preserving order within
-// each tier. The shared rule lives in the pushdown package so the connector's
-// compute-side fallback replays the exact same execution order.
-func splitByStage(tasks []*pushdown.Task) (objectStage, proxyStage []*pushdown.Task) {
-	return pushdown.SplitByStage(tasks)
 }
 
 // HeadObject implements Client.
@@ -624,104 +640,6 @@ func (p *Proxy) DeleteContainer(_ context.Context, account, container string) er
 	}
 	delete(acc.containers, container)
 	return nil
-}
-
-// proxyCounted accounts bytes arriving from object nodes; absent proxy-stage
-// filtering the same bytes continue to the client. The counter is atomic
-// because in the proxy-stage path a filter goroutine reads this stream while
-// the client goroutine closes it.
-type proxyCounted struct {
-	rc       io.ReadCloser
-	p        *Proxy
-	n        atomic.Int64
-	closed   atomic.Bool
-	toClient bool // whether these bytes also count as client traffic
-}
-
-func (c *proxyCounted) Read(b []byte) (int, error) {
-	n, err := c.rc.Read(b)
-	c.n.Add(int64(n))
-	return n, err
-}
-
-func (c *proxyCounted) Close() error {
-	if c.closed.Swap(true) {
-		return nil
-	}
-	n := c.n.Load()
-	c.p.statMu.Lock()
-	c.p.stats.BytesFromNodes += n
-	if c.toClient {
-		c.p.stats.BytesToClient += n
-	}
-	c.p.statMu.Unlock()
-	return c.rc.Close()
-}
-
-// proxyOutCounted accounts post-proxy-filter bytes to the client. Closing it
-// tears down the filter chain and then flushes the inner node-side counter
-// (the storlet engine never closes its input stream).
-type proxyOutCounted struct {
-	rc     io.ReadCloser
-	p      *Proxy
-	inner  *proxyCounted
-	n      int64
-	closed bool
-}
-
-func (c *proxyOutCounted) Read(b []byte) (int, error) {
-	n, err := c.rc.Read(b)
-	c.n += int64(n)
-	return n, err
-}
-
-func (c *proxyOutCounted) Close() error {
-	if c.closed {
-		return nil
-	}
-	c.closed = true
-	err := c.rc.Close() // stops the chain; the filter's next read/write fails
-	c.inner.Close()     // flush node->proxy accounting
-	c.p.statMu.Lock()
-	c.p.stats.BytesToClient += c.n
-	c.p.statMu.Unlock()
-	return err
-}
-
-// cacheCounted accounts cache-served bytes (hit/collapsed) to the client.
-// Miss-status streams are not wrapped: their bytes are accounted once by the
-// fill's own counted readers. Forwards CacheStatus so the handler can emit
-// the X-Scoop-Cache header.
-type cacheCounted struct {
-	rc     io.ReadCloser
-	p      *Proxy
-	n      int64
-	closed bool
-}
-
-func (c *cacheCounted) Read(b []byte) (int, error) {
-	n, err := c.rc.Read(b)
-	c.n += int64(n)
-	return n, err
-}
-
-func (c *cacheCounted) Close() error {
-	if c.closed {
-		return nil
-	}
-	c.closed = true
-	c.p.statMu.Lock()
-	c.p.stats.BytesToClient += c.n
-	c.p.statMu.Unlock()
-	return c.rc.Close()
-}
-
-// CacheStatus implements CacheStatuser by delegation.
-func (c *cacheCounted) CacheStatus() string {
-	if s, ok := c.rc.(CacheStatuser); ok {
-		return s.CacheStatus()
-	}
-	return ""
 }
 
 // IsNotFound reports whether err means the object or container is missing.

@@ -137,8 +137,8 @@ func TestPutQuorumWithOneReplicaDown(t *testing.T) {
 	if recs[0].Path != "/gp/c/obj" {
 		t.Errorf("repair path = %q", recs[0].Path)
 	}
-	if len(recs[0].Missing) != 1 || recs[0].Missing[0] != dead.Name() {
-		t.Errorf("repair missing = %v, want [%s]", recs[0].Missing, dead.Name())
+	if len(recs[0].Targets) != 1 || recs[0].Targets[0] != dead.Name() {
+		t.Errorf("repair targets = %v, want [%s]", recs[0].Targets, dead.Name())
 	}
 	if len(recs[0].Causes) != 1 || !errors.Is(recs[0].Causes[0], ErrNodeDown) {
 		t.Errorf("repair causes = %v, want ErrNodeDown", recs[0].Causes)

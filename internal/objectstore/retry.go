@@ -56,9 +56,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	return p
 }
 
-// attempts returns the total tries for one logical operation.
-func (p RetryPolicy) attempts() int { return p.withDefaults().MaxAttempts }
-
 // jitter draws backoff delays; it is seeded per client, never from the
 // global rand, so a seeded run replays the exact same sleep sequence.
 type jitter struct {
@@ -194,103 +191,51 @@ func retryAfterHint(resp *http.Response) time.Duration {
 	return time.Duration(secs) * time.Second
 }
 
-// resumeReader transparently restarts a plain (unfiltered) GET body after a
-// mid-stream failure, using a Range request from the current offset. It
-// only ever exists when the response advertised a Content-Length, so every
+// resumeRanged is the client's reopen rule for plain (unfiltered) GET bodies
+// (see recoveringReader): after a mid-stream failure the rest of the body,
+// [off, end), is re-requested with a Range GET under the backoff policy. It
+// is only ever used when the response advertised a Content-Length, so every
 // short read is detectable, and never for pushdown streams, whose filtered
 // bytes are not byte-addressable and must not be re-requested mid-flight.
-type resumeReader struct {
-	c                          *HTTPClient
-	ctx                        context.Context
-	account, container, object string
-	etag                       string // version guard across resumes
-	rc                         io.ReadCloser
-	off                        int64 // next absolute object offset
-	end                        int64 // absolute end offset (exclusive)
-	err                        error // sticky terminal error
-}
-
-func (r *resumeReader) Read(p []byte) (int, error) {
-	if r.err != nil {
-		return 0, r.err
-	}
-	for {
-		n, err := r.rc.Read(p)
-		r.off += int64(n)
-		if err == nil {
-			return n, nil
-		}
-		if errors.Is(err, io.EOF) && r.off >= r.end {
-			return n, io.EOF
-		}
-		// Mid-stream failure or short EOF: resume from r.off. Bytes already
-		// in p are delivered first; the next Read continues or fails.
-		if rerr := r.resume(err); rerr != nil {
-			r.err = rerr
-			if n > 0 {
-				return n, nil
+// etag is the version guard: a resume must not splice another version onto
+// the delivered prefix.
+func (c *HTTPClient) resumeRanged(ctx context.Context, account, container, object, etag string, end int64) func(int64, error) (io.ReadCloser, error) {
+	return func(off int64, cause error) (io.ReadCloser, error) {
+		p := c.Retry.withDefaults()
+		lastErr := cause
+		for try := 0; try < p.MaxAttempts; try++ {
+			if err := sleepCtx(ctx, c.jit().backoff(p, try)); err != nil {
+				return nil, fmt.Errorf("objectstore: resume aborted: %w (last failure: %w)", err, lastErr)
 			}
-			return 0, rerr
-		}
-		if n > 0 {
-			return n, nil
-		}
-	}
-}
-
-// resume re-opens the stream at the current offset, retrying with the
-// client's backoff policy. cause is the failure that interrupted the body.
-func (r *resumeReader) resume(cause error) error {
-	r.rc.Close()
-	r.rc = brokenBody{} // fail closed if every attempt below fails
-	p := r.c.Retry.withDefaults()
-	if p.Disabled {
-		return fmt.Errorf("%w at offset %d: %w", ErrTruncated, r.off, cause)
-	}
-	var lastErr error = cause
-	for try := 0; try < p.MaxAttempts; try++ {
-		if err := sleepCtx(r.ctx, r.c.jit().backoff(p, try)); err != nil {
-			return fmt.Errorf("objectstore: resume aborted: %w (last failure: %w)", err, lastErr)
-		}
-		r.c.Metrics.Counter("client.resumes").Inc()
-		req, err := http.NewRequestWithContext(r.ctx, http.MethodGet,
-			r.c.url(r.account, r.container, r.object), nil)
-		if err != nil {
-			return err
-		}
-		req.Header.Set("Range", fmt.Sprintf("bytes=%d-%d", r.off, r.end-1))
-		resp, err := r.c.httpc().Do(req)
-		if err != nil {
-			lastErr = err
-			if r.ctx.Err() != nil {
-				return err
+			c.Metrics.Counter("client.resumes").Inc()
+			req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url(account, container, object), nil)
+			if err != nil {
+				return nil, err
 			}
-			continue
-		}
-		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusPartialContent {
-			lastErr = statusErr(resp)
-			drainClose(resp.Body)
-			if retriableStatus(resp.StatusCode) {
+			req.Header.Set("Range", fmt.Sprintf("bytes=%d-%d", off, end-1))
+			resp, err := c.httpc().Do(req)
+			if err != nil {
+				lastErr = err
+				if ctx.Err() != nil {
+					return nil, err
+				}
 				continue
 			}
-			return fmt.Errorf("%w at offset %d: %w", ErrTruncated, r.off, lastErr)
+			if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusPartialContent {
+				lastErr = statusErr(resp)
+				drainClose(resp.Body)
+				if retriableStatus(resp.StatusCode) {
+					continue
+				}
+				break
+			}
+			if got := resp.Header.Get("ETag"); got != "" && etag != "" && got != etag {
+				drainClose(resp.Body)
+				return nil, fmt.Errorf("%w at offset %d: object changed mid-read (etag %s -> %s)",
+					ErrTruncated, off, etag, got)
+			}
+			return resp.Body, nil
 		}
-		if etag := resp.Header.Get("ETag"); etag != "" && r.etag != "" && etag != r.etag {
-			drainClose(resp.Body)
-			return fmt.Errorf("%w at offset %d: object changed mid-read (etag %s -> %s)",
-				ErrTruncated, r.off, r.etag, etag)
-		}
-		r.rc = resp.Body
-		return nil
+		return nil, fmt.Errorf("%w at offset %d: %w", ErrTruncated, off, lastErr)
 	}
-	return fmt.Errorf("%w at offset %d: %w", ErrTruncated, r.off, lastErr)
 }
-
-func (r *resumeReader) Close() error { return r.rc.Close() }
-
-// brokenBody is the failed-closed stream a resumeReader holds after an
-// unrecoverable resume, so later Reads fail instead of panicking.
-type brokenBody struct{}
-
-func (brokenBody) Read([]byte) (int, error) { return 0, io.ErrUnexpectedEOF }
-func (brokenBody) Close() error             { return nil }
