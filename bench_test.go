@@ -10,21 +10,20 @@
 package scoop
 
 import (
-	"context"
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"sync"
 	"testing"
 
-	"scoop/internal/cluster"
 	"scoop/internal/core"
 	"scoop/internal/datasource"
 	"scoop/internal/experiment"
 	"scoop/internal/objectstore"
 	"scoop/internal/pushdown"
 	"scoop/internal/sql/parser"
-	"scoop/internal/storlet/aggfilter"
+	"scoop/internal/testbed"
 )
 
 var (
@@ -60,12 +59,12 @@ func printOnce(b *testing.B, name string, fn func(w io.Writer) error) {
 // dataset size) and times the model evaluation.
 func BenchmarkFig1IngestScaling(b *testing.B) {
 	printOnce(b, "Fig. 1", experiment.Fig1)
-	tb := cluster.OSIC()
+	tb := testbed.OSIC()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, gbs := range []float64{50, 500, 3000} {
-			_ = tb.BaselineTime(cluster.Workload{DatasetBytes: gbs * experiment.GB, Selectivity: 0.9, Type: cluster.Mixed})
+			_ = tb.BaselineTime(testbed.Workload{DatasetBytes: gbs * experiment.GB, Selectivity: 0.9, Type: testbed.Mixed})
 		}
 	}
 }
@@ -111,8 +110,8 @@ func BenchmarkFig5SelectivitySweep(b *testing.B) {
 // 3TB/99.99% row-selectivity speedup as a metric (paper: up to ~31x).
 func BenchmarkFig6HighSelectivity(b *testing.B) {
 	printOnce(b, "Fig. 6", experiment.Fig6)
-	tb := cluster.OSIC()
-	w := cluster.Workload{DatasetBytes: 3 * experiment.TB, Selectivity: 0.9999, Type: cluster.Row}
+	tb := testbed.OSIC()
+	w := testbed.Workload{DatasetBytes: 3 * experiment.TB, Selectivity: 0.9999, Type: testbed.Row}
 	b.ReportMetric(tb.Speedup(w), "S_Q-3TB-99.99%")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -142,12 +141,12 @@ func BenchmarkFig7GridPocketQueries(b *testing.B) {
 func BenchmarkFig8ScoopVsParquet(b *testing.B) {
 	e := benchEnv(b)
 	printOnce(b, "Fig. 8", func(w io.Writer) error { return experiment.Fig8(w, e) })
-	tb := cluster.OSIC()
+	tb := testbed.OSIC()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for sel := 0.0; sel < 1; sel += 0.1 {
-			w := cluster.Workload{DatasetBytes: 50 * experiment.GB, Selectivity: sel, Type: cluster.Column}
+			w := testbed.Workload{DatasetBytes: 50 * experiment.GB, Selectivity: sel, Type: testbed.Column}
 			_ = tb.ParquetSpeedup(w)
 			_ = tb.Speedup(w)
 		}
@@ -159,14 +158,14 @@ func BenchmarkFig8ScoopVsParquet(b *testing.B) {
 func BenchmarkFig9ResourceUsage(b *testing.B) {
 	e := benchEnv(b)
 	printOnce(b, "Fig. 9", func(w io.Writer) error { return experiment.Fig9(w, e) })
-	tb := cluster.OSIC()
-	w := cluster.Workload{DatasetBytes: 3 * experiment.TB, Selectivity: 0.99, Type: cluster.Mixed}
-	base := tb.UsageFor(w, cluster.Baseline)
-	push := tb.UsageFor(w, cluster.Pushdown)
+	tb := testbed.OSIC()
+	w := testbed.Workload{DatasetBytes: 3 * experiment.TB, Selectivity: 0.99, Type: testbed.Mixed}
+	base := tb.UsageFor(w, testbed.Baseline)
+	push := tb.UsageFor(w, testbed.Pushdown)
 	b.ReportMetric(100*(1-push.ComputeCPUSeconds/base.ComputeCPUSeconds), "cpu-sec-saved-%")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = tb.UsageFor(w, cluster.Pushdown)
+		_ = tb.UsageFor(w, testbed.Pushdown)
 	}
 }
 
@@ -175,12 +174,12 @@ func BenchmarkFig9ResourceUsage(b *testing.B) {
 func BenchmarkFig10StorageCPU(b *testing.B) {
 	e := benchEnv(b)
 	printOnce(b, "Fig. 10", func(w io.Writer) error { return experiment.Fig10(w, e) })
-	tb := cluster.OSIC()
-	w := cluster.Workload{DatasetBytes: 3 * experiment.TB, Selectivity: 0.99, Type: cluster.Mixed}
-	b.ReportMetric(tb.UsageFor(w, cluster.Pushdown).StorageCPUPct, "storage-cpu-%")
+	tb := testbed.OSIC()
+	w := testbed.Workload{DatasetBytes: 3 * experiment.TB, Selectivity: 0.99, Type: testbed.Mixed}
+	b.ReportMetric(tb.UsageFor(w, testbed.Pushdown).StorageCPUPct, "storage-cpu-%")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = tb.UsageFor(w, cluster.Pushdown)
+		_ = tb.UsageFor(w, testbed.Pushdown)
 	}
 }
 
@@ -227,38 +226,33 @@ func BenchmarkStagingObjectVsProxy(b *testing.B) {
 
 // BenchmarkAggregationPushdown is the §IV "aggregation at the store"
 // ablation: the same GROUP BY computed via filter pushdown (every matching
-// row travels) versus aggregation pushdown (one partial record per group
-// per split travels). Reported metric: bytes moved per mode.
+// row travels; the aggregate's argument is written so that the planner keeps
+// it at the compute side) versus aggregation pushdown (one partial record per
+// group per split travels). Reported metric: bytes moved per mode.
 func BenchmarkAggregationPushdown(b *testing.B) {
 	e := benchEnv(b)
-	q := "SELECT vid, sum(index) AS s, count(*) AS n FROM largeMeter GROUP BY vid ORDER BY vid"
-	specs := []aggfilter.Spec{{Func: aggfilter.Sum, Column: "index"}, {Func: aggfilter.Count, Column: "*"}}
-	b.Run("filter-pushdown", func(b *testing.B) {
-		b.SetBytes(e.DatasetBytes)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			res, err := e.Scoop.Query(q, core.QueryOptions{Mode: core.ModePushdown})
-			if err != nil {
-				b.Fatal(err)
+	for _, mode := range []struct {
+		name, sum string
+		atStore   bool
+	}{{"filter-pushdown", "sum(index + 0)", false}, {"aggregation-pushdown", "sum(index)", true}} {
+		q := "SELECT vid, " + mode.sum + " AS s, count(*) AS n FROM largeMeter GROUP BY vid ORDER BY vid"
+		b.Run(mode.name, func(b *testing.B) {
+			b.SetBytes(e.DatasetBytes)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := e.Scoop.Query(q, core.QueryOptions{Mode: core.ModePushdown})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if (res.Plan.StoreAgg != nil) != mode.atStore {
+					b.Fatalf("aggregation at the store = %v, want %v", !mode.atStore, mode.atStore)
+				}
+				if i == 0 {
+					b.ReportMetric(float64(res.Metrics.BytesIngested), "bytes-moved")
+				}
 			}
-			if i == 0 {
-				b.ReportMetric(float64(res.Metrics.BytesIngested), "bytes-moved")
-			}
-		}
-	})
-	b.Run("aggregation-pushdown", func(b *testing.B) {
-		b.SetBytes(e.DatasetBytes)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			res, err := e.Scoop.AggregateQuery("largeMeter", []string{"vid"}, specs, nil, core.QueryOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if i == 0 {
-				b.ReportMetric(float64(res.Metrics.BytesIngested), "bytes-moved")
-			}
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkCompressedTransfer is the §VII filtering+compression ablation:

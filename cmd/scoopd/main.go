@@ -25,13 +25,9 @@ import (
 	"syscall"
 	"time"
 
+	"scoop/internal/core"
 	"scoop/internal/objectstore"
 	"scoop/internal/storlet"
-	"scoop/internal/storlet/aggfilter"
-	"scoop/internal/storlet/compressfilter"
-	"scoop/internal/storlet/csvfilter"
-	"scoop/internal/storlet/etl"
-	"scoop/internal/storlet/jsonfilter"
 )
 
 func main() {
@@ -66,11 +62,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "scoopd:", err)
 		os.Exit(1)
 	}
-	for _, f := range []storlet.Filter{csvfilter.New(), etl.NewCleanse(), etl.NewSplit(), compressfilter.New(), aggfilter.New(), jsonfilter.New()} {
-		if err := cluster.Engine().Register(f); err != nil {
-			fmt.Fprintln(os.Stderr, "scoopd:", err)
-			os.Exit(1)
-		}
+	if err := core.RegisterStandardFilters(cluster.Engine()); err != nil {
+		fmt.Fprintln(os.Stderr, "scoopd:", err)
+		os.Exit(1)
 	}
 	log.Printf("scoopd: %d proxies, %d object nodes (%d disks each), %d replicas",
 		*proxies, *nodes, *disks, *replicas)

@@ -9,7 +9,7 @@
 //     filter), and
 //   - real-time storage-cluster load headroom.
 //
-// The cost model is the calibrated testbed simulation (internal/cluster);
+// The cost model is the calibrated testbed simulation (internal/testbed);
 // the selectivity estimate comes from sampled column statistics.
 package adaptive
 
@@ -17,7 +17,7 @@ import (
 	"fmt"
 	"sync"
 
-	"scoop/internal/cluster"
+	"scoop/internal/testbed"
 )
 
 // Class is a tenant's service class.
@@ -45,7 +45,7 @@ func (c Class) String() string {
 // Config tunes the controller.
 type Config struct {
 	// Model is the deployment's cost model.
-	Model cluster.Testbed
+	Model testbed.Testbed
 	// MinSpeedup is the predicted S_Q below which pushdown is not worth its
 	// engine penalty (the paper's S_Q < 1 region).
 	MinSpeedup float64
@@ -59,7 +59,7 @@ type Config struct {
 // DefaultConfig returns sensible thresholds over the OSIC model.
 func DefaultConfig() Config {
 	return Config{
-		Model:              cluster.OSIC(),
+		Model:              testbed.OSIC(),
 		MinSpeedup:         1.05,
 		MaxStorageCPU:      0.60,
 		CriticalStorageCPU: 0.85,
@@ -127,7 +127,7 @@ type Estimate struct {
 	// pushable filters (see Estimator).
 	Selectivity float64
 	// Type of selectivity dominating the filter.
-	Type cluster.SelectivityType
+	Type testbed.SelectivityType
 }
 
 // Decision is the controller's verdict.
@@ -145,7 +145,7 @@ func (c *Controller) Decide(tenant string, est Estimate) Decision {
 	if class == Bronze {
 		return Decision{Pushdown: false, Reason: "bronze tenants ingest the traditional way"}
 	}
-	w := cluster.Workload{DatasetBytes: est.DatasetBytes, Selectivity: est.Selectivity, Type: est.Type}
+	w := testbed.Workload{DatasetBytes: est.DatasetBytes, Selectivity: est.Selectivity, Type: est.Type}
 	if err := w.Validate(); err != nil {
 		return Decision{Pushdown: false, Reason: "invalid estimate: " + err.Error()}
 	}

@@ -5,12 +5,12 @@ import (
 	"strings"
 	"testing"
 
-	"scoop/internal/cluster"
 	"scoop/internal/connector"
 	"scoop/internal/datasource"
 	"scoop/internal/objectstore"
 	"scoop/internal/pushdown"
 	"scoop/internal/storlet/csvfilter"
+	"scoop/internal/testbed"
 )
 
 const meterSchema = "vid string, date string, index double, city string, state string"
@@ -26,10 +26,10 @@ func newController(t *testing.T) *Controller {
 
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
-		{Model: cluster.OSIC(), MinSpeedup: 0, MaxStorageCPU: 0.5, CriticalStorageCPU: 0.8},
-		{Model: cluster.OSIC(), MinSpeedup: 1, MaxStorageCPU: 0, CriticalStorageCPU: 0.8},
-		{Model: cluster.OSIC(), MinSpeedup: 1, MaxStorageCPU: 0.9, CriticalStorageCPU: 0.5},
-		{Model: cluster.OSIC(), MinSpeedup: 1, MaxStorageCPU: 0.5, CriticalStorageCPU: 1.5},
+		{Model: testbed.OSIC(), MinSpeedup: 0, MaxStorageCPU: 0.5, CriticalStorageCPU: 0.8},
+		{Model: testbed.OSIC(), MinSpeedup: 1, MaxStorageCPU: 0, CriticalStorageCPU: 0.8},
+		{Model: testbed.OSIC(), MinSpeedup: 1, MaxStorageCPU: 0.9, CriticalStorageCPU: 0.5},
+		{Model: testbed.OSIC(), MinSpeedup: 1, MaxStorageCPU: 0.5, CriticalStorageCPU: 1.5},
 	}
 	for i, cfg := range bad {
 		if _, err := NewController(cfg); err == nil {
@@ -47,7 +47,7 @@ func TestClassString(t *testing.T) {
 func TestBronzeNeverPushes(t *testing.T) {
 	c := newController(t)
 	c.SetTenantClass("cheap", Bronze)
-	d := c.Decide("cheap", Estimate{DatasetBytes: 3e12, Selectivity: 0.99, Type: cluster.Row})
+	d := c.Decide("cheap", Estimate{DatasetBytes: 3e12, Selectivity: 0.99, Type: testbed.Row})
 	if d.Pushdown {
 		t.Errorf("bronze pushed down: %+v", d)
 	}
@@ -55,7 +55,7 @@ func TestBronzeNeverPushes(t *testing.T) {
 
 func TestLowSelectivityNotWorthIt(t *testing.T) {
 	c := newController(t)
-	d := c.Decide("anyone", Estimate{DatasetBytes: 500e9, Selectivity: 0.0, Type: cluster.Mixed})
+	d := c.Decide("anyone", Estimate{DatasetBytes: 500e9, Selectivity: 0.0, Type: testbed.Mixed})
 	if d.Pushdown {
 		t.Errorf("zero selectivity pushed down: %+v", d)
 	}
@@ -66,7 +66,7 @@ func TestLowSelectivityNotWorthIt(t *testing.T) {
 
 func TestHighSelectivityPushes(t *testing.T) {
 	c := newController(t)
-	d := c.Decide("anyone", Estimate{DatasetBytes: 500e9, Selectivity: 0.95, Type: cluster.Row})
+	d := c.Decide("anyone", Estimate{DatasetBytes: 500e9, Selectivity: 0.95, Type: testbed.Row})
 	if !d.Pushdown {
 		t.Errorf("high selectivity refused: %+v", d)
 	}
@@ -79,7 +79,7 @@ func TestLoadSheddingByClass(t *testing.T) {
 	c := newController(t)
 	c.SetTenantClass("vip", Gold)
 	c.SetTenantClass("reg", Silver)
-	est := Estimate{DatasetBytes: 500e9, Selectivity: 0.95, Type: cluster.Row}
+	est := Estimate{DatasetBytes: 500e9, Selectivity: 0.95, Type: testbed.Row}
 
 	// Moderate load: gold keeps pushdown, silver loses it.
 	c.SetLoadProbe(func() float64 { return 0.70 })

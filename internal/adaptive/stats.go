@@ -6,10 +6,10 @@ import (
 	"fmt"
 	"io"
 
-	"scoop/internal/cluster"
 	"scoop/internal/datasource"
 	"scoop/internal/pushdown"
 	"scoop/internal/sql/types"
+	"scoop/internal/testbed"
 )
 
 // TableStats holds a row sample of a dataset, from which the controller
@@ -149,12 +149,12 @@ func (st *TableStats) EstimateFor(datasetBytes float64, columns []string, preds 
 		return Estimate{}, err
 	}
 	dataSel := 1 - (1-rowSel)*(1-colSel)
-	typ := cluster.Mixed
+	typ := testbed.Mixed
 	switch {
 	case rowSel > 2*colSel:
-		typ = cluster.Row
+		typ = testbed.Row
 	case colSel > 2*rowSel:
-		typ = cluster.Column
+		typ = testbed.Column
 	}
 	return Estimate{DatasetBytes: datasetBytes, Selectivity: dataSel, Type: typ}, nil
 }

@@ -11,7 +11,9 @@ import (
 	"scoop/internal/metrics"
 	"scoop/internal/objectstore"
 	"scoop/internal/pushdown"
+	"scoop/internal/sql/agg"
 	"scoop/internal/storlet"
+	"scoop/internal/storlet/aggfilter"
 	"scoop/internal/storlet/csvfilter"
 )
 
@@ -157,6 +159,74 @@ func TestFallbackMidStreamResync(t *testing.T) {
 	}
 	if st.FallbackBytes != int64(len(meterCSV)) {
 		t.Errorf("FallbackBytes = %d, want %d", st.FallbackBytes, len(meterCSV))
+	}
+}
+
+// dyingWriter fails once n bytes have passed.
+type dyingWriter struct {
+	w io.Writer
+	n int
+}
+
+func (d *dyingWriter) Write(p []byte) (int, error) {
+	if len(p) > d.n {
+		n, _ := d.w.Write(p[:d.n])
+		d.n = 0
+		return n, fmt.Errorf("store-side filter crashed")
+	}
+	d.n -= len(p)
+	return d.w.Write(p)
+}
+
+// The csv → agg chain is an ordinary chain to the ladder: when the store's
+// agg stage dies mid-record, the connector replays both stages locally and
+// resyncs past the delivered bytes. That is sound because agg emits its
+// groups in first-appearance order, never map order, which is what the
+// determinism manifest (the default oracle, not overridden here) vouches for.
+func TestFallbackMidStreamResyncAggChain(t *testing.T) {
+	const brokenAt = 9 // mid-record
+	storeAgg := storlet.FilterFunc{FilterName: aggfilter.FilterName, Fn: func(ctx *storlet.Context, in io.Reader, out io.Writer) error {
+		return aggfilter.New().Invoke(ctx, in, &dyingWriter{w: out, n: brokenAt})
+	}}
+	c, err := objectstore.NewCluster(objectstore.DefaultClusterConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []storlet.Filter{csvfilter.New(), storeAgg} {
+		if err := c.Engine().Register(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cl := c.Client()
+	if err := cl.CreateContainer(context.Background(), "gp", "meters", nil); err != nil {
+		t.Fatal(err)
+	}
+	conn := New(cl, "gp", 0)
+	conn.EnableFallback(fbEngine(t, csvfilter.New(), aggfilter.New()), metrics.NewRegistry())
+	object := strings.Repeat(meterCSV, 4)
+	if _, err := conn.Upload(context.Background(), "meters", "jan.csv", strings.NewReader(object)); err != nil {
+		t.Fatal(err)
+	}
+	chain := []*pushdown.Task{
+		{Filter: csvfilter.FilterName, Schema: fraTask.Schema, Columns: []string{"index", "state"},
+			Predicates: []pushdown.Predicate{{Column: "state", Op: pushdown.OpNe, Value: "UKR"}}},
+		{Filter: aggfilter.FilterName, Schema: "index double, state string",
+			Options: (&agg.Spec{Group: []agg.Term{{Col: 1}}, Aggs: []agg.Call{{Kind: agg.Sum}, {Kind: agg.CountStar}}}).Options()},
+	}
+	rc, err := conn.Open(context.Background(), wholeSplit("jan.csv", int64(len(object))), chain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := io.ReadAll(rc)
+	rc.Close()
+	if err != nil {
+		t.Fatalf("mid-stream failure leaked to the caller: %v", err)
+	}
+	if want := "NED,4,42,4\nFRA,4,21,4\n"; string(b) != want {
+		t.Fatalf("resynced stream = %q, want %q", b, want)
+	}
+	if st := conn.Stats(); st.Fallbacks != 1 || st.FallbackBytes != int64(len(object)) {
+		t.Errorf("Fallbacks = %d over %d bytes, want 1 over %d", st.Fallbacks, st.FallbackBytes, len(object))
 	}
 }
 

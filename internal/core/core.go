@@ -350,28 +350,42 @@ type splitResult struct {
 	rows    int64
 }
 
-// Query parses and executes a SQL SELECT against a registered table. The
-// residual plan is compiled once; every task folds its split's rows into a
-// partial result as they arrive, and the driver merges and finishes them.
-func (s *Scoop) Query(sql string, opts QueryOptions) (*Result, error) {
-	start := time.Now()
-	qctx := opts.ctx()
+// analyze parses a SELECT, finds its table and plans the query over the
+// table's schema. The plan's aggregation stays at the compute side when the
+// table's format has no store-side aggregation, whatever the query's shape.
+func (s *Scoop) analyze(sql string) (tableDef, *plan.Plan, error) {
 	sel, err := parser.Parse(sql)
 	if err != nil {
-		return nil, err
+		return tableDef{}, nil, err
 	}
 	s.mu.RLock()
 	def, ok := s.tables[strings.ToLower(sel.Table)]
 	s.mu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("core: unknown table %q", sel.Table)
+		return tableDef{}, nil, fmt.Errorf("core: unknown table %q", sel.Table)
 	}
-
 	schema, err := types.ParseSchema(def.decl)
 	if err != nil {
-		return nil, err
+		return tableDef{}, nil, err
 	}
 	p, err := plan.Analyze(sel, schema, plan.Options{})
+	if err != nil {
+		return tableDef{}, nil, err
+	}
+	if p.StoreAgg != nil && (def.format == "json" || !def.opts.StoreAggregates()) {
+		p.StoreAgg, p.AggRefused = nil, "the table is not comma-separated CSV"
+	}
+	return def, p, nil
+}
+
+// Query parses and executes a SQL SELECT against a registered table. Every
+// task folds its split's rows into a partial result as they arrive — or, when
+// the plan's aggregation runs at the store, merges the store's partial
+// records — and the driver merges and finishes the partials.
+func (s *Scoop) Query(sql string, opts QueryOptions) (*Result, error) {
+	start := time.Now()
+	qctx := opts.ctx()
+	def, p, err := s.analyze(sql)
 	if err != nil {
 		return nil, err
 	}
@@ -380,7 +394,7 @@ func (s *Scoop) Query(sql string, opts QueryOptions) (*Result, error) {
 	decision := ""
 	if opts.Mode == ModeAuto {
 		var err error
-		effMode, decision, err = s.decideMode(qctx, sel.Table, def, p)
+		effMode, decision, err = s.decideMode(qctx, p.Sel.Table, def, p)
 		if err != nil {
 			return nil, err
 		}
@@ -395,23 +409,29 @@ func (s *Scoop) Query(sql string, opts QueryOptions) (*Result, error) {
 		return nil, err
 	}
 
-	prog, err := exec.Compile(p)
-	if err != nil {
-		return nil, err
-	}
+	csvRel, _ := rel.(*datasource.CSVRelation)
+	storeAgg := effMode == ModePushdown && p.StoreAgg != nil && csvRel != nil
 	before := s.conn.Stats()
 	tasks := make([]compute.Task, len(splits))
 	for i, split := range splits {
 		split := split
 		tasks[i] = func(ctx context.Context) (any, error) {
-			it, err := rel.ScanPrunedFiltered(ctx, split, p.Required, p.Pushed)
+			// Built here, not outside the closure, so that a retried task
+			// starts from an empty partial.
+			out := splitResult{partial: exec.NewPartial(p)}
+			var it exec.Iterator
+			var err error
+			fold := out.partial.Fold
+			if storeAgg {
+				it, err = csvRel.ScanPartials(ctx, split, p.Required, p.Pushed, p.StoreAgg)
+				fold = out.partial.MergeRecord
+			} else {
+				it, err = rel.ScanPrunedFiltered(ctx, split, p.Required, p.Pushed)
+			}
 			if err != nil {
 				return nil, err
 			}
 			defer it.Close()
-			// Built here, not outside the closure, so that a retried task
-			// starts from an empty partial.
-			out := splitResult{partial: prog.NewPartial()}
 			for {
 				if err := ctx.Err(); err != nil {
 					return nil, err
@@ -424,7 +444,7 @@ func (s *Scoop) Query(sql string, opts QueryOptions) (*Result, error) {
 					return nil, err
 				}
 				out.rows++
-				if err := out.partial.Fold(r); err != nil {
+				if err := fold(r); err != nil {
 					return nil, err
 				}
 			}
@@ -437,7 +457,7 @@ func (s *Scoop) Query(sql string, opts QueryOptions) (*Result, error) {
 	// Merge in split order, never completion order: first_value then sees
 	// the splits in dataset order, and float sums add up in one fixed order
 	// whatever the worker count and whichever task finished first.
-	merged := prog.NewPartial()
+	merged := exec.NewPartial(p)
 	var scanned int64
 	for _, v := range results {
 		sr := v.(splitResult)
@@ -509,21 +529,7 @@ func (s *Scoop) decideMode(ctx context.Context, table string, def tableDef, p *p
 
 // Explain returns the analyzed plan description without executing.
 func (s *Scoop) Explain(sql string) (string, error) {
-	sel, err := parser.Parse(sql)
-	if err != nil {
-		return "", err
-	}
-	s.mu.RLock()
-	def, ok := s.tables[strings.ToLower(sel.Table)]
-	s.mu.RUnlock()
-	if !ok {
-		return "", fmt.Errorf("core: unknown table %q", sel.Table)
-	}
-	schema, err := types.ParseSchema(def.decl)
-	if err != nil {
-		return "", err
-	}
-	p, err := plan.Analyze(sel, schema, plan.Options{})
+	_, p, err := s.analyze(sql)
 	if err != nil {
 		return "", err
 	}

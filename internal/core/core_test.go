@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -10,9 +11,7 @@ import (
 	"scoop/internal/adaptive"
 	"scoop/internal/datasource"
 	"scoop/internal/meter"
-	"scoop/internal/pushdown"
 	"scoop/internal/sql/types"
-	"scoop/internal/storlet/aggfilter"
 )
 
 // newScoop builds an in-process instance with a small uploaded dataset and
@@ -202,6 +201,12 @@ func TestQueryErrors(t *testing.T) {
 	if _, err := s.Query("SELECT ghostCol FROM largeMeter", QueryOptions{}); err == nil {
 		t.Error("unknown column not surfaced")
 	}
+	if _, err := s.Query("SELECT count(*) FROM largeMeter GROUP BY ghostCol", QueryOptions{}); err == nil {
+		t.Error("unknown group column not surfaced")
+	}
+	if _, err := s.Query("SELECT sum(index, lat) FROM largeMeter", QueryOptions{}); err == nil {
+		t.Error("malformed aggregate not surfaced")
+	}
 }
 
 func TestQueryCancellation(t *testing.T) {
@@ -235,6 +240,15 @@ func TestExplain(t *testing.T) {
 	for _, frag := range []string{"Scan(largeMeter)", "pushed: state like"} {
 		if !strings.Contains(out, frag) {
 			t.Errorf("Explain missing %q:\n%s", frag, out)
+		}
+	}
+	// Explain says where the aggregation runs and, at the compute side, why.
+	for q, frag := range map[string]string{
+		"SELECT vid, sum(index) FROM largeMeter GROUP BY vid":           "Aggregate keys=[vid] pushed to the store",
+		"SELECT vid, count(DISTINCT city) FROM largeMeter GROUP BY vid": "at the compute side: a DISTINCT aggregate",
+	} {
+		if out, err := s.Explain(q); err != nil || !strings.Contains(out, frag) {
+			t.Errorf("Explain(%s) missing %q: %v\n%s", q, frag, err, out)
 		}
 	}
 	if _, err := s.Explain("SELECT x FROM nope"); err == nil {
@@ -351,9 +365,10 @@ func TestJSONTableSQL(t *testing.T) {
 			}
 		}
 	}
-	// Aggregation pushdown is CSV-only for now.
-	if _, err := s.AggregateQuery("events", nil, []aggfilter.Spec{{Func: aggfilter.Count, Column: "*"}}, nil, QueryOptions{}); err == nil {
-		t.Error("agg pushdown on JSON accepted")
+	// Aggregation pushdown is CSV-only: the plan says so and the query ran
+	// on filter pushdown.
+	if push.Plan.StoreAgg != nil || !strings.Contains(push.Plan.Describe(), "not comma-separated CSV") {
+		t.Errorf("aggregation of a JSON table planned at the store:\n%s", push.Plan.Describe())
 	}
 	// Duplicate registration rejected.
 	if err := s.RegisterJSONTable("events", "events", "", "vid string", datasource.JSONOptions{}); err == nil {
@@ -367,99 +382,64 @@ func TestJSONTableSQL(t *testing.T) {
 	}
 }
 
-// AggregateQuery must agree with the SQL path and move far fewer bytes.
-func TestAggregateQueryEquivalence(t *testing.T) {
+// Aggregation pushdown returns what the baseline returns, to the bit, and
+// moves fewer bytes than filter pushdown of the same scan.
+func TestAggregationPushdownEquivalence(t *testing.T) {
 	s, _ := newScoop(t)
-	sqlRes, err := s.Query(
-		"SELECT vid, sum(index) AS s, count(*) AS n FROM largeMeter WHERE state LIKE 'FRA' GROUP BY vid ORDER BY vid",
-		QueryOptions{Mode: ModePushdown})
+	const q = "SELECT vid, sum(index) AS s, count(*) AS n FROM largeMeter WHERE state LIKE 'FRA' GROUP BY vid ORDER BY vid"
+	aggRes, err := s.Query(q, QueryOptions{Mode: ModePushdown})
 	if err != nil {
 		t.Fatal(err)
 	}
-	aggRes, err := s.AggregateQuery("largeMeter",
-		[]string{"vid"},
-		[]aggfilter.Spec{{Func: aggfilter.Sum, Column: "index"}, {Func: aggfilter.Count, Column: "*"}},
-		[]pushdown.Predicate{{Column: "state", Op: pushdown.OpLike, Value: "FRA"}},
-		QueryOptions{})
+	if aggRes.Plan.StoreAgg == nil {
+		t.Fatalf("aggregation not pushed: %s", aggRes.Plan.AggRefused)
+	}
+	base, err := s.Query(q, QueryOptions{Mode: ModeBaseline})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(aggRes.Rows) != len(sqlRes.Rows) {
-		t.Fatalf("groups: agg %d vs sql %d", len(aggRes.Rows), len(sqlRes.Rows))
+	if len(base.Rows) == 0 || !reflect.DeepEqual(aggRes.Rows, base.Rows) {
+		t.Fatalf("aggregation pushdown:\n%v\nbaseline:\n%v", aggRes.Rows, base.Rows)
 	}
-	for i := range sqlRes.Rows {
-		if aggRes.Rows[i][0].S != sqlRes.Rows[i][0].S {
-			t.Fatalf("row %d key: %v vs %v", i, aggRes.Rows[i][0], sqlRes.Rows[i][0])
-		}
-		if d := aggRes.Rows[i][1].F - sqlRes.Rows[i][1].F; d > 1e-6 || d < -1e-6 {
-			t.Fatalf("row %d sum: %v vs %v", i, aggRes.Rows[i][1], sqlRes.Rows[i][1])
-		}
-		if aggRes.Rows[i][2].I != sqlRes.Rows[i][2].I {
-			t.Fatalf("row %d count: %v vs %v", i, aggRes.Rows[i][2], sqlRes.Rows[i][2])
-		}
+	// The same scan with an aggregate argument the store does not evaluate.
+	filterRes, err := s.Query(strings.Replace(q, "sum(index)", "sum(index + 0)", 1), QueryOptions{Mode: ModePushdown})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Aggregation pushdown moves less than filter pushdown.
-	if aggRes.Metrics.BytesIngested >= sqlRes.Metrics.BytesIngested {
+	if filterRes.Plan.StoreAgg != nil || !reflect.DeepEqual(filterRes.Rows, base.Rows) {
+		t.Fatalf("filter pushdown: pushed=%v rows:\n%v", filterRes.Plan.StoreAgg != nil, filterRes.Rows)
+	}
+	if aggRes.Metrics.BytesIngested >= filterRes.Metrics.BytesIngested {
 		t.Errorf("agg pushdown moved %d bytes vs filter pushdown %d",
-			aggRes.Metrics.BytesIngested, sqlRes.Metrics.BytesIngested)
+			aggRes.Metrics.BytesIngested, filterRes.Metrics.BytesIngested)
 	}
-	if aggRes.Schema.Names()[1] != "sum_index" || aggRes.Schema.Names()[2] != "count" {
-		t.Errorf("schema = %v", aggRes.Schema.Names())
+	if aggRes.Metrics.RowsScanned >= filterRes.Metrics.RowsScanned {
+		t.Errorf("agg pushdown delivered %d records vs %d rows", aggRes.Metrics.RowsScanned, filterRes.Metrics.RowsScanned)
 	}
 }
 
-// Partial records are kept past the scan of the next one, so quoted fields
-// (which the scanner unescapes into a buffer it reuses) must be copied out;
-// and a partial of one empty cell arrives as "" and is a record.
-func TestReadPartialsQuotedFields(t *testing.T) {
-	got, err := readPartials(strings.NewReader(`"a,b",5` + "\n" + `"say ""hi""",2` + "\n" + `plain,"1,5"` + "\n" + `""` + "\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][]string{{"a,b", "5"}, {`say "hi"`, "2"}, {"plain", "1,5"}, {""}}
-	if len(got) != len(want) {
-		t.Fatalf("got %q, want %q", got, want)
-	}
-	for i := range want {
-		if strings.Join(got[i], "|") != strings.Join(want[i], "|") {
-			t.Errorf("partial %d = %q, want %q", i, got[i], want[i])
+// Global aggregates push too: one record per split, and over rows that match
+// nothing no record at all, which still finishes as one row.
+func TestAggregationPushdownGlobal(t *testing.T) {
+	s, _ := newScoop(t)
+	for _, q := range []string{
+		"SELECT count(*) AS n, max(index) AS m FROM largeMeter",
+		"SELECT count(*) AS n, max(index) AS m, first_value(city) AS c FROM largeMeter WHERE state LIKE 'nowhere'",
+	} {
+		push, err := s.Query(q, QueryOptions{Mode: ModePushdown})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-func TestAggregateQueryGlobal(t *testing.T) {
-	s, _ := newScoop(t)
-	res, err := s.AggregateQuery("largeMeter", nil,
-		[]aggfilter.Spec{{Func: aggfilter.Count, Column: "*"}, {Func: aggfilter.Max, Column: "index"}},
-		nil, QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 1 {
-		t.Fatalf("rows = %v", res.Rows)
-	}
-	sqlRes, err := s.Query("SELECT count(*) AS n, max(index) AS m FROM largeMeter", QueryOptions{Mode: ModePushdown})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rows[0][0].I != sqlRes.Rows[0][0].I {
-		t.Errorf("count: %v vs %v", res.Rows[0][0], sqlRes.Rows[0][0])
-	}
-	if d := res.Rows[0][1].F - sqlRes.Rows[0][1].F; d > 1e-6 || d < -1e-6 {
-		t.Errorf("max: %v vs %v", res.Rows[0][1], sqlRes.Rows[0][1])
-	}
-}
-
-func TestAggregateQueryErrors(t *testing.T) {
-	s, _ := newScoop(t)
-	if _, err := s.AggregateQuery("ghost", nil, []aggfilter.Spec{{Func: aggfilter.Count, Column: "*"}}, nil, QueryOptions{}); err == nil {
-		t.Error("unknown table accepted")
-	}
-	if _, err := s.AggregateQuery("largeMeter", nil, nil, nil, QueryOptions{}); err == nil {
-		t.Error("empty specs accepted")
-	}
-	if _, err := s.AggregateQuery("largeMeter", []string{"ghost"}, []aggfilter.Spec{{Func: aggfilter.Count, Column: "*"}}, nil, QueryOptions{}); err == nil {
-		t.Error("unknown group column accepted")
+		base, err := s.Query(q, QueryOptions{Mode: ModeBaseline})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if push.Plan.StoreAgg == nil || len(push.Rows) != 1 || !reflect.DeepEqual(push.Rows, base.Rows) {
+			t.Errorf("%s: pushed=%v rows %v, baseline %v", q, push.Plan.StoreAgg != nil, push.Rows, base.Rows)
+		}
+		if push.Metrics.RowsScanned > int64(push.Metrics.Splits) {
+			t.Errorf("%s: %d records from %d splits", q, push.Metrics.RowsScanned, push.Metrics.Splits)
+		}
 	}
 }
 

@@ -41,11 +41,11 @@ func newStore(t *testing.T) *core.Scoop {
 }
 
 // overStore returns a second instance reading store's data through client,
-// with its own worker pool.
-func overStore(t *testing.T, store *core.Scoop, client objectstore.Client, workers int) *core.Scoop {
+// with its own worker pool and split size.
+func overStore(t *testing.T, store *core.Scoop, client objectstore.Client, workers int, chunk int64) *core.Scoop {
 	t.Helper()
 	s, err := core.New(core.Config{
-		Client: client, Account: store.Account(), ChunkSize: splitSize,
+		Client: client, Account: store.Account(), ChunkSize: chunk,
 		Compute: compute.Config{Workers: workers, Retries: 1},
 	})
 	if err != nil {
@@ -56,6 +56,9 @@ func overStore(t *testing.T, store *core.Scoop, client objectstore.Client, worke
 	}
 	return s
 }
+
+// chunkSizes cut the dataset of newStore into about 100, 30 and 9 splits.
+var chunkSizes = []int64{2 << 10, splitSize, 24 << 10}
 
 // sameRows requires identical rows, floats compared by their bits.
 func sameRows(got, want []types.Row) error {
@@ -75,40 +78,49 @@ func sameRows(got, want []types.Row) error {
 
 // Partials are merged in split order, so the rows of every Table I query,
 // the bits of every float sum included, do not depend on the number of
-// workers or on which task finished first.
+// workers or on which task finished first, whether the tasks fold rows
+// (baseline) or merge the store's partial records (pushdown: all of Table I
+// aggregates at the store). And the two modes cut the data into the same
+// splits, so their sums add up in the same order: identical bits between
+// them too, at every split size.
 func TestQueryWorkerCountInvariance(t *testing.T) {
 	store := newStore(t)
-	var scoops []*core.Scoop
-	for _, workers := range []int{1, 2, 8} {
-		scoops = append(scoops, overStore(t, store, store.Client(), workers))
-	}
-	for _, q := range experiment.GridPocketQueries {
-		var want *core.Result
-		for _, s := range scoops {
-			res, err := s.Query(q.SQL, core.QueryOptions{Mode: core.ModePushdown})
+	for _, chunk := range chunkSizes {
+		var scoops []*core.Scoop
+		for _, workers := range []int{1, 2, 4, 8} {
+			scoops = append(scoops, overStore(t, store, store.Client(), workers, chunk))
+		}
+		for _, q := range experiment.GridPocketQueries {
+			want, err := scoops[0].Query(q.SQL, core.QueryOptions{Mode: core.ModeBaseline})
 			if err != nil {
 				t.Fatalf("%s: %v", q.Name, err)
 			}
-			if res.Metrics.Splits < 8 {
-				t.Fatalf("%s: %d splits, want at least 8 to keep 8 workers busy", q.Name, res.Metrics.Splits)
+			if len(want.Rows) == 0 {
+				t.Errorf("%s: no rows, the comparison is vacuous", q.Name)
 			}
-			if want == nil {
-				want = res
-				continue
+			for _, s := range scoops {
+				res, err := s.Query(q.SQL, core.QueryOptions{Mode: core.ModePushdown})
+				if err != nil {
+					t.Fatalf("%s: %v", q.Name, err)
+				}
+				if chunk == splitSize && res.Metrics.Splits < 8 {
+					t.Fatalf("%s: %d splits, want at least 8 to keep 8 workers busy", q.Name, res.Metrics.Splits)
+				}
+				if res.Plan.StoreAgg == nil {
+					t.Fatalf("%s: aggregation stayed at the compute side: %s", q.Name, res.Plan.AggRefused)
+				}
+				if err := sameRows(res.Rows, want.Rows); err != nil {
+					t.Errorf("%s at %d-byte splits: pushdown differs from baseline: %v", q.Name, chunk, err)
+				}
 			}
-			if err := sameRows(res.Rows, want.Rows); err != nil {
-				t.Errorf("%s: result differs between worker counts: %v", q.Name, err)
-			}
-		}
-		if len(want.Rows) == 0 {
-			t.Errorf("%s: no rows, the comparison is vacuous", q.Name)
 		}
 	}
 }
 
 // Pushdown and baseline cut the data into the same splits, so their float
 // sums add up in the same order: identical bits, even when, as with steps of
-// 0.1, no partial sum is exact.
+// 0.1, no partial sum is exact. The first queries aggregate at the store; the
+// others have a shape that must stay on filter pushdown.
 func TestPushdownBaselineBitIdentical(t *testing.T) {
 	s, err := core.New(core.Config{ChunkSize: splitSize, Compute: compute.Config{Workers: 4, Retries: 1}})
 	if err != nil {
@@ -131,23 +143,35 @@ func TestPushdownBaselineBitIdentical(t *testing.T) {
 	if err := s.RegisterTable("t", "tenths", "", "vid string, date string, index double", datasource.CSVOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	for _, q := range []string{
-		"SELECT sum(index) AS s, avg(index) AS a FROM t",
-		"SELECT vid, sum(index) AS s, avg(index) AS a, count(*) AS n FROM t WHERE date LIKE '2015-01-1%' GROUP BY vid ORDER BY vid",
+	for _, c := range []struct {
+		q       string
+		atStore bool
+	}{
+		{"SELECT sum(index) AS s, avg(index) AS a FROM t", true},
+		{"SELECT vid, sum(index) AS s, avg(index) AS a, count(*) AS n FROM t WHERE date LIKE '2015-01-1%' GROUP BY vid ORDER BY vid", true},
+		{"SELECT SUBSTRING(date, 9, 2) AS day, min(index) AS lo, max(vid) AS hi, first_value(index) AS f FROM t GROUP BY SUBSTRING(date, 9, 2)", true},
+		{"SELECT vid, sum(index) AS s FROM t WHERE index * 2 > 50 GROUP BY vid ORDER BY vid", false}, // residual predicate
+		{"SELECT vid, count(DISTINCT date) AS d, sum(index) AS s FROM t GROUP BY vid ORDER BY vid", false},
+		{"SELECT vid, sum(index + index) AS s FROM t GROUP BY vid ORDER BY vid", false},
+		{"SELECT UPPER(vid) AS v, sum(index) AS s FROM t GROUP BY vid ORDER BY vid", false}, // first-row value is no term
+		{"SELECT vid, index FROM t WHERE index > 99 ORDER BY index, vid", false},            // no aggregate
 	} {
-		push, err := s.Query(q, core.QueryOptions{Mode: core.ModePushdown})
+		push, err := s.Query(c.q, core.QueryOptions{Mode: core.ModePushdown})
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, err := s.Query(q, core.QueryOptions{Mode: core.ModeBaseline})
+		base, err := s.Query(c.q, core.QueryOptions{Mode: core.ModeBaseline})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if push.Metrics.Splits < 3 || base.Metrics.Splits != push.Metrics.Splits {
-			t.Fatalf("%s: %d and %d splits, want the same three or more", q, push.Metrics.Splits, base.Metrics.Splits)
+			t.Fatalf("%s: %d and %d splits, want the same three or more", c.q, push.Metrics.Splits, base.Metrics.Splits)
 		}
-		if err := sameRows(push.Rows, base.Rows); err != nil {
-			t.Errorf("%s: pushdown differs from baseline: %v", q, err)
+		if got := push.Plan.StoreAgg != nil; got != c.atStore {
+			t.Errorf("%s: aggregation at the store = %v, want %v (%s)", c.q, got, c.atStore, push.Plan.AggRefused)
+		}
+		if err := sameRows(push.Rows, base.Rows); err != nil || len(base.Rows) == 0 {
+			t.Errorf("%s: pushdown differs from baseline (%d rows): %v", c.q, len(base.Rows), err)
 		}
 	}
 }
@@ -186,7 +210,7 @@ func (failingReader) Read([]byte) (int, error) { return 0, errInjected }
 func TestQueryRetryCountsSplitOnce(t *testing.T) {
 	store := newStore(t)
 	flaky := &flakyClient{Client: store.Client()}
-	s := overStore(t, store, flaky, 2)
+	s := overStore(t, store, flaky, 2, splitSize)
 	const q = "SELECT vid, count(*) AS n, sum(index) AS s FROM largeMeter GROUP BY vid ORDER BY vid"
 	for _, mode := range []core.Mode{core.ModePushdown, core.ModeBaseline} {
 		want, err := s.Query(q, core.QueryOptions{Mode: mode})

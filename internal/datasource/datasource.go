@@ -15,8 +15,10 @@ import (
 	"scoop/internal/connector"
 	"scoop/internal/csvio"
 	"scoop/internal/pushdown"
+	"scoop/internal/sql/agg"
 	"scoop/internal/sql/exec"
 	"scoop/internal/sql/types"
+	"scoop/internal/storlet/aggfilter"
 	"scoop/internal/storlet/compressfilter"
 )
 
@@ -78,6 +80,13 @@ type CSVOptions struct {
 	// "combination of data filtering and compression" for low-selectivity
 	// queries. Only effective in pushdown mode.
 	CompressTransfer bool
+}
+
+// StoreAggregates reports whether the store can aggregate the records of a
+// relation with these options (ScanPartials): the agg filter reads and writes
+// comma-separated records.
+func (o CSVOptions) StoreAggregates() bool {
+	return o.Delimiter == 0 || o.Delimiter == csvio.DefaultDelimiter
 }
 
 // CSVRelation reads CSV objects under a container prefix.
@@ -144,43 +153,7 @@ func (r *CSVRelation) ScanPrunedFiltered(ctx context.Context, split connector.Sp
 		}
 	}
 	if r.opts.Pushdown {
-		task := &pushdown.Task{
-			Filter:     "csv",
-			Columns:    columns,
-			Predicates: preds,
-			Schema:     r.decl,
-			Stage:      r.opts.Stage,
-		}
-		task.Options = map[string]string{}
-		if r.opts.Header {
-			task.Options["header"] = "true"
-		}
-		if r.opts.Delimiter != csvio.DefaultDelimiter {
-			task.Options["delimiter"] = string(r.opts.Delimiter)
-		}
-		chain := []*pushdown.Task{task}
-		if r.opts.CompressTransfer {
-			chain = append(chain, &pushdown.Task{Filter: compressfilter.FilterName, Stage: r.opts.Stage})
-		}
-		rc, err := r.conn.Open(ctx, split, chain)
-		if err != nil {
-			return nil, err
-		}
-		stream := io.Reader(rc)
-		var extra io.Closer
-		if r.opts.CompressTransfer {
-			fr := compressfilter.NewReader(rc)
-			stream = fr
-			extra = fr
-		}
-		// The store returns exactly the projected columns of matching rows;
-		// the whole stream is complete records (no split re-alignment).
-		return &csvIterator{
-			rc:     &chainCloser{rc: rc, extra: extra},
-			rr:     csvio.NewRangeReader(stream, 0, int64(1)<<62),
-			schema: outSchema,
-			delim:  r.opts.Delimiter,
-		}, nil
+		return r.openChain(ctx, split, columns, preds, nil, outSchema)
 	}
 
 	// Baseline: raw ranged GET; alignment, header skip, parse, prune and
@@ -219,6 +192,80 @@ func (r *CSVRelation) ScanPrunedFiltered(ctx context.Context, split connector.Sp
 	return it, nil
 }
 
+// ScanPartials reads one split with the aggregation spec pushed to the store
+// as well: the chain is csv → agg, and the iterator yields the partial
+// records, one per group (see agg.Spec.Record), of the rows ScanPrunedFiltered
+// would have returned. Unlike a scan's rows, a record is only valid until the
+// next call of Next: exec.Partial.MergeRecord keeps nothing of it, so the
+// iterator fills one row over and over. Pushdown mode and the default
+// delimiter only.
+func (r *CSVRelation) ScanPartials(ctx context.Context, split connector.Split, columns []string, preds []pushdown.Predicate, spec *agg.Spec) (exec.Iterator, error) {
+	read, err := r.schema.Project(columns)
+	if err != nil {
+		return nil, err
+	}
+	record, err := spec.Record(read)
+	if err != nil {
+		return nil, err
+	}
+	if !r.opts.Pushdown || !r.opts.StoreAggregates() {
+		return nil, errors.New("datasource: the agg filter serves pushdown relations of comma-separated records")
+	}
+	task := &pushdown.Task{Filter: aggfilter.FilterName, Schema: read.String(), Stage: r.opts.Stage, Options: spec.Options()}
+	it, err := r.openChain(ctx, split, columns, preds, task, record)
+	if err != nil {
+		return nil, err
+	}
+	it.reused = make(types.Row, record.Len())
+	return it, nil
+}
+
+// openChain opens the split with the csv filter task, then the given task if
+// any, then transfer compression if configured, and parses the chain's output
+// as records of outSchema.
+func (r *CSVRelation) openChain(ctx context.Context, split connector.Split, columns []string, preds []pushdown.Predicate, after *pushdown.Task, outSchema *types.Schema) (*csvIterator, error) {
+	task := &pushdown.Task{
+		Filter:     "csv",
+		Columns:    columns,
+		Predicates: preds,
+		Schema:     r.decl,
+		Stage:      r.opts.Stage,
+	}
+	task.Options = map[string]string{}
+	if r.opts.Header {
+		task.Options["header"] = "true"
+	}
+	if r.opts.Delimiter != csvio.DefaultDelimiter {
+		task.Options["delimiter"] = string(r.opts.Delimiter)
+	}
+	chain := []*pushdown.Task{task}
+	if after != nil {
+		chain = append(chain, after)
+	}
+	if r.opts.CompressTransfer {
+		chain = append(chain, &pushdown.Task{Filter: compressfilter.FilterName, Stage: r.opts.Stage})
+	}
+	rc, err := r.conn.Open(ctx, split, chain)
+	if err != nil {
+		return nil, err
+	}
+	stream := io.Reader(rc)
+	var extra io.Closer
+	if r.opts.CompressTransfer {
+		fr := compressfilter.NewReader(rc)
+		stream = fr
+		extra = fr
+	}
+	// The store returns exactly the projected columns of matching rows;
+	// the whole stream is complete records (no split re-alignment).
+	return &csvIterator{
+		rc:     &chainCloser{rc: rc, extra: extra},
+		rr:     csvio.NewRangeReader(stream, 0, int64(1)<<62),
+		schema: outSchema,
+		delim:  r.opts.Delimiter,
+	}, nil
+}
+
 // csvIterator parses a CSV stream into typed rows.
 type csvIterator struct {
 	rc         io.ReadCloser
@@ -231,7 +278,9 @@ type csvIterator struct {
 	projIdx []int
 	match   pushdown.Matcher
 	sc      csvio.FieldScanner
-	closed  bool
+	// reused, when set, is the row every Next fills and returns.
+	reused types.Row
+	closed bool
 }
 
 // Next implements exec.Iterator.
@@ -252,14 +301,17 @@ func (it *csvIterator) Next() (types.Row, error) {
 		if !it.match.Match(fields) {
 			continue
 		}
-		row := make(types.Row, it.schema.Len())
+		row := it.reused
+		if row == nil {
+			row = make(types.Row, it.schema.Len())
+		}
 		for i := range row {
 			idx := i
 			if it.projIdx != nil {
 				idx = it.projIdx[i]
 			}
 			if idx < len(fields) {
-				row[i] = types.Coerce(string(fields[idx]), it.schema.Columns[i].Type)
+				row[i] = types.CoerceBytes(fields[idx], it.schema.Columns[i].Type)
 			} else {
 				row[i] = types.NullValue()
 			}

@@ -10,8 +10,11 @@ import (
 	"scoop/internal/connector"
 	"scoop/internal/objectstore"
 	"scoop/internal/pushdown"
+	"scoop/internal/sql/agg"
 	"scoop/internal/sql/exec"
 	"scoop/internal/sql/types"
+	"scoop/internal/storlet"
+	"scoop/internal/storlet/aggfilter"
 	"scoop/internal/storlet/compressfilter"
 	"scoop/internal/storlet/csvfilter"
 )
@@ -321,5 +324,89 @@ func TestIteratorCloseIdempotent(t *testing.T) {
 	}
 	if err := it.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// ScanPartials appends the agg stage to the chain the relation builds, with
+// or without transfer compression, and types the partial records: quoted
+// group keys and values survive (the scanner unescapes into a buffer it
+// reuses), and each record lives in the one row the iterator refills.
+func TestScanPartials(t *testing.T) {
+	quoted := `Q1,2015-01-01,1,"a,b",NED` + "\n" +
+		`Q2,2015-01-01,2,"say ""hi""",NED` + "\n" +
+		`Q3,2015-01-01,3,"a,b",FRA` + "\n" +
+		`Q4,2015-01-01,4,"long quoted field that fills the scratch buffer",NED` + "\n"
+	spec := &agg.Spec{
+		Group:  []agg.Term{{Col: 0}},
+		Firsts: []agg.Term{{Col: 1, Sub: true, Start: 0, Len: 1}},
+		Aggs:   []agg.Call{{Kind: agg.Sum, Arg: agg.Term{Col: 2}}, {Kind: agg.Max, Arg: agg.Term{Col: 0}}, {Kind: agg.CountStar}},
+	}
+	columns := []string{"city", "vid", "index"}
+	preds := []pushdown.Predicate{{Column: "state", Op: pushdown.OpEq, Value: "NED"}}
+	for _, compress := range []bool{false, true} {
+		fx := newFixture(t, 0)
+		for _, f := range []storlet.Filter{aggfilter.New(), compressfilter.New()} {
+			if err := fx.cluster.Engine().Register(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := fx.cluster.Client().CreateContainer(context.Background(), "gp", "quoted", nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fx.conn.Upload(context.Background(), "quoted", "q.csv", strings.NewReader(quoted)); err != nil {
+			t.Fatal(err)
+		}
+		rel, _ := NewCSV(fx.conn, "quoted", "", schemaDecl, CSVOptions{Pushdown: true, CompressTransfer: compress})
+		splits, err := rel.Splits(context.Background())
+		if err != nil || len(splits) != 1 {
+			t.Fatalf("splits = %v, %v", splits, err)
+		}
+		it, err := rel.ScanPartials(context.Background(), splits[0], columns, preds, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		var first types.Row
+		for {
+			rec, err := it.Next()
+			if errors.Is(err, io.EOF) {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first == nil {
+				first = rec
+			} else if &first[0] != &rec[0] {
+				t.Error("the iterator allocated a row per record")
+			}
+			var cells []string
+			for _, v := range rec {
+				cells = append(cells, v.T.String()+":"+v.AsString())
+			}
+			got = append(got, strings.Join(cells, " "))
+		}
+		it.Close()
+		want := []string{
+			"STRING:a,b STRING:Q BIGINT:1 DOUBLE:1 STRING:a,b BIGINT:1",
+			`STRING:say "hi" STRING:Q BIGINT:1 DOUBLE:2 STRING:say "hi" BIGINT:1`,
+			"STRING:long quoted field that fills the scratch buffer STRING:Q BIGINT:1 DOUBLE:4 STRING:long quoted field that fills the scratch buffer BIGINT:1",
+		}
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("compress=%v: records\n%s\nwant\n%s", compress, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
+
+		// A term that does not fit the projection, and relations the agg
+		// filter cannot serve, are refused before any request.
+		bad := &agg.Spec{Aggs: []agg.Call{{Kind: agg.Sum, Arg: agg.Term{Col: 7}}}}
+		if _, err := rel.ScanPartials(context.Background(), splits[0], columns, preds, bad); err == nil {
+			t.Error("term outside the projection accepted")
+		}
+		for _, opts := range []CSVOptions{{Pushdown: false}, {Pushdown: true, Delimiter: ';'}} {
+			other, _ := NewCSV(fx.conn, "quoted", "", schemaDecl, opts)
+			if _, err := other.ScanPartials(context.Background(), splits[0], columns, preds, spec); err == nil {
+				t.Errorf("ScanPartials accepted on %+v", opts)
+			}
+		}
 	}
 }

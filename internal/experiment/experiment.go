@@ -4,7 +4,7 @@
 //   - the *real path*: the full Scoop implementation in this repository,
 //     exercised end-to-end on a laptop-scale dataset, measuring actual
 //     ingested bytes, wall times and node/proxy counters; and
-//   - the *testbed model* (internal/cluster): the analytical simulation of
+//   - the *testbed model* (internal/testbed): the analytical simulation of
 //     the paper's 63-machine OSIC cluster, which projects the measured
 //     selectivities to the paper's 50GB–3TB scales.
 //
@@ -18,10 +18,10 @@ import (
 	"io"
 	"time"
 
-	"scoop/internal/cluster"
 	"scoop/internal/core"
 	"scoop/internal/datasource"
 	"scoop/internal/meter"
+	"scoop/internal/testbed"
 )
 
 // GB and TB in bytes, for workload definitions.
@@ -172,15 +172,15 @@ func columnSelectivity(res *core.Result) float64 {
 
 // SimWorkload converts a measured query into a testbed-model workload at a
 // target dataset size.
-func (m MeasuredQuery) SimWorkload(datasetBytes float64) cluster.Workload {
-	st := cluster.Mixed
+func (m MeasuredQuery) SimWorkload(datasetBytes float64) testbed.Workload {
+	st := testbed.Mixed
 	switch {
 	case m.RowSelectivity > 0.5 && m.ColSelectivity < 0.3:
-		st = cluster.Row
+		st = testbed.Row
 	case m.ColSelectivity > 0.5 && m.RowSelectivity < 0.3:
-		st = cluster.Column
+		st = testbed.Column
 	}
-	return cluster.Workload{DatasetBytes: datasetBytes, Selectivity: m.DataSelectivity, Type: st}
+	return testbed.Workload{DatasetBytes: datasetBytes, Selectivity: m.DataSelectivity, Type: st}
 }
 
 // --- text rendering helpers shared by the experiments ---

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"io"
 
-	"scoop/internal/cluster"
 	"scoop/internal/core"
+	"scoop/internal/testbed"
 )
 
 // Table1 reproduces Table I: it runs the seven GridPocket queries on the
@@ -46,10 +46,10 @@ func Fig1(w io.Writer) error {
 	fmt.Fprintln(w, "== Fig. 1: the ingest-then-compute problem ==")
 	fmt.Fprintln(w, "baseline (no pushdown) query completion time vs dataset size, testbed model")
 	fmt.Fprintln(w)
-	tb := cluster.OSIC()
+	tb := testbed.OSIC()
 	t := &table{header: []string{"dataset", "baseline time", "time/GB"}}
 	for _, gbs := range []float64{50, 250, 500, 1000, 2000, 3000} {
-		w1 := cluster.Workload{DatasetBytes: gbs * GB, Selectivity: 0.9, Type: cluster.Mixed}
+		w1 := testbed.Workload{DatasetBytes: gbs * GB, Selectivity: 0.9, Type: testbed.Mixed}
 		bt := tb.BaselineTime(w1)
 		t.add(fmt.Sprintf("%4.0f GB", gbs), secs(bt), fmt.Sprintf("%.3f s/GB", bt/gbs))
 	}
@@ -62,19 +62,19 @@ func Fig1(w io.Writer) error {
 // column and mixed selectivity across the three dataset sizes.
 func Fig5(w io.Writer, env *Env) error {
 	fmt.Fprintln(w, "== Fig. 5: query speedup vs data selectivity (testbed model) ==")
-	tb := cluster.OSIC()
+	tb := testbed.OSIC()
 	sizes := []struct {
 		name  string
 		bytes float64
 	}{{"50GB", 50 * GB}, {"500GB", 500 * GB}, {"3TB", 3 * TB}}
-	for _, st := range []cluster.SelectivityType{cluster.Row, cluster.Column, cluster.Mixed} {
+	for _, st := range []testbed.SelectivityType{testbed.Row, testbed.Column, testbed.Mixed} {
 		fmt.Fprintf(w, "\n-- %s selectivity --\n", st)
 		t := &table{header: []string{"selectivity", "S_Q 50GB", "S_Q 500GB", "S_Q 3TB"}}
 		for _, sel := range []float64{0, 0.2, 0.4, 0.6, 0.8, 0.9} {
 			row := []string{pct(sel)}
 			for _, sz := range sizes {
 				_ = sz.name
-				s := tb.Speedup(cluster.Workload{DatasetBytes: sz.bytes, Selectivity: sel, Type: st})
+				s := tb.Speedup(testbed.Workload{DatasetBytes: sz.bytes, Selectivity: sel, Type: st})
 				row = append(row, f2(s))
 			}
 			t.add(row...)
@@ -125,13 +125,13 @@ func fig5RealValidation(w io.Writer, env *Env) error {
 // Fig6 reproduces Fig. 6: speedups at very high data selectivity.
 func Fig6(w io.Writer) error {
 	fmt.Fprintln(w, "== Fig. 6: query speedup at high data selectivity (testbed model) ==")
-	tb := cluster.OSIC()
+	tb := testbed.OSIC()
 	t := &table{header: []string{"selectivity", "type", "S_Q 50GB", "S_Q 500GB", "S_Q 3TB"}}
-	for _, st := range []cluster.SelectivityType{cluster.Row, cluster.Column, cluster.Mixed} {
+	for _, st := range []testbed.SelectivityType{testbed.Row, testbed.Column, testbed.Mixed} {
 		for _, sel := range []float64{0.90, 0.95, 0.99, 0.9999} {
 			row := []string{pct(sel), st.String()}
 			for _, bytes := range []float64{50 * GB, 500 * GB, 3 * TB} {
-				row = append(row, f2(tb.Speedup(cluster.Workload{DatasetBytes: bytes, Selectivity: sel, Type: st})))
+				row = append(row, f2(tb.Speedup(testbed.Workload{DatasetBytes: bytes, Selectivity: sel, Type: st})))
 			}
 			t.add(row...)
 		}
@@ -146,7 +146,7 @@ func Fig6(w io.Writer) error {
 // 50GB and 500GB scales, using selectivities measured on the real path.
 func Fig7(w io.Writer, env *Env) error {
 	fmt.Fprintln(w, "== Fig. 7: GridPocket query speedups ==")
-	tb := cluster.OSIC()
+	tb := testbed.OSIC()
 	t := &table{header: []string{
 		"query", "meas. data sel", "real S_Q (laptop)",
 		"model S_Q 50GB", "paper 50GB", "model t_base/t_push 500GB",
@@ -178,11 +178,11 @@ func Fig7(w io.Writer, env *Env) error {
 // baseline implementation.
 func Fig8(w io.Writer, env *Env) error {
 	fmt.Fprintln(w, "== Fig. 8: pushdown vs Parquet (column selectivity) ==")
-	tb := cluster.OSIC()
+	tb := testbed.OSIC()
 	fmt.Fprintln(w, "\n-- testbed model, 50GB --")
 	t := &table{header: []string{"col selectivity", "S_Q scoop", "S_Q parquet", "winner"}}
 	for _, sel := range []float64{0, 0.2, 0.4, 0.6, 0.8, 0.9} {
-		wl := cluster.Workload{DatasetBytes: 50 * GB, Selectivity: sel, Type: cluster.Column}
+		wl := testbed.Workload{DatasetBytes: 50 * GB, Selectivity: sel, Type: testbed.Column}
 		s, p := tb.Speedup(wl), tb.ParquetSpeedup(wl)
 		winner := "parquet"
 		if s >= p {
@@ -207,10 +207,10 @@ func Fig8(w io.Writer, env *Env) error {
 // and without Scoop for a ShowGraphHCHP-like execution on 3TB.
 func Fig9(w io.Writer, env *Env) error {
 	fmt.Fprintln(w, "== Fig. 9: compute-cluster resource usage (ShowGraphHCHP, 3TB, model) ==")
-	tb := cluster.OSIC()
-	wl := cluster.Workload{DatasetBytes: 3 * TB, Selectivity: 0.99, Type: cluster.Mixed}
-	base := tb.UsageFor(wl, cluster.Baseline)
-	push := tb.UsageFor(wl, cluster.Pushdown)
+	tb := testbed.OSIC()
+	wl := testbed.Workload{DatasetBytes: 3 * TB, Selectivity: 0.99, Type: testbed.Mixed}
+	base := tb.UsageFor(wl, testbed.Baseline)
+	push := tb.UsageFor(wl, testbed.Pushdown)
 	t := &table{header: []string{"metric", "plain Spark/Swift", "Scoop", "paper"}}
 	t.add("duration", secs(base.Duration), secs(push.Duration), "12-15x shorter")
 	t.add("avg compute CPU", f2(base.ComputeCPUPct)+"%", f2(push.ComputeCPUPct)+"%", "3.1% vs 1.2%")
@@ -223,9 +223,9 @@ func Fig9(w io.Writer, env *Env) error {
 
 	// The figure itself is a time series; render a coarse one.
 	fmt.Fprintln(w, "\n-- modeled time series (baseline) --")
-	writeSeries(w, tb.Series(wl, cluster.Baseline, 8))
+	writeSeries(w, tb.Series(wl, testbed.Baseline, 8))
 	fmt.Fprintln(w, "\n-- modeled time series (Scoop) --")
-	writeSeries(w, tb.Series(wl, cluster.Pushdown, 8))
+	writeSeries(w, tb.Series(wl, testbed.Pushdown, 8))
 
 	if env != nil {
 		fmt.Fprintln(w, "\n-- real-path cluster counters (laptop scale) --")
@@ -237,7 +237,7 @@ func Fig9(w io.Writer, env *Env) error {
 }
 
 // writeSeries renders a resource time series as table rows.
-func writeSeries(w io.Writer, samples []cluster.Sample) {
+func writeSeries(w io.Writer, samples []testbed.Sample) {
 	t := &table{header: []string{"t (s)", "compute CPU", "compute mem", "LB MB/s", "storage CPU"}}
 	for _, s := range samples {
 		t.add(fmt.Sprintf("%.0f", s.T), f2(s.ComputeCPUPct)+"%", f1(s.ComputeMemPct)+"%",
@@ -250,10 +250,10 @@ func writeSeries(w io.Writer, samples []cluster.Sample) {
 // Scoop.
 func Fig10(w io.Writer, env *Env) error {
 	fmt.Fprintln(w, "== Fig. 10: storage-node CPU utilization (model) ==")
-	tb := cluster.OSIC()
-	wl := cluster.Workload{DatasetBytes: 3 * TB, Selectivity: 0.99, Type: cluster.Mixed}
-	base := tb.UsageFor(wl, cluster.Baseline)
-	push := tb.UsageFor(wl, cluster.Pushdown)
+	tb := testbed.OSIC()
+	wl := testbed.Workload{DatasetBytes: 3 * TB, Selectivity: 0.99, Type: testbed.Mixed}
+	base := tb.UsageFor(wl, testbed.Baseline)
+	push := tb.UsageFor(wl, testbed.Pushdown)
 	t := &table{header: []string{"mode", "avg storage CPU", "paper"}}
 	t.add("plain Swift", f2(base.StorageCPUPct)+"%", "1.25%")
 	t.add("Scoop", f2(push.StorageCPUPct)+"%", "23.5%")

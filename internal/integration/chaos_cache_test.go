@@ -16,6 +16,7 @@ import (
 	"scoop/internal/objectstore"
 	"scoop/internal/pushdown"
 	"scoop/internal/storlet"
+	"scoop/internal/storlet/aggfilter"
 	"scoop/internal/storlet/compressfilter"
 	"scoop/internal/storlet/csvfilter"
 	"scoop/internal/storlet/etl"
@@ -68,7 +69,7 @@ func runCacheChaos(t *testing.T, cacheBytes int64) cacheChaosResult {
 		t.Fatal(err)
 	}
 	faulty := &faultinject.FilterFault{Inner: csvfilter.New(), Schedule: sched}
-	for _, f := range []storlet.Filter{faulty, etl.NewCleanse(), compressfilter.New()} {
+	for _, f := range []storlet.Filter{faulty, aggfilter.New(), etl.NewCleanse(), compressfilter.New()} {
 		if err := cluster.Engine().Register(f); err != nil {
 			t.Fatal(err)
 		}
@@ -206,8 +207,10 @@ func TestChaosCachePutLatencyInterleave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cluster.Engine().Register(csvfilter.New()); err != nil {
-		t.Fatal(err)
+	for _, f := range []storlet.Filter{csvfilter.New(), aggfilter.New()} {
+		if err := cluster.Engine().Register(f); err != nil {
+			t.Fatal(err)
+		}
 	}
 	client := cluster.Client()
 	ctx := context.Background()

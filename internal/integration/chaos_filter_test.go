@@ -16,6 +16,7 @@ import (
 	"scoop/internal/pushdown"
 	"scoop/internal/sql/types"
 	"scoop/internal/storlet"
+	"scoop/internal/storlet/aggfilter"
 	"scoop/internal/storlet/compressfilter"
 	"scoop/internal/storlet/csvfilter"
 	"scoop/internal/storlet/etl"
@@ -56,7 +57,7 @@ func runFilterChaos(t *testing.T, rules ...faultinject.Rule) filterChaosResult {
 		t.Fatal(err)
 	}
 	faulty := &faultinject.FilterFault{Inner: csvfilter.New(), Schedule: sched}
-	for _, f := range []storlet.Filter{faulty, etl.NewCleanse(), compressfilter.New()} {
+	for _, f := range []storlet.Filter{faulty, aggfilter.New(), etl.NewCleanse(), compressfilter.New()} {
 		if err := cluster.Engine().Register(f); err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +162,7 @@ func TestChaosOverloadShedsToFallback(t *testing.T) {
 		<-release
 		return nil
 	}}
-	for _, f := range []storlet.Filter{csvfilter.New(), etl.NewCleanse(), compressfilter.New(), blocker} {
+	for _, f := range []storlet.Filter{csvfilter.New(), aggfilter.New(), etl.NewCleanse(), compressfilter.New(), blocker} {
 		if err := cluster.Engine().Register(f); err != nil {
 			t.Fatal(err)
 		}

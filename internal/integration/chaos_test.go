@@ -20,9 +20,6 @@ import (
 	"scoop/internal/metrics"
 	"scoop/internal/objectstore"
 	"scoop/internal/sql/types"
-	"scoop/internal/storlet/compressfilter"
-	"scoop/internal/storlet/csvfilter"
-	"scoop/internal/storlet/etl"
 )
 
 // skipInShort keeps the chaos suite out of the fast tier-1 run; CI runs it
@@ -62,13 +59,7 @@ func newChaosCluster(t *testing.T) (*objectstore.Cluster, map[string]*faultinjec
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cluster.Engine().Register(csvfilter.New()); err != nil {
-		t.Fatal(err)
-	}
-	if err := cluster.Engine().Register(etl.NewCleanse()); err != nil {
-		t.Fatal(err)
-	}
-	if err := cluster.Engine().Register(compressfilter.New()); err != nil {
+	if err := core.RegisterStandardFilters(cluster.Engine()); err != nil {
 		t.Fatal(err)
 	}
 	return cluster, stores

@@ -17,9 +17,6 @@ import (
 	"scoop/internal/datasource"
 	"scoop/internal/meter"
 	"scoop/internal/objectstore"
-	"scoop/internal/storlet/compressfilter"
-	"scoop/internal/storlet/csvfilter"
-	"scoop/internal/storlet/etl"
 )
 
 // newHTTPDeployment stands up the full disaggregated topology: a store
@@ -31,13 +28,7 @@ func newHTTPDeployment(t *testing.T) (*objectstore.Cluster, *core.Scoop) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cluster.Engine().Register(csvfilter.New()); err != nil {
-		t.Fatal(err)
-	}
-	if err := cluster.Engine().Register(etl.NewCleanse()); err != nil {
-		t.Fatal(err)
-	}
-	if err := cluster.Engine().Register(compressfilter.New()); err != nil {
+	if err := core.RegisterStandardFilters(cluster.Engine()); err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(objectstore.NewHandler(cluster.Client()))

@@ -1,15 +1,16 @@
+// Package metrics holds the named counters and gauges the data path reports
+// into: nil-safe atomic values behind a get-or-create Registry, read as one
+// Snapshot by /admin/stats, the experiments and the tests.
 package metrics
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
 
-// Counter is a monotonically increasing atomic counter — the event-count
-// side of the collectd analog (the Collector's gauges are the sampled side).
-// The data path uses counters to make every recovery action observable:
-// retries, replica failovers, quorum degradations, injected faults.
+// Counter is a monotonically increasing atomic counter. The data path uses
+// counters to make every recovery action observable: retries, replica
+// failovers, quorum degradations, injected faults.
 //
 // A nil *Counter is a valid no-op sink, so instrumented code never has to
 // guard the "metrics disabled" case.
@@ -39,9 +40,6 @@ func (c *Counter) Load() int64 {
 	}
 	return c.v.Load()
 }
-
-// Float returns the value as float64, in the shape Collector gauges expect.
-func (c *Counter) Float() float64 { return float64(c.Load()) }
 
 // Registry is a get-or-create set of named counters shared across a
 // deployment tier (one per Cluster, one per HTTP client). A nil *Registry
@@ -87,34 +85,4 @@ func (r *Registry) Snapshot() map[string]int64 {
 		out[name] = g.Load()
 	}
 	return out
-}
-
-// CounterNames lists the registered counters, sorted.
-func (r *Registry) CounterNames() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.counters))
-	for name := range r.counters {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Bind registers every counter that exists right now as a gauge on the
-// collector, so the background sampler picks counters up alongside the
-// utilization gauges. Counters created after Bind must be bound again.
-func (r *Registry) Bind(c *Collector) error {
-	if r == nil {
-		return nil
-	}
-	for _, name := range r.CounterNames() {
-		if err := c.Register(name, r.Counter(name).Float); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -33,9 +33,6 @@ func (g *Gauge) Load() int64 {
 	return g.v.Load()
 }
 
-// Float returns the value as float64, in the shape Collector gauges expect.
-func (g *Gauge) Float() float64 { return float64(g.Load()) }
-
 // Gauge returns the gauge with the given name, creating it on first use.
 // Gauges share the registry namespace with counters but live in their own
 // table; Snapshot merges both (a name collision surfaces the gauge).

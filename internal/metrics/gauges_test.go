@@ -13,9 +13,6 @@ func TestGaugeBasics(t *testing.T) {
 	if got := g.Load(); got != 7 {
 		t.Fatalf("gauge = %d, want 7", got)
 	}
-	if g.Float() != 7 {
-		t.Fatalf("Float = %v, want 7", g.Float())
-	}
 	if r.Gauge("depth") != g {
 		t.Error("Gauge is not get-or-create: second lookup returned a new gauge")
 	}
@@ -30,7 +27,7 @@ func TestNilGaugeIsNoOp(t *testing.T) {
 	g := r.Gauge("anything")
 	g.Set(5) // must not panic
 	g.Add(-1)
-	if g.Load() != 0 || g.Float() != 0 {
+	if g.Load() != 0 {
 		t.Error("nil gauge should read zero")
 	}
 }

@@ -14,7 +14,9 @@ import (
 	"scoop/internal/metrics"
 	"scoop/internal/pushdown"
 	"scoop/internal/resultcache"
+	"scoop/internal/sql/agg"
 	"scoop/internal/storlet"
+	"scoop/internal/storlet/aggfilter"
 	"scoop/internal/storlet/csvfilter"
 )
 
@@ -376,43 +378,62 @@ func TestCacheFillMismatchGuard(t *testing.T) {
 // TestCachePutInvalidationFreshness: a committed PUT must invalidate cached
 // results so the next GET reflects the new object version.
 func TestCachePutInvalidationFreshness(t *testing.T) {
-	c := newCacheCluster(t)
-	cl := c.Client()
-	ctx := context.Background()
-	_ = cl.CreateContainer(ctx, "gp", "meters", nil)
-	mustPut(t, cl, "gp", "meters", "jan.csv", meterCSV)
-
-	task := &pushdown.Task{
+	scan := &pushdown.Task{
 		Filter: csvfilter.FilterName, Schema: meterSchema,
 		Columns:    []string{"vid"},
 		Predicates: []pushdown.Predicate{{Column: "state", Op: pushdown.OpLike, Value: "U%"}},
 	}
-	opts := GetOptions{Pushdown: []*pushdown.Task{task}}
+	// The aggregation chain is keyed, cached and invalidated as any chain is:
+	// its second stage is in the determinism manifest and its options hash in.
+	count := &pushdown.Task{
+		Filter: aggfilter.FilterName, Schema: "vid string",
+		Options: (&agg.Spec{Aggs: []agg.Call{{Kind: agg.CountStar}, {Kind: agg.Max}}}).Options(),
+	}
+	for _, tc := range []struct {
+		name        string
+		chain       []*pushdown.Task
+		cold, fresh string
+	}{
+		{"csv", []*pushdown.Task{scan}, "V3\n", "V3\nV4\n"},
+		{"csv-agg", []*pushdown.Task{scan, count}, "1,V3\n", "2,V4\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newCacheCluster(t)
+			if err := c.Engine().Register(aggfilter.New()); err != nil {
+				t.Fatal(err)
+			}
+			cl := c.Client()
+			ctx := context.Background()
+			_ = cl.CreateContainer(ctx, "gp", "meters", nil)
+			mustPut(t, cl, "gp", "meters", "jan.csv", meterCSV)
+			opts := GetOptions{Pushdown: tc.chain}
 
-	get := func() (string, string) {
-		rc, _, err := cl.GetObject(ctx, "gp", "meters", "jan.csv", opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return readAll(t, rc), cacheStatusOf(t, rc)
-	}
-	if body, status := get(); body != "V3\n" || status != string(resultcache.StatusMiss) {
-		t.Fatalf("cold get = %q (%s)", body, status)
-	}
-	if body, status := get(); body != "V3\n" || status != string(resultcache.StatusHit) {
-		t.Fatalf("warm get = %q (%s)", body, status)
-	}
+			get := func() (string, string) {
+				rc, _, err := cl.GetObject(ctx, "gp", "meters", "jan.csv", opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return readAll(t, rc), cacheStatusOf(t, rc)
+			}
+			if body, status := get(); body != tc.cold || status != string(resultcache.StatusMiss) {
+				t.Fatalf("cold get = %q (%s)", body, status)
+			}
+			if body, status := get(); body != tc.cold || status != string(resultcache.StatusHit) {
+				t.Fatalf("warm get = %q (%s)", body, status)
+			}
 
-	mustPut(t, cl, "gp", "meters", "jan.csv", meterCSV+"V4,2015-01-02 00:10:00,3.5,Lviv,UKR\n")
-	body, status := get()
-	if status == string(resultcache.StatusHit) {
-		t.Fatal("stale hit served after PUT invalidation")
-	}
-	if body != "V3\nV4\n" {
-		t.Fatalf("post-put get = %q, want fresh rows", body)
-	}
-	if got := c.Metrics().Snapshot()["resultcache.invalidations"]; got == 0 {
-		t.Fatal("PUT did not count an invalidation")
+			mustPut(t, cl, "gp", "meters", "jan.csv", meterCSV+"V4,2015-01-02 00:10:00,3.5,Lviv,UKR\n")
+			body, status := get()
+			if status == string(resultcache.StatusHit) {
+				t.Fatal("stale hit served after PUT invalidation")
+			}
+			if body != tc.fresh {
+				t.Fatalf("post-put get = %q, want fresh rows", body)
+			}
+			if got := c.Metrics().Snapshot()["resultcache.invalidations"]; got == 0 {
+				t.Fatal("PUT did not count an invalidation")
+			}
+		})
 	}
 }
 

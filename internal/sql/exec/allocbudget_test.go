@@ -49,8 +49,7 @@ func TestAllocBudgetExecFold(t *testing.T) {
 	// A row that lands in an existing group allocates nothing: the key is
 	// built in the partial's scratch and looked up without a string, scalar
 	// calls evaluate on the stack, accumulators update in place.
-	c := compile(t, budgetWide)
-	pt := c.NewPartial()
+	pt := NewPartial(analyze(t, budgetWide))
 	foldAll(t, pt, rows)
 	if avg := testing.AllocsPerRun(10, func() { foldAll(t, pt, rows) }); avg != 0 {
 		t.Errorf("fold into existing groups: %v allocs per %d rows, want 0", avg, len(rows))
@@ -61,8 +60,8 @@ func TestAllocBudgetExecFold(t *testing.T) {
 	// values and one of accumulators, plus the amortized growth of the map
 	// and of the order slice.
 	created := func(q string) float64 {
-		c := compile(t, q)
-		return testing.AllocsPerRun(5, func() { foldAll(t, c.NewPartial(), rows[:groups]) })
+		p := analyze(t, q)
+		return testing.AllocsPerRun(5, func() { foldAll(t, NewPartial(p), rows[:groups]) })
 	}
 	narrow, wide := created(budgetNarrow), created(budgetWide)
 	if diff := narrow - wide; diff > groups/100 || -diff > groups/100 {

@@ -402,12 +402,8 @@ func TestDistinctAggregateErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := plan.Analyze(sel, schema, plan.Options{DisablePredicatePushdown: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Execute(p, NewSliceIterator(sample)); err == nil {
-		t.Error("MIN(DISTINCT) should fail at execution")
+	if _, err := plan.Analyze(sel, schema, plan.Options{}); err == nil {
+		t.Error("MIN(DISTINCT) should fail at planning")
 	}
 }
 
@@ -452,7 +448,7 @@ func TestGroupAndDistinctKeysDoNotCollide(t *testing.T) {
 	}
 }
 
-func compile(t *testing.T, q string) *Compiled {
+func analyze(t *testing.T, q string) *plan.Plan {
 	t.Helper()
 	sel, err := parser.Parse(q)
 	if err != nil {
@@ -462,24 +458,20 @@ func compile(t *testing.T, q string) *Compiled {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Compile(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
+	return p
 }
 
 // A group's vector holds each aggregate call and each aggregate-free
 // subexpression once, however often the query repeats it; DISTINCT variants
 // are calls of their own.
-func TestCompileDeduplicatesSlots(t *testing.T) {
-	c := compile(t, `SELECT SUBSTRING(date, 0, 10) AS day, sum(index) AS a, sum(index) + 1 AS b,
+func TestVectorDeduplicatesSlots(t *testing.T) {
+	p := analyze(t, `SELECT SUBSTRING(date, 0, 10) AS day, sum(index) AS a, sum(index) + 1 AS b,
 		sum(DISTINCT index) AS d FROM m GROUP BY SUBSTRING(date, 0, 10), vid
 		HAVING sum(index) > 0 ORDER BY SUBSTRING(date, 0, 10), vid`)
-	if len(c.aggs) != 2 {
-		t.Errorf("aggregate slots = %d, want 2 (SUM, SUM DISTINCT)", len(c.aggs))
+	if len(p.Aggs) != 2 {
+		t.Errorf("aggregate slots = %d, want 2 (SUM, SUM DISTINCT)", len(p.Aggs))
 	}
-	if len(c.firsts) != 2 {
-		t.Errorf("first-row slots = %d, want 2 (the SUBSTRING, vid)", len(c.firsts))
+	if len(p.Firsts) != 2 {
+		t.Errorf("first-row slots = %d, want 2 (the SUBSTRING, vid)", len(p.Firsts))
 	}
 }

@@ -390,9 +390,6 @@ func (c *Call) Eval(row types.Row) (types.Value, error) {
 func evalScalar(name string, args []types.Value) (types.Value, error) {
 	switch strings.ToUpper(name) {
 	case "SUBSTRING", "SUBSTR":
-		// SUBSTRING(str, start, len) — 0- or 1-based start both appear in the
-		// wild; Spark's SUBSTRING(s, 0, n) == SUBSTRING(s, 1, n), which the
-		// Table I queries rely on. Mirror that.
 		if len(args) < 2 || len(args) > 3 {
 			return types.Value{}, fmt.Errorf("expr: SUBSTRING wants 2 or 3 args, got %d", len(args))
 		}
@@ -404,34 +401,13 @@ func evalScalar(name string, args []types.Value) (types.Value, error) {
 		if !ok {
 			return types.NullValue(), nil
 		}
-		if start > 0 {
-			start-- // 1-based to 0-based
-		} else if start < 0 {
-			start = int64(len(s)) + start
-			if start < 0 {
-				start = 0
-			}
-		}
-		if start >= int64(len(s)) {
-			return types.Str(""), nil
-		}
-		end := int64(len(s))
+		n := int64(len(s))
 		if len(args) == 3 {
-			if args[2].IsNull() {
+			if n, ok = args[2].AsInt(); !ok {
 				return types.NullValue(), nil
-			}
-			n, ok := args[2].AsInt()
-			if !ok {
-				return types.NullValue(), nil
-			}
-			if n < 0 {
-				n = 0
-			}
-			if start+n < end {
-				end = start + n
 			}
 		}
-		return types.Str(s[start:end]), nil
+		return types.Str(types.Substring(s, start, n)), nil
 	case "UPPER":
 		if err := wantArgs(name, args, 1); err != nil {
 			return types.Value{}, err

@@ -16,9 +16,11 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"scoop/internal/pushdown"
+	"scoop/internal/sql/agg"
 	"scoop/internal/sql/expr"
 	"scoop/internal/sql/parser"
 	"scoop/internal/sql/types"
@@ -46,8 +48,33 @@ type Plan struct {
 	// Aggregate reports whether the query needs an aggregation operator.
 	Aggregate bool
 
+	// Every group of an aggregate query carries a value vector: first the
+	// aggregate-free subexpressions over columns that HAVING, the select
+	// items and ORDER BY contain, evaluated on the row that created the group
+	// (so such parts get first-row semantics, as the Table I queries expect),
+	// then one accumulator per distinct aggregate call. Having, Items and
+	// OrderBy of such a query read that vector through expr.Slot nodes, so
+	// finishing a group rewrites and re-renders nothing.
+	Firsts []expr.Expr
+	Aggs   []Agg
+
+	// StoreAgg is the same aggregation as the object store can run it over
+	// the scan's output, one partial record per group and split; nil when it
+	// cannot, and AggRefused then names the rule that says so. FirstCells[i]
+	// is the cell of such a record that holds Firsts[i]: a first-row value
+	// that is also a group key, as in all of Table I, travels once.
+	StoreAgg   *agg.Spec
+	FirstCells []int
+	AggRefused string
+
 	// Output is the schema of the result rows.
 	Output *types.Schema
+}
+
+// Agg is one distinct aggregate call of the query.
+type Agg struct {
+	Kind agg.Kind
+	Arg  expr.Expr // nil for COUNT(*)
 }
 
 // Options tunes the analysis.
@@ -205,7 +232,164 @@ func Analyze(sel *parser.Select, schema *types.Schema, opts Options) (*Plan, err
 		cols[i] = types.Column{Name: it.Name(), Type: inferType(it.Expr, p.Read)}
 	}
 	p.Output = types.NewSchema(cols...)
+	if p.Aggregate {
+		if err := p.vectorize(); err != nil {
+			return nil, err
+		}
+		p.StoreAgg, p.AggRefused = p.storeAgg()
+	}
 	return p, nil
+}
+
+// vectorize lays out the group vector: it collects Firsts and Aggs, each
+// distinct rendering once, and rewrites Having, Items and OrderBy to read
+// them. Malformed aggregate calls are reported here.
+func (p *Plan) vectorize() error {
+	slots := make(map[string]*expr.Slot) // by rendering, so repeats share one
+	var aggSlots []*expr.Slot
+	var firstErr error
+	rewrite := func(e expr.Expr) expr.Expr {
+		return expr.Transform(e, func(n expr.Expr) (expr.Expr, bool) {
+			call, isAgg := n.(*expr.Call)
+			isAgg = isAgg && expr.IsAggregate(call.Name)
+			if !isAgg && (expr.HasAggregate(n) || len(expr.Columns(n)) == 0) {
+				return nil, false
+			}
+			key := n.String()
+			if s, ok := slots[key]; ok {
+				return s, true
+			}
+			s := &expr.Slot{Of: n}
+			slots[key] = s
+			if !isAgg {
+				s.Index = len(p.Firsts)
+				p.Firsts = append(p.Firsts, n)
+				return s, true
+			}
+			a, err := newAgg(call)
+			if err != nil && firstErr == nil {
+				firstErr = err
+			}
+			s.Index = len(p.Aggs)
+			p.Aggs = append(p.Aggs, a)
+			aggSlots = append(aggSlots, s)
+			return s, true
+		})
+	}
+	if p.Having != nil {
+		p.Having = rewrite(p.Having)
+	}
+	for i := range p.Items {
+		p.Items[i].Expr = rewrite(p.Items[i].Expr)
+	}
+	for i := range p.OrderBy {
+		p.OrderBy[i].Expr = rewrite(p.OrderBy[i].Expr)
+	}
+	// Accumulators follow the first-row values in a group's vector.
+	for _, s := range aggSlots {
+		s.Index += len(p.Firsts)
+	}
+	return firstErr
+}
+
+var aggKinds = map[string]agg.Kind{
+	"COUNT": agg.Count, "SUM": agg.Sum, "AVG": agg.Avg, "MIN": agg.Min, "MAX": agg.Max, "FIRST_VALUE": agg.First,
+}
+
+func newAgg(c *expr.Call) (Agg, error) {
+	name := c.Name
+	if len(c.Args) != 1 {
+		return Agg{}, fmt.Errorf("plan: %s wants 1 arg, got %d", name, len(c.Args))
+	}
+	arg := c.Args[0]
+	if _, star := arg.(expr.Star); star {
+		if name != "COUNT" || c.Distinct {
+			return Agg{}, fmt.Errorf("plan: %s is not valid", c)
+		}
+		return Agg{Kind: agg.CountStar}, nil
+	}
+	kind, ok := aggKinds[name]
+	if !ok {
+		return Agg{}, fmt.Errorf("plan: unknown aggregate %q", name)
+	}
+	if c.Distinct {
+		switch kind {
+		case agg.Count:
+			kind = agg.CountDistinct
+		case agg.Sum:
+			kind = agg.SumDistinct
+		default:
+			return Agg{}, fmt.Errorf("plan: DISTINCT is supported for COUNT and SUM, not %s", name)
+		}
+	}
+	return Agg{Kind: kind, Arg: arg}, nil
+}
+
+// storeAgg decomposes the aggregation: the store can fold the scan's output
+// when no residual filter stands between the two, every aggregate merges
+// from fixed-size state, and every value it needs of a row is a term.
+func (p *Plan) storeAgg() (*agg.Spec, string) {
+	if p.Residual != nil {
+		return nil, fmt.Sprintf("residual filter %s runs at the compute side", p.Residual)
+	}
+	spec, refused := &agg.Spec{}, ""
+	term := func(what string, e expr.Expr) agg.Term {
+		t, ok := p.term(e)
+		if !ok && refused == "" {
+			refused = fmt.Sprintf("%s %s is not a column or SUBSTRING(column, k, n) of a string column", what, e)
+		}
+		return t
+	}
+	for _, e := range p.GroupBy {
+		spec.Group = append(spec.Group, term("group key", e))
+	}
+	for _, e := range p.Firsts {
+		t := term("first-row value", e)
+		cell := slices.Index(spec.Group, t)
+		if cell < 0 {
+			cell = len(spec.Group) + len(spec.Firsts)
+			spec.Firsts = append(spec.Firsts, t)
+		}
+		p.FirstCells = append(p.FirstCells, cell)
+	}
+	for _, a := range p.Aggs {
+		call := agg.Call{Kind: a.Kind}
+		switch {
+		case a.Kind == agg.CountDistinct || a.Kind == agg.SumDistinct:
+			return nil, "a DISTINCT aggregate needs every value, not a partial"
+		case a.Arg != nil:
+			call.Arg = term("aggregate argument", a.Arg)
+		}
+		spec.Aggs = append(spec.Aggs, call)
+	}
+	if refused != "" {
+		return nil, refused
+	}
+	return spec, ""
+}
+
+// term recognizes what the store evaluates without the SQL engine: a column
+// of the scan, or SUBSTRING(column, k, n) of a string column with integer
+// literals. (A string field is never NULL, so neither is its substring, and
+// an empty cell of a partial record reads back as the value it was.)
+func (p *Plan) term(e expr.Expr) (agg.Term, bool) {
+	switch n := e.(type) {
+	case *expr.Column:
+		return agg.Term{Col: n.Index}, true
+	case *expr.Call:
+		if (n.Name != "SUBSTRING" && n.Name != "SUBSTR") || len(n.Args) != 3 {
+			return agg.Term{}, false
+		}
+		col, isCol := n.Args[0].(*expr.Column)
+		start, ok1 := n.Args[1].(*expr.Literal)
+		size, ok2 := n.Args[2].(*expr.Literal)
+		if !isCol || !ok1 || !ok2 || start.Val.T != types.Int || size.Val.T != types.Int ||
+			p.Read.Columns[col.Index].Type != types.String {
+			return agg.Term{}, false
+		}
+		return agg.Term{Col: col.Index, Sub: true, Start: start.Val.I, Len: size.Val.I}, true
+	}
+	return agg.Term{}, false
 }
 
 // nopReplace makes Transform a deep-copy.
@@ -441,7 +625,11 @@ func (p *Plan) Describe() string {
 		for i, g := range p.GroupBy {
 			keys[i] = g.String()
 		}
-		fmt.Fprintf(&b, "Aggregate keys=[%s]\n", strings.Join(keys, ","))
+		at := "pushed to the store"
+		if p.StoreAgg == nil {
+			at = "at the compute side: " + p.AggRefused
+		}
+		fmt.Fprintf(&b, "Aggregate keys=[%s] %s\n", strings.Join(keys, ","), at)
 	}
 	if p.Having != nil {
 		fmt.Fprintf(&b, "Having: %s\n", p.Having)

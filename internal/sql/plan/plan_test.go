@@ -1,10 +1,12 @@
 package plan
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"scoop/internal/pushdown"
+	"scoop/internal/sql/agg"
 	"scoop/internal/sql/expr"
 	"scoop/internal/sql/parser"
 	"scoop/internal/sql/types"
@@ -316,5 +318,92 @@ func TestFoldedWhereLiteral(t *testing.T) {
 	}
 	if lit, ok := p.Residual.(*expr.Literal); !ok || !lit.Val.B {
 		t.Errorf("Residual = %v", p.Residual)
+	}
+}
+
+// The aggregation decomposes when the store can compute every value of a row
+// it needs; the options are what travels (HAVING's aggregate first: it is
+// rewritten first). Required is vid,date,sumHC,sumHP,state here, so date is
+// column 1.
+func TestStoreAggDecomposes(t *testing.T) {
+	p := analyze(t, `SELECT SUBSTRING(date, 0, 10) as sDate, vid, min(sumHC) as minHC, max(sumHC) as maxHC,
+		count(*) AS n, avg(sumHP) AS a, first_value(state) AS s FROM largeMeter
+		WHERE state LIKE 'FRA' AND date LIKE '2015-01-%'
+		GROUP BY SUBSTRING(date, 0, 10), vid HAVING count(*) > 0 ORDER BY SUBSTRING(date, 0, 10), vid LIMIT 3`, Options{})
+	if p.StoreAgg == nil {
+		t.Fatalf("not decomposed: %s", p.AggRefused)
+	}
+	day := agg.Term{Col: 1, Sub: true, Len: 10}
+	want := &agg.Spec{
+		Group: []agg.Term{day, {Col: 0}}, // the first-row values sDate and vid are the keys: nothing more travels
+		Aggs: []agg.Call{{Kind: agg.CountStar}, {Kind: agg.Min, Arg: agg.Term{Col: 2}}, {Kind: agg.Max, Arg: agg.Term{Col: 2}},
+			{Kind: agg.Avg, Arg: agg.Term{Col: 3}}, {Kind: agg.First, Arg: agg.Term{Col: 4}}},
+	}
+	if !reflect.DeepEqual(p.StoreAgg, want) || !reflect.DeepEqual(p.FirstCells, []int{0, 1}) {
+		t.Errorf("spec = %+v, first-row cells %v, want %+v", p.StoreAgg, p.FirstCells, want)
+	}
+	if !strings.Contains(p.Describe(), "Aggregate keys=[SUBSTRING(date, 0, 10),vid] pushed to the store") {
+		t.Errorf("Describe:\n%s", p.Describe())
+	}
+	record, err := p.StoreAgg.Record(p.Read)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := record.String(); got != "c0 STRING, c1 STRING, c2 BIGINT, c3 DOUBLE, c4 DOUBLE, c5 BIGINT, c6 DOUBLE, c7 STRING" {
+		t.Errorf("record schema = %s", got)
+	}
+	// A first-row value that is no key is a cell of its own, after the keys.
+	if p := analyze(t, "SELECT city, vid, count(*) FROM m GROUP BY vid", Options{}); p.StoreAgg == nil ||
+		!reflect.DeepEqual(p.StoreAgg.Firsts, []agg.Term{{Col: 1}}) || !reflect.DeepEqual(p.FirstCells, []int{1, 0}) {
+		t.Errorf("first-row cells = %v of %+v", p.FirstCells, p.StoreAgg)
+	}
+	// A global aggregate and a GROUP BY without aggregates decompose too.
+	for _, q := range []string{"SELECT count(*), sum(index) FROM m WHERE city = 'Paris'", "SELECT vid FROM m GROUP BY vid"} {
+		if p := analyze(t, q, Options{}); p.StoreAgg == nil {
+			t.Errorf("%s: not decomposed: %s", q, p.AggRefused)
+		}
+	}
+}
+
+// Every other shape keeps filter pushdown, and the plan names the rule.
+func TestStoreAggRefusals(t *testing.T) {
+	for q, reason := range map[string]string{
+		"SELECT vid, sum(index) FROM m WHERE sumHC > sumHP GROUP BY vid":                "residual filter",
+		"SELECT vid, count(DISTINCT city) FROM m GROUP BY vid":                          "DISTINCT aggregate",
+		"SELECT vid, sum(sumHC + sumHP) FROM m GROUP BY vid":                            "aggregate argument (sumHC + sumHP)",
+		"SELECT UPPER(city), count(*) FROM m GROUP BY city":                             "first-row value UPPER(city)",
+		"SELECT count(*) FROM m GROUP BY LENGTH(city)":                                  "group key LENGTH(city)",
+		"SELECT count(*) FROM m GROUP BY SUBSTRING(index, 0, 2)":                        "group key SUBSTRING(index, 0, 2)", // of a number: NULL would not survive the wire
+		"SELECT count(*) FROM m GROUP BY SUBSTRING(date, 0, LENGTH(city))":              "group key",
+		"SELECT vid, sum(index) FROM m WHERE state LIKE 'FRA' GROUP BY SUBSTR(date, 3)": "group key",
+	} {
+		p := analyze(t, q, Options{})
+		if p.StoreAgg != nil || !strings.Contains(p.AggRefused, reason) {
+			t.Errorf("%s: decomposed=%v, refusal %q, want %q", q, p.StoreAgg != nil, p.AggRefused, reason)
+		}
+		if !strings.Contains(p.Describe(), "at the compute side: "+p.AggRefused) {
+			t.Errorf("%s: Describe does not give the refusal:\n%s", q, p.Describe())
+		}
+	}
+	// Without pushed predicates the whole WHERE is residual; a plain
+	// projection has no aggregation to place.
+	if p := analyze(t, "SELECT vid, sum(index) FROM m WHERE state LIKE 'FRA' GROUP BY vid", Options{DisablePredicatePushdown: true}); p.StoreAgg != nil {
+		t.Error("decomposed under a residual WHERE")
+	}
+	if p := analyze(t, "SELECT vid FROM m", Options{}); p.StoreAgg != nil || p.AggRefused != "" || strings.Contains(p.Describe(), "Aggregate") {
+		t.Errorf("projection: %+v\n%s", p.StoreAgg, p.Describe())
+	}
+}
+
+// Malformed aggregate calls are planning errors.
+func TestMalformedAggregates(t *testing.T) {
+	for _, q := range []string{"SELECT sum(index, lat) FROM m", "SELECT max(DISTINCT index) FROM m"} {
+		sel, err := parser.Parse(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if _, err := Analyze(sel, meterSchema, Options{}); err == nil {
+			t.Errorf("%s accepted", q)
+		}
 	}
 }

@@ -333,19 +333,50 @@ func (s *Schema) String() string {
 	return b.String()
 }
 
+// Substring is SQL SUBSTRING(s, start, n) over bytes, shared by the SQL engine
+// and the store-side aggregation. Start is 1-based; 0- and 1-based starts both
+// appear in the wild and Spark's SUBSTRING(s, 0, n) == SUBSTRING(s, 1, n),
+// which the Table I queries rely on, so 0 counts as 1. A negative start counts
+// from the end and a negative n is empty.
+func Substring(s string, start, n int64) string {
+	size := int64(len(s))
+	if start > 0 {
+		start--
+	} else if start < 0 {
+		start = max(size+start, 0)
+	}
+	if start >= size || n <= 0 {
+		return ""
+	}
+	return s[start : start+min(n, size-start)]
+}
+
 // Coerce parses the raw CSV field text into a Value of the column type.
 // Unparseable numerics become NULL (CSV data is dirty; the paper's ETL
 // storlet cleanses on upload, but the engine must still be safe).
 func Coerce(raw string, t Type) Value {
+	if t == String {
+		return Str(raw)
+	}
+	return coerceNumber(raw, t)
+}
+
+// CoerceBytes is Coerce over a field of a scanned record, which the scanner
+// overwrites with the next one: a STRING value holds a copy of the field, any
+// other value nothing of it, so only the first allocates.
+func CoerceBytes(raw []byte, t Type) Value {
+	if t == String {
+		return Str(string(raw))
+	}
+	return coerceNumber(string(raw), t)
+}
+
+// coerceNumber is Coerce for the types whose values do not hold raw.
+func coerceNumber(raw string, t Type) Value {
 	if raw == "" {
-		if t == String {
-			return Str("")
-		}
 		return NullValue()
 	}
 	switch t {
-	case String:
-		return Str(raw)
 	case Int:
 		if i, err := strconv.ParseInt(raw, 10, 64); err == nil {
 			return IntV(i)
@@ -353,18 +384,14 @@ func Coerce(raw string, t Type) Value {
 		if f, err := strconv.ParseFloat(raw, 64); err == nil {
 			return IntV(int64(f))
 		}
-		return NullValue()
 	case Float:
 		if f, err := strconv.ParseFloat(raw, 64); err == nil {
 			return FloatV(f)
 		}
-		return NullValue()
 	case Bool:
 		if b, err := strconv.ParseBool(strings.ToLower(raw)); err == nil {
 			return BoolV(b)
 		}
-		return NullValue()
-	default:
-		return NullValue()
 	}
+	return NullValue()
 }

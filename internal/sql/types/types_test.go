@@ -1,6 +1,7 @@
 package types
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -232,5 +233,38 @@ func TestRowClone(t *testing.T) {
 	c[0] = IntV(2)
 	if r[0].I != 1 {
 		t.Error("Clone did not copy")
+	}
+}
+
+// CoerceBytes is Coerce, and its STRING values do not alias the scanner's
+// buffer.
+func TestCoerceBytesIsCoerce(t *testing.T) {
+	for _, typ := range []Type{String, Int, Float, Bool, Null} {
+		for _, raw := range []string{"", "12", "1.50", "-0", "NaN", "x", "true", "T", " 7"} {
+			buf := []byte(raw)
+			got, want := CoerceBytes(buf, typ), Coerce(raw, typ)
+			for i := range buf {
+				buf[i] = '#'
+			}
+			if got.T != want.T || got.S != want.S || got.I != want.I || got.B != want.B ||
+				math.Float64bits(got.F) != math.Float64bits(want.F) {
+				t.Errorf("CoerceBytes(%q, %v) = %+v, want %+v", raw, typ, got, want)
+			}
+		}
+	}
+}
+
+func TestSubstring(t *testing.T) {
+	for _, c := range []struct {
+		s        string
+		start, n int64
+		want     string
+	}{
+		{"2015-01-17", 0, 7, "2015-01"}, {"2015-01-17", 1, 7, "2015-01"}, {"2015-01-17", 9, 2, "17"},
+		{"abc", -2, 5, "bc"}, {"abc", -9, 2, "ab"}, {"abc", 4, 1, ""}, {"abc", 2, -1, ""}, {"abc", 2, math.MaxInt64, "bc"}, {"", 0, 3, ""},
+	} {
+		if got := Substring(c.s, c.start, c.n); got != c.want {
+			t.Errorf("Substring(%q, %d, %d) = %q, want %q", c.s, c.start, c.n, got, c.want)
+		}
 	}
 }

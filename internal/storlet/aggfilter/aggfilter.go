@@ -3,99 +3,42 @@
 // aggregations on individual object requests to facilitate the construction
 // of graphs from a large dataset".
 //
-// The filter groups CSV records by key columns and emits one record per
-// group holding partial aggregates (sum/count/min/max) for its byte range.
-// Because every supported aggregate is algebraic, partials from parallel
-// range requests merge exactly at the compute side (Merge), so a GROUP BY
-// query can move *one record per group per split* instead of every matching
-// row — often orders of magnitude less than even a selective filter.
+// The filter is an ordinary chain stage after the csv filter. It reads that
+// stage's output — the projected fields of the rows that passed the selection
+// — groups the records by the key terms of an agg.Spec and emits one CSV
+// record per group: the key values, the values of the first row, and the
+// cells of the accumulators (sql/agg, the accumulator the compute side folds
+// with). The compute side merges those records as it merges its own partial
+// results, so a GROUP BY query moves one record per group per split instead
+// of every matching row.
 package aggfilter
 
 import (
+	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
-	"strconv"
-	"strings"
 
 	"scoop/internal/csvio"
-	"scoop/internal/pushdown"
+	"scoop/internal/sql/agg"
 	"scoop/internal/sql/types"
 	"scoop/internal/storlet"
 )
 
-// FilterName is the name pushdown tasks use to invoke this filter.
+// FilterName is the name pushdown tasks use to invoke this filter. The
+// task's Schema declares the input stream's columns; its options are
+// agg.OptGroup and agg.OptAggs.
 const FilterName = "agg"
 
-// Option keys in Task.Options.
-const (
-	// OptGroup is a comma-separated list of group-by column names; empty
-	// aggregates the whole range into one record.
-	OptGroup = "group"
-	// OptAggs is a comma-separated list of "func:column" specs, e.g.
-	// "sum:index,count:*,min:sumHC". Required.
-	OptAggs = "aggs"
-	// OptHeader ("true") marks the object's first record as a header.
-	OptHeader = "header"
-)
-
-// Func is an algebraic aggregate function.
-type Func string
-
-// Supported aggregate functions.
-const (
-	Sum   Func = "sum"
-	Count Func = "count"
-	Min   Func = "min"
-	Max   Func = "max"
-)
-
-// Spec is one aggregate in the output.
-type Spec struct {
-	Func   Func
-	Column string // "*" allowed for count
-}
-
-// String renders the spec in option form.
-func (s Spec) String() string { return string(s.Func) + ":" + s.Column }
-
-// ParseSpecs parses the OptAggs value.
-func ParseSpecs(raw string) ([]Spec, error) {
-	if strings.TrimSpace(raw) == "" {
-		return nil, errors.New("aggfilter: empty aggs")
-	}
-	var out []Spec
-	for _, part := range strings.Split(raw, ",") {
-		fc := strings.SplitN(strings.TrimSpace(part), ":", 2)
-		if len(fc) != 2 {
-			return nil, fmt.Errorf("aggfilter: bad agg spec %q", part)
-		}
-		f := Func(strings.ToLower(fc[0]))
-		switch f {
-		case Sum, Count, Min, Max:
-		default:
-			return nil, fmt.Errorf("aggfilter: unknown function %q", fc[0])
-		}
-		if fc[1] == "" {
-			return nil, fmt.Errorf("aggfilter: spec %q missing column", part)
-		}
-		if fc[1] == "*" && f != Count {
-			return nil, fmt.Errorf("aggfilter: * only valid for count")
-		}
-		out = append(out, Spec{Func: f, Column: fc[1]})
-	}
-	return out, nil
-}
-
-// FormatSpecs renders specs for OptAggs.
-func FormatSpecs(specs []Spec) string {
-	parts := make([]string, len(specs))
-	for i, s := range specs {
-		parts[i] = s.String()
-	}
-	return strings.Join(parts, ",")
-}
+// maxGroups bounds the group table of one invocation, so that a GROUP BY on
+// a near-unique key cannot hold a split in store memory. When the table
+// fills, its groups are written out in first-appearance order and every
+// later row leaves as a group of its own: the compute side merges records in
+// stream order, so it still adds a group's values one at a time, in row
+// order, and float sums keep the bits a fold of the rows gives. (Folding on
+// after the flush would add a later run of rows to itself first.)
+const maxGroups = 1 << 14
 
 // Filter is the partial-aggregation storlet.
 type Filter struct{}
@@ -106,17 +49,19 @@ func New() *Filter { return &Filter{} }
 // Name implements storlet.Filter.
 func (*Filter) Name() string { return FilterName }
 
-type partial struct {
-	sum   float64
-	count int64
-	min   types.Value
-	max   types.Value
-	any   bool
+// group is one group of the table.
+type group struct {
+	cells []byte // its key and first-row values, encoded as agg.AppendKey does
+	accs  []agg.Acc
 }
 
-type groupState struct {
-	keys []string
-	aggs []partial
+// table is the group table of one invocation.
+type table struct {
+	spec   *agg.Spec
+	schema *types.Schema
+	index  map[string]*group
+	order  []*group // first-appearance order, which keeps the output deterministic
+	key    []byte   // reused group-key scratch
 }
 
 // Invoke implements storlet.Filter.
@@ -129,247 +74,123 @@ func (f *Filter) Invoke(ctx *storlet.Context, in io.Reader, out io.Writer) error
 	if err != nil {
 		return fmt.Errorf("aggfilter: %w", err)
 	}
-	specs, err := ParseSpecs(task.Options[OptAggs])
-	if err != nil {
-		return err
+	spec, err := agg.ParseSpec(task.Options)
+	if err == nil {
+		_, err = spec.Record(schema) // checks that the terms fit the schema
 	}
-	specIdx := make([]int, len(specs))
-	for i, s := range specs {
-		if s.Column == "*" {
-			specIdx[i] = -1
-			continue
-		}
-		idx := schema.Index(s.Column)
-		if idx < 0 {
-			return fmt.Errorf("aggfilter: aggregate column %q not in schema", s.Column)
-		}
-		specIdx[i] = idx
-	}
-	var groupIdx []int
-	if raw := task.Options[OptGroup]; strings.TrimSpace(raw) != "" {
-		for _, name := range strings.Split(raw, ",") {
-			idx := schema.Index(strings.TrimSpace(name))
-			if idx < 0 {
-				return fmt.Errorf("aggfilter: group column %q not in schema", name)
-			}
-			groupIdx = append(groupIdx, idx)
-		}
-	}
-	preds, err := pushdown.Bind(task.Predicates, schema.Index)
 	if err != nil {
 		return fmt.Errorf("aggfilter: %w", err)
 	}
 
 	rr := csvio.AcquireRangeReader(in, ctx.RangeStart, ctx.RangeEnd)
 	defer rr.Release()
-	skippedHeader := task.Options[OptHeader] != "true" || ctx.RangeStart > 0
-	groups := make(map[string]*groupState)
+	bw := storlet.AcquireWriter(out)
+	defer storlet.ReleaseWriter(bw)
+	t := &table{spec: spec, schema: schema, index: make(map[string]*group)}
 	var sc csvio.FieldScanner
+	rows, records, limit := 0, 0, maxGroups
 	for {
 		rec, err := rr.Next()
 		if errors.Is(err, io.EOF) {
 			break
 		}
 		if err != nil {
-			return err
+			return fmt.Errorf("aggfilter: read: %w", err)
 		}
-		if !skippedHeader {
-			skippedHeader = true
-			continue
-		}
-		fields := sc.Scan(rec, csvio.DefaultDelimiter)
-		if !preds.Match(fields) {
-			continue
-		}
-		key, keys := groupKey(groupIdx, fields)
-		g, ok := groups[key]
-		if !ok {
-			g = &groupState{keys: keys, aggs: make([]partial, len(specs))}
-			groups[key] = g
-		}
-		for i, s := range specs {
-			accumulate(&g.aggs[i], s.Func, specIdx[i], fields)
+		rows++
+		t.fold(sc.Scan(rec, csvio.DefaultDelimiter))
+		if len(t.order) == limit {
+			records += limit
+			limit = 1
+			if err := t.flush(bw); err != nil {
+				return err
+			}
 		}
 	}
-
-	// Deterministic output order.
-	keys := make([]string, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
+	records += len(t.order)
+	if err := t.flush(bw); err != nil {
+		return err
 	}
-	sort.Strings(keys)
-	bw := storlet.AcquireWriter(out)
-	defer storlet.ReleaseWriter(bw)
-	for _, k := range keys {
-		g := groups[k]
-		cells := append([]string(nil), g.keys...)
-		for i, s := range specs {
-			cells = append(cells, renderPartial(g.aggs[i], s.Func))
-		}
-		line := make([][]byte, len(cells))
-		for i, c := range cells {
-			line[i] = []byte(c)
-		}
-		if err := csvio.WriteRecord(bw, line, csvio.DefaultDelimiter); err != nil {
-			return err
-		}
-	}
-	ctx.Logf("aggfilter: range [%d,%d): %d groups", ctx.RangeStart, ctx.RangeEnd, len(groups))
+	ctx.Logf("aggfilter: %d rows in, %d records out", rows, records)
 	return bw.Flush()
 }
 
-func groupKey(groupIdx []int, fields [][]byte) (string, []string) {
-	if len(groupIdx) == 0 {
-		return "", nil
+// value is a term over a record, typed as the compute side's CSV scan types
+// the record's fields. It holds a copy of a string field, so it may be kept.
+func (t *table) value(fields [][]byte, term agg.Term) types.Value {
+	if term.Col >= len(fields) {
+		return types.NullValue()
 	}
-	keys := make([]string, len(groupIdx))
-	var b strings.Builder
-	for i, idx := range groupIdx {
-		if idx < len(fields) {
-			keys[i] = string(fields[idx])
-		}
-		b.WriteString(keys[i])
-		b.WriteByte(0)
-	}
-	return b.String(), keys
+	return term.Eval(types.CoerceBytes(fields[term.Col], t.schema.Columns[term.Col].Type))
 }
 
-func accumulate(p *partial, f Func, idx int, fields [][]byte) {
-	if f == Count {
-		if idx < 0 { // count(*)
-			p.count++
-			return
-		}
-		if idx < len(fields) && len(fields[idx]) > 0 {
-			p.count++
-		}
-		return
+// appendKey appends t.value(fields, term) to key. The key copies the bytes of
+// a string field itself, so here the value aliases them and nothing is
+// allocated.
+func (t *table) appendKey(key []byte, fields [][]byte, term agg.Term) []byte {
+	if term.Col < len(fields) && t.schema.Columns[term.Col].Type == types.String {
+		return agg.AppendKey(key, term.Eval(types.Str(string(fields[term.Col]))))
 	}
-	if idx >= len(fields) {
-		return
+	return agg.AppendKey(key, t.value(fields, term))
+}
+
+// fold adds one row to its group, as exec.Partial.Fold does.
+func (t *table) fold(fields [][]byte) {
+	key := t.key[:0]
+	for _, term := range t.spec.Group {
+		key = t.appendKey(key, fields, term)
 	}
-	raw := string(fields[idx])
-	if raw == "" {
-		return
+	g, ok := t.index[string(key)]
+	if !ok {
+		n := len(key)
+		for _, term := range t.spec.Firsts {
+			key = t.appendKey(key, fields, term)
+		}
+		g = &group{cells: bytes.Clone(key), accs: make([]agg.Acc, len(t.spec.Aggs))}
+		t.index[string(key[:n])] = g
+		t.order = append(t.order, g)
 	}
-	switch f {
-	case Sum:
-		if v, err := strconv.ParseFloat(raw, 64); err == nil {
-			p.sum += v
-			p.any = true
+	t.key = key
+	for i, call := range t.spec.Aggs {
+		a := &g.accs[i]
+		if call.Kind == agg.CountStar {
+			a.N++
+			continue
 		}
-	case Min, Max:
-		v := types.Coerce(raw, types.Float)
-		if v.IsNull() {
-			v = types.Str(raw)
+		if call.Kind == agg.First && !a.V.IsNull() {
+			continue
 		}
-		if !p.any {
-			p.min, p.max = v, v
-			p.any = true
-			return
-		}
-		if v.Compare(p.min) < 0 {
-			p.min = v
-		}
-		if v.Compare(p.max) > 0 {
-			p.max = v
+		if v := t.value(fields, call.Arg); !v.IsNull() {
+			a.Add(call.Kind, v)
 		}
 	}
 }
 
-func renderPartial(p partial, f Func) string {
-	switch f {
-	case Count:
-		return strconv.FormatInt(p.count, 10)
-	case Sum:
-		if !p.any {
-			return ""
-		}
-		return strconv.FormatFloat(p.sum, 'g', -1, 64)
-	case Min:
-		if !p.any {
-			return ""
-		}
-		return p.min.AsString()
-	default: // Max
-		if !p.any {
-			return ""
-		}
-		return p.max.AsString()
-	}
-}
-
-// Merge combines partial-aggregate records from parallel splits into final
-// records. Each record is groupKeys... followed by one value per spec; the
-// merge is exact because every function is algebraic.
-func Merge(partials [][]string, groupCols int, specs []Spec) ([][]string, error) {
-	type merged struct {
-		keys []string
-		vals []partial
-	}
-	groups := make(map[string]*merged)
-	for _, rec := range partials {
-		if len(rec) != groupCols+len(specs) {
-			return nil, fmt.Errorf("aggfilter: partial record width %d, want %d", len(rec), groupCols+len(specs))
-		}
-		key := strings.Join(rec[:groupCols], "\x00")
-		g, ok := groups[key]
-		if !ok {
-			g = &merged{keys: append([]string(nil), rec[:groupCols]...), vals: make([]partial, len(specs))}
-			groups[key] = g
-		}
-		for i, s := range specs {
-			raw := rec[groupCols+i]
-			if raw == "" {
-				continue
-			}
-			switch s.Func {
-			case Count:
-				n, err := strconv.ParseInt(raw, 10, 64)
-				if err != nil {
-					return nil, fmt.Errorf("aggfilter: bad count partial %q", raw)
-				}
-				g.vals[i].count += n
-			case Sum:
-				v, err := strconv.ParseFloat(raw, 64)
-				if err != nil {
-					return nil, fmt.Errorf("aggfilter: bad sum partial %q", raw)
-				}
-				g.vals[i].sum += v
-				g.vals[i].any = true
-			case Min, Max:
-				v := types.Coerce(raw, types.Float)
-				if v.IsNull() {
-					v = types.Str(raw)
-				}
-				p := &g.vals[i]
-				if !p.any {
-					p.min, p.max = v, v
-					p.any = true
-					continue
-				}
-				if v.Compare(p.min) < 0 {
-					p.min = v
-				}
-				if v.Compare(p.max) > 0 {
-					p.max = v
-				}
+// flush writes the table's groups, one record each, and empties it.
+func (t *table) flush(bw *bufio.Writer) error {
+	var fields [][]byte
+	var cells []types.Value
+	for _, g := range t.order {
+		// The accumulators' cells render as values in keys do, which is how
+		// Value.AsString renders them: floats round-trip exactly.
+		enc := append(t.key[:0], g.cells...)
+		for i, call := range t.spec.Aggs {
+			cells = g.accs[i].AppendCells(call.Kind, cells[:0])
+			for _, v := range cells {
+				enc = agg.AppendKey(enc, v)
 			}
 		}
-	}
-	keys := make([]string, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([][]string, 0, len(groups))
-	for _, k := range keys {
-		g := groups[k]
-		rec := append([]string(nil), g.keys...)
-		for i, s := range specs {
-			rec = append(rec, renderPartial(g.vals[i], s.Func))
+		t.key, fields = enc, fields[:0]
+		for len(enc) > 0 {
+			var cell []byte
+			cell, enc = agg.CutKey(enc)
+			fields = append(fields, cell)
 		}
-		out = append(out, rec)
+		if err := csvio.WriteRecord(bw, fields, csvio.DefaultDelimiter); err != nil {
+			return err
+		}
 	}
-	return out, nil
+	clear(t.index)
+	t.order = t.order[:0]
+	return nil
 }

@@ -1,4 +1,4 @@
-// Package cluster models the paper's 63-machine OSIC testbed analytically,
+// Package testbed models the paper's 63-machine OSIC testbed analytically,
 // so the evaluation's cluster-scale figures can be regenerated on one
 // machine. The model captures exactly the resources the paper identifies as
 // decisive (§VI-A):
@@ -13,7 +13,7 @@
 //
 // Stages are pipelined, so a query's time is the maximum of its stage times
 // plus fixed overhead. All rates are bytes/second; all times seconds.
-package cluster
+package testbed
 
 import (
 	"fmt"
@@ -153,10 +153,10 @@ type Workload struct {
 // Validate sanity-checks the workload.
 func (w Workload) Validate() error {
 	if w.DatasetBytes <= 0 {
-		return fmt.Errorf("cluster: dataset must be positive")
+		return fmt.Errorf("testbed: dataset must be positive")
 	}
 	if w.Selectivity < 0 || w.Selectivity > 1 {
-		return fmt.Errorf("cluster: selectivity %v out of [0,1]", w.Selectivity)
+		return fmt.Errorf("testbed: selectivity %v out of [0,1]", w.Selectivity)
 	}
 	return nil
 }

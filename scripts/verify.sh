@@ -14,8 +14,13 @@
 #                                     standalone (warm: replays from cache) so
 #                                     a broken //scoop:hotpath root fails with
 #                                     its own named step in the gate output
-#   5. go test -race -short ./...   fast-tier suite under the race detector
-#   6. go test -run TestAllocBudget   zero-allocation budgets for the record
+#   5. scoop-lint -write-manifest     the determinism manifest regenerated to a
+#                                     temporary file must equal the committed
+#                                     internal/detmanifest/manifest.go: the
+#                                     result cache and the compute-side
+#                                     fallback trust its entries ("agg": true)
+#   6. go test -race -short ./...   fast-tier suite under the race detector
+#   7. go test -run TestAllocBudget   zero-allocation budgets for the record
 #                                     hot path and for the SQL fold (a row
 #                                     into an existing group) — a separate
 #                                     non-race step because the
@@ -43,6 +48,12 @@ go run ./cmd/scoop-lint ./...
 
 echo "==> scoop-lint -only allocfree ./... (zero-alloc hot-path proof)"
 go run ./cmd/scoop-lint -only allocfree ./...
+
+echo "==> scoop-lint -write-manifest (committed determinism manifest is what filterdet proves)"
+manifest="$(mktemp)"
+trap 'rm -f "$manifest"' EXIT
+go run ./cmd/scoop-lint -write-manifest "$manifest"
+diff -u internal/detmanifest/manifest.go "$manifest"
 
 echo "==> go test -race -short ./..."
 go test -race -short ./...
