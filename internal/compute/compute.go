@@ -20,7 +20,8 @@ type Task func(ctx context.Context) (any, error)
 
 // Config sizes the worker pool.
 type Config struct {
-	// Workers is the number of concurrent executors (paper testbed: 25).
+	// Workers is the number of worker slots, tasks computing at once
+	// (paper testbed: 25); tasks in Blocking hold none.
 	Workers int
 	// Retries is how many times a failing task is re-run before the job
 	// fails (Spark's spark.task.maxFailures - 1).
@@ -44,8 +45,9 @@ type Stats struct {
 	Attempts int64
 	Failures int64
 	WallTime time.Duration
-	// BusyTime is summed task execution time across workers (CPU-seconds
-	// proxy for the compute-cluster usage in Fig. 9(a)).
+	// BusyTime is summed time tasks held a worker slot, time spent in
+	// Blocking excluded (CPU-seconds proxy for the compute-cluster usage in
+	// Fig. 9(a)).
 	BusyTime time.Duration
 }
 
@@ -71,6 +73,10 @@ func (d *Driver) Workers() int { return d.cfg.Workers }
 // Run executes all tasks with bounded parallelism and returns their results
 // in task order. The first task error (after retries) cancels the job and is
 // returned. A nil ctx means context.Background().
+//
+// min(2·Workers − 1, len(tasks)) task goroutines take a worker slot before
+// each attempt and give it back after it. One task fewer than 2·Workers
+// keeps a one-worker driver strictly serial, which seeded chaos runs rely on.
 func (d *Driver) Run(ctx context.Context, tasks []Task) ([]any, Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -101,14 +107,13 @@ func (d *Driver) Run(ctx context.Context, tasks []Task) ([]any, Stats, error) {
 			cancel()
 		})
 	}
-	workers := d.cfg.Workers
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	for w := 0; w < workers; w++ {
+	slots := make(chan struct{}, d.cfg.Workers)
+	for w := 0; w < min(2*d.cfg.Workers-1, len(tasks)); w++ {
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
+			sl := &slot{slots: slots, busyNs: &busyNs}
+			taskCtx := context.WithValue(jobCtx, slotKey{}, sl)
 			var rng *rand.Rand
 			if d.cfg.RetryBackoff > 0 {
 				seed := d.cfg.Seed
@@ -129,10 +134,12 @@ func (d *Driver) Run(ctx context.Context, tasks []Task) ([]any, Stats, error) {
 							return
 						}
 					}
+					if !sl.acquire(jobCtx) {
+						return
+					}
 					attempts.Add(1)
-					t0 := time.Now()
-					v, err := tasks[j.i](jobCtx)
-					busyNs.Add(int64(time.Since(t0)))
+					v, err := tasks[j.i](taskCtx)
+					sl.release()
 					if err == nil {
 						results[j.i] = v
 						ok = true
@@ -169,6 +176,56 @@ feed:
 		return nil, stats, err
 	}
 	return results, stats, nil
+}
+
+// slot is one task goroutine's claim on the driver's worker slots, reached
+// from the task through its context.
+type slot struct {
+	slots  chan struct{}
+	busyNs *atomic.Int64
+	since  time.Time
+	held   bool
+}
+
+type slotKey struct{}
+
+// acquire takes a worker slot, returning false when ctx dies first.
+func (s *slot) acquire(ctx context.Context) bool {
+	select {
+	case s.slots <- struct{}{}:
+	case <-ctx.Done():
+		return false
+	}
+	s.held, s.since = true, time.Now()
+	return true
+}
+
+// release gives the slot back, if held, and books the time it was held.
+func (s *slot) release() {
+	if !s.held {
+		return
+	}
+	s.held = false
+	s.busyNs.Add(int64(time.Since(s.since)))
+	<-s.slots
+}
+
+// Blocking runs fn, which should wait rather than compute (a GET until its
+// headers arrive), with the calling task's worker slot given back, so
+// another task computes meanwhile. It then takes a slot again, returning
+// ctx's error if ctx dies first. Call it from the task's own goroutine;
+// outside a driver's task it just calls fn.
+func Blocking(ctx context.Context, fn func() error) error {
+	s, _ := ctx.Value(slotKey{}).(*slot)
+	if s == nil || !s.held {
+		return fn()
+	}
+	s.release()
+	err := fn()
+	if !s.acquire(ctx) && err == nil {
+		err = ctx.Err()
+	}
+	return err
 }
 
 // sleepCtx pauses for d, returning false when ctx dies first.

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -217,5 +219,199 @@ func TestRetryBackoffAbortsOnCancel(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("backoff ignored cancellation: %v", elapsed)
+	}
+}
+
+// maxGauge tracks a counter and the highest value it reached.
+type maxGauge struct{ cur, max atomic.Int64 }
+
+func (g *maxGauge) add(d int64) {
+	n := g.cur.Add(d)
+	for m := g.max.Load(); n > m && !g.max.CompareAndSwap(m, n); m = g.max.Load() {
+	}
+}
+
+// At most Workers tasks compute at once, and at most 2·Workers − 1 are in
+// flight: the others wait out their round trip in Blocking.
+func TestBlockingBoundsSlotsAndFlight(t *testing.T) {
+	const workers = 3
+	d, _ := NewDriver(Config{Workers: workers})
+	var computing, inFlight maxGauge
+	work := func() {
+		computing.add(1)
+		time.Sleep(time.Millisecond)
+		computing.add(-1)
+	}
+	tasks := make([]Task, 30)
+	for i := range tasks {
+		tasks[i] = func(ctx context.Context) (any, error) {
+			inFlight.add(1)
+			defer inFlight.add(-1)
+			work()
+			err := Blocking(ctx, func() error { time.Sleep(5 * time.Millisecond); return nil })
+			work()
+			return nil, err
+		}
+	}
+	if _, _, err := d.Run(context.Background(), tasks); err != nil {
+		t.Fatal(err)
+	}
+	if got := computing.max.Load(); got > workers {
+		t.Errorf("%d tasks computed at once, want at most %d", got, workers)
+	}
+	if got := inFlight.max.Load(); got > 2*workers-1 || got <= workers {
+		t.Errorf("%d tasks in flight at once, want more than %d and at most %d", got, workers, 2*workers-1)
+	}
+}
+
+// One worker runs one task at a time, even when the task blocks: task i + 1
+// starts after task i returns.
+func TestOneWorkerStaysSerial(t *testing.T) {
+	d, _ := NewDriver(Config{Workers: 1})
+	var mu sync.Mutex
+	var events []string
+	log := func(s string) {
+		mu.Lock()
+		events = append(events, s)
+		mu.Unlock()
+	}
+	tasks := make([]Task, 5)
+	var want []string
+	for i := range tasks {
+		want = append(want, fmt.Sprint("start ", i), fmt.Sprint("end ", i))
+		tasks[i] = func(ctx context.Context) (any, error) {
+			log(fmt.Sprint("start ", i))
+			defer log(fmt.Sprint("end ", i))
+			return nil, Blocking(ctx, func() error { time.Sleep(time.Millisecond); return nil })
+		}
+	}
+	if _, _, err := d.Run(context.Background(), tasks); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(events) != fmt.Sprint(want) {
+		t.Errorf("events %v, want %v", events, want)
+	}
+}
+
+// A failure inside Blocking fails the attempt: the whole task is re-run, and
+// the results still come back in task order.
+func TestBlockingFailureRetriesWholeTask(t *testing.T) {
+	d, _ := NewDriver(Config{Workers: 2, Retries: 1})
+	var starts, opens atomic.Int64
+	tasks := make([]Task, 8)
+	for i := range tasks {
+		tasks[i] = func(ctx context.Context) (any, error) {
+			if i == 3 {
+				starts.Add(1)
+			}
+			err := Blocking(ctx, func() error {
+				if i == 3 && opens.Add(1) == 1 {
+					return errors.New("connection reset")
+				}
+				time.Sleep(time.Millisecond)
+				return nil
+			})
+			if err != nil {
+				return nil, err
+			}
+			return i * 10, nil
+		}
+	}
+	res, stats, err := d.Run(context.Background(), tasks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range res {
+		if v.(int) != i*10 {
+			t.Errorf("res[%d] = %v", i, v)
+		}
+	}
+	if starts.Load() != 2 || stats.Attempts != 9 || stats.Failures != 1 {
+		t.Errorf("task 3 started %d times; stats %+v", starts.Load(), stats)
+	}
+}
+
+// Cancelling the job while tasks sit in Blocking, one of them waiting to take
+// its slot back, returns promptly and leaves no goroutine behind.
+func TestCancelDuringBlocking(t *testing.T) {
+	before := runtime.NumGoroutine()
+	d, _ := NewDriver(Config{Workers: 2})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	entered := make(chan struct{})
+	computing := make(chan struct{}, 2)
+	var reacquireErr atomic.Value
+	tasks := make([]Task, 6)
+	for i := range tasks {
+		tasks[i] = func(ctx context.Context) (any, error) {
+			if i > 0 { // once task 0 is in Blocking, hold both slots until the job dies
+				if err := Blocking(ctx, func() error { <-entered; return nil }); err != nil {
+					return nil, err
+				}
+				computing <- struct{}{}
+				<-ctx.Done()
+				return nil, ctx.Err()
+			}
+			err := Blocking(ctx, func() error {
+				close(entered)
+				<-computing
+				<-computing
+				cancel() // both slots are held: taking one back must give up
+				return nil
+			})
+			reacquireErr.Store(fmt.Sprint(err))
+			return nil, err
+		}
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := d.Run(ctx, tasks)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("Run = %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run did not return after cancel")
+	}
+	if got := reacquireErr.Load(); got != context.Canceled.Error() {
+		t.Errorf("Blocking returned %v, want %v", got, context.Canceled)
+	}
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after Run, %d before", n, before)
+	}
+}
+
+// BusyTime counts time a task holds its slot, not time it spends in Blocking.
+func TestBusyTimeExcludesBlocking(t *testing.T) {
+	d, _ := NewDriver(Config{Workers: 1})
+	task := func(ctx context.Context) (any, error) {
+		err := Blocking(ctx, func() error { time.Sleep(40 * time.Millisecond); return nil })
+		time.Sleep(2 * time.Millisecond)
+		return nil, err
+	}
+	_, stats, err := d.Run(context.Background(), []Task{task, task})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.BusyTime < 4*time.Millisecond || stats.BusyTime >= 40*time.Millisecond {
+		t.Errorf("busy = %v, want the 4ms held outside Blocking, not the 80ms inside it", stats.BusyTime)
+	}
+	if stats.WallTime < 80*time.Millisecond {
+		t.Errorf("wall = %v", stats.WallTime)
+	}
+}
+
+// Outside a driver's task, Blocking is a plain call.
+func TestBlockingOutsideDriver(t *testing.T) {
+	want := errors.New("x")
+	if err := Blocking(context.Background(), func() error { return want }); err != want {
+		t.Errorf("Blocking = %v, want %v", err, want)
 	}
 }

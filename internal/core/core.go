@@ -420,21 +420,33 @@ func (s *Scoop) Query(sql string, opts QueryOptions) (*Result, error) {
 			// starts from an empty partial.
 			out := splitResult{partial: exec.NewPartial(p)}
 			var it exec.Iterator
-			var err error
 			fold := out.partial.Fold
 			if storeAgg {
-				it, err = csvRel.ScanPartials(ctx, split, p.Required, p.Pushed, p.StoreAgg)
 				fold = out.partial.MergeRecord
-			} else {
-				it, err = rel.ScanPrunedFiltered(ctx, split, p.Required, p.Pushed)
+			}
+			// The open returns once the response headers are in: the task
+			// waits out the round trip without its worker slot.
+			err := compute.Blocking(ctx, func() (err error) {
+				if storeAgg {
+					it, err = csvRel.ScanPartials(ctx, split, p.Required, p.Pushed, p.StoreAgg)
+				} else {
+					it, err = rel.ScanPrunedFiltered(ctx, split, p.Required, p.Pushed)
+				}
+				return err
+			})
+			if it != nil {
+				defer it.Close()
 			}
 			if err != nil {
 				return nil, err
 			}
-			defer it.Close()
 			for {
-				if err := ctx.Err(); err != nil {
-					return nil, err
+				// The body read fails once ctx is cancelled; checking every
+				// 1 024 records keeps a job's tasks off the context's lock.
+				if out.rows%1024 == 0 {
+					if err := ctx.Err(); err != nil {
+						return nil, err
+					}
 				}
 				r, err := it.Next()
 				if err == io.EOF {

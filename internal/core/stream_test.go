@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -234,5 +236,84 @@ func TestQueryRetryCountsSplitOnce(t *testing.T) {
 		if got.Metrics.RowsScanned != want.Metrics.RowsScanned {
 			t.Errorf("%v: RowsScanned = %d after a retry, want %d", mode, got.Metrics.RowsScanned, want.Metrics.RowsScanned)
 		}
+	}
+}
+
+// overHTTP serves store through an httptest server whose handler runs
+// serveGet, instead of the store's handler, for every object GET, and
+// returns a client for it limited to one connection.
+func overHTTP(t *testing.T, store *core.Scoop, serveGet func(h http.Handler, w http.ResponseWriter, r *http.Request)) *objectstore.HTTPClient {
+	t.Helper()
+	h := objectstore.NewHandler(store.Client())
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet && strings.Count(strings.Trim(r.URL.Path, "/"), "/") >= 3 {
+			serveGet(h, w, r)
+			return
+		}
+		h.ServeHTTP(w, r)
+	}))
+	tr := &http.Transport{MaxConnsPerHost: 1}
+	t.Cleanup(func() {
+		tr.CloseIdleConnections()
+		srv.Close()
+	})
+	c := objectstore.NewHTTPClient(srv.URL)
+	c.HTTP = &http.Client{Transport: tr}
+	return c
+}
+
+// Tasks wait out their round trips without a worker slot, so more splits are
+// in flight than there are workers; on a transport with a single connection
+// the query must still finish: every stream holding the connection has a
+// task that owns and drains it.
+func TestQueryFinishesOnOneConnection(t *testing.T) {
+	store := newStore(t)
+	client := overHTTP(t, store, func(h http.Handler, w http.ResponseWriter, r *http.Request) {
+		time.Sleep(3 * time.Millisecond) // hold the headers back
+		h.ServeHTTP(w, r)
+	})
+	s := overStore(t, store, client, 2, splitSize)
+	const q = "SELECT vid, count(*) AS n, sum(index) AS s FROM largeMeter WHERE city LIKE 'Rotterdam' GROUP BY vid ORDER BY vid"
+	for _, mode := range []core.Mode{core.ModePushdown, core.ModeBaseline} {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		res, err := s.Query(q, core.QueryOptions{Mode: mode, Context: ctx})
+		cancel()
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if res.Metrics.Splits < 8 {
+			t.Fatalf("%v: %d splits, want at least 8", mode, res.Metrics.Splits)
+		}
+	}
+}
+
+// A query whose tasks are stuck in the middle of their bodies returns soon
+// after its context is cancelled: the body read fails, so the tasks need not
+// check the context on every record.
+func TestCancelledQueryReturnsPromptly(t *testing.T) {
+	store := newStore(t)
+	client := overHTTP(t, store, func(h http.Handler, w http.ResponseWriter, r *http.Request) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		for k, v := range rec.Header() {
+			w.Header()[k] = v
+		}
+		w.Header().Del("Content-Length")
+		w.WriteHeader(rec.Code)
+		body := rec.Body.Bytes()
+		w.Write(body[:len(body)/2])
+		w.(http.Flusher).Flush()
+		<-r.Context().Done() // the rest never comes
+	})
+	s := overStore(t, store, client, 2, splitSize)
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(200*time.Millisecond, cancel)
+	start := time.Now()
+	_, err := s.Query("SELECT vid, sum(index) AS s FROM largeMeter GROUP BY vid", core.QueryOptions{Mode: core.ModeBaseline, Context: ctx})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("query over stalled bodies = %v, want context.Canceled", err)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Errorf("cancelled query took %v to return", elapsed)
 	}
 }
