@@ -5,7 +5,7 @@
 // Usage:
 //
 //	scoop-lint [-list] [-only analyzer[,analyzer]] [-json] [-cache=false]
-//	           [-cache-dir dir] [path ...]
+//	           [-cache-dir dir] [-write-manifest file] [path ...]
 //
 // Each path is a directory tree to analyze; "./..." and bare "." both mean
 // the whole module rooted at the current directory. Findings print as
@@ -13,9 +13,12 @@
 //	file:line:col: [analyzer] message
 //
 // or, with -json, as a JSON array of {file,line,col,analyzer,message}
-// objects for CI annotation. A clean run prints an analyzer/package summary.
-// Results are replayed from an mtime-fingerprinted on-disk cache when the
-// tree and analyzer set are unchanged (disable with -cache=false).
+// objects for CI annotation. Every run ends with one line per analyzer and
+// its finding count, then a total. Results are replayed from an
+// mtime-fingerprinted on-disk cache when the tree and analyzer set are
+// unchanged (disable with -cache=false). With -write-manifest the run also
+// renders the determinism manifest from the filterdet verdicts of the same
+// load and graph (one root; the cache is bypassed).
 // Findings can be suppressed with an inline justification:
 //
 //	//lint:ignore <analyzer> <reason>
@@ -23,9 +26,11 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"go/format"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -44,7 +49,7 @@ func run() error {
 	list := flag.Bool("list", false, "list analyzers and exit")
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
 	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array (machine-readable)")
-	writeManifest := flag.String("write-manifest", "", "regenerate the determinism manifest at the given path (internal/detmanifest/manifest.go) and exit")
+	writeManifest := flag.String("write-manifest", "", "also regenerate the determinism manifest (internal/detmanifest/manifest.go) at the given path from this run's filterdet verdicts")
 	useCache := flag.Bool("cache", true, "replay results from the on-disk cache when sources are unchanged")
 	cacheDir := flag.String("cache-dir", lint.DefaultCacheDir(), "directory for the on-disk result cache")
 	flag.Parse()
@@ -63,35 +68,45 @@ func run() error {
 		}
 	}
 
-	if *writeManifest != "" {
-		pkgs, err := lint.Load(".")
-		if err != nil {
-			return err
-		}
-		graph := lint.BuildGraph(pkgs)
-		verdicts := lint.DeterminismVerdicts(pkgs, graph)
-		names := lint.ProvenFilterNames(pkgs, graph)
-		if err := writeDetManifest(*writeManifest, names); err != nil {
-			return err
-		}
-		proven := 0
-		for _, v := range verdicts {
-			if v.Proven {
-				proven++
-			}
-		}
-		fmt.Printf("scoop-lint: manifest %s — %d/%d candidates proven, %d named filters\n",
-			*writeManifest, proven, len(verdicts), len(names))
-		return nil
+	diags, packages, cached, err := lintRoots(flag.Args(), analyzers, *useCache, *cacheDir, *writeManifest)
+	if err != nil {
+		return err
 	}
+	if *jsonOut {
+		if err := printJSON(diags); err != nil {
+			return err
+		}
+	} else {
+		for _, d := range diags {
+			fmt.Println(relativize(d))
+		}
+	}
+	// The per-analyzer lines name each proof in the gate output; they go to
+	// stderr when stdout carries JSON or findings.
+	w := io.Writer(os.Stdout)
+	if *jsonOut || len(diags) > 0 {
+		w = os.Stderr
+	}
+	printSummary(w, analyzers, diags, packages, cached > 0)
+	if len(diags) > 0 {
+		os.Exit(1)
+	}
+	return nil
+}
 
-	roots := flag.Args()
+// lintRoots analyzes each root — from the cache when allowed — and returns
+// the diagnostics, the package count, and how many roots were replayed.
+// With manifest set it loads the single root, runs the suite once, and
+// writes the determinism manifest from the same run's verdicts.
+func lintRoots(roots []string, analyzers []*lint.Analyzer, useCache bool, cacheDir, manifest string) ([]lint.Diagnostic, int, int, error) {
 	if len(roots) == 0 {
 		roots = []string{"."}
 	}
+	if manifest != "" && len(roots) != 1 {
+		return nil, 0, 0, errors.New("-write-manifest takes exactly one root")
+	}
 	var diags []lint.Diagnostic
-	packages := 0
-	cached := 0
+	packages, cached := 0, 0
 	for _, root := range roots {
 		// Accept the conventional "dir/..." spelling: the loader always
 		// walks the whole subtree.
@@ -99,10 +114,10 @@ func run() error {
 		if root == "" {
 			root = "."
 		}
-		if *useCache {
-			rootDiags, pkgCount, hit, err := lint.CachedRun(root, *cacheDir, analyzers)
+		if useCache && manifest == "" {
+			rootDiags, pkgCount, hit, err := lint.CachedRun(root, cacheDir, analyzers)
 			if err != nil {
-				return err
+				return nil, 0, 0, err
 			}
 			if hit {
 				cached++
@@ -113,33 +128,49 @@ func run() error {
 		}
 		pkgs, err := lint.Load(root)
 		if err != nil {
-			return err
+			return nil, 0, 0, err
 		}
 		packages += len(pkgs)
-		diags = append(diags, lint.Run(pkgs, analyzers)...)
+		rootDiags, verdicts := lint.RunWithVerdicts(pkgs, analyzers)
+		diags = append(diags, rootDiags...)
+		if manifest == "" {
+			continue
+		}
+		names := lint.ProvenFilterNames(verdicts)
+		if err := writeDetManifest(manifest, names); err != nil {
+			return nil, 0, 0, err
+		}
+		proven := 0
+		for _, v := range verdicts {
+			if v.Proven {
+				proven++
+			}
+		}
+		fmt.Fprintf(os.Stderr, "scoop-lint: manifest %s — %d/%d candidates proven, %d named filters\n",
+			manifest, proven, len(verdicts), len(names))
 	}
+	return diags, packages, cached, nil
+}
 
-	if *jsonOut {
-		if err := printJSON(diags); err != nil {
-			return err
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Println(relativize(d))
-		}
+// printSummary writes one line per analyzer with its finding count, so a
+// failing proof names itself in the gate output, then the run's total.
+func printSummary(w io.Writer, analyzers []*lint.Analyzer, diags []lint.Diagnostic, packages int, cached bool) {
+	counts := map[string]int{}
+	for _, d := range diags {
+		counts[d.Analyzer]++
+	}
+	for _, a := range analyzers {
+		fmt.Fprintf(w, "scoop-lint: %-13s %d finding(s)\n", a.Name, counts[a.Name])
+	}
+	note := ""
+	if cached {
+		note = " (cached)"
 	}
 	if len(diags) > 0 {
-		fmt.Fprintf(os.Stderr, "scoop-lint: %d finding(s)\n", len(diags))
-		os.Exit(1)
+		fmt.Fprintf(w, "scoop-lint: %d finding(s)%s\n", len(diags), note)
+		return
 	}
-	if !*jsonOut {
-		note := ""
-		if cached > 0 {
-			note = " (cached)"
-		}
-		fmt.Printf("scoop-lint: ok — %d analyzers over %d packages, 0 findings%s\n", len(analyzers), packages, note)
-	}
-	return nil
+	fmt.Fprintf(w, "scoop-lint: ok — %d analyzers over %d packages, 0 findings%s\n", len(analyzers), packages, note)
 }
 
 // selectAnalyzers resolves the -only flag: a comma-separated list of analyzer

@@ -1,11 +1,61 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
+	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
 	"scoop/internal/lint"
 )
+
+// TestWriteManifestRunsSuite pins the one-run gate: over the fixture module,
+// -write-manifest writes exactly the constant names of the filters filterdet
+// proves, and the same run still returns the whole suite's findings.
+func TestWriteManifestRunsSuite(t *testing.T) {
+	root := filepath.Join("..", "..", "internal", "lint", "testdata", "src", "fixture")
+	manifest := filepath.Join(t.TempDir(), "manifest.go")
+	analyzers := lint.Analyzers()
+	diags, packages, cached, err := lintRoots([]string{root + "/..."}, analyzers, true, t.TempDir(), manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if packages == 0 || cached != 0 {
+		t.Errorf("packages = %d, cached = %d; want a fresh load (the cache is bypassed)", packages, cached)
+	}
+
+	src, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, m := range regexp.MustCompile(`(?m)^\t"([^"]+)":\s+true,$`).FindAllStringSubmatch(string(src), -1) {
+		names = append(names, m[1])
+	}
+	// dedup, jitter, stamp and tally reach a nondeterminism source; the
+	// sandbox violators are deterministic, so they are proven too.
+	want := []string{"dial", "hist", "hook", "pid", "tee", "upper"}
+	if !reflect.DeepEqual(names, want) {
+		t.Errorf("manifest names = %v, want %v", names, want)
+	}
+
+	// The same run is the full suite: every analyzer's fixture fires.
+	counts := map[string]int{}
+	for _, d := range diags {
+		counts[d.Analyzer]++
+	}
+	for _, a := range analyzers {
+		if counts[a.Name] == 0 {
+			t.Errorf("analyzer %s reported nothing in the -write-manifest run", a.Name)
+		}
+	}
+
+	if _, _, _, err := lintRoots([]string{root, root}, analyzers, false, "", manifest); err == nil {
+		t.Error("-write-manifest over two roots should error")
+	}
+}
 
 // TestSelectAnalyzers pins the -only contract: valid names select exactly
 // those analyzers in flag order, and an unknown name is a hard error — a

@@ -41,6 +41,9 @@ import (
 // Interface calls in hot code must be devirtualized by the call-graph
 // dataflow layer (a closed concrete type set); an open set is reported — CHA
 // fan-out is not a proof of what the dispatch allocates.
+//
+// Each root is a reach proof (reach.go) under the policy allocRun.policy
+// builds; the per-node check is scanNode.
 var AnalyzerAllocFree = &Analyzer{
 	Name:      "allocfree",
 	Doc:       "prove //scoop:hotpath roots reach no per-record allocation site",
@@ -55,8 +58,6 @@ type hotRoot struct {
 	pos    token.Pos
 }
 
-func (h hotRoot) name() string { return h.node.Name() }
-
 type allocfreeRun struct {
 	pass *ModulePass
 	// coldMarks is the set of //scoop:cold comment lines per file.
@@ -66,8 +67,6 @@ type allocfreeRun struct {
 	// origins caches each node's local 1-1 assignment map (append-base
 	// provenance).
 	origins map[*callgraph.Node]map[*types.Var][]ast.Expr
-	// seen dedupes findings reachable from several roots: first root wins.
-	seen map[string]bool
 }
 
 type posRange struct{ from, to token.Pos }
@@ -78,52 +77,40 @@ func runAllocFree(pass *ModulePass) {
 		coldMarks: map[string]map[int]bool{},
 		cold:      map[*callgraph.Node][]posRange{},
 		origins:   map[*callgraph.Node]map[*types.Var][]ast.Expr{},
-		seen:      map[string]bool{},
 	}
-	roots := r.collectRoots()
-	if len(roots) == 0 {
-		return
-	}
-	nodes := pass.Graph.Nodes()
-	for _, root := range roots {
+	// seen dedupes findings reachable from several roots: first root wins.
+	seen := map[string]bool{}
+	for _, root := range r.collectRoots() {
 		if root.node == nil || root.node.Body == nil {
 			continue
 		}
-		tree := pass.Graph.Reach([]*callgraph.Node{root.node}, r.follow(root))
-		for _, n := range nodes {
-			if _, ok := tree[n]; !ok {
+		check := func(n *callgraph.Node, _ *callgraph.Edge) []violation { return r.scanNode(root, n) }
+		for _, v := range prove(pass.Graph, []*callgraph.Node{root.node}, r.policy(root), check) {
+			key := fmt.Sprintf("%d %s", v.pos, v.what)
+			if seen[key] {
 				continue
 			}
-			r.scanNode(root, tree, n)
+			seen[key] = true
+			pass.ReportPathf(v.pos, v.pathNames(), "hot path is not allocation-free: %s (root %s)", v.what, root.node.Name())
 		}
 	}
 }
 
-// follow builds the per-root edge filter: only proven control transfers are
-// traversed (Static, Lit, Flow, Devirt), never unproven interface fan-out or
-// goroutine launches (both are reported at the call site instead), never
-// Acquire*/Release* pool boundaries (amortized), never edges sited in a cold
-// region, and — for loop roots — never edges outside the annotated loop.
-func (r *allocfreeRun) follow(root hotRoot) func(*callgraph.Edge) bool {
-	return func(e *callgraph.Edge) bool {
-		if e.Go {
-			return false
-		}
-		switch e.Kind {
-		case callgraph.Static, callgraph.Lit, callgraph.Flow, callgraph.Devirt:
-		default:
-			return false
-		}
+// policy is allocfree's row of the edge table for one root: only proven
+// control transfers, never goroutine launches or unproven interface fan-out
+// (both are reported at the call site instead), never Acquire*/Release*
+// pool boundaries (amortized), never edges sited in a cold region, and — for
+// loop roots — never edges outside the annotated loop.
+func (r *allocfreeRun) policy(root hotRoot) reachPolicy {
+	return reachPolicy{noGo: true, stop: func(e *callgraph.Edge) bool {
 		if amortizedBoundary(r.pass.Graph, e.Callee) {
-			return false
+			return true
 		}
-		if e.Caller == root.node && root.region != nil {
-			if e.Site < root.region.Pos() || e.Site >= root.region.End() {
-				return false
-			}
+		if e.Caller == root.node && root.region != nil && (e.Site < root.region.Pos() || e.Site >= root.region.End()) {
+			return true
 		}
-		return !r.isCold(e.Caller, e.Site)
-	}
+		return r.isCold(e.Caller, e.Site)
+	}}
 }
 
 // amortizedBoundary reports whether callee is a module pool boundary
@@ -282,35 +269,37 @@ func coldCond(info *types.Info, cond ast.Expr) bool {
 			return isErrorType(lt.Type) && isErrorType(rt.Type) && !lt.IsNil() && !rt.IsNil()
 		}
 	case *ast.CallExpr:
-		fn := staticCallee(info, c)
+		fn := callgraph.StaticCallee(info, c)
 		return funcIs(fn, "errors", "Is") || funcIs(fn, "errors", "As")
 	}
 	return false
 }
 
-// report records one finding, deduplicating sites reachable from several
-// roots, with the full root->site call chain attached.
-func (r *allocfreeRun) report(root hotRoot, tree map[*callgraph.Node]*callgraph.Edge, n *callgraph.Node, pos token.Pos, desc string) {
-	key := fmt.Sprintf("%d %s", pos, desc)
-	if r.seen[key] {
-		return
-	}
-	r.seen[key] = true
-	path := pathStrings(callgraph.Path(tree, n), n)
-	r.pass.ReportPathf(pos, path, "hot path is not allocation-free: %s (root %s)", desc, root.name())
+// nodeScan collects the allocation sites of one reached function.
+type nodeScan struct {
+	*allocfreeRun
+	n    *callgraph.Node
+	info *types.Info
+	out  []violation
 }
 
-// scanNode walks one reachable function's hot region and reports every
+func (s *nodeScan) report(pos token.Pos, desc string) {
+	s.out = append(s.out, violation{pos: pos, what: desc, in: s.n})
+}
+
+// scanNode is allocfree's per-node check: it walks one reachable function's
+// hot region (the annotated loop for a loop root) and returns every
 // allocation site in it.
-func (r *allocfreeRun) scanNode(root hotRoot, tree map[*callgraph.Node]*callgraph.Edge, n *callgraph.Node) {
+func (r *allocfreeRun) scanNode(root hotRoot, n *callgraph.Node) []violation {
 	if n.Body == nil || n.Unit == nil {
-		return
+		return nil
 	}
 	region := ast.Node(n.Body)
 	if n == root.node && root.region != nil {
 		region = root.region
 	}
-	info := n.Unit.Info
+	s := &nodeScan{allocfreeRun: r, n: n, info: n.Unit.Info}
+	info := s.info
 	walkParents(region, func(x ast.Node, parents []ast.Node) bool {
 		if x.Pos().IsValid() && r.isCold(n, x.Pos()) {
 			return false
@@ -319,54 +308,55 @@ func (r *allocfreeRun) scanNode(root hotRoot, tree map[*callgraph.Node]*callgrap
 		case *ast.FuncLit:
 			if node != region {
 				if capturesLocals(info, node) {
-					r.report(root, tree, n, node.Pos(), "func literal captures variables (closure allocates per record)")
+					s.report(node.Pos(), "func literal captures variables (closure allocates per record)")
 				}
 				return false // the literal's body is scanned as its own node
 			}
 		case *ast.GoStmt:
-			r.report(root, tree, n, node.Pos(), "go statement launches a goroutine per record")
+			s.report(node.Pos(), "go statement launches a goroutine per record")
 			return false
 		case *ast.UnaryExpr:
 			if node.Op == token.AND {
 				if _, ok := ast.Unparen(node.X).(*ast.CompositeLit); ok {
-					r.report(root, tree, n, node.Pos(), "address-taken composite literal escapes per record")
+					s.report(node.Pos(), "address-taken composite literal escapes per record")
 					return false
 				}
 			}
 		case *ast.BinaryExpr:
 			if node.Op == token.ADD {
 				if tv, ok := info.Types[node.X]; ok && tv.Type != nil && isString(tv.Type) {
-					r.report(root, tree, n, node.Pos(), "string concatenation allocates per record")
+					s.report(node.Pos(), "string concatenation allocates per record")
 				}
 			}
 		case *ast.CompositeLit:
-			r.checkCompositeLit(root, tree, n, info, node)
+			s.checkCompositeLit(node)
 		case *ast.AssignStmt:
 			if node.Tok == token.ADD_ASSIGN && len(node.Lhs) == 1 {
 				if tv, ok := info.Types[node.Lhs[0]]; ok && tv.Type != nil && isString(tv.Type) {
-					r.report(root, tree, n, node.Pos(), "string concatenation allocates per record")
+					s.report(node.Pos(), "string concatenation allocates per record")
 				}
 			}
-			r.checkAssignBoxing(root, tree, n, info, node)
+			s.checkAssignBoxing(node)
 		case *ast.ReturnStmt:
-			r.checkReturnBoxing(root, tree, n, info, node)
+			s.checkReturnBoxing(node)
 		case *ast.CallExpr:
-			r.checkCall(root, tree, n, info, node, parents)
+			s.checkCall(node, parents)
 		}
 		return true
 	})
+	return s.out
 }
 
-func (r *allocfreeRun) checkCompositeLit(root hotRoot, tree map[*callgraph.Node]*callgraph.Edge, n *callgraph.Node, info *types.Info, lit *ast.CompositeLit) {
-	tv, ok := info.Types[lit]
+func (s *nodeScan) checkCompositeLit(lit *ast.CompositeLit) {
+	tv, ok := s.info.Types[lit]
 	if !ok || tv.Type == nil {
 		return
 	}
 	switch u := tv.Type.Underlying().(type) {
 	case *types.Map:
-		r.report(root, tree, n, lit.Pos(), "map literal allocates per record")
+		s.report(lit.Pos(), "map literal allocates per record")
 	case *types.Slice:
-		r.report(root, tree, n, lit.Pos(), "slice literal allocates per record")
+		s.report(lit.Pos(), "slice literal allocates per record")
 	case *types.Struct:
 		// A value struct literal is stack-allocated, but storing a concrete
 		// value into an interface-typed field boxes it.
@@ -375,14 +365,14 @@ func (r *allocfreeRun) checkCompositeLit(root hotRoot, tree map[*callgraph.Node]
 			value := elt
 			if kv, ok := elt.(*ast.KeyValueExpr); ok {
 				if key, ok := kv.Key.(*ast.Ident); ok {
-					field, _ = info.Uses[key].(*types.Var)
+					field, _ = s.info.Uses[key].(*types.Var)
 				}
 				value = kv.Value
 			} else if i < u.NumFields() {
 				field = u.Field(i)
 			}
 			if field != nil {
-				r.checkBoxing(root, tree, n, info, field.Type(), value, "interface struct field")
+				s.checkBoxing(field.Type(), value, "interface struct field")
 			}
 		}
 	}
@@ -390,19 +380,19 @@ func (r *allocfreeRun) checkCompositeLit(root hotRoot, tree map[*callgraph.Node]
 
 // checkBoxing reports value when storing it into dst requires boxing: dst is
 // an interface type and value's concrete type is not pointer-shaped.
-func (r *allocfreeRun) checkBoxing(root hotRoot, tree map[*callgraph.Node]*callgraph.Edge, n *callgraph.Node, info *types.Info, dst types.Type, value ast.Expr, where string) {
+func (s *nodeScan) checkBoxing(dst types.Type, value ast.Expr, where string) {
 	if dst == nil || !types.IsInterface(dst) {
 		return
 	}
-	tv, ok := info.Types[ast.Unparen(value)]
+	tv, ok := s.info.Types[ast.Unparen(value)]
 	if !ok || tv.Type == nil || tv.IsNil() || types.IsInterface(tv.Type) {
 		return
 	}
 	if pointerShaped(tv.Type) {
 		return
 	}
-	r.report(root, tree, n, value.Pos(), fmt.Sprintf("boxing %s into %s allocates per record",
-		types.TypeString(tv.Type, types.RelativeTo(n.Unit.Types)), where))
+	s.report(value.Pos(), fmt.Sprintf("boxing %s into %s allocates per record",
+		types.TypeString(tv.Type, types.RelativeTo(s.n.Unit.Types)), where))
 }
 
 // pointerShaped types fit in an interface word without allocating.
@@ -416,7 +406,7 @@ func pointerShaped(t types.Type) bool {
 	return false
 }
 
-func (r *allocfreeRun) checkAssignBoxing(root hotRoot, tree map[*callgraph.Node]*callgraph.Edge, n *callgraph.Node, info *types.Info, as *ast.AssignStmt) {
+func (s *nodeScan) checkAssignBoxing(as *ast.AssignStmt) {
 	if len(as.Lhs) != len(as.Rhs) {
 		return
 	}
@@ -425,12 +415,12 @@ func (r *allocfreeRun) checkAssignBoxing(root hotRoot, tree map[*callgraph.Node]
 			continue
 		}
 		var dst types.Type
-		if obj := assignObj(info, lhs); obj != nil {
+		if obj := assignObj(s.info, lhs); obj != nil {
 			dst = obj.Type()
-		} else if tv, ok := info.Types[lhs]; ok {
+		} else if tv, ok := s.info.Types[lhs]; ok {
 			dst = tv.Type
 		}
-		r.checkBoxing(root, tree, n, info, dst, as.Rhs[i], "interface variable")
+		s.checkBoxing(dst, as.Rhs[i], "interface variable")
 	}
 }
 
@@ -452,13 +442,13 @@ func assignObj(info *types.Info, lhs ast.Expr) types.Object {
 	return nil
 }
 
-func (r *allocfreeRun) checkReturnBoxing(root hotRoot, tree map[*callgraph.Node]*callgraph.Edge, n *callgraph.Node, info *types.Info, ret *ast.ReturnStmt) {
-	sig := nodeSignature(info, n)
+func (s *nodeScan) checkReturnBoxing(ret *ast.ReturnStmt) {
+	sig := nodeSignature(s.info, s.n)
 	if sig == nil || sig.Results().Len() != len(ret.Results) {
 		return
 	}
 	for i, res := range ret.Results {
-		r.checkBoxing(root, tree, n, info, sig.Results().At(i).Type(), res, "interface return value")
+		s.checkBoxing(sig.Results().At(i).Type(), res, "interface return value")
 	}
 }
 
@@ -479,89 +469,90 @@ func nodeSignature(info *types.Info, n *callgraph.Node) *types.Signature {
 // checkCall classifies one call site in hot code: conversions, builtins,
 // std-library callees against the allowlist, interface dispatch against the
 // devirtualizer's verdict, and func values against the dataflow layer.
-func (r *allocfreeRun) checkCall(root hotRoot, tree map[*callgraph.Node]*callgraph.Edge, n *callgraph.Node, info *types.Info, call *ast.CallExpr, parents []ast.Node) {
+func (s *nodeScan) checkCall(call *ast.CallExpr, parents []ast.Node) {
+	g := s.pass.Graph
 	fun := ast.Unparen(call.Fun)
-	if tv, ok := info.Types[fun]; ok && tv.IsType() {
-		r.checkConversion(root, tree, n, info, tv.Type, call)
+	if tv, ok := s.info.Types[fun]; ok && tv.IsType() {
+		s.checkConversion(tv.Type, call)
 		return
 	}
 	if id, ok := fun.(*ast.Ident); ok {
-		if b, ok := info.Uses[id].(*types.Builtin); ok {
+		if b, ok := s.info.Uses[id].(*types.Builtin); ok {
 			switch b.Name() {
 			case "make":
-				r.checkMake(root, tree, n, info, call, parents)
+				s.checkMake(call, parents)
 			case "new":
-				r.report(root, tree, n, call.Pos(), "new allocates per record")
+				s.report(call.Pos(), "new allocates per record")
 			case "append":
-				r.checkAppend(root, tree, n, info, call)
+				s.checkAppend(call)
 			}
 			return // other builtins (len, cap, copy, delete, panic, ...) are free or terminal
 		}
 	}
-	if fn := staticCallee(info, call); fn != nil {
+	if fn := callgraph.StaticCallee(s.info, call); fn != nil {
 		sig, _ := fn.Type().(*types.Signature)
 		if sig != nil && sig.Recv() != nil && types.IsInterface(sig.Recv().Type()) {
-			r.checkIfaceDispatch(root, tree, n, call, fn)
+			s.checkIfaceDispatch(call, fn)
 			return
 		}
-		if fn.Pkg() != nil && r.pass.Graph.ModulePath(fn.Pkg().Path()) {
-			if amortizedBoundary(r.pass.Graph, r.pass.Graph.FuncNode(fn)) {
+		if fn.Pkg() != nil && g.ModulePath(fn.Pkg().Path()) {
+			if amortizedBoundary(g, g.FuncNode(fn)) {
 				return // pool boundary: amortized by design
 			}
-			if r.pass.Graph.FuncNode(fn).Body == nil {
-				r.report(root, tree, n, call.Pos(), fmt.Sprintf("calls %s, which has no body to analyze", fn.FullName()))
+			if g.FuncNode(fn).Body == nil {
+				s.report(call.Pos(), fmt.Sprintf("calls %s, which has no body to analyze", fn.FullName()))
 			}
 			// Module callees with bodies are traversed and scanned themselves.
 		} else if ok, desc := stdCalleeVerdict(fn); !ok {
-			r.report(root, tree, n, call.Pos(), desc)
+			s.report(call.Pos(), desc)
 			return // don't double-report the call's implicit arg boxing
 		}
-		r.checkCallArgBoxing(root, tree, n, info, call)
+		s.checkCallArgBoxing(call)
 		return
 	}
-	if lit, ok := fun.(*ast.FuncLit); ok {
-		_ = lit // immediately-invoked literal: scanned as its own node via the Lit edge
-		r.checkCallArgBoxing(root, tree, n, info, call)
+	if _, ok := fun.(*ast.FuncLit); ok {
+		// Immediately-invoked literal: scanned as its own node via the Lit edge.
+		s.checkCallArgBoxing(call)
 		return
 	}
 	// Call through a func value: proven only if the dataflow layer resolved it.
-	for _, e := range n.Out {
+	for _, e := range s.n.Out {
 		if e.Site == call.Pos() && (e.Kind == callgraph.Flow || e.Kind == callgraph.Lit) {
-			r.checkCallArgBoxing(root, tree, n, info, call)
+			s.checkCallArgBoxing(call)
 			return
 		}
 	}
-	r.report(root, tree, n, call.Pos(), "call through a func value the dataflow layer cannot resolve")
+	s.report(call.Pos(), "call through a func value the dataflow layer cannot resolve")
 }
 
 // checkIfaceDispatch accepts interface calls the dataflow layer devirtualized
 // (the implementations are traversed and proven like any other callee) and
 // reports open dispatch: CHA fan-out is not a proof.
-func (r *allocfreeRun) checkIfaceDispatch(root hotRoot, tree map[*callgraph.Node]*callgraph.Edge, n *callgraph.Node, call *ast.CallExpr, fn *types.Func) {
-	for _, e := range n.Out {
+func (s *nodeScan) checkIfaceDispatch(call *ast.CallExpr, fn *types.Func) {
+	for _, e := range s.n.Out {
 		if e.Site == call.Pos() && e.Kind == callgraph.Devirt {
 			return
 		}
 	}
-	r.report(root, tree, n, call.Pos(), fmt.Sprintf("interface dispatch %s is not devirtualized (concrete type set is open)", fn.FullName()))
+	s.report(call.Pos(), fmt.Sprintf("interface dispatch %s is not devirtualized (concrete type set is open)", fn.FullName()))
 }
 
-func (r *allocfreeRun) checkConversion(root hotRoot, tree map[*callgraph.Node]*callgraph.Edge, n *callgraph.Node, info *types.Info, dst types.Type, call *ast.CallExpr) {
+func (s *nodeScan) checkConversion(dst types.Type, call *ast.CallExpr) {
 	if len(call.Args) != 1 {
 		return
 	}
 	arg := call.Args[0]
-	tv, ok := info.Types[ast.Unparen(arg)]
+	tv, ok := s.info.Types[ast.Unparen(arg)]
 	if !ok || tv.Type == nil {
 		return
 	}
 	switch {
 	case isString(dst) && isByteSlice(tv.Type):
-		r.report(root, tree, n, call.Pos(), "string([]byte) conversion allocates per record")
+		s.report(call.Pos(), "string([]byte) conversion allocates per record")
 	case isByteSlice(dst) && isString(tv.Type):
-		r.report(root, tree, n, call.Pos(), "[]byte(string) conversion allocates per record")
+		s.report(call.Pos(), "[]byte(string) conversion allocates per record")
 	case types.IsInterface(dst):
-		r.checkBoxing(root, tree, n, info, dst, arg, "interface conversion")
+		s.checkBoxing(dst, arg, "interface conversion")
 	}
 }
 
@@ -582,26 +573,26 @@ func isByteSlice(t types.Type) bool {
 // checkMake: map and channel creation always allocate; slice make is exempt
 // only inside the cap-guard growth idiom `if cap(x) < n { x = make(...) }` —
 // scratch that grows to a high-water mark and is then reused.
-func (r *allocfreeRun) checkMake(root hotRoot, tree map[*callgraph.Node]*callgraph.Edge, n *callgraph.Node, info *types.Info, call *ast.CallExpr, parents []ast.Node) {
+func (s *nodeScan) checkMake(call *ast.CallExpr, parents []ast.Node) {
 	if len(call.Args) == 0 {
 		return
 	}
-	tv, ok := info.Types[call.Args[0]]
+	tv, ok := s.info.Types[call.Args[0]]
 	if !ok || tv.Type == nil {
 		return
 	}
 	switch tv.Type.Underlying().(type) {
 	case *types.Map:
-		r.report(root, tree, n, call.Pos(), "make(map) allocates per record")
+		s.report(call.Pos(), "make(map) allocates per record")
 		return
 	case *types.Chan:
-		r.report(root, tree, n, call.Pos(), "make(chan) allocates per record")
+		s.report(call.Pos(), "make(chan) allocates per record")
 		return
 	}
-	if capGuarded(info, call, parents) {
+	if capGuarded(s.info, call, parents) {
 		return
 	}
-	r.report(root, tree, n, call.Pos(), "make allocates per record (not a cap-guarded scratch grow)")
+	s.report(call.Pos(), "make allocates per record (not a cap-guarded scratch grow)")
 }
 
 // capGuarded reports whether the make call is the RHS of an assignment to x
@@ -649,19 +640,20 @@ func capGuarded(info *types.Info, call *ast.CallExpr, parents []ast.Node) bool {
 // buffer (directly a field selector, possibly resliced, or a local variable
 // provably backed by one) — the buffer grows to a high-water mark across
 // records. Append to a fresh local can grow every record.
-func (r *allocfreeRun) checkAppend(root hotRoot, tree map[*callgraph.Node]*callgraph.Edge, n *callgraph.Node, info *types.Info, call *ast.CallExpr) {
+func (s *nodeScan) checkAppend(call *ast.CallExpr) {
 	if len(call.Args) == 0 {
 		return
 	}
-	if r.fieldBacked(n, info, call.Args[0], map[*types.Var]bool{}) {
+	if s.fieldBacked(call.Args[0], map[*types.Var]bool{}) {
 		return
 	}
-	r.report(root, tree, n, call.Pos(), "append may grow per record (base is not a reused struct-owned buffer)")
+	s.report(call.Pos(), "append may grow per record (base is not a reused struct-owned buffer)")
 }
 
 // fieldBacked reports whether expr is (a reslice of) a struct field, or a
 // local variable whose every tracked assignment is field-backed.
-func (r *allocfreeRun) fieldBacked(n *callgraph.Node, info *types.Info, expr ast.Expr, visiting map[*types.Var]bool) bool {
+func (s *nodeScan) fieldBacked(expr ast.Expr, visiting map[*types.Var]bool) bool {
+	info := s.info
 	for {
 		expr = ast.Unparen(expr)
 		if sl, ok := expr.(*ast.SliceExpr); ok {
@@ -679,7 +671,7 @@ func (r *allocfreeRun) fieldBacked(n *callgraph.Node, info *types.Info, expr ast
 		// append(base, ...) chained as a value: provenance is the base.
 		if id, ok := ast.Unparen(e.Fun).(*ast.Ident); ok && len(e.Args) > 0 {
 			if b, ok := info.Uses[id].(*types.Builtin); ok && b.Name() == "append" {
-				return r.fieldBacked(n, info, e.Args[0], visiting)
+				return s.fieldBacked(e.Args[0], visiting)
 			}
 		}
 	case *ast.Ident:
@@ -693,11 +685,11 @@ func (r *allocfreeRun) fieldBacked(n *callgraph.Node, info *types.Info, expr ast
 		// field-backed when at least one origin is a struct field and every
 		// non-self origin is.
 		backed := false
-		for _, o := range r.localOrigins(n)[v] {
+		for _, o := range s.localOrigins(s.n)[v] {
 			if appendBaseVar(info, o) == v {
 				continue
 			}
-			if !r.fieldBacked(n, info, o, visiting) {
+			if !s.fieldBacked(o, visiting) {
 				return false
 			}
 			backed = true
@@ -770,8 +762,8 @@ func (r *allocfreeRun) localOrigins(n *callgraph.Node) map[*types.Var][]ast.Expr
 // checkCallArgBoxing flags implicit boxing at call sites: passing a concrete
 // non-pointer value for an interface-typed parameter (including variadic
 // ...any fans like fmt's) allocates per record.
-func (r *allocfreeRun) checkCallArgBoxing(root hotRoot, tree map[*callgraph.Node]*callgraph.Edge, n *callgraph.Node, info *types.Info, call *ast.CallExpr) {
-	tv, ok := info.Types[call.Fun]
+func (s *nodeScan) checkCallArgBoxing(call *ast.CallExpr) {
+	tv, ok := s.info.Types[call.Fun]
 	if !ok || tv.Type == nil {
 		return
 	}
@@ -793,7 +785,7 @@ func (r *allocfreeRun) checkCallArgBoxing(root hotRoot, tree map[*callgraph.Node
 				pt = sl.Elem()
 			}
 		}
-		r.checkBoxing(root, tree, n, info, pt, arg, "interface argument")
+		s.checkBoxing(pt, arg, "interface argument")
 	}
 }
 

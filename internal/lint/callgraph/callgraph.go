@@ -173,20 +173,8 @@ type Graph struct {
 	ifaceOpen map[*types.Var]bool
 }
 
-// Options tunes graph construction.
-type Options struct {
-	// NoDevirt disables interface type-set devirtualization, keeping the
-	// pure CHA fan-out at every interface call site. Used as the benchmark
-	// baseline and to isolate devirtualization in tests.
-	NoDevirt bool
-}
-
-// Build constructs the graph for the given units with default options
-// (devirtualization enabled).
-func Build(units []*Unit) *Graph { return BuildWith(units, Options{}) }
-
-// BuildWith constructs the graph for the given units.
-func BuildWith(units []*Unit, opts Options) *Graph {
+// Build constructs the graph for the given units.
+func Build(units []*Unit) *Graph {
 	g := &Graph{
 		Units:       units,
 		funcs:       map[*types.Func]*Node{},
@@ -204,9 +192,7 @@ func BuildWith(units []*Unit, opts Options) *Graph {
 		}
 	}
 	g.collectBindings()
-	if !opts.NoDevirt {
-		g.collectIfaceSets()
-	}
+	g.collectIfaceSets()
 	for _, u := range units {
 		for _, f := range u.Files {
 			for _, decl := range f.Decls {

@@ -24,9 +24,15 @@ type cat struct{}
 
 func (cat) speak() string { return "meow" }
 
-func announce(s speaker) string { return s.speak() }
+// herald's parameter is a method's interface parameter: its type set is
+// always open (the method may be invoked through an interface the dataflow
+// layer cannot see), so the dispatch keeps the CHA fan-out even though the
+// only call site passes dog{}.
+type herald struct{}
 
-func chain() string { return announce(dog{}) }
+func (herald) announce(s speaker) string { return s.speak() }
+
+func chain() string { return herald{}.announce(dog{}) }
 
 func spawn() { go loop() }
 
@@ -43,11 +49,11 @@ func inner() int { return 1 }
 `
 
 func buildMini(t *testing.T) (*Graph, *types.Package) {
-	return buildSrc(t, "mini", miniSrc, Options{})
+	return buildSrc(t, "mini", miniSrc)
 }
 
 // buildSrc type-checks a single-file module and builds its call graph.
-func buildSrc(t *testing.T, path, src string, opts Options) (*Graph, *types.Package) {
+func buildSrc(t *testing.T, path, src string) (*Graph, *types.Package) {
 	t.Helper()
 	fset := token.NewFileSet()
 	file, err := parser.ParseFile(fset, path+".go", src, parser.ParseComments)
@@ -67,7 +73,7 @@ func buildSrc(t *testing.T, path, src string, opts Options) (*Graph, *types.Pack
 	if err != nil {
 		t.Fatalf("type-check: %v", err)
 	}
-	g := BuildWith([]*Unit{{Path: path, Fset: fset, Files: []*ast.File{file}, Types: pkg, Info: info}}, opts)
+	g := Build([]*Unit{{Path: path, Fset: fset, Files: []*ast.File{file}, Types: pkg, Info: info}})
 	return g, pkg
 }
 
@@ -105,18 +111,16 @@ func method(t *testing.T, g *Graph, pkg *types.Package, typeName, methodName str
 }
 
 func TestStaticAndInterfaceReachability(t *testing.T) {
-	// NoDevirt pins the CHA fan-out baseline: in the default build the
-	// dataflow layer closes announce's parameter to {dog} and the dispatch
-	// devirtualizes (see TestDevirt*). CHA remains the fallback for open
-	// sets, so its shape stays pinned here.
-	g, pkg := buildSrc(t, "mini", miniSrc, Options{NoDevirt: true})
+	// announce's receiver is a method parameter, whose type set is always
+	// open: CHA is the fallback for open sets, so its shape is pinned here.
+	g, pkg := buildMini(t)
 	chain := fn(t, g, pkg, "chain")
 	barkN := fn(t, g, pkg, "bark")
 	dogSpeak := method(t, g, pkg, "dog", "speak")
 	catSpeak := method(t, g, pkg, "cat", "speak")
 
 	tree := g.Reach([]*Node{chain}, nil)
-	for _, want := range []*Node{fn(t, g, pkg, "announce"), dogSpeak, catSpeak, barkN} {
+	for _, want := range []*Node{method(t, g, pkg, "herald", "announce"), dogSpeak, catSpeak, barkN} {
 		if _, ok := tree[want]; !ok {
 			t.Errorf("full reach from chain misses %s", want.Name())
 		}
@@ -139,7 +143,7 @@ func TestStaticAndInterfaceReachability(t *testing.T) {
 }
 
 func TestReachFilterExcludesImplEdges(t *testing.T) {
-	g, pkg := buildSrc(t, "mini", miniSrc, Options{NoDevirt: true})
+	g, pkg := buildMini(t)
 	chain := fn(t, g, pkg, "chain")
 	tree := g.Reach([]*Node{chain}, func(e *Edge) bool { return e.Kind != Impl })
 	if _, ok := tree[method(t, g, pkg, "dog", "speak")]; ok {
@@ -441,7 +445,7 @@ func outEdges(from *Node, kind EdgeKind) map[string]int {
 }
 
 func TestDevirtClosedSetReplacesCHAFanOut(t *testing.T) {
-	g, pkg := buildSrc(t, "devirt", devirtSrc, Options{})
+	g, pkg := buildSrc(t, "devirt", devirtSrc)
 	closed := fn(t, g, pkg, "closed")
 
 	dv := devirtTargets(t, g, closed)
@@ -458,7 +462,7 @@ func TestDevirtClosedSetReplacesCHAFanOut(t *testing.T) {
 }
 
 func TestDevirtReassignmentUnionsTypes(t *testing.T) {
-	g, pkg := buildSrc(t, "devirt", devirtSrc, Options{})
+	g, pkg := buildSrc(t, "devirt", devirtSrc)
 	dv := devirtTargets(t, g, fn(t, g, pkg, "twoTypes"))
 	want := map[*Node]bool{
 		method(t, g, pkg, "dog", "speak"): true,
@@ -477,7 +481,7 @@ func TestDevirtReassignmentUnionsTypes(t *testing.T) {
 }
 
 func TestDevirtThroughStructFieldAndCallArg(t *testing.T) {
-	g, pkg := buildSrc(t, "devirt", devirtSrc, Options{})
+	g, pkg := buildSrc(t, "devirt", devirtSrc)
 
 	dv := devirtTargets(t, g, fn(t, g, pkg, "viaField"))
 	if len(dv) != 1 || dv[0] != method(t, g, pkg, "cat", "speak") {
@@ -497,7 +501,7 @@ func TestDevirtThroughStructFieldAndCallArg(t *testing.T) {
 
 // Open sets are the honest negative: no Devirt edges, CHA fan-out preserved.
 func TestDevirtOpenSetsKeepCHA(t *testing.T) {
-	g, pkg := buildSrc(t, "devirt", devirtSrc, Options{})
+	g, pkg := buildSrc(t, "devirt", devirtSrc)
 	open := []*Node{
 		fn(t, g, pkg, "openCallResult"),     // interface-typed call result
 		fn(t, g, pkg, "escaped"),            // &a escapes to an untracked writer
@@ -516,18 +520,24 @@ func TestDevirtOpenSetsKeepCHA(t *testing.T) {
 	}
 }
 
-func TestNoDevirtOptionDisablesDevirtualization(t *testing.T) {
-	g, pkg := buildSrc(t, "devirt", devirtSrc, Options{NoDevirt: true})
+// A method's interface parameter stays open even when its only call site
+// passes one concrete type: the mini module emits no Devirt edge at all, and
+// announce keeps the CHA fan-out to both implementations.
+func TestMethodParamKeepsCHAFanOut(t *testing.T) {
+	g, pkg := buildMini(t)
 	for _, n := range g.Nodes() {
 		for _, e := range n.Out {
 			if e.Kind == Devirt {
-				t.Fatalf("NoDevirt build emitted a Devirt edge from %s", n.Name())
+				t.Fatalf("mini module emitted a Devirt edge from %s", n.Name())
 			}
 		}
 	}
-	closed := fn(t, g, pkg, "closed")
-	if impl := outEdges(closed, Impl); impl["speak"] != 2 {
-		t.Errorf("NoDevirt closed() should keep CHA fan-out, got %v", impl)
+	announce := method(t, g, pkg, "herald", "announce")
+	if impl := outEdges(announce, Impl); impl["speak"] != 2 {
+		t.Errorf("announce should keep CHA fan-out, got %v", impl)
+	}
+	if iface := outEdges(announce, Iface); iface["speak"] != 1 {
+		t.Errorf("announce should keep its Iface edge, got %v", iface)
 	}
 }
 

@@ -53,46 +53,30 @@ func (g *Graph) collectBindings() {
 		}
 		varFlow[dst][src] = true
 	}
-	// bind records one value flowing into one destination variable.
-	bind := func(u *Unit, dst *types.Var, value ast.Expr) {
-		nodes, src := g.funcValue(u, value)
-		for _, n := range nodes {
-			addFunc(dst, n)
-		}
-		addVar(dst, src)
-	}
-
 	for _, u := range g.Units {
+		// bind records one value flowing into one destination variable; a
+		// multi-value store (nil value) is unresolvable and adds nothing.
+		bind := func(dst *types.Var, value ast.Expr) {
+			if value == nil {
+				return
+			}
+			nodes, src := g.funcValue(u, value)
+			for _, n := range nodes {
+				addFunc(dst, n)
+			}
+			addVar(dst, src)
+		}
 		for _, f := range u.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
-				switch x := n.(type) {
-				case *ast.AssignStmt:
-					if len(x.Lhs) != len(x.Rhs) {
-						return true // multi-value from a call: unresolvable
-					}
-					for i, lhs := range x.Lhs {
-						bind(u, assignTarget(u.Info, lhs), x.Rhs[i])
-					}
-				case *ast.ValueSpec:
-					if len(x.Names) != len(x.Values) {
-						return true
-					}
-					for i, name := range x.Names {
-						v, _ := u.Info.Defs[name].(*types.Var)
-						bind(u, v, x.Values[i])
-					}
-				case *ast.RangeStmt:
-					// Ranging over a bound func-typed collection (the variadic
-					// parameter shape: funcs bound to cbs, consumed via
-					// `for _, cb := range cbs`) copies the source's bindings
-					// into the range value variable.
+				storesIn(u.Info, n, bind)
+				// Ranging over a bound func-typed collection (the variadic
+				// parameter shape: funcs bound to cbs, consumed via
+				// `for _, cb := range cbs`) copies the source's bindings
+				// into the range value variable.
+				if x, ok := n.(*ast.RangeStmt); ok {
 					if value, ok := x.Value.(*ast.Ident); ok {
-						bind(u, assignTarget(u.Info, value), x.X)
+						bind(assignTarget(u.Info, value), x.X)
 					}
-				case *ast.CompositeLit:
-					g.bindCompositeLit(u, x, bind)
-				case *ast.CallExpr:
-					g.bindCallArgs(u, x, bind)
 				}
 				return true
 			})
@@ -138,66 +122,90 @@ func nodePos(n *Node) int {
 	return 0
 }
 
-// bindCompositeLit records func values stored into struct fields by a
-// composite literal, keyed ({F: fn}) or positional ({fn}).
-func (g *Graph) bindCompositeLit(u *Unit, lit *ast.CompositeLit, bind func(*Unit, *types.Var, ast.Expr)) {
-	tv, ok := u.Info.Types[lit]
-	if !ok || tv.Type == nil {
-		return
-	}
-	t := tv.Type
-	if ptr, isPtr := t.Underlying().(*types.Pointer); isPtr {
-		t = ptr.Elem()
-	}
-	st, ok := t.Underlying().(*types.Struct)
-	if !ok {
-		return // map/slice/array literals: element flows untracked
-	}
-	for i, elt := range lit.Elts {
-		if kv, ok := elt.(*ast.KeyValueExpr); ok {
-			key, ok := kv.Key.(*ast.Ident)
-			if !ok {
+// storesIn is the one binding walk both layers share: it passes store every
+// value-to-variable store node n performs — plain assignments and
+// declarations, struct fields of a composite literal (keyed {F: v} or
+// positional {v}), and arguments bound to the parameters of a statically
+// resolved callee (a variadic tail binds to the slice parameter). A store the
+// walk cannot pair with one value (a multi-value assignment or declaration)
+// arrives with a nil value. Map/slice/array literal elements and calls
+// through interfaces or func values are not stores it can see.
+func storesIn(info *types.Info, n ast.Node, store func(dst *types.Var, value ast.Expr)) {
+	switch x := n.(type) {
+	case *ast.AssignStmt:
+		if x.Tok != token.ASSIGN && x.Tok != token.DEFINE {
+			return
+		}
+		for i, lhs := range x.Lhs {
+			var value ast.Expr
+			if len(x.Lhs) == len(x.Rhs) {
+				value = x.Rhs[i]
+			}
+			store(assignTarget(info, lhs), value)
+		}
+	case *ast.ValueSpec:
+		if len(x.Values) == 0 {
+			return
+		}
+		for i, name := range x.Names {
+			var value ast.Expr
+			if len(x.Names) == len(x.Values) {
+				value = x.Values[i]
+			}
+			v, _ := info.Defs[name].(*types.Var)
+			store(v, value)
+		}
+	case *ast.CompositeLit:
+		tv, ok := info.Types[x]
+		if !ok || tv.Type == nil {
+			return
+		}
+		t := tv.Type
+		if ptr, isPtr := t.Underlying().(*types.Pointer); isPtr {
+			t = ptr.Elem()
+		}
+		st, ok := t.Underlying().(*types.Struct)
+		if !ok {
+			return
+		}
+		for i, elt := range x.Elts {
+			if kv, ok := elt.(*ast.KeyValueExpr); ok {
+				if key, ok := kv.Key.(*ast.Ident); ok {
+					field, _ := info.Uses[key].(*types.Var)
+					store(field, kv.Value)
+				}
 				continue
 			}
-			field, _ := u.Info.Uses[key].(*types.Var)
-			bind(u, field, kv.Value)
-			continue
+			if i < st.NumFields() {
+				store(st.Field(i), elt)
+			}
 		}
-		if i < st.NumFields() {
-			bind(u, st.Field(i), elt)
+	case *ast.CallExpr:
+		fn := StaticCallee(info, x)
+		if fn == nil {
+			return
+		}
+		sig, ok := fn.Type().(*types.Signature)
+		if !ok {
+			return
+		}
+		params := sig.Params()
+		for i, arg := range x.Args {
+			var param *types.Var
+			switch {
+			case i < params.Len()-1 || (i < params.Len() && !sig.Variadic()):
+				param = params.At(i)
+			case sig.Variadic() && params.Len() > 0:
+				param = params.At(params.Len() - 1)
+			}
+			store(param, arg)
 		}
 	}
 }
 
-// bindCallArgs records func values passed as arguments to a statically
-// resolved module function, binding them to the callee's parameter
-// variables. Calls through interfaces or func values are skipped: their
-// parameter objects are not locally knowable.
-func (g *Graph) bindCallArgs(u *Unit, call *ast.CallExpr, bind func(*Unit, *types.Var, ast.Expr)) {
-	fn := staticCalleeFunc(u.Info, call)
-	if fn == nil {
-		return
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return
-	}
-	params := sig.Params()
-	for i, arg := range call.Args {
-		var param *types.Var
-		switch {
-		case i < params.Len()-1 || (i < params.Len() && !sig.Variadic()):
-			param = params.At(i)
-		case sig.Variadic() && params.Len() > 0:
-			param = params.At(params.Len() - 1)
-		}
-		bind(u, param, arg)
-	}
-}
-
-// staticCalleeFunc resolves the *types.Func a call statically dispatches to,
-// or nil for calls through function values, built-ins, and conversions.
-func staticCalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+// StaticCallee resolves the *types.Func a call statically dispatches to, or
+// nil for calls through function values, built-ins, and conversions.
+func StaticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 	var obj types.Object
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
@@ -342,9 +350,11 @@ func (g *Graph) Bindings(v *types.Var) []*Node { return g.bindings[v] }
 // tracking. Writes from _test.go files are outside the loaded set — the
 // proof, like sandboxpure's and filterdet's, covers the non-test build.
 
-// collectIfaceSets builds the module-wide interface type sets. Must run after
-// collectBindings (it reuses assignTarget/staticCalleeFunc helpers and the
-// declared-node index) and before edge construction.
+// collectIfaceSets builds the module-wide interface type sets over the same
+// storesIn walk as collectBindings. Must run after addDeclNodes (it reads the
+// declared-node index) and before edge construction. Method parameters are
+// bound like any other, but stay open regardless (see below); parameters
+// only close for plain functions whose every call site is static.
 func (g *Graph) collectIfaceSets() {
 	sets := map[*types.Var]map[string]types.Type{}
 	open := map[*types.Var]bool{}
@@ -473,7 +483,7 @@ func (g *Graph) collectIfaceSets() {
 		switch e := ast.Unparen(expr).(type) {
 		case *ast.CompositeLit:
 			// &T{...}: a fresh literal's field stores are tracked by
-			// bindIfaceCompositeLit, and later writes through the pointer are
+			// storesIn, and later writes through the pointer are
 			// either selector assignments (tracked) or an escape to an
 			// out-of-module callee (poisoned at that call, below).
 		case *ast.Ident:
@@ -520,7 +530,7 @@ func (g *Graph) collectIfaceSets() {
 				return
 			}
 		}
-		if fn := staticCalleeFunc(u.Info, call); fn != nil {
+		if fn := StaticCallee(u.Info, call); fn != nil {
 			if n := g.funcs[fn]; n != nil && n.Body != nil {
 				return
 			}
@@ -550,6 +560,13 @@ func (g *Graph) collectIfaceSets() {
 			})
 			selSel := map[*ast.Ident]bool{}
 			ast.Inspect(f, func(n ast.Node) bool {
+				storesIn(u.Info, n, func(dst *types.Var, value ast.Expr) {
+					if value == nil {
+						poison(dst) // multi-value: untracked
+						return
+					}
+					bindIface(u, dst, value)
+				})
 				switch x := n.(type) {
 				case *ast.FuncDecl:
 					if x.Recv != nil {
@@ -560,41 +577,11 @@ func (g *Graph) collectIfaceSets() {
 							openFuncIfaceParams(fn)
 						}
 					}
-				case *ast.AssignStmt:
-					if x.Tok != token.ASSIGN && x.Tok != token.DEFINE {
-						return true
-					}
-					if len(x.Lhs) == len(x.Rhs) {
-						for i, lhs := range x.Lhs {
-							bindIface(u, assignTarget(u.Info, lhs), x.Rhs[i])
-						}
-						return true
-					}
-					for _, lhs := range x.Lhs {
-						poison(assignTarget(u.Info, lhs)) // multi-value: untracked
-					}
-				case *ast.ValueSpec:
-					if len(x.Names) == len(x.Values) {
-						for i, name := range x.Names {
-							v, _ := u.Info.Defs[name].(*types.Var)
-							bindIface(u, v, x.Values[i])
-						}
-						return true
-					}
-					if len(x.Values) > 0 {
-						for _, name := range x.Names {
-							v, _ := u.Info.Defs[name].(*types.Var)
-							poison(v)
-						}
-					}
 				case *ast.RangeStmt:
 					// Container elements are untracked cells.
 					poison(assignTarget(u.Info, x.Key))
 					poison(assignTarget(u.Info, x.Value))
-				case *ast.CompositeLit:
-					g.bindIfaceCompositeLit(u, x, bindIface)
 				case *ast.CallExpr:
-					g.bindIfaceCallArgs(u, x, bindIface)
 					poisonEscapedPtrArgs(u, x)
 				case *ast.UnaryExpr:
 					if x.Op == token.AND {
@@ -659,65 +646,6 @@ func (g *Graph) collectIfaceSets() {
 			out[i] = set[k]
 		}
 		g.ifaceSets[v] = out
-	}
-}
-
-// bindIfaceCompositeLit records concrete values stored into interface-typed
-// struct fields by a composite literal, keyed or positional. Map/slice/array
-// literals stay untracked: their element reads poison the reader instead.
-func (g *Graph) bindIfaceCompositeLit(u *Unit, lit *ast.CompositeLit, bindIface func(*Unit, *types.Var, ast.Expr)) {
-	tv, ok := u.Info.Types[lit]
-	if !ok || tv.Type == nil {
-		return
-	}
-	t := tv.Type
-	if ptr, isPtr := t.Underlying().(*types.Pointer); isPtr {
-		t = ptr.Elem()
-	}
-	st, ok := t.Underlying().(*types.Struct)
-	if !ok {
-		return
-	}
-	for i, elt := range lit.Elts {
-		if kv, ok := elt.(*ast.KeyValueExpr); ok {
-			key, ok := kv.Key.(*ast.Ident)
-			if !ok {
-				continue
-			}
-			field, _ := u.Info.Uses[key].(*types.Var)
-			bindIface(u, field, kv.Value)
-			continue
-		}
-		if i < st.NumFields() {
-			bindIface(u, st.Field(i), elt)
-		}
-	}
-}
-
-// bindIfaceCallArgs records concrete values passed as arguments to a
-// statically resolved function, binding them to the callee's interface-typed
-// parameters. Method parameters are bound too, but stay open regardless (see
-// collectIfaceSets); parameters only close for plain functions whose every
-// call site is static.
-func (g *Graph) bindIfaceCallArgs(u *Unit, call *ast.CallExpr, bindIface func(*Unit, *types.Var, ast.Expr)) {
-	fn := staticCalleeFunc(u.Info, call)
-	if fn == nil {
-		return
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return
-	}
-	params := sig.Params()
-	for i, arg := range call.Args {
-		var param *types.Var
-		switch {
-		case i < params.Len()-1 || (i < params.Len() && !sig.Variadic()):
-			param = params.At(i)
-		case sig.Variadic() && params.Len() > 0:
-			param = params.At(params.Len() - 1) // slice-typed: bindIface skips
-		}
-		bindIface(u, param, arg)
 	}
 }
 

@@ -3,6 +3,8 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+
+	"scoop/internal/lint/callgraph"
 )
 
 // AnalyzerCtxPropagate reports exported functions that perform network or
@@ -66,7 +68,7 @@ func firstDirectIO(pass *Pass, body *ast.BlockStmt) string {
 		if !ok {
 			return true
 		}
-		if fn := staticCallee(pass.Info, call); fn != nil && isDirectIOFunc(fn) {
+		if fn := callgraph.StaticCallee(pass.Info, call); fn != nil && isDirectIOFunc(fn) {
 			found = fn.FullName()
 			return false
 		}

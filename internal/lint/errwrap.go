@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"go/constant"
 	"strings"
+
+	"scoop/internal/lint/callgraph"
 )
 
 // AnalyzerErrWrap reports fmt.Errorf calls that format an error operand with
@@ -25,7 +27,7 @@ func runErrWrap(pass *Pass) {
 			if !ok {
 				return true
 			}
-			if !funcIs(staticCallee(pass.Info, call), "fmt", "Errorf") || len(call.Args) < 2 {
+			if !funcIs(callgraph.StaticCallee(pass.Info, call), "fmt", "Errorf") || len(call.Args) < 2 {
 				return true
 			}
 			format, ok := stringConstant(pass, call.Args[0])

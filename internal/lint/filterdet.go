@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/token"
 	"go/types"
 	"sort"
@@ -21,10 +20,10 @@ import (
 // map-range iteration whose order can escape into output bytes (the
 // collect-keys-then-sort idiom is recognized and allowed).
 //
-// Candidates and reachability mirror sandboxpure, with the dataflow layer's
-// Flow edges additionally followed so functions stored in func-typed fields
-// are analyzed too. The storlet engine package itself is the trusted runtime
-// (its breaker rolls dice and its accounting reads the clock by design);
+// It is a reach proof (reach.go) per registered filter, over the same root
+// set as sandboxpure and the same edges, except that the storlet engine
+// package itself is the trusted runtime (its breaker rolls dice and its
+// accounting reads the clock by design): its plumbing is not a root and
 // edges into it are not traversed.
 //
 // The verdict is exported as a generated manifest (internal/detmanifest,
@@ -59,28 +58,6 @@ func isNondetFunc(fn *types.Func) bool {
 	return names == nil || names[fn.Name()]
 }
 
-// detCandidate is one registered filter: its statically-determined name (""
-// when the name is computed at runtime), its entry-point nodes, and where it
-// was registered.
-type detCandidate struct {
-	// label names the candidate for diagnostics: the concrete type or the
-	// wrapped FilterFunc function.
-	label string
-	// name is the filter's registered name when it is a compile-time
-	// constant; dynamic names stay "" and can never enter the manifest.
-	name  string
-	pos   token.Pos
-	nodes []*callgraph.Node
-}
-
-// detViolation is one nondeterminism source reached from a candidate.
-type detViolation struct {
-	pos    token.Pos
-	what   string
-	path   []*callgraph.Edge
-	inNode *callgraph.Node
-}
-
 // FilterVerdict is the public determinism result for one filter candidate.
 type FilterVerdict struct {
 	// Label names the filter implementation (type or function).
@@ -91,25 +68,51 @@ type FilterVerdict struct {
 	Proven bool
 }
 
-// DeterminismVerdicts computes the filterdet result for every registered
-// filter candidate in the module. It is the shared core of the analyzer and
-// of `scoop-lint -write-manifest`.
-func DeterminismVerdicts(pkgs []*Package, graph *callgraph.Graph) []FilterVerdict {
-	candidates, _ := detCandidates(pkgs, graph)
-	out := make([]FilterVerdict, 0, len(candidates))
-	for _, c := range candidates {
-		v := detViolations(pkgs, graph, c)
-		out = append(out, FilterVerdict{Label: c.label, Name: c.name, Proven: len(v) == 0})
+// filterProof is one registered filter and the nondeterminism sources its
+// proof found.
+type filterProof struct {
+	root       *filterRoot
+	violations []violation
+}
+
+// proveFilters runs the determinism proof once for every registered filter
+// outside the engine, in label order.
+func proveFilters(pkgs []*Package, graph *callgraph.Graph) []filterProof {
+	roots, enginePath := filterRoots(pkgs, graph)
+	policy := reachPolicy{fanOut: true, stop: func(e *callgraph.Edge) bool {
+		return e.Callee.PkgPath() == enginePath // trusted runtime, not filter code
+	}}
+	var out []filterProof
+	for _, r := range roots {
+		if !r.engine {
+			out = append(out, filterProof{root: r, violations: prove(graph, r.nodes, policy, nondetSites)})
+		}
 	}
 	return out
 }
 
-// ProvenFilterNames returns the sorted registered names of every filter
-// proven deterministic. Filters with dynamic names are excluded even when
-// proven: the manifest keys on the name the pushdown task will carry.
-func ProvenFilterNames(pkgs []*Package, graph *callgraph.Graph) []string {
+// verdictsOf summarizes proofs for the manifest.
+func verdictsOf(proofs []filterProof) []FilterVerdict {
+	out := make([]FilterVerdict, 0, len(proofs))
+	for _, p := range proofs {
+		out = append(out, FilterVerdict{Label: p.root.label, Name: p.root.name, Proven: len(p.violations) == 0})
+	}
+	return out
+}
+
+// DeterminismVerdicts computes the filterdet result for every registered
+// filter candidate in the module without reporting; RunWithVerdicts returns
+// the same verdicts from the analyzer's own run.
+func DeterminismVerdicts(pkgs []*Package, graph *callgraph.Graph) []FilterVerdict {
+	return verdictsOf(proveFilters(pkgs, graph))
+}
+
+// ProvenFilterNames returns the sorted registered names of every proven
+// verdict. Filters with dynamic names are excluded even when proven: the
+// manifest keys on the name the pushdown task will carry.
+func ProvenFilterNames(verdicts []FilterVerdict) []string {
 	var names []string
-	for _, v := range DeterminismVerdicts(pkgs, graph) {
+	for _, v := range verdicts {
 		if v.Proven && v.Name != "" {
 			names = append(names, v.Name)
 		}
@@ -119,292 +122,46 @@ func ProvenFilterNames(pkgs []*Package, graph *callgraph.Graph) []string {
 }
 
 func runFilterDet(pass *ModulePass) {
-	candidates, _ := detCandidates(pass.Pkgs, pass.Graph)
-	for _, c := range candidates {
-		for _, v := range detViolations(pass.Pkgs, pass.Graph, c) {
+	proofs := proveFilters(pass.Pkgs, pass.Graph)
+	for _, p := range proofs {
+		for _, v := range p.violations {
 			chain := describePath(v.path)
-			if v.inNode != nil && len(v.path) > 0 {
-				chain += " -> " + v.inNode.Name()
-			} else if v.inNode != nil {
-				chain = "in " + v.inNode.Name()
+			if v.in != nil && len(v.path) > 0 {
+				chain += " -> " + v.in.Name()
+			} else if v.in != nil {
+				chain = "in " + v.in.Name()
 			}
-			pass.ReportPathf(v.pos, pathStrings(v.path, v.inNode),
+			pass.ReportPathf(v.pos, v.pathNames(),
 				"filter %s is not provably deterministic: %s (%s); fallback resync and result caching need byte-identical re-runs",
-				c.label, v.what, chain)
+				p.root.label, v.what, chain)
 		}
+	}
+	if pass.verdicts != nil {
+		*pass.verdicts = verdictsOf(proofs)
 	}
 }
 
-// pathStrings renders a BFS edge path (plus the node the violation sits in)
-// as the node-name chain carried on the diagnostic for -json consumers.
-func pathStrings(path []*callgraph.Edge, last *callgraph.Node) []string {
-	var out []string
-	if len(path) > 0 {
-		out = append(out, path[0].Caller.Name())
-		for _, e := range path {
-			out = append(out, e.Callee.Name())
-		}
+// nondetSites is filterdet's per-node check: a blocklisted callee is reported
+// at the call site that reached it; a module body is scanned for state
+// writes and map ranges.
+func nondetSites(n *callgraph.Node, via *callgraph.Edge) []violation {
+	if via != nil && n.Func != nil && isNondetFunc(n.Func) {
+		return []violation{{pos: via.Site, what: "calls " + n.Func.FullName()}}
 	}
-	if last != nil && (len(out) == 0 || out[len(out)-1] != last.Name()) {
-		out = append(out, last.Name())
-	}
-	return out
-}
-
-// detCandidates collects every registered filter in the module, one candidate
-// per implementation, skipping the storlet engine package's own plumbing
-// (pipelineFilter, FilterFunc's generic wrapper). The second result is the
-// engine package path ("" when the storlet package is absent).
-func detCandidates(pkgs []*Package, graph *callgraph.Graph) ([]detCandidate, string) {
-	sp := findStorletPkg(pkgs)
-	if sp == nil {
-		return nil, ""
-	}
-	filterIface, engineType := storletTypes(sp)
-	if filterIface == nil || engineType == nil {
-		return nil, sp.Path
-	}
-
-	var candidates []detCandidate
-	seen := map[string]bool{}
-	addType := func(t types.Type, pos token.Pos) {
-		tn := namedTypeName(t)
-		if tn == nil || tn.Pkg() == nil || tn.Pkg().Path() == sp.Path {
-			return // engine-internal plumbing is the trusted runtime
-		}
-		label := tn.Pkg().Name() + "." + tn.Name()
-		if seen[label] {
-			return
-		}
-		seen[label] = true
-		var nodes []*callgraph.Node
-		for i := 0; i < filterIface.NumMethods(); i++ {
-			m := filterIface.Method(i)
-			obj, _, _ := types.LookupFieldOrMethod(t, true, m.Pkg(), m.Name())
-			if fn, ok := obj.(*types.Func); ok {
-				if n := graph.FuncNode(fn); n != nil && n.Body != nil {
-					nodes = append(nodes, n)
-				}
-			}
-		}
-		if len(nodes) == 0 {
-			return
-		}
-		candidates = append(candidates, detCandidate{
-			label: label,
-			name:  constantNameMethod(t, graph),
-			pos:   pos,
-			nodes: nodes,
-		})
-	}
-	addAllImpls := func(pos token.Pos) {
-		for _, pkg := range pkgs {
-			scope := pkg.Types.Scope()
-			names := scope.Names()
-			sort.Strings(names)
-			for _, name := range names {
-				tn, ok := scope.Lookup(name).(*types.TypeName)
-				if !ok || tn.IsAlias() || types.IsInterface(tn.Type()) {
-					continue
-				}
-				t := tn.Type()
-				if types.Implements(t, filterIface) || types.Implements(types.NewPointer(t), filterIface) {
-					addType(t, pos)
-				}
-			}
-		}
-	}
-
-	filterFuncType := sp.Types.Scope().Lookup("FilterFunc")
-	for _, pkg := range pkgs {
-		info := pkg.Info
-		for _, file := range pkg.Files {
-			ast.Inspect(file, func(n ast.Node) bool {
-				switch x := n.(type) {
-				case *ast.CallExpr:
-					if !isEngineRegister(info, x, engineType) || len(x.Args) == 0 {
-						return true
-					}
-					if pkg.Path == sp.Path {
-						return true // the engine registering its own wrappers
-					}
-					tv, ok := info.Types[x.Args[0]]
-					if !ok || tv.Type == nil {
-						return true
-					}
-					if types.IsInterface(tv.Type) {
-						addAllImpls(x.Pos())
-					} else {
-						addType(tv.Type, x.Pos())
-					}
-				case *ast.CompositeLit:
-					if filterFuncType == nil {
-						return true
-					}
-					tv, ok := info.Types[x]
-					if !ok || tv.Type == nil || !sameNamed(tv.Type, filterFuncType.Type()) {
-						return true
-					}
-					if c, ok := filterFuncCandidate(pkg, graph, x); ok {
-						if !seen[c.label] {
-							seen[c.label] = true
-							candidates = append(candidates, c)
-						}
-					}
-				}
-				return true
-			})
-		}
-	}
-	sort.Slice(candidates, func(i, j int) bool { return candidates[i].label < candidates[j].label })
-	return candidates, sp.Path
-}
-
-// filterFuncCandidate builds a candidate from a FilterFunc composite literal:
-// the Fn field supplies the entry point, the FilterName field (when constant)
-// supplies the name.
-func filterFuncCandidate(pkg *Package, graph *callgraph.Graph, lit *ast.CompositeLit) (detCandidate, bool) {
-	c := detCandidate{pos: lit.Pos()}
-	for _, elt := range lit.Elts {
-		kv, ok := elt.(*ast.KeyValueExpr)
-		if !ok {
-			continue
-		}
-		key, ok := kv.Key.(*ast.Ident)
-		if !ok {
-			continue
-		}
-		switch key.Name {
-		case "FilterName":
-			if tv, ok := pkg.Info.Types[kv.Value]; ok && tv.Value != nil && tv.Value.Kind() == constant.String {
-				c.name = constant.StringVal(tv.Value)
-			}
-		case "Fn":
-			switch v := ast.Unparen(kv.Value).(type) {
-			case *ast.FuncLit:
-				if n := graph.LitNode(v); n != nil {
-					c.nodes = append(c.nodes, n)
-					c.label = n.Name()
-				}
-			default:
-				if fn, ok := identObj(pkg.Info, kv.Value).(*types.Func); ok {
-					if n := graph.FuncNode(fn); n != nil && n.Body != nil {
-						c.nodes = append(c.nodes, n)
-						c.label = fn.FullName()
-					}
-				}
-			}
-		}
-	}
-	if len(c.nodes) == 0 {
-		return detCandidate{}, false
-	}
-	if c.label == "" {
-		c.label = "FilterFunc literal"
-	}
-	return c, true
-}
-
-// namedTypeName unwraps pointers and returns the named type's TypeName.
-func namedTypeName(t types.Type) *types.TypeName {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
+	if n.Body == nil || n.Unit == nil {
 		return nil
 	}
-	return named.Obj()
-}
-
-// constantNameMethod extracts the constant string a type's Name() method
-// returns, or "" when the method is absent or its result is computed.
-func constantNameMethod(t types.Type, graph *callgraph.Graph) string {
-	tn := namedTypeName(t)
-	if tn == nil {
-		return ""
-	}
-	obj, _, _ := types.LookupFieldOrMethod(t, true, tn.Pkg(), "Name")
-	fn, ok := obj.(*types.Func)
-	if !ok {
-		return ""
-	}
-	n := graph.FuncNode(fn)
-	if n == nil || n.Body == nil || n.Unit == nil || len(n.Body.List) != 1 {
-		return ""
-	}
-	ret, ok := n.Body.List[0].(*ast.ReturnStmt)
-	if !ok || len(ret.Results) != 1 {
-		return ""
-	}
-	if tv, ok := n.Unit.Info.Types[ret.Results[0]]; ok && tv.Value != nil && tv.Value.Kind() == constant.String {
-		return constant.StringVal(tv.Value)
-	}
-	return ""
-}
-
-// detViolations computes every nondeterminism source reachable from one
-// candidate, in deterministic order.
-func detViolations(pkgs []*Package, graph *callgraph.Graph, c detCandidate) []detViolation {
-	sp := findStorletPkg(pkgs)
-	enginePath := ""
-	if sp != nil {
-		enginePath = sp.Path
-	}
-	tree := graph.Reach(c.nodes, func(e *callgraph.Edge) bool {
-		if enginePath != "" && e.Callee.PkgPath() == enginePath {
-			return false // the engine is the trusted runtime, not filter code
-		}
-		switch e.Kind {
-		case callgraph.Static, callgraph.Lit, callgraph.Flow, callgraph.Iface:
-			return true
-		case callgraph.Devirt:
-			return true // value-proven dispatch: followed ungated, like Flow
-		case callgraph.Impl:
-			return graph.ModulePath(e.IfacePkg)
-		}
-		return false
-	})
-
-	var out []detViolation
-	for n, via := range tree {
-		// Blocklisted callee reached: report at the call site that reached it.
-		if via != nil && n.Func != nil && isNondetFunc(n.Func) {
-			out = append(out, detViolation{
-				pos:  via.Site,
-				what: "calls " + n.Func.FullName(),
-				path: callgraph.Path(tree, n),
-			})
-			continue
-		}
-		// Module node with a body: scan for state writes and map ranges.
-		if n.Body == nil || n.Unit == nil {
-			continue
-		}
-		path := callgraph.Path(tree, n)
-		for _, v := range bodyViolations(n) {
-			v.path = path
-			v.inNode = n
-			out = append(out, v)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].pos != out[j].pos {
-			return out[i].pos < out[j].pos
-		}
-		return out[i].what < out[j].what
-	})
-	return out
+	return bodyViolations(n)
 }
 
 // bodyViolations scans one function body for intra-procedural nondeterminism:
 // writes to package-level mutable state and map-range iteration whose order
 // can escape into the output.
-func bodyViolations(n *callgraph.Node) []detViolation {
+func bodyViolations(n *callgraph.Node) []violation {
 	info := n.Unit.Info
-	var out []detViolation
+	var out []violation
 	report := func(pos token.Pos, what string) {
-		out = append(out, detViolation{pos: pos, what: what})
+		out = append(out, violation{pos: pos, what: what, in: n})
 	}
 	ast.Inspect(n.Body, func(x ast.Node) bool {
 		if _, ok := x.(*ast.FuncLit); ok && x.Pos() != n.Body.Pos() {

@@ -52,9 +52,8 @@ func TestFilterDetPathChain(t *testing.T) {
 // fixture filters are named, nondeterministic ones are excluded.
 func TestFilterDetVerdictsOnFixture(t *testing.T) {
 	pkgs := loadFixture(t)
-	graph := BuildGraph(pkgs)
 	proven := map[string]bool{}
-	for _, name := range ProvenFilterNames(pkgs, graph) {
+	for _, name := range ProvenFilterNames(DeterminismVerdicts(pkgs, BuildGraph(pkgs))) {
 		proven[name] = true
 	}
 	// hist uses the collect-then-sort idiom; upper is a pure byte transform.

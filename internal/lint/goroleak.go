@@ -17,18 +17,23 @@ import (
 // ends on channel close, or bounded work signalled via WaitGroup.Done — all
 // of which introduce a return/break/range shape this analyzer recognizes.
 //
-// The proof is conservative in the other direction too: goroutines spawned
-// through function values or interface methods cannot be resolved without
-// SSA and are skipped (ROADMAP open item).
+// Each spawn is a reach proof (reach.go) under goroPolicy: the spawned
+// code is what the go statement's Go-flagged edges resolve to — a literal, a
+// static callee, or the functions the dataflow layer binds to a func value
+// (`go p.step()`) — and the walk follows value-proven edges only. Spawns
+// through an interface with an open type set stay unresolved.
 var AnalyzerGoroLeak = &Analyzer{
 	Name:      "goroleak",
 	Doc:       "spawned goroutines must have a termination path (context cancel, channel close, or bounded work)",
 	RunModule: runGoroLeak,
 }
 
+// goroPolicy is goroleak's row of the edge table: a nested `go` spawn is
+// proven at its own go statement, not attributed to the parent.
+var goroPolicy = reachPolicy{noGo: true}
+
 func runGoroLeak(pass *ModulePass) {
 	for _, n := range pass.Graph.Nodes() {
-		info := n.Unit.Info
 		ast.Inspect(n.Body, func(x ast.Node) bool {
 			if _, ok := x.(*ast.FuncLit); ok {
 				return false // literal bodies are their own graph nodes
@@ -37,61 +42,41 @@ func runGoroLeak(pass *ModulePass) {
 			if !ok {
 				return true
 			}
-			var target *callgraph.Node
-			switch fun := ast.Unparen(gs.Call.Fun).(type) {
-			case *ast.FuncLit:
-				target = pass.Graph.LitNode(fun)
-			default:
-				if fn := staticCallee(info, gs.Call); fn != nil {
-					target = pass.Graph.FuncNode(fn)
+			// The spawned code: the value-proven targets of the statement's
+			// own Go-flagged edges (the zero policy follows exactly those).
+			var spawned []*callgraph.Node
+			for _, e := range n.Out {
+				if e.Go && e.Site == gs.Call.Pos() && (reachPolicy{}).follows(pass.Graph, e) {
+					spawned = append(spawned, e.Callee)
 				}
 			}
-			if target == nil || target.Body == nil {
-				return true // dynamic spawn: unresolvable without SSA
+			found := prove(pass.Graph, spawned, goroPolicy, unboundedLoop)
+			if len(found) == 0 {
+				return true
 			}
-			if loop, chain := findUnboundedLoop(pass, target); loop != token.NoPos {
-				pass.ReportPathf(gs.Pos(), chain, "goroutine spawned here never terminates: unbounded for-loop at %s has no return, no break, and no closing channel; tie it to a context, a stop channel, or bounded work so the daemon can drain", pass.Posn(loop))
+			// Report the loop in the earliest-declared function reached.
+			first := found[0]
+			for _, v := range found[1:] {
+				if v.in.Body.Pos() < first.in.Body.Pos() {
+					first = v
+				}
 			}
+			pass.ReportPathf(gs.Pos(), first.pathNames(), "goroutine spawned here never terminates: unbounded for-loop at %s has no return, no break, and no closing channel; tie it to a context, a stop channel, or bounded work so the daemon can drain", pass.Posn(first.pos))
 			return true
 		})
 	}
 }
 
-// findUnboundedLoop searches the spawned function and everything it reaches
-// through static calls (and inline literals) for a `for {}` loop that cannot
-// exit. Returns the loop position plus the call chain from the spawn target
-// to the loop's function, or NoPos when every loop can terminate.
-// Goroutine-launching edges are not followed: a nested `go` spawn is
-// analyzed at its own go statement, not attributed to the parent.
-func findUnboundedLoop(pass *ModulePass, start *callgraph.Node) (token.Pos, []string) {
-	tree := pass.Graph.Reach([]*callgraph.Node{start}, func(e *callgraph.Edge) bool {
-		if e.Go {
-			return false
-		}
-		return (e.Kind == callgraph.Static || e.Kind == callgraph.Lit) && e.Callee.Body != nil
-	})
-	var nodes []*callgraph.Node
-	for n := range tree {
-		if n.Body != nil {
-			nodes = append(nodes, n)
-		}
+// unboundedLoop is goroleak's per-node check: the first `for {}` loop in a
+// reached body that cannot exit.
+func unboundedLoop(n *callgraph.Node, _ *callgraph.Edge) []violation {
+	if n.Body == nil {
+		return nil
 	}
-	// Deterministic scan order: report the earliest offending loop.
-	sortNodesByPos(nodes)
-	for _, n := range nodes {
-		if pos := unboundedLoopIn(n.Body); pos != token.NoPos {
-			return pos, pathStrings(callgraph.Path(tree, n), n)
-		}
+	if pos := unboundedLoopIn(n.Body); pos != token.NoPos {
+		return []violation{{pos: pos, in: n}}
 	}
-	return token.NoPos, nil
-}
-
-func sortNodesByPos(nodes []*callgraph.Node) {
-	for i := 1; i < len(nodes); i++ {
-		for j := i; j > 0 && nodes[j].Body.Pos() < nodes[j-1].Body.Pos(); j-- {
-			nodes[j], nodes[j-1] = nodes[j-1], nodes[j]
-		}
-	}
+	return nil
 }
 
 // unboundedLoopIn returns the position of the first `for {}` loop in body

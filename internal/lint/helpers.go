@@ -57,24 +57,6 @@ func namedType(t types.Type, pkgPath, name string) bool {
 	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath && obj.Name() == name
 }
 
-// staticCallee resolves the *types.Func a call statically dispatches to, or
-// nil for calls through function values, built-ins, and conversions.
-func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
-	var obj types.Object
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		obj = info.Uses[fun]
-	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[fun]; ok {
-			obj = sel.Obj()
-		} else {
-			obj = info.Uses[fun.Sel] // package-qualified call
-		}
-	}
-	fn, _ := obj.(*types.Func)
-	return fn
-}
-
 // funcIs reports whether fn is the function or method pkgPath.name (name is
 // the bare identifier; the receiver type is not matched here).
 func funcIs(fn *types.Func, pkgPath, name string) bool {

@@ -72,6 +72,8 @@ type ModulePass struct {
 	Graph    *callgraph.Graph
 
 	diags *[]Diagnostic
+	// verdicts receives filterdet's per-filter verdicts (nil: not wanted).
+	verdicts *[]FilterVerdict
 }
 
 // Reportf records a finding at pos.
@@ -145,17 +147,11 @@ func Analyzers() []*Analyzer {
 // Exposed so callers (benchmarks, future tooling) can build it without
 // running an analyzer.
 func BuildGraph(pkgs []*Package) *callgraph.Graph {
-	return BuildGraphOpts(pkgs, callgraph.Options{})
-}
-
-// BuildGraphOpts is BuildGraph with explicit construction options (the
-// devirtualization benchmark builds a CHA-only graph for comparison).
-func BuildGraphOpts(pkgs []*Package, opts callgraph.Options) *callgraph.Graph {
 	units := make([]*callgraph.Unit, len(pkgs))
 	for i, p := range pkgs {
 		units[i] = &callgraph.Unit{Path: p.Path, Fset: p.Fset, Files: p.Files, Types: p.Types, Info: p.Info}
 	}
-	return callgraph.BuildWith(units, opts)
+	return callgraph.Build(units)
 }
 
 // Run executes the given analyzers over the given packages and returns all
@@ -164,7 +160,21 @@ func BuildGraphOpts(pkgs []*Package, opts callgraph.Options) *callgraph.Graph {
 // analyzer; likewise the call graph is built at most once per Run and shared
 // by every module-level analyzer.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
+	diags, _ := run(pkgs, analyzers, false)
+	return diags
+}
+
+// RunWithVerdicts is Run that also returns the per-filter determinism
+// verdicts filterdet proved on the same load and graph, so the manifest
+// comes out of the suite's own run. Without filterdet among analyzers the
+// verdicts are proven on that graph without reporting.
+func RunWithVerdicts(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []FilterVerdict) {
+	return run(pkgs, analyzers, true)
+}
+
+func run(pkgs []*Package, analyzers []*Analyzer, wantVerdicts bool) ([]Diagnostic, []FilterVerdict) {
 	var diags []Diagnostic
+	var verdicts []FilterVerdict
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
 			if a.Run == nil {
@@ -195,7 +205,14 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 			Pkgs:     pkgs,
 			Graph:    graph,
 			diags:    &diags,
+			verdicts: &verdicts,
 		})
+	}
+	if wantVerdicts && verdicts == nil && len(pkgs) > 0 { // filterdet did not run
+		if graph == nil {
+			graph = BuildGraph(pkgs)
+		}
+		verdicts = DeterminismVerdicts(pkgs, graph)
 	}
 	for _, pkg := range pkgs {
 		diags = filterIgnored(pkg, diags)
@@ -213,5 +230,5 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 		}
 		return a.Analyzer < b.Analyzer
 	})
-	return diags
+	return diags, verdicts
 }

@@ -3,6 +3,8 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+
+	"scoop/internal/lint/callgraph"
 )
 
 // AnalyzerLockHeld reports mutexes held across blocking operations: channel
@@ -20,17 +22,56 @@ var AnalyzerLockHeld = &Analyzer{
 func runLockHeld(pass *Pass) {
 	for _, file := range pass.Files {
 		funcBodies(file, func(_ ast.Node, body *ast.BlockStmt) {
-			ast.Inspect(body, func(n ast.Node) bool {
-				if _, ok := n.(*ast.FuncLit); ok && n != body {
-					return false
+			heldRegions(pass.Info, body, func(lock *ast.SelectorExpr, region []ast.Stmt) {
+				recv := types.ExprString(lock.X)
+				for _, held := range region {
+					reportBlockingOps(pass, held, recv)
 				}
-				if list := stmtList(n); list != nil {
-					checkLockRegions(pass, list)
-				}
-				return true
 			})
 		})
 	}
+}
+
+// heldRegions is the one lock-region walker lockheld and lockorder share. It
+// scans every statement list in body (nested function literals excluded:
+// they run on their own schedule) and calls region once per Lock()/RLock()
+// statement with the lock's method selector and the statements executed
+// while it is held: from the statement after the Lock to the matching
+// Unlock on the same receiver at the same nesting level — or to the end of
+// the list when the unlock is deferred or absent. Deferred statements in the
+// region run after the function returns and are left out.
+func heldRegions(info *types.Info, body *ast.BlockStmt, region func(lock *ast.SelectorExpr, held []ast.Stmt)) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		if _, ok := n.(*ast.FuncLit); ok {
+			return false
+		}
+		list := stmtList(n)
+		for i, stmt := range list {
+			lock := syncCall(info, stmt, "Lock", "RLock")
+			if lock == nil {
+				continue
+			}
+			recv := types.ExprString(lock.X)
+			end := len(list)
+			for j := i + 1; j < len(list); j++ {
+				if _, isDefer := list[j].(*ast.DeferStmt); isDefer {
+					continue // a deferred Unlock releases at return, not here
+				}
+				if rel := syncCall(info, list[j], "Unlock", "RUnlock"); rel != nil && types.ExprString(rel.X) == recv {
+					end = j
+					break
+				}
+			}
+			var held []ast.Stmt
+			for _, s := range list[i+1 : end] {
+				if _, isDefer := s.(*ast.DeferStmt); !isDefer {
+					held = append(held, s)
+				}
+			}
+			region(lock, held)
+		}
+		return true
+	})
 }
 
 // stmtList extracts the statement list of block-like nodes.
@@ -46,40 +87,9 @@ func stmtList(n ast.Node) []ast.Stmt {
 	return nil
 }
 
-// checkLockRegions scans one statement list for Lock() calls and walks the
-// statements executed while the lock is held.
-func checkLockRegions(pass *Pass, list []ast.Stmt) {
-	for i, stmt := range list {
-		recv, ok := lockCall(pass.Info, stmt, "Lock", "RLock")
-		if !ok {
-			continue
-		}
-		// The held region runs from the statement after the Lock to the
-		// matching Unlock at this nesting level — or to the end of the list
-		// when the unlock is deferred or absent.
-		end := len(list)
-		for j := i + 1; j < len(list); j++ {
-			if _, isDefer := list[j].(*ast.DeferStmt); isDefer {
-				continue // a deferred Unlock releases at return, not here
-			}
-			if r, ok := lockCall(pass.Info, list[j], "Unlock", "RUnlock"); ok && r == recv {
-				end = j
-				break
-			}
-		}
-		for _, held := range list[i+1 : end] {
-			if _, isDefer := held.(*ast.DeferStmt); isDefer {
-				continue // runs after the function returns, not under this region's scan
-			}
-			reportBlockingOps(pass, held, recv)
-		}
-	}
-}
-
-// lockCall reports whether stmt is a plain or deferred call to one of the
-// named sync methods, returning the receiver expression rendered as a string
-// so Lock/Unlock pairs on the same mutex can be matched.
-func lockCall(info *types.Info, stmt ast.Stmt, names ...string) (string, bool) {
+// syncCall returns the method selector when stmt is a plain or deferred call
+// to one of the named sync methods, or nil.
+func syncCall(info *types.Info, stmt ast.Stmt, names ...string) *ast.SelectorExpr {
 	var call *ast.CallExpr
 	switch s := stmt.(type) {
 	case *ast.ExprStmt:
@@ -88,22 +98,22 @@ func lockCall(info *types.Info, stmt ast.Stmt, names ...string) (string, bool) {
 		call = s.Call
 	}
 	if call == nil {
-		return "", false
+		return nil
 	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
-		return "", false
+		return nil
 	}
-	fn := staticCallee(info, call)
+	fn := callgraph.StaticCallee(info, call)
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return "", false
+		return nil
 	}
 	for _, name := range names {
 		if fn.Name() == name {
-			return types.ExprString(sel.X), true
+			return sel
 		}
 	}
-	return "", false
+	return nil
 }
 
 // reportBlockingOps walks one held statement and reports blocking operations.
@@ -147,7 +157,7 @@ func reportBlockingOps(pass *Pass, stmt ast.Stmt, recv string) {
 			}
 			return false
 		case *ast.CallExpr:
-			if fn := staticCallee(pass.Info, op); fn != nil && isBlockingFunc(fn) {
+			if fn := callgraph.StaticCallee(pass.Info, op); fn != nil && isBlockingFunc(fn) {
 				pass.Reportf(op.Pos(), "%s held across blocking call %s", recv, fn.FullName())
 			}
 		}

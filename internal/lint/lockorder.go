@@ -136,7 +136,7 @@ func lockAcquisition(info *types.Info, call *ast.CallExpr) (lockID, string, bool
 	if !ok {
 		return lockID{}, "", false
 	}
-	fn := staticCallee(info, call)
+	fn := callgraph.StaticCallee(info, call)
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
 		return lockID{}, "", false
 	}
@@ -337,88 +337,29 @@ func calleeName(e *callgraph.Edge) string {
 	return "func literal"
 }
 
-// heldRegionEdges scans n's body for lock-held regions and returns an
-// ordering edge for every other lock acquirable inside one. The region model
-// matches lockheld: a Lock() at one statement-list level holds until the
-// matching same-level Unlock, or to the end of the list when the unlock is
-// deferred or absent.
+// heldRegionEdges scans n's body for lock-held regions (heldRegions, the
+// walker lockheld uses) and returns an ordering edge for every other lock
+// acquirable inside one.
 func heldRegionEdges(pass *ModulePass, n *callgraph.Node, trans map[*callgraph.Node]map[lockID]lockAcq) []lockEdge {
 	var edges []lockEdge
 	info := n.Unit.Info
-	var scanList func(list []ast.Stmt)
-	scanList = func(list []ast.Stmt) {
-		for i, stmt := range list {
-			held, ok := lockStmt(info, stmt, "Lock", "RLock")
-			if !ok {
-				continue
-			}
-			end := len(list)
-			for j := i + 1; j < len(list); j++ {
-				if _, isDefer := list[j].(*ast.DeferStmt); isDefer {
-					continue
-				}
-				if rel, ok := lockStmt(info, list[j], "Unlock", "RUnlock"); ok && rel.id == held.id && rel.expr == held.expr {
-					end = j
-					break
-				}
-			}
-			for _, inner := range list[i+1 : end] {
-				if _, isDefer := inner.(*ast.DeferStmt); isDefer {
-					continue
-				}
-				edges = append(edges, regionAcqs(pass, n, info, inner, held, trans)...)
-			}
+	heldRegions(info, n.Body, func(lock *ast.SelectorExpr, region []ast.Stmt) {
+		id := lockIdent(info, lock)
+		if !id.valid() {
+			return
 		}
-	}
-	ast.Inspect(n.Body, func(x ast.Node) bool {
-		if _, ok := x.(*ast.FuncLit); ok {
-			return false
+		held := heldLock{id: id, pos: lock.Pos()}
+		for _, inner := range region {
+			edges = append(edges, regionAcqs(pass, n, info, inner, held, trans)...)
 		}
-		if list := stmtList(x); list != nil {
-			scanList(list)
-		}
-		return true
 	})
 	return edges
 }
 
 // heldLock describes one active Lock() statement.
 type heldLock struct {
-	id   lockID
-	expr string
-	pos  token.Pos
-}
-
-// lockStmt matches a plain or deferred sync lock-method call statement.
-func lockStmt(info *types.Info, stmt ast.Stmt, names ...string) (heldLock, bool) {
-	var call *ast.CallExpr
-	switch s := stmt.(type) {
-	case *ast.ExprStmt:
-		call, _ = s.X.(*ast.CallExpr)
-	case *ast.DeferStmt:
-		call = s.Call
-	}
-	if call == nil {
-		return heldLock{}, false
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return heldLock{}, false
-	}
-	fn := staticCallee(info, call)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return heldLock{}, false
-	}
-	for _, name := range names {
-		if fn.Name() == name {
-			id := lockIdent(info, sel)
-			if !id.valid() {
-				return heldLock{}, false
-			}
-			return heldLock{id: id, expr: types.ExprString(sel.X), pos: call.Pos()}, true
-		}
-	}
-	return heldLock{}, false
+	id  lockID
+	pos token.Pos
 }
 
 // regionAcqs finds every lock other than `held` acquirable inside one held
@@ -445,7 +386,7 @@ func regionAcqs(pass *ModulePass, n *callgraph.Node, info *types.Info, stmt ast.
 			}
 			return true
 		}
-		fn := staticCallee(info, call)
+		fn := callgraph.StaticCallee(info, call)
 		if fn == nil {
 			return true
 		}

@@ -1,13 +1,6 @@
 package lint
 
-import (
-	"go/ast"
-	"go/types"
-	"sort"
-	"strings"
-
-	"scoop/internal/lint/callgraph"
-)
+import "scoop/internal/lint/callgraph"
 
 // AnalyzerSandboxPure turns the paper's sandbox claim — storlets run
 // "sandboxed ... next to the data" — into a compile-time invariant: no code
@@ -17,22 +10,19 @@ import (
 // filter from opening sockets or files; this analyzer closes that hole for
 // every filter compiled into the module.
 //
-// Seeds are gathered from Engine.Register call sites: a concretely-typed
-// argument seeds that type's Filter methods; an interface-typed argument
-// (the deploy/factory path) conservatively seeds every module type
-// implementing storlet.Filter. FilterFunc composite literals additionally
-// seed the function stored in their Fn field, since that call is otherwise
-// invisible (func-typed field). Reachability follows static calls, inline
-// literals, and dispatch through module-declared interfaces; std-library
-// interfaces (the io.Reader/io.Writer streams the engine hands in) are
-// treated as opaque — the engine controls those values, and following their
-// module-wide implementation sets would attribute the object store's own
-// I/O to the filter.
+// It is a reach proof (reach.go) from every registered filter, the engine's
+// own plumbing included (filterRoots), under sandboxPolicy: value-proven
+// edges — static calls, literals, func values the dataflow layer resolves,
+// devirtualized dispatch — plus CHA fan-out through module-declared
+// interfaces.
 var AnalyzerSandboxPure = &Analyzer{
 	Name:      "sandboxpure",
 	Doc:       "storlet filters must not reach os, os/exec, net, net/http, or syscall",
 	RunModule: runSandboxPure,
 }
+
+// sandboxPolicy is sandboxpure's row of the edge table.
+var sandboxPolicy = reachPolicy{fanOut: true}
 
 // forbiddenPkgs are the host-touching packages a sandboxed filter must never
 // reach.
@@ -45,241 +35,21 @@ var forbiddenPkgs = map[string]bool{
 }
 
 func runSandboxPure(pass *ModulePass) {
-	sp := findStorletPkg(pass.Pkgs)
-	if sp == nil {
-		return // storlet package not in the analyzed set
-	}
-	filterIface, engineType := storletTypes(sp)
-	if filterIface == nil || engineType == nil {
-		return
-	}
-	seeds := collectSeeds(pass, sp, filterIface, engineType)
-	if len(seeds) == 0 {
-		return
-	}
-
-	tree := pass.Graph.Reach(seeds, func(e *callgraph.Edge) bool {
-		switch e.Kind {
-		case callgraph.Static, callgraph.Lit, callgraph.Iface:
-			return true
-		case callgraph.Devirt:
-			// Devirtualized dispatch is value-proven (the receiver's concrete
-			// type set is closed), so unlike module-gated Impl fan-out it is
-			// followed unconditionally — including into std-declared
-			// interfaces, which CHA treats as opaque.
-			return true
-		case callgraph.Impl:
-			return pass.Graph.ModulePath(e.IfacePkg)
-		}
-		return false
-	})
-
-	// Deterministic report order: sort violating nodes by the position of
-	// the edge that first reached them.
-	type violation struct {
-		node *callgraph.Node
-		edge *callgraph.Edge
-	}
-	var violations []violation
-	for n, via := range tree {
-		if via == nil || n.Func == nil || n.Func.Pkg() == nil {
-			continue
-		}
-		if forbiddenPkgs[n.Func.Pkg().Path()] {
-			violations = append(violations, violation{n, via})
-		}
-	}
-	sort.Slice(violations, func(i, j int) bool {
-		if violations[i].edge.Site != violations[j].edge.Site {
-			return violations[i].edge.Site < violations[j].edge.Site
-		}
-		return violations[i].node.Name() < violations[j].node.Name()
-	})
-	seen := map[string]bool{}
-	for _, v := range violations {
-		path := callgraph.Path(tree, v.node)
-		key := pass.Posn(v.edge.Site) + "|" + v.node.Name()
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		pass.ReportPathf(v.edge.Site, pathStrings(path, v.node), "storlet sandbox violation: %s is reachable from deployed filter code (%s); filters must stay pure of os/net/syscall", v.node.Func.FullName(), describePath(path))
-	}
-}
-
-// findStorletPkg locates the storlet engine package: exact module path
-// first, then a unique "/storlet" suffix (the fixture module).
-func findStorletPkg(pkgs []*Package) *Package {
-	var suffixMatch *Package
-	n := 0
-	for _, p := range pkgs {
-		if p.Path == "scoop/internal/storlet" {
-			return p
-		}
-		if strings.HasSuffix(p.Path, "/storlet") {
-			suffixMatch = p
-			n++
-		}
-	}
-	if n == 1 {
-		return suffixMatch
-	}
-	return nil
-}
-
-// storletTypes resolves the Filter interface and Engine named type from the
-// storlet package scope.
-func storletTypes(sp *Package) (*types.Interface, types.Type) {
-	scope := sp.Types.Scope()
-	var iface *types.Interface
-	if tn, ok := scope.Lookup("Filter").(*types.TypeName); ok {
-		iface, _ = tn.Type().Underlying().(*types.Interface)
-	}
-	var engine types.Type
-	if tn, ok := scope.Lookup("Engine").(*types.TypeName); ok {
-		engine = tn.Type()
-	}
-	return iface, engine
-}
-
-// collectSeeds gathers the entry points of deployed filter code.
-func collectSeeds(pass *ModulePass, sp *Package, filterIface *types.Interface, engineType types.Type) []*callgraph.Node {
+	roots, _ := filterRoots(pass.Pkgs, pass.Graph)
 	var seeds []*callgraph.Node
-	addMethods := func(t types.Type) {
-		for i := 0; i < filterIface.NumMethods(); i++ {
-			m := filterIface.Method(i)
-			obj, _, _ := types.LookupFieldOrMethod(t, true, m.Pkg(), m.Name())
-			if fn, ok := obj.(*types.Func); ok {
-				if n := pass.Graph.FuncNode(fn); n != nil && n.Body != nil {
-					seeds = append(seeds, n)
-				}
-			}
-		}
+	for _, r := range roots {
+		seeds = append(seeds, r.nodes...)
 	}
-	seedAllImpls := func() {
-		for _, pkg := range pass.Pkgs {
-			scope := pkg.Types.Scope()
-			names := scope.Names()
-			sort.Strings(names)
-			for _, name := range names {
-				tn, ok := scope.Lookup(name).(*types.TypeName)
-				if !ok || tn.IsAlias() || types.IsInterface(tn.Type()) {
-					continue
-				}
-				t := tn.Type()
-				if types.Implements(t, filterIface) || types.Implements(types.NewPointer(t), filterIface) {
-					addMethods(t)
-				}
-			}
-		}
+	for _, v := range prove(pass.Graph, seeds, sandboxPolicy, forbiddenCallee) {
+		pass.ReportPathf(v.pos, v.pathNames(), "storlet sandbox violation: %s is reachable from deployed filter code (%s); filters must stay pure of os/net/syscall", v.what, describePath(v.path))
 	}
-
-	filterFuncType := sp.Types.Scope().Lookup("FilterFunc")
-	for _, pkg := range pass.Pkgs {
-		info := pkg.Info
-		for _, file := range pkg.Files {
-			ast.Inspect(file, func(n ast.Node) bool {
-				switch x := n.(type) {
-				case *ast.CallExpr:
-					if !isEngineRegister(info, x, engineType) || len(x.Args) == 0 {
-						return true
-					}
-					tv, ok := info.Types[x.Args[0]]
-					if !ok || tv.Type == nil {
-						return true
-					}
-					if types.IsInterface(tv.Type) {
-						// Deploy/factory path: any filter may arrive here.
-						seedAllImpls()
-					} else {
-						addMethods(tv.Type)
-					}
-				case *ast.CompositeLit:
-					// FilterFunc{Fn: ...}: seed the wrapped function, since
-					// the Fn field call inside Invoke is a func-value call
-					// the graph cannot resolve.
-					if filterFuncType == nil {
-						return true
-					}
-					tv, ok := info.Types[x]
-					if !ok || tv.Type == nil || !sameNamed(tv.Type, filterFuncType.Type()) {
-						return true
-					}
-					for _, elt := range x.Elts {
-						kv, ok := elt.(*ast.KeyValueExpr)
-						if !ok {
-							continue
-						}
-						if key, ok := kv.Key.(*ast.Ident); !ok || key.Name != "Fn" {
-							continue
-						}
-						switch v := ast.Unparen(kv.Value).(type) {
-						case *ast.FuncLit:
-							if n := pass.Graph.LitNode(v); n != nil {
-								seeds = append(seeds, n)
-							}
-						default:
-							if fn, ok := identObj(info, kv.Value).(*types.Func); ok {
-								if n := pass.Graph.FuncNode(fn); n != nil && n.Body != nil {
-									seeds = append(seeds, n)
-								}
-							}
-						}
-					}
-				}
-				return true
-			})
-		}
-	}
-	return seeds
 }
 
-// isEngineRegister matches a call to (*Engine).Register of the storlet
-// package.
-func isEngineRegister(info *types.Info, call *ast.CallExpr, engineType types.Type) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Register" {
-		return false
+// forbiddenCallee reports a reached host-touching function at the call site
+// that reached it.
+func forbiddenCallee(n *callgraph.Node, via *callgraph.Edge) []violation {
+	if via == nil || n.Func == nil || n.Func.Pkg() == nil || !forbiddenPkgs[n.Func.Pkg().Path()] {
+		return nil
 	}
-	selection, ok := info.Selections[sel]
-	if !ok {
-		return false
-	}
-	fn, ok := selection.Obj().(*types.Func)
-	if !ok {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	recv := sig.Recv().Type()
-	if ptr, ok := recv.(*types.Pointer); ok {
-		recv = ptr.Elem()
-	}
-	return types.Identical(recv, engineType)
-}
-
-// sameNamed reports whether a and b are the same named type, ignoring
-// pointers.
-func sameNamed(a, b types.Type) bool {
-	if pa, ok := a.(*types.Pointer); ok {
-		a = pa.Elem()
-	}
-	if pb, ok := b.(*types.Pointer); ok {
-		b = pb.Elem()
-	}
-	return types.Identical(a, b)
-}
-
-// describePath renders the BFS path into a readable "a -> b -> c" chain.
-func describePath(path []*callgraph.Edge) string {
-	if len(path) == 0 {
-		return "registered directly"
-	}
-	parts := []string{path[0].Caller.Name()}
-	for _, e := range path {
-		parts = append(parts, e.Callee.Name())
-	}
-	return "path: " + strings.Join(parts, " -> ")
+	return []violation{{pos: via.Site, what: n.Func.FullName()}}
 }

@@ -31,6 +31,30 @@ func badNamedSpawn() {
 	go runForever() // want:goroleak goroutine spawned here never terminates
 }
 
+// pump holds its work loop in a func-typed field: only the dataflow layer's
+// Flow edges connect a call through step to spin.
+type pump struct {
+	step func()
+}
+
+// spin has no exit: a leak wherever it is spawned.
+func spin() {
+	for {
+		work()
+	}
+}
+
+func badFlowSpawn() {
+	p := pump{step: spin}
+	go func() { // want:goroleak goroutine spawned here never terminates
+		p.step()
+	}()
+}
+
+func badDirectFlowSpawn(p pump) {
+	go p.step() // want:goroleak goroutine spawned here never terminates
+}
+
 func badSelectBreak(tick chan int) {
 	go func() { // want:goroleak goroutine spawned here never terminates
 		for {

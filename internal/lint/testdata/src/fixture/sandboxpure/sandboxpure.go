@@ -67,9 +67,26 @@ func pidFn(_ *storlet.Context, in []byte) ([]byte, error) {
 	return in, nil
 }
 
+// hookFilter reaches the host only through a func-typed field: the call is
+// connected by the dataflow layer's Flow edge from drop's binding.
+type hookFilter struct {
+	drop func(name string) error
+}
+
+func (hookFilter) Name() string { return "hook" }
+
+func (h hookFilter) Invoke(_ *storlet.Context, in []byte) ([]byte, error) {
+	return in, h.drop(string(in))
+}
+
+func removeFile(name string) error {
+	return os.Remove(name) // want:sandboxpure storlet sandbox violation
+}
+
 func deploy(e *storlet.Engine) {
 	_ = e.Register(dialFilter{})
 	_ = e.Register(teeFilter{sink: fileRecorder{}})
 	_ = e.Register(upperFilter{})
 	_ = e.Register(storlet.FilterFunc{FilterName: "pid", Fn: pidFn})
+	_ = e.Register(hookFilter{drop: removeFile})
 }

@@ -4,23 +4,24 @@
 # Runs, in order:
 #   1. go build ./...               every package compiles
 #   2. go vet ./...                 stdlib vet analyzers
-#   3. go run ./cmd/scoop-lint ./...  project analyzers — per-package
+#   3. scoop-lint -json -write-manifest
+#                                     one load, one call graph, one run of all
+#                                     eleven analyzers — per-package
 #                                     (closebody, errwrap, lockheld, chanleak,
 #                                     slotleak, ctxpropagate) and whole-module
-#                                     call-graph (lockorder, goroleak,
-#                                     sandboxpure, filterdet, allocfree); warm
-#                                     runs replay from the mtime-keyed cache
-#   4. scoop-lint -only allocfree   the zero-alloc hot-path proof, re-run
-#                                     standalone (warm: replays from cache) so
-#                                     a broken //scoop:hotpath root fails with
-#                                     its own named step in the gate output
-#   5. scoop-lint -write-manifest     the determinism manifest regenerated to a
-#                                     temporary file must equal the committed
+#                                     (lockorder, goroleak, sandboxpure,
+#                                     filterdet, allocfree), each printed on
+#                                     its own line with its finding count so a
+#                                     broken //scoop:hotpath root names itself
+#                                     — which also writes the determinism
+#                                     manifest from that run's filterdet
+#                                     verdicts to a temporary file. It must
+#                                     equal the committed
 #                                     internal/detmanifest/manifest.go: the
 #                                     result cache and the compute-side
 #                                     fallback trust its entries ("agg": true)
-#   6. go test -race -short ./...   fast-tier suite under the race detector
-#   7. go test -run TestAllocBudget   zero-allocation budgets for the record
+#   4. go test -race -short ./...   fast-tier suite under the race detector
+#   5. go test -run TestAllocBudget   zero-allocation budgets for the record
 #                                     hot path and for the SQL fold (a row
 #                                     into an existing group) — a separate
 #                                     non-race step because the
@@ -43,16 +44,15 @@ go build ./...
 echo "==> go vet ./..."
 go vet ./...
 
-echo "==> scoop-lint ./..."
-go run ./cmd/scoop-lint ./...
-
-echo "==> scoop-lint -only allocfree ./... (zero-alloc hot-path proof)"
-go run ./cmd/scoop-lint -only allocfree ./...
-
-echo "==> scoop-lint -write-manifest (committed determinism manifest is what filterdet proves)"
+echo "==> scoop-lint -json -write-manifest ./... (all analyzers; committed determinism manifest is what filterdet proves)"
 manifest="$(mktemp)"
 trap 'rm -f "$manifest"' EXIT
-go run ./cmd/scoop-lint -write-manifest "$manifest"
+# lint-report.json (git-ignored; CI uploads it) holds the findings with the
+# call path each module analyzer followed, e.g. allocfree's root->site chain.
+if ! go run ./cmd/scoop-lint -json -write-manifest "$manifest" ./... > lint-report.json; then
+	cat lint-report.json
+	exit 1
+fi
 diff -u internal/detmanifest/manifest.go "$manifest"
 
 echo "==> go test -race -short ./..."
