@@ -68,6 +68,21 @@ func TestAllocBudgetFieldScanner(t *testing.T) {
 	if avg != 0 {
 		t.Fatalf("FieldScanner.Scan: %v allocs per pass, want 0", avg)
 	}
+	// The lazy path: a record split only to its second field, then one
+	// split out of order to its end and past it.
+	avg = testing.AllocsPerRun(100, func() {
+		for _, rec := range records {
+			sc.Reset(rec, DefaultDelimiter)
+			sc.Field(1)
+			sc.Reset(rec, DefaultDelimiter)
+			sc.Field(3)
+			sc.Field(0)
+			sc.Field(9)
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("FieldScanner.Reset + Field: %v allocs per pass, want 0", avg)
+	}
 }
 
 func TestAllocBudgetWriteRecord(t *testing.T) {

@@ -196,7 +196,9 @@ func (r *RangeReader) readLine() ([]byte, error) {
 	if err != nil && !errors.Is(err, io.EOF) {
 		return nil, err
 	}
-	line = bytes.TrimRight(line, "\r\n")
+	for len(line) > 0 && (line[len(line)-1] == '\n' || line[len(line)-1] == '\r') {
+		line = line[:len(line)-1]
+	}
 	return line, nil
 }
 
@@ -204,60 +206,106 @@ func (r *RangeReader) readLine() ([]byte, error) {
 // allocations: the field-slice header and the unquoting scratch buffer are
 // owned by the scanner and reused across records. Quoted fields ("a,b" style,
 // with "" escaping) are supported; the zero value is ready to use.
+//
+// Splitting is lazy: Reset points the scanner at a record and Field splits it
+// only as far as the field asked for, so a reader that rejects a record on an
+// early column never splits the rest. Scan splits the whole record.
 type FieldScanner struct {
 	fields  [][]byte
 	scratch []byte
+	rest    []byte // the part of the record not split yet
+	delim   byte
+	done    bool // the record's last field has been split
+	sized   bool // scratch is sized for this record's quoted fields
 }
 
-// Scan splits one record into fields. The returned fields alias either the
-// record (unquoted fields) or the scanner's scratch buffer (quoted fields);
-// both are only valid until the next Scan.
+// Reset points the scanner at a new record without splitting any of it. The
+// fields the scanner hands out alias either the record (unquoted fields) or
+// the scanner's scratch buffer (quoted fields); both are only valid until the
+// next Reset or Scan.
+//
+//scoop:hotpath
+func (s *FieldScanner) Reset(record []byte, delim byte) {
+	s.fields = s.fields[:0]
+	s.rest, s.delim = record, delim
+	s.done, s.sized = false, false
+}
+
+// Field returns field i of the record, splitting only as far as i. ok is
+// false when the record has no field i, which readers take as NULL.
+//
+//scoop:hotpath
+func (s *FieldScanner) Field(i int) (field []byte, ok bool) {
+	for len(s.fields) <= i {
+		if !s.split() {
+			return nil, false
+		}
+	}
+	return s.fields[i], true
+}
+
+// Scan splits one record into all of its fields, which stay valid as
+// Reset's do.
 //
 //scoop:hotpath
 func (s *FieldScanner) Scan(record []byte, delim byte) [][]byte {
-	s.fields = s.fields[:0]
-	if bytes.IndexByte(record, '"') >= 0 {
-		// Quoted fields unescape into scratch. Sizing it to the whole record
-		// up front keeps the emitted sub-slices stable — unescaped content
-		// never exceeds the record length, so scratch cannot reallocate
-		// mid-record.
-		if cap(s.scratch) < len(record) {
-			s.scratch = make([]byte, 0, len(record))
-		}
-		s.scratch = s.scratch[:0]
+	s.Reset(record, delim)
+	for s.split() {
 	}
-	for {
-		if len(record) > 0 && record[0] == '"' {
-			start := len(s.scratch)
-			i := 1
-			for i < len(record) {
-				if record[i] == '"' {
-					if i+1 < len(record) && record[i+1] == '"' {
-						s.scratch = append(s.scratch, '"')
-						i += 2
-						continue
-					}
-					i++
-					break
+	return s.fields
+}
+
+// split cuts the next field off the record and reports false once the last
+// one is cut.
+func (s *FieldScanner) split() bool {
+	if s.done {
+		return false
+	}
+	record := s.rest
+	if len(record) > 0 && record[0] == '"' {
+		if !s.sized {
+			// Quoted fields unescape into scratch. Sizing it to the rest of
+			// the record at its first quoted field keeps every field already
+			// handed out stable — unescaped content never exceeds the bytes
+			// it comes from, so scratch cannot reallocate mid-record.
+			if cap(s.scratch) < len(record) {
+				s.scratch = make([]byte, 0, len(record))
+			}
+			s.scratch = s.scratch[:0]
+			s.sized = true
+		}
+		start := len(s.scratch)
+		i := 1
+		for i < len(record) {
+			if record[i] == '"' {
+				if i+1 < len(record) && record[i+1] == '"' {
+					s.scratch = append(s.scratch, '"')
+					i += 2
+					continue
 				}
-				s.scratch = append(s.scratch, record[i])
 				i++
+				break
 			}
-			s.fields = append(s.fields, s.scratch[start:len(s.scratch):len(s.scratch)])
-			if i < len(record) && record[i] == delim {
-				record = record[i+1:]
-				continue
-			}
-			return s.fields
+			s.scratch = append(s.scratch, record[i])
+			i++
 		}
-		i := bytes.IndexByte(record, delim)
-		if i < 0 {
-			s.fields = append(s.fields, record)
-			return s.fields
+		s.fields = append(s.fields, s.scratch[start:len(s.scratch):len(s.scratch)])
+		if i < len(record) && record[i] == s.delim {
+			s.rest = record[i+1:]
+		} else {
+			s.done = true
 		}
-		s.fields = append(s.fields, record[:i])
-		record = record[i+1:]
+		return true
 	}
+	i := bytes.IndexByte(record, s.delim)
+	if i < 0 {
+		s.fields = append(s.fields, record)
+		s.done = true
+		return true
+	}
+	s.fields = append(s.fields, record[:i])
+	s.rest = record[i+1:]
+	return true
 }
 
 // NeedsQuoting reports whether a field must be quoted when written.

@@ -67,6 +67,42 @@ func TestFieldsGolden(t *testing.T) {
 	}
 }
 
+// TestFieldGolden runs the corpus through Reset + Field: asked backwards
+// from past the end, then forwards, every field equals the expectation, no
+// field is handed out past the last one, and a field handed out early is
+// still intact once the record is split to its end.
+func TestFieldGolden(t *testing.T) {
+	var sc FieldScanner
+	for _, tc := range goldenRecords {
+		t.Run(tc.name, func(t *testing.T) {
+			sc.Reset([]byte(tc.record), ',')
+			first, _ := sc.Field(0)
+			first = append([]byte(nil), first...)
+			sc.Reset([]byte(tc.record), ',')
+			early, _ := sc.Field(0)
+			for i := len(tc.fields); i >= 0; i-- {
+				f, ok := sc.Field(i)
+				if ok != (i < len(tc.fields)) || ok && string(f) != tc.fields[i] {
+					t.Fatalf("Field(%d) = %q, %v; want %q of %d fields", i, f, ok, tc.fields, len(tc.fields))
+				}
+			}
+			if !bytes.Equal(early, first) {
+				t.Fatalf("field 0 handed out before the split became %q, was %q", early, first)
+			}
+			sc.Reset([]byte(tc.record), ',')
+			got := make([][]byte, 0, len(tc.fields))
+			for i := 0; ; i++ {
+				f, ok := sc.Field(i)
+				if !ok {
+					break
+				}
+				got = append(got, f)
+			}
+			assertFields(t, "Field ascending", got, tc.fields)
+		})
+	}
+}
+
 // TestScanMatchesEncodingCSV checks the splitter against the standard
 // library where the dialects overlap: fields that are either fully quoted or
 // quote-free, which is exactly what WriteRecord emits. Round-tripping

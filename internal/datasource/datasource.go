@@ -297,8 +297,8 @@ func (it *csvIterator) Next() (types.Row, error) {
 			it.skipHeader = false
 			continue
 		}
-		fields := it.sc.Scan(rec, it.delim)
-		if !it.match.Match(fields) {
+		it.sc.Reset(rec, it.delim)
+		if !it.match.MatchRecord(&it.sc) {
 			continue
 		}
 		row := it.reused
@@ -310,8 +310,8 @@ func (it *csvIterator) Next() (types.Row, error) {
 			if it.projIdx != nil {
 				idx = it.projIdx[i]
 			}
-			if idx < len(fields) {
-				row[i] = types.CoerceBytes(fields[idx], it.schema.Columns[i].Type)
+			if f, ok := it.sc.Field(idx); ok {
+				row[i] = types.CoerceBytes(f, it.schema.Columns[i].Type)
 			} else {
 				row[i] = types.NullValue()
 			}

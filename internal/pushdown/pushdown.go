@@ -14,8 +14,11 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
+
+	"scoop/internal/csvio"
 )
 
 // HeaderName is the HTTP header carrying a serialized pushdown task on object
@@ -194,7 +197,10 @@ func (t *Task) Validate() error {
 // Matcher is a conjunction of predicates bound to field positions: each
 // column resolved to its index and each literal parsed once, so evaluating a
 // record does no per-record setup. Filters bind a task's predicates once per
-// invocation and call Match per record. An empty Matcher matches everything.
+// invocation and call MatchRecord (or, on fields already split, Match) per
+// record. The conjuncts are ordered by field index, so a record rejected by
+// one is split no further than that conjunct's column; a conjunction is pure,
+// so the order cannot change a result. An empty Matcher matches everything.
 type Matcher []bound
 
 // bound is one predicate resolved for evaluation: the record satisfies it
@@ -213,14 +219,20 @@ type literal struct {
 	text  string
 	num   float64
 	isNum bool // false on a numeric predicate: the literal matches nothing
+	// likeHead is the length of text's wildcard-free head when text, as a
+	// LIKE pattern, is that head followed only by '%' (at least one): such a
+	// pattern holds exactly for the subjects that start with the head. It is
+	// -1 for every other pattern, which goes through LikeMatch.
+	likeHead int
 }
 
 // newLiteral parses a numeric literal with the parser its fields go through,
-// so both sides of a comparison coerce alike. The text arrives as a string
-// (the wire form) and is staged in a stack buffer, which keeps the per-value
-// MatchesBytes entry allocation-free for every literal of realistic length.
+// so both sides of a comparison coerce alike, and classifies the text as a
+// LIKE pattern. The text arrives as a string (the wire form) and is staged in
+// a stack buffer, which keeps the per-value MatchesBytes entry
+// allocation-free for every literal of realistic length.
 func newLiteral(text string, numeric bool) literal {
-	l := literal{text: text}
+	l := literal{text: text, likeHead: likePrefix(text)}
 	if numeric {
 		var stack [32]byte
 		buf := stack[:]
@@ -251,11 +263,28 @@ func Bind(preds []Predicate, index func(column string) int) (Matcher, error) {
 			m[i].lits[j] = newLiteral(v, p.Numeric)
 		}
 	}
+	slices.SortStableFunc(m, func(a, b bound) int { return a.idx - b.idx })
 	return m, nil
 }
 
-// Match reports whether a record's fields satisfy every bound predicate. A
-// field index past the end of a short record reads as NULL.
+// MatchRecord reports whether the record sc was last Reset to satisfies every
+// bound predicate. It splits the record only as far as it has to: up to the
+// column of the first conjunct that fails, or of the last one. A field index
+// past the end of a short record reads as NULL.
+//
+//scoop:hotpath
+func (m Matcher) MatchRecord(sc *csvio.FieldScanner) bool {
+	for i := range m {
+		b := &m[i]
+		raw, ok := sc.Field(b.idx)
+		if !match(b.op, b.numeric, b.lits, raw, !ok) {
+			return false
+		}
+	}
+	return true
+}
+
+// Match is MatchRecord over a record already split into fields.
 //
 //scoop:hotpath
 func (m Matcher) Match(fields [][]byte) bool {
@@ -322,7 +351,7 @@ func match(op Op, numeric bool, lits []literal, raw []byte, null bool) bool {
 		var cmp int
 		switch {
 		case op == OpLike:
-			if likeMatch(raw, l.text) {
+			if l.like(raw) {
 				return true
 			}
 			continue
@@ -462,11 +491,51 @@ func fastFloat(b []byte) (float64, bool) {
 	return f, true
 }
 
-// likeMatch evaluates a SQL LIKE pattern (% any run, _ any byte) over a raw
-// field. It is the store-side copy of expr.LikeMatch: the storage-side filter
-// code does not depend on the SQL engine (the paper's CSVStorlet is a
-// standalone artifact deployed into the store).
-func likeMatch(s []byte, p string) bool {
+// likePrefix returns the length of p's head when p is a wildcard-free head
+// followed only by '%' (at least one), and -1 otherwise.
+func likePrefix(p string) int {
+	n := len(p)
+	for n > 0 && p[n-1] == '%' {
+		n--
+	}
+	if n == len(p) {
+		return -1
+	}
+	for i := 0; i < n; i++ {
+		if p[i] == '%' || p[i] == '_' {
+			return -1
+		}
+	}
+	return n
+}
+
+// like tests raw against the literal as a LIKE pattern: a byte compare of
+// the head for the prefix class, LikeMatch for every other pattern.
+func (l *literal) like(raw []byte) bool {
+	if l.likeHead < 0 {
+		return LikeMatch(raw, l.text)
+	}
+	if len(raw) < l.likeHead {
+		return false
+	}
+	for i := 0; i < l.likeHead; i++ {
+		if raw[i] != l.text[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// LikeMatch evaluates a SQL LIKE pattern over s: '%' matches any run
+// (including empty), '_' exactly one byte, and matching is case-sensitive, as
+// in Spark SQL. It is the module's one LIKE matcher: the storage-side filters
+// call it through bound literals, the SQL engine's residual predicates
+// directly. The package does not depend on the SQL engine (the paper's
+// CSVStorlet is a standalone artifact deployed into the store), so the engine
+// depends on it instead.
+func LikeMatch(s []byte, p string) bool {
+	// Iterative matcher with backtracking on '%' (the classic wildcard-match
+	// shape; no regexp, no allocation).
 	var si, pi int
 	star, sBack := -1, 0
 	for si < len(s) {

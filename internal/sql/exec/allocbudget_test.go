@@ -40,6 +40,10 @@ const (
 	budgetWide   = `SELECT vid, SUBSTRING(date, 0, 10) AS day, city, state, sum(index) AS s, avg(index) AS a,
 		min(index) AS lo, max(index) AS hi, count(*) AS n, count(city) AS nc, first_value(city) AS fc,
 		first_value(state) AS fs FROM m GROUP BY SUBSTRING(date, 0, 10), vid ORDER BY SUBSTRING(date, 0, 10), vid`
+	// budgetResidual keeps every row through two LIKEs, which analyze
+	// leaves in the residual plan.
+	budgetResidual = `SELECT vid, sum(index) AS s FROM m WHERE date LIKE '2015-01%' AND city LIKE 'Rot%dam'
+		GROUP BY SUBSTRING(date, 0, 10), vid`
 )
 
 func TestAllocBudgetExecFold(t *testing.T) {
@@ -53,6 +57,14 @@ func TestAllocBudgetExecFold(t *testing.T) {
 	foldAll(t, pt, rows)
 	if avg := testing.AllocsPerRun(10, func() { foldAll(t, pt, rows) }); avg != 0 {
 		t.Errorf("fold into existing groups: %v allocs per %d rows, want 0", avg, len(rows))
+	}
+
+	// A residual LIKE hands the row's string to pushdown's matcher without
+	// a copy: filtering adds nothing either.
+	pt = NewPartial(analyze(t, budgetResidual))
+	foldAll(t, pt, rows)
+	if avg := testing.AllocsPerRun(10, func() { foldAll(t, pt, rows) }); avg != 0 {
+		t.Errorf("fold through a residual LIKE: %v allocs per %d rows, want 0", avg, len(rows))
 	}
 
 	// Creating a group costs the same number of allocations whatever the

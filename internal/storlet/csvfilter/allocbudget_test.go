@@ -21,13 +21,26 @@ import (
 // 1000-record pass would blow it 20× over, which is what the test guards.
 const invokeBudget = 50.0
 
-func budgetRun(t *testing.T, task *pushdown.Task) float64 {
-	t.Helper()
+// budgetData is 1000 records; every quotedEvery-th one (none when 0) has
+// quoted fields, one of them with an escaped quote.
+func budgetData(quotedEvery int) string {
 	var sb strings.Builder
 	for i := 0; i < 1000; i++ {
+		if quotedEvery > 0 && i%quotedEvery == 0 {
+			sb.WriteString("\"v,9\",2015-01-17 10:20:00,77.5,\"Rotter\"\"dam\",NED\n")
+			continue
+		}
 		sb.WriteString("vid8,2015-01-17 10:20:00,42.25,Rotterdam,NED\n")
 	}
-	data := sb.String()
+	return sb.String()
+}
+
+func budgetRun(t *testing.T, task *pushdown.Task) float64 {
+	return budgetRunOn(t, task, budgetData(0))
+}
+
+func budgetRunOn(t *testing.T, task *pushdown.Task, data string) float64 {
+	t.Helper()
 	f := New()
 	ctx := &storlet.Context{Task: task, RangeStart: 0, RangeEnd: int64(len(data)), ObjectSize: int64(len(data))}
 	var rd strings.Reader
@@ -61,5 +74,39 @@ func TestAllocBudgetSelectProject(t *testing.T) {
 	}
 	if avg := budgetRun(t, task); avg > invokeBudget {
 		t.Fatalf("select/project: %v allocs per 1000-record Invoke, budget %v", avg, invokeBudget)
+	}
+}
+
+// A chain whose first conjunct rejects every record on field 1 splits each
+// record only that far, and allocates nothing doing so.
+func TestAllocBudgetRejectOnFirstField(t *testing.T) {
+	task := &pushdown.Task{
+		Filter:  FilterName,
+		Schema:  testSchema,
+		Columns: []string{"vid", "index"},
+		Predicates: []pushdown.Predicate{
+			{Column: "state", Op: pushdown.OpEq, Value: "NED"},
+			{Column: "date", Op: pushdown.OpLike, Value: "2016-01%"},
+		},
+	}
+	if avg := budgetRun(t, task); avg > invokeBudget {
+		t.Fatalf("reject on field 1: %v allocs per 1000-record Invoke, budget %v", avg, invokeBudget)
+	}
+}
+
+// Quoted fields unescape into the pooled scanner's scratch: every other
+// record holds two, kept records are projected, rejected ones split lazily.
+func TestAllocBudgetQuotedFields(t *testing.T) {
+	task := &pushdown.Task{
+		Filter:  FilterName,
+		Schema:  testSchema,
+		Columns: []string{"city", "vid"},
+		Predicates: []pushdown.Predicate{
+			{Column: "city", Op: pushdown.OpLike, Value: "Rotter%"},
+			{Column: "index", Op: pushdown.OpGt, Value: "50", Numeric: true},
+		},
+	}
+	if avg := budgetRunOn(t, task, budgetData(2)); avg > invokeBudget {
+		t.Fatalf("quoted fields: %v allocs per 1000-record Invoke, budget %v", avg, invokeBudget)
 	}
 }

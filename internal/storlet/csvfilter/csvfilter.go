@@ -69,10 +69,6 @@ func (f *Filter) Invoke(ctx *storlet.Context, in io.Reader, out io.Writer) error
 	defer scanPool.Put(sc)
 	bw := storlet.AcquireWriter(out)
 	defer storlet.ReleaseWriter(bw)
-	// A pure passthrough (no selection, no projection) emits records
-	// verbatim; splitting them into fields would be pure overhead.
-	needFields := c.projIdx != nil || len(c.match) > 0
-	var fields [][]byte
 	projected := make([][]byte, len(c.projIdx))
 	skippedHeader := !c.skipHeader || ctx.RangeStart > 0
 	rows, kept := 0, 0
@@ -92,10 +88,11 @@ func (f *Filter) Invoke(ctx *storlet.Context, in io.Reader, out io.Writer) error
 			continue
 		}
 		rows++
-		if needFields {
-			fields = sc.Scan(rec, c.delim)
-		}
-		if !c.match.Match(fields) {
+		// Fields are split on demand: a rejected record only as far as the
+		// column of the conjunct that rejects it, a kept one as far as its
+		// last projected column, a passthrough record not at all.
+		sc.Reset(rec, c.delim)
+		if !c.match.MatchRecord(sc) {
 			continue
 		}
 		kept++
@@ -110,10 +107,7 @@ func (f *Filter) Invoke(ctx *storlet.Context, in io.Reader, out io.Writer) error
 			continue
 		}
 		for i, idx := range c.projIdx {
-			projected[i] = nil // a short record projects NULL as an empty field
-			if idx < len(fields) {
-				projected[i] = fields[idx]
-			}
+			projected[i], _ = sc.Field(idx) // a short record projects NULL as an empty field
 		}
 		if err := csvio.WriteRecord(bw, projected, c.delim); err != nil {
 			return err
