@@ -216,7 +216,6 @@ type FieldScanner struct {
 	rest    []byte // the part of the record not split yet
 	delim   byte
 	done    bool // the record's last field has been split
-	sized   bool // scratch is sized for this record's quoted fields
 }
 
 // Reset points the scanner at a new record without splitting any of it. The
@@ -226,9 +225,17 @@ type FieldScanner struct {
 //
 //scoop:hotpath
 func (s *FieldScanner) Reset(record []byte, delim byte) {
+	// Quoted fields unescape into scratch. Sizing it to the whole record
+	// keeps every field already handed out stable — unescaped content never
+	// exceeds the bytes it comes from, so scratch cannot reallocate
+	// mid-record — and the grow amortizes to the longest record.
+	if cap(s.scratch) < len(record) {
+		s.scratch = make([]byte, 0, len(record))
+	}
+	s.scratch = s.scratch[:0]
 	s.fields = s.fields[:0]
 	s.rest, s.delim = record, delim
-	s.done, s.sized = false, false
+	s.done = false
 }
 
 // Field returns field i of the record, splitting only as far as i. ok is
@@ -263,17 +270,6 @@ func (s *FieldScanner) split() bool {
 	}
 	record := s.rest
 	if len(record) > 0 && record[0] == '"' {
-		if !s.sized {
-			// Quoted fields unescape into scratch. Sizing it to the rest of
-			// the record at its first quoted field keeps every field already
-			// handed out stable — unescaped content never exceeds the bytes
-			// it comes from, so scratch cannot reallocate mid-record.
-			if cap(s.scratch) < len(record) {
-				s.scratch = make([]byte, 0, len(record))
-			}
-			s.scratch = s.scratch[:0]
-			s.sized = true
-		}
 		start := len(s.scratch)
 		i := 1
 		for i < len(record) {

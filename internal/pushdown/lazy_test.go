@@ -145,55 +145,3 @@ func TestLazyMatchCorpus(t *testing.T) {
 		}
 	}
 }
-
-// TestLikePrefixAgreesWithLikeMatch pins the prefix class to the general
-// matcher: over every subject and pattern of up to four bytes from
-// {a, b, %, _} — '%' in subjects, '%%' tails, a lone '%' and the empty
-// pattern included — and random longer ones, a literal's LIKE decision
-// equals LikeMatch's, and a pattern is classified a prefix exactly when it
-// is a wildcard-free head followed only by '%'.
-func TestLikePrefixAgreesWithLikeMatch(t *testing.T) {
-	const alphabet = "ab%_"
-	words := []string{""}
-	for n, from := 0, 0; n < 4; n++ {
-		to := len(words)
-		for _, w := range words[from:to] {
-			for _, c := range alphabet {
-				words = append(words, w+string(c))
-			}
-		}
-		from = to
-	}
-	rng := rand.New(rand.NewSource(1))
-	random := func() string {
-		b := make([]byte, 5+rng.Intn(6))
-		for i := range b {
-			b[i] = alphabet[rng.Intn(len(alphabet))]
-		}
-		return string(b)
-	}
-	patterns := append([]string{"ab%%%", "aba%%", "%%%%%"}, words...)
-	subjects := append([]string(nil), words...)
-	for i := 0; i < 300; i++ {
-		patterns, subjects = append(patterns, random()), append(subjects, random())
-	}
-	prefixes := 0
-	for _, p := range patterns {
-		l := newLiteral(p, false)
-		head := strings.TrimRight(p, "%")
-		if want := head != p && !strings.ContainsAny(head, "%_"); (l.likeHead >= 0) != want {
-			t.Fatalf("pattern %q: likeHead %d, prefix class %v", p, l.likeHead, want)
-		}
-		if l.likeHead >= 0 {
-			prefixes++
-		}
-		for _, s := range subjects {
-			if got, want := l.like([]byte(s)), LikeMatch([]byte(s), p); got != want {
-				t.Fatalf("%q LIKE %q: literal %v, LikeMatch %v", s, p, got, want)
-			}
-		}
-	}
-	if prefixes < 20 {
-		t.Fatalf("only %d prefix-class patterns exercised", prefixes)
-	}
-}

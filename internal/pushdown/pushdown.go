@@ -219,20 +219,14 @@ type literal struct {
 	text  string
 	num   float64
 	isNum bool // false on a numeric predicate: the literal matches nothing
-	// likeHead is the length of text's wildcard-free head when text, as a
-	// LIKE pattern, is that head followed only by '%' (at least one): such a
-	// pattern holds exactly for the subjects that start with the head. It is
-	// -1 for every other pattern, which goes through LikeMatch.
-	likeHead int
 }
 
 // newLiteral parses a numeric literal with the parser its fields go through,
-// so both sides of a comparison coerce alike, and classifies the text as a
-// LIKE pattern. The text arrives as a string (the wire form) and is staged in
-// a stack buffer, which keeps the per-value MatchesBytes entry
-// allocation-free for every literal of realistic length.
+// so both sides of a comparison coerce alike. The text arrives as a string
+// (the wire form) and is staged in a stack buffer, which keeps the per-value
+// MatchesBytes entry allocation-free for every literal of realistic length.
 func newLiteral(text string, numeric bool) literal {
-	l := literal{text: text, likeHead: likePrefix(text)}
+	l := literal{text: text}
 	if numeric {
 		var stack [32]byte
 		buf := stack[:]
@@ -351,7 +345,7 @@ func match(op Op, numeric bool, lits []literal, raw []byte, null bool) bool {
 		var cmp int
 		switch {
 		case op == OpLike:
-			if l.like(raw) {
+			if LikeMatch(raw, l.text) {
 				return true
 			}
 			continue
@@ -491,41 +485,6 @@ func fastFloat(b []byte) (float64, bool) {
 	return f, true
 }
 
-// likePrefix returns the length of p's head when p is a wildcard-free head
-// followed only by '%' (at least one), and -1 otherwise.
-func likePrefix(p string) int {
-	n := len(p)
-	for n > 0 && p[n-1] == '%' {
-		n--
-	}
-	if n == len(p) {
-		return -1
-	}
-	for i := 0; i < n; i++ {
-		if p[i] == '%' || p[i] == '_' {
-			return -1
-		}
-	}
-	return n
-}
-
-// like tests raw against the literal as a LIKE pattern: a byte compare of
-// the head for the prefix class, LikeMatch for every other pattern.
-func (l *literal) like(raw []byte) bool {
-	if l.likeHead < 0 {
-		return LikeMatch(raw, l.text)
-	}
-	if len(raw) < l.likeHead {
-		return false
-	}
-	for i := 0; i < l.likeHead; i++ {
-		if raw[i] != l.text[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // LikeMatch evaluates a SQL LIKE pattern over s: '%' matches any run
 // (including empty), '_' exactly one byte, and matching is case-sensitive, as
 // in Spark SQL. It is the module's one LIKE matcher: the storage-side filters
@@ -541,6 +500,9 @@ func LikeMatch(s []byte, p string) bool {
 	for si < len(s) {
 		switch {
 		case pi < len(p) && p[pi] == '%': // before the literal case: a '%' in the subject is no match for it
+			if allPercent(p[pi:]) {
+				return true // a '%' tail matches whatever is left: 'head%' costs a compare of the head
+			}
 			star = pi
 			sBack = si
 			pi++
@@ -555,8 +517,15 @@ func LikeMatch(s []byte, p string) bool {
 			return false
 		}
 	}
-	for pi < len(p) && p[pi] == '%' {
-		pi++
+	return allPercent(p[pi:])
+}
+
+// allPercent reports whether p is all '%' (true for the empty tail).
+func allPercent(p string) bool {
+	for i := 0; i < len(p); i++ {
+		if p[i] != '%' {
+			return false
+		}
 	}
-	return pi == len(p)
+	return true
 }

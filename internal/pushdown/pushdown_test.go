@@ -219,7 +219,10 @@ func TestEncodeDecodeProperty(t *testing.T) {
 	}
 }
 
-// Property: a wildcard-free LIKE pattern is exact equality.
+// Property: a wildcard-free LIKE pattern is exact equality; and over every
+// subject and pattern of up to four bytes from {a, b, %, _} — '%' in
+// subjects, '%%' tails, a lone '%' and the empty pattern included —
+// LikeMatch agrees with LIKE's recursive definition.
 func TestLikeMatchExactProperty(t *testing.T) {
 	f := func(s string) bool {
 		clean := strings.NewReplacer("%", "x", "_", "y").Replace(s)
@@ -228,5 +231,33 @@ func TestLikeMatchExactProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+	var like func(s, p string) bool
+	like = func(s, p string) bool {
+		switch {
+		case p == "":
+			return s == ""
+		case p[0] == '%':
+			return like(s, p[1:]) || s != "" && like(s[1:], p)
+		default:
+			return s != "" && (p[0] == '_' || p[0] == s[0]) && like(s[1:], p[1:])
+		}
+	}
+	words := []string{""}
+	for from := 0; len(words[len(words)-1]) < 4; {
+		to := len(words)
+		for _, w := range words[from:to] {
+			for _, c := range "ab%_" {
+				words = append(words, w+string(c))
+			}
+		}
+		from = to
+	}
+	for _, p := range words {
+		for _, s := range words {
+			if got, want := LikeMatch([]byte(s), p), like(s, p); got != want {
+				t.Fatalf("%q LIKE %q: LikeMatch %v, want %v", s, p, got, want)
+			}
+		}
 	}
 }
