@@ -225,13 +225,6 @@ type FieldScanner struct {
 //
 //scoop:hotpath
 func (s *FieldScanner) Reset(record []byte, delim byte) {
-	// Quoted fields unescape into scratch. Sizing it to the whole record
-	// keeps every field already handed out stable — unescaped content never
-	// exceeds the bytes it comes from, so scratch cannot reallocate
-	// mid-record — and the grow amortizes to the longest record.
-	if cap(s.scratch) < len(record) {
-		s.scratch = make([]byte, 0, len(record))
-	}
 	s.scratch = s.scratch[:0]
 	s.fields = s.fields[:0]
 	s.rest, s.delim = record, delim
@@ -270,6 +263,10 @@ func (s *FieldScanner) split() bool {
 	}
 	record := s.rest
 	if len(record) > 0 && record[0] == '"' {
+		// Quoted fields unescape into scratch. A field handed out is capped
+		// at its own bytes and append only writes past len, so fields
+		// already handed out stay intact when scratch grows; the grow
+		// amortizes to the longest record's quoted content.
 		start := len(s.scratch)
 		i := 1
 		for i < len(record) {
