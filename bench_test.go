@@ -1,8 +1,7 @@
 // Package scoop's root benchmarks regenerate the paper's evaluation: one
 // benchmark per table/figure (printing its rows once per run and reporting
-// headline numbers as custom metrics), plus the ablation micro-benchmarks
-// DESIGN.md calls out (row vs column filter cost, pushdown engine overhead,
-// staging).
+// headline numbers as custom metrics), plus three cluster-level ablations
+// (staging, aggregation pushdown, compressed transfer).
 //
 // Run everything with:
 //
@@ -22,7 +21,6 @@ import (
 	"scoop/internal/experiment"
 	"scoop/internal/objectstore"
 	"scoop/internal/pushdown"
-	"scoop/internal/sql/parser"
 	"scoop/internal/testbed"
 )
 
@@ -186,9 +184,10 @@ func BenchmarkFig10StorageCPU(b *testing.B) {
 // --- ablation micro-benchmarks (DESIGN.md §4) ---
 //
 // The CSV-filter throughput benchmarks (passthrough, row, column and mixed
-// selectivity) are recorded by internal/benchrec/suite.go into BENCH_*.json,
-// and the end-to-end pushdown/baseline pair by bench/ (wan_pushdown,
-// wan_baseline); neither is repeated here.
+// selectivity) live beside the filter in internal/storlet/csvfilter, the
+// per-record csvio, LIKE and SQL-parse costs beside their packages, and the
+// end-to-end pushdown/baseline pair in bench/ (wan_pushdown, wan_baseline);
+// none is repeated here.
 
 const benchSchema = "vid string, date string, index double, sumHC double, sumHP double, type string, city string, state string, lat double, long double"
 
@@ -292,32 +291,6 @@ func benchTransfer(b *testing.B, compress bool) {
 		}
 		if i == 0 {
 			b.ReportMetric(float64(e.Scoop.Connector().Stats().BytesIngested), "bytes-moved")
-		}
-	}
-}
-
-// BenchmarkSQLParse times parsing of the heaviest Table I query.
-func BenchmarkSQLParse(b *testing.B) {
-	q := experiment.GridPocketQueries[5].SQL
-	b.SetBytes(int64(len(q)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := parser.Parse(q); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkLikeMatch times the storage-side LIKE matcher on a dense input.
-func BenchmarkLikeMatch(b *testing.B) {
-	p := pushdown.Predicate{Column: "date", Op: pushdown.OpLike, Value: "2015-01-%"}
-	s := []byte("2015-01-17 10:20:00")
-	b.SetBytes(int64(len(s)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !p.MatchesBytes(s, false) {
-			b.Fatal("no match")
 		}
 	}
 }

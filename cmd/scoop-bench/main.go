@@ -3,18 +3,11 @@
 // reproduction's (real-path measurements at laptop scale plus testbed-model
 // projections at the paper's 50GB–3TB scales).
 //
-// It is also the recorder of the repository's performance trajectory:
-// -record runs the hot-path benchmark suite (internal/benchrec) and emits the
-// next BENCH_<n>.json, optionally failing against a committed baseline.
-//
 // Usage:
 //
 //	scoop-bench -all
 //	scoop-bench -fig 5
 //	scoop-bench -table 1 -scale medium
-//	scoop-bench -record
-//	scoop-bench -record -baseline BENCH_1.json -tolerance 25
-//	scoop-bench -record -benchtime 100x -repeats 2 -advisory -out cand.json
 package main
 
 import (
@@ -22,7 +15,6 @@ import (
 	"fmt"
 	"os"
 
-	"scoop/internal/benchrec"
 	"scoop/internal/experiment"
 )
 
@@ -38,30 +30,11 @@ func run() error {
 	tableN := flag.Int("table", 0, "regenerate one table (1)")
 	all := flag.Bool("all", false, "regenerate everything")
 	scale := flag.String("scale", "small", "real-path dataset scale: small or medium")
-	record := flag.Bool("record", false, "record a benchmark trajectory point (BENCH_<n>.json)")
-	out := flag.String("out", "", "with -record: output path (default: next BENCH_<n>.json)")
-	baseline := flag.String("baseline", "", "with -record: BENCH_*.json to compare against")
-	tolerance := flag.Float64("tolerance", 10, "with -record: allowed regression in percent")
-	repeats := flag.Int("repeats", 3, "with -record: runs per benchmark (variance capture)")
-	benchtime := flag.String("benchtime", "", "with -record: testing benchtime, e.g. 2s or 100x")
-	advisory := flag.Bool("advisory", false, "with -record: report regressions without failing")
 	flag.Parse()
-
-	if *record {
-		return runRecord(os.Stdout, benchrec.Suite(), recordOptions{
-			Dir:          ".",
-			Out:          *out,
-			Baseline:     *baseline,
-			TolerancePct: *tolerance,
-			Repeats:      *repeats,
-			BenchTime:    *benchtime,
-			Advisory:     *advisory,
-		})
-	}
 
 	if !*all && *fig == 0 && *tableN == 0 {
 		flag.Usage()
-		return fmt.Errorf("pick -all, -fig N, -table N or -record")
+		return fmt.Errorf("pick -all, -fig N or -table N")
 	}
 
 	var sc experiment.Scale

@@ -44,7 +44,7 @@ var (
 // DiskStore persists objects under a directory, one data file plus one
 // metadata sidecar per object — the moral equivalent of a Swift object
 // server's on-disk layout (hash-named files under partition directories),
-// simplified to an escaped flat namespace.
+// simplified to a flat namespace of hex-named files.
 type DiskStore struct {
 	root string
 	mu   sync.RWMutex
@@ -54,7 +54,10 @@ type DiskStore struct {
 
 // NewDiskStore opens (creating if needed) a disk-backed store rooted at
 // dir, and rebuilds its index from the sidecar files found there. The
-// context bounds the index rebuild, which scans one sidecar per object.
+// context bounds the index rebuild, which scans one sidecar per object. A
+// sidecar whose file name is not the one its recorded path maps to (the
+// earlier, colliding layout) fails the open with that file's name, rather
+// than index a data file that may hold another object's bytes.
 func NewDiskStore(ctx context.Context, dir string) (*DiskStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("diskstore: %w", err)
@@ -79,15 +82,21 @@ func NewDiskStore(ctx context.Context, dir string) (*DiskStore, error) {
 		if err := json.Unmarshal(raw, &info); err != nil {
 			continue
 		}
+		if want := escape(info.Path()) + ".meta"; e.Name() != want {
+			return nil, fmt.Errorf("diskstore: %s records %s, whose sidecar is %s: directory written in an older file-name layout",
+				filepath.Join(dir, e.Name()), info.Path(), want)
+		}
 		s.index[info.Path()] = info
 	}
 	return s, nil
 }
 
-// escape flattens an object path into a safe file name.
+// escape maps an object path to the base name of its data and sidecar
+// files: the path in hex, so two paths never share a file and no name holds
+// a separator or a dot. A path longer than 125 bytes overruns the usual
+// 255-byte file-name limit and fails its Put.
 func escape(path string) string {
-	r := strings.NewReplacer("/", "__", "..", "_._")
-	return r.Replace(strings.TrimPrefix(path, "/"))
+	return hex.EncodeToString([]byte(path))
 }
 
 func (s *DiskStore) dataFile(path string) string {

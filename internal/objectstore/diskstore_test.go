@@ -2,8 +2,11 @@ package objectstore
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -186,5 +189,76 @@ func TestEscapeNoTraversal(t *testing.T) {
 	got := escape("/a/../../etc/passwd")
 	if strings.Contains(got, "/") || strings.Contains(got, "..") {
 		t.Errorf("escape = %q", got)
+	}
+}
+
+// Two paths that the earlier "/" -> "__" flattening mapped to one file pair
+// must stay two objects, in the live store and after a reopen.
+func TestDiskStoreNamesDoNotCollide(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	s, err := NewDiskStore(ctx, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	objects := []struct {
+		info ObjectInfo
+		body string
+	}{
+		{ObjectInfo{Account: "a", Container: "b", Name: "c__d"}, "AAAA"},
+		{ObjectInfo{Account: "a", Container: "b__c", Name: "d"}, "BB"},
+	}
+	etags := map[string]string{}
+	for _, o := range objects {
+		info, err := s.Put(ctx, o.info, strings.NewReader(o.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		etags[info.Path()] = info.ETag
+	}
+	reopened, err := NewDiskStore(ctx, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range []*DiskStore{s, reopened} {
+		if n := len(st.List(ctx, "")); n != len(objects) {
+			t.Errorf("store indexes %d objects, want %d", n, len(objects))
+		}
+		for _, o := range objects {
+			path := o.info.Path()
+			rc, info, err := st.Get(ctx, path, 0, 0)
+			if err != nil {
+				t.Fatalf("get %s: %v", path, err)
+			}
+			b, err := io.ReadAll(rc)
+			rc.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(b) != o.body || info.ETag != etags[path] || info.Size != int64(len(o.body)) {
+				t.Errorf("get %s = %q (etag %s, size %d), want %q (etag %s)",
+					path, b, info.ETag, info.Size, o.body, etags[path])
+			}
+		}
+	}
+}
+
+// A directory in the earlier flattened layout must not open: its data file
+// may hold another object's bytes.
+func TestDiskStoreRefusesOldLayout(t *testing.T) {
+	dir := t.TempDir()
+	meta, err := json.Marshal(ObjectInfo{Account: "a", Container: "b", Name: "c__d", Size: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "a__b__c__d.data"), []byte("BB"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "a__b__c__d.meta"), meta, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = NewDiskStore(context.Background(), dir)
+	if err == nil || !strings.Contains(err.Error(), "a__b__c__d.meta") {
+		t.Fatalf("open of an old-layout directory: %v, want an error naming a__b__c__d.meta", err)
 	}
 }

@@ -159,6 +159,67 @@ func TestHTTPHeadDeleteList(t *testing.T) {
 	}
 }
 
+// TestHTTPNamesNeedingEscapes sends names holding URL metacharacters through
+// every object verb over the wire and checks each result against the
+// in-process client: the object must be stored, found and removed under its
+// own name, and a listing prefix must match as it does in process.
+func TestHTTPNamesNeedingEscapes(t *testing.T) {
+	ctx := context.Background()
+	c, wire := newHTTPStore(t)
+	local := c.Client()
+	if err := wire.CreateContainer(ctx, "gp", "meters", nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ name, prefix string }{
+		{"plain.csv", "plain"},
+		{"a#b.csv", "a#"},
+		{"q?x.csv", "q?"},
+		{"p%20q.csv", "p%"},
+		{"plus+1.csv", "plus+"},
+	} {
+		body := "data of " + tc.name + "\n"
+		put, err := wire.PutObject(ctx, "gp", "meters", tc.name, strings.NewReader(body), nil)
+		if err != nil {
+			t.Fatalf("PUT %q: %v", tc.name, err)
+		}
+		want, err := local.HeadObject(ctx, "gp", "meters", tc.name)
+		if err != nil || want.ETag != put.ETag || want.Size != int64(len(body)) {
+			t.Fatalf("PUT %q stored %+v (%v), acknowledged %+v", tc.name, want, err, put)
+		}
+		head, err := wire.HeadObject(ctx, "gp", "meters", tc.name)
+		if err != nil || head.ETag != want.ETag || head.Size != want.Size {
+			t.Errorf("HEAD %q = %+v, %v; in process %+v", tc.name, head, err, want)
+		}
+		rc, _, err := wire.GetObject(ctx, "gp", "meters", tc.name, GetOptions{})
+		if err != nil {
+			t.Fatalf("GET %q: %v", tc.name, err)
+		}
+		if got := readAll(t, rc); got != body {
+			t.Errorf("GET %q = %q, want %q", tc.name, got, body)
+		}
+		listed, err := wire.ListObjects(ctx, "gp", "meters", tc.prefix)
+		if err != nil {
+			t.Fatalf("LIST %q: %v", tc.prefix, err)
+		}
+		inProc, err := local.ListObjects(ctx, "gp", "meters", tc.prefix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(listed) != 1 || len(inProc) != 1 || listed[0].Name != tc.name || inProc[0].Name != tc.name {
+			t.Errorf("LIST %q = %v; in process %v", tc.prefix, listed, inProc)
+		}
+		if err := wire.DeleteObject(ctx, "gp", "meters", tc.name); err != nil {
+			t.Fatalf("DELETE %q: %v", tc.name, err)
+		}
+		if _, err := local.HeadObject(ctx, "gp", "meters", tc.name); !errors.Is(err, ErrNotFound) {
+			t.Errorf("HEAD %q after DELETE: %v", tc.name, err)
+		}
+	}
+	if left, err := local.ListObjects(ctx, "gp", "meters", ""); err != nil || len(left) != 0 {
+		t.Errorf("container after the deletes holds %v, %v", left, err)
+	}
+}
+
 func TestHTTPBadRequests(t *testing.T) {
 	c := newTestCluster(t)
 	srv := httptest.NewServer(NewHandler(c.Client()))

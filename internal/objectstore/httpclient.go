@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -96,8 +97,15 @@ func (c *HTTPClient) jit() *jitter {
 	return c.jitter
 }
 
+// url builds the request URL for an account, container or object. Each
+// part is path-escaped, so a name holding '#', '?', '%' or '+' reaches the
+// store as itself; plain names are sent unchanged.
 func (c *HTTPClient) url(parts ...string) string {
-	return c.BaseURL + "/v1/" + strings.Join(parts, "/")
+	escaped := make([]string, len(parts))
+	for i, p := range parts {
+		escaped[i] = url.PathEscape(p)
+	}
+	return c.BaseURL + "/v1/" + strings.Join(escaped, "/")
 }
 
 // do runs one bodyless (hence replayable) request under the retry policy.
@@ -273,11 +281,11 @@ func (c *HTTPClient) DeleteObject(ctx context.Context, account, container, objec
 
 // ListObjects implements Client.
 func (c *HTTPClient) ListObjects(ctx context.Context, account, container, prefix string) ([]ObjectInfo, error) {
-	url := c.url(account, container)
+	u := c.url(account, container)
 	if prefix != "" {
-		url += "?prefix=" + prefix
+		u += "?prefix=" + url.QueryEscape(prefix)
 	}
-	resp, err := c.do(ctx, http.MethodGet, url)
+	resp, err := c.do(ctx, http.MethodGet, u)
 	if err != nil {
 		return nil, err
 	}
