@@ -10,8 +10,10 @@ import (
 
 	"scoop/internal/adaptive"
 	"scoop/internal/datasource"
+	"scoop/internal/detmanifest"
 	"scoop/internal/meter"
 	"scoop/internal/sql/types"
+	"scoop/internal/storlet"
 )
 
 // newScoop builds an in-process instance with a small uploaded dataset and
@@ -315,6 +317,25 @@ func TestMetricsSelectivityClamp(t *testing.T) {
 	m.BytesIngested = 25
 	if got := m.Selectivity(100); got != 0.75 {
 		t.Errorf("selectivity = %v", got)
+	}
+}
+
+// The connector's fallback and the result cache trust only filters the
+// determinism manifest lists, and drop the rest without a message: every
+// filter the store and the fallback engine deploy must be in it.
+func TestStandardFiltersProvenDeterministic(t *testing.T) {
+	e := storlet.NewEngine(storlet.Limits{})
+	if err := RegisterStandardFilters(e); err != nil {
+		t.Fatal(err)
+	}
+	names := e.Names()
+	if len(names) == 0 {
+		t.Fatal("no standard filters registered")
+	}
+	for _, name := range names {
+		if !detmanifest.IsProven(name) {
+			t.Errorf("standard filter %q is not in detmanifest.Proven", name)
+		}
 	}
 }
 

@@ -178,6 +178,49 @@ func TestPushdownBaselineBitIdentical(t *testing.T) {
 	}
 }
 
+// The agg filter reads and writes comma-separated records, so a table with
+// another delimiter keeps its aggregation at the compute side: the plan names
+// the refusal, and the query runs on filter pushdown to the same bits as the
+// baseline.
+func TestStoreAggregationRefusedForOtherDelimiters(t *testing.T) {
+	s, err := core.New(core.Config{ChunkSize: splitSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := s.Client().CreateContainer(ctx, s.Account(), "semicolons", nil); err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	for n := 0; n < 1500; n++ {
+		fmt.Fprintf(&sb, "V%d;2015-01-%02d;%.1f\n", n%7, 1+n%28, float64(n%1000)*0.1)
+	}
+	if _, err := s.Client().PutObject(ctx, s.Account(), "semicolons", "part-0.csv", strings.NewReader(sb.String()), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RegisterTable("t", "semicolons", "", "vid string, date string, index double", datasource.CSVOptions{Delimiter: ';'}); err != nil {
+		t.Fatal(err)
+	}
+	const q = "SELECT vid, sum(index) AS s, count(*) AS n FROM t WHERE date LIKE '2015-01-1%' GROUP BY vid ORDER BY vid"
+	push, err := s.Query(q, core.QueryOptions{Mode: core.ModePushdown})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := s.Query(q, core.QueryOptions{Mode: core.ModeBaseline})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if push.Plan.StoreAgg != nil {
+		t.Error("aggregation of a ';'-delimited table planned at the store")
+	}
+	if d := push.Plan.Describe(); !strings.Contains(d, "not comma-separated CSV") {
+		t.Errorf("plan does not name the refusal:\n%s", d)
+	}
+	if err := sameRows(push.Rows, base.Rows); err != nil || len(base.Rows) == 0 {
+		t.Errorf("pushdown differs from baseline (%d rows): %v", len(base.Rows), err)
+	}
+}
+
 // flakyClient fails the body of one GET halfway through its split, once armed.
 type flakyClient struct {
 	objectstore.Client
