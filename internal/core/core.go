@@ -35,7 +35,6 @@ import (
 	"scoop/internal/storlet/compressfilter"
 	"scoop/internal/storlet/csvfilter"
 	"scoop/internal/storlet/etl"
-	"scoop/internal/storlet/jsonfilter"
 )
 
 // Mode selects where filtering executes.
@@ -103,19 +102,12 @@ type tableDef struct {
 	container string
 	prefix    string
 	decl      string
-	format    string // "csv" (default) or "json"
 	opts      datasource.CSVOptions
-	jsonOpts  datasource.JSONOptions
 	stats     *adaptive.TableStats // set by AnalyzeTable, used by ModeAuto
 }
 
 // newRelation constructs the table's relation for the given execution mode.
-func (d tableDef) newRelation(conn *connector.Connector, pushdownMode bool) (datasource.PrunedFilteredScanner, error) {
-	if d.format == "json" {
-		opts := d.jsonOpts
-		opts.Pushdown = pushdownMode
-		return datasource.NewJSON(conn, d.container, d.prefix, d.decl, opts)
-	}
+func (d tableDef) newRelation(conn *connector.Connector, pushdownMode bool) (*datasource.CSVRelation, error) {
 	opts := d.opts
 	opts.Pushdown = pushdownMode
 	return datasource.NewCSV(conn, d.container, d.prefix, d.decl, opts)
@@ -131,7 +123,6 @@ func RegisterStandardFilters(e *storlet.Engine) error {
 		etl.NewSplit(),
 		compressfilter.New(),
 		aggfilter.New(),
-		jsonfilter.New(),
 	}
 	for _, f := range filters {
 		if err := e.Register(f); err != nil {
@@ -226,27 +217,6 @@ func (s *Scoop) RegisterTable(name, container, prefix, schemaDecl string, opts d
 		return fmt.Errorf("core: table %q already registered", name)
 	}
 	s.tables[key] = tableDef{container: container, prefix: prefix, decl: schemaDecl, opts: opts}
-	return nil
-}
-
-// RegisterJSONTable maps a SQL table name to JSON-lines data under
-// container/prefix. The declared schema names the top-level document fields
-// exposed as columns (paper §VII: object stores hold arbitrary formats;
-// pushdown filters make them queriable).
-func (s *Scoop) RegisterJSONTable(name, container, prefix, schemaDecl string, opts datasource.JSONOptions) error {
-	if name == "" {
-		return fmt.Errorf("core: empty table name")
-	}
-	if _, err := types.ParseSchema(schemaDecl); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	key := strings.ToLower(name)
-	if _, dup := s.tables[key]; dup {
-		return fmt.Errorf("core: table %q already registered", name)
-	}
-	s.tables[key] = tableDef{container: container, prefix: prefix, decl: schemaDecl, format: "json", jsonOpts: opts}
 	return nil
 }
 
@@ -352,7 +322,7 @@ type splitResult struct {
 
 // analyze parses a SELECT, finds its table and plans the query over the
 // table's schema. The plan's aggregation stays at the compute side when the
-// table's format has no store-side aggregation, whatever the query's shape.
+// table's delimiter is not the agg filter's comma, whatever the query's shape.
 func (s *Scoop) analyze(sql string) (tableDef, *plan.Plan, error) {
 	sel, err := parser.Parse(sql)
 	if err != nil {
@@ -372,7 +342,7 @@ func (s *Scoop) analyze(sql string) (tableDef, *plan.Plan, error) {
 	if err != nil {
 		return tableDef{}, nil, err
 	}
-	if p.StoreAgg != nil && (def.format == "json" || !def.opts.StoreAggregates()) {
+	if p.StoreAgg != nil && !def.opts.StoreAggregates() {
 		p.StoreAgg, p.AggRefused = nil, "the table is not comma-separated CSV"
 	}
 	return def, p, nil
@@ -409,8 +379,7 @@ func (s *Scoop) Query(sql string, opts QueryOptions) (*Result, error) {
 		return nil, err
 	}
 
-	csvRel, _ := rel.(*datasource.CSVRelation)
-	storeAgg := effMode == ModePushdown && p.StoreAgg != nil && csvRel != nil
+	storeAgg := effMode == ModePushdown && p.StoreAgg != nil
 	before := s.conn.Stats()
 	tasks := make([]compute.Task, len(splits))
 	for i, split := range splits {
@@ -428,7 +397,7 @@ func (s *Scoop) Query(sql string, opts QueryOptions) (*Result, error) {
 			// waits out the round trip without its worker slot.
 			err := compute.Blocking(ctx, func() (err error) {
 				if storeAgg {
-					it, err = csvRel.ScanPartials(ctx, split, p.Required, p.Pushed, p.StoreAgg)
+					it, err = rel.ScanPartials(ctx, split, p.Required, p.Pushed, p.StoreAgg)
 				} else {
 					it, err = rel.ScanPrunedFiltered(ctx, split, p.Required, p.Pushed)
 				}

@@ -345,64 +345,6 @@ func TestModeString(t *testing.T) {
 	}
 }
 
-// JSON tables run the full SQL path in both modes.
-func TestJSONTableSQL(t *testing.T) {
-	s, err := New(Config{ChunkSize: 8 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Client().CreateContainer(context.Background(), s.Account(), "events", nil); err != nil {
-		t.Fatal(err)
-	}
-	docs := `{"vid": "V1", "index": 10.5, "state": "NED"}
-{"vid": "V2", "index": 5.0, "state": "FRA"}
-{"vid": "V3", "index": 7.5, "state": "FRA"}
-`
-	if _, err := s.Client().PutObject(context.Background(), s.Account(), "events", "e.jsonl", strings.NewReader(docs), nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RegisterJSONTable("events", "events", "", "vid string, index double, state string", datasource.JSONOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	q := "SELECT state, sum(index) AS s, count(*) AS n FROM events WHERE index > 4 GROUP BY state ORDER BY state"
-	push, err := s.Query(q, QueryOptions{Mode: ModePushdown})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := s.Query(q, QueryOptions{Mode: ModeBaseline})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(push.Rows) != 2 || len(base.Rows) != 2 {
-		t.Fatalf("rows: push %v base %v", push.Rows, base.Rows)
-	}
-	if push.Rows[0][0].S != "FRA" || push.Rows[0][1].F != 12.5 || push.Rows[0][2].I != 2 {
-		t.Errorf("FRA row = %v", push.Rows[0])
-	}
-	for i := range push.Rows {
-		for j := range push.Rows[i] {
-			if push.Rows[i][j].Compare(base.Rows[i][j]) != 0 {
-				t.Errorf("mode mismatch row %d col %d", i, j)
-			}
-		}
-	}
-	// Aggregation pushdown is CSV-only: the plan says so and the query ran
-	// on filter pushdown.
-	if push.Plan.StoreAgg != nil || !strings.Contains(push.Plan.Describe(), "not comma-separated CSV") {
-		t.Errorf("aggregation of a JSON table planned at the store:\n%s", push.Plan.Describe())
-	}
-	// Duplicate registration rejected.
-	if err := s.RegisterJSONTable("events", "events", "", "vid string", datasource.JSONOptions{}); err == nil {
-		t.Error("duplicate json table accepted")
-	}
-	if err := s.RegisterJSONTable("", "events", "", "vid string", datasource.JSONOptions{}); err == nil {
-		t.Error("empty name accepted")
-	}
-	if err := s.RegisterJSONTable("x", "events", "", "bad", datasource.JSONOptions{}); err == nil {
-		t.Error("bad schema accepted")
-	}
-}
-
 // Aggregation pushdown returns what the baseline returns, to the bit, and
 // moves fewer bytes than filter pushdown of the same scan.
 func TestAggregationPushdownEquivalence(t *testing.T) {

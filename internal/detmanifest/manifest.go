@@ -12,5 +12,4 @@ var Proven = map[string]bool{
 	"etl-cleanse":  true,
 	"etl-splitcol": true,
 	"grep":         true,
-	"jsonl":        true,
 }

@@ -316,8 +316,8 @@ func (p Predicate) MatchesBytes(raw []byte, null bool) bool {
 	return match(p.Op, p.Numeric, lit[:], raw, null)
 }
 
-// Matches is MatchesBytes for callers holding a string (document and
-// columnar sources, which evaluate per value off the CSV record path).
+// Matches is MatchesBytes for callers holding a string (the columnar
+// source, which evaluates per value off the CSV record path).
 func (p Predicate) Matches(raw string, null bool) bool {
 	return p.MatchesBytes([]byte(raw), null)
 }
