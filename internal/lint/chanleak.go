@@ -9,7 +9,7 @@ import (
 // performs a bare send on an unbuffered channel while the enclosing function
 // receives from that channel inside a select with other ways out. When the
 // other case fires (ctx cancelled, timeout), nobody ever receives and the
-// goroutine blocks forever. The compute and rdd packages fan work out to
+// goroutine blocks forever. The compute package fans work out to
 // goroutines per partition; under sustained ingestion load each leaked
 // sender pins its partition buffers for the life of the process.
 //
