@@ -41,6 +41,37 @@ var (
 	_ Store = (*DiskStore)(nil)
 )
 
+// copyStamped copies an object's bytes from r to w and returns info
+// completed the same way by every Store: the size, the md5 of the bytes as
+// ETag, the creation time and a non-nil Meta.
+func copyStamped(w io.Writer, r io.Reader, info ObjectInfo) (ObjectInfo, error) {
+	h := md5.New()
+	n, err := io.Copy(io.MultiWriter(w, h), r)
+	if err != nil {
+		return ObjectInfo{}, err
+	}
+	info.Size = n
+	info.ETag = hex.EncodeToString(h.Sum(nil))
+	info.Created = time.Now()
+	if info.Meta == nil {
+		info.Meta = map[string]string{}
+	}
+	return info, nil
+}
+
+// clampRange resolves the end of a Get of bytes [start, end) from an object
+// of the given size: end <= 0 or past the size means the size, and a start
+// outside [0, end] is ErrBadRange.
+func clampRange(start, end, size int64) (int64, error) {
+	if end <= 0 || end > size {
+		end = size
+	}
+	if start < 0 || start > size || start > end {
+		return 0, fmt.Errorf("%w: [%d,%d) of %d", ErrBadRange, start, end, size)
+	}
+	return end, nil
+}
+
 // DiskStore persists objects under a directory, one data file plus one
 // metadata sidecar per object — the moral equivalent of a Swift object
 // server's on-disk layout (hash-named files under partition directories),
@@ -118,19 +149,12 @@ func (s *DiskStore) Put(ctx context.Context, info ObjectInfo, r io.Reader) (Obje
 		return ObjectInfo{}, fmt.Errorf("diskstore: put %s: %w", path, err)
 	}
 	defer os.Remove(tmp.Name())
-	h := md5.New()
-	n, err := io.Copy(io.MultiWriter(tmp, h), r)
+	info, err = copyStamped(tmp, r, info)
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
 		return ObjectInfo{}, fmt.Errorf("diskstore: put %s: %w", path, err)
-	}
-	info.Size = n
-	info.ETag = hex.EncodeToString(h.Sum(nil))
-	info.Created = time.Now()
-	if info.Meta == nil {
-		info.Meta = map[string]string{}
 	}
 	meta, err := json.Marshal(info)
 	if err != nil {
@@ -159,11 +183,9 @@ func (s *DiskStore) Get(ctx context.Context, path string, start, end int64) (io.
 	if !ok {
 		return nil, ObjectInfo{}, ErrNotFound
 	}
-	if end <= 0 || end > info.Size {
-		end = info.Size
-	}
-	if start < 0 || start > info.Size || start > end {
-		return nil, ObjectInfo{}, fmt.Errorf("%w: [%d,%d) of %d", ErrBadRange, start, end, info.Size)
+	end, err := clampRange(start, end, info.Size)
+	if err != nil {
+		return nil, ObjectInfo{}, err
 	}
 	f, err := os.Open(s.dataFile(path))
 	if err != nil {

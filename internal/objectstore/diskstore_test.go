@@ -70,6 +70,58 @@ func TestDiskStoreRange(t *testing.T) {
 	}
 }
 
+// Both stores stamp a Put and resolve a Get's range the same way: the same
+// size, ETag and Meta, the same bytes, and the same ErrBadRange text.
+func TestStoresStampAndClampAlike(t *testing.T) {
+	ctx := context.Background()
+	stores := []Store{NewMemStore(), newDiskStore(t)}
+	var infos []ObjectInfo
+	for _, s := range stores {
+		info, err := s.Put(ctx, ObjectInfo{Account: "a", Container: "c", Name: "o"}, strings.NewReader("0123456789"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		infos = append(infos, info)
+	}
+	mem, disk := infos[0], infos[1]
+	if mem.Size != 10 || mem.ETag != "781e5e245d69b566979b86e28d23f2c7" || mem.Meta == nil || mem.Created.IsZero() {
+		t.Errorf("memstore stamp = %+v", mem)
+	}
+	if disk.Size != mem.Size || disk.ETag != mem.ETag || len(disk.Meta) != 0 || disk.Created.IsZero() {
+		t.Errorf("diskstore stamp = %+v, memstore %+v", disk, mem)
+	}
+	for _, r := range []struct {
+		start, end int64
+		want       string
+	}{
+		{0, 0, "0123456789"},
+		{2, 6, "2345"},
+		{7, 100, "789"},
+		{10, 0, ""},
+		{-1, 0, "objectstore: invalid byte range: [-1,10) of 10"},
+		{11, 0, "objectstore: invalid byte range: [11,10) of 10"},
+		{6, 3, "objectstore: invalid byte range: [6,3) of 10"},
+	} {
+		for _, s := range stores {
+			var got string
+			rc, _, err := s.Get(ctx, "/a/c/o", r.start, r.end)
+			if err != nil {
+				if !errors.Is(err, ErrBadRange) {
+					t.Errorf("%T [%d,%d): %v", s, r.start, r.end, err)
+				}
+				got = err.Error()
+			} else {
+				b, _ := io.ReadAll(rc)
+				rc.Close()
+				got = string(b)
+			}
+			if got != r.want {
+				t.Errorf("%T [%d,%d) = %q, want %q", s, r.start, r.end, got, r.want)
+			}
+		}
+	}
+}
+
 func TestDiskStoreDeleteAndList(t *testing.T) {
 	s := newDiskStore(t)
 	for _, name := range []string{"a.csv", "b.csv", "sub.txt"} {

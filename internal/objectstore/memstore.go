@@ -3,14 +3,11 @@ package objectstore
 import (
 	"bytes"
 	"context"
-	"crypto/md5"
-	"encoding/hex"
 	"fmt"
 	"io"
 	"sort"
 	"strings"
 	"sync"
-	"time"
 )
 
 // blob is one stored replica.
@@ -39,20 +36,14 @@ func (s *MemStore) Put(ctx context.Context, info ObjectInfo, r io.Reader) (Objec
 		return ObjectInfo{}, fmt.Errorf("memstore: put %s: %w", info.Path(), err)
 	}
 	var buf bytes.Buffer
-	h := md5.New()
-	if _, err := io.Copy(io.MultiWriter(&buf, h), r); err != nil {
+	stamped, err := copyStamped(&buf, r, info)
+	if err != nil {
 		return ObjectInfo{}, fmt.Errorf("memstore: put %s: %w", info.Path(), err)
-	}
-	info.Size = int64(buf.Len())
-	info.ETag = hex.EncodeToString(h.Sum(nil))
-	info.Created = time.Now()
-	if info.Meta == nil {
-		info.Meta = map[string]string{}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.blobs[info.Path()] = &blob{data: buf.Bytes(), info: info}
-	return info, nil
+	s.blobs[stamped.Path()] = &blob{data: buf.Bytes(), info: stamped}
+	return stamped, nil
 }
 
 // Get returns a reader over bytes [start, end) of the object. end <= 0 means
@@ -68,12 +59,9 @@ func (s *MemStore) Get(ctx context.Context, path string, start, end int64) (io.R
 	if !ok {
 		return nil, ObjectInfo{}, ErrNotFound
 	}
-	size := int64(len(b.data))
-	if end <= 0 || end > size {
-		end = size
-	}
-	if start < 0 || start > size || start > end {
-		return nil, ObjectInfo{}, fmt.Errorf("%w: [%d,%d) of %d", ErrBadRange, start, end, size)
+	end, err := clampRange(start, end, int64(len(b.data)))
+	if err != nil {
+		return nil, ObjectInfo{}, err
 	}
 	return io.NopCloser(bytes.NewReader(b.data[start:end])), b.info, nil
 }
