@@ -19,8 +19,8 @@ package colstore
 
 import (
 	"bytes"
-	"context"
 	"compress/flate"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"

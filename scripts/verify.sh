@@ -3,8 +3,12 @@
 #
 # Runs, in order:
 #   1. go build ./...               every package compiles
-#   2. go vet ./...                 stdlib vet analyzers
-#   3. scoop-lint -json -write-manifest
+#   2. gofmt -l                     every tracked .go file outside testdata/
+#                                     is gofmt-formatted (the analyzer
+#                                     fixtures under testdata/ are inputs,
+#                                     not code, and keep their layout)
+#   3. go vet ./...                 stdlib vet analyzers
+#   4. scoop-lint -json -write-manifest
 #                                     one load, one call graph, one run of all
 #                                     eleven analyzers — per-package
 #                                     (closebody, errwrap, lockheld, chanleak,
@@ -20,8 +24,8 @@
 #                                     internal/detmanifest/manifest.go: the
 #                                     result cache and the compute-side
 #                                     fallback trust its entries ("agg": true)
-#   4. go test -race -short ./...   fast-tier suite under the race detector
-#   5. go test -run TestAllocBudget   zero-allocation budgets for the record
+#   5. go test -race -short ./...   fast-tier suite under the race detector
+#   6. go test -run TestAllocBudget   zero-allocation budgets for the record
 #                                     hot path and for the SQL fold (a row
 #                                     into an existing group) — a separate
 #                                     non-race step because the
@@ -40,6 +44,14 @@ cd "$(dirname "$0")/.."
 
 echo "==> go build ./..."
 go build ./...
+
+echo "==> gofmt -l (tracked .go files outside testdata/)"
+unformatted="$(git ls-files '*.go' | grep -v '/testdata/' | xargs gofmt -l)"
+if [ -n "$unformatted" ]; then
+	echo "gofmt: these files need gofmt -w:"
+	echo "$unformatted"
+	exit 1
+fi
 
 echo "==> go vet ./..."
 go vet ./...
