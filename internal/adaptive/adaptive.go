@@ -9,8 +9,9 @@
 //     filter), and
 //   - real-time storage-cluster load headroom.
 //
-// The cost model is the calibrated testbed simulation (internal/testbed);
-// the selectivity estimate comes from sampled column statistics.
+// The cost model is the testbed simulation (internal/testbed), whose rates
+// are chosen by hand so that the paper's headline observations hold; the
+// selectivity estimate comes from sampled column statistics.
 package adaptive
 
 import (

@@ -106,7 +106,7 @@ type Testbed struct {
 	StorageIdleCPU float64
 }
 
-// OSIC returns the model calibrated to the paper's testbed: 6 proxies and
+// OSIC returns the model of the paper's testbed: 6 proxies and
 // 29 storage nodes behind a 10 Gbps HA-proxy link, 25 Spark 1.6 workers.
 // Rates are chosen so the headline observations hold: S_Q ≈ 0.97 at zero
 // selectivity, ≈5 at 80%, >10 at 90%, low 30s at 99.99% on 3TB, the
