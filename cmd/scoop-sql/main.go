@@ -47,7 +47,7 @@ func run() error {
 	explain := flag.Bool("explain", false, "print the plan instead of executing")
 	demo := flag.Bool("demo", false, "build an in-process store with a generated dataset")
 	demoMeters := flag.Int("demo-meters", 100, "meters in the demo dataset")
-	chunk := flag.Int64("chunk", 4<<20, "partition chunk size in bytes")
+	chunk := flag.Int64("chunk", 4<<20, "partition chunk size in bytes (pushdown coalesces adjacent chunks of an object)")
 	workers := flag.Int("workers", 4, "compute workers")
 	printSchema := flag.Bool("meter-schema", false, "print the meter schema declaration and exit")
 	flag.Parse()

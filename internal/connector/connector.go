@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sync/atomic"
 
 	"scoop/internal/csvio"
@@ -77,6 +78,8 @@ type Connector struct {
 }
 
 // New creates a connector for an account. chunkSize <= 0 uses the default.
+// DiscoverPartitions cuts objects at chunkSize; pushdown queries then merge
+// adjacent splits with Coalesce.
 func New(client objectstore.Client, account string, chunkSize int64) *Connector {
 	if chunkSize <= 0 {
 		chunkSize = DefaultChunkSize
@@ -130,6 +133,51 @@ func (c *Connector) DiscoverPartitions(ctx context.Context, container, prefix st
 		}
 	}
 	return out, nil
+}
+
+// Coalesce merges runs of adjacent splits of one object, m at a time from
+// the start of the run: m chunk splits become one split of m·ChunkSize, the
+// last of a run possibly shorter. m is the largest that still leaves at
+// least window splits; with no more than window splits to begin with it is
+// 1 and the splits are returned as they are. A split covers the records
+// that start in its range, so the merged splits cover what the originals
+// did. Pushdown queries pass the driver's in-flight window, 2·Workers − 1:
+// a filtered split sends back a fraction of its bytes, so fewer, larger
+// splits save round trips without leaving a worker without a task.
+func Coalesce(splits []Split, window int) []Split {
+	var runs []int // lengths of the runs of adjacent splits
+	for i, s := range splits {
+		if p := splits[max(i-1, 0)]; i > 0 && p.Account == s.Account && p.Container == s.Container &&
+			p.Object == s.Object && p.End == s.Start {
+			runs[len(runs)-1]++
+		} else {
+			runs = append(runs, 1)
+		}
+	}
+	count := func(m int) (n int) {
+		for _, k := range runs {
+			n += (k + m - 1) / m
+		}
+		return n
+	}
+	m := 1
+	for len(runs) > 0 && m < slices.Max(runs) && count(m+1) >= window {
+		m++
+	}
+	if m == 1 {
+		return splits
+	}
+	out := make([]Split, 0, count(m))
+	for _, k := range runs {
+		run := splits[:k]
+		for j := 0; j < k; j += m {
+			s := run[j]
+			s.End = run[min(j+m, k)-1].End
+			out = append(out, s)
+		}
+		splits = splits[k:]
+	}
+	return out
 }
 
 // Open issues the ranged GET for a split, tagging it with the pushdown chain

@@ -2,10 +2,13 @@ package connector
 
 import (
 	"context"
+	"fmt"
 	"io"
+	"math/rand"
 	"strings"
 	"testing"
 
+	"scoop/internal/csvio"
 	"scoop/internal/objectstore"
 	"scoop/internal/pushdown"
 	"scoop/internal/storlet/csvfilter"
@@ -160,5 +163,85 @@ func TestSplitString(t *testing.T) {
 	s := Split{Account: "a", Container: "c", Object: "o", Start: 5, End: 9}
 	if s.String() != "a/c/o[5:9]" {
 		t.Errorf("String = %q", s.String())
+	}
+}
+
+// layout is what DiscoverPartitions makes of objects o0, o1, … of the given
+// sizes at chunk-size splits.
+func layout(chunk int64, sizes ...int64) []Split {
+	var out []Split
+	for i, size := range sizes {
+		for _, p := range csvio.Partitions(size, chunk) {
+			out = append(out, Split{Account: "gp", Container: "meters", Object: fmt.Sprintf("o%d", i), Start: p.Start, End: p.End, ObjectSize: size})
+		}
+	}
+	return out
+}
+
+// ranges renders splits as object[start:end] terms.
+func ranges(splits []Split) string {
+	var parts []string
+	for _, s := range splits {
+		parts = append(parts, fmt.Sprintf("%s[%d:%d]", s.Object, s.Start, s.End))
+	}
+	return strings.Join(parts, " ")
+}
+
+func TestCoalesce(t *testing.T) {
+	gap := []Split{
+		{Account: "gp", Container: "meters", Object: "o0", Start: 0, End: 10},
+		{Account: "gp", Container: "meters", Object: "o0", Start: 20, End: 30}, // not adjacent
+		{Account: "gp", Container: "meters", Object: "o1", Start: 30, End: 40}, // adjacent bytes of another object
+		{Account: "gp", Container: "other", Object: "o1", Start: 40, End: 50},  // another container
+		{Account: "gp", Container: "other", Object: "o1", Start: 50, End: 60},
+	}
+	for _, c := range []struct {
+		name   string
+		in     []Split
+		window int
+		want   string
+	}{
+		{"whole objects at the window", layout(10, 20, 20, 20, 20), 4, "o0[0:20] o1[0:20] o2[0:20] o3[0:20]"},
+		{"one split more than the window", layout(10, 20, 20, 20, 20), 3, "o0[0:20] o1[0:20] o2[0:20] o3[0:20]"},
+		{"one split short of the window", layout(10, 20, 20, 20, 20), 5, "o0[0:10] o0[10:20] o1[0:10] o1[10:20] o2[0:10] o2[10:20] o3[0:10] o3[10:20]"},
+		{"too few objects", layout(10, 40, 40), 15, "o0[0:10] o0[10:20] o0[20:30] o0[30:40] o1[0:10] o1[10:20] o1[20:30] o1[30:40]"},
+		{"largest m, shorter last split", layout(10, 50, 10), 3, "o0[0:40] o0[40:50] o1[0:10]"},
+		{"m = 2 over uneven objects", layout(10, 45, 25), 5, "o0[0:20] o0[20:40] o0[40:45] o1[0:20] o1[20:25]"},
+		{"only adjacent ranges of one object merge", gap, 1, "o0[0:10] o0[20:30] o1[30:40] o1[40:60]"},
+		{"nothing to merge", nil, 1, ""},
+	} {
+		if got := ranges(Coalesce(c.in, c.window)); got != c.want {
+			t.Errorf("%s: Coalesce(%s, %d) =\n%s\nwant\n%s", c.name, ranges(c.in), c.window, got, c.want)
+		}
+	}
+
+	// Whatever the layout and worker count, the splits cover every object
+	// exactly, in order, and no fewer than the window or than there were.
+	rng := rand.New(rand.NewSource(3))
+	for _, workers := range []int{1, 2, 8} {
+		for trial := 0; trial < 50; trial++ {
+			sizes := make([]int64, 1+rng.Intn(10))
+			for i := range sizes {
+				sizes[i] = 1 + rng.Int63n(200)
+			}
+			in := layout(16, sizes...)
+			window := 2*workers - 1
+			out := Coalesce(in, window)
+			if len(out) < min(len(in), window) {
+				t.Fatalf("W=%d: %d splits of %d, window %d", workers, len(out), len(in), window)
+			}
+			next := map[string]int64{}
+			for _, s := range out {
+				if s.Start != next[s.Object] || s.End <= s.Start {
+					t.Fatalf("W=%d: %s does not follow on at %d in %s", workers, s, next[s.Object], ranges(out))
+				}
+				next[s.Object] = s.End
+			}
+			for i, size := range sizes {
+				if o := fmt.Sprintf("o%d", i); next[o] != size {
+					t.Fatalf("W=%d: %s covered to %d of %d in %s", workers, o, next[o], size, ranges(out))
+				}
+			}
+		}
 	}
 }

@@ -72,7 +72,9 @@ type Config struct {
 	// Account scopes all containers (default "scoop").
 	Account string
 	// ChunkSize is the partition-discovery split size (default 64 MiB —
-	// keep it small in tests to force parallelism).
+	// keep it small in tests to force parallelism). Baseline queries read
+	// splits of this size; pushdown queries coalesce adjacent splits of an
+	// object down to the driver's in-flight window (connector.Coalesce).
 	ChunkSize int64
 	// Compute sizes the worker pool.
 	Compute compute.Config
@@ -377,6 +379,12 @@ func (s *Scoop) Query(sql string, opts QueryOptions) (*Result, error) {
 	splits, err := rel.Splits(qctx)
 	if err != nil {
 		return nil, err
+	}
+	if effMode == ModePushdown {
+		// The store filters, so a split sends back a fraction of its bytes:
+		// fewer, larger splits, as many as the driver keeps in flight. A
+		// baseline task parses every byte it fetches and keeps chunk splits.
+		splits = connector.Coalesce(splits, 2*s.driver.Workers()-1)
 	}
 
 	storeAgg := effMode == ModePushdown && p.StoreAgg != nil

@@ -388,9 +388,9 @@ func TestScanPartials(t *testing.T) {
 		}
 		it.Close()
 		want := []string{
-			"STRING:a,b STRING:Q BIGINT:1 DOUBLE:1 STRING:a,b BIGINT:1",
-			`STRING:say "hi" STRING:Q BIGINT:1 DOUBLE:2 STRING:say "hi" BIGINT:1`,
-			"STRING:long quoted field that fills the scratch buffer STRING:Q BIGINT:1 DOUBLE:4 STRING:long quoted field that fills the scratch buffer BIGINT:1",
+			"STRING:a,b STRING:Q BIGINT:1 STRING:1 STRING:a,b BIGINT:1",
+			`STRING:say "hi" STRING:Q BIGINT:1 STRING:2 STRING:say "hi" BIGINT:1`,
+			"STRING:long quoted field that fills the scratch buffer STRING:Q BIGINT:1 STRING:4 STRING:long quoted field that fills the scratch buffer BIGINT:1",
 		}
 		if strings.Join(got, "\n") != strings.Join(want, "\n") {
 			t.Errorf("compress=%v: records\n%s\nwant\n%s", compress, strings.Join(got, "\n"), strings.Join(want, "\n"))

@@ -39,18 +39,32 @@ const (
 
 // Acc is the state of one aggregate over one group. Which fields are in use
 // depends on the aggregate's kind, which the plan holds once for all groups.
+// SUM and AVG add exactly (sum.go), so their state depends only on the
+// multiset of values added, not on their order or on how they are cut into
+// partials.
 type Acc struct {
-	N        int64       // COUNT: rows or non-NULL values; SUM, AVG: numeric values added
-	Sum      float64     // SUM, AVG
-	V        types.Value // MIN, MAX, FIRST_VALUE: the value so far, NULL before any
-	distinct *valueSet   // COUNT(DISTINCT), SUM(DISTINCT)
+	N      int64       // COUNT: rows or non-NULL values; SUM, AVG: numeric values added
+	micros int64       // SUM, AVG: the exact sum's fast path, in millionths
+	V      types.Value // MIN, MAX, FIRST_VALUE: the value so far, NULL before any
+	more   *more       // state that does not fit inline; nil until a kind needs it
 }
 
-// valueSet holds distinct values, keyed on their rendered form, in
-// first-appearance order so that a sum over them does not depend on map order.
-type valueSet struct {
-	seen map[string]struct{}
-	vals []types.Value
+// more is the state of an Acc that does not fit inline: the slow path of an
+// exact sum (SUM, AVG) or the value set (COUNT(DISTINCT), SUM(DISTINCT)). No
+// kind needs both; sharing one pointer keeps Acc, of which a group table
+// holds one per aggregate per group, at its size before exact sums.
+type more struct {
+	sumRest
+	seen     map[string]struct{} // DISTINCT: the values' renderings
+	distinct []types.Value       // DISTINCT: the values, in first-appearance order
+}
+
+// ext returns a's out-of-line state, creating it.
+func (a *Acc) ext() *more {
+	if a.more == nil {
+		a.more = new(more)
+	}
+	return a.more
 }
 
 // Add accumulates a non-NULL value.
@@ -61,7 +75,7 @@ func (a *Acc) Add(kind Kind, v types.Value) {
 	case Sum, Avg:
 		// Non-numeric values are ignored, like SQL casts failing to NULL.
 		if f, ok := v.AsFloat(); ok {
-			a.Sum += f
+			a.addSum(f)
 			a.N++
 		}
 	case Min, Max:
@@ -76,13 +90,14 @@ func (a *Acc) Add(kind Kind, v types.Value) {
 			a.V = v
 		}
 	case CountDistinct, SumDistinct:
-		if a.distinct == nil {
-			a.distinct = &valueSet{seen: make(map[string]struct{})}
+		m := a.ext()
+		if m.seen == nil {
+			m.seen = make(map[string]struct{})
 		}
 		key := v.AsString()
-		if _, dup := a.distinct.seen[key]; !dup {
-			a.distinct.seen[key] = struct{}{}
-			a.distinct.vals = append(a.distinct.vals, v)
+		if _, dup := m.seen[key]; !dup {
+			m.seen[key] = struct{}{}
+			m.distinct = append(m.distinct, v)
 		}
 	}
 }
@@ -90,16 +105,18 @@ func (a *Acc) Add(kind Kind, v types.Value) {
 // Merge folds o, the same aggregate over the rows that follow a's, into a.
 func (a *Acc) Merge(kind Kind, o *Acc) {
 	switch kind {
-	case CountStar, Count, Sum, Avg:
+	case CountStar, Count:
 		a.N += o.N
-		a.Sum += o.Sum
+	case Sum, Avg:
+		a.N += o.N
+		a.mergeSum(o)
 	case Min, Max, First:
 		if !o.V.IsNull() {
 			a.Add(kind, o.V)
 		}
 	case CountDistinct, SumDistinct:
-		if o.distinct != nil {
-			for _, v := range o.distinct.vals {
+		if o.more != nil {
+			for _, v := range o.more.distinct {
 				a.Add(kind, v)
 			}
 		}
@@ -115,28 +132,28 @@ func (a *Acc) Value(kind Kind) types.Value {
 		if a.N == 0 {
 			return types.NullValue()
 		}
-		return types.FloatV(a.Sum)
+		return types.FloatV(a.sumFloat())
 	case Avg:
 		if a.N == 0 {
 			return types.NullValue()
 		}
-		return types.FloatV(a.Sum / float64(a.N))
+		return types.FloatV(a.sumFloat() / float64(a.N))
 	case CountDistinct:
-		if a.distinct == nil {
+		if a.more == nil {
 			return types.IntV(0)
 		}
-		return types.IntV(int64(len(a.distinct.vals)))
+		return types.IntV(int64(len(a.more.distinct)))
 	case SumDistinct:
-		if a.distinct == nil {
+		if a.more == nil {
 			return types.NullValue()
 		}
-		var sum float64
-		for _, v := range a.distinct.vals {
+		var s Acc
+		for _, v := range a.more.distinct {
 			if f, ok := v.AsFloat(); ok {
-				sum += f
+				s.addSum(f)
 			}
 		}
-		return types.FloatV(sum)
+		return types.FloatV(s.sumFloat())
 	default: // MIN, MAX, FIRST_VALUE
 		return a.V
 	}
@@ -145,7 +162,8 @@ func (a *Acc) Value(kind Kind) types.Value {
 // Width is the number of cells a kind's accumulator takes in a partial
 // record: a count; a count and a sum; or the value so far. Cells render with
 // Value.AsString, which is round-trip exact for floats, and read back with
-// types.Coerce.
+// types.Coerce. The sum cell is a string: the exact sum as text (see
+// Acc.appendSum), which never passes through a float64.
 func (k Kind) Width() int {
 	switch k {
 	case Sum, Avg:
@@ -163,7 +181,7 @@ func (a *Acc) AppendCells(kind Kind, cells []types.Value) []types.Value {
 	case CountStar, Count:
 		return append(cells, types.IntV(a.N))
 	case Sum, Avg:
-		return append(cells, types.IntV(a.N), types.FloatV(a.Sum))
+		return append(cells, types.IntV(a.N), types.Str(string(a.appendSum(nil))))
 	default:
 		return append(cells, a.V)
 	}
@@ -176,7 +194,9 @@ func FromCells(kind Kind, cells []types.Value) Acc {
 	case CountStar, Count:
 		return Acc{N: cells[0].I}
 	case Sum, Avg:
-		return Acc{N: cells[0].I, Sum: cells[1].F}
+		a := Acc{N: cells[0].I}
+		a.parseSum(cells[1].S)
+		return a
 	default:
 		return Acc{V: cells[0]}
 	}
@@ -318,7 +338,7 @@ func (s *Spec) Record(in *types.Schema) (*types.Schema, error) {
 		case Sum, Avg:
 			typeOf(c.Arg)
 			add(types.Int)
-			add(types.Float)
+			add(types.String)
 		default:
 			add(typeOf(c.Arg))
 		}
@@ -327,4 +347,24 @@ func (s *Spec) Record(in *types.Schema) (*types.Schema, error) {
 		return nil, err
 	}
 	return types.NewSchema(cols...), nil
+}
+
+// Chunks hands out slices of T carved from chunks that double in size up to
+// maxChunk elements, so that the many small slices of a group table take
+// few allocations: a new group of exec.Partial or of the agg filter takes
+// its struct, its first-row values and its accumulators from three Chunks.
+// The zero value is ready to use.
+type Chunks[T any] struct{ chunk []T }
+
+// maxChunk bounds the elements of one chunk.
+const maxChunk = 1 << 10
+
+// Take returns n zero elements.
+func (c *Chunks[T]) Take(n int) []T {
+	if len(c.chunk)+n > cap(c.chunk) {
+		c.chunk = make([]T, 0, max(min(2*cap(c.chunk), maxChunk), n, 1))
+	}
+	i := len(c.chunk)
+	c.chunk = c.chunk[:i+n]
+	return c.chunk[i : i+n : i+n]
 }

@@ -74,9 +74,9 @@ func TestAllocBudgetExecFold(t *testing.T) {
 	}
 
 	// Creating a group costs the same number of allocations whatever the
-	// number of select items: its key, its struct, one vector of first-row
-	// values and one of accumulators, plus the amortized growth of the map
-	// and of the order slice.
+	// number of select items: its key, plus the amortized growth of the
+	// map, of the order slice and of the chunks its struct, its first-row
+	// values and its accumulators are carved from (1.07 at 1000 groups).
 	created := func(q string) float64 {
 		p := analyze(t, q)
 		return testing.AllocsPerRun(5, func() { foldAll(t, NewPartial(p), rows[:groups]) })
@@ -85,8 +85,8 @@ func TestAllocBudgetExecFold(t *testing.T) {
 	if diff := narrow - wide; diff > groups/100 || -diff > groups/100 {
 		t.Errorf("creating %d groups: %v allocs with 2 select items, %v with 12", groups, narrow, wide)
 	}
-	if perGroup := wide / groups; perGroup > 5 {
-		t.Errorf("creating a group: %.2f allocs, want at most 5", perGroup)
+	if perGroup := wide / groups; perGroup > 1.5 {
+		t.Errorf("creating a group: %.2f allocs, want at most 1.5", perGroup)
 	}
 
 	// Finish allocates one vector per output row and a handful of slices; a

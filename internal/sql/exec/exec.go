@@ -101,6 +101,10 @@ type Partial struct {
 	groups map[string]*group
 	order  []*group // first-appearance order, which keeps output deterministic
 	key    []byte   // reused group-key scratch
+	// A new group is carved from these, so that it allocates its key only.
+	newGroups agg.Chunks[group]
+	firsts    agg.Chunks[types.Value]
+	accs      agg.Chunks[agg.Acc]
 
 	rows []keyedRow // non-aggregate queries
 }
@@ -148,11 +152,11 @@ func (pt *Partial) Fold(row types.Row) error {
 	pt.key = key
 	g, ok := pt.groups[string(key)]
 	if !ok {
-		firsts, err := firstRow(p, row)
-		if err != nil {
+		g = pt.carve()
+		if err := firstRow(p, row, g.firsts); err != nil {
 			return err
 		}
-		g = pt.open(key, firsts)
+		pt.open(key, g)
 	}
 	for i := range p.Aggs {
 		spec, a := &p.Aggs[i], &g.accs[i]
@@ -200,11 +204,11 @@ func (pt *Partial) MergeRecord(rec types.Row) error {
 	pt.key = key
 	g, ok := pt.groups[string(key)]
 	if !ok {
-		firsts := make([]types.Value, len(p.FirstCells))
+		g = pt.carve()
 		for i, cell := range p.FirstCells {
-			firsts[i] = rec[cell]
+			g.firsts[i] = rec[cell]
 		}
-		g = pt.open(key, firsts)
+		pt.open(key, g)
 	}
 	cells := rec[nk+nf:]
 	for i := range p.Aggs {
@@ -216,25 +220,33 @@ func (pt *Partial) MergeRecord(rec types.Row) error {
 	return nil
 }
 
-// open adds the group of key, which row opened with these first-row values.
-func (pt *Partial) open(key []byte, firsts []types.Value) *group {
-	g := &group{key: string(key), firsts: firsts, accs: make([]agg.Acc, len(pt.p.Aggs))}
-	pt.groups[g.key] = g
-	pt.order = append(pt.order, g)
+// carve returns an empty group, its first-row values and its accumulators
+// taken from the partial's chunks.
+func (pt *Partial) carve() *group {
+	g := &pt.newGroups.Take(1)[0]
+	g.firsts = pt.firsts.Take(len(pt.p.Firsts))
+	g.accs = pt.accs.Take(len(pt.p.Aggs))
 	return g
 }
 
-// firstRow evaluates the first-row values of the group that row opens.
-func firstRow(p *plan.Plan, row types.Row) ([]types.Value, error) {
-	firsts := make([]types.Value, len(p.Firsts))
+// open adds g as the group of key.
+func (pt *Partial) open(key []byte, g *group) {
+	g.key = string(key)
+	pt.groups[g.key] = g
+	pt.order = append(pt.order, g)
+}
+
+// firstRow evaluates into firsts the first-row values of the group that row
+// opens.
+func firstRow(p *plan.Plan, row types.Row, firsts []types.Value) error {
 	for i, e := range p.Firsts {
 		v, err := e.Eval(row)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		firsts[i] = v
 	}
-	return firsts, nil
+	return nil
 }
 
 // emit evaluates the select items and the ORDER BY keys against row.
@@ -296,11 +308,11 @@ func (pt *Partial) Finish() (*Result, error) {
 		if len(order) == 0 && len(p.GroupBy) == 0 {
 			// Global aggregates over an empty input still produce one row
 			// (COUNT(*) = 0 etc.); its first-row values are those of NULLs.
-			firsts, err := firstRow(p, make(types.Row, p.Read.Len()))
-			if err != nil {
+			g := pt.carve()
+			if err := firstRow(p, make(types.Row, p.Read.Len()), g.firsts); err != nil {
 				return nil, err
 			}
-			order = []*group{{firsts: firsts, accs: make([]agg.Acc, len(p.Aggs))}}
+			order = []*group{g}
 		}
 		out = make([]keyedRow, 0, len(order))
 		vec := make(types.Row, len(p.Firsts)+len(p.Aggs))

@@ -55,19 +55,33 @@ var meterSchema = func() *types.Schema {
 	return s
 }()
 
-// randomMeterRows returns n rows in the GridPocket layout. Numbers are
-// multiples of 1/4, so float sums are exact and do not depend on how the
-// additions associate; one value in eight is NULL, the first rows of a meter
-// among them.
+// randomNumber returns a tenth, a hundredth or a float that is no short
+// decimal (a third, or an arbitrary binary fraction). A float sum of such
+// values depends on how its additions associate; SUM's exact sum must not.
+func randomNumber(rng *rand.Rand) types.Value {
+	switch rng.Intn(4) {
+	case 0:
+		return types.FloatV(float64(rng.Intn(4000)) / 10)
+	case 1:
+		return types.FloatV(float64(rng.Intn(40000)) / 100)
+	case 2:
+		return types.FloatV(float64(rng.Intn(400)) / 3)
+	default:
+		return types.FloatV(rng.Float64() * 100)
+	}
+}
+
+// randomMeterRows returns n rows in the GridPocket layout, numbers from
+// randomNumber; one value in eight is NULL, the first rows of a meter among
+// them.
 func randomMeterRows(rng *rand.Rand, n int) []types.Row {
 	rows := make([]types.Row, n)
 	for i := range rows {
 		c := meter.Cities[rng.Intn(len(meter.Cities))]
-		quarter := func() types.Value { return types.FloatV(float64(rng.Intn(400)) / 4) }
 		row := types.Row{
 			types.Str(meter.VID(rng.Intn(6))),
 			types.Str(fmt.Sprintf("201%d-01-%02d %02d:10:00", 4+rng.Intn(2), 1+rng.Intn(3), rng.Intn(3))),
-			quarter(), quarter(), quarter(),
+			randomNumber(rng), randomNumber(rng), randomNumber(rng),
 			types.Str(meter.MeterTypes[rng.Intn(len(meter.MeterTypes))]),
 			types.Str(c.Name), types.Str(c.State), types.FloatV(c.Lat), types.FloatV(c.Long),
 		}
@@ -159,6 +173,64 @@ func TestPartitionInvariance(t *testing.T) {
 				}
 				if err := sameRows(got.Rows, want.Rows); err != nil {
 					t.Fatalf("%s\n%d rows cut at %v: %v", q, n, bounds, err)
+				}
+			}
+		}
+	}
+}
+
+// Sums are exact, so a result whose group order and first-row values do
+// not depend on the input order is the same bits whatever the order of the
+// rows and of the partial merges: rows shuffled, cut into partials, the
+// partials merged in a shuffled order, against one pass over the rows. The
+// groups mix decimal and non-decimal values.
+func TestShuffleInvariance(t *testing.T) {
+	queries := []string{
+		"SELECT vid, sum(index) AS s, avg(index) AS a, count(index) AS n, min(sumHC) AS lo, max(sumHC) AS hi FROM largeMeter GROUP BY vid ORDER BY vid",
+		"SELECT state, sum(sumHC) AS s, sum(DISTINCT sumHP) AS d, avg(lat) AS lat FROM largeMeter GROUP BY state ORDER BY state",
+		"SELECT sum(index) AS s, avg(sumHC) AS a, sum(index) / count(*) AS m FROM largeMeter",
+		"SELECT vid, sum(index) AS s FROM largeMeter GROUP BY vid HAVING sum(index) > 100 ORDER BY sum(index) DESC, vid",
+	}
+	rng := rand.New(rand.NewSource(19))
+	for _, q := range queries {
+		sel, err := parser.Parse(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		p, err := plan.Analyze(sel, meterSchema, plan.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		for _, n := range []int{1, 40, 300} {
+			rows := randomMeterRows(rng, n)
+			want, err := exec.Execute(p, exec.NewSliceIterator(rows))
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+			for trial := 0; trial < 8; trial++ {
+				shuffled := append([]types.Row(nil), rows...)
+				rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+				parts := 1 + rng.Intn(8)
+				bounds := cut(rng, n, parts)
+				partials := make([]*exec.Partial, parts)
+				for i := range partials {
+					partials[i] = exec.NewPartial(p)
+					for _, r := range shuffled[bounds[i]:bounds[i+1]] {
+						if err := partials[i].Fold(r); err != nil {
+							t.Fatalf("%s: %v", q, err)
+						}
+					}
+				}
+				merged := exec.NewPartial(p)
+				for _, i := range rng.Perm(parts) {
+					merged.Merge(partials[i])
+				}
+				got, err := merged.Finish()
+				if err != nil {
+					t.Fatalf("%s: %v", q, err)
+				}
+				if err := sameRows(got.Rows, want.Rows); err != nil {
+					t.Fatalf("%s\n%d rows shuffled, cut at %v: %v", q, n, bounds, err)
 				}
 			}
 		}
@@ -302,8 +374,8 @@ func TestMergeRecordRejectsOtherShapes(t *testing.T) {
 
 // Past the store's group bound the answer keeps its bits: with more groups
 // in one object than the agg filter holds and keys that come back after the
-// table was written out, merging the records in stream order still adds each
-// group's tenths one at a time, as folding the rows does.
+// table was written out, a group's tenths arrive in two records, whose exact
+// sums merge to what folding the rows gives.
 func TestStorePartialsExactPastTheGroupBound(t *testing.T) {
 	e := storlet.NewEngine(storlet.Limits{})
 	for _, f := range []storlet.Filter{csvfilter.New(), aggfilter.New()} {
@@ -343,6 +415,11 @@ func TestStorePartialsExactPastTheGroupBound(t *testing.T) {
 	records := runChain(t, e, []*pushdown.Task{scan, fold}, sb.String(), record)
 	if len(records) <= len(want.Rows) || len(records) >= rows {
 		t.Fatalf("%d records for %d groups of %d rows: the bound was not crossed after some folding", len(records), len(want.Rows), rows)
+	}
+	// The first 16 384 groups leave when the table fills, at row 17 383; the
+	// table then folds the 1 616 new keys left and the first 1 000 again.
+	if len(records) != 19000 {
+		t.Errorf("%d records, want 16 384 + 1 616 + 1 000", len(records))
 	}
 	pt := exec.NewPartial(p)
 	for _, rec := range records {

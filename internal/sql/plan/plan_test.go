@@ -349,7 +349,7 @@ func TestStoreAggDecomposes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := record.String(); got != "c0 STRING, c1 STRING, c2 BIGINT, c3 DOUBLE, c4 DOUBLE, c5 BIGINT, c6 DOUBLE, c7 STRING" {
+	if got := record.String(); got != "c0 STRING, c1 STRING, c2 BIGINT, c3 DOUBLE, c4 DOUBLE, c5 BIGINT, c6 STRING, c7 STRING" {
 		t.Errorf("record schema = %s", got)
 	}
 	// A first-row value that is no key is a cell of its own, after the keys.

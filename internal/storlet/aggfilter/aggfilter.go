@@ -15,7 +15,6 @@ package aggfilter
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -33,11 +32,10 @@ const FilterName = "agg"
 
 // maxGroups bounds the group table of one invocation, so that a GROUP BY on
 // a near-unique key cannot hold a split in store memory. When the table
-// fills, its groups are written out in first-appearance order and every
-// later row leaves as a group of its own: the compute side merges records in
-// stream order, so it still adds a group's values one at a time, in row
-// order, and float sums keep the bits a fold of the rows gives. (Folding on
-// after the flush would add a later run of rows to itself first.)
+// fills, its groups are written out in first-appearance order and the rows
+// that follow fold into an empty table: a group met again leaves a second
+// record, which the compute side merges into the first. Sums are exact, so
+// they do not depend on how a group's rows are cut into records.
 const maxGroups = 1 << 14
 
 // Filter is the partial-aggregation storlet.
@@ -62,6 +60,11 @@ type table struct {
 	index  map[string]*group
 	order  []*group // first-appearance order, which keeps the output deterministic
 	key    []byte   // reused group-key scratch
+	// A new group is carved from these, so that it allocates its index key
+	// only.
+	groups agg.Chunks[group]
+	cells  agg.Chunks[byte]
+	accs   agg.Chunks[agg.Acc]
 }
 
 // Invoke implements storlet.Filter.
@@ -88,7 +91,7 @@ func (f *Filter) Invoke(ctx *storlet.Context, in io.Reader, out io.Writer) error
 	defer storlet.ReleaseWriter(bw)
 	t := &table{spec: spec, schema: schema, index: make(map[string]*group)}
 	var sc csvio.FieldScanner
-	rows, records, limit := 0, 0, maxGroups
+	rows, records := 0, 0
 	for {
 		rec, err := rr.Next()
 		if errors.Is(err, io.EOF) {
@@ -99,9 +102,8 @@ func (f *Filter) Invoke(ctx *storlet.Context, in io.Reader, out io.Writer) error
 		}
 		rows++
 		t.fold(sc.Scan(rec, csvio.DefaultDelimiter))
-		if len(t.order) == limit {
-			records += limit
-			limit = 1
+		if len(t.order) == maxGroups {
+			records += maxGroups
 			if err := t.flush(bw); err != nil {
 				return err
 			}
@@ -146,7 +148,10 @@ func (t *table) fold(fields [][]byte) {
 		for _, term := range t.spec.Firsts {
 			key = t.appendKey(key, fields, term)
 		}
-		g = &group{cells: bytes.Clone(key), accs: make([]agg.Acc, len(t.spec.Aggs))}
+		g = &t.groups.Take(1)[0]
+		g.cells = t.cells.Take(len(key))
+		copy(g.cells, key)
+		g.accs = t.accs.Take(len(t.spec.Aggs))
 		t.index[string(key[:n])] = g
 		t.order = append(t.order, g)
 	}
