@@ -147,8 +147,7 @@ func (c *Connector) DiscoverPartitions(ctx context.Context, container, prefix st
 func Coalesce(splits []Split, window int) []Split {
 	var runs []int // lengths of the runs of adjacent splits
 	for i, s := range splits {
-		if p := splits[max(i-1, 0)]; i > 0 && p.Account == s.Account && p.Container == s.Container &&
-			p.Object == s.Object && p.End == s.Start {
+		if i > 0 && s.follows(splits[i-1]) {
 			runs[len(runs)-1]++
 		} else {
 			runs = append(runs, 1)
@@ -178,6 +177,11 @@ func Coalesce(splits []Split, window int) []Split {
 		splits = splits[k:]
 	}
 	return out
+}
+
+// follows reports whether s is the range of p's object right after p.
+func (s Split) follows(p Split) bool {
+	return s.Account == p.Account && s.Container == p.Container && s.Object == p.Object && s.Start == p.End
 }
 
 // Open issues the ranged GET for a split, tagging it with the pushdown chain
