@@ -31,7 +31,7 @@ import (
 // especially mid-stream, where the delivered prefix of the re-run is
 // discarded — is only sound when every filter in the chain provably maps
 // identical inputs to identical bytes. Chains containing an unproven filter
-// behave as if NoFallback were set and surface the store's typed error.
+// behave as if fallback were never armed and surface the store's typed error.
 func (c *Connector) EnableFallback(engine *storlet.Engine, reg *metrics.Registry) {
 	c.fbEngine = engine
 	c.fbMetrics = reg

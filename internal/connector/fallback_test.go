@@ -272,8 +272,8 @@ func TestFallbackOnlyOnce(t *testing.T) {
 
 // The determinism manifest gates fallback per chain: a filter the filterdet
 // analyzer has not proven deterministic (here: an ad-hoc name absent from the
-// generated manifest) auto-arms NoFallback behavior — the refusal surfaces
-// typed even though a fallback engine is armed — while a chain of proven
+// generated manifest) behaves as if no fallback were armed — the refusal
+// surfaces typed even though a fallback engine is armed — while a chain of proven
 // filters on the same connector still degrades transparently.
 func TestUnprovenFilterDisablesFallback(t *testing.T) {
 	cl := bareStore(t)

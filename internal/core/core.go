@@ -78,11 +78,6 @@ type Config struct {
 	ChunkSize int64
 	// Compute sizes the worker pool.
 	Compute compute.Config
-	// NoFallback disables the connector's compute-side degradation path.
-	// By default a local storlet engine (with the standard filters) is
-	// armed so pushdown refusals and mid-stream filter failures degrade to
-	// plain GET + local evaluation instead of failing the query.
-	NoFallback bool
 }
 
 // Scoop is the assembled system.
@@ -167,16 +162,14 @@ func New(cfg Config) (*Scoop, error) {
 		s.metrics = metrics.NewRegistry()
 	}
 	s.conn = connector.New(s.client, cfg.Account, cfg.ChunkSize)
-	if !cfg.NoFallback {
-		// The degradation ladder's last rung (DESIGN §8): a compute-side
-		// engine with the standard filters, so refused/aborted pushdown
-		// degrades to the paper's baseline path instead of failing.
-		fe := storlet.NewEngine(storlet.Limits{})
-		if err := RegisterStandardFilters(fe); err != nil {
-			return nil, err
-		}
-		s.conn.EnableFallback(fe, s.metrics)
+	// The degradation ladder's last rung (DESIGN §8): a compute-side engine
+	// with the standard filters, so refused/aborted pushdown degrades to the
+	// paper's baseline path (plain GET + local evaluation) instead of failing.
+	fe := storlet.NewEngine(storlet.Limits{})
+	if err := RegisterStandardFilters(fe); err != nil {
+		return nil, err
 	}
+	s.conn.EnableFallback(fe, s.metrics)
 	driver, err := compute.NewDriver(cfg.Compute)
 	if err != nil {
 		return nil, err
@@ -194,11 +187,6 @@ func (s *Scoop) Client() objectstore.Client { return s.client }
 
 // Connector returns the storage connector (ingestion statistics live here).
 func (s *Scoop) Connector() *connector.Connector { return s.conn }
-
-// MetricsRegistry returns the metrics registry the system reports into (the
-// cluster's when running in-process, otherwise Scoop's own) — e.g.
-// "connector.pushdown.fallbacks".
-func (s *Scoop) MetricsRegistry() *metrics.Registry { return s.metrics }
 
 // Account returns the account all tables live under.
 func (s *Scoop) Account() string { return s.conn.Account() }
@@ -443,8 +431,8 @@ func (s *Scoop) Query(sql string, opts QueryOptions) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Merge in split order, never completion order: first_value then sees
-	// the splits in dataset order, and float sums add up in one fixed order
+	// Merge in split order, never completion order. Sums are exact, so the
+	// order fixes only first_value and the first-appearance order of groups,
 	// whatever the worker count and whichever task finished first.
 	merged := exec.NewPartial(p)
 	var scanned int64

@@ -308,11 +308,6 @@ func flowTarget(info *types.Info, fun ast.Expr) *types.Var {
 	return nil
 }
 
-// Bindings returns the functions that may flow into the given variable or
-// field, in deterministic order. Nil when the value is unresolved (nothing
-// in the module assigns it a resolvable function).
-func (g *Graph) Bindings(v *types.Var) []*Node { return g.bindings[v] }
-
 // ---------------------------------------------------------------------------
 // Interface type-set devirtualization.
 //
@@ -647,11 +642,4 @@ func (g *Graph) collectIfaceSets() {
 		}
 		g.ifaceSets[v] = out
 	}
-}
-
-// IfaceBindings returns the concrete types that may be stored in the given
-// interface-typed variable or field, plus whether the set is open (not
-// provably complete). Only a non-empty closed set devirtualizes call sites.
-func (g *Graph) IfaceBindings(v *types.Var) ([]types.Type, bool) {
-	return g.ifaceSets[v], g.ifaceOpen[v]
 }

@@ -29,7 +29,7 @@ import (
 // The verdict is exported as a generated manifest (internal/detmanifest,
 // written by `scoop-lint -write-manifest`) keyed by the filter's registered
 // name, which the connector consults before arming compute-side fallback —
-// unproven filters degrade to NoFallback behavior automatically.
+// a chain with an unproven filter surfaces the store's typed error instead.
 var AnalyzerFilterDet = &Analyzer{
 	Name:      "filterdet",
 	Doc:       "storlet filters must be deterministic: no clock, rand, env, global state, or unordered map iteration",

@@ -37,11 +37,9 @@ type ClusterConfig struct {
 	// — the seam the chaos suite uses to inject per-node faults.
 	StoreWrap func(node string, s Store) Store
 	// ResultCacheBytes bounds the shared pushdown result cache (LRU by body
-	// bytes); <= 0 disables the cache entirely.
+	// bytes; a single body may take an eighth of it); <= 0 disables the
+	// cache entirely.
 	ResultCacheBytes int64
-	// ResultCacheEntryBytes bounds a single cached body; 0 defaults to
-	// ResultCacheBytes/8.
-	ResultCacheEntryBytes int64
 
 	// ReconcileInterval, when > 0, starts the background loop draining the
 	// reconcile queue — repairs and partition migrations alike — at that
@@ -163,19 +161,18 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		// cross-proxy sharing is always safe, and a herd spread across
 		// proxies by the load balancer still collapses to one execution.
 		c.cache = resultcache.New(resultcache.Config{
-			Capacity:      cfg.ResultCacheBytes,
-			MaxEntryBytes: cfg.ResultCacheEntryBytes,
-			Proven:        detmanifest.IsProven,
-			Metrics:       c.metrics,
+			Capacity: cfg.ResultCacheBytes,
+			Proven:   detmanifest.IsProven,
+			Metrics:  c.metrics,
 		})
 	}
+	// The proxies share the ring, the live node set (membership changes are
+	// visible to their routing immediately), the registry, cache and queue.
 	for i := 0; i < cfg.Proxies; i++ {
-		p := NewProxy(fmt.Sprintf("proxy-%02d", i), rg, c.members, engine, c.reg)
-		p.SetMetrics(c.metrics)
-		p.SetWriteQuorum(cfg.WriteQuorum)
-		p.SetResultCache(c.cache)
-		p.recon = c.recon
-		c.proxies = append(c.proxies, p)
+		c.proxies = append(c.proxies, &Proxy{
+			name: fmt.Sprintf("proxy-%02d", i), ring: rg, nodes: c.members, engine: engine, reg: c.reg,
+			quorum: cfg.WriteQuorum, metrics: c.metrics, cache: c.cache, recon: c.recon,
+		})
 	}
 	c.startLoops()
 	return c, nil
@@ -318,20 +315,20 @@ func (c *Cluster) ProxyStatsTotal() ProxyStats {
 	return total
 }
 
-// Client returns a load-balancing client that spreads requests across the
-// proxies round-robin (the HA-proxy machine of the testbed) and accounts the
-// traffic crossing the inter-cluster link.
-func (c *Cluster) Client() Client { return &lbClient{c: c} }
+// Client returns a client over the cluster: namespace operations go to the
+// shared registry, and object PUT, GET and DELETE are spread across the
+// proxies round-robin (the HA-proxy machine of the testbed), which also
+// accounts the traffic crossing the inter-cluster link.
+func (c *Cluster) Client() Client { return &lbClient{Registry: c.reg, c: c} }
 
-type lbClient struct{ c *Cluster }
+type lbClient struct {
+	*Registry
+	c *Cluster
+}
 
 func (l *lbClient) pick() *Proxy {
 	i := l.c.next.Add(1)
 	return l.c.proxies[int(i)%len(l.c.proxies)]
-}
-
-func (l *lbClient) CreateContainer(ctx context.Context, account, container string, policy *ContainerPolicy) error {
-	return l.pick().CreateContainer(ctx, account, container, policy)
 }
 
 func (l *lbClient) PutObject(ctx context.Context, account, container, object string, r io.Reader, meta map[string]string) (ObjectInfo, error) {
@@ -346,22 +343,6 @@ func (l *lbClient) GetObject(ctx context.Context, account, container, object str
 	return &countedBody{rc: rc, onClose: func(n int64) { l.c.lbBytes.Add(n) }}, info, nil
 }
 
-func (l *lbClient) HeadObject(ctx context.Context, account, container, object string) (ObjectInfo, error) {
-	return l.pick().HeadObject(ctx, account, container, object)
-}
-
 func (l *lbClient) DeleteObject(ctx context.Context, account, container, object string) error {
 	return l.pick().DeleteObject(ctx, account, container, object)
-}
-
-func (l *lbClient) ListObjects(ctx context.Context, account, container, prefix string) ([]ObjectInfo, error) {
-	return l.pick().ListObjects(ctx, account, container, prefix)
-}
-
-func (l *lbClient) ListContainers(ctx context.Context, account string) ([]string, error) {
-	return l.pick().ListContainers(ctx, account)
-}
-
-func (l *lbClient) DeleteContainer(ctx context.Context, account, container string) error {
-	return l.pick().DeleteContainer(ctx, account, container)
 }

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"scoop/internal/pushdown"
 )
 
 // errStaleReplica marks a replica skipped because it holds a version other
@@ -56,4 +58,49 @@ func (p *Proxy) resumeOnReplicas(ctx context.Context, nodes []*Node, idx int, pa
 		p.count("proxy.get.resumes")
 		return rc, nil
 	}
+}
+
+// fetchReplica opens the object on the first replica that can deliver its
+// first byte, trying the remaining ring replicas on any failure — including
+// streams that open successfully and die before producing data (peekFirst).
+// When wantETag is non-empty, replicas holding any other version are
+// skipped (a quorum PUT may have missed a replica; a migration may not
+// have reached one yet). It returns the stream, the object metadata, and
+// the index of the serving replica so mid-stream failover can continue
+// down the ring.
+func (p *Proxy) fetchReplica(ctx context.Context, nodes []*Node, path string, start, end int64, tasks []*pushdown.Task, wantETag string) (io.ReadCloser, ObjectInfo, int, error) {
+	var lastErr error = ErrNotFound
+	for i, node := range nodes {
+		if err := ctx.Err(); err != nil {
+			return nil, ObjectInfo{}, 0, err
+		}
+		rc, info, err := node.GetVersion(ctx, path, start, end, tasks, wantETag)
+		if errors.Is(err, errStaleReplica) {
+			p.count("proxy.get.stale_skips")
+			lastErr = err
+			continue
+		}
+		if err != nil {
+			// A pushdown refusal comes from the SHARED storlet engine, not
+			// this replica's disk — another replica would refuse identically.
+			// Abort the ring walk so the refusal surfaces once (typed, for
+			// the 503 path) instead of as N spurious failovers.
+			if IsPushdownUnavailable(err) || IsFilterFailure(err) {
+				return nil, ObjectInfo{}, 0, err
+			}
+			lastErr = err
+			continue
+		}
+		pk, perr := peekFirst(rc)
+		if perr != nil {
+			rc.Close()
+			if IsPushdownUnavailable(perr) || IsFilterFailure(perr) {
+				return nil, ObjectInfo{}, 0, perr
+			}
+			lastErr = fmt.Errorf("objectstore: replica %s failed before first byte: %w", node.Name(), perr)
+			continue
+		}
+		return pk, info, i, nil
+	}
+	return nil, ObjectInfo{}, 0, lastErr
 }

@@ -268,15 +268,7 @@ func infoFromResponse(resp *http.Response, account, container, object string) Ob
 
 // DeleteObject implements Client.
 func (c *HTTPClient) DeleteObject(ctx context.Context, account, container, object string) error {
-	resp, err := c.do(ctx, http.MethodDelete, c.url(account, container, object))
-	if err != nil {
-		return err
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusNoContent {
-		return statusErr(resp)
-	}
-	return nil
+	return c.del(ctx, c.url(account, container, object), nil)
 }
 
 // ListObjects implements Client.
@@ -285,50 +277,57 @@ func (c *HTTPClient) ListObjects(ctx context.Context, account, container, prefix
 	if prefix != "" {
 		u += "?prefix=" + url.QueryEscape(prefix)
 	}
-	resp, err := c.do(ctx, http.MethodGet, u)
-	if err != nil {
-		return nil, err
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return nil, statusErr(resp)
-	}
 	var out []ObjectInfo
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("objectstore: decode listing: %w", err)
+	if err := c.getJSON(ctx, u, "listing", &out); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
 // ListContainers implements Client.
 func (c *HTTPClient) ListContainers(ctx context.Context, account string) ([]string, error) {
-	resp, err := c.do(ctx, http.MethodGet, c.url(account))
-	if err != nil {
-		return nil, err
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return nil, statusErr(resp)
-	}
 	var out []string
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("objectstore: decode container listing: %w", err)
+	if err := c.getJSON(ctx, c.url(account), "container listing", &out); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
 // DeleteContainer implements Client.
 func (c *HTTPClient) DeleteContainer(ctx context.Context, account, container string) error {
-	resp, err := c.do(ctx, http.MethodDelete, c.url(account, container))
+	return c.del(ctx, c.url(account, container), ErrContainerNotEmpty)
+}
+
+// getJSON sends a GET that must answer 200 and decodes its JSON body into
+// out; what names the body in a decode error.
+func (c *HTTPClient) getJSON(ctx context.Context, u, what string, out any) error {
+	resp, err := c.do(ctx, http.MethodGet, u)
 	if err != nil {
 		return err
 	}
 	defer drainClose(resp.Body)
-	switch resp.StatusCode {
-	case http.StatusNoContent:
+	if resp.StatusCode != http.StatusOK {
+		return statusErr(resp)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		return fmt.Errorf("objectstore: decode %s: %w", what, err)
+	}
+	return nil
+}
+
+// del sends a DELETE that must answer 204. A 409 becomes conflict when it
+// is non-nil (Swift's answer to deleting a non-empty container).
+func (c *HTTPClient) del(ctx context.Context, u string, conflict error) error {
+	resp, err := c.do(ctx, http.MethodDelete, u)
+	if err != nil {
+		return err
+	}
+	defer drainClose(resp.Body)
+	switch {
+	case resp.StatusCode == http.StatusNoContent:
 		return nil
-	case http.StatusConflict:
-		return ErrContainerNotEmpty
+	case resp.StatusCode == http.StatusConflict && conflict != nil:
+		return conflict
 	default:
 		return statusErr(resp)
 	}

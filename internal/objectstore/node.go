@@ -45,15 +45,10 @@ type Node struct {
 	stats NodeStats
 }
 
-// NewNode creates a memory-backed object node. Nodes share the engine: in a
-// real deployment the registry is distributed with the filter objects;
-// sharing is the in-process equivalent.
-func NewNode(name string, engine *storlet.Engine) *Node {
-	return NewNodeWithStore(name, NewMemStore(), engine)
-}
-
-// NewNodeWithStore creates an object node over an explicit storage engine
-// (e.g. a DiskStore for persistent deployments).
+// NewNodeWithStore creates an object node over a storage engine (a MemStore,
+// or a DiskStore for persistent deployments). Nodes share the storlet
+// engine: in a real deployment the filter registry is distributed with the
+// filter objects; sharing is the in-process equivalent.
 func NewNodeWithStore(name string, store Store, engine *storlet.Engine) *Node {
 	return &Node{name: name, store: store, engine: engine}
 }

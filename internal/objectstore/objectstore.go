@@ -1,9 +1,9 @@
 // Package objectstore implements the Swift-like object store Scoop runs on:
-// a two-tier architecture of proxy servers (request routing, account and
-// container management, replication fan-out) and object servers (blob
-// storage), with placement decided by a consistent-hash ring and a storlet
-// engine attached to both tiers so pushdown filters can execute at either
-// stage (paper §III-B, §IV-B).
+// a metadata registry (accounts, containers, committed object versions),
+// proxy servers on the data path (request routing, replication fan-out) and
+// object servers (blob storage), with placement decided by a consistent-hash
+// ring and a storlet engine attached to proxies and object servers so
+// pushdown filters can execute at either stage (paper §III-B, §IV-B).
 //
 // The store exposes the familiar /account/container/object namespace with
 // PUT/GET/HEAD/DELETE plus byte-range reads, and carries pushdown tasks in
@@ -74,7 +74,7 @@ type ContainerPolicy struct {
 }
 
 // Client is the operations surface of the store, implemented both by the
-// in-process Proxy and by the HTTP client. Every operation takes a
+// in-process cluster (Cluster.Client) and by the HTTP client. Every operation takes a
 // context.Context so a caller that goes away — a query cancelled mid-scan, a
 // compute task past its deadline — tears its request down through the whole
 // connector -> proxy -> storlet stack instead of leaving work running.

@@ -6,8 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
-	"strings"
 	"sync"
 
 	"scoop/internal/metrics"
@@ -16,66 +14,6 @@ import (
 	"scoop/internal/ring"
 	"scoop/internal/storlet"
 )
-
-// Registry is the account/container metadata tier shared by all proxies
-// (Swift keeps this on the container/account rings of the proxy-metadata
-// servers; the paper's testbed runs 6 of them over 60 disks).
-type Registry struct {
-	mu       sync.RWMutex
-	accounts map[string]*accountState
-}
-
-// NewRegistry returns an empty metadata registry.
-func NewRegistry() *Registry {
-	return &Registry{accounts: make(map[string]*accountState)}
-}
-
-// AllObjects snapshots every committed object's metadata across all
-// accounts and containers, sorted by ring path — the reconciler's work list.
-func (r *Registry) AllObjects() []ObjectInfo {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var out []ObjectInfo
-	for _, acc := range r.accounts {
-		for _, cs := range acc.containers {
-			for _, info := range cs.objects {
-				out = append(out, info)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Path() < out[j].Path() })
-	return out
-}
-
-// InfoByPath resolves a "/account/container/object" ring key to its
-// committed metadata.
-func (r *Registry) InfoByPath(path string) (ObjectInfo, bool) {
-	parts := strings.SplitN(strings.TrimPrefix(path, "/"), "/", 3)
-	if len(parts) != 3 {
-		return ObjectInfo{}, false
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	acc, ok := r.accounts[parts[0]]
-	if !ok {
-		return ObjectInfo{}, false
-	}
-	cs, ok := acc.containers[parts[1]]
-	if !ok {
-		return ObjectInfo{}, false
-	}
-	info, ok := cs.objects[parts[2]]
-	return info, ok
-}
-
-type accountState struct {
-	containers map[string]*containerState
-}
-
-type containerState struct {
-	policy  ContainerPolicy
-	objects map[string]ObjectInfo
-}
 
 // ProxyStats accounts a proxy's traffic (Fig. 9(c) measures proxy transmit
 // bandwidth with and without Scoop).
@@ -86,9 +24,10 @@ type ProxyStats struct {
 	PutBytes       int64
 }
 
-// Proxy is a Swift proxy server: it routes object requests through the ring,
-// fans out replication on PUT, serves container metadata from the shared
-// registry, and hosts the proxy-stage storlet runtime.
+// Proxy is a Swift proxy server on the data path: it routes object PUT, GET
+// and DELETE through the ring, fans out replication on PUT, and hosts the
+// proxy-stage storlet runtime. The namespace lives in the shared Registry;
+// the proxy reads container policies there and commits object versions.
 type Proxy struct {
 	name   string
 	ring   *ring.Ring
@@ -98,7 +37,9 @@ type Proxy struct {
 
 	// quorum is the minimum replica writes for a successful PUT;
 	// 0 means majority of the ring's replica count.
-	quorum  int
+	quorum int
+	// metrics counts recoveries (failovers, resumes, quorum degradations,
+	// repairs); nil disables counting.
 	metrics *metrics.Registry
 
 	// cache, when set, serves repeated identical pushdowns from memory and
@@ -115,23 +56,8 @@ type Proxy struct {
 	stats  ProxyStats
 }
 
-// NewProxy creates a proxy over the given ring, live node set and shared
-// metadata registry. The NodeSet is shared with the cluster: membership
-// changes made there are visible to this proxy's routing immediately.
-func NewProxy(name string, rg *ring.Ring, nodes *NodeSet, engine *storlet.Engine, reg *Registry) *Proxy {
-	return &Proxy{name: name, ring: rg, nodes: nodes, engine: engine, reg: reg}
-}
-
 // Name returns the proxy's name.
 func (p *Proxy) Name() string { return p.name }
-
-// SetMetrics attaches a counter registry; recoveries (failovers, resumes,
-// quorum degradations, repairs) are counted there. nil disables counting.
-func (p *Proxy) SetMetrics(r *metrics.Registry) { p.metrics = r }
-
-// SetWriteQuorum overrides the PUT write quorum; q <= 0 restores the
-// default (majority of the ring's replicas).
-func (p *Proxy) SetWriteQuorum(q int) { p.quorum = q }
 
 // SetResultCache attaches a pushdown result cache; nil disables caching.
 func (p *Proxy) SetResultCache(c *resultcache.Cache) { p.cache = c }
@@ -161,74 +87,14 @@ func (p *Proxy) ResetStats() {
 	p.stats = ProxyStats{}
 }
 
-// CreateContainer implements Client.
-func (p *Proxy) CreateContainer(_ context.Context, account, container string, policy *ContainerPolicy) error {
-	if err := validateName(account); err != nil {
-		return err
-	}
-	if err := validateName(container); err != nil {
-		return err
-	}
-	p.reg.mu.Lock()
-	defer p.reg.mu.Unlock()
-	acc, ok := p.reg.accounts[account]
-	if !ok {
-		acc = &accountState{containers: make(map[string]*containerState)}
-		p.reg.accounts[account] = acc
-	}
-	if _, dup := acc.containers[container]; dup {
-		return ErrContainerExists
-	}
-	cs := &containerState{objects: make(map[string]ObjectInfo)}
-	if policy != nil {
-		cs.policy = *policy
-	}
-	acc.containers[container] = cs
-	return nil
-}
-
-func validateName(s string) error {
-	if s == "" || strings.ContainsAny(s, "/ \t\n") {
-		return fmt.Errorf("objectstore: invalid name %q", s)
-	}
-	return nil
-}
-
-func (p *Proxy) container(account, container string) (*containerState, error) {
-	p.reg.mu.RLock()
-	defer p.reg.mu.RUnlock()
-	acc, ok := p.reg.accounts[account]
-	if !ok {
-		return nil, ErrContainerNotFound
-	}
-	cs, ok := acc.containers[container]
-	if !ok {
-		return nil, ErrContainerNotFound
-	}
-	return cs, nil
-}
-
-func (p *Proxy) containerPolicy(account, container string) (ContainerPolicy, error) {
-	cs, err := p.container(account, container)
-	if err != nil {
-		return ContainerPolicy{}, err
-	}
-	p.reg.mu.RLock()
-	defer p.reg.mu.RUnlock()
-	return cs.policy, nil
-}
-
-// PutObject implements Client: it runs the container's PUT pipeline (the
-// upload-path ETL), then replicates the resulting object to every ring
-// replica.
+// PutObject runs the container's PUT pipeline (the upload-path ETL), then
+// replicates the resulting object to every ring replica and commits it to
+// the registry.
 func (p *Proxy) PutObject(ctx context.Context, account, container, object string, r io.Reader, meta map[string]string) (ObjectInfo, error) {
-	cs, err := p.container(account, container)
+	policy, err := p.reg.policy(account, container)
 	if err != nil {
 		return ObjectInfo{}, err
 	}
-	p.reg.mu.RLock()
-	policy := cs.policy
-	p.reg.mu.RUnlock()
 	if err := validateName(object); err != nil {
 		return ObjectInfo{}, err
 	}
@@ -273,13 +139,22 @@ func (p *Proxy) PutObject(ctx context.Context, account, container, object string
 	}
 	// Write-quorum policy: the PUT succeeds when a majority of replicas
 	// (by default 2 of 3) hold the object; the durability gap is filed with
-	// the reconciler as a one-object record. Below quorum the PUT fails with
-	// the typed per-node causes.
+	// the reconciler as a one-object record once the version is committed.
+	// Below quorum the PUT fails with the typed per-node causes.
 	if quorum := writeQuorum(len(nodes), p.quorum); ok < quorum {
 		p.count("proxy.put.quorum_failed")
 		return ObjectInfo{}, &ReplicationError{
 			Path: info.Path(), Want: quorum, Got: ok, Replicas: len(nodes), Causes: causes,
 		}
+	}
+	if err := p.reg.commit(stored); err != nil {
+		// The container was deleted while the replicas were written. No
+		// registry entry will ever reference them: un-land them (best
+		// effort, as the reconciler does for a path deleted mid-copy).
+		for _, node := range nodes {
+			_ = node.Delete(ctx, info.Path())
+		}
+		return ObjectInfo{}, err
 	}
 	if ok < len(nodes) {
 		p.count("proxy.put.underreplicated")
@@ -288,9 +163,6 @@ func (p *Proxy) PutObject(ctx context.Context, account, container, object string
 			Targets: missed, Causes: causes,
 		})
 	}
-	p.reg.mu.Lock()
-	cs.objects[object] = stored
-	p.reg.mu.Unlock()
 	// Invalidate strictly AFTER the registry quorum commit point above. A
 	// GET that raced past an earlier invalidation re-keys off the committed
 	// registry ETag here, so it either sees the old committed version
@@ -351,13 +223,13 @@ func (p *Proxy) readNodes(path string) ([]*Node, error) {
 	return out, nil
 }
 
-// GetObject implements Client. Object-stage tasks run at the object server
+// GetObject reads (a range of) an object. Object-stage tasks run at the object server
 // holding the replica; proxy-stage tasks run here, on the way through.
 // Cacheable pushdown chains are served through the result cache (hit,
 // singleflight collapse, or leader fill); everything else — and every cache
 // refusal — takes the uncached path.
 func (p *Proxy) GetObject(ctx context.Context, account, container, object string, opts GetOptions) (io.ReadCloser, ObjectInfo, error) {
-	policy, err := p.containerPolicy(account, container)
+	policy, err := p.reg.policy(account, container)
 	if err != nil {
 		return nil, ObjectInfo{}, err
 	}
@@ -389,7 +261,7 @@ func (p *Proxy) cachedGet(ctx context.Context, account, container, object string
 	// its quorum commit point is invisible here, which together with the
 	// post-commit invalidation ordering makes a stale fill impossible to
 	// store (the fill guard below catches replicas racing ahead).
-	info, err := p.HeadObject(ctx, account, container, object)
+	info, err := p.reg.HeadObject(ctx, account, container, object)
 	if err != nil {
 		return nil, ObjectInfo{}, false, nil
 	}
@@ -497,70 +369,9 @@ func (p *Proxy) getUncached(ctx context.Context, account, container, object stri
 	return &countedBody{rc: out, also: counted, onClose: func(n int64) { p.addBytes(0, n) }}, info, nil
 }
 
-// fetchReplica opens the object on the first replica that can deliver its
-// first byte, trying the remaining ring replicas on any failure — including
-// streams that open successfully and die before producing data (peekFirst).
-// When wantETag is non-empty, replicas holding any other version are
-// skipped (a quorum PUT may have missed a replica; a migration may not
-// have reached one yet). It returns the stream, the object metadata, and
-// the index of the serving replica so mid-stream failover can continue
-// down the ring.
-func (p *Proxy) fetchReplica(ctx context.Context, nodes []*Node, path string, start, end int64, tasks []*pushdown.Task, wantETag string) (io.ReadCloser, ObjectInfo, int, error) {
-	var lastErr error = ErrNotFound
-	for i, node := range nodes {
-		if err := ctx.Err(); err != nil {
-			return nil, ObjectInfo{}, 0, err
-		}
-		rc, info, err := node.GetVersion(ctx, path, start, end, tasks, wantETag)
-		if errors.Is(err, errStaleReplica) {
-			p.count("proxy.get.stale_skips")
-			lastErr = err
-			continue
-		}
-		if err != nil {
-			// A pushdown refusal comes from the SHARED storlet engine, not
-			// this replica's disk — another replica would refuse identically.
-			// Abort the ring walk so the refusal surfaces once (typed, for
-			// the 503 path) instead of as N spurious failovers.
-			if IsPushdownUnavailable(err) || IsFilterFailure(err) {
-				return nil, ObjectInfo{}, 0, err
-			}
-			lastErr = err
-			continue
-		}
-		pk, perr := peekFirst(rc)
-		if perr != nil {
-			rc.Close()
-			if IsPushdownUnavailable(perr) || IsFilterFailure(perr) {
-				return nil, ObjectInfo{}, 0, perr
-			}
-			lastErr = fmt.Errorf("objectstore: replica %s failed before first byte: %w", node.Name(), perr)
-			continue
-		}
-		return pk, info, i, nil
-	}
-	return nil, ObjectInfo{}, 0, lastErr
-}
-
-// HeadObject implements Client.
-func (p *Proxy) HeadObject(_ context.Context, account, container, object string) (ObjectInfo, error) {
-	cs, err := p.container(account, container)
-	if err != nil {
-		return ObjectInfo{}, err
-	}
-	p.reg.mu.RLock()
-	defer p.reg.mu.RUnlock()
-	info, ok := cs.objects[object]
-	if !ok {
-		return ObjectInfo{}, ErrNotFound
-	}
-	return info, nil
-}
-
-// DeleteObject implements Client.
+// DeleteObject removes an object from every replica, then from the registry.
 func (p *Proxy) DeleteObject(ctx context.Context, account, container, object string) error {
-	cs, err := p.container(account, container)
-	if err != nil {
+	if _, err := p.reg.policy(account, container); err != nil {
 		return err
 	}
 	// Deletes cover the READ placement: during a migration window the only
@@ -578,68 +389,12 @@ func (p *Proxy) DeleteObject(ctx context.Context, account, container, object str
 			lastErr = err
 		}
 	}
-	p.reg.mu.Lock()
-	delete(cs.objects, object)
-	p.reg.mu.Unlock()
+	p.reg.remove(account, container, object)
 	// Deletion cannot serve stale hits (a future GET finds no registry ETag
 	// to key on), so this is memory reclamation, ordered after the registry
 	// delete for the same reason as the PUT-path invalidation.
 	p.cache.InvalidatePath(path)
 	return lastErr
-}
-
-// ListObjects implements Client using the proxy-tier container index (Swift
-// keeps container listings on the metadata tier, not on object servers).
-func (p *Proxy) ListObjects(_ context.Context, account, container, prefix string) ([]ObjectInfo, error) {
-	cs, err := p.container(account, container)
-	if err != nil {
-		return nil, err
-	}
-	p.reg.mu.RLock()
-	defer p.reg.mu.RUnlock()
-	var out []ObjectInfo
-	for name, info := range cs.objects {
-		if strings.HasPrefix(name, prefix) {
-			out = append(out, info)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out, nil
-}
-
-// ListContainers implements Client.
-func (p *Proxy) ListContainers(_ context.Context, account string) ([]string, error) {
-	p.reg.mu.RLock()
-	defer p.reg.mu.RUnlock()
-	acc, ok := p.reg.accounts[account]
-	if !ok {
-		return nil, ErrContainerNotFound
-	}
-	out := make([]string, 0, len(acc.containers))
-	for name := range acc.containers {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-// DeleteContainer implements Client.
-func (p *Proxy) DeleteContainer(_ context.Context, account, container string) error {
-	p.reg.mu.Lock()
-	defer p.reg.mu.Unlock()
-	acc, ok := p.reg.accounts[account]
-	if !ok {
-		return ErrContainerNotFound
-	}
-	cs, ok := acc.containers[container]
-	if !ok {
-		return ErrContainerNotFound
-	}
-	if len(cs.objects) > 0 {
-		return fmt.Errorf("%w: %d objects remain", ErrContainerNotEmpty, len(cs.objects))
-	}
-	delete(acc.containers, container)
-	return nil
 }
 
 // IsNotFound reports whether err means the object or container is missing.

@@ -272,10 +272,10 @@ func (pt *Partial) emit(row types.Row) (keyedRow, error) {
 }
 
 // Merge folds o, a partial of the same plan over input that follows
-// pt's, into pt; o must not be used afterwards. Merging partials in input
-// order gives the groups, the first-row values and the order of float
-// additions of a single pass over the concatenated input cut at the same
-// places, whatever order the partials were built in.
+// pt's, into pt; o must not be used afterwards. Sums are exact, so merge
+// order fixes only first_value and the first-appearance order of groups:
+// merging partials in input order gives those of a single pass over the
+// concatenated input, whatever order the partials were built in.
 func (pt *Partial) Merge(o *Partial) {
 	if pt.p != o.p {
 		panic("exec: Merge of partials of different plans")
