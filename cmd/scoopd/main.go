@@ -41,22 +41,18 @@ func main() {
 	cacheBytes := flag.Int64("result-cache-bytes", 256<<20, "pushdown result cache capacity in bytes (0 disables)")
 	reconcileIvl := flag.Duration("reconcile-interval", 2*time.Second, "background reconcile (repair + migration) pass interval (0 disables)")
 	healthIvl := flag.Duration("health-interval", 5*time.Second, "node health probe interval (0 disables)")
-	healthFails := flag.Int("health-fail-threshold", 3, "consecutive probe failures before auto-eject")
-	seed := flag.Int64("seed", 1, "seed for background-loop jitter (determinism knob)")
 	flag.Parse()
 
 	cluster, err := objectstore.NewCluster(objectstore.ClusterConfig{
-		Proxies:             *proxies,
-		ObjectNodes:         *nodes,
-		DisksPerNode:        *disks,
-		Replicas:            *replicas,
-		Limits:              storlet.Limits{Timeout: *timeout},
-		DataDir:             *dataDir,
-		ResultCacheBytes:    *cacheBytes,
-		ReconcileInterval:   *reconcileIvl,
-		HealthInterval:      *healthIvl,
-		HealthFailThreshold: *healthFails,
-		Seed:                *seed,
+		Proxies:           *proxies,
+		ObjectNodes:       *nodes,
+		DisksPerNode:      *disks,
+		Replicas:          *replicas,
+		Limits:            storlet.Limits{Timeout: *timeout},
+		DataDir:           *dataDir,
+		ResultCacheBytes:  *cacheBytes,
+		ReconcileInterval: *reconcileIvl,
+		HealthInterval:    *healthIvl,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "scoopd:", err)

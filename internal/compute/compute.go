@@ -13,6 +13,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"scoop/internal/clock"
 )
 
 // Task is one schedulable unit. Implementations must be safe to retry.
@@ -130,7 +132,7 @@ func (d *Driver) Run(ctx context.Context, tasks []Task) ([]any, Stats, error) {
 						return
 					}
 					if attempt > 0 && rng != nil {
-						if !sleepCtx(jobCtx, time.Duration(rng.Int63n(int64(d.cfg.RetryBackoff)))) {
+						if clock.Sleep(jobCtx, time.Duration(rng.Int63n(int64(d.cfg.RetryBackoff)))) != nil {
 							return
 						}
 					}
@@ -226,19 +228,4 @@ func Blocking(ctx context.Context, fn func() error) error {
 		err = ctx.Err()
 	}
 	return err
-}
-
-// sleepCtx pauses for d, returning false when ctx dies first.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
 }

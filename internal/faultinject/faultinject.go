@@ -26,7 +26,6 @@
 package faultinject
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -292,20 +291,4 @@ func Generate(seed int64, cfg GenConfig) []Rule {
 	}
 	sort.Slice(rules, func(i, j int) bool { return rules[i].From < rules[j].From })
 	return rules
-}
-
-// sleepCtx waits d honoring cancellation, so an injected latency spike
-// never outlives the request it delays.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"scoop/internal/clock"
 	"scoop/internal/storlet"
 )
 
@@ -49,7 +50,7 @@ func (f *FilterFault) Invoke(ctx *storlet.Context, in io.Reader, out io.Writer) 
 		if c == nil {
 			c = context.Background()
 		}
-		if err := sleepCtx(c, fault.Delay); err != nil {
+		if err := clock.Sleep(c, fault.Delay); err != nil {
 			return fmt.Errorf("%w: latency aborted: %w", ErrInjected, err)
 		}
 		return f.Inner.Invoke(ctx, in, out)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"scoop/internal/clock"
 	"scoop/internal/objectstore"
 )
 
@@ -36,7 +37,7 @@ func (s *Store) fail(ctx context.Context, op Op, f *Fault) error {
 		// Status fault degrades to a generic server-side failure.
 		return fmt.Errorf("%w: node %s %s failed (%s)", ErrInjected, s.Node, op, f.Kind)
 	case Latency:
-		if err := sleepCtx(ctx, f.Delay); err != nil {
+		if err := clock.Sleep(ctx, f.Delay); err != nil {
 			return fmt.Errorf("%w: node %s latency aborted: %w", ErrInjected, s.Node, err)
 		}
 	}

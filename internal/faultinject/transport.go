@@ -8,6 +8,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"scoop/internal/clock"
 )
 
 // Transport is an http.RoundTripper that injects the schedule's faults into
@@ -61,7 +63,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	case Latency:
 		sleep := t.Sleep
 		if sleep == nil {
-			sleep = sleepCtx
+			sleep = clock.Sleep
 		}
 		if err := sleep(req.Context(), f.Delay); err != nil {
 			if req.Body != nil {

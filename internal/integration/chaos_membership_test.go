@@ -126,18 +126,30 @@ func runMembershipChaos(t *testing.T, seed int64) string {
 		From: 8, To: 20, Fault: faultinject.Fault{Kind: faultinject.Blackout},
 	})
 
-	// converge drives migration passes until the window commits, probing
-	// the full read set between passes.
+	// migrations counts the queued partition records.
+	migrations := func() int {
+		n := 0
+		for _, r := range cluster.Records() {
+			if r.Path == "" {
+				n++
+			}
+		}
+		return n
+	}
+
+	// converge drives reconcile passes until the window commits, probing
+	// the full read set between passes. While a partition record is queued
+	// a pass takes only partition records.
 	converge := func(phase string) {
 		for pass := 1; ; pass++ {
 			if pass > 40 {
 				t.Fatalf("phase %s: migration did not converge in 40 passes (%d records left)",
-					phase, len(cluster.MigrationRecords()))
+					phase, migrations())
 			}
-			moved, merr := cluster.RunMigrations(ctx)
+			moved, merr := cluster.Reconcile(ctx)
 			fmt.Fprintf(&log, "%s pass=%d moved=%d err=%v\n", phase, pass, moved, merr)
 			readAll(phase + " mid-window")
-			if !cluster.Ring().Migrating() && len(cluster.MigrationRecords()) == 0 {
+			if !cluster.Ring().Migrating() && migrations() == 0 {
 				return
 			}
 		}
@@ -148,7 +160,7 @@ func runMembershipChaos(t *testing.T, seed int64) string {
 	if err := cluster.RemoveNode(ctx, "object-01"); err != nil {
 		t.Fatal(err)
 	}
-	fmt.Fprintf(&log, "A remove epoch=%d records=%d\n", cluster.Ring().Epoch(), len(cluster.MigrationRecords()))
+	fmt.Fprintf(&log, "A remove epoch=%d records=%d\n", cluster.Ring().Epoch(), migrations())
 	readAll("A pre-migration")
 	converge("A")
 
@@ -158,7 +170,7 @@ func runMembershipChaos(t *testing.T, seed int64) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fmt.Fprintf(&log, "B add=%s epoch=%d records=%d\n", added, cluster.Ring().Epoch(), len(cluster.MigrationRecords()))
+	fmt.Fprintf(&log, "B add=%s epoch=%d records=%d\n", added, cluster.Ring().Epoch(), migrations())
 	readAll("B pre-migration")
 	converge("B")
 
@@ -167,13 +179,14 @@ func runMembershipChaos(t *testing.T, seed int64) string {
 	}
 
 	// Drain the repair queue (degraded reads during the blackout window
-	// file repair records) until the pending gauge is empty.
+	// file repair records) until the pending gauge is empty: with no
+	// partition record left, a pass takes the repairs.
 	for pass := 1; cluster.Metrics().Gauge("proxy.repair.pending").Load() > 0; pass++ {
 		if pass > 10 {
 			t.Fatalf("repair queue did not drain: %d pending",
 				cluster.Metrics().Gauge("proxy.repair.pending").Load())
 		}
-		n, rerr := cluster.RunRepairs(ctx)
+		n, rerr := cluster.Reconcile(ctx)
 		fmt.Fprintf(&log, "repair pass=%d repaired=%d err=%v\n", pass, n, rerr)
 	}
 

@@ -106,7 +106,12 @@ func TestChaosPutQuorumAndRepair(t *testing.T) {
 	if got := sched.InjectedTotal(); got != 1 {
 		t.Errorf("schedule injected %d faults, want 1", got)
 	}
-	recs := cluster.RepairRecords()
+	var recs []objectstore.ReconcileRecord
+	for _, r := range cluster.Records() {
+		if r.Path != "" {
+			recs = append(recs, r)
+		}
+	}
 	if len(recs) != 1 {
 		t.Fatalf("repair records = %d, want 1", len(recs))
 	}
@@ -117,9 +122,9 @@ func TestChaosPutQuorumAndRepair(t *testing.T) {
 		t.Errorf("repair cause = %v, want wrapped faultinject.ErrInjected", recs[0].Causes)
 	}
 
-	n, err := cluster.RunRepairs(ctx)
+	n, err := cluster.Reconcile(ctx)
 	if err != nil {
-		t.Fatalf("RunRepairs: %v", err)
+		t.Fatalf("Reconcile: %v", err)
 	}
 	if n != 1 {
 		t.Errorf("repaired %d records, want 1", n)

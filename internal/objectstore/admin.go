@@ -166,7 +166,7 @@ func (h *AdminHandler) serveNodes(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err == nil {
-		fmt.Fprintf(w, done, name, h.cluster.Ring().Epoch(), len(h.cluster.MigrationRecords()))
+		fmt.Fprintf(w, done, name, h.cluster.Ring().Epoch(), h.cluster.Metrics().Gauge("migrate.partitions.pending").Load())
 		return
 	}
 	status := http.StatusBadRequest

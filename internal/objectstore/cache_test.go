@@ -85,7 +85,7 @@ func gatedCacheCluster(t *testing.T, g *gateFilter) (*Cluster, *resultcache.Cach
 		Metrics:  c.Metrics(),
 	})
 	for _, p := range c.Proxies() {
-		p.SetResultCache(cache)
+		p.cache = cache
 	}
 	return c, cache
 }

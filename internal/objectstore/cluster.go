@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"scoop/internal/clock"
 	"scoop/internal/detmanifest"
 	"scoop/internal/metrics"
 	"scoop/internal/resultcache"
@@ -41,21 +42,15 @@ type ClusterConfig struct {
 	// cache entirely.
 	ResultCacheBytes int64
 
-	// ReconcileInterval, when > 0, starts the background loop draining the
-	// reconcile queue — repairs and partition migrations alike — at that
-	// pace (with seeded jitter). 0 leaves reconciliation manual (RunRepairs,
-	// RunMigrations), which the deterministic chaos suite depends on.
+	// ReconcileInterval, when > 0, starts the background loop calling
+	// Reconcile — repairs and partition migrations alike — at that pace
+	// (with jitter). 0 leaves the passes to the caller: the deterministic
+	// chaos suites call Reconcile themselves, between scripted faults.
 	ReconcileInterval time.Duration
-	// HealthInterval, when > 0, starts a background probe loop over the
-	// membership; HealthFailThreshold consecutive probe failures eject a
-	// node (re-replication via reconcile records).
+	// HealthInterval, when > 0, starts a background loop calling
+	// RunHealthCheck; three consecutive probe failures eject a node
+	// (re-replication via reconcile records).
 	HealthInterval time.Duration
-	// HealthFailThreshold is the consecutive-failure count that marks a
-	// node dead; 0 defaults to 3.
-	HealthFailThreshold int
-	// Seed feeds the background loops' jitter so paced runs are replayable;
-	// 0 uses a fixed default seed.
-	Seed int64
 }
 
 // DefaultClusterConfig returns a small cluster with the testbed's shape.
@@ -94,6 +89,10 @@ type Cluster struct {
 	healthFails   map[string]int
 	nodeSeq       int
 	migrationHook func(path string) error
+
+	// reconciling is held by the running Reconcile pass; passes never
+	// overlap.
+	reconciling atomic.Bool
 
 	loopCancel context.CancelFunc
 	loopWG     sync.WaitGroup
@@ -198,18 +197,13 @@ func (c *Cluster) newStore(name string) (Store, error) {
 }
 
 // startLoops launches the configured background maintenance loops
-// (reconciliation, health probing). Each loop paces itself with seeded
-// jitter so two runs with the same seed fire in the same order relative to
-// their own timers, and exits promptly on Close.
+// (reconciliation, health probing). Each paces itself with jitter from its
+// own fixed seed and exits promptly on Close.
 func (c *Cluster) startLoops() {
 	ctx, cancel := context.WithCancel(context.Background())
 	c.loopCancel = cancel
-	seed := c.cfg.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	c.startLoop(ctx, c.cfg.ReconcileInterval, seed, func(ctx context.Context) { _, _ = c.reconcile(ctx, anyScope) })
-	c.startLoop(ctx, c.cfg.HealthInterval, seed+1, func(ctx context.Context) { _, _ = c.RunHealthCheck(ctx) })
+	c.startLoop(ctx, c.cfg.ReconcileInterval, 1, func(ctx context.Context) { _, _ = c.Reconcile(ctx) })
+	c.startLoop(ctx, c.cfg.HealthInterval, 2, func(ctx context.Context) { _, _ = c.RunHealthCheck(ctx) })
 }
 
 // startLoop starts one maintenance loop; an interval <= 0 leaves it off.
@@ -226,13 +220,8 @@ func (c *Cluster) maintenanceLoop(ctx context.Context, interval time.Duration, s
 	defer c.loopWG.Done()
 	rng := rand.New(rand.NewSource(seed))
 	for {
-		d := interval + time.Duration(rng.Int63n(int64(interval)/4+1))
-		t := time.NewTimer(d)
-		select {
-		case <-ctx.Done():
-			t.Stop()
+		if clock.Sleep(ctx, interval+time.Duration(rng.Int63n(int64(interval)/4+1))) != nil {
 			return
-		case <-t.C:
 		}
 		fn(ctx)
 	}

@@ -29,8 +29,8 @@ var (
 //
 // The node is added to the membership BEFORE the rebalance so the instant
 // the new epoch starts serving, writes and reads routed to the node
-// resolve; the data it is due arrives via RunMigrations. Returns the
-// node's name.
+// resolve; the data it is due arrives via Reconcile. Returns the node's
+// name.
 func (c *Cluster) AddNode(ctx context.Context, name string) (string, error) {
 	if err := ctx.Err(); err != nil {
 		return "", err
@@ -158,13 +158,8 @@ func (c *Cluster) Draining() []string {
 	return out
 }
 
-// healthFailThreshold resolves the consecutive-failure count that ejects.
-func (c *Cluster) healthFailThreshold() int {
-	if c.cfg.HealthFailThreshold > 0 {
-		return c.cfg.HealthFailThreshold
-	}
-	return 3
-}
+// healthFailThreshold is the consecutive probe-failure count that ejects.
+const healthFailThreshold = 3
 
 // RunHealthCheck probes every member once, in membership order, and ejects
 // nodes whose consecutive probe-failure count reaches the threshold. One
@@ -203,7 +198,7 @@ func (c *Cluster) RunHealthCheck(ctx context.Context) ([]string, error) {
 		c.healthFails[name]++
 		fails := c.healthFails[name]
 		c.metrics.Counter("health.probe.failed").Inc()
-		if fails < c.healthFailThreshold() {
+		if fails < healthFailThreshold {
 			c.memberMu.Unlock()
 			continue
 		}

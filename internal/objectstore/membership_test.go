@@ -66,20 +66,21 @@ func readAllObjects(t *testing.T, cluster *Cluster, objects map[string][]byte, w
 	}
 }
 
-// converge drains the migration queue to empty, bounding the passes.
+// converge runs reconcile passes until no partition record is queued and
+// the window is closed, bounding the passes.
 func converge(t *testing.T, cluster *Cluster) {
 	t.Helper()
 	ctx := context.Background()
 	for pass := 0; pass < 20; pass++ {
-		if _, err := cluster.RunMigrations(ctx); err != nil {
-			t.Logf("migration pass %d: %v", pass, err)
+		if _, err := cluster.Reconcile(ctx); err != nil {
+			t.Logf("reconcile pass %d: %v", pass, err)
 		}
-		if len(cluster.MigrationRecords()) == 0 && !cluster.Ring().Migrating() {
+		if len(migrationRecords(cluster)) == 0 && !cluster.Ring().Migrating() {
 			return
 		}
 	}
 	t.Fatalf("migration queue did not converge: %d records left, migrating=%v",
-		len(cluster.MigrationRecords()), cluster.Ring().Migrating())
+		len(migrationRecords(cluster)), cluster.Ring().Migrating())
 }
 
 // checkFullReplication asserts every object is held, with the committed
@@ -132,7 +133,7 @@ func TestAddNodeMigratesAndConverges(t *testing.T) {
 	if !cluster.Ring().Migrating() {
 		t.Fatal("expected an open migration window after AddNode")
 	}
-	if len(cluster.MigrationRecords()) == 0 {
+	if len(migrationRecords(cluster)) == 0 {
 		t.Fatal("expected queued migration records")
 	}
 
@@ -359,10 +360,19 @@ func TestMigrationRacingDelete(t *testing.T) {
 
 // probeStore makes a node's health probe switchable: Ping goes through
 // Head, so failing Head fails the probe without touching the data path
-// used by everyone else (data reads use Get).
+// used by everyone else (data reads use Get). rejectPuts fails writes
+// without failing the probe.
 type probeStore struct {
 	Store
-	dead atomic.Bool
+	dead       atomic.Bool
+	rejectPuts atomic.Bool
+}
+
+func (s *probeStore) Put(ctx context.Context, info ObjectInfo, r io.Reader) (ObjectInfo, error) {
+	if s.rejectPuts.Load() {
+		return ObjectInfo{}, errors.New("injected: write rejected")
+	}
+	return s.Store.Put(ctx, info, r)
 }
 
 func (s *probeStore) Head(ctx context.Context, path string) (ObjectInfo, error) {
@@ -389,7 +399,6 @@ func newProbeCluster(t *testing.T, cfg ClusterConfig, n int) (*Cluster, map[stri
 func TestHealthCheckEjectsAfterThreshold(t *testing.T) {
 	cfg := ClusterConfig{
 		Proxies: 1, ObjectNodes: 4, DisksPerNode: 2, Replicas: 3, PartPower: 4,
-		HealthFailThreshold: 3,
 	}
 	cluster, objects, probes := newProbeCluster(t, cfg, 16)
 	ctx := context.Background()
@@ -437,7 +446,6 @@ func TestHealthCheckEjectsAfterThreshold(t *testing.T) {
 func TestHealthCheckDefersDuringMigration(t *testing.T) {
 	cfg := ClusterConfig{
 		Proxies: 1, ObjectNodes: 4, DisksPerNode: 2, Replicas: 3, PartPower: 4,
-		HealthFailThreshold: 2,
 	}
 	cluster, _, probes := newProbeCluster(t, cfg, 8)
 	ctx := context.Background()
@@ -467,26 +475,42 @@ func TestHealthCheckDefersDuringMigration(t *testing.T) {
 	converge(t, cluster)
 }
 
-// TestBackgroundLoopsDriveConvergence: with intervals configured, AddNode
-// converges with no manual RunMigrations calls, and Close stops the loops.
+// TestBackgroundLoopsDriveConvergence: with intervals configured, the
+// loop's one pass drains both record kinds — the partition records AddNode
+// files and the repair a PUT missing a replica files — with no manual
+// Reconcile call, and Close stops the loops.
 func TestBackgroundLoopsDriveConvergence(t *testing.T) {
 	cfg := liveConfig()
 	cfg.ReconcileInterval = 2 * time.Millisecond
 	cfg.HealthInterval = 2 * time.Millisecond
-	cfg.Seed = 42
-	cluster, objects := newLiveCluster(t, cfg, 12)
+	cluster, objects, probes := newProbeCluster(t, cfg, 12)
 	ctx := context.Background()
 
 	if _, err := cluster.AddNode(ctx, ""); err != nil {
 		t.Fatal(err)
 	}
+	// The replica misses the write, not the probe: the health loop must not
+	// eject it.
+	missing := probes[replicasOf(t, cluster, "bg-put")[0].Name()]
+	missing.rejectPuts.Store(true)
+	fresh := []byte("written with one replica rejecting")
+	_, err := cluster.Client().PutObject(ctx, "gp", "c", "bg-put", bytes.NewReader(fresh), nil)
+	missing.rejectPuts.Store(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	objects["bg-put"] = fresh
+	m := cluster.Metrics()
 	deadline := time.Now().Add(5 * time.Second)
-	for cluster.Ring().Migrating() || len(cluster.MigrationRecords()) > 0 {
+	for m.Gauge("migrate.partitions.pending").Load() > 0 || m.Gauge("proxy.repair.pending").Load() > 0 || cluster.Ring().Migrating() {
 		if time.Now().After(deadline) {
-			t.Fatalf("background migrator did not converge: %d records, migrating=%v",
-				len(cluster.MigrationRecords()), cluster.Ring().Migrating())
+			t.Fatalf("background loop did not converge: %d partition and %d repair records pending, migrating=%v",
+				m.Gauge("migrate.partitions.pending").Load(), m.Gauge("proxy.repair.pending").Load(), cluster.Ring().Migrating())
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+	if got := m.Counter("proxy.repair.completed").Load(); got == 0 {
+		t.Fatal("the loop completed no repair")
 	}
 	readAllObjects(t, cluster, objects, "background-converged")
 	checkFullReplication(t, cluster, objects)
@@ -496,6 +520,104 @@ func TestBackgroundLoopsDriveConvergence(t *testing.T) {
 	if err := cluster.Close(); err != nil {
 		t.Fatal(err) // idempotent
 	}
+}
+
+// TestOverlappingPassLeavesTheWindowOpen: a pass started while another holds
+// the partition records finds none queued. It must not take that for a
+// finished migration and commit the epoch mid-copy; it returns at once.
+func TestOverlappingPassLeavesTheWindowOpen(t *testing.T) {
+	cluster, objects := newLiveCluster(t, liveConfig(), 12)
+	ctx := context.Background()
+	if _, err := cluster.AddNode(ctx, ""); err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	cluster.SetMigrationHook(func(string) error {
+		if calls++; calls > 1 {
+			return nil
+		}
+		if n, err := cluster.Reconcile(ctx); n != 0 || err != nil {
+			t.Errorf("overlapping pass = %d, %v; want 0, nil", n, err)
+		}
+		if !cluster.Ring().Migrating() {
+			t.Error("overlapping pass closed the migration window mid-copy")
+		}
+		return nil
+	})
+	converge(t, cluster)
+	if calls == 0 {
+		t.Fatal("hook never ran — test exercised nothing")
+	}
+	readAllObjects(t, cluster, objects, "post-overlap")
+	checkFullReplication(t, cluster, objects)
+}
+
+// TestMigrationRefusesStaleOldEpochSource: mid-window, the old-epoch node a
+// moved partition leaves still holds v1 after a PUT v2 the joining node
+// missed. With the two serving holders of v2 down, that node is the only
+// source left, and the copy guard must refuse it: the pass fails and the
+// joining node never stores v1.
+func TestMigrationRefusesStaleOldEpochSource(t *testing.T) {
+	cluster, objects := newLiveCluster(t, liveConfig(), 24)
+	ctx := context.Background()
+	joined, err := cluster.AddNode(ctx, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	object := movedObject(t, cluster, objects, joined)
+	path := "/gp/c/" + object
+	v1, _ := cluster.reg.InfoByPath(path)
+	joiner, _ := cluster.Members().Get(joined)
+	putVersion(t, cluster, object, 2, joiner)
+	var holders []*Node
+	for _, n := range replicasOf(t, cluster, object) {
+		if n != joiner {
+			holders = append(holders, n)
+		}
+	}
+	cluster.SetMigrationHook(func(p string) error {
+		if p == path {
+			for _, n := range holders {
+				n.SetDown(true)
+			}
+		}
+		return nil
+	})
+	if _, err := cluster.Reconcile(ctx); err == nil || !strings.Contains(err.Error(), "holds stale version") {
+		t.Fatalf("pass with only the old-epoch source left = %v, want a stale-version refusal", err)
+	}
+	if have, err := joiner.Head(ctx, path); err == nil && have.ETag == v1.ETag {
+		t.Fatalf("%s stored the stale old-epoch version %s", joined, v1.ETag)
+	}
+	cluster.SetMigrationHook(nil)
+	for _, n := range holders {
+		n.SetDown(false)
+	}
+	converge(t, cluster)
+	checkFullReplication(t, cluster, objects)
+}
+
+// movedObject returns the lowest-named object whose partition moved onto
+// the joined node: while the window is open its read placement is wider
+// than its write placement.
+func movedObject(t *testing.T, cluster *Cluster, objects map[string][]byte, joined string) string {
+	t.Helper()
+	object := ""
+	for name := range objects {
+		cur, _ := cluster.Ring().NodesFor("/gp/c/" + name)
+		union, _ := cluster.Ring().NodesForRead("/gp/c/" + name)
+		onJoined := false
+		for _, n := range cur {
+			onJoined = onJoined || n == joined
+		}
+		if onJoined && len(union) > len(cur) && (object == "" || name < object) {
+			object = name
+		}
+	}
+	if object == "" {
+		t.Fatal("AddNode moved no partition holding an object")
+	}
+	return object
 }
 
 // TestRingEpochHeaders: the HTTP surface advertises the placement epoch and

@@ -59,9 +59,6 @@ type Proxy struct {
 // Name returns the proxy's name.
 func (p *Proxy) Name() string { return p.name }
 
-// SetResultCache attaches a pushdown result cache; nil disables caching.
-func (p *Proxy) SetResultCache(c *resultcache.Cache) { p.cache = c }
-
 // count bumps a named recovery counter; safe with no registry attached.
 func (p *Proxy) count(name string) { p.metrics.Counter(name).Inc() }
 

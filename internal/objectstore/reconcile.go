@@ -43,22 +43,6 @@ type ReconcileRecord struct {
 	Causes []error
 }
 
-// recordScope selects records by what they cover.
-type recordScope uint8
-
-const (
-	objectScope    recordScope = 1 << iota // repairs
-	partitionScope                         // migrations
-	anyScope       = objectScope | partitionScope
-)
-
-func (r ReconcileRecord) scope() recordScope {
-	if r.Path != "" {
-		return objectScope
-	}
-	return partitionScope
-}
-
 // String names the record's work in errors ("migrate partition 7").
 func (r ReconcileRecord) String() string {
 	if r.Path != "" {
@@ -102,59 +86,53 @@ func (q *reconcileQueue) pending(r ReconcileRecord) *metrics.Gauge {
 	return q.metrics.Gauge("migrate.partitions.pending")
 }
 
-// split partitions the queue by scope, preserving order. Caller holds mu.
-func (q *reconcileQueue) split(scope recordScope) (in, out []ReconcileRecord) {
+// take removes and returns the records one pass works on: the partition
+// records while any is queued, otherwise the repairs, so a membership
+// change's window closes before the repairs filed meanwhile run.
+func (q *reconcileQueue) take() (in []ReconcileRecord) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if !q.migrationsLocked() {
+		in, q.recs = q.recs, nil
+		return in
+	}
+	var rest []ReconcileRecord
 	for _, r := range q.recs {
-		if r.scope()&scope != 0 {
+		if r.Path == "" {
 			in = append(in, r)
 		} else {
-			out = append(out, r)
+			rest = append(rest, r)
 		}
 	}
-	return in, out
-}
-
-// snapshot copies the queued records of the given scope, in queue order.
-func (q *reconcileQueue) snapshot(scope recordScope) []ReconcileRecord {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	in, _ := q.split(scope)
+	q.recs = rest
 	return in
 }
 
-// take removes and returns the queued records of the given scope.
-func (q *reconcileQueue) take(scope recordScope) (in []ReconcileRecord) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	in, q.recs = q.split(scope)
-	return in
+// migrationsLocked reports whether a partition record is queued. Caller
+// holds mu.
+func (q *reconcileQueue) migrationsLocked() bool {
+	for _, r := range q.recs {
+		if r.Path == "" {
+			return true
+		}
+	}
+	return false
 }
 
-// requeue puts unfinished records back ahead of anything filed meanwhile.
-func (q *reconcileQueue) requeue(recs []ReconcileRecord) {
+// requeue puts unfinished records back ahead of anything filed meanwhile and
+// reports whether a partition record is still queued.
+func (q *reconcileQueue) requeue(recs []ReconcileRecord) (migrations bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.recs = append(recs, q.recs...)
+	return q.migrationsLocked()
 }
 
-// RepairRecords returns a copy of the pending one-object records.
-func (c *Cluster) RepairRecords() []ReconcileRecord { return c.recon.snapshot(objectScope) }
-
-// MigrationRecords returns a copy of the pending partition records.
-func (c *Cluster) MigrationRecords() []ReconcileRecord { return c.recon.snapshot(partitionScope) }
-
-// RunRepairs runs one reconcile pass over the one-object records only, and
-// RunMigrations one over the partition records only; the background loop
-// runs both in one pass. The split exists for tests and chaos scripts, which
-// drive the two in a fixed order and count store operations in between. Both
-// return the records completed this pass and the first error.
-func (c *Cluster) RunRepairs(ctx context.Context) (int, error) {
-	return c.reconcile(ctx, objectScope)
-}
-
-// RunMigrations: see RunRepairs.
-func (c *Cluster) RunMigrations(ctx context.Context) (int, error) {
-	return c.reconcile(ctx, partitionScope)
+// Records returns a copy of the queued records, in queue order.
+func (c *Cluster) Records() []ReconcileRecord {
+	c.recon.mu.Lock()
+	defer c.recon.mu.Unlock()
+	return append([]ReconcileRecord(nil), c.recon.recs...)
 }
 
 // SetMigrationHook installs a hook called with each object path just before
@@ -168,16 +146,23 @@ func (c *Cluster) SetMigrationHook(fn func(path string) error) {
 	c.migrationHook = fn
 }
 
-// reconcile is the one drain-and-requeue pass. It takes the queued records
-// of the given scope and works through them in order; a record that fails
-// (an unreachable target, an injected migrator kill) goes back to the head
-// of the queue with Attempts bumped. When no partition record is left the
-// epoch commits and the dual-epoch read window closes.
-func (c *Cluster) reconcile(ctx context.Context, scope recordScope) (int, error) {
+// Reconcile runs one drain-and-requeue pass, the one the background loop
+// runs: it takes the partition records while any is queued, otherwise the
+// repairs, and works through them in order. A record that fails (an
+// unreachable target, an injected migrator kill) goes back to the head of
+// the queue with Attempts bumped. When no partition record is left the
+// epoch commits and the dual-epoch read window closes. Passes never
+// overlap: one that starts while another runs returns (0, nil) and leaves
+// the queue alone. Returns the records completed and the first error.
+func (c *Cluster) Reconcile(ctx context.Context) (int, error) {
+	if !c.reconciling.CompareAndSwap(false, true) {
+		return 0, nil
+	}
+	defer c.reconciling.Store(false)
 	c.memberMu.Lock()
 	hook := c.migrationHook
 	c.memberMu.Unlock()
-	pending := c.recon.take(scope)
+	pending := c.recon.take()
 
 	done := 0
 	var remaining []ReconcileRecord
@@ -212,8 +197,7 @@ func (c *Cluster) reconcile(ctx context.Context, scope recordScope) (int, error)
 	}
 
 	c.memberMu.Lock()
-	c.recon.requeue(remaining)
-	if scope&partitionScope != 0 && c.ring.Migrating() && len(c.recon.snapshot(partitionScope)) == 0 {
+	if !c.recon.requeue(remaining) && c.ring.Migrating() {
 		c.finishEpochLocked()
 	}
 	c.memberMu.Unlock()

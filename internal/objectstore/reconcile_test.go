@@ -20,6 +20,22 @@ func putVersion(t *testing.T, cluster *Cluster, object string, version int, down
 	}
 }
 
+// migrationRecords returns the queued partition records.
+func migrationRecords(cluster *Cluster) []ReconcileRecord { return queued(cluster, false) }
+
+// repairRecords returns the queued one-object records.
+func repairRecords(cluster *Cluster) []ReconcileRecord { return queued(cluster, true) }
+
+func queued(cluster *Cluster, repairs bool) []ReconcileRecord {
+	var out []ReconcileRecord
+	for _, r := range cluster.Records() {
+		if (r.Path != "") == repairs {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
 // checkRepaired runs ONE repair pass and asserts what the reconciler
 // promises: the queue is empty and every node of the object's placement
 // holds the registry-committed version — never an older one a superseded
@@ -27,13 +43,13 @@ func putVersion(t *testing.T, cluster *Cluster, object string, version int, down
 func checkRepaired(t *testing.T, cluster *Cluster, object string, records int) {
 	t.Helper()
 	ctx := context.Background()
-	if got := len(cluster.RepairRecords()); got != records {
+	if got := len(repairRecords(cluster)); got != records {
 		t.Fatalf("repair records before the pass = %d, want %d", got, records)
 	}
-	if n, err := cluster.RunRepairs(ctx); err != nil || n != records {
-		t.Fatalf("RunRepairs = %d, %v; want %d, nil", n, err, records)
+	if n, err := cluster.Reconcile(ctx); err != nil || n != records {
+		t.Fatalf("Reconcile = %d, %v; want %d, nil", n, err, records)
 	}
-	if left := cluster.RepairRecords(); len(left) != 0 {
+	if left := repairRecords(cluster); len(left) != 0 {
 		t.Fatalf("repair queue not drained: %v", left)
 	}
 	if got := cluster.Metrics().Gauge("proxy.repair.pending").Load(); got != 0 {
@@ -71,38 +87,30 @@ func TestRepairNeverWritesSupersededVersion(t *testing.T) {
 	checkRepaired(t, cluster, "obj", 2)
 }
 
-// TestRepairDuringMigrationWindowSkipsOldEpochSource is the mirror case
-// with a migration window open: the read placement then also names an
-// old-epoch node still holding v1, one more stale source the guard must
-// refuse. The repair pass runs before any migration pass.
-func TestRepairDuringMigrationWindowSkipsOldEpochSource(t *testing.T) {
+// TestRepairsWaitForTheMigrationWindow: PUT v2 and PUT v3 each miss one
+// replica of an object whose partition moved, filing two repairs while a
+// migration window is open. A pass takes only the partition records while
+// any is queued: it moves exactly those, closes the window and leaves both
+// repairs queued. The next pass lands v3 on every replica.
+func TestRepairsWaitForTheMigrationWindow(t *testing.T) {
 	cluster, objects := newLiveCluster(t, liveConfig(), 24)
 	ctx := context.Background()
-	if _, err := cluster.AddNode(ctx, ""); err != nil {
+	joined, err := cluster.AddNode(ctx, "")
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Pick an object whose partition moved: its read placement is wider
-	// than its write placement while the window is open.
-	object := ""
-	for name := range objects {
-		cur, _ := cluster.Ring().NodesFor("/gp/c/" + name)
-		union, _ := cluster.Ring().NodesForRead("/gp/c/" + name)
-		if len(union) > len(cur) && (object == "" || name < object) {
-			object = name
-		}
-	}
-	if object == "" {
-		t.Fatal("AddNode moved no partition holding an object")
-	}
+	object := movedObject(t, cluster, objects, joined)
 	replicas := replicasOf(t, cluster, object)
 	putVersion(t, cluster, object, 2, replicas[2])
 	putVersion(t, cluster, object, 3, replicas[0])
-	if !cluster.Ring().Migrating() {
-		t.Fatal("migration window closed before the repair pass")
+	parts := len(migrationRecords(cluster))
+	if n, err := cluster.Reconcile(ctx); err != nil || n != parts {
+		t.Fatalf("first pass = %d, %v; want the %d partition records, nil", n, err, parts)
+	}
+	if cluster.Ring().Migrating() {
+		t.Fatal("migration window still open after its partition records moved")
 	}
 	checkRepaired(t, cluster, object, 2)
-	converge(t, cluster)
-	checkRepaired(t, cluster, object, 0)
 }
 
 // TestWriteQuorumRule pins the one quorum rule the PUT path and the handoff

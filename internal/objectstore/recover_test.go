@@ -5,6 +5,8 @@ import (
 	"errors"
 	"io"
 	"testing"
+
+	"scoop/internal/clock"
 )
 
 // step is one scripted Read result: data handed out together with err.
@@ -116,7 +118,7 @@ func TestRecoveringReader(t *testing.T) {
 			first: []step{{"", errLink}},
 			end:   4,
 			reopens: []func(int64, error) (io.ReadCloser, error){
-				func(int64, error) (io.ReadCloser, error) { return nil, sleepCtx(ctx, 0) },
+				func(int64, error) (io.ReadCloser, error) { return nil, clock.Sleep(ctx, 0) },
 			},
 			reads: []read{{0, context.Canceled}},
 			offs:  []int64{0},

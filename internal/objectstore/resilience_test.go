@@ -111,7 +111,8 @@ func replicasOf(t *testing.T, cluster *Cluster, object string) []*Node {
 
 // TestPutQuorumWithOneReplicaDown: a PUT against a cluster with one dead
 // replica succeeds at quorum (2 of 3), records the durability gap for
-// repair, and RunRepairs restores full replication once the node is back.
+// repair, and a Reconcile pass restores full replication once the node is
+// back.
 func TestPutQuorumWithOneReplicaDown(t *testing.T) {
 	cluster, _ := newSickCluster(t)
 	ctx := context.Background()
@@ -130,7 +131,7 @@ func TestPutQuorumWithOneReplicaDown(t *testing.T) {
 	if got := cluster.Metrics().Counter("proxy.put.underreplicated").Load(); got != 1 {
 		t.Errorf("proxy.put.underreplicated = %d, want 1", got)
 	}
-	recs := cluster.RepairRecords()
+	recs := repairRecords(cluster)
 	if len(recs) != 1 {
 		t.Fatalf("repair records = %d, want 1", len(recs))
 	}
@@ -157,14 +158,14 @@ func TestPutQuorumWithOneReplicaDown(t *testing.T) {
 
 	// Node recovers; the repair pass restores the third replica.
 	dead.SetDown(false)
-	n, err := cluster.RunRepairs(ctx)
+	n, err := cluster.Reconcile(ctx)
 	if err != nil {
-		t.Fatalf("RunRepairs: %v", err)
+		t.Fatalf("Reconcile: %v", err)
 	}
 	if n != 1 {
-		t.Errorf("RunRepairs repaired %d records, want 1", n)
+		t.Errorf("Reconcile repaired %d records, want 1", n)
 	}
-	if left := cluster.RepairRecords(); len(left) != 0 {
+	if left := repairRecords(cluster); len(left) != 0 {
 		t.Errorf("repair queue not drained: %v", left)
 	}
 	ri, err := dead.Head(ctx, "/gp/c/obj")

@@ -10,6 +10,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"scoop/internal/clock"
 )
 
 // ErrTruncated marks a response body that ended before delivering the
@@ -103,22 +105,6 @@ func retriableStatus(code int) bool {
 		code >= 500
 }
 
-// sleepCtx waits d, aborting immediately when ctx is cancelled — a retry
-// loop must never hold a dead request hostage to its own backoff.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
 // doRetry runs one logical request with the client's retry policy. build
 // must return a fresh *http.Request on every call (bodies are consumed by
 // failed attempts). Requests are retried only when the verb is idempotent
@@ -146,7 +132,7 @@ func (c *HTTPClient) doRetry(ctx context.Context, method string, replayable bool
 					delay = p.MaxDelay
 				}
 			}
-			if err := sleepCtx(ctx, delay); err != nil {
+			if err := clock.Sleep(ctx, delay); err != nil {
 				return nil, fmt.Errorf("objectstore: retry aborted: %w (last failure: %w)", err, lastErr)
 			}
 		}
@@ -204,7 +190,7 @@ func (c *HTTPClient) resumeRanged(ctx context.Context, account, container, objec
 		p := c.Retry.withDefaults()
 		lastErr := cause
 		for try := 0; try < p.MaxAttempts; try++ {
-			if err := sleepCtx(ctx, c.jit().backoff(p, try)); err != nil {
+			if err := clock.Sleep(ctx, c.jit().backoff(p, try)); err != nil {
 				return nil, fmt.Errorf("objectstore: resume aborted: %w (last failure: %w)", err, lastErr)
 			}
 			c.Metrics.Counter("client.resumes").Inc()

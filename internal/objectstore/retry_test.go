@@ -92,24 +92,6 @@ func TestBackoffCapAndJitterDeterminism(t *testing.T) {
 	}
 }
 
-// TestSleepCtxCancelAbortsImmediately: cancellation must interrupt a
-// backoff sleep at once, not after the timer fires.
-func TestSleepCtxCancelAbortsImmediately(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	err := sleepCtx(ctx, time.Hour)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("sleepCtx = %v, want context.Canceled", err)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("sleep took %v after cancellation", elapsed)
-	}
-}
-
 // fastRetry is a policy that keeps tests quick.
 func fastRetry() RetryPolicy {
 	return RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond, Seed: 1}
