@@ -4,8 +4,8 @@
 //
 // Usage:
 //
-//	scoop-lint [-list] [-only analyzer[,analyzer]] [-json] [-cache=false]
-//	           [-cache-dir dir] [-write-manifest file] [path ...]
+//	scoop-lint [-list] [-only analyzer[,analyzer]] [-json]
+//	           [-write-manifest file] [path ...]
 //
 // Each path is a directory tree to analyze; "./..." and bare "." both mean
 // the whole module rooted at the current directory. Findings print as
@@ -14,11 +14,9 @@
 //
 // or, with -json, as a JSON array of {file,line,col,analyzer,message}
 // objects for CI annotation. Every run ends with one line per analyzer and
-// its finding count, then a total. Results are replayed from an
-// mtime-fingerprinted on-disk cache when the tree and analyzer set are
-// unchanged (disable with -cache=false). With -write-manifest the run also
+// its finding count, then a total. With -write-manifest the run also
 // renders the determinism manifest from the filterdet verdicts of the same
-// load and graph (one root; the cache is bypassed).
+// load and graph (one root).
 // Findings can be suppressed with an inline justification:
 //
 //	//lint:ignore <analyzer> <reason>
@@ -50,8 +48,6 @@ func run() error {
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
 	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array (machine-readable)")
 	writeManifest := flag.String("write-manifest", "", "also regenerate the determinism manifest (internal/detmanifest/manifest.go) at the given path from this run's filterdet verdicts")
-	useCache := flag.Bool("cache", true, "replay results from the on-disk cache when sources are unchanged")
-	cacheDir := flag.String("cache-dir", lint.DefaultCacheDir(), "directory for the on-disk result cache")
 	flag.Parse()
 
 	analyzers := lint.Analyzers()
@@ -68,7 +64,7 @@ func run() error {
 		}
 	}
 
-	diags, packages, cached, err := lintRoots(flag.Args(), analyzers, *useCache, *cacheDir, *writeManifest)
+	diags, packages, err := lintRoots(flag.Args(), analyzers, *writeManifest)
 	if err != nil {
 		return err
 	}
@@ -87,26 +83,25 @@ func run() error {
 	if *jsonOut || len(diags) > 0 {
 		w = os.Stderr
 	}
-	printSummary(w, analyzers, diags, packages, cached > 0)
+	printSummary(w, analyzers, diags, packages)
 	if len(diags) > 0 {
 		os.Exit(1)
 	}
 	return nil
 }
 
-// lintRoots analyzes each root — from the cache when allowed — and returns
-// the diagnostics, the package count, and how many roots were replayed.
-// With manifest set it loads the single root, runs the suite once, and
-// writes the determinism manifest from the same run's verdicts.
-func lintRoots(roots []string, analyzers []*lint.Analyzer, useCache bool, cacheDir, manifest string) ([]lint.Diagnostic, int, int, error) {
+// lintRoots analyzes each root and returns the diagnostics and the package
+// count. With manifest set it loads the single root, runs the suite once,
+// and writes the determinism manifest from the same run's verdicts.
+func lintRoots(roots []string, analyzers []*lint.Analyzer, manifest string) ([]lint.Diagnostic, int, error) {
 	if len(roots) == 0 {
 		roots = []string{"."}
 	}
 	if manifest != "" && len(roots) != 1 {
-		return nil, 0, 0, errors.New("-write-manifest takes exactly one root")
+		return nil, 0, errors.New("-write-manifest takes exactly one root")
 	}
 	var diags []lint.Diagnostic
-	packages, cached := 0, 0
+	packages := 0
 	for _, root := range roots {
 		// Accept the conventional "dir/..." spelling: the loader always
 		// walks the whole subtree.
@@ -114,21 +109,9 @@ func lintRoots(roots []string, analyzers []*lint.Analyzer, useCache bool, cacheD
 		if root == "" {
 			root = "."
 		}
-		if useCache && manifest == "" {
-			rootDiags, pkgCount, hit, err := lint.CachedRun(root, cacheDir, analyzers)
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			if hit {
-				cached++
-			}
-			packages += pkgCount
-			diags = append(diags, rootDiags...)
-			continue
-		}
 		pkgs, err := lint.Load(root)
 		if err != nil {
-			return nil, 0, 0, err
+			return nil, 0, err
 		}
 		packages += len(pkgs)
 		rootDiags, verdicts := lint.RunWithVerdicts(pkgs, analyzers)
@@ -138,7 +121,7 @@ func lintRoots(roots []string, analyzers []*lint.Analyzer, useCache bool, cacheD
 		}
 		names := lint.ProvenFilterNames(verdicts)
 		if err := writeDetManifest(manifest, names); err != nil {
-			return nil, 0, 0, err
+			return nil, 0, err
 		}
 		proven := 0
 		for _, v := range verdicts {
@@ -149,12 +132,12 @@ func lintRoots(roots []string, analyzers []*lint.Analyzer, useCache bool, cacheD
 		fmt.Fprintf(os.Stderr, "scoop-lint: manifest %s — %d/%d candidates proven, %d named filters\n",
 			manifest, proven, len(verdicts), len(names))
 	}
-	return diags, packages, cached, nil
+	return diags, packages, nil
 }
 
 // printSummary writes one line per analyzer with its finding count, so a
 // failing proof names itself in the gate output, then the run's total.
-func printSummary(w io.Writer, analyzers []*lint.Analyzer, diags []lint.Diagnostic, packages int, cached bool) {
+func printSummary(w io.Writer, analyzers []*lint.Analyzer, diags []lint.Diagnostic, packages int) {
 	counts := map[string]int{}
 	for _, d := range diags {
 		counts[d.Analyzer]++
@@ -162,15 +145,11 @@ func printSummary(w io.Writer, analyzers []*lint.Analyzer, diags []lint.Diagnost
 	for _, a := range analyzers {
 		fmt.Fprintf(w, "scoop-lint: %-13s %d finding(s)\n", a.Name, counts[a.Name])
 	}
-	note := ""
-	if cached {
-		note = " (cached)"
-	}
 	if len(diags) > 0 {
-		fmt.Fprintf(w, "scoop-lint: %d finding(s)%s\n", len(diags), note)
+		fmt.Fprintf(w, "scoop-lint: %d finding(s)\n", len(diags))
 		return
 	}
-	fmt.Fprintf(w, "scoop-lint: ok — %d analyzers over %d packages, 0 findings%s\n", len(analyzers), packages, note)
+	fmt.Fprintf(w, "scoop-lint: ok — %d analyzers over %d packages, 0 findings\n", len(analyzers), packages)
 }
 
 // selectAnalyzers resolves the -only flag: a comma-separated list of analyzer

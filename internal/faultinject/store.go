@@ -95,6 +95,3 @@ func (s *Store) List(ctx context.Context, prefix string) []objectstore.ObjectInf
 	s.Schedule.Next(OpList, prefix)
 	return s.Inner.List(ctx, prefix)
 }
-
-// Bytes implements objectstore.Store; capacity accounting is never faulted.
-func (s *Store) Bytes() int64 { return s.Inner.Bytes() }

@@ -3,7 +3,6 @@ package lint
 import (
 	"path/filepath"
 	"testing"
-	"time"
 )
 
 // BenchmarkLoadFixture measures loading + type-checking the fixture module
@@ -21,8 +20,8 @@ func BenchmarkLoadFixture(b *testing.B) {
 }
 
 // BenchmarkLoadRepoCold measures loading + type-checking the real module
-// with the package cache dropped each iteration — the dominant cost of an
-// uncached scoop-lint run.
+// with the package cache dropped each iteration — the dominant cost of a
+// scoop-lint run.
 func BenchmarkLoadRepoCold(b *testing.B) {
 	root := filepath.Join("..", "..")
 	for i := 0; i < b.N; i++ {
@@ -35,7 +34,7 @@ func BenchmarkLoadRepoCold(b *testing.B) {
 
 // BenchmarkLoadRepoWarm measures a Load of the unchanged real module with a
 // primed package cache: a fingerprint stat-walk instead of a re-parse and
-// re-typecheck. The cold/warm ratio is what the cached gate banks on.
+// re-typecheck.
 func BenchmarkLoadRepoWarm(b *testing.B) {
 	root := filepath.Join("..", "..")
 	if _, err := Load(root); err != nil {
@@ -59,54 +58,6 @@ func BenchmarkBuildGraph(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		BuildGraph(pkgs)
-	}
-}
-
-// TestWarmCacheGateLatency pins the property warm scoop-lint runs depend
-// on: once the cache is primed, replaying a single-analyzer verdict over an
-// unchanged tree is a fingerprint stat-walk plus a JSON read — typically
-// ~4ms on a 2-vCPU box, well under a ~10ms interactive target. The
-// assertion uses best-of-N at a 100ms ceiling so a preempted CI runner
-// cannot flake it while a regression to re-analysis (tens of seconds cold)
-// still fails decisively.
-func TestWarmCacheGateLatency(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing test: skipped under -short")
-	}
-	root := writeMiniModule(t)
-	touch(t, filepath.Join(root, "mini.go"), `package mini
-
-//scoop:hotpath
-func Sum(b []byte) int {
-	n := 0
-	for _, c := range b {
-		n += int(c)
-	}
-	return n
-}
-`)
-	cacheDir := filepath.Join(t.TempDir(), "cache")
-	only := []*Analyzer{AnalyzerAllocFree}
-	if _, _, hit, err := CachedRun(root, cacheDir, only); err != nil || hit {
-		t.Fatalf("priming run: hit=%v err=%v, want cold miss", hit, err)
-	}
-	best := time.Duration(1<<62 - 1)
-	for i := 0; i < 5; i++ {
-		start := time.Now()
-		_, _, hit, err := CachedRun(root, cacheDir, only)
-		elapsed := time.Since(start)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !hit {
-			t.Fatal("warm run over an unchanged tree must hit the cache")
-		}
-		if elapsed < best {
-			best = elapsed
-		}
-	}
-	if limit := 100 * time.Millisecond; best > limit {
-		t.Errorf("best warm allocfree gate = %v, want < %v (cache replay must stay interactive)", best, limit)
 	}
 }
 

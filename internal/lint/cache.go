@@ -3,7 +3,6 @@ package lint
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,26 +10,11 @@ import (
 	"strings"
 )
 
-// The gate's caching has two layers, both keyed by the same mtime-derived
-// module fingerprint:
-//
-//  1. An in-process package cache inside Load: a second Load of an unchanged
-//     root returns the already type-checked []*Package. This is what makes
-//     the test suite and multi-root scoop-lint invocations cheap.
-//  2. An on-disk result cache (CachedRun): a scoop-lint run over an
-//     unchanged root with the same analyzer set replays the stored
-//     diagnostics without parsing or type-checking anything. go/types
-//     packages cannot be serialized with the standard library, so what
-//     crosses process boundaries is the gate's *verdict*, not the type
-//     information — which is exactly what verify.sh and CI repeat.
-//
-// The fingerprint covers go.mod and the (path, size, mtime) of every
-// buildable non-test .go file under the root — the same file set Load
-// parses. Because scoop-lint analyzes the whole module, the analyzers' own
-// sources are inside the fingerprint: editing an analyzer invalidates the
-// cache without a separate versioning scheme. cacheVersion exists for format
-// changes of the entry itself.
-const cacheVersion = 1
+// Load memoizes its result per root behind Fingerprint: a second Load of an
+// unchanged root returns the already type-checked []*Package, which is what
+// makes the test suite and multi-root scoop-lint invocations cheap. The
+// fingerprint covers go.mod and the (path, size, mtime) of every buildable
+// non-test .go file under the root — the same file set Load parses.
 
 // Fingerprint digests the analyzable source state under root: go.mod plus
 // relative path, size, and mtime of every non-test .go file Load would
@@ -79,79 +63,4 @@ func Fingerprint(root string) (string, error) {
 	sort.Strings(lines)
 	sum := sha256.Sum256([]byte(strings.Join(lines, "\n")))
 	return hex.EncodeToString(sum[:]), nil
-}
-
-// cacheEntry is the on-disk representation of one completed run.
-type cacheEntry struct {
-	Version     int          `json:"version"`
-	Fingerprint string       `json:"fingerprint"`
-	Analyzers   []string     `json:"analyzers"`
-	Packages    int          `json:"packages"`
-	Diags       []Diagnostic `json:"diags"`
-}
-
-// cacheKey names the entry file: one per (root, analyzer set, source state),
-// so a changed tree or a -only subset never replays the wrong verdict.
-func cacheKey(root, fingerprint string, analyzers []*Analyzer) string {
-	names := make([]string, 0, len(analyzers))
-	for _, a := range analyzers {
-		names = append(names, a.Name)
-	}
-	sort.Strings(names)
-	h := sha256.Sum256([]byte(fmt.Sprintf("v%d|%s|%s|%s", cacheVersion, root, strings.Join(names, ","), fingerprint)))
-	return hex.EncodeToString(h[:16])
-}
-
-// CachedRun loads and analyzes root, consulting the on-disk cache in
-// cacheDir first. It returns the diagnostics, the number of packages they
-// cover, and whether the result was replayed from cache. Cache writes are
-// best-effort: a read-only cache directory degrades to an ordinary run.
-//
-//lint:ignore ctxpropagate cache reads are sub-millisecond local-disk I/O at CLI startup; there is no caller lifetime to propagate
-func CachedRun(root, cacheDir string, analyzers []*Analyzer) ([]Diagnostic, int, bool, error) {
-	absRoot, err := filepath.Abs(root)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	fp, err := Fingerprint(absRoot)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	path := filepath.Join(cacheDir, cacheKey(absRoot, fp, analyzers)+".json")
-	if data, err := os.ReadFile(path); err == nil {
-		var e cacheEntry
-		if json.Unmarshal(data, &e) == nil && e.Version == cacheVersion && e.Fingerprint == fp {
-			return e.Diags, e.Packages, true, nil
-		}
-	}
-	pkgs, err := Load(absRoot)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	diags := Run(pkgs, analyzers)
-	names := make([]string, 0, len(analyzers))
-	for _, a := range analyzers {
-		names = append(names, a.Name)
-	}
-	entry := cacheEntry{Version: cacheVersion, Fingerprint: fp, Analyzers: names, Packages: len(pkgs), Diags: diags}
-	if data, err := json.Marshal(entry); err == nil {
-		if os.MkdirAll(cacheDir, 0o755) == nil {
-			// Write-rename so a concurrent reader never sees a torn entry.
-			tmp := path + ".tmp"
-			if os.WriteFile(tmp, data, 0o644) == nil {
-				_ = os.Rename(tmp, path)
-			}
-		}
-	}
-	return diags, len(pkgs), false, nil
-}
-
-// DefaultCacheDir picks the on-disk cache location: the user cache dir when
-// available, the system temp dir otherwise (hermetic CI containers often
-// have no HOME).
-func DefaultCacheDir() string {
-	if dir, err := os.UserCacheDir(); err == nil {
-		return filepath.Join(dir, "scoop-lint")
-	}
-	return filepath.Join(os.TempDir(), "scoop-lint")
 }

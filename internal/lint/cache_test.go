@@ -101,71 +101,3 @@ func TestLoadCacheReusesPackages(t *testing.T) {
 		t.Fatal("reloaded package does not reflect the edit")
 	}
 }
-
-// TestCachedRunReplaysVerdict proves the on-disk layer end to end: a second
-// run over an unchanged tree is a cache hit with identical diagnostics, and
-// an edit invalidates it.
-func TestCachedRunReplaysVerdict(t *testing.T) {
-	root := writeMiniModule(t)
-	// errwrap trips on %v-formatting an error, giving the cache a non-empty
-	// verdict to replay byte-for-byte.
-	touch(t, filepath.Join(root, "mini.go"), `package mini
-
-import "fmt"
-
-func Wrap(err error) error {
-	return fmt.Errorf("wrap: %v", err)
-}
-`)
-	cacheDir := filepath.Join(t.TempDir(), "cache")
-	analyzers := Analyzers()
-
-	diags, pkgCount, hit, err := CachedRun(root, cacheDir, analyzers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hit {
-		t.Fatal("first run must be a cache miss")
-	}
-	if pkgCount != 1 || len(diags) == 0 {
-		t.Fatalf("cold run: pkgCount=%d diags=%v, want 1 package and >=1 finding", pkgCount, diags)
-	}
-
-	warm, warmCount, hit, err := CachedRun(root, cacheDir, analyzers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hit {
-		t.Fatal("second run over an unchanged tree must hit the cache")
-	}
-	if warmCount != pkgCount || len(warm) != len(diags) {
-		t.Fatalf("replayed verdict differs: %d pkgs / %d diags, want %d / %d", warmCount, len(warm), pkgCount, len(diags))
-	}
-	for i := range warm {
-		if warm[i].String() != diags[i].String() {
-			t.Errorf("diag %d differs after replay: %q vs %q", i, warm[i], diags[i])
-		}
-	}
-
-	// A -only style subset must not replay the full-suite verdict.
-	_, _, hit, err = CachedRun(root, cacheDir, analyzers[:1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hit {
-		t.Fatal("different analyzer set must miss the cache")
-	}
-
-	// An edit invalidates.
-	touch(t, filepath.Join(root, "mini.go"), "package mini\n\nfunc Quad(x int) int { return 4 * x }\n")
-	clean, _, hit, err := CachedRun(root, cacheDir, analyzers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hit {
-		t.Fatal("run after a source edit must miss the cache")
-	}
-	if len(clean) != 0 {
-		t.Fatalf("edited module should be clean, got %v", clean)
-	}
-}

@@ -31,9 +31,6 @@ type ClusterConfig struct {
 	// DataDir, when set, backs each object node with an on-disk store under
 	// DataDir/<node-name> instead of memory (scoopd persistence).
 	DataDir string
-	// WriteQuorum is the minimum replica writes for a successful PUT;
-	// 0 means majority of Replicas (2 of 3 at the default shape).
-	WriteQuorum int
 	// StoreWrap, when set, wraps each node's storage engine at construction
 	// — the seam the chaos suite uses to inject per-node faults.
 	StoreWrap func(node string, s Store) Store
@@ -170,7 +167,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	for i := 0; i < cfg.Proxies; i++ {
 		c.proxies = append(c.proxies, &Proxy{
 			name: fmt.Sprintf("proxy-%02d", i), ring: rg, nodes: c.members, engine: engine, reg: c.reg,
-			quorum: cfg.WriteQuorum, metrics: c.metrics, cache: c.cache, recon: c.recon,
+			metrics: c.metrics, cache: c.cache, recon: c.recon,
 		})
 	}
 	c.startLoops()

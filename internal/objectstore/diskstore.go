@@ -3,22 +3,20 @@ package objectstore
 import (
 	"context"
 	"crypto/md5"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 )
 
 // Store is the storage engine of one object server. MemStore (tests,
 // benchmarks) and DiskStore (scoopd persistence) implement it. Data
-// operations take a context so cancelled requests stop hitting the disk;
-// Bytes is a pure counter read and stays context-free.
+// operations take a context so cancelled requests stop hitting the disk.
 type Store interface {
 	// Put stores the full object read from r, returning completed metadata.
 	Put(ctx context.Context, info ObjectInfo, r io.Reader) (ObjectInfo, error)
@@ -31,8 +29,6 @@ type Store interface {
 	Delete(ctx context.Context, path string)
 	// List returns stored objects whose path starts with prefix, sorted.
 	List(ctx context.Context, prefix string) []ObjectInfo
-	// Bytes returns total stored payload bytes.
-	Bytes() int64
 }
 
 // Interface conformance.
@@ -72,28 +68,38 @@ func clampRange(start, end, size int64) (int64, error) {
 	return end, nil
 }
 
-// DiskStore persists objects under a directory, one data file plus one
-// metadata sidecar per object — the moral equivalent of a Swift object
-// server's on-disk layout (hash-named files under partition directories),
-// simplified to a flat namespace of hex-named files.
+// DiskStore persists objects under a directory, one file per replica, as a
+// Swift object server does (there the metadata sits in xattrs), in a flat
+// namespace of hex-named files. A file holds the object's bytes from offset
+// 0, then a footer: the ObjectInfo as JSON, the JSON's length (4 bytes,
+// big-endian) and footerMagic. Put writes a put-* temporary and renames it
+// over the replica's file: one rename commits bytes and metadata together.
+// Put renames under the index's write lock and Get opens the file under its
+// read lock, so a Get reads the bytes of the version whose info it returns.
 type DiskStore struct {
-	root string
-	mu   sync.RWMutex
-	// index caches metadata by object path.
-	index map[string]ObjectInfo
+	replicaIndex // replicas carry no data: the bytes are on disk
+	root         string
 }
 
+// footerMagic ends every replica file; footerTail is the fixed end of a
+// footer, the JSON length and the magic.
+const (
+	footerMagic = "SCO1"
+	footerTail  = 8
+)
+
 // NewDiskStore opens (creating if needed) a disk-backed store rooted at
-// dir, and rebuilds its index from the sidecar files found there. The
-// context bounds the index rebuild, which scans one sidecar per object. A
-// sidecar whose file name is not the one its recorded path maps to (the
-// earlier, colliding layout) fails the open with that file's name, rather
-// than index a data file that may hold another object's bytes.
+// dir, and rebuilds its index from the footers of the replica files there;
+// the context bounds the rebuild. A file whose footer does not check out
+// (cut short) is skipped, and put-* temporaries left by a killed Put are
+// removed. A replica file whose name is not the one its recorded path maps
+// to, or any .meta sidecar, means a directory in an earlier layout: that
+// fails the open with the file's name.
 func NewDiskStore(ctx context.Context, dir string) (*DiskStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("diskstore: %w", err)
 	}
-	s := &DiskStore{root: dir, index: make(map[string]ObjectInfo)}
+	s := &DiskStore{replicaIndex: replicaIndex{replicas: make(map[string]replica)}, root: dir}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("diskstore: %w", err)
@@ -102,40 +108,73 @@ func NewDiskStore(ctx context.Context, dir string) (*DiskStore, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("diskstore: index rebuild: %w", err)
 		}
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".meta") {
-			continue
+		name := filepath.Join(dir, e.Name())
+		switch {
+		case e.IsDir():
+		case strings.HasSuffix(e.Name(), ".meta"):
+			return nil, fmt.Errorf("diskstore: %s is a metadata sidecar: directory written in an older two-file layout", name)
+		case strings.HasPrefix(e.Name(), "put-"):
+			if err := os.Remove(name); err != nil {
+				return nil, fmt.Errorf("diskstore: leftover temporary: %w", err)
+			}
+		case strings.HasSuffix(e.Name(), ".obj"):
+			info, err := readFooter(name)
+			if err != nil {
+				continue // unreadable or cut short: not a committed version
+			}
+			if want := escape(info.Path()) + ".obj"; e.Name() != want {
+				return nil, fmt.Errorf("diskstore: %s records %s, whose file is %s: directory written in an older file-name layout",
+					name, info.Path(), want)
+			}
+			s.replicas[info.Path()] = replica{info: info}
 		}
-		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			continue // unreadable sidecar: skip, the data file is orphaned
-		}
-		var info ObjectInfo
-		if err := json.Unmarshal(raw, &info); err != nil {
-			continue
-		}
-		if want := escape(info.Path()) + ".meta"; e.Name() != want {
-			return nil, fmt.Errorf("diskstore: %s records %s, whose sidecar is %s: directory written in an older file-name layout",
-				filepath.Join(dir, e.Name()), info.Path(), want)
-		}
-		s.index[info.Path()] = info
 	}
 	return s, nil
 }
 
-// escape maps an object path to the base name of its data and sidecar
-// files: the path in hex, so two paths never share a file and no name holds
-// a separator or a dot. A path longer than 125 bytes overruns the usual
+// readFooter returns the ObjectInfo recorded in a replica file's footer,
+// checking the magic, the JSON length and that the recorded size is the
+// file's size less the footer.
+func readFooter(name string) (ObjectInfo, error) {
+	f, err := os.Open(name)
+	if err != nil {
+		return ObjectInfo{}, err
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return ObjectInfo{}, err
+	}
+	var tail [footerTail]byte
+	if _, err := f.ReadAt(tail[:], st.Size()-footerTail); err != nil || string(tail[4:]) != footerMagic {
+		return ObjectInfo{}, fmt.Errorf("diskstore: %s: no footer", name)
+	}
+	n := int64(binary.BigEndian.Uint32(tail[:4]))
+	size := st.Size() - footerTail - n
+	if size < 0 {
+		return ObjectInfo{}, fmt.Errorf("diskstore: %s: footer longer than the file", name)
+	}
+	meta := make([]byte, n)
+	if _, err := f.ReadAt(meta, size); err != nil {
+		return ObjectInfo{}, err
+	}
+	var info ObjectInfo
+	if err := json.Unmarshal(meta, &info); err != nil || info.Size != size {
+		return ObjectInfo{}, fmt.Errorf("diskstore: %s: footer does not match the %d bytes before it", name, size)
+	}
+	return info, nil
+}
+
+// escape maps an object path to the base name of its replica file: the
+// path in hex, so two paths never share a file and no name holds a
+// separator or a dot. A path longer than 125 bytes overruns the usual
 // 255-byte file-name limit and fails its Put.
 func escape(path string) string {
 	return hex.EncodeToString([]byte(path))
 }
 
-func (s *DiskStore) dataFile(path string) string {
-	return filepath.Join(s.root, escape(path)+".data")
-}
-
-func (s *DiskStore) metaFile(path string) string {
-	return filepath.Join(s.root, escape(path)+".meta")
+func (s *DiskStore) file(path string) string {
+	return filepath.Join(s.root, escape(path)+".obj")
 }
 
 // Put implements Store.
@@ -150,26 +189,33 @@ func (s *DiskStore) Put(ctx context.Context, info ObjectInfo, r io.Reader) (Obje
 	}
 	defer os.Remove(tmp.Name())
 	info, err = copyStamped(tmp, r, info)
+	if err == nil {
+		err = writeFooter(tmp, info)
+	}
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
 		return ObjectInfo{}, fmt.Errorf("diskstore: put %s: %w", path, err)
 	}
-	meta, err := json.Marshal(info)
-	if err != nil {
-		return ObjectInfo{}, err
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := os.Rename(tmp.Name(), s.dataFile(path)); err != nil {
+	if err := os.Rename(tmp.Name(), s.file(path)); err != nil {
 		return ObjectInfo{}, fmt.Errorf("diskstore: put %s: %w", path, err)
 	}
-	if err := os.WriteFile(s.metaFile(path), meta, 0o644); err != nil {
-		return ObjectInfo{}, fmt.Errorf("diskstore: put %s: %w", path, err)
-	}
-	s.index[path] = info
+	s.replicas[path] = replica{info: info}
 	return info, nil
+}
+
+// writeFooter appends info's footer to a replica file.
+func writeFooter(w io.Writer, info ObjectInfo) error {
+	meta, err := json.Marshal(info)
+	if err != nil {
+		return err
+	}
+	meta = binary.BigEndian.AppendUint32(meta, uint32(len(meta)))
+	_, err = w.Write(append(meta, footerMagic...))
+	return err
 }
 
 // Get implements Store.
@@ -178,16 +224,16 @@ func (s *DiskStore) Get(ctx context.Context, path string, start, end int64) (io.
 		return nil, ObjectInfo{}, fmt.Errorf("diskstore: get %s: %w", path, err)
 	}
 	s.mu.RLock()
-	info, ok := s.index[path]
-	s.mu.RUnlock()
+	defer s.mu.RUnlock()
+	r, ok := s.replicas[path]
 	if !ok {
 		return nil, ObjectInfo{}, ErrNotFound
 	}
-	end, err := clampRange(start, end, info.Size)
+	end, err := clampRange(start, end, r.info.Size)
 	if err != nil {
 		return nil, ObjectInfo{}, err
 	}
-	f, err := os.Open(s.dataFile(path))
+	f, err := os.Open(s.file(path))
 	if err != nil {
 		return nil, ObjectInfo{}, fmt.Errorf("diskstore: get %s: %w", path, err)
 	}
@@ -195,58 +241,16 @@ func (s *DiskStore) Get(ctx context.Context, path string, start, end int64) (io.
 		f.Close()
 		return nil, ObjectInfo{}, err
 	}
-	return &sectionCloser{r: io.LimitReader(f, end-start), f: f}, info, nil
-}
-
-type sectionCloser struct {
-	r io.Reader
-	f *os.File
-}
-
-func (s *sectionCloser) Read(p []byte) (int, error) { return s.r.Read(p) }
-func (s *sectionCloser) Close() error               { return s.f.Close() }
-
-// Head implements Store.
-func (s *DiskStore) Head(_ context.Context, path string) (ObjectInfo, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	info, ok := s.index[path]
-	if !ok {
-		return ObjectInfo{}, ErrNotFound
-	}
-	return info, nil
+	return struct {
+		io.Reader
+		io.Closer
+	}{io.LimitReader(f, end-start), f}, r.info, nil
 }
 
 // Delete implements Store.
 func (s *DiskStore) Delete(_ context.Context, path string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.index, path)
-	os.Remove(s.dataFile(path))
-	os.Remove(s.metaFile(path))
-}
-
-// List implements Store.
-func (s *DiskStore) List(_ context.Context, prefix string) []ObjectInfo {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out []ObjectInfo
-	for p, info := range s.index {
-		if strings.HasPrefix(p, prefix) {
-			out = append(out, info)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Path() < out[j].Path() })
-	return out
-}
-
-// Bytes implements Store.
-func (s *DiskStore) Bytes() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var n int64
-	for _, info := range s.index {
-		n += info.Size
-	}
-	return n
+	delete(s.replicas, path)
+	os.Remove(s.file(path))
 }

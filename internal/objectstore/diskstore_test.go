@@ -2,6 +2,8 @@ package objectstore
 
 import (
 	"context"
+	"crypto/md5"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"io"
@@ -41,9 +43,6 @@ func TestDiskStorePutGetRoundTrip(t *testing.T) {
 	rc.Close()
 	if string(b) != "hello world" || got.Meta["k"] != "v" {
 		t.Errorf("got %q, meta %v", b, got.Meta)
-	}
-	if s.Bytes() != 11 {
-		t.Errorf("Bytes = %d", s.Bytes())
 	}
 }
 
@@ -153,7 +152,7 @@ func TestDiskStorePersistenceAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Reopen from the same directory: the index rebuilds from sidecars.
+	// Reopen from the same directory: the index rebuilds from the footers.
 	s2, err := NewDiskStore(context.Background(), dir)
 	if err != nil {
 		t.Fatal(err)
@@ -206,6 +205,20 @@ func TestDiskBackedCluster(t *testing.T) {
 	}
 	if _, err := cl.PutObject(context.Background(), "gp", "meters", "jan.csv", strings.NewReader(meterCSV), nil); err != nil {
 		t.Fatal(err)
+	}
+	// One file per replica: the nodes' directories hold the object's three
+	// replica files and nothing else.
+	files, err := filepath.Glob(filepath.Join(cfg.DataDir, "*", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != cfg.Replicas {
+		t.Errorf("data directories hold %v, want %d replica files", files, cfg.Replicas)
+	}
+	for _, f := range files {
+		if !strings.HasSuffix(f, ".obj") {
+			t.Errorf("%s is not a replica file", f)
+		}
 	}
 	// Plain GET from disk.
 	rc, _, err := cl.GetObject(context.Background(), "gp", "meters", "jan.csv", GetOptions{})
@@ -295,22 +308,152 @@ func TestDiskStoreNamesDoNotCollide(t *testing.T) {
 	}
 }
 
-// A directory in the earlier flattened layout must not open: its data file
-// may hold another object's bytes.
+// A directory in either earlier layout must not open: in the flattened one
+// a data file may hold another object's bytes, and in the two-file one the
+// metadata sits in a sidecar this store no longer reads.
 func TestDiskStoreRefusesOldLayout(t *testing.T) {
+	for _, base := range []string{"a__b__c__d", escape("/a/b/c__d")} {
+		dir := t.TempDir()
+		meta, err := json.Marshal(ObjectInfo{Account: "a", Container: "b", Name: "c__d", Size: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, base+".data"), []byte("BB"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, base+".meta"), meta, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err = NewDiskStore(context.Background(), dir)
+		if err == nil || !strings.Contains(err.Error(), base+".meta") {
+			t.Fatalf("open of an old-layout directory: %v, want an error naming %s.meta", err, base)
+		}
+	}
+}
+
+// A Get that races an overwrite returns the bytes of the version whose ETag
+// and size it returns, never one version's info with another's bytes.
+func TestDiskStoreGetMatchesItsETag(t *testing.T) {
+	ctx := context.Background()
+	s := newDiskStore(t)
+	obj := ObjectInfo{Account: "a", Container: "c", Name: "o"}
+	versions := []string{strings.Repeat("x", 4096), "yz"}
+	if _, err := s.Put(ctx, obj, strings.NewReader(versions[0])); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		for i := 1; ; i++ {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+			if _, err := s.Put(ctx, obj, strings.NewReader(versions[i%2])); err != nil {
+				done <- err
+				return
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		if err := <-done; err != nil {
+			t.Errorf("overwrite: %v", err)
+		}
+	}()
+	for i := 0; i < 20000; i++ {
+		rc, info, err := s.Get(ctx, "/a/c/o", 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := io.ReadAll(rc)
+		rc.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := md5.Sum(b)
+		if hex.EncodeToString(sum[:]) != info.ETag || int64(len(b)) != info.Size {
+			t.Fatalf("get %d read %d bytes with md5 %x; it returned size %d and ETag %s",
+				i, len(b), sum, info.Size, info.ETag)
+		}
+	}
+}
+
+// A killed Put leaves its put-* temporary beside the committed version: the
+// next open removes it and serves the committed version unchanged.
+func TestDiskStoreRemovesLeftoverTemporary(t *testing.T) {
+	ctx := context.Background()
 	dir := t.TempDir()
-	meta, err := json.Marshal(ObjectInfo{Account: "a", Container: "b", Name: "c__d", Size: 2})
+	s, err := NewDiskStore(ctx, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "a__b__c__d.data"), []byte("BB"), 0o644); err != nil {
+	want, err := s.Put(ctx, ObjectInfo{Account: "a", Container: "c", Name: "o"}, strings.NewReader("committed"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "a__b__c__d.meta"), meta, 0o644); err != nil {
+	tmp := filepath.Join(dir, "put-123456")
+	if err := os.WriteFile(tmp, []byte("half of a newer vers"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = NewDiskStore(context.Background(), dir)
-	if err == nil || !strings.Contains(err.Error(), "a__b__c__d.meta") {
-		t.Fatalf("open of an old-layout directory: %v, want an error naming a__b__c__d.meta", err)
+	reopened, err := NewDiskStore(ctx, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(tmp); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("leftover temporary after reopen: %v", err)
+	}
+	rc, got, err := reopened.Get(ctx, "/a/c/o", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := io.ReadAll(rc)
+	rc.Close()
+	if string(b) != "committed" || got.ETag != want.ETag || got.Size != want.Size {
+		t.Errorf("reopened version = %q (etag %s, size %d), want %q (etag %s)", b, got.ETag, got.Size, "committed", want.ETag)
+	}
+}
+
+// A replica file cut short is not indexed after a reopen: cut at its end it
+// loses the footer's magic, and with bytes gone before the footer the
+// recorded size no longer matches the file. The intact replica still is.
+func TestDiskStoreSkipsTruncatedReplica(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	s, err := NewDiskStore(ctx, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"tail", "body", "whole"} {
+		if _, err := s.Put(ctx, ObjectInfo{Account: "a", Container: "c", Name: name}, strings.NewReader("0123456789")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, cut := range map[string]func([]byte) []byte{
+		"tail": func(b []byte) []byte { return b[:len(b)-3] },
+		"body": func(b []byte) []byte { return b[3:] },
+	} {
+		file := s.file("/a/c/" + name)
+		b, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(file, cut(b), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reopened, err := NewDiskStore(ctx, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"tail", "body"} {
+		if _, err := reopened.Head(ctx, "/a/c/"+name); !errors.Is(err, ErrNotFound) {
+			t.Errorf("replica cut at its %s: head = %v, want ErrNotFound", name, err)
+		}
+	}
+	if _, err := reopened.Head(ctx, "/a/c/whole"); err != nil {
+		t.Errorf("intact replica: %v", err)
 	}
 }

@@ -10,10 +10,44 @@ import (
 	"sync"
 )
 
-// blob is one stored replica.
-type blob struct {
-	data []byte
+// replica is one stored version: its metadata and, in a MemStore, its
+// bytes (a DiskStore keeps the bytes in the replica's file).
+type replica struct {
 	info ObjectInfo
+	data []byte
+}
+
+// replicaIndex is the index both node stores keep: the replicas by object
+// path, behind one lock. It implements Store's Head and List for both.
+type replicaIndex struct {
+	mu       sync.RWMutex
+	replicas map[string]replica
+}
+
+// Head implements Store.
+func (x *replicaIndex) Head(_ context.Context, path string) (ObjectInfo, error) {
+	x.mu.RLock()
+	defer x.mu.RUnlock()
+	r, ok := x.replicas[path]
+	if !ok {
+		return ObjectInfo{}, ErrNotFound
+	}
+	return r.info, nil
+}
+
+// List implements Store: the stored objects whose path starts with prefix,
+// sorted by path.
+func (x *replicaIndex) List(_ context.Context, prefix string) []ObjectInfo {
+	x.mu.RLock()
+	defer x.mu.RUnlock()
+	var out []ObjectInfo
+	for p, r := range x.replicas {
+		if strings.HasPrefix(p, prefix) {
+			out = append(out, r.info)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Path() < out[j].Path() })
+	return out
 }
 
 // MemStore is the storage engine of one object server: an in-memory blob
@@ -21,13 +55,12 @@ type blob struct {
 // Swift object server; at the scales this repository runs (MBs–GBs), memory
 // is the honest equivalent of the testbed's RAID10 arrays.
 type MemStore struct {
-	mu    sync.RWMutex
-	blobs map[string]*blob
+	replicaIndex
 }
 
 // NewMemStore returns an empty store.
 func NewMemStore() *MemStore {
-	return &MemStore{blobs: make(map[string]*blob)}
+	return &MemStore{replicaIndex{replicas: make(map[string]replica)}}
 }
 
 // Put stores the full object read from r.
@@ -42,7 +75,7 @@ func (s *MemStore) Put(ctx context.Context, info ObjectInfo, r io.Reader) (Objec
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.blobs[stamped.Path()] = &blob{data: buf.Bytes(), info: stamped}
+	s.replicas[stamped.Path()] = replica{info: stamped, data: buf.Bytes()}
 	return stamped, nil
 }
 
@@ -54,27 +87,16 @@ func (s *MemStore) Get(ctx context.Context, path string, start, end int64) (io.R
 		return nil, ObjectInfo{}, fmt.Errorf("memstore: get %s: %w", path, err)
 	}
 	s.mu.RLock()
-	b, ok := s.blobs[path]
+	r, ok := s.replicas[path]
 	s.mu.RUnlock()
 	if !ok {
 		return nil, ObjectInfo{}, ErrNotFound
 	}
-	end, err := clampRange(start, end, int64(len(b.data)))
+	end, err := clampRange(start, end, int64(len(r.data)))
 	if err != nil {
 		return nil, ObjectInfo{}, err
 	}
-	return io.NopCloser(bytes.NewReader(b.data[start:end])), b.info, nil
-}
-
-// Head returns object metadata.
-func (s *MemStore) Head(_ context.Context, path string) (ObjectInfo, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	b, ok := s.blobs[path]
-	if !ok {
-		return ObjectInfo{}, ErrNotFound
-	}
-	return b.info, nil
+	return io.NopCloser(bytes.NewReader(r.data[start:end])), r.info, nil
 }
 
 // Delete removes the object. Deleting a missing object is not an error
@@ -82,30 +104,5 @@ func (s *MemStore) Head(_ context.Context, path string) (ObjectInfo, error) {
 func (s *MemStore) Delete(_ context.Context, path string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.blobs, path)
-}
-
-// List returns stored objects whose path starts with prefix, sorted by path.
-func (s *MemStore) List(_ context.Context, prefix string) []ObjectInfo {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out []ObjectInfo
-	for p, b := range s.blobs {
-		if strings.HasPrefix(p, prefix) {
-			out = append(out, b.info)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Path() < out[j].Path() })
-	return out
-}
-
-// Bytes returns the total stored bytes (for capacity accounting).
-func (s *MemStore) Bytes() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var n int64
-	for _, b := range s.blobs {
-		n += int64(len(b.data))
-	}
-	return n
+	delete(s.replicas, path)
 }

@@ -467,9 +467,6 @@ func TestMemStoreDirect(t *testing.T) {
 	if err != nil || info.Size != 5 {
 		t.Fatalf("put: %+v, %v", info, err)
 	}
-	if s.Bytes() != 5 {
-		t.Errorf("bytes = %d", s.Bytes())
-	}
 	if _, _, err := s.Get(context.Background(), "/a/c/missing", 0, 0); !errors.Is(err, ErrNotFound) {
 		t.Errorf("get missing: %v", err)
 	}

@@ -35,9 +35,6 @@ type Proxy struct {
 	engine *storlet.Engine
 	reg    *Registry
 
-	// quorum is the minimum replica writes for a successful PUT;
-	// 0 means majority of the ring's replica count.
-	quorum int
 	// metrics counts recoveries (failovers, resumes, quorum degradations,
 	// repairs); nil disables counting.
 	metrics *metrics.Registry
@@ -138,7 +135,7 @@ func (p *Proxy) PutObject(ctx context.Context, account, container, object string
 	// (by default 2 of 3) hold the object; the durability gap is filed with
 	// the reconciler as a one-object record once the version is committed.
 	// Below quorum the PUT fails with the typed per-node causes.
-	if quorum := writeQuorum(len(nodes), p.quorum); ok < quorum {
+	if quorum := writeQuorum(len(nodes)); ok < quorum {
 		p.count("proxy.put.quorum_failed")
 		return ObjectInfo{}, &ReplicationError{
 			Path: info.Path(), Want: quorum, Got: ok, Replicas: len(nodes), Causes: causes,

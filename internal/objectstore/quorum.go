@@ -7,17 +7,9 @@ import (
 
 // writeQuorum is the store's one write-quorum rule, shared by the PUT path
 // and the reconciler's handoff check: how many of n placement replicas must
-// hold a version for it to count as committed. A configured quorum wins,
-// capped at n; otherwise a majority.
-func writeQuorum(n, configured int) int {
-	q := configured
-	if q <= 0 {
-		q = n/2 + 1
-	}
-	if q > n {
-		q = n
-	}
-	return q
+// hold a version for it to count as committed — a majority.
+func writeQuorum(n int) int {
+	return n/2 + 1
 }
 
 // ReplicationError is the typed failure of a PUT that could not reach its

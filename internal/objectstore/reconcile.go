@@ -371,7 +371,7 @@ func (c *Cluster) verifyHandoff(ctx context.Context, path, etag string) error {
 			holding++
 		}
 	}
-	if quorum := writeQuorum(len(nodes), c.cfg.WriteQuorum); holding < quorum {
+	if quorum := writeQuorum(len(nodes)); holding < quorum {
 		return fmt.Errorf("handoff %s: %d/%d new-placement replicas hold %s (quorum %d)",
 			path, holding, len(nodes), etag, quorum)
 	}

@@ -114,26 +114,22 @@ func TestRepairsWaitForTheMigrationWindow(t *testing.T) {
 }
 
 // TestWriteQuorumRule pins the one quorum rule the PUT path and the handoff
-// check share: a configured quorum wins, capped at the replica count;
-// unconfigured means a majority.
+// check share: a majority of the replicas.
 func TestWriteQuorumRule(t *testing.T) {
-	for _, tc := range []struct{ replicas, configured, want int }{
-		{1, 0, 1}, {2, 0, 2}, {3, 0, 2}, {4, 0, 3}, {5, 0, 3},
-		{3, 1, 1}, {3, 2, 2}, {3, 3, 3}, {3, 4, 3}, {3, -1, 2},
-		{2, 3, 2}, {1, 3, 1}, {5, 2, 2},
+	for _, tc := range []struct{ replicas, want int }{
+		{1, 1}, {2, 2}, {3, 2}, {4, 3}, {5, 3},
 	} {
-		if got := writeQuorum(tc.replicas, tc.configured); got != tc.want {
-			t.Errorf("writeQuorum(%d replicas, configured %d) = %d, want %d", tc.replicas, tc.configured, got, tc.want)
+		if got := writeQuorum(tc.replicas); got != tc.want {
+			t.Errorf("writeQuorum(%d replicas) = %d, want %d", tc.replicas, got, tc.want)
 		}
 	}
 }
 
-// TestHandoffHonoursConfiguredQuorum: with WriteQuorum 3 a PUT needs all
-// three replicas, so a handoff must not drop its sources at two either.
+// TestHandoffHonoursConfiguredQuorum: a PUT commits at a majority of the
+// replicas, so a handoff verifies with one of three replicas down and must
+// not drop its sources with two down.
 func TestHandoffHonoursConfiguredQuorum(t *testing.T) {
-	cfg := liveConfig()
-	cfg.WriteQuorum = 3
-	cluster, objects := newLiveCluster(t, cfg, 12)
+	cluster, objects := newLiveCluster(t, liveConfig(), 12)
 	ctx := context.Background()
 	var object string
 	for name := range objects {
@@ -146,8 +142,13 @@ func TestHandoffHonoursConfiguredQuorum(t *testing.T) {
 	if err := cluster.verifyHandoff(ctx, path, committed.ETag); err != nil {
 		t.Fatalf("fully replicated object fails its handoff check: %v", err)
 	}
-	replicasOf(t, cluster, object)[1].SetDown(true)
+	replicas := replicasOf(t, cluster, object)
+	replicas[1].SetDown(true)
+	if err := cluster.verifyHandoff(ctx, path, committed.ETag); err != nil {
+		t.Errorf("handoff with 2/3 replicas, a majority, fails: %v", err)
+	}
+	replicas[2].SetDown(true)
 	if err := cluster.verifyHandoff(ctx, path, committed.ETag); err == nil {
-		t.Error("handoff verified with 2/3 replicas under WriteQuorum 3")
+		t.Error("handoff verified with 1/3 replicas")
 	}
 }

@@ -263,13 +263,7 @@ func (r *Ring) Rebalance() error {
 	}
 	got := make([]int, n)
 
-	var assignment [][]int
-	var moves []Move
-	if r.cur == nil {
-		assignment = r.assignFull(parts, want, got)
-	} else {
-		assignment, moves = r.assignIncremental(parts, want, got)
-	}
+	assignment, moves := r.assign(parts, want, got)
 
 	next := &table{
 		epoch:      r.epoch + 1,
@@ -299,29 +293,12 @@ func (r *Ring) CommitEpoch() {
 	r.prev = nil
 }
 
-// assignFull is the initial greedy assignment (epoch 1): most-underfilled
-// device wins each slot, zone/node conflicts penalized but tolerated on
-// small clusters.
-func (r *Ring) assignFull(parts int, want []float64, got []int) [][]int {
-	assignment := make([][]int, parts)
-	for p := 0; p < parts; p++ {
-		assignment[p] = make([]int, r.replicas)
-		for rep := 0; rep < r.replicas; rep++ {
-			assignment[p][rep] = -1
-		}
-		for rep := 0; rep < r.replicas; rep++ {
-			best := r.pickDevice(assignment[p], want, got, false)
-			assignment[p][rep] = best
-			got[best]++
-		}
-	}
-	return assignment
-}
-
-// assignIncremental carries the previous epoch forward and moves the
-// minimum: forced refills for removed devices, then at most one
-// balance-driven move per untouched partition.
-func (r *Ring) assignIncremental(parts int, want []float64, got []int) ([][]int, []Move) {
+// assign carries the previous epoch forward and moves the minimum: forced
+// refills for removed devices, then at most one balance-driven move per
+// untouched partition. The first epoch has nothing to carry: every slot is
+// a refill, picked greedily in (partition, replica) order, and no move is
+// recorded.
+func (r *Ring) assign(parts int, want []float64, got []int) ([][]int, []Move) {
 	cur := r.cur
 	assignment := make([][]int, parts)
 	var moves []Move
@@ -331,12 +308,13 @@ func (r *Ring) assignIncremental(parts int, want []float64, got []int) ([][]int,
 	for p := 0; p < parts; p++ {
 		assignment[p] = make([]int, r.replicas)
 		for rep := 0; rep < r.replicas; rep++ {
-			oldID := cur.devices[cur.assignment[p][rep]].ID
-			if ni, ok := r.deviceByID[oldID]; ok {
+			assignment[p][rep] = -1
+			if cur == nil {
+				continue
+			}
+			if ni, ok := r.deviceByID[cur.devices[cur.assignment[p][rep]].ID]; ok {
 				assignment[p][rep] = ni
 				got[ni]++
-			} else {
-				assignment[p][rep] = -1
 			}
 		}
 	}
@@ -352,12 +330,15 @@ func (r *Ring) assignIncremental(parts int, want []float64, got []int) ([][]int,
 			best := r.pickDevice(assignment[p], want, got, false)
 			assignment[p][rep] = best
 			got[best]++
+			touched[p] = true
+			if cur == nil {
+				continue
+			}
 			moves = append(moves, Move{
 				Partition: p, Replica: rep,
 				From: cur.devices[cur.assignment[p][rep]].ID,
 				To:   r.devices[best].ID,
 			})
-			touched[p] = true
 		}
 	}
 	// Pass 3: balance-driven moves — a single deterministic sweep, at most

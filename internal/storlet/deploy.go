@@ -10,36 +10,20 @@ import (
 
 // This file implements the Storlets deployment story: "a developer can
 // write code, package and deploy it as a regular object" (paper §V). Go
-// cannot load code at runtime, so the honest equivalent is a two-level
-// scheme:
-//
-//   - filter *factories* are compiled in and registered once (the sandbox
-//     images of real Storlets), and
-//   - *manifests* — JSON documents stored as regular objects — instantiate
-//     parameterized filters from those factories under new names, at
-//     runtime, without touching the store's code.
-//
-// A manifest can also define a named pipeline of already-deployed filters
-// (a macro), which tenants then invoke as a single pushdown task.
+// cannot load code at runtime, so filters are compiled in and registered
+// once (the sandbox images of real Storlets), and a *manifest* — a JSON
+// document stored as a regular object — deploys a named pipeline of
+// already-deployed filters (a macro) at runtime, without touching the
+// store's code. Tenants then invoke the pipeline as a single pushdown task.
 
-// Factory instantiates filters of one type from manifest parameters.
-type Factory interface {
-	// Type is the manifest "type" string this factory handles.
-	Type() string
-	// New builds a filter instance that will be deployed under name.
-	New(name string, params map[string]string) (Filter, error)
-}
-
-// Manifest is the deployable description of a filter instance.
+// Manifest is the deployable description of a pipeline.
 type Manifest struct {
-	// Name the new filter is deployed under.
+	// Name the pipeline is deployed under.
 	Name string `json:"name"`
-	// Type selects the factory ("pipeline" is built in).
+	// Type is "pipeline" or empty; any other type is refused.
 	Type string `json:"type"`
-	// Params parameterize the factory.
-	Params map[string]string `json:"params,omitempty"`
-	// Chain defines a pipeline manifest: steps reference already-deployed
-	// filters with fixed options.
+	// Chain holds the pipeline's steps: already-deployed filters with
+	// fixed options.
 	Chain []ChainStep `json:"chain,omitempty"`
 }
 
@@ -53,24 +37,7 @@ type ChainStep struct {
 	Schema     string               `json:"schema,omitempty"`
 }
 
-// RegisterFactory makes a filter type deployable via manifests.
-func (e *Engine) RegisterFactory(f Factory) error {
-	if f == nil || f.Type() == "" {
-		return fmt.Errorf("storlet: factory needs a type")
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.factories == nil {
-		e.factories = make(map[string]Factory)
-	}
-	if _, dup := e.factories[f.Type()]; dup {
-		return fmt.Errorf("storlet: factory %q already registered", f.Type())
-	}
-	e.factories[f.Type()] = f
-	return nil
-}
-
-// DeployManifest parses a manifest document and deploys the filter it
+// DeployManifest parses a manifest document and deploys the pipeline it
 // describes. The manifest may come from any source; object stores deliver
 // it as a regular object (see objectstore.DeployStorlets).
 func (e *Engine) DeployManifest(data []byte) error {
@@ -81,20 +48,10 @@ func (e *Engine) DeployManifest(data []byte) error {
 	if m.Name == "" {
 		return fmt.Errorf("storlet: manifest missing name")
 	}
-	if m.Type == "pipeline" || (m.Type == "" && len(m.Chain) > 0) {
-		return e.deployPipeline(m)
+	if m.Type != "" && m.Type != "pipeline" {
+		return fmt.Errorf("storlet: manifest %q: type %q is not a pipeline", m.Name, m.Type)
 	}
-	e.mu.RLock()
-	f, ok := e.factories[m.Type]
-	e.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("storlet: no factory for type %q", m.Type)
-	}
-	inst, err := f.New(m.Name, m.Params)
-	if err != nil {
-		return fmt.Errorf("storlet: factory %q: %w", m.Type, err)
-	}
-	return e.Register(inst)
+	return e.deployPipeline(m)
 }
 
 // deployPipeline registers a named macro filter that runs a fixed chain of

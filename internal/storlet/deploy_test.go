@@ -11,77 +11,15 @@ import (
 	"scoop/internal/pushdown"
 )
 
-// prefixFactory deploys filters that prepend a fixed prefix to every line.
-type prefixFactory struct{}
-
-func (prefixFactory) Type() string { return "prefixer" }
-
-func (prefixFactory) New(name string, params map[string]string) (Filter, error) {
-	prefix, ok := params["prefix"]
-	if !ok {
-		return nil, fmt.Errorf("prefixer needs a prefix param")
-	}
-	return FilterFunc{
-		FilterName: name,
-		Fn: func(_ *Context, in io.Reader, out io.Writer) error {
-			b, err := io.ReadAll(in)
-			if err != nil {
-				return err
-			}
-			for _, line := range strings.Split(strings.TrimRight(string(b), "\n"), "\n") {
-				if _, err := fmt.Fprintf(out, "%s%s\n", prefix, line); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-	}, nil
-}
-
-func TestRegisterFactoryValidation(t *testing.T) {
-	e := NewEngine(Limits{})
-	if err := e.RegisterFactory(nil); err == nil {
-		t.Error("nil factory accepted")
-	}
-	if err := e.RegisterFactory(prefixFactory{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.RegisterFactory(prefixFactory{}); err == nil {
-		t.Error("duplicate factory accepted")
-	}
-}
-
-func TestDeployManifestFactory(t *testing.T) {
-	e := NewEngine(Limits{})
-	if err := e.RegisterFactory(prefixFactory{}); err != nil {
-		t.Fatal(err)
-	}
-	manifest := `{"name": "tagger", "type": "prefixer", "params": {"prefix": ">> "}}`
-	if err := e.DeployManifest([]byte(manifest)); err != nil {
-		t.Fatal(err)
-	}
-	ctx := &Context{Task: &pushdown.Task{Filter: "tagger"}, RangeEnd: 8, ObjectSize: 8}
-	rc, err := e.Run(ctx, strings.NewReader("a\nb\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := io.ReadAll(rc)
-	rc.Close()
-	if err != nil || string(b) != ">> a\n>> b\n" {
-		t.Fatalf("got %q, %v", b, err)
-	}
-}
-
 func TestDeployManifestErrors(t *testing.T) {
-	e := NewEngine(Limits{})
-	_ = e.RegisterFactory(prefixFactory{})
+	e := newTestEngine(t, Limits{}, upper)
 	bad := []string{
 		`not json`,
-		`{"type": "prefixer"}`,                     // missing name
-		`{"name": "x", "type": "ghost"}`,           // unknown factory
-		`{"name": "x", "type": "prefixer"}`,        // factory param error
-		`{"name": "p", "type": "pipeline"}`,        // pipeline without steps
-		`{"name": "p", "chain": [{"filter": ""}]}`, // step without filter
+		`{"type": "pipeline", "chain": [{"filter": "upper"}]}`,              // missing name
+		`{"name": "x", "type": "prefixer", "chain": [{"filter": "upper"}]}`, // not a pipeline
+		`{"name": "p", "type": "pipeline"}`,                                 // pipeline without steps
+		`{"name": "p"}`,                                                     // untyped, without steps
+		`{"name": "p", "chain": [{"filter": ""}]}`,                          // step without filter
 		`{"name": "p", "chain": [{"filter": "f", "predicates": [{"col": "c", "op": "bogus"}]}]}`,
 	}
 	for i, m := range bad {
@@ -89,12 +27,11 @@ func TestDeployManifestErrors(t *testing.T) {
 			t.Errorf("manifest %d accepted: %s", i, m)
 		}
 	}
-	// Duplicate deploy surfaces ErrAlreadyDeployed.
-	ok := `{"name": "dup", "type": "prefixer", "params": {"prefix": "x"}}`
-	if err := e.DeployManifest([]byte(ok)); err != nil {
-		t.Fatal(err)
+	if err := e.DeployManifest([]byte(bad[2])); err == nil || !strings.Contains(err.Error(), "not a pipeline") {
+		t.Errorf("non-pipeline manifest: %v, want a not-a-pipeline error", err)
 	}
-	err := e.DeployManifest([]byte(ok))
+	// Deploying a name already taken surfaces ErrAlreadyDeployed.
+	err := e.DeployManifest([]byte(`{"name": "upper", "chain": [{"filter": "upper"}]}`))
 	if !errors.Is(err, ErrAlreadyDeployed) {
 		t.Errorf("duplicate deploy error = %v, want ErrAlreadyDeployed", err)
 	}

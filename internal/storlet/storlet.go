@@ -125,12 +125,11 @@ type Limits struct {
 // piece that makes the object store "rich and extensible" (paper §I): new
 // filters can be deployed at runtime without touching the store.
 type Engine struct {
-	mu        sync.RWMutex
-	filters   map[string]Filter
-	stats     map[string]*Stats
-	factories map[string]Factory
-	breakers  map[string]*breaker
-	limits    Limits
+	mu       sync.RWMutex
+	filters  map[string]Filter
+	stats    map[string]*Stats
+	breakers map[string]*breaker
+	limits   Limits
 	// slots is the concurrency semaphore when MaxConcurrent > 0.
 	slots chan struct{}
 	// waiting counts requests queued for a slot (bounded by MaxQueue > 0).
