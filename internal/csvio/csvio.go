@@ -37,19 +37,26 @@ const DefaultDelimiter = ','
 // boundary needs them); io.EOF from r simply terminates the stream.
 //
 // Reading is allocation-free per record: Next returns slices into the
-// internal buffer (or into a reused spill buffer for records longer than the
-// buffer), which is why they are only valid until the following call.
+// reader's window (or into a reused spill buffer for records longer than the
+// window), which is why they are only valid until the following call.
 type RangeReader struct {
-	br  *bufio.Reader
 	src boundaryReader
-	// spill accumulates records longer than the buffered reader's window;
-	// it is reused across records and across Reset.
+	// buf is the window over the stream: buf[head:tail] is read from src and
+	// not yet handed out. srcErr is src's error once it has returned one.
+	buf        []byte
+	head, tail int
+	srcErr     error
+	// spill accumulates records longer than the window; it is reused across
+	// records and across Reset.
 	spill   []byte
-	pos     int64 // absolute offset of the next byte to read
+	pos     int64 // absolute offset of the next byte to hand out
 	end     int64 // absolute end of the range (exclusive)
 	aligned bool
 	err     error
 }
+
+// windowSize is the RangeReader's window: a record longer than this spills.
+const windowSize = 64 << 10
 
 // NewRangeReader builds a RangeReader for the range [start, end) of the
 // stream r (which must already be positioned at start). If start is 0 the
@@ -70,19 +77,18 @@ func NewRangeReader(r io.Reader, start, end int64) *RangeReader {
 // allocation-free after the first use.
 func (r *RangeReader) Reset(in io.Reader, start, end int64) {
 	r.src = boundaryReader{r: in, remaining: end - start}
-	if r.br == nil {
-		r.br = bufio.NewReaderSize(&r.src, 64<<10)
-	} else {
-		r.br.Reset(&r.src)
+	if r.buf == nil {
+		r.buf = make([]byte, windowSize)
 	}
+	r.head, r.tail, r.srcErr = 0, 0, nil
 	r.pos, r.end = start, end
 	r.aligned = start == 0
 	r.err = nil
 }
 
-// rangeReaderPool backs Acquire/Release: the 64 KB read buffer is the
-// dominant per-invocation allocation on the pushdown hot path, so the
-// storage-side filters recycle whole readers across requests.
+// rangeReaderPool backs Acquire/Release: the 64 KB window is the dominant
+// per-invocation allocation on the record path, so the storage-side filters
+// and the compute-side iterator recycle whole readers across requests.
 var rangeReaderPool = sync.Pool{New: func() any { return new(RangeReader) }}
 
 // AcquireRangeReader returns a pooled RangeReader reset to the range
@@ -102,7 +108,7 @@ func (r *RangeReader) Release() {
 
 // boundaryReader reads freely inside the range and throttles to small chunks
 // beyond it, so finishing a straddling record pulls only a few hundred extra
-// bytes rather than a buffer-sized block.
+// bytes rather than a window-sized block.
 type boundaryReader struct {
 	r         io.Reader
 	remaining int64
@@ -134,21 +140,15 @@ func (r *RangeReader) Next() ([]byte, error) {
 		return nil, r.err
 	}
 	if !r.aligned {
-		// Discard the partial record the previous range finishes.
-		for {
-			skipped, err := r.br.ReadSlice('\n')
-			r.pos += int64(len(skipped))
-			if err == nil {
-				break
-			}
-			if errors.Is(err, bufio.ErrBufferFull) {
-				continue
-			}
-			r.err = io.EOF
-			if !errors.Is(err, io.EOF) {
-				r.err = err
-			}
-			return nil, r.err
+		// Discard the partial record the previous range finishes: the
+		// stream up to and including its first newline.
+		skipped, err := r.readLine()
+		if err == nil && (len(skipped) == 0 || skipped[len(skipped)-1] != '\n') {
+			err = io.EOF // the stream ended inside that record
+		}
+		if err != nil {
+			r.err = err
+			return nil, err
 		}
 		r.aligned = true
 	}
@@ -166,6 +166,9 @@ func (r *RangeReader) Next() ([]byte, error) {
 			r.err = err
 			return nil, err
 		}
+		for len(line) > 0 && (line[len(line)-1] == '\n' || line[len(line)-1] == '\r') {
+			line = line[:len(line)-1]
+		}
 		if len(line) == 0 {
 			continue // blank line, not a record
 		}
@@ -173,33 +176,75 @@ func (r *RangeReader) Next() ([]byte, error) {
 	}
 }
 
-// readLine reads one record, updating pos, and strips \n and \r\n. The
-// common case is a zero-copy ReadSlice into the buffered reader's window;
-// records spanning a buffer boundary spill into the reused spill buffer.
+// readLine hands out the next line with its newline (the stream's last line
+// may have none) and advances pos past it. The common case is one IndexByte
+// over the window; refilling it, and a line longer than it, take readMore.
+// At the end of the stream it returns io.EOF, or src's error.
 func (r *RangeReader) readLine() ([]byte, error) {
-	line, err := r.br.ReadSlice('\n')
-	if errors.Is(err, bufio.ErrBufferFull) {
-		r.spill = append(r.spill[:0], line...)
-		for errors.Is(err, bufio.ErrBufferFull) {
-			line, err = r.br.ReadSlice('\n')
-			r.spill = append(r.spill, line...)
+	if i := bytes.IndexByte(r.buf[r.head:r.tail], '\n'); i >= 0 {
+		line := r.buf[r.head : r.head+i+1]
+		r.head += i + 1
+		r.pos += int64(i + 1)
+		return line, nil
+	}
+	return r.readMore()
+}
+
+// readMore is readLine when the window holds no newline: it reads from src
+// until one arrives or the stream ends, moving the unread bytes to the front
+// of the window and spilling a window full of a single line.
+func (r *RangeReader) readMore() ([]byte, error) {
+	spilled := false
+	for empty := 0; ; {
+		if r.srcErr != nil {
+			line := r.buf[r.head:r.tail]
+			if spilled {
+				r.spill = append(r.spill, line...)
+				line = r.spill
+			}
+			r.head = r.tail
+			if len(line) == 0 || !errors.Is(r.srcErr, io.EOF) {
+				return nil, r.srcErr
+			}
+			r.pos += int64(len(line))
+			return line, nil
 		}
-		line = r.spill
-	}
-	r.pos += int64(len(line))
-	if len(line) == 0 {
-		if err == nil {
-			err = io.EOF
+		if r.head > 0 {
+			r.tail = copy(r.buf, r.buf[r.head:r.tail])
+			r.head = 0
 		}
-		return nil, err
+		if r.tail == len(r.buf) {
+			if !spilled {
+				r.spill = r.spill[:0]
+			}
+			r.spill = append(r.spill, r.buf...)
+			r.tail, spilled = 0, true
+		}
+		// One read fills the window for many records (bufio's fill, which
+		// the allocation proof also does not enter, did the same).
+		//scoop:cold
+		n, err := r.src.Read(r.buf[r.tail:])
+		if err != nil {
+			r.srcErr = err
+		} else if n == 0 {
+			if empty++; empty == 100 {
+				r.srcErr = io.ErrNoProgress // as bufio does for a reader stuck at (0, nil)
+			}
+			continue
+		}
+		scanned := r.tail
+		r.tail += n
+		if i := bytes.IndexByte(r.buf[scanned:r.tail], '\n'); i >= 0 {
+			line := r.buf[:scanned+i+1]
+			r.head = scanned + i + 1
+			if spilled {
+				r.spill = append(r.spill, line...)
+				line = r.spill
+			}
+			r.pos += int64(len(line))
+			return line, nil
+		}
 	}
-	if err != nil && !errors.Is(err, io.EOF) {
-		return nil, err
-	}
-	for len(line) > 0 && (line[len(line)-1] == '\n' || line[len(line)-1] == '\r') {
-		line = line[:len(line)-1]
-	}
-	return line, nil
 }
 
 // FieldScanner splits records into fields with zero steady-state
@@ -236,8 +281,9 @@ func (s *FieldScanner) Reset(record []byte, delim byte) {
 //
 //scoop:hotpath
 func (s *FieldScanner) Field(i int) (field []byte, ok bool) {
-	for len(s.fields) <= i {
-		if !s.split() {
+	if len(s.fields) <= i {
+		s.split(i + 1)
+		if len(s.fields) <= i {
 			return nil, false
 		}
 	}
@@ -250,63 +296,73 @@ func (s *FieldScanner) Field(i int) (field []byte, ok bool) {
 //scoop:hotpath
 func (s *FieldScanner) Scan(record []byte, delim byte) [][]byte {
 	s.Reset(record, delim)
-	for s.split() {
-	}
+	s.split(len(record) + 1) // a record has at most one field more than bytes
 	return s.fields
 }
 
-// split cuts the next field off the record and reports false once the last
-// one is cut.
-func (s *FieldScanner) split() bool {
-	if s.done {
-		return false
-	}
-	record := s.rest
-	if len(record) > 0 && record[0] == '"' {
-		// Quoted fields unescape into scratch. A field handed out is capped
-		// at its own bytes and append only writes past len, so fields
-		// already handed out stay intact when scratch grows; the grow
-		// amortizes to the longest record's quoted content.
-		start := len(s.scratch)
-		i := 1
-		for i < len(record) {
-			if record[i] == '"' {
-				if i+1 < len(record) && record[i+1] == '"' {
-					s.scratch = append(s.scratch, '"')
-					i += 2
-					continue
-				}
-				i++
-				break
-			}
-			s.scratch = append(s.scratch, record[i])
-			i++
+// split is the one splitting loop: it cuts fields off the record until n
+// are cut or the last one is. One walk serves any number of Field calls,
+// since each goes on from where the previous one stopped.
+func (s *FieldScanner) split(n int) {
+	rest := s.rest
+	for !s.done && len(s.fields) < n {
+		if len(rest) > 0 && rest[0] == '"' {
+			rest = s.unquote(rest)
+			continue
 		}
-		s.fields = append(s.fields, s.scratch[start:len(s.scratch):len(s.scratch)])
-		if i < len(record) && record[i] == s.delim {
-			s.rest = record[i+1:]
-		} else {
+		j := bytes.IndexByte(rest, s.delim)
+		if j < 0 {
+			s.fields = append(s.fields, rest)
 			s.done = true
+			break
 		}
-		return true
+		s.fields = append(s.fields, rest[:j])
+		rest = rest[j+1:]
 	}
-	i := bytes.IndexByte(record, s.delim)
-	if i < 0 {
-		s.fields = append(s.fields, record)
-		s.done = true
-		return true
-	}
-	s.fields = append(s.fields, record[:i])
-	s.rest = record[i+1:]
-	return true
+	s.rest = rest
 }
 
-// NeedsQuoting reports whether a field must be quoted when written.
+// unquote cuts the quoted field record begins with and returns the rest of
+// the record after its delimiter. Quoted fields unescape into scratch. A
+// field handed out is capped at its own bytes and append only writes past
+// len, so fields already handed out stay intact when scratch grows; the
+// grow amortizes to the longest record's quoted content.
+func (s *FieldScanner) unquote(record []byte) []byte {
+	start := len(s.scratch)
+	i := 1
+	for i < len(record) {
+		if record[i] == '"' {
+			if i+1 < len(record) && record[i+1] == '"' {
+				s.scratch = append(s.scratch, '"')
+				i += 2
+				continue
+			}
+			i++
+			break
+		}
+		s.scratch = append(s.scratch, record[i])
+		i++
+	}
+	s.fields = append(s.fields, s.scratch[start:len(s.scratch):len(s.scratch)])
+	if i < len(record) && record[i] == s.delim {
+		return record[i+1:]
+	}
+	s.done = true
+	return nil
+}
+
+// NeedsQuoting reports whether a field must be quoted when written. It looks
+// at each byte once: CSV fields are short, so one pass beats four IndexByte
+// scans.
 func NeedsQuoting(field []byte, delim byte) bool {
-	return bytes.IndexByte(field, delim) >= 0 ||
-		bytes.IndexByte(field, '"') >= 0 ||
-		bytes.IndexByte(field, '\n') >= 0 ||
-		bytes.IndexByte(field, '\r') >= 0
+	for _, c := range field {
+		// '"' (34) is above '\n' and '\r', and most bytes of a field are
+		// above all three: one compare rules them out.
+		if c == delim || c <= '"' && (c == '"' || c == '\n' || c == '\r') {
+			return true
+		}
+	}
+	return false
 }
 
 // writerPool recycles the buffered writer WriteRecord interposes when handed
@@ -338,6 +394,30 @@ func writeRecord(bw *bufio.Writer, fields [][]byte, delim byte) error {
 		// A lone empty field would be a blank line, which readers skip as
 		// "not a record"; quoted, it reads back as one empty field.
 		_, err := bw.WriteString("\"\"\n")
+		return err
+	}
+	// A record none of whose fields needs quoting is laid out in the
+	// writer's free buffer and handed over in one Write.
+	size := len(fields) // the delimiters and the newline
+	for _, f := range fields {
+		if NeedsQuoting(f, delim) {
+			size = -1
+			break
+		}
+		size += len(f)
+	}
+	if size >= 0 && size <= bw.Available() {
+		b := bw.AvailableBuffer()[:size]
+		n := 0
+		for i, f := range fields {
+			if i > 0 {
+				b[n] = delim
+				n++
+			}
+			n += copy(b[n:], f)
+		}
+		b[n] = '\n'
+		_, err := bw.Write(b)
 		return err
 	}
 	for i, f := range fields {
@@ -397,4 +477,59 @@ func Partitions(size, chunkSize int64) []Partition {
 		out = append(out, Partition{Start: off, End: end})
 	}
 	return out
+}
+
+// pow10 holds the exactly-representable powers of ten (10^22 is the largest).
+var pow10 = [...]float64{
+	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+}
+
+// FastFloat parses a numeric field of the form [+-]?digits[.digits] when the
+// mantissa fits in 53 bits and the fractional exponent stays within the
+// exact pow10 table — the regime where one float division yields the
+// correctly-rounded result, which is also strconv.ParseFloat's own exact
+// fast path, so results are bit-identical. It allocates nothing. Anything
+// else (spaces, exponents, hex, inf/NaN, longer mantissas) reports ok=false
+// for the caller to fall back to strconv.
+func FastFloat(b []byte) (float64, bool) {
+	if len(b) == 0 {
+		return 0, false
+	}
+	i, neg := 0, false
+	if b[0] == '+' || b[0] == '-' {
+		neg = b[0] == '-'
+		i++
+	}
+	var mant uint64
+	frac, sawDot, sawDigit := 0, false, false
+	for ; i < len(b); i++ {
+		c := b[i]
+		if c == '.' {
+			if sawDot {
+				return 0, false
+			}
+			sawDot = true
+			continue
+		}
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		sawDigit = true
+		if mant >= 1<<53/10+1 {
+			return 0, false // mantissa may leave the exact-representation range
+		}
+		mant = mant*10 + uint64(c-'0')
+		if sawDot {
+			frac++
+		}
+	}
+	if !sawDigit || mant >= 1<<53 || frac >= len(pow10) {
+		return 0, false
+	}
+	f := float64(mant) / pow10[frac]
+	if neg {
+		f = -f
+	}
+	return f, true
 }

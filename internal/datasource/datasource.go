@@ -169,7 +169,7 @@ func (r *CSVRelation) ScanPrunedFiltered(ctx context.Context, split connector.Sp
 	}
 	it := &csvIterator{
 		rc:         rc,
-		rr:         csvio.NewRangeReader(rc, split.Start, split.End),
+		rr:         csvio.AcquireRangeReader(rc, split.Start, split.End),
 		schema:     outSchema,
 		delim:      r.opts.Delimiter,
 		skipHeader: r.opts.Header && split.Start == 0,
@@ -179,14 +179,14 @@ func (r *CSVRelation) ScanPrunedFiltered(ctx context.Context, split connector.Sp
 		for i, name := range columns {
 			idx := r.schema.Index(name)
 			if idx < 0 {
-				rc.Close()
+				it.Close()
 				return nil, fmt.Errorf("datasource: unknown column %q", name)
 			}
 			it.projIdx[i] = idx
 		}
 	}
 	if it.match, err = pushdown.Bind(preds, r.schema.Index); err != nil {
-		rc.Close()
+		it.Close()
 		return nil, fmt.Errorf("datasource: %w", err)
 	}
 	return it, nil
@@ -260,13 +260,18 @@ func (r *CSVRelation) openChain(ctx context.Context, split connector.Split, colu
 	// the whole stream is complete records (no split re-alignment).
 	return &csvIterator{
 		rc:     &chainCloser{rc: rc, extra: extra},
-		rr:     csvio.NewRangeReader(stream, 0, int64(1)<<62),
+		rr:     csvio.AcquireRangeReader(stream, 0, int64(1)<<62),
 		schema: outSchema,
 		delim:  r.opts.Delimiter,
 	}, nil
 }
 
-// csvIterator parses a CSV stream into typed rows.
+// errClosed is what Next returns once the iterator is closed: its range
+// reader is back in the pool by then.
+var errClosed = errors.New("datasource: Next on a closed iterator")
+
+// csvIterator parses a CSV stream into typed rows. Its range reader comes
+// from csvio's pool and goes back on Close.
 type csvIterator struct {
 	rc         io.ReadCloser
 	rr         *csvio.RangeReader
@@ -285,6 +290,9 @@ type csvIterator struct {
 
 // Next implements exec.Iterator.
 func (it *csvIterator) Next() (types.Row, error) {
+	if it.closed {
+		return nil, errClosed
+	}
 	for {
 		rec, err := it.rr.Next()
 		if err != nil {
@@ -297,10 +305,10 @@ func (it *csvIterator) Next() (types.Row, error) {
 			it.skipHeader = false
 			continue
 		}
-		it.sc.Reset(rec, it.delim)
-		if !it.match.MatchRecord(&it.sc) {
+		if !it.match.MatchRecord(rec, it.delim, &it.sc) {
 			continue
 		}
+		it.sc.Reset(rec, it.delim)
 		row := it.reused
 		if row == nil {
 			row = make(types.Row, it.schema.Len())
@@ -326,5 +334,7 @@ func (it *csvIterator) Close() error {
 		return nil
 	}
 	it.closed = true
+	it.rr.Release()
+	it.rr = nil
 	return it.rc.Close()
 }

@@ -311,19 +311,29 @@ func TestCompressTransfer(t *testing.T) {
 	}
 }
 
+// Close is idempotent in both modes, and a closed iterator, whose range
+// reader is back in csvio's pool, answers Next with an error.
 func TestIteratorCloseIdempotent(t *testing.T) {
 	fx := newFixture(t, 0)
-	rel, _ := NewCSV(fx.conn, "meters", "", schemaDecl, CSVOptions{})
-	splits, _ := rel.Splits(context.Background())
-	it, err := rel.Scan(context.Background(), splits[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := it.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := it.Close(); err != nil {
-		t.Fatal(err)
+	for _, push := range []bool{false, true} {
+		rel, _ := NewCSV(fx.conn, "meters", "", schemaDecl, CSVOptions{Pushdown: push})
+		splits, _ := rel.Splits(context.Background())
+		it, err := rel.Scan(context.Background(), splits[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := it.Next(); err != nil {
+			t.Fatal(err)
+		}
+		if err := it.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := it.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if row, err := it.Next(); err == nil || errors.Is(err, io.EOF) {
+			t.Fatalf("pushdown=%v: Next after Close = %v, %v; want an error", push, row, err)
+		}
 	}
 }
 

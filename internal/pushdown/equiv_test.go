@@ -5,12 +5,15 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"scoop/internal/csvio"
 )
 
 var equivOps = []Op{OpEq, OpNe, OpLt, OpLe, OpGt, OpGe, OpLike, OpIsNull, OpNotNull, OpIn}
 
 // equivValues exercises string comparison, numeric parsing (plain decimals,
-// signs, exponents, overflow), LIKE subjects, and degenerate inputs.
+// signs, exponents, overflow), LIKE subjects and patterns of every shape,
+// and degenerate inputs.
 var equivValues = []string{
 	"", "a", "abc", "Rotterdam", "rot", "Rot%", "%", "_",
 	"0", "10", "-3", "+7", "9.5", "0.1", "  42  ", "1e3", "1E-2",
@@ -18,6 +21,7 @@ var equivValues = []string{
 	"184467440737095516150", "0.00000000000000000000001",
 	"9007199254740993", "12345678901234567890.5",
 	`say "hi"`, "a,b", "\x00", "héllo",
+	"%dam", "%otter%", "Rotterdam%", "_otterdam", "R%m", "Rotterdam",
 }
 
 // refMatch is the reference predicate evaluator the three entry points are
@@ -201,7 +205,7 @@ func TestBindMatch(t *testing.T) {
 }
 
 // TestParseFloatAgreesWithStrconv pins the whole field parser — trimming,
-// the fastFloat fast path and the strconv fallback — to the reference
+// the csvio.FastFloat fast path and the strconv fallback — to the reference
 // strconv.ParseFloat(strings.TrimSpace(s)): same ok flag, bit-identical
 // value.
 func TestParseFloatAgreesWithStrconv(t *testing.T) {
@@ -229,14 +233,15 @@ func TestParseFloatAgreesWithStrconv(t *testing.T) {
 		}
 		// A predicate literal goes through the same parser, staged on the
 		// stack or (past 32 bytes) on the heap.
-		if l := newLiteral(s, true); l.isNum != ok || (ok && math.Float64bits(l.num) != math.Float64bits(want)) {
-			t.Fatalf("newLiteral(%q) = %v, %v; parseFloat = %v, %v", s, l.num, l.isNum, got, ok)
+		var stage [32]byte
+		if b := compile(OpEq, true, s, stage[:]); (b.test == testNumeric) != ok || (ok && math.Float64bits(b.num) != math.Float64bits(want)) {
+			t.Fatalf("compile(%q) = %v, test %d; parseFloat = %v, %v", s, b.num, b.test, got, ok)
 		}
 	}
 }
 
-// TestFastFloatAgreesWithStrconv asserts that whenever the allocation-free
-// fast path accepts an input, its result is bit-identical to
+// TestFastFloatAgreesWithStrconv asserts that whenever csvio.FastFloat, the
+// allocation-free fast path of every numeric field, accepts an input, its result is bit-identical to
 // strconv.ParseFloat — the correctness condition for skipping strconv.
 func TestFastFloatAgreesWithStrconv(t *testing.T) {
 	cases := []string{
@@ -245,16 +250,16 @@ func TestFastFloatAgreesWithStrconv(t *testing.T) {
 		"123456789.123456789", "000123", "5.", ".5", "-.5",
 	}
 	for _, s := range cases {
-		v, ok := fastFloat([]byte(s))
+		v, ok := csvio.FastFloat([]byte(s))
 		if !ok {
 			continue // fallback path covers it; nothing to check
 		}
 		want, err := strconv.ParseFloat(s, 64)
 		if err != nil {
-			t.Fatalf("fastFloat accepted %q but strconv rejects it: %v", s, err)
+			t.Fatalf("FastFloat accepted %q but strconv rejects it: %v", s, err)
 		}
 		if math.Float64bits(v) != math.Float64bits(want) {
-			t.Fatalf("fastFloat(%q) = %v (%x), strconv = %v (%x)",
+			t.Fatalf("FastFloat(%q) = %v (%x), strconv = %v (%x)",
 				s, v, math.Float64bits(v), want, math.Float64bits(want))
 		}
 	}
@@ -267,16 +272,16 @@ func FuzzFastFloat(f *testing.F) {
 	f.Add("18446744073709551615")
 	f.Add("0.0000000000000000000000001")
 	f.Fuzz(func(t *testing.T, s string) {
-		v, ok := fastFloat([]byte(s))
+		v, ok := csvio.FastFloat([]byte(s))
 		if !ok {
 			return
 		}
 		want, err := strconv.ParseFloat(s, 64)
 		if err != nil {
-			t.Fatalf("fastFloat accepted %q but strconv rejects it: %v", s, err)
+			t.Fatalf("FastFloat accepted %q but strconv rejects it: %v", s, err)
 		}
 		if math.Float64bits(v) != math.Float64bits(want) {
-			t.Fatalf("fastFloat(%q) = %v (%x), strconv = %v (%x)",
+			t.Fatalf("FastFloat(%q) = %v (%x), strconv = %v (%x)",
 				s, v, math.Float64bits(v), want, math.Float64bits(want))
 		}
 	})

@@ -20,10 +20,13 @@ var lazyRecords = []string{
 	`"V,9",2015-02-01 00:00:00,"7.5","Rotter""dam",`,
 }
 
-// lazyLits are the literals a fuzzed conjunct draws from.
+// lazyLits are the literals a fuzzed conjunct draws from. As LIKE patterns
+// they cover every shape Bind compiles: exact, 'head%', '%tail', '%mid%'
+// and the general matcher ('_', an inner '%').
 var lazyLits = []string{
 	"", "a", "b", "c", "x", "a%", "%", "%%", "_", "b,c", `say "hi"`, "y",
 	"2015-01%", "2015-01-17 10:20:00", "42.25", "7.5", "Rot%dam", "Rotter\"dam",
+	"%dam", "%tter%", "R_tterdam", "%a%b%", "Rotterdam", "V%", "%,%", "2015-01-%",
 }
 
 // lazyColumns names six columns a..f: more than most corpus records hold,
@@ -79,7 +82,7 @@ func checkLazy(t *testing.T, record []byte, delim byte, spec []byte) {
 		}
 	}
 	lazy.Reset(record, delim)
-	if got := m.MatchRecord(&lazy); got != want {
+	if got := m.MatchRecord(record, delim, &lazy); got != want {
 		t.Fatalf("record %q, conjunction %v: lazy match %v, eager %v", record, preds, got, want)
 	}
 	// Go on from where the match left the record, then from a fresh Reset.
@@ -129,6 +132,50 @@ func FuzzLazyMatch(f *testing.F) {
 			delim = ';'
 		}
 		checkLazy(t, record, delim, spec)
+	})
+}
+
+// FuzzCompiledMatch runs whole documents through the range reader into
+// checkLazy, so the compiled kernel sees records as the filters hand them
+// over: CRLF line endings stripped, blank lines skipped, quoted fields
+// (holding the delimiter, or "" escapes) ahead of a conjunct's column, short
+// records and empty fields.
+func FuzzCompiledMatch(f *testing.F) {
+	docs := []string{
+		"\"a,b\",2015-01-17,x\r\n\"V,9\",2015-02-01,\"Rotter\"\"dam\"\r\nV3,\"2015-01-02\",Rotterdam\r\n",
+		"a,,c\n,\n\r\n\nV1\r\nx,y,z,w,v,u,t\n,,,,\n",
+		"V1,2015-01-17 10:20:00,42.25,Rotterdam,NED\nV2,2015-01-03,7.5,Amsterdam,NED\nV3,2015-01-01,x,Rotterdamned",
+	}
+	specs := [][]byte{
+		{1, 6, 25},                    // b LIKE '2015-01-%'
+		{3, 6, 18, 1, 6, 12},          // d LIKE '%dam' AND b LIKE '2015-01%'
+		{3, 6, 19, 0, 6, 23},          // d LIKE '%tter%' AND a LIKE 'V%'
+		{3, 6, 20, 2, 0x84, 14},       // d LIKE 'R_tterdam' AND c > 42.25 (numeric)
+		{3, 6, 21, 4, 7, 0},           // d LIKE '%a%b%' AND e IS NULL
+		{3, 6, 22, 0, 6, 24},          // d LIKE 'Rotterdam' AND a LIKE '%,%'
+		{2, 6, 22, 1, 0, 22},          // c LIKE 'Rotterdam' AND b = 'Rotterdam'
+		{5, 8, 0, 2, 0x83, 15},        // f IS NOT NULL AND c <= 7.5 (numeric)
+		{1, 9, 12, 3, 1, 4, 0, 2, 23}, // b IN ('2015-01%', '2015-01-17 10:20:00') AND d <> 'x' AND a < 'V%'
+	}
+	for _, doc := range docs {
+		for _, spec := range specs {
+			f.Add([]byte(doc), spec, false)
+		}
+	}
+	f.Add([]byte("a;\"b;c\";2015-01-17\r\n"), specs[0], true)
+	f.Fuzz(func(t *testing.T, doc, spec []byte, semicolon bool) {
+		delim := byte(',')
+		if semicolon {
+			delim = ';'
+		}
+		rr := csvio.NewRangeReader(bytes.NewReader(doc), 0, int64(len(doc)))
+		for {
+			rec, err := rr.Next()
+			if err != nil {
+				return // io.EOF: a bytes.Reader fails no other way
+			}
+			checkLazy(t, rec, delim, spec)
+		}
 	})
 }
 

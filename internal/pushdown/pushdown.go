@@ -194,53 +194,135 @@ func (t *Task) Validate() error {
 	return nil
 }
 
-// Matcher is a conjunction of predicates bound to field positions: each
-// column resolved to its index and each literal parsed once, so evaluating a
-// record does no per-record setup. Filters bind a task's predicates once per
-// invocation and call MatchRecord (or, on fields already split, Match) per
-// record. The conjuncts are ordered by field index, so a record rejected by
-// one is split no further than that conjunct's column; a conjunction is pure,
-// so the order cannot change a result. An empty Matcher matches everything.
+// Matcher is a conjunction of predicates bound to field positions, each
+// compiled into a byte-level test: the column resolved to its index, the
+// literal copied to bytes or parsed as a number once, and a LIKE pattern
+// classified by shape. Evaluating a record therefore does no per-record
+// setup. Filters bind a task's predicates once per invocation and call
+// MatchRecord (or, on fields already split, Match) per record. The conjuncts
+// are ordered by field index, so a record rejected by one is read no further
+// than that conjunct's column; a conjunction is pure, so the order cannot
+// change a result. An empty Matcher matches everything.
 type Matcher []bound
 
-// bound is one predicate resolved for evaluation: the record satisfies it
-// when the field at idx stands in relation op to any of lits. OpIn is bound
-// as OpEq over its value list; every other operator has exactly one literal.
+// test names the byte-level comparison a bound conjunct runs.
+type test uint8
+
+const (
+	testNever    test = iota // a numeric comparison with a literal that is not a number
+	testIsNull               // IS NULL: no field, or an empty one
+	testNotNull              // IS NOT NULL
+	testEqual                // the field equals lit (=, and LIKE without wildcards)
+	testCompare              // bytes.Compare against lit, judged by cmp
+	testNumeric              // the field parsed as a number against num, judged by cmp
+	testPrefix               // LIKE 'head%': lit is the head
+	testSuffix               // LIKE '%tail': lit is the tail
+	testContains             // LIKE '%mid%': lit is the middle
+	testLike                 // any other LIKE pattern, through LikeMatch
+	testAny                  // IN: any of alts
+)
+
+// The bits of bound.cmp: the outcomes of a three-way comparison, field
+// against literal, that satisfy the operator.
+const (
+	cmpLess uint8 = 1 << iota
+	cmpEqual
+	cmpGreater
+)
+
+// bound is one conjunct compiled for evaluation: the record satisfies it
+// when its field idx passes test.
 type bound struct {
-	idx     int
-	op      Op
-	numeric bool
-	lits    []literal
+	idx  int
+	test test
+	cmp  uint8   // testCompare, testNumeric
+	lit  []byte  // testEqual, testCompare; the fixed part of a LIKE pattern
+	num  float64 // testNumeric
+	like string  // testLike: the whole pattern
+	alts []bound // testAny: one testEqual or testNumeric per IN value
 }
 
-// literal is a predicate operand: its text (lexical comparison, LIKE
-// pattern) and, for numeric predicates, its parsed value.
-type literal struct {
-	text  string
-	num   float64
-	isNum bool // false on a numeric predicate: the literal matches nothing
-}
-
-// newLiteral parses a numeric literal with the parser its fields go through,
-// so both sides of a comparison coerce alike. The text arrives as a string
-// (the wire form) and is staged in a stack buffer, which keeps the per-value
-// MatchesBytes entry allocation-free for every literal of realistic length.
-func newLiteral(text string, numeric bool) literal {
-	l := literal{text: text}
-	if numeric {
-		var stack [32]byte
-		buf := stack[:]
-		if cap(buf) < len(text) {
-			buf = make([]byte, len(text))
-		}
-		l.num, l.isNum = parseFloat(buf[:copy(buf, text)])
+// compile builds the test of "field op text". op is not OpIn: Bind and
+// MatchesBytes compile an IN list value by value as OpEq. The literal's
+// bytes are copied into stage when it is large enough, so a caller that
+// compiles per value can keep them on its stack.
+func compile(op Op, numeric bool, text string, stage []byte) bound {
+	switch op {
+	case OpIsNull:
+		return bound{test: testIsNull}
+	case OpNotNull:
+		return bound{test: testNotNull}
 	}
-	return l
+	lit := stage
+	if cap(lit) < len(text) {
+		lit = make([]byte, len(text))
+	}
+	lit = lit[:copy(lit[:len(text)], text)]
+	if op == OpLike { // textual even on a numeric column
+		return compileLike(text, lit)
+	}
+	var cmp uint8
+	switch op {
+	case OpEq:
+		cmp = cmpEqual
+	case OpNe:
+		cmp = cmpLess | cmpGreater
+	case OpLt:
+		cmp = cmpLess
+	case OpLe:
+		cmp = cmpLess | cmpEqual
+	case OpGt:
+		cmp = cmpGreater
+	case OpGe:
+		cmp = cmpGreater | cmpEqual
+	}
+	switch {
+	case numeric:
+		// The literal goes through the parser its fields go through, so
+		// both sides of a comparison coerce alike.
+		num, ok := parseFloat(lit)
+		if !ok {
+			return bound{test: testNever}
+		}
+		return bound{test: testNumeric, cmp: cmp, num: num}
+	case op == OpEq:
+		return bound{test: testEqual, lit: lit}
+	}
+	return bound{test: testCompare, cmp: cmp, lit: lit}
 }
 
-// Bind resolves preds against a record layout. index maps a column name to
-// its field position and reports a negative value for an unknown column,
-// which is an error.
+// compileLike classifies a LIKE pattern by shape. A pattern whose only
+// wildcards are '%' runs at its ends is a byte compare: exact, 'head%',
+// '%tail' or '%mid%'. Any '_', or a '%' between literal bytes, keeps the
+// general matcher. lit holds the pattern's bytes.
+func compileLike(pattern string, lit []byte) bound {
+	lead, trail := 0, len(lit)
+	for lead < trail && lit[lead] == '%' {
+		lead++
+	}
+	for trail > lead && lit[trail-1] == '%' {
+		trail--
+	}
+	core := lit[lead:trail]
+	for _, c := range core {
+		if c == '%' || c == '_' {
+			return bound{test: testLike, like: pattern}
+		}
+	}
+	switch {
+	case lead == 0 && trail == len(lit):
+		return bound{test: testEqual, lit: core}
+	case lead == 0 || len(core) == 0: // 'head%'; all '%' is the empty head
+		return bound{test: testPrefix, lit: core}
+	case trail == len(lit):
+		return bound{test: testSuffix, lit: core}
+	}
+	return bound{test: testContains, lit: core}
+}
+
+// Bind resolves preds against a record layout and compiles each into its
+// test. index maps a column name to its field position and reports a
+// negative value for an unknown column, which is an error.
 func Bind(preds []Predicate, index func(column string) int) (Matcher, error) {
 	m := make(Matcher, len(preds))
 	for i, p := range preds {
@@ -248,30 +330,78 @@ func Bind(preds []Predicate, index func(column string) int) (Matcher, error) {
 		if idx < 0 {
 			return nil, fmt.Errorf("pushdown: predicate column %q not in schema", p.Column)
 		}
-		op, values := p.Op, []string{p.Value}
-		if op == OpIn {
-			op, values = OpEq, p.Values
+		if p.Op == OpIn {
+			m[i] = bound{test: testAny, alts: make([]bound, len(p.Values))}
+			for j, v := range p.Values {
+				m[i].alts[j] = compile(OpEq, p.Numeric, v, nil)
+			}
+		} else {
+			m[i] = compile(p.Op, p.Numeric, p.Value, nil)
 		}
-		m[i] = bound{idx: idx, op: op, numeric: p.Numeric, lits: make([]literal, len(values))}
-		for j, v := range values {
-			m[i].lits[j] = newLiteral(v, p.Numeric)
-		}
+		m[i].idx = idx
 	}
 	slices.SortStableFunc(m, func(a, b bound) int { return a.idx - b.idx })
 	return m, nil
 }
 
-// MatchRecord reports whether the record sc was last Reset to satisfies every
-// bound predicate. It splits the record only as far as it has to: up to the
+// MatchRecord reports whether record, delimited by delim, satisfies every
+// bound predicate. It finds each conjunct's field by walking the delimiters
+// of the raw record, and reads the record only as far as it has to: up to the
 // column of the first conjunct that fails, or of the last one. A field index
-// past the end of a short record reads as NULL.
+// past the end of a short record reads as NULL. A quoted field needs
+// unescaping, so when the walk meets one the remaining conjuncts go through
+// sc, which is then Reset to the record; otherwise sc is not touched.
 //
 //scoop:hotpath
-func (m Matcher) MatchRecord(sc *csvio.FieldScanner) bool {
+func (m Matcher) MatchRecord(record []byte, delim byte, sc *csvio.FieldScanner) bool {
+	at, rest := 0, record // rest begins with field at
 	for i := range m {
 		b := &m[i]
-		raw, ok := sc.Field(b.idx)
-		if !match(b.op, b.numeric, b.lits, raw, !ok) {
+		for ; at < b.idx; at++ {
+			if len(rest) > 0 && rest[0] == '"' {
+				return m[i:].matchScanned(record, delim, sc)
+			}
+			j := bytes.IndexByte(rest, delim)
+			if j < 0 {
+				return m[i:].matchNull()
+			}
+			rest = rest[j+1:]
+		}
+		if len(rest) > 0 && rest[0] == '"' {
+			return m[i:].matchScanned(record, delim, sc)
+		}
+		if (b.test == testPrefix || b.test == testEqual) && !bytes.HasPrefix(rest, b.lit) {
+			return false // in place: the field begins where rest does
+		}
+		field := rest
+		if j := bytes.IndexByte(field, delim); j >= 0 {
+			field = field[:j]
+		}
+		if !b.holds(field, false) {
+			return false
+		}
+	}
+	return true
+}
+
+// matchNull is MatchRecord for the conjuncts on columns past the end of a
+// short record: each reads NULL.
+func (m Matcher) matchNull() bool {
+	for i := range m {
+		if !m[i].holds(nil, true) {
+			return false
+		}
+	}
+	return true
+}
+
+// matchScanned is MatchRecord over the field scanner, for the conjuncts left
+// when the walk met a quoted field.
+func (m Matcher) matchScanned(record []byte, delim byte, sc *csvio.FieldScanner) bool {
+	sc.Reset(record, delim)
+	for i := range m {
+		raw, ok := sc.Field(m[i].idx)
+		if !m[i].holds(raw, !ok) {
 			return false
 		}
 	}
@@ -289,7 +419,7 @@ func (m Matcher) Match(fields [][]byte) bool {
 		if !null {
 			raw = fields[b.idx]
 		}
-		if !match(b.op, b.numeric, b.lits, raw, null) {
+		if !b.holds(raw, null) {
 			return false
 		}
 	}
@@ -297,23 +427,24 @@ func (m Matcher) Match(fields [][]byte) bool {
 }
 
 // MatchesBytes evaluates the predicate against a single raw field value,
-// parsing the literal on every call; record loops use Bind and Match. NULL
-// follows SQL semantics: comparisons against it are not satisfied (except IS
-// NULL), and an empty field is NULL to IS NULL / IS NOT NULL.
+// compiling it on every call; record loops use Bind and Match. NULL follows
+// SQL semantics: comparisons against it are not satisfied (except IS NULL),
+// and an empty field is NULL to IS NULL / IS NOT NULL.
 //
 //scoop:hotpath
 func (p Predicate) MatchesBytes(raw []byte, null bool) bool {
-	if p.Op == OpIn {
-		for _, v := range p.Values {
-			lit := [1]literal{newLiteral(v, p.Numeric)}
-			if match(OpEq, p.Numeric, lit[:], raw, null) {
-				return true
-			}
-		}
-		return false
+	var stage [32]byte
+	if p.Op != OpIn {
+		b := compile(p.Op, p.Numeric, p.Value, stage[:])
+		return b.holds(raw, null)
 	}
-	lit := [1]literal{newLiteral(p.Value, p.Numeric)}
-	return match(p.Op, p.Numeric, lit[:], raw, null)
+	for _, v := range p.Values {
+		b := compile(OpEq, p.Numeric, v, stage[:])
+		if b.holds(raw, null) {
+			return true
+		}
+	}
+	return false
 }
 
 // Matches is MatchesBytes for callers holding a string (the columnar
@@ -322,96 +453,76 @@ func (p Predicate) Matches(raw string, null bool) bool {
 	return p.MatchesBytes([]byte(raw), null)
 }
 
-// match is the one comparison: raw <op> any of lits.
-func match(op Op, numeric bool, lits []literal, raw []byte, null bool) bool {
-	switch op {
-	case OpIsNull:
-		return null || len(raw) == 0
-	case OpNotNull:
-		return !null && len(raw) != 0
-	}
+// holds is the one evaluator: whether raw, the conjunct's field (null: the
+// record has no such field), passes the compiled test.
+func (b *bound) holds(raw []byte, null bool) bool {
 	if null {
-		return false
+		return b.test == testIsNull
 	}
-	var a float64
-	if numeric && op != OpLike {
-		var ok bool
-		if a, ok = parseFloat(raw); !ok {
-			return false // non-numeric field never satisfies a numeric predicate
+	switch b.test {
+	case testIsNull:
+		return len(raw) == 0
+	case testNotNull:
+		return len(raw) != 0
+	case testEqual:
+		return bytes.Equal(raw, b.lit)
+	case testPrefix:
+		return bytes.HasPrefix(raw, b.lit)
+	case testSuffix:
+		return bytes.HasSuffix(raw, b.lit)
+	case testContains:
+		return contains(raw, b.lit)
+	case testLike:
+		return LikeMatch(raw, b.like)
+	case testCompare:
+		return b.cmp&outcome(bytes.Compare(raw, b.lit)) != 0
+	case testNumeric:
+		a, ok := parseFloat(raw)
+		if !ok {
+			return false // a non-numeric field never satisfies a numeric predicate
 		}
-	}
-	for i := range lits {
-		l := &lits[i]
-		var cmp int
+		cmp := 0
 		switch {
-		case op == OpLike:
-			if LikeMatch(raw, l.text) {
+		case a < b.num:
+			cmp = -1
+		case a > b.num:
+			cmp = 1
+		}
+		return b.cmp&outcome(cmp) != 0
+	case testAny:
+		for i := range b.alts {
+			if b.alts[i].holds(raw, false) {
 				return true
 			}
-			continue
-		case numeric:
-			if !l.isNum {
-				continue
-			}
-			switch {
-			case a < l.num:
-				cmp = -1
-			case a > l.num:
-				cmp = 1
-			}
-		default:
-			cmp = compareBytesString(raw, l.text)
 		}
-		if holds(op, cmp) {
+	}
+	return false
+}
+
+// outcome maps a three-way comparison result onto its bit of bound.cmp.
+func outcome(cmp int) uint8 {
+	return uint8(1) << (cmp + 1)
+}
+
+// contains is bytes.Contains for a non-empty sub: candidates found by
+// IndexByte of sub's first byte, confirmed by a prefix compare.
+func contains(s, sub []byte) bool {
+	for len(s) >= len(sub) {
+		i := bytes.IndexByte(s, sub[0])
+		if i < 0 || len(s)-i < len(sub) {
+			return false
+		}
+		if bytes.HasPrefix(s[i:], sub) {
 			return true
 		}
+		s = s[i+1:]
 	}
 	return false
-}
-
-// holds maps a three-way comparison result onto the operator.
-func holds(op Op, cmp int) bool {
-	switch op {
-	case OpEq:
-		return cmp == 0
-	case OpNe:
-		return cmp != 0
-	case OpLt:
-		return cmp < 0
-	case OpLe:
-		return cmp <= 0
-	case OpGt:
-		return cmp > 0
-	case OpGe:
-		return cmp >= 0
-	}
-	return false
-}
-
-// compareBytesString is bytes.Compare with a string on the right, avoiding a
-// conversion allocation.
-func compareBytesString(b []byte, s string) int {
-	n := min(len(b), len(s))
-	for i := 0; i < n; i++ {
-		if b[i] != s[i] {
-			if b[i] < s[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	switch {
-	case len(b) < len(s):
-		return -1
-	case len(b) > len(s):
-		return 1
-	}
-	return 0
 }
 
 // parseFloat parses a numeric operand with SQL coercion semantics (leading/
 // trailing space ignored, non-numeric text is NULL) without pulling the SQL
-// engine's Value box into the predicate hot path. fastFloat handles the
+// engine's Value box into the predicate hot path. csvio.FastFloat handles the
 // plain-decimal shapes that dominate CSV numerics allocation-free; only
 // exotic syntax (exponents, hex floats, inf/NaN, >19-digit mantissas) falls
 // back to strconv, and that conversion allocates (strconv.ParseFloat retains
@@ -421,66 +532,13 @@ func parseFloat(b []byte) (float64, bool) {
 	if len(b) == 0 {
 		return 0, false
 	}
-	if f, ok := fastFloat(b); ok {
+	if f, ok := csvio.FastFloat(b); ok {
 		return f, true
 	}
-	//lint:ignore allocfree the string([]byte) conversion and strconv fallback only run for exotic float syntax fastFloat rejects; plain-decimal records never reach this line
+	//lint:ignore allocfree the string([]byte) conversion and strconv fallback only run for exotic float syntax FastFloat rejects; plain-decimal records never reach this line
 	f, err := strconv.ParseFloat(string(b), 64)
 	if err != nil {
 		return 0, false
-	}
-	return f, true
-}
-
-// pow10 holds the exactly-representable powers of ten (10^22 is the largest).
-var pow10 = [...]float64{
-	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
-	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
-}
-
-// fastFloat parses [+-]?digits[.digits] when the mantissa fits in 53 bits
-// and the fractional exponent stays within the exact pow10 table — the
-// regime where one float division yields the correctly-rounded result, which
-// is also strconv.ParseFloat's own exact fast path, so results are
-// bit-identical. Anything else reports ok=false for the caller to fall back.
-func fastFloat(b []byte) (float64, bool) {
-	if len(b) == 0 {
-		return 0, false
-	}
-	i, neg := 0, false
-	if b[0] == '+' || b[0] == '-' {
-		neg = b[0] == '-'
-		i++
-	}
-	var mant uint64
-	frac, sawDot, sawDigit := 0, false, false
-	for ; i < len(b); i++ {
-		c := b[i]
-		if c == '.' {
-			if sawDot {
-				return 0, false
-			}
-			sawDot = true
-			continue
-		}
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		sawDigit = true
-		if mant >= 1<<53/10+1 {
-			return 0, false // mantissa may leave the exact-representation range
-		}
-		mant = mant*10 + uint64(c-'0')
-		if sawDot {
-			frac++
-		}
-	}
-	if !sawDigit || mant >= 1<<53 || frac >= len(pow10) {
-		return 0, false
-	}
-	f := float64(mant) / pow10[frac]
-	if neg {
-		f = -f
 	}
 	return f, true
 }

@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"scoop/internal/csvio"
 )
 
 // Type identifies the runtime type of a Value.
@@ -363,10 +365,22 @@ func Coerce(raw string, t Type) Value {
 
 // CoerceBytes is Coerce over a field of a scanned record, which the scanner
 // overwrites with the next one: a STRING value holds a copy of the field, any
-// other value nothing of it, so only the first allocates.
+// other value nothing of it, so only the first allocates. Numbers go through
+// csvio.FastFloat, which is strconv.ParseFloat bit for bit on the plain
+// decimals CSV cells hold and allocates nothing; on an integer it is exact
+// (its mantissa stays below 2^53), so an INT cell reads as strconv.ParseInt
+// would. Other syntax falls back to strconv.
 func CoerceBytes(raw []byte, t Type) Value {
-	if t == String {
+	switch t {
+	case String:
 		return Str(string(raw))
+	case Int, Float:
+		if f, ok := csvio.FastFloat(raw); ok {
+			if t == Int {
+				return IntV(int64(f))
+			}
+			return FloatV(f)
+		}
 	}
 	return coerceNumber(string(raw), t)
 }

@@ -94,10 +94,10 @@ func (f *Filter) Invoke(ctx *storlet.Context, in io.Reader, out io.Writer) error
 	rows, records := 0, 0
 	for {
 		rec, err := rr.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
 		if err != nil {
+			if errors.Is(err, io.EOF) {
+				break
+			}
 			return fmt.Errorf("aggfilter: read: %w", err)
 		}
 		rows++

@@ -77,10 +77,10 @@ func (f *Filter) Invoke(ctx *storlet.Context, in io.Reader, out io.Writer) error
 	//scoop:hotpath
 	for {
 		rec, err := rr.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
 		if err != nil {
+			if errors.Is(err, io.EOF) {
+				break
+			}
 			return fmt.Errorf("csvfilter: read: %w", err)
 		}
 		if !skippedHeader {
@@ -88,11 +88,10 @@ func (f *Filter) Invoke(ctx *storlet.Context, in io.Reader, out io.Writer) error
 			continue
 		}
 		rows++
-		// Fields are split on demand: a rejected record only as far as the
-		// column of the conjunct that rejects it, a kept one as far as its
-		// last projected column, a passthrough record not at all.
-		sc.Reset(rec, c.delim)
-		if !c.match.MatchRecord(sc) {
+		// A rejected record is read only as far as the column of the
+		// conjunct that rejects it, a kept one is split as far as its last
+		// projected column, a passthrough record not at all.
+		if !c.match.MatchRecord(rec, c.delim, sc) {
 			continue
 		}
 		kept++
@@ -106,6 +105,7 @@ func (f *Filter) Invoke(ctx *storlet.Context, in io.Reader, out io.Writer) error
 			}
 			continue
 		}
+		sc.Reset(rec, c.delim)
 		for i, idx := range c.projIdx {
 			projected[i], _ = sc.Field(idx) // a short record projects NULL as an empty field
 		}

@@ -219,3 +219,20 @@ func TestEngineIntegration(t *testing.T) {
 		t.Errorf("filter did not reduce data: %+v", s)
 	}
 }
+
+// A quoted first field that holds the delimiter: the conjunct on date must
+// read field 1 as the scanner does, not as the second comma-separated run of
+// bytes, which would be `b"`.
+func TestQuotedFieldBeforeConjunctColumn(t *testing.T) {
+	data := "\"a,b\",2015-01-17 10:20:00,42.25,Rotterdam,NED\n" +
+		"\"c,d\",2015-02-17 10:20:00,42.25,Rotterdam,NED\n" +
+		"\"e\"\"f\",2015-01-18 10:20:00,1.5,Paris,FRA\n"
+	task := &pushdown.Task{Filter: FilterName, Schema: testSchema,
+		Columns:    []string{"vid", "date"},
+		Predicates: []pushdown.Predicate{{Column: "date", Op: pushdown.OpLike, Value: "2015-01%"}}}
+	got := lines(fullRange(t, task, data))
+	want := []string{`"a,b",2015-01-17 10:20:00`, `"e""f",2015-01-18 10:20:00`}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("rows = %q, want %q", got, want)
+	}
+}
