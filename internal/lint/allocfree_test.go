@@ -13,7 +13,7 @@ import (
 // path reaches the allocation.
 func TestAllocFreePathChain(t *testing.T) {
 	pkgs := loadFixture(t)
-	diags := Run(pkgs, []*Analyzer{AnalyzerAllocFree})
+	diags, _ := RunWithVerdicts(pkgs, []*Analyzer{AnalyzerAllocFree})
 
 	var deep *Diagnostic
 	for i, d := range diags {
@@ -45,7 +45,7 @@ func TestAllocFreePathChain(t *testing.T) {
 // rooted at the loop's enclosing function.
 func TestAllocFreeLoopRegionFaultInjection(t *testing.T) {
 	pkgs := loadFixture(t)
-	diags := Run(pkgs, []*Analyzer{AnalyzerAllocFree})
+	diags, _ := RunWithVerdicts(pkgs, []*Analyzer{AnalyzerAllocFree})
 
 	var hits []Diagnostic
 	for _, d := range diags {

@@ -70,7 +70,7 @@ func BenchmarkRunSuite(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if diags := Run(pkgs, Analyzers()); len(diags) != 0 {
+		if diags, _ := RunWithVerdicts(pkgs, Analyzers()); len(diags) != 0 {
 			b.Fatalf("unexpected findings: %v", diags)
 		}
 	}

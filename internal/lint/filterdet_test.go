@@ -24,7 +24,7 @@ func loadFixture(t *testing.T) []*Package {
 // so the -json artifact is actionable.
 func TestFilterDetPathChain(t *testing.T) {
 	pkgs := loadFixture(t)
-	diags := Run(pkgs, []*Analyzer{AnalyzerFilterDet})
+	diags, _ := RunWithVerdicts(pkgs, []*Analyzer{AnalyzerFilterDet})
 
 	var stamp *Diagnostic
 	for i, d := range diags {

@@ -62,9 +62,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // ModulePass carries the whole loaded module through one module-level
-// analyzer. The call graph is built once per Run and shared by every module
-// analyzer — with CHA fan-out it is the most expensive artifact the engine
-// produces.
+// analyzer. The call graph is built once per RunWithVerdicts and shared by
+// every module analyzer — with CHA fan-out it is the most expensive artifact
+// the engine produces.
 type ModulePass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
@@ -154,25 +154,15 @@ func BuildGraph(pkgs []*Package) *callgraph.Graph {
 	return callgraph.Build(units)
 }
 
-// Run executes the given analyzers over the given packages and returns all
-// diagnostics not suppressed by an ignore directive, sorted by position.
+// RunWithVerdicts executes the given analyzers over the given packages and
+// returns all diagnostics not suppressed by an ignore directive, sorted by
+// position, with the per-filter determinism verdicts filterdet proved on the
+// same load and graph, so the manifest comes out of the suite's own run.
 // Packages are loaded and type-checked once (by Load) and shared by every
-// analyzer; likewise the call graph is built at most once per Run and shared
-// by every module-level analyzer.
-func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	diags, _ := run(pkgs, analyzers, false)
-	return diags
-}
-
-// RunWithVerdicts is Run that also returns the per-filter determinism
-// verdicts filterdet proved on the same load and graph, so the manifest
-// comes out of the suite's own run. Without filterdet among analyzers the
+// analyzer; likewise the call graph is built at most once per run and shared
+// by every module-level analyzer. Without filterdet among analyzers the
 // verdicts are proven on that graph without reporting.
 func RunWithVerdicts(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []FilterVerdict) {
-	return run(pkgs, analyzers, true)
-}
-
-func run(pkgs []*Package, analyzers []*Analyzer, wantVerdicts bool) ([]Diagnostic, []FilterVerdict) {
 	var diags []Diagnostic
 	var verdicts []FilterVerdict
 	for _, pkg := range pkgs {
@@ -208,7 +198,7 @@ func run(pkgs []*Package, analyzers []*Analyzer, wantVerdicts bool) ([]Diagnosti
 			verdicts: &verdicts,
 		})
 	}
-	if wantVerdicts && verdicts == nil && len(pkgs) > 0 { // filterdet did not run
+	if verdicts == nil && len(pkgs) > 0 { // filterdet did not run
 		if graph == nil {
 			graph = BuildGraph(pkgs)
 		}

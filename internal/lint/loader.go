@@ -66,9 +66,9 @@ func resetLoadCache() {
 // and leak readers on purpose. Std-library dependencies are type-checked from
 // source via go/importer, so no compiled export data is required. Each
 // package is loaded and type-checked exactly once per call and the result is
-// shared by every analyzer that Run executes. Results are memoized per root
-// behind a source fingerprint (cache.go): repeat Loads of an unchanged tree
-// return the cached package set.
+// shared by every analyzer that RunWithVerdicts executes. Results are
+// memoized per root behind a source fingerprint (cache.go): repeat Loads of
+// an unchanged tree return the cached package set.
 func Load(root string) ([]*Package, error) {
 	loadMu.Lock()
 	defer loadMu.Unlock()
