@@ -27,6 +27,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"scoop/internal/core"
 	"scoop/internal/objectstore"
 	"scoop/internal/storlet"
 )
@@ -152,13 +153,19 @@ func deploy(ctx context.Context, client *objectstore.HTTPClient, account, path s
 	if err != nil {
 		return err
 	}
-	// Local validation before upload: a scratch engine parses it.
+	// Local validation before upload: the manifest must deploy into a
+	// scratch engine holding the standard filters, as it must into the
+	// store's engine on the next sync.
+	scratch := storlet.NewEngine(storlet.Limits{})
+	if err := core.RegisterStandardFilters(scratch); err != nil {
+		return err
+	}
+	if err := scratch.DeployManifest(data); err != nil {
+		return fmt.Errorf("invalid manifest %s: %w", path, err)
+	}
 	var m storlet.Manifest
 	if err := json.Unmarshal(data, &m); err != nil {
-		return fmt.Errorf("invalid manifest: %w", err)
-	}
-	if m.Name == "" {
-		return fmt.Errorf("manifest missing name")
+		return fmt.Errorf("invalid manifest %s: %w", path, err)
 	}
 	err = client.CreateContainer(ctx, account, objectstore.StorletContainer, nil)
 	if err != nil && err != objectstore.ErrContainerExists {

@@ -16,8 +16,10 @@ const StorletContainer = ".storlets"
 
 // DeployStorlets reads every manifest object in the account's .storlets
 // container and deploys it into the engine. Manifests whose filter name is
-// already deployed are skipped (idempotent redeploy). It returns the number
-// of newly deployed filters.
+// already deployed are skipped (idempotent redeploy). A manifest that cannot
+// be read or deployed does not stop the others: every good one is deployed,
+// and the error names every bad one. It returns the number of newly deployed
+// filters.
 func DeployStorlets(ctx context.Context, client Client, account string, engine *storlet.Engine) (int, error) {
 	list, err := client.ListObjects(ctx, account, StorletContainer, "")
 	if err != nil {
@@ -27,23 +29,29 @@ func DeployStorlets(ctx context.Context, client Client, account string, engine *
 		return 0, err
 	}
 	deployed := 0
+	var errs []error
 	for _, obj := range list {
-		rc, _, err := client.GetObject(ctx, account, StorletContainer, obj.Name, GetOptions{})
-		if err != nil {
-			return deployed, fmt.Errorf("deploy %s: %w", obj.Name, err)
-		}
-		data, err := io.ReadAll(io.LimitReader(rc, 1<<20))
-		rc.Close()
-		if err != nil {
-			return deployed, fmt.Errorf("deploy %s: %w", obj.Name, err)
-		}
-		if err := engine.DeployManifest(data); err != nil {
-			if errors.Is(err, storlet.ErrAlreadyDeployed) {
-				continue
+		if err := deployOne(ctx, client, account, obj.Name, engine); err != nil {
+			if !errors.Is(err, storlet.ErrAlreadyDeployed) {
+				errs = append(errs, fmt.Errorf("deploy %s: %w", obj.Name, err))
 			}
-			return deployed, fmt.Errorf("deploy %s: %w", obj.Name, err)
+			continue
 		}
 		deployed++
 	}
-	return deployed, nil
+	return deployed, errors.Join(errs...)
+}
+
+// deployOne reads one manifest object and deploys it into the engine.
+func deployOne(ctx context.Context, client Client, account, name string, engine *storlet.Engine) error {
+	rc, _, err := client.GetObject(ctx, account, StorletContainer, name, GetOptions{})
+	if err != nil {
+		return err
+	}
+	data, err := io.ReadAll(io.LimitReader(rc, 1<<20))
+	rc.Close()
+	if err != nil {
+		return err
+	}
+	return engine.DeployManifest(data)
 }

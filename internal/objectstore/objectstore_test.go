@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 
@@ -561,12 +562,23 @@ func TestDeployStorletsFromObjects(t *testing.T) {
 	if got := strings.TrimSpace(readAll(t, rc)); got != "V2" {
 		t.Errorf("macro output = %q", got)
 	}
-	// A broken manifest fails the deploy.
-	if _, err := cl.PutObject(context.Background(), "gp", StorletContainer, "broken.json", strings.NewReader("not json"), nil); err != nil {
-		t.Fatal(err)
+	// Broken manifests fail the deploy, and the error names each of them,
+	// but they do not keep a good one listed after them out of the engine.
+	for name, body := range map[string]string{
+		"broken.json": "not json",
+		"ghost.json":  `{"name": "x", "type": "ghost"}`,
+		"later.json":  `{"name": "later", "chain": [{"filter": "csv"}]}`,
+	} {
+		if _, err := cl.PutObject(context.Background(), "gp", StorletContainer, name, strings.NewReader(body), nil); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := DeployStorlets(context.Background(), cl, "gp", c.Engine()); err == nil {
-		t.Error("broken manifest accepted")
+	n, err = DeployStorlets(context.Background(), cl, "gp", c.Engine())
+	if err == nil || !strings.Contains(err.Error(), "broken.json") || !strings.Contains(err.Error(), "ghost.json") {
+		t.Errorf("deploy with broken manifests: err = %v, want one naming broken.json and ghost.json", err)
+	}
+	if n != 1 || !slices.Contains(c.Engine().Names(), "later") {
+		t.Errorf("deploy with broken manifests = %d, engine %v; want the good manifest deployed", n, c.Engine().Names())
 	}
 }
 
