@@ -220,8 +220,8 @@ func (r *RangeReader) readMore() ([]byte, error) {
 			r.spill = append(r.spill, r.buf...)
 			r.tail, spilled = 0, true
 		}
-		// One read fills the window for many records (bufio's fill, which
-		// the allocation proof also does not enter, did the same).
+		// One read fills the window for many records: it is not on the
+		// per-record path.
 		//scoop:cold
 		n, err := r.src.Read(r.buf[r.tail:])
 		if err != nil {

@@ -429,11 +429,13 @@ func (m Matcher) Match(fields [][]byte) bool {
 // MatchesBytes evaluates the predicate against a single raw field value,
 // compiling it on every call; record loops use Bind and Match. NULL follows
 // SQL semantics: comparisons against it are not satisfied (except IS NULL),
-// and an empty field is NULL to IS NULL / IS NOT NULL.
+// and an empty field is NULL to IS NULL / IS NOT NULL. The literal is staged
+// in a stack buffer, which keeps the call allocation-free for every literal
+// of realistic length.
 //
 //scoop:hotpath
 func (p Predicate) MatchesBytes(raw []byte, null bool) bool {
-	var stage [32]byte
+	var stage [64]byte
 	if p.Op != OpIn {
 		b := compile(p.Op, p.Numeric, p.Value, stage[:])
 		return b.holds(raw, null)
