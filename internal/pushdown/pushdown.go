@@ -257,7 +257,8 @@ func compile(op Op, numeric bool, text string, stage []byte) bound {
 	if cap(lit) < len(text) {
 		lit = make([]byte, len(text))
 	}
-	lit = lit[:copy(lit[:len(text)], text)]
+	lit = lit[:len(text)]
+	copy(lit, text)
 	if op == OpLike { // textual even on a numeric column
 		return compileLike(text, lit)
 	}
