@@ -507,7 +507,8 @@ func outcome(cmp int) uint8 {
 	return uint8(1) << (cmp + 1)
 }
 
-// contains is bytes.Contains for a non-empty sub: candidates found by
+// contains is bytes.Contains for a non-empty sub, built from calls on the
+// allocation proof's allowlist (bytes.Index is not one): candidates found by
 // IndexByte of sub's first byte, confirmed by a prefix compare.
 func contains(s, sub []byte) bool {
 	for len(s) >= len(sub) {
