@@ -6,6 +6,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // goldenRecords is the field-splitting corpus: each entry is one record (no
@@ -222,6 +223,40 @@ func TestRangeReaderSpill(t *testing.T) {
 		for i := range got {
 			if got[i] != want[i] {
 				t.Fatalf("cut %d: record %d differs (len %d vs %d)", cut, i, len(got[i]), len(want[i]))
+			}
+		}
+	}
+}
+
+// TestRangeReaderSmallReads feeds the reader a few bytes per Read, as a
+// network body may, so records arrive across many refills of the window and
+// a long record spills over several of them.
+func TestRangeReaderSmallReads(t *testing.T) {
+	doc := []byte("vid1,10,Nice\r\nvid2,20,Paris\n\n\"a,b\",30,Lyon\n" +
+		strings.Repeat("z", 70<<10) + "\nlast,40,Rot")
+	want := refRecords(doc)
+	size := int64(len(doc))
+	for name, wrap := range map[string]func(io.Reader) io.Reader{
+		"one byte": iotest.OneByteReader,
+		"half":     iotest.HalfReader,
+	} {
+		for _, cut := range []int64{1, 14, 40, 60 << 10, size} {
+			var got []string
+			for _, r := range [][2]int64{{0, cut}, {cut, size}} {
+				rr := NewRangeReader(wrap(bytes.NewReader(doc[r[0]:])), r[0], r[1])
+				for {
+					rec, err := rr.Next()
+					if err == io.EOF {
+						break
+					}
+					if err != nil {
+						t.Fatalf("%s, range %v: %v", name, r, err)
+					}
+					got = append(got, string(rec))
+				}
+			}
+			if strings.Join(got, "\n") != strings.Join(want, "\n") {
+				t.Fatalf("%s, cut %d: %d records, want %d", name, cut, len(got), len(want))
 			}
 		}
 	}
