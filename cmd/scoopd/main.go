@@ -10,8 +10,11 @@
 //
 //	curl -X PUT http://localhost:8080/v1/gp/meters
 //	curl -X PUT --data-binary @data.csv http://localhost:8080/v1/gp/meters/jan.csv
-//	curl -H "X-Scoop-Pushdown: $(scoop-sql -encode-task ...)" \
-//	     http://localhost:8080/v1/gp/meters/jan.csv
+//	task=$(printf '{"filter":"csv","cols":["vid"],"schema":"vid string, city string"}' | base64 -w0)
+//	curl -H "X-Scoop-Pushdown: $task" http://localhost:8080/v1/gp/meters/jan.csv
+//
+// The X-Scoop-Pushdown header is the base64 of the task JSON; a chain of
+// tasks joins their encodings with ';'.
 package main
 
 import (

@@ -17,15 +17,20 @@ import (
 var perRecord = []byte("V000042,2015-01-17 00:10:00,1042.25,521.50,347.75,elec,Rotterdam,NED,51.9225,4.4792\n")
 
 // repeatReader endlessly cycles a byte block: an unbounded object stream
-// with no per-read allocation.
+// with no per-read allocation. Each Read fills p across the wrap-around, so
+// a refill brings in many records and Next mostly takes the per-record path.
 type repeatReader struct {
 	data []byte
 	off  int
 }
 
 func (r *repeatReader) Read(p []byte) (int, error) {
-	n := copy(p, r.data[r.off:])
-	r.off = (r.off + n) % len(r.data)
+	n := 0
+	for n < len(p) {
+		c := copy(p[n:], r.data[r.off:])
+		n += c
+		r.off = (r.off + c) % len(r.data)
+	}
 	return n, nil
 }
 

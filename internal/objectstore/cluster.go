@@ -126,24 +126,8 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		healthFails: make(map[string]int),
 	}
 	for i := 0; i < cfg.ObjectNodes; i++ {
-		name := fmt.Sprintf("object-%02d", i)
-		store, err := c.newStore(name)
-		if err != nil {
+		if _, err := c.join(fmt.Sprintf("object-%02d", i), i); err != nil {
 			return nil, err
-		}
-		node := NewNodeWithStore(name, store, engine)
-		if err := c.members.Add(node); err != nil {
-			return nil, err
-		}
-		for d := 0; d < cfg.DisksPerNode; d++ {
-			err := rg.AddDevice(ring.Device{
-				ID:   fmt.Sprintf("%s-disk%d", name, d),
-				Node: name,
-				Zone: fmt.Sprintf("zone-%d", i%3),
-			})
-			if err != nil {
-				return nil, err
-			}
 		}
 	}
 	c.nodeSeq = cfg.ObjectNodes

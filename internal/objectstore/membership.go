@@ -47,40 +47,50 @@ func (c *Cluster) AddNode(ctx context.Context, name string) (string, error) {
 	if _, exists := c.members.Get(name); exists {
 		return "", fmt.Errorf("objectstore: node %q already a member", name)
 	}
-	store, err := c.newStore(name)
+	added, err := c.join(name, seq)
 	if err != nil {
 		return "", err
 	}
-	node := NewNodeWithStore(name, store, c.engine)
-	if err := c.members.Add(node); err != nil {
-		return "", err
-	}
-	var added []string
-	rollback := func() {
-		for _, id := range added {
-			_ = c.ring.RemoveDevice(id)
-		}
-		c.members.Remove(name)
-	}
-	for d := 0; d < c.cfg.DisksPerNode; d++ {
-		id := fmt.Sprintf("%s-disk%d", name, d)
-		err := c.ring.AddDevice(ring.Device{
-			ID: id, Node: name, Zone: fmt.Sprintf("zone-%d", seq%3),
-		})
-		if err != nil {
-			rollback()
-			return "", err
-		}
-		added = append(added, id)
-	}
 	if err := c.ring.Rebalance(); err != nil {
-		rollback()
+		c.unjoin(name, added)
 		return "", err
 	}
 	c.nodeSeq++
 	c.metrics.Gauge("ring.epoch").Set(int64(c.ring.Epoch()))
 	c.enqueueMigrationsLocked()
 	return name, nil
+}
+
+// join builds node name's storage (DataDir/StoreWrap seams apply), adds it
+// to the membership and registers one ring device per disk, all in zone
+// seq%3. It does not rebalance. On error it leaves nothing joined; on
+// success it returns the device IDs it registered.
+func (c *Cluster) join(name string, seq int) ([]string, error) {
+	store, err := c.newStore(name)
+	if err != nil {
+		return nil, err
+	}
+	if err := c.members.Add(NewNodeWithStore(name, store, c.engine)); err != nil {
+		return nil, err
+	}
+	var added []string
+	for d := 0; d < c.cfg.DisksPerNode; d++ {
+		id := fmt.Sprintf("%s-disk%d", name, d)
+		if err := c.ring.AddDevice(ring.Device{ID: id, Node: name, Zone: fmt.Sprintf("zone-%d", seq%3)}); err != nil {
+			c.unjoin(name, added)
+			return nil, err
+		}
+		added = append(added, id)
+	}
+	return added, nil
+}
+
+// unjoin undoes join: it removes the devices and the member.
+func (c *Cluster) unjoin(name string, devices []string) {
+	for _, id := range devices {
+		_ = c.ring.RemoveDevice(id)
+	}
+	c.members.Remove(name)
 }
 
 // RemoveNode removes a member that is gone (operator decommission of a

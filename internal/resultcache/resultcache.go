@@ -7,21 +7,24 @@
 // therefore memory reclamation plus cutting off in-flight fills, not a
 // correctness mechanism in itself.
 //
-// Concurrent identical requests collapse into one execution (singleflight):
-// the first caller becomes the leader and runs the fill; every concurrent
-// caller becomes a waiter on the same flight, replaying the buffered prefix
-// and then tailing the live stream. The fill runs on a context detached from
-// the leader's request, so a leader disconnect does not wedge the waiters;
-// when the LAST waiter detaches before the fill completes, the fill is
-// canceled so no orphan filter execution keeps streaming into the void.
+// Each key has at most one entry. Concurrent identical requests collapse
+// into one execution (singleflight): the first caller becomes the leader and
+// runs the fill; every concurrent caller becomes a waiter on the same entry,
+// replaying the buffered prefix and then tailing the live stream. When the
+// fill ends, the entry either joins the LRU or leaves the cache in the same
+// critical section, so no request can join a fill that has already ended.
+// The fill runs on a context detached from the leader's request, so a
+// leader disconnect does not wedge the waiters; when the LAST waiter
+// detaches before the fill completes, the fill is canceled so no orphan
+// filter execution keeps streaming into the void.
 //
-// Degradation rules (the PR-5 ladder):
+// Degradation rules:
 //   - A fill that fails before its first byte returns the error to the
 //     leader synchronously, so typed 503s (breaker open, overloaded,
 //     not-deployed) keep their shape.
-//   - A fill that dies mid-stream poisons the flight: waiters see the error
+//   - A fill that dies mid-stream poisons the entry: waiters see the error
 //     exactly where the stream died, and the partial body is never stored.
-//   - A result that outgrows the per-entry bound keeps streaming to already
+//   - A result that outgrows Capacity/8 keeps streaming to already
 //     attached waiters (bounded by one result) but is never stored, and new
 //     arrivals bypass to the uncached path instead of joining.
 //   - The cache never turns a cacheable request into a 5xx: every refusal is
@@ -49,8 +52,8 @@ const (
 	StatusMiss Status = "miss"
 	// StatusCollapsed — joined another request's in-flight fill.
 	StatusCollapsed Status = "collapsed"
-	// StatusBypass — the cache refused (overflowed/poisoned flight, or the
-	// caller decided the chain is uncacheable); serve uncached.
+	// StatusBypass — the cache refused (an overflowed fill, or the caller
+	// decided the chain is uncacheable); serve uncached.
 	StatusBypass Status = "bypass"
 )
 
@@ -68,7 +71,7 @@ type Key struct {
 // FillInfo carries the metadata the fill observed at its commit point. The
 // cache compares FillInfo.ETag against Key.ETag: if a replica raced ahead
 // (or behind) of the registry, the bytes belong to a DIFFERENT key and the
-// flight is marked no-store. Without this guard a fill keyed on E1 could
+// fill is marked no-store. Without this guard a fill keyed on E1 could
 // permanently cache E2's bytes under E1.
 type FillInfo struct {
 	ETag string
@@ -81,12 +84,10 @@ type FillFunc func(ctx context.Context) (io.ReadCloser, FillInfo, error)
 
 // Config bounds and wires a Cache.
 type Config struct {
-	// Capacity is the LRU bound in body bytes. <= 0 disables storage:
-	// singleflight collapsing still works, but nothing is retained.
+	// Capacity is the LRU bound in body bytes. One body may take at most
+	// Capacity/8, so one giant dashboard export cannot evict the whole
+	// working set.
 	Capacity int64
-	// MaxEntryBytes bounds a single stored body. 0 defaults to Capacity/8,
-	// so one giant dashboard export cannot evict the whole working set.
-	MaxEntryBytes int64
 	// Proven reports whether a filter name has a determinism proof
 	// (detmanifest.IsProven in production). Nil proves nothing.
 	Proven func(string) bool
@@ -94,54 +95,34 @@ type Config struct {
 	Metrics *metrics.Registry
 }
 
-// Stats is a point-in-time snapshot for tests and debugging.
+// Stats is a point-in-time snapshot for tests and debugging. Entries counts
+// stored bodies, Flights unfinished fills.
 type Stats struct {
 	Entries int
 	Bytes   int64
 	Flights int
 }
 
-// Cache is the result cache. All maps are guarded by mu; per-flight state is
-// guarded by the flight's own mutex. Lock order is always Cache.mu before
-// flight.mu, and flight completion releases flight.mu before settling under
-// Cache.mu — never the reverse.
+// Cache is the result cache. The maps, the LRU and every entry's elem are
+// guarded by mu; the rest of an entry is guarded by the entry's own mutex.
+// Lock order is always Cache.mu before entry.mu.
 type Cache struct {
-	cfg      Config
-	maxEntry int64
+	cfg Config
 
 	mu      sync.Mutex
-	entries map[Key]*entry
-	flights map[Key]*flight
-	lru     *list.List // front = most recent; values are *entry
+	entries map[Key]*entry // unfinished fills and stored bodies
+	lru     *list.List     // stored entries only; front = most recent
 	byPath  map[string]map[Key]struct{}
 	bytes   int64
 }
 
-type entry struct {
-	key  Key
-	path string
-	body []byte
-	elem *list.Element
-}
-
 // New builds a Cache from cfg.
 func New(cfg Config) *Cache {
-	maxEntry := cfg.MaxEntryBytes
-	if maxEntry <= 0 {
-		maxEntry = cfg.Capacity / 8
-	}
-	if maxEntry <= 0 {
-		// Storage disabled; keep a sane bound so flight buffers that will
-		// never be stored still mark overflow and shed new joiners.
-		maxEntry = 64 << 20
-	}
 	return &Cache{
-		cfg:      cfg,
-		maxEntry: maxEntry,
-		entries:  make(map[Key]*entry),
-		flights:  make(map[Key]*flight),
-		lru:      list.New(),
-		byPath:   make(map[string]map[Key]struct{}),
+		cfg:     cfg,
+		entries: make(map[Key]*entry),
+		lru:     list.New(),
+		byPath:  make(map[string]map[Key]struct{}),
 	}
 }
 
@@ -173,48 +154,53 @@ func (c *Cache) Cacheable(tasks []*pushdown.Task) bool {
 // the caller must fall back to the uncached path; (nil, StatusMiss, err)
 // when this caller led a fill whose open failed.
 //
-// ctx governs only THIS caller's reads (and its membership in the flight);
+// ctx governs only THIS caller's reads (and its membership in the fill);
 // the fill itself runs on a detached context that is canceled only when the
 // last waiter detaches before completion.
 func (c *Cache) GetOrStart(ctx context.Context, key Key, path string, fill FillFunc) (io.ReadCloser, Status, error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(e.elem)
-		c.mu.Unlock()
-		c.count("hits")
-		return &entryReader{body: e.body}, StatusHit, nil
-	}
-	if f, ok := c.flights[key]; ok {
-		f.mu.Lock()
-		joinable := !f.overflow && !(f.done && f.err != nil)
-		if joinable {
-			f.waiters++
+		status := StatusCollapsed
+		if e.elem != nil {
+			status = StatusHit
+			c.lru.MoveToFront(e.elem)
 		}
-		f.mu.Unlock()
+		// A stored entry never overflowed; a live one that did sheds
+		// new arrivals.
+		e.mu.Lock()
+		joinable := !e.overflow
+		if joinable {
+			e.waiters++
+		}
+		e.mu.Unlock()
 		c.mu.Unlock()
 		if !joinable {
 			c.count("bypasses")
 			return nil, StatusBypass, nil
 		}
-		c.count("collapses")
-		return &flightReader{f: f, ctx: ctx, status: StatusCollapsed}, StatusCollapsed, nil
+		if status == StatusHit {
+			c.count("hits")
+		} else {
+			c.count("collapses")
+		}
+		return &reader{e: e, ctx: ctx, status: status}, status, nil
 	}
 
-	// Become the leader: register the flight before running the fill so
+	// Become the leader: register the entry before running the fill so
 	// concurrent identical requests collapse onto it immediately.
 	fctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
-	f := &flight{c: c, key: key, path: path, wake: make(chan struct{}), waiters: 1, cancel: cancel}
-	c.flights[key] = f
+	e := &entry{c: c, key: key, path: path, wake: make(chan struct{}), waiters: 1, cancel: cancel}
+	c.entries[key] = e
 	c.indexPathLocked(path, key)
 	c.mu.Unlock()
 	c.count("misses")
 
 	src, info, err := fill(fctx)
 	if err != nil {
-		// Pre-first-byte failure: poison the flight so any waiters that
+		// Pre-first-byte failure: poison the entry so any waiters that
 		// joined while the fill was opening observe the same error, and
 		// return it to the leader with its type intact.
-		f.finish(err)
+		e.finish(err)
 		cancel()
 		return nil, StatusMiss, err
 	}
@@ -223,47 +209,33 @@ func (c *Cache) GetOrStart(ctx context.Context, key Key, path string, fill FillF
 		// registry promised when the key was built. The stream is still a
 		// valid response for the CALLER (it is the current content), but it
 		// must never be stored under this key.
-		f.mu.Lock()
-		f.noStore = true
-		f.mu.Unlock()
+		e.mu.Lock()
+		e.noStore = true
+		e.mu.Unlock()
 		c.count("fill_mismatch")
 	}
-	go f.pump(fctx, src)
-	return &flightReader{f: f, ctx: ctx, status: StatusMiss}, StatusMiss, nil
+	go e.pump(fctx, src)
+	return &reader{e: e, ctx: ctx, status: StatusMiss}, StatusMiss, nil
 }
 
-// InvalidatePath removes every entry and cuts off every in-flight fill for
-// an object path. Called by the proxy after the registry quorum commit point
-// of a PUT, and after a successful repair copy.
+// InvalidatePath removes every entry for an object path, stored or not. A
+// fill removed here keeps streaming to its attached waiters, but finish
+// finds it gone from the map and does not store it. Called by the proxy
+// after the registry quorum commit point of a PUT, and after a successful
+// repair copy.
 func (c *Cache) InvalidatePath(path string) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	keys := c.byPath[path]
-	// removeEntryLocked unindexes from this same set while we range over
-	// it, so capture the count up front for the counter decision below.
+	// removeLocked unindexes from this same set while we range over it, so
+	// capture the count up front for the counter decision below.
 	invalidated := len(keys)
-	var cut []*flight
 	for key := range keys {
-		if e, ok := c.entries[key]; ok {
-			c.removeEntryLocked(e)
-		}
-		if f, ok := c.flights[key]; ok {
-			delete(c.flights, key)
-			cut = append(cut, f)
-		}
+		c.removeLocked(c.entries[key])
 	}
-	delete(c.byPath, path)
 	c.mu.Unlock()
-	// The linearization point is the map surgery above (settle re-checks
-	// flights[key] under c.mu); marking noStore as well closes the window
-	// where a flight finishes between our unlock and its settle.
-	for _, f := range cut {
-		f.mu.Lock()
-		f.noStore = true
-		f.mu.Unlock()
-	}
 	if invalidated > 0 {
 		c.count("invalidations")
 	}
@@ -273,7 +245,7 @@ func (c *Cache) InvalidatePath(path string) {
 func (c *Cache) Snapshot() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return Stats{Entries: len(c.entries), Bytes: c.bytes, Flights: len(c.flights)}
+	return Stats{Entries: c.lru.Len(), Bytes: c.bytes, Flights: len(c.entries) - c.lru.Len()}
 }
 
 func (c *Cache) indexPathLocked(path string, key Key) {
@@ -285,58 +257,30 @@ func (c *Cache) indexPathLocked(path string, key Key) {
 	set[key] = struct{}{}
 }
 
-func (c *Cache) unindexPathLocked(path string, key Key) {
-	if set, ok := c.byPath[path]; ok {
-		delete(set, key)
-		if len(set) == 0 {
-			delete(c.byPath, path)
-		}
+// removeLocked takes e out of the map, the path index and, if it is
+// stored, the LRU.
+func (c *Cache) removeLocked(e *entry) {
+	if e.elem != nil {
+		c.lru.Remove(e.elem)
+		c.bytes -= int64(len(e.buf))
 	}
-}
-
-func (c *Cache) removeEntryLocked(e *entry) {
-	c.lru.Remove(e.elem)
 	delete(c.entries, e.key)
-	c.unindexPathLocked(e.path, e.key)
-	c.bytes -= int64(len(e.body))
-}
-
-// settle is the single place a flight leaves the flights map. If store is
-// still permitted it commits the body as an entry and evicts LRU victims
-// past capacity.
-func (c *Cache) settle(f *flight, store bool, body []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.flights[f.key] != f {
-		// Invalidation already removed the flight; its bytes are dead.
-		return
-	}
-	delete(c.flights, f.key)
-	if !store || c.cfg.Capacity <= 0 || int64(len(body)) > c.maxEntry {
-		c.unindexPathLocked(f.path, f.key)
-		return
-	}
-	e := &entry{key: f.key, path: f.path, body: body}
-	e.elem = c.lru.PushFront(e)
-	c.entries[f.key] = e
-	c.bytes += int64(len(body))
-	for c.bytes > c.cfg.Capacity {
-		back := c.lru.Back()
-		if back == nil {
-			break
+	if set, ok := c.byPath[e.path]; ok {
+		delete(set, e.key)
+		if len(set) == 0 {
+			delete(c.byPath, e.path)
 		}
-		victim := back.Value.(*entry)
-		c.removeEntryLocked(victim)
-		c.count("evictions")
 	}
 }
 
-// flight is one in-progress fill. buf only ever grows; wake is closed and
+// entry is one key's result: a live fill until finish, then a stored body
+// that is never mutated again. buf only ever grows; wake is closed and
 // replaced on every append, so waiters tail the stream without polling.
-type flight struct {
+type entry struct {
 	c    *Cache
 	key  Key
 	path string
+	elem *list.Element // set, under Cache.mu, once the body is stored
 
 	mu       sync.Mutex
 	buf      []byte
@@ -351,105 +295,122 @@ type flight struct {
 
 // pump drains the fill stream into the shared buffer. It is the only writer
 // of buf.
-func (f *flight) pump(fctx context.Context, src io.ReadCloser) {
+func (e *entry) pump(fctx context.Context, src io.ReadCloser) {
 	chunk := make([]byte, 32<<10)
 	for {
 		n, err := src.Read(chunk)
 		if n > 0 {
-			f.append(chunk[:n])
+			e.append(chunk[:n])
 		}
 		if err == io.EOF {
 			_ = src.Close()
-			f.finish(nil)
+			e.finish(nil)
 			return
 		}
 		if err != nil {
 			_ = src.Close()
-			// A mid-stream death poisons the flight. Distinguish a genuine
+			// A mid-stream death poisons the entry. Distinguish a genuine
 			// filter/replica failure from our own abandonment cancel (last
 			// waiter left): the latter is not a poisoning event.
 			if fctx.Err() == nil {
-				f.c.count("poisons")
+				e.c.count("poisons")
 			}
-			f.finish(err)
+			e.finish(err)
 			return
 		}
 	}
 }
 
-func (f *flight) append(p []byte) {
-	f.mu.Lock()
-	f.buf = append(f.buf, p...)
-	if !f.overflow && int64(len(f.buf)) > f.c.maxEntry {
+func (e *entry) append(p []byte) {
+	e.mu.Lock()
+	e.buf = append(e.buf, p...)
+	if !e.overflow && int64(len(e.buf)) > e.c.cfg.Capacity/8 {
 		// Keep streaming to attached waiters (memory is bounded by this one
 		// result), but never store, and shed new joiners to bypass.
-		f.overflow = true
-		f.c.count("overflows")
+		e.overflow = true
+		e.c.count("overflows")
 	}
-	close(f.wake)
-	f.wake = make(chan struct{})
-	f.mu.Unlock()
+	close(e.wake)
+	e.wake = make(chan struct{})
+	e.mu.Unlock()
 }
 
-// finish marks the flight complete and settles it into (or out of) the
-// cache. Idempotent; the first caller wins.
-func (f *flight) finish(err error) {
-	f.mu.Lock()
-	if f.done {
-		f.mu.Unlock()
+// finish ends the fill. In one Cache.mu critical section it marks the entry
+// done and either stores it in the LRU, evicting past capacity, or removes
+// it from the map, so a request never joins a fill that has ended. An entry
+// that InvalidatePath already removed is not stored.
+func (e *entry) finish(err error) {
+	c := e.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e.mu.Lock()
+	e.done = true
+	e.err = err
+	store := err == nil && !e.overflow && !e.noStore
+	close(e.wake)
+	e.mu.Unlock()
+	if c.entries[e.key] != e {
 		return
 	}
-	f.done = true
-	f.err = err
-	store := err == nil && !f.overflow && !f.noStore
-	body := f.buf
-	close(f.wake)
-	f.mu.Unlock()
-	f.c.settle(f, store, body)
+	if !store {
+		c.removeLocked(e)
+		return
+	}
+	e.elem = c.lru.PushFront(e)
+	c.bytes += int64(len(e.buf))
+	for c.bytes > c.cfg.Capacity {
+		back := c.lru.Back()
+		if back == nil {
+			break
+		}
+		c.removeLocked(back.Value.(*entry))
+		c.count("evictions")
+	}
 }
 
 // detach removes one waiter. When the last waiter leaves an unfinished
-// flight, the fill context is canceled so the pump and the underlying
-// filter execution stop promptly.
-func (f *flight) detach() {
-	f.mu.Lock()
-	f.waiters--
-	abandon := f.waiters == 0 && !f.done
-	f.mu.Unlock()
+// fill, the fill context is canceled so the pump and the underlying filter
+// execution stop promptly.
+func (e *entry) detach() {
+	e.mu.Lock()
+	e.waiters--
+	abandon := e.waiters == 0 && !e.done
+	e.mu.Unlock()
 	if abandon {
-		f.cancel()
+		e.cancel()
 	}
 }
 
-// flightReader streams a flight to one waiter: replay the buffered prefix,
-// then tail live appends.
-type flightReader struct {
-	f      *flight
+// reader streams an entry to one caller: replay the buffered prefix, then
+// tail live appends. A stored entry is complete, so a hit reads it to EOF
+// without waiting.
+type reader struct {
+	e      *entry
 	ctx    context.Context
 	status Status
 	pos    int
 	closed bool
 }
 
-func (r *flightReader) Read(p []byte) (int, error) {
+func (r *reader) Read(p []byte) (int, error) {
 	for {
-		r.f.mu.Lock()
-		if r.pos < len(r.f.buf) {
-			n := copy(p, r.f.buf[r.pos:])
+		r.e.mu.Lock()
+		if r.pos < len(r.e.buf) {
+			n := copy(p, r.e.buf[r.pos:])
 			r.pos += n
-			r.f.mu.Unlock()
+			r.e.mu.Unlock()
 			return n, nil
 		}
-		if r.f.done {
-			err := r.f.err
-			r.f.mu.Unlock()
+		if r.e.done {
+			err := r.e.err
+			r.e.mu.Unlock()
 			if err != nil {
 				return 0, err
 			}
 			return 0, io.EOF
 		}
-		wake := r.f.wake
-		r.f.mu.Unlock()
+		wake := r.e.wake
+		r.e.mu.Unlock()
 		select {
 		case <-wake:
 		case <-r.ctx.Done():
@@ -458,35 +419,14 @@ func (r *flightReader) Read(p []byte) (int, error) {
 	}
 }
 
-func (r *flightReader) Close() error {
+func (r *reader) Close() error {
 	if r.closed {
 		return nil
 	}
 	r.closed = true
-	r.f.detach()
+	r.e.detach()
 	return nil
 }
 
 // CacheStatus implements the objectstore CacheStatuser plumbing.
-func (r *flightReader) CacheStatus() string { return string(r.status) }
-
-// entryReader streams an immutable stored body. Entries are never mutated
-// after commit, so the reader stays valid across eviction and invalidation.
-type entryReader struct {
-	body []byte
-	pos  int
-}
-
-func (r *entryReader) Read(p []byte) (int, error) {
-	if r.pos >= len(r.body) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.body[r.pos:])
-	r.pos += n
-	return n, nil
-}
-
-func (r *entryReader) Close() error { return nil }
-
-// CacheStatus implements the objectstore CacheStatuser plumbing.
-func (r *entryReader) CacheStatus() string { return string(StatusHit) }
+func (r *reader) CacheStatus() string { return string(r.status) }

@@ -97,7 +97,9 @@ func TestHitAfterMiss(t *testing.T) {
 	if got := mustRead(t, rc); got != "rows" {
 		t.Fatalf("leader body = %q", got)
 	}
-	waitFor(t, "entry committed", func() bool { return c.Snapshot().Entries == 1 })
+	if s := c.Snapshot(); s.Entries != 1 || s.Flights != 0 {
+		t.Fatalf("read to EOF but the fill is not stored: %+v", s)
+	}
 
 	rc, status, err = c.GetOrStart(context.Background(), key("e1"), "/a/c/o", staticFill("e1", "WRONG"))
 	if err != nil || status != StatusHit {
@@ -114,22 +116,26 @@ func TestHitAfterMiss(t *testing.T) {
 
 func TestLRUEvictionByBytes(t *testing.T) {
 	reg := metrics.NewRegistry()
-	c := New(Config{Capacity: 10, MaxEntryBytes: 10, Metrics: reg})
+	// One body may take Capacity/8 = 4 bytes, so eight bodies fill it.
+	c := New(Config{Capacity: 32, Metrics: reg})
 	put := func(etag, body string) {
 		rc, _, err := c.GetOrStart(context.Background(), key(etag), "/a/c/"+etag, staticFill(etag, body))
 		if err != nil {
 			t.Fatalf("fill %s: %v", etag, err)
 		}
 		mustRead(t, rc)
-		waitFor(t, "settle "+etag, func() bool { return c.Snapshot().Flights == 0 })
+		if s := c.Snapshot(); s.Flights != 0 {
+			t.Fatalf("read %s to EOF but its fill is unfinished: %+v", etag, s)
+		}
 	}
-	put("e1", "aaaa") // 4 bytes
-	put("e2", "bbbb") // 8 bytes total
+	for i := 1; i <= 8; i++ {
+		put(fmt.Sprintf("e%d", i), "aaaa") // 4 bytes each, 32 in all
+	}
 	// Touch e1 so e2 is the LRU victim.
 	if _, status, _ := c.GetOrStart(context.Background(), key("e1"), "/a/c/e1", nil); status != StatusHit {
 		t.Fatalf("expected e1 hit, got %v", status)
 	}
-	put("e3", "cccc") // 12 bytes > 10 → evict e2
+	put("e9", "cccc") // 36 bytes > 32 → evict e2
 	if _, status, _ := c.GetOrStart(context.Background(), key("e1"), "/a/c/e1", nil); status != StatusHit {
 		t.Fatalf("e1 should survive, got %v", status)
 	}
@@ -139,14 +145,14 @@ func TestLRUEvictionByBytes(t *testing.T) {
 	if got := reg.Snapshot()["resultcache.evictions"]; got != 1 {
 		t.Fatalf("evictions = %d", got)
 	}
-	if s := c.Snapshot(); s.Bytes > 10+4 {
+	if s := c.Snapshot(); s.Bytes > 32 {
 		t.Fatalf("bytes above capacity after evictions: %+v", s)
 	}
 }
 
 func TestOversizedBodyNotStored(t *testing.T) {
 	reg := metrics.NewRegistry()
-	c := New(Config{Capacity: 1 << 20, MaxEntryBytes: 4, Metrics: reg})
+	c := New(Config{Capacity: 32, Metrics: reg}) // bodies above 4 bytes overflow
 	rc, _, err := c.GetOrStart(context.Background(), key("e1"), "/a/c/o", staticFill("e1", "toolarge"))
 	if err != nil {
 		t.Fatal(err)
@@ -154,9 +160,8 @@ func TestOversizedBodyNotStored(t *testing.T) {
 	if got := mustRead(t, rc); got != "toolarge" {
 		t.Fatalf("oversized body still streams to the leader, got %q", got)
 	}
-	waitFor(t, "flight settled", func() bool { return c.Snapshot().Flights == 0 })
-	if s := c.Snapshot(); s.Entries != 0 {
-		t.Fatalf("oversized body stored: %+v", s)
+	if s := c.Snapshot(); s.Entries != 0 || s.Flights != 0 {
+		t.Fatalf("oversized body stored or still joinable: %+v", s)
 	}
 	if got := reg.Snapshot()["resultcache.overflows"]; got != 1 {
 		t.Fatalf("overflows = %d", got)
@@ -165,7 +170,7 @@ func TestOversizedBodyNotStored(t *testing.T) {
 
 func TestOverflowFlightShedsNewJoiners(t *testing.T) {
 	ctx := context.Background()
-	c := New(Config{Capacity: 1 << 20, MaxEntryBytes: 4})
+	c := New(Config{Capacity: 32}) // bodies above 4 bytes overflow
 	var fd *feed
 	fill := func(fctx context.Context) (io.ReadCloser, FillInfo, error) {
 		fd = newFeed(fctx)
@@ -208,9 +213,8 @@ func TestMidStreamErrorPoisons(t *testing.T) {
 		t.Fatalf("waiter error = %v (read %q)", err, buf)
 	}
 	rc.Close()
-	waitFor(t, "flight settled", func() bool { return c.Snapshot().Flights == 0 })
-	if s := c.Snapshot(); s.Entries != 0 {
-		t.Fatalf("poisoned body stored: %+v", s)
+	if s := c.Snapshot(); s.Entries != 0 || s.Flights != 0 {
+		t.Fatalf("poisoned body stored or still joinable: %+v", s)
 	}
 	if got := reg.Snapshot()["resultcache.poisons"]; got != 1 {
 		t.Fatalf("poisons = %d", got)
@@ -304,7 +308,9 @@ func TestLeaderCancelDoesNotWedgeFollowers(t *testing.T) {
 	if got := mustRead(t, follower); got != "before cancel after cancel" {
 		t.Fatalf("follower got %q", got)
 	}
-	waitFor(t, "entry committed", func() bool { return c.Snapshot().Entries == 1 })
+	if s := c.Snapshot(); s.Entries != 1 {
+		t.Fatalf("follower read to EOF but the fill is not stored: %+v", s)
+	}
 }
 
 func TestLastWaiterDetachAbortsFill(t *testing.T) {
@@ -330,9 +336,64 @@ func TestLastWaiterDetachAbortsFill(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("fill context not canceled after last waiter detached")
 	}
-	waitFor(t, "abandoned flight settled", func() bool { return c.Snapshot().Flights == 0 })
+	// No reader sees the end of an abandoned fill, so poll for the pump.
+	waitFor(t, "abandoned fill removed", func() bool { return c.Snapshot().Flights == 0 })
 	if s := c.Snapshot(); s.Entries != 0 {
 		t.Fatalf("abandoned partial body stored: %+v", s)
+	}
+}
+
+// TestFinishedReadImpliesStored holds Cache.mu across the fill's EOF. The
+// fill cannot end while the lock is held, so no waiter may read the end of
+// the body yet; once the lock is released the readers finish and the next
+// request is a hit.
+func TestFinishedReadImpliesStored(t *testing.T) {
+	ctx := context.Background()
+	c := New(Config{Capacity: 1 << 20})
+	var fd *feed
+	fill := func(fctx context.Context) (io.ReadCloser, FillInfo, error) {
+		fd = newFeed(fctx)
+		return fd, FillInfo{ETag: "e1"}, nil
+	}
+	leader, _, err := c.GetOrStart(ctx, key("e1"), "/a/c/o", fill)
+	if err != nil {
+		t.Fatal(err)
+	}
+	follower, status, err := c.GetOrStart(ctx, key("e1"), "/a/c/o", fill)
+	if err != nil || status != StatusCollapsed {
+		t.Fatalf("follower: %v %v", status, err)
+	}
+	fd.send("rows")
+
+	c.mu.Lock()
+	fd.finish()
+	bodies := make(chan string, 2)
+	for _, rc := range []io.ReadCloser{leader, follower} {
+		go func(rc io.ReadCloser) {
+			b, _ := io.ReadAll(rc)
+			rc.Close()
+			bodies <- string(b)
+		}(rc)
+	}
+	select {
+	case <-bodies:
+		c.mu.Unlock()
+		t.Fatal("a waiter read the end of a fill that is not stored")
+	case <-time.After(100 * time.Millisecond):
+	}
+	c.mu.Unlock()
+
+	for i := 0; i < 2; i++ {
+		if got := <-bodies; got != "rows" {
+			t.Fatalf("waiter got %q", got)
+		}
+	}
+	rc, status, err := c.GetOrStart(ctx, key("e1"), "/a/c/o", nil)
+	if err != nil || status != StatusHit {
+		t.Fatalf("after the fill: status %v err %v", status, err)
+	}
+	if got := mustRead(t, rc); got != "rows" {
+		t.Fatalf("hit body = %q", got)
 	}
 }
 
@@ -348,9 +409,8 @@ func TestFillETagMismatchNotStored(t *testing.T) {
 	if got := mustRead(t, rc); got != "v2 bytes" {
 		t.Fatalf("got %q", got)
 	}
-	waitFor(t, "flight settled", func() bool { return c.Snapshot().Flights == 0 })
 	// ...but they are never stored under e1's key.
-	if s := c.Snapshot(); s.Entries != 0 {
+	if s := c.Snapshot(); s.Entries != 0 || s.Flights != 0 {
 		t.Fatalf("mismatched fill stored: %+v", s)
 	}
 	if got := reg.Snapshot()["resultcache.fill_mismatch"]; got != 1 {
@@ -368,7 +428,9 @@ func TestInvalidatePathRemovesEntriesAndCutsFlights(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustRead(t, rc)
-	waitFor(t, "entry committed", func() bool { return c.Snapshot().Entries == 1 })
+	if s := c.Snapshot(); s.Entries != 1 {
+		t.Fatalf("entry not stored: %+v", s)
+	}
 	// Start an in-flight fill for a second key on the same path.
 	var fd *feed
 	fill := func(fctx context.Context) (io.ReadCloser, FillInfo, error) {
@@ -394,10 +456,9 @@ func TestInvalidatePathRemovesEntriesAndCutsFlights(t *testing.T) {
 	if got := mustRead(t, inflight); got != "stale bytes" {
 		t.Fatalf("in-flight waiter got %q", got)
 	}
-	waitFor(t, "cut flight drained", func() bool {
-		s := c.Snapshot()
-		return s.Flights == 0 && s.Entries == 0
-	})
+	if s := c.Snapshot(); s.Flights != 0 || s.Entries != 0 {
+		t.Fatalf("cut fill left state: %+v", s)
+	}
 	if got := reg.Snapshot()["resultcache.invalidations"]; got != 1 {
 		t.Fatalf("invalidations = %d", got)
 	}
@@ -407,7 +468,9 @@ func TestInvalidatePathRemovesEntriesAndCutsFlights(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustRead(t, rc)
-	waitFor(t, "other entry", func() bool { return c.Snapshot().Entries == 1 })
+	if s := c.Snapshot(); s.Entries != 1 {
+		t.Fatalf("other entry not stored: %+v", s)
+	}
 	c.InvalidatePath("/a/c/o")
 	if s := c.Snapshot(); s.Entries != 1 {
 		t.Fatalf("unrelated entry invalidated: %+v", s)
