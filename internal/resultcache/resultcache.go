@@ -346,6 +346,9 @@ func (e *entry) finish(err error) {
 	e.mu.Lock()
 	e.done = true
 	e.err = err
+	// The fill context carries the leader's request values; a stored
+	// entry must not pin them.
+	e.cancel = nil
 	store := err == nil && !e.overflow && !e.noStore
 	close(e.wake)
 	e.mu.Unlock()
@@ -374,10 +377,13 @@ func (e *entry) finish(err error) {
 func (e *entry) detach() {
 	e.mu.Lock()
 	e.waiters--
-	abandon := e.waiters == 0 && !e.done
+	var cancel context.CancelFunc
+	if e.waiters == 0 && !e.done {
+		cancel = e.cancel
+	}
 	e.mu.Unlock()
-	if abandon {
-		e.cancel()
+	if cancel != nil {
+		cancel()
 	}
 }
 
