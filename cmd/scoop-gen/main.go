@@ -15,9 +15,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
+	"scoop/internal/core"
 	"scoop/internal/meter"
 	"scoop/internal/objectstore"
 )
@@ -76,40 +76,13 @@ func run() error {
 }
 
 func upload(cfg meter.Config, store, account, container string, objects int) error {
-	ctx := context.Background() // one-shot CLI upload
-	client := objectstore.NewHTTPClient(store)
-	if err := client.CreateContainer(ctx, account, container, nil); err != nil &&
-		err != objectstore.ErrContainerExists {
+	s, err := core.New(core.Config{Client: objectstore.NewHTTPClient(store), Account: account})
+	if err != nil {
 		return err
 	}
-	var sb strings.Builder
-	if _, err := cfg.WriteCSV(&sb); err != nil {
+	total, err := s.UploadMeterDataset(context.Background(), container, cfg, objects) // one-shot CLI upload
+	if err != nil {
 		return err
-	}
-	data := sb.String()
-	if objects < 1 {
-		objects = 1
-	}
-	chunk := len(data) / objects
-	start := 0
-	var total int64
-	for i := 0; i < objects && start < len(data); i++ {
-		end := start + chunk
-		if i == objects-1 || end >= len(data) {
-			end = len(data)
-		} else {
-			for end < len(data) && data[end-1] != '\n' {
-				end++
-			}
-		}
-		name := fmt.Sprintf("part-%04d.csv", i)
-		info, err := client.PutObject(ctx, account, container, name, strings.NewReader(data[start:end]), nil)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "scoop-gen: uploaded %s (%d bytes, etag %s)\n", name, info.Size, info.ETag)
-		total += info.Size
-		start = end
 	}
 	fmt.Fprintf(os.Stderr, "scoop-gen: uploaded %d bytes total\n", total)
 	return nil

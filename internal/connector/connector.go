@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 
 	"scoop/internal/csvio"
-	"scoop/internal/metrics"
 	"scoop/internal/objectstore"
 	"scoop/internal/pushdown"
 	"scoop/internal/storlet"
@@ -64,8 +63,7 @@ type Connector struct {
 
 	// fbEngine, when set via EnableFallback, evaluates pushdown chains
 	// compute-side after the store refuses or aborts them.
-	fbEngine  *storlet.Engine
-	fbMetrics *metrics.Registry
+	fbEngine *storlet.Engine
 	// determinism gates fallback per chain: replaying a filter (and
 	// discarding its delivered prefix) is only sound when the filter is
 	// proven deterministic. Defaults to the generated detmanifest.

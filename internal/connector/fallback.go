@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"scoop/internal/detmanifest"
-	"scoop/internal/metrics"
 	"scoop/internal/objectstore"
 	"scoop/internal/pushdown"
 	"scoop/internal/storlet"
@@ -19,22 +18,19 @@ import (
 // evaluates the same task chain locally on a compute-side storlet engine.
 // The query still completes with identical bytes — the degradation cost is
 // ingest volume (whole split instead of filtered output), which is exactly
-// what the Fallbacks/FallbackBytes counters and the
-// "connector.pushdown.fallbacks" metric expose for EXPERIMENTS.
+// what the Fallbacks/FallbackBytes counters expose for EXPERIMENTS.
 
 // EnableFallback arms the connector's compute-side degradation path. engine
 // must have the same filters registered as the store's engine (core wires
-// both from the same registration list); reg (nil-safe) receives the
-// "connector.pushdown.fallbacks" counter.
+// both from the same registration list).
 //
 // Arming is gated per request by the determinism manifest: falling back —
 // especially mid-stream, where the delivered prefix of the re-run is
 // discarded — is only sound when every filter in the chain provably maps
 // identical inputs to identical bytes. Chains containing an unproven filter
 // behave as if fallback were never armed and surface the store's typed error.
-func (c *Connector) EnableFallback(engine *storlet.Engine, reg *metrics.Registry) {
+func (c *Connector) EnableFallback(engine *storlet.Engine) {
 	c.fbEngine = engine
-	c.fbMetrics = reg
 	if c.determinism == nil {
 		c.determinism = detmanifest.IsProven
 	}
@@ -93,12 +89,6 @@ func (c *Connector) openFallback(ctx context.Context, split Split, tasks []*push
 	if end <= 0 || end > size {
 		end = size
 	}
-	sctx := &storlet.Context{
-		Ctx:        ctx,
-		RangeStart: split.Start,
-		RangeEnd:   end,
-		ObjectSize: size,
-	}
 	// Same execution order the store would have used: object-stage filters
 	// first, then proxy-stage.
 	objectStage, proxyStage := pushdown.SplitByStage(tasks)
@@ -108,39 +98,18 @@ func (c *Connector) openFallback(ctx context.Context, split Split, tasks []*push
 	// Raw bytes count as ingested (that IS the degradation cost) and as
 	// fallback bytes (so EXPERIMENTS can split the two).
 	in := &counted{rc: &counted{rc: raw, n: &c.bytesIngested}, n: &c.bytesFallback}
-	out, err := c.fbEngine.RunChain(sctx, chain, in)
+	out, err := c.fbEngine.Open(ctx, chain, in, split.Start, end, size)
 	if err != nil {
-		raw.Close()
 		return nil, fmt.Errorf("connector: fallback filter %s: %w (degraded from: %w)", split, err, cause)
 	}
 	if skip > 0 {
 		if _, err := io.CopyN(io.Discard, out, skip); err != nil {
 			out.Close()
-			raw.Close()
 			return nil, fmt.Errorf("connector: fallback resync %s at %d: %w (degraded from: %w)", split, skip, err, cause)
 		}
 	}
 	c.fallbacks.Add(1)
-	c.fbMetrics.Counter("connector.pushdown.fallbacks").Inc()
-	// RunChain never closes its input; tie the raw stream's lifetime to the
-	// filtered one.
-	return &fallbackStream{out: out, raw: raw}, nil
-}
-
-// fallbackStream closes both the filter output and the raw GET under it.
-type fallbackStream struct {
-	out io.ReadCloser
-	raw io.ReadCloser
-}
-
-func (f *fallbackStream) Read(p []byte) (int, error) { return f.out.Read(p) }
-
-func (f *fallbackStream) Close() error {
-	err := f.out.Close()
-	if cerr := f.raw.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return out, nil
 }
 
 // fallbackOnce is the connector's reopen rule for a pushdown stream (see

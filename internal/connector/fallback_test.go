@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"scoop/internal/metrics"
 	"scoop/internal/objectstore"
 	"scoop/internal/pushdown"
 	"scoop/internal/sql/agg"
@@ -61,8 +60,7 @@ var fraTask = &pushdown.Task{
 func TestFallbackPreFlightNotDeployed(t *testing.T) {
 	cl := bareStore(t)
 	conn := New(cl, "gp", 0)
-	reg := metrics.NewRegistry()
-	conn.EnableFallback(fbEngine(t, csvfilter.New()), reg)
+	conn.EnableFallback(fbEngine(t, csvfilter.New()))
 	if _, err := conn.Upload(context.Background(), "meters", "jan.csv", strings.NewReader(meterCSV)); err != nil {
 		t.Fatal(err)
 	}
@@ -87,9 +85,6 @@ func TestFallbackPreFlightNotDeployed(t *testing.T) {
 	}
 	if st.BytesIngested != int64(len(meterCSV)) {
 		t.Errorf("BytesIngested = %d, want %d", st.BytesIngested, len(meterCSV))
-	}
-	if got := reg.Counter("connector.pushdown.fallbacks").Load(); got != 1 {
-		t.Errorf("metric connector.pushdown.fallbacks = %d, want 1", got)
 	}
 }
 
@@ -134,7 +129,7 @@ func TestFallbackMidStreamResync(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn := New(cl, "gp", 0)
-	conn.EnableFallback(fbEngine(t, localUp), metrics.NewRegistry())
+	conn.EnableFallback(fbEngine(t, localUp))
 	// "up" is a test-local filter the manifest has never seen; vouch for it.
 	conn.SetDeterminism(func(string) bool { return true })
 	if _, err := conn.Upload(context.Background(), "meters", "jan.csv", strings.NewReader(meterCSV)); err != nil {
@@ -202,7 +197,7 @@ func TestFallbackMidStreamResyncAggChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn := New(cl, "gp", 0)
-	conn.EnableFallback(fbEngine(t, csvfilter.New(), aggfilter.New()), metrics.NewRegistry())
+	conn.EnableFallback(fbEngine(t, csvfilter.New(), aggfilter.New()))
 	object := strings.Repeat(meterCSV, 4)
 	if _, err := conn.Upload(context.Background(), "meters", "jan.csv", strings.NewReader(object)); err != nil {
 		t.Fatal(err)
@@ -251,7 +246,7 @@ func TestFallbackOnlyOnce(t *testing.T) {
 	cl := c.Client()
 	_ = cl.CreateContainer(context.Background(), "gp", "meters", nil)
 	conn := New(cl, "gp", 0)
-	conn.EnableFallback(fbEngine(t, crash("up")), nil) // nil registry: metrics are optional
+	conn.EnableFallback(fbEngine(t, crash("up")))
 	conn.SetDeterminism(func(string) bool { return true })
 	if _, err := conn.Upload(context.Background(), "meters", "jan.csv", strings.NewReader(meterCSV)); err != nil {
 		t.Fatal(err)
@@ -284,7 +279,7 @@ func TestUnprovenFilterDisablesFallback(t *testing.T) {
 	}}
 	// EnableFallback defaults the gate to the generated detmanifest, which
 	// knows "csv" (proven) and has never heard of "shady".
-	conn.EnableFallback(fbEngine(t, csvfilter.New(), shady), metrics.NewRegistry())
+	conn.EnableFallback(fbEngine(t, csvfilter.New(), shady))
 	if _, err := conn.Upload(context.Background(), "meters", "jan.csv", strings.NewReader(meterCSV)); err != nil {
 		t.Fatal(err)
 	}

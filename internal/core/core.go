@@ -24,7 +24,6 @@ import (
 	"scoop/internal/connector"
 	"scoop/internal/datasource"
 	"scoop/internal/meter"
-	"scoop/internal/metrics"
 	"scoop/internal/objectstore"
 	"scoop/internal/sql/exec"
 	"scoop/internal/sql/parser"
@@ -86,7 +85,6 @@ type Scoop struct {
 	client  objectstore.Client
 	conn    *connector.Connector
 	driver  *compute.Driver
-	metrics *metrics.Registry
 
 	mu     sync.RWMutex
 	tables map[string]tableDef
@@ -155,12 +153,6 @@ func New(cfg Config) (*Scoop, error) {
 		s.cluster = cluster
 		s.client = cluster.Client()
 	}
-	if s.cluster != nil {
-		s.metrics = s.cluster.Metrics()
-	}
-	if s.metrics == nil {
-		s.metrics = metrics.NewRegistry()
-	}
 	s.conn = connector.New(s.client, cfg.Account, cfg.ChunkSize)
 	// The degradation ladder's last rung (DESIGN §8): a compute-side engine
 	// with the standard filters, so refused/aborted pushdown degrades to the
@@ -169,7 +161,7 @@ func New(cfg Config) (*Scoop, error) {
 	if err := RegisterStandardFilters(fe); err != nil {
 		return nil, err
 	}
-	s.conn.EnableFallback(fe, s.metrics)
+	s.conn.EnableFallback(fe)
 	driver, err := compute.NewDriver(cfg.Compute)
 	if err != nil {
 		return nil, err

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"scoop/internal/csvio"
+	"scoop/internal/storlet"
 )
 
 // Per-record steady-state costs of the primitives under the CSV storlet,
@@ -35,7 +36,7 @@ func (r *repeatReader) Read(p []byte) (int, error) {
 }
 
 func BenchmarkRangeReaderPerRecord(b *testing.B) {
-	rr := csvio.NewRangeReader(&repeatReader{data: perRecord}, 0, int64(1)<<62)
+	rr := csvio.NewRangeReader(&repeatReader{data: perRecord}, 0, storlet.Unbounded)
 	b.SetBytes(int64(len(perRecord)))
 	b.ReportAllocs()
 	b.ResetTimer()

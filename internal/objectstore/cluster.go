@@ -95,8 +95,7 @@ type Cluster struct {
 	loopWG     sync.WaitGroup
 	closed     atomic.Bool
 
-	next    atomic.Uint64
-	lbBytes atomic.Int64
+	next atomic.Uint64
 }
 
 // NewCluster builds and balances a cluster.
@@ -243,12 +242,12 @@ func (c *Cluster) Proxies() []*Proxy { return c.proxies }
 
 // LBBytes returns the bytes that crossed the load balancer toward clients —
 // the inter-cluster traffic the paper's Fig. 9(c) shows saturating a 10 Gbps
-// link without Scoop.
-func (c *Cluster) LBBytes() int64 { return c.lbBytes.Load() }
+// link without Scoop. Every GET through the load balancer is one proxy
+// stream, so these are the bytes the proxies sent to clients.
+func (c *Cluster) LBBytes() int64 { return c.ProxyStatsTotal().BytesToClient }
 
-// ResetStats zeroes every proxy, node and LB counter.
+// ResetStats zeroes every proxy and node counter.
 func (c *Cluster) ResetStats() {
-	c.lbBytes.Store(0)
 	for _, p := range c.proxies {
 		p.ResetStats()
 	}
@@ -287,8 +286,8 @@ func (c *Cluster) ProxyStatsTotal() ProxyStats {
 
 // Client returns a client over the cluster: namespace operations go to the
 // shared registry, and object PUT, GET and DELETE are spread across the
-// proxies round-robin (the HA-proxy machine of the testbed), which also
-// accounts the traffic crossing the inter-cluster link.
+// proxies round-robin (the HA-proxy machine of the testbed). LBBytes reads
+// the traffic it carries off the proxies' counters.
 func (c *Cluster) Client() Client { return &lbClient{Registry: c.reg, c: c} }
 
 type lbClient struct {
@@ -306,11 +305,7 @@ func (l *lbClient) PutObject(ctx context.Context, account, container, object str
 }
 
 func (l *lbClient) GetObject(ctx context.Context, account, container, object string, opts GetOptions) (io.ReadCloser, ObjectInfo, error) {
-	rc, info, err := l.pick().GetObject(ctx, account, container, object, opts)
-	if err != nil {
-		return nil, info, err
-	}
-	return &countedBody{rc: rc, onClose: func(n int64) { l.c.lbBytes.Add(n) }}, info, nil
+	return l.pick().GetObject(ctx, account, container, object, opts)
 }
 
 func (l *lbClient) DeleteObject(ctx context.Context, account, container, object string) error {

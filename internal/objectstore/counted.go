@@ -7,7 +7,7 @@ import (
 
 // countedBody is the store's one byte-counting stream: it counts what Read
 // hands out and reports the total to onClose exactly once, on the first
-// Close, after the wrapped stream and the optional extra closer are shut.
+// Close, after the wrapped stream is shut.
 // Node, proxy, result-cache and load-balancer accounting all use it; only
 // the callback differs. The counter is atomic because on the proxy-stage
 // path a filter goroutine reads the stream while the client goroutine closes
@@ -15,12 +15,8 @@ import (
 type countedBody struct {
 	rc      io.ReadCloser
 	onClose func(n int64)
-	// also is released after rc: the stream feeding a filter chain, which
-	// never closes its input. Closing rc (the chain's pipe) first stops the
-	// chain's goroutines, so they are no longer draining also.
-	also   io.Closer
-	n      atomic.Int64
-	closed atomic.Bool
+	n       atomic.Int64
+	closed  atomic.Bool
 }
 
 func (c *countedBody) Read(p []byte) (int, error) {
@@ -34,11 +30,6 @@ func (c *countedBody) Close() error {
 		return nil
 	}
 	err := c.rc.Close()
-	if c.also != nil {
-		if aerr := c.also.Close(); err == nil {
-			err = aerr
-		}
-	}
 	c.onClose(c.n.Load())
 	return err
 }

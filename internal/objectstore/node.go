@@ -148,22 +148,13 @@ func (n *Node) GetVersion(ctx context.Context, path string, start, end int64, ta
 	if len(tasks) == 0 {
 		return &countedBody{rc: rc, onClose: func(sent int64) { n.addSent(sent, 0) }}, info, nil
 	}
-	sctx := &storlet.Context{
-		Ctx:        ctx,
-		RangeStart: start,
-		RangeEnd:   end,
-		ObjectSize: info.Size,
-	}
 	filterStart := time.Now()
-	out, err := n.engine.RunChain(sctx, tasks, rc)
+	out, err := n.engine.Open(ctx, tasks, rc, start, end, info.Size)
 	if err != nil {
-		rc.Close()
 		n.countError()
 		return nil, ObjectInfo{}, fmt.Errorf("node %s: %w", n.name, err)
 	}
-	// The chain never closes its input; tie the store reader's lifetime to
-	// the filtered stream so disk-backed stores don't leak descriptors.
-	return &countedBody{rc: out, also: rc, onClose: func(sent int64) {
+	return &countedBody{rc: out, onClose: func(sent int64) {
 		n.addSent(sent, time.Since(filterStart))
 	}}, info, nil
 }

@@ -94,8 +94,7 @@ func (p *Proxy) PutObject(ctx context.Context, account, container, object string
 	}
 	stream := r
 	if len(policy.PutPipeline) > 0 {
-		sctx := &storlet.Context{Ctx: ctx, RangeStart: 0, RangeEnd: int64(1) << 62, ObjectSize: -1}
-		rc, err := p.engine.RunChain(sctx, policy.PutPipeline, r)
+		rc, err := p.engine.Open(ctx, policy.PutPipeline, io.NopCloser(r), 0, storlet.Unbounded, -1)
 		if err != nil {
 			return ObjectInfo{}, fmt.Errorf("put pipeline: %w", err)
 		}
@@ -332,7 +331,7 @@ func (p *Proxy) getUncached(ctx context.Context, account, container, object stri
 	// the (possibly already filtered) stream, not raw object bytes, so it
 	// covers the whole derived stream unless no object-stage filter ran, in
 	// which case the original byte range still describes the stream.
-	start, end := int64(0), int64(1)<<62
+	start, end := int64(0), storlet.Unbounded
 	if len(objectStage) == 0 {
 		start, end = opts.RangeStart, opts.RangeEnd
 		if end <= 0 || end > info.Size {
@@ -351,16 +350,13 @@ func (p *Proxy) getUncached(ctx context.Context, account, container, object stri
 		return &countedBody{rc: rc, onClose: func(n int64) { p.addBytes(n, n) }}, info, nil
 	}
 	counted := &countedBody{rc: rc, onClose: func(n int64) { p.addBytes(n, 0) }}
-	sctx := &storlet.Context{Ctx: ctx, RangeStart: start, RangeEnd: end, ObjectSize: info.Size}
-	out, err := p.engine.RunChain(sctx, proxyStage, counted)
+	out, err := p.engine.Open(ctx, proxyStage, counted, start, end, info.Size)
 	if err != nil {
-		counted.Close()
 		return nil, ObjectInfo{}, err
 	}
 	// Post-filter bytes to the client. Closing tears down the filter chain,
-	// then flushes the node-side counter under it (the storlet engine never
-	// closes its input stream).
-	return &countedBody{rc: out, also: counted, onClose: func(n int64) { p.addBytes(0, n) }}, info, nil
+	// then closes and flushes the node-side counter under it.
+	return &countedBody{rc: out, onClose: func(n int64) { p.addBytes(0, n) }}, info, nil
 }
 
 // DeleteObject removes an object from every replica, then from the registry.

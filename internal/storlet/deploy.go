@@ -107,14 +107,7 @@ func (p *pipelineFilter) Invoke(ctx *Context, in io.Reader, out io.Writer) error
 		first.Options = merged
 		tasks[0] = &first
 	}
-	base := &Context{
-		Ctx:        ctx.Ctx,
-		RangeStart: ctx.RangeStart,
-		RangeEnd:   ctx.RangeEnd,
-		ObjectSize: ctx.ObjectSize,
-		Log:        ctx.Log,
-	}
-	rc, err := p.engine.RunChain(base, tasks, in)
+	rc, err := p.engine.RunChain(ctx, tasks, in)
 	if err != nil {
 		return err
 	}

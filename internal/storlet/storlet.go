@@ -319,13 +319,16 @@ func (e *Engine) acquire(rctx context.Context) error {
 // ErrOverloaded, ErrBreakerOpen, ErrNotDeployed — are returned up-front,
 // before any byte is produced.
 func (e *Engine) Run(ctx *Context, in io.Reader) (io.ReadCloser, error) {
-	return e.run(ctx, in, true)
+	return e.run(ctx, in, nil)
 }
 
-// run optionally skips slot acquisition: a pipelined chain counts as ONE
-// request against MaxConcurrent (its stages must run concurrently or the
-// pipe between them deadlocks).
-func (e *Engine) run(ctx *Context, in io.Reader, acquireSlot bool) (io.ReadCloser, error) {
+// run invokes one stage. upstream is nil for a chain's first stage, which
+// alone takes a slot: a pipelined chain counts as ONE request against
+// MaxConcurrent (its stages must run concurrently or the pipe between them
+// deadlocks). A later stage reads the previous stage's output, upstream, and
+// closes it when its filter returns, so a previous stage blocked on a write
+// ends too.
+func (e *Engine) run(ctx *Context, in io.Reader, upstream io.Closer) (io.ReadCloser, error) {
 	if ctx == nil || ctx.Task == nil {
 		return nil, errors.New("storlet: nil context or task")
 	}
@@ -344,7 +347,7 @@ func (e *Engine) run(ctx *Context, in io.Reader, acquireSlot bool) (io.ReadClose
 		}
 		probe = p
 	}
-	holdsSlot := acquireSlot && e.slots != nil
+	holdsSlot := upstream == nil && e.slots != nil
 	if holdsSlot {
 		if err := e.acquire(ctx.Ctx); err != nil {
 			e.countRejection(name)
@@ -368,6 +371,9 @@ func (e *Engine) run(ctx *Context, in io.Reader, acquireSlot bool) (io.ReadClose
 			defer func() { <-e.slots }()
 		}
 		err := invokeSafely(f, ctx, cin, cout)
+		if upstream != nil {
+			upstream.Close()
+		}
 		if timedOut.Load() && (err == nil || errors.Is(err, io.ErrClosedPipe)) {
 			// The deadline closed the pipe out from under the filter; its
 			// writes saw ErrClosedPipe but the real cause is the timeout.
@@ -431,35 +437,69 @@ func countableFailure(name string, err error) bool {
 	return true
 }
 
+// Unbounded is the range end of a stream whose records all count: the PUT
+// pipeline's upload and the derived stream every stage after a chain's
+// first reads.
+const Unbounded = int64(1) << 62
+
 // RunChain pipes in through each task's filter in order (pipelining). Every
 // stage gets its own sandbox goroutine; ranges apply to the first stage only
-// (later stages see the previous stage's output, not raw object bytes).
+// (later stages see the previous stage's output, not raw object bytes). The
+// chain never closes in; Open is the entry point that owns it.
 func (e *Engine) RunChain(base *Context, tasks []*pushdown.Task, in io.Reader) (io.ReadCloser, error) {
 	if len(tasks) == 0 {
 		return nil, errors.New("storlet: empty task chain")
 	}
-	var cur io.ReadCloser = io.NopCloser(in)
+	var cur io.ReadCloser // the previous stage's output
 	for i, task := range tasks {
-		ctx := &Context{
-			Ctx:        base.Ctx,
-			Task:       task,
-			ObjectSize: base.ObjectSize,
-			Log:        base.Log,
-		}
+		ctx := &Context{Ctx: base.Ctx, Task: task, RangeEnd: Unbounded, ObjectSize: base.ObjectSize, Log: base.Log}
+		var src io.Reader = cur
 		if i == 0 {
 			ctx.RangeStart, ctx.RangeEnd = base.RangeStart, base.RangeEnd
-		} else {
-			// Later stages consume an unbounded derived stream.
-			ctx.RangeStart, ctx.RangeEnd = 0, int64(1)<<62
+			src = in
 		}
-		next, err := e.run(ctx, cur, i == 0)
+		next, err := e.run(ctx, src, cur)
 		if err != nil {
-			cur.Close()
+			if cur != nil {
+				cur.Close()
+			}
 			return nil, err
 		}
 		cur = next
 	}
 	return cur, nil
+}
+
+// Open runs tasks as one chain over in: the first stage keeps the records
+// that start in [start, end) of an object of size bytes (-1: unknown), later
+// stages read the whole derived stream. The returned stream owns in: its
+// Close stops the chain, then closes in, once. A refused chain closes in
+// before Open returns.
+func (e *Engine) Open(ctx context.Context, tasks []*pushdown.Task, in io.ReadCloser, start, end, size int64) (io.ReadCloser, error) {
+	out, err := e.RunChain(&Context{Ctx: ctx, RangeStart: start, RangeEnd: end, ObjectSize: size}, tasks, in)
+	if err != nil {
+		in.Close()
+		return nil, err
+	}
+	return &owned{ReadCloser: out, in: in}, nil
+}
+
+// owned is a chain's output that also closes the chain's input.
+type owned struct {
+	io.ReadCloser
+	in     io.Closer
+	closed atomic.Bool
+}
+
+func (o *owned) Close() error {
+	if o.closed.Swap(true) {
+		return nil
+	}
+	err := o.ReadCloser.Close()
+	if cerr := o.in.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func (e *Engine) account(name string, in, out int64, wall time.Duration, err error) {
