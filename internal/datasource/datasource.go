@@ -18,8 +18,10 @@ import (
 	"scoop/internal/sql/agg"
 	"scoop/internal/sql/exec"
 	"scoop/internal/sql/types"
+	"scoop/internal/storlet"
 	"scoop/internal/storlet/aggfilter"
 	"scoop/internal/storlet/compressfilter"
+	"scoop/internal/storlet/csvfilter"
 )
 
 // chainCloser closes a decompressor (when present) before the transport.
@@ -157,39 +159,28 @@ func (r *CSVRelation) ScanPrunedFiltered(ctx context.Context, split connector.Sp
 	}
 
 	// Baseline: raw ranged GET; alignment, header skip, parse, prune and
-	// filter all happen here at the compute node. The GET extends to the
-	// object's end so the record straddling the split boundary can be
-	// finished; the range reader stops just past End and the lazy HTTP body
-	// means the tail is never actually transferred.
+	// filter all happen here at the compute node, compiled from the task
+	// pushdown mode would send. The GET extends to the object's end so the
+	// record straddling the split boundary can be finished; the range reader
+	// stops just past End and the lazy HTTP body means the tail is never
+	// actually transferred.
+	sel, err := csvfilter.Compile(r.csvTask(columns, preds))
+	if err != nil {
+		return nil, fmt.Errorf("datasource: %w", err)
+	}
 	open := split
 	open.End = split.ObjectSize
 	rc, err := r.conn.Open(ctx, open, nil)
 	if err != nil {
 		return nil, err
 	}
-	it := &csvIterator{
+	return &csvIterator{
 		rc:         rc,
 		rr:         csvio.AcquireRangeReader(rc, split.Start, split.End),
 		schema:     outSchema,
-		delim:      r.opts.Delimiter,
-		skipHeader: r.opts.Header && split.Start == 0,
-	}
-	if len(columns) > 0 {
-		it.projIdx = make([]int, len(columns))
-		for i, name := range columns {
-			idx := r.schema.Index(name)
-			if idx < 0 {
-				it.Close()
-				return nil, fmt.Errorf("datasource: unknown column %q", name)
-			}
-			it.projIdx[i] = idx
-		}
-	}
-	if it.match, err = pushdown.Bind(preds, r.schema.Index); err != nil {
-		it.Close()
-		return nil, fmt.Errorf("datasource: %w", err)
-	}
-	return it, nil
+		sel:        *sel,
+		skipHeader: sel.Header && split.Start == 0,
+	}, nil
 }
 
 // ScanPartials reads one split with the aggregation spec pushed to the store
@@ -220,25 +211,32 @@ func (r *CSVRelation) ScanPartials(ctx context.Context, split connector.Split, c
 	return it, nil
 }
 
-// openChain opens the split with the csv filter task, then the given task if
-// any, then transfer compression if configured, and parses the chain's output
-// as records of outSchema.
-func (r *CSVRelation) openChain(ctx context.Context, split connector.Split, columns []string, preds []pushdown.Predicate, after *pushdown.Task, outSchema *types.Schema) (*csvIterator, error) {
+// csvTask is the csv filter task that projects columns of the records that
+// satisfy preds: the store runs it in pushdown mode, the baseline compiles it
+// for its own record loop.
+func (r *CSVRelation) csvTask(columns []string, preds []pushdown.Predicate) *pushdown.Task {
 	task := &pushdown.Task{
-		Filter:     "csv",
+		Filter:     csvfilter.FilterName,
 		Columns:    columns,
 		Predicates: preds,
 		Schema:     r.decl,
 		Stage:      r.opts.Stage,
+		Options:    map[string]string{},
 	}
-	task.Options = map[string]string{}
 	if r.opts.Header {
-		task.Options["header"] = "true"
+		task.Options[csvfilter.OptHeader] = "true"
 	}
 	if r.opts.Delimiter != csvio.DefaultDelimiter {
-		task.Options["delimiter"] = string(r.opts.Delimiter)
+		task.Options[csvfilter.OptDelimiter] = string(r.opts.Delimiter)
 	}
-	chain := []*pushdown.Task{task}
+	return task
+}
+
+// openChain opens the split with the csv filter task, then the given task if
+// any, then transfer compression if configured, and parses the chain's output
+// as records of outSchema.
+func (r *CSVRelation) openChain(ctx context.Context, split connector.Split, columns []string, preds []pushdown.Predicate, after *pushdown.Task, outSchema *types.Schema) (*csvIterator, error) {
+	chain := []*pushdown.Task{r.csvTask(columns, preds)}
 	if after != nil {
 		chain = append(chain, after)
 	}
@@ -260,9 +258,9 @@ func (r *CSVRelation) openChain(ctx context.Context, split connector.Split, colu
 	// the whole stream is complete records (no split re-alignment).
 	return &csvIterator{
 		rc:     &chainCloser{rc: rc, extra: extra},
-		rr:     csvio.AcquireRangeReader(stream, 0, int64(1)<<62),
+		rr:     csvio.AcquireRangeReader(stream, 0, storlet.Unbounded),
 		schema: outSchema,
-		delim:  r.opts.Delimiter,
+		sel:    csvfilter.Selection{Delim: r.opts.Delimiter},
 	}, nil
 }
 
@@ -273,16 +271,14 @@ var errClosed = errors.New("datasource: Next on a closed iterator")
 // csvIterator parses a CSV stream into typed rows. Its range reader comes
 // from csvio's pool and goes back on Close.
 type csvIterator struct {
-	rc         io.ReadCloser
-	rr         *csvio.RangeReader
-	schema     *types.Schema // output schema (pruned or full)
-	delim      byte
+	rc     io.ReadCloser
+	rr     *csvio.RangeReader
+	schema *types.Schema // output schema (pruned or full)
+	// sel reads the records. In pushdown mode only its delimiter is set: the
+	// store already projected and selected them.
+	sel        csvfilter.Selection
 	skipHeader bool
-	// projIdx maps output column -> raw field index; nil means identity
-	// (raw fields are already in output order, as in pushdown mode).
-	projIdx []int
-	match   pushdown.Matcher
-	sc      csvio.FieldScanner
+	sc         csvio.FieldScanner
 	// reused, when set, is the row every Next fills and returns.
 	reused types.Row
 	closed bool
@@ -305,24 +301,21 @@ func (it *csvIterator) Next() (types.Row, error) {
 			it.skipHeader = false
 			continue
 		}
-		if !it.match.MatchRecord(rec, it.delim, &it.sc) {
+		if !it.sel.Match.MatchRecord(rec, it.sel.Delim, &it.sc) {
 			continue
 		}
-		it.sc.Reset(rec, it.delim)
+		it.sc.Reset(rec, it.sel.Delim)
 		row := it.reused
 		if row == nil {
 			row = make(types.Row, it.schema.Len())
 		}
 		for i := range row {
 			idx := i
-			if it.projIdx != nil {
-				idx = it.projIdx[i]
+			if it.sel.Project != nil {
+				idx = it.sel.Project[i]
 			}
-			if f, ok := it.sc.Field(idx); ok {
-				row[i] = types.CoerceBytes(f, it.schema.Columns[i].Type)
-			} else {
-				row[i] = types.NullValue()
-			}
+			f, _ := it.sc.Field(idx) // a field past the end is empty, which is NULL
+			row[i] = types.CoerceBytes(f, it.schema.Columns[i].Type)
 		}
 		return row, nil
 	}

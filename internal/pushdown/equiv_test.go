@@ -26,13 +26,14 @@ var equivValues = []string{
 
 // refMatch is the reference predicate evaluator the three entry points are
 // pinned against: strings, strconv and a recursive LIKE, written for
-// obviousness rather than speed.
+// obviousness rather than speed. An empty field is NULL.
 func refMatch(p Predicate, raw string, null bool) bool {
+	null = null || raw == ""
 	switch p.Op {
 	case OpIsNull:
-		return null || raw == ""
+		return null
 	case OpNotNull:
-		return !null && raw != ""
+		return !null
 	}
 	if null {
 		return false

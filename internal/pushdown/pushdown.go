@@ -210,7 +210,7 @@ type test uint8
 
 const (
 	testNever    test = iota // a numeric comparison with a literal that is not a number
-	testIsNull               // IS NULL: no field, or an empty one
+	testIsNull               // IS NULL
 	testNotNull              // IS NOT NULL
 	testEqual                // the field equals lit (=, and LIKE without wildcards)
 	testCompare              // bytes.Compare against lit, judged by cmp
@@ -349,9 +349,10 @@ func Bind(preds []Predicate, index func(column string) int) (Matcher, error) {
 // bound predicate. It finds each conjunct's field by walking the delimiters
 // of the raw record, and reads the record only as far as it has to: up to the
 // column of the first conjunct that fails, or of the last one. A field index
-// past the end of a short record reads as NULL. A quoted field needs
-// unescaping, so when the walk meets one the remaining conjuncts go through
-// sc, which is then Reset to the record; otherwise sc is not touched.
+// past the end of a short record reads as an empty field, which is NULL. A
+// quoted field needs unescaping, so when the walk meets one the remaining
+// conjuncts go through sc, which is then Reset to the record; otherwise sc
+// is not touched.
 //
 //scoop:hotpath
 func (m Matcher) MatchRecord(record []byte, delim byte, sc *csvio.FieldScanner) bool {
@@ -364,7 +365,8 @@ func (m Matcher) MatchRecord(record []byte, delim byte, sc *csvio.FieldScanner) 
 			}
 			j := bytes.IndexByte(rest, delim)
 			if j < 0 {
-				return m[i:].matchNull()
+				rest = nil // past the end: this field and every later one is empty
+				break
 			}
 			rest = rest[j+1:]
 		}
@@ -378,18 +380,7 @@ func (m Matcher) MatchRecord(record []byte, delim byte, sc *csvio.FieldScanner) 
 		if j := bytes.IndexByte(field, delim); j >= 0 {
 			field = field[:j]
 		}
-		if !b.holds(field, false) {
-			return false
-		}
-	}
-	return true
-}
-
-// matchNull is MatchRecord for the conjuncts on columns past the end of a
-// short record: each reads NULL.
-func (m Matcher) matchNull() bool {
-	for i := range m {
-		if !m[i].holds(nil, true) {
+		if !b.holds(field) {
 			return false
 		}
 	}
@@ -401,8 +392,8 @@ func (m Matcher) matchNull() bool {
 func (m Matcher) matchScanned(record []byte, delim byte, sc *csvio.FieldScanner) bool {
 	sc.Reset(record, delim)
 	for i := range m {
-		raw, ok := sc.Field(m[i].idx)
-		if !m[i].holds(raw, !ok) {
+		raw, _ := sc.Field(m[i].idx)
+		if !m[i].holds(raw) {
 			return false
 		}
 	}
@@ -416,11 +407,10 @@ func (m Matcher) Match(fields [][]byte) bool {
 	for i := range m {
 		b := &m[i]
 		var raw []byte
-		null := b.idx >= len(fields)
-		if !null {
+		if b.idx < len(fields) {
 			raw = fields[b.idx]
 		}
-		if !b.holds(raw, null) {
+		if !b.holds(raw) {
 			return false
 		}
 	}
@@ -428,22 +418,25 @@ func (m Matcher) Match(fields [][]byte) bool {
 }
 
 // MatchesBytes evaluates the predicate against a single raw field value,
-// compiling it on every call; record loops use Bind and Match. NULL follows
-// SQL semantics: comparisons against it are not satisfied (except IS NULL),
-// and an empty field is NULL to IS NULL / IS NOT NULL. The literal is staged
-// in a stack buffer, which keeps the call allocation-free for every literal
-// of realistic length.
+// compiling it on every call; record loops use Bind and Match. null marks a
+// missing field; an empty one is NULL as well. NULL follows SQL semantics:
+// only IS NULL is satisfied by it. The literal is staged in a stack buffer,
+// which keeps the call allocation-free for every literal of realistic
+// length.
 //
 //scoop:hotpath
 func (p Predicate) MatchesBytes(raw []byte, null bool) bool {
+	if null {
+		raw = nil
+	}
 	var stage [64]byte
 	if p.Op != OpIn {
 		b := compile(p.Op, p.Numeric, p.Value, stage[:])
-		return b.holds(raw, null)
+		return b.holds(raw)
 	}
 	for _, v := range p.Values {
 		b := compile(OpEq, p.Numeric, v, stage[:])
-		if b.holds(raw, null) {
+		if b.holds(raw) {
 			return true
 		}
 	}
@@ -456,17 +449,16 @@ func (p Predicate) Matches(raw string, null bool) bool {
 	return p.MatchesBytes([]byte(raw), null)
 }
 
-// holds is the one evaluator: whether raw, the conjunct's field (null: the
-// record has no such field), passes the compiled test.
-func (b *bound) holds(raw []byte, null bool) bool {
-	if null {
+// holds is the one evaluator: whether raw, the conjunct's field, passes the
+// compiled test. An empty field, which is also what a record too short to
+// have the field gives, is NULL: only IS NULL holds for it.
+func (b *bound) holds(raw []byte) bool {
+	if len(raw) == 0 {
 		return b.test == testIsNull
 	}
 	switch b.test {
-	case testIsNull:
-		return len(raw) == 0
 	case testNotNull:
-		return len(raw) != 0
+		return true
 	case testEqual:
 		return bytes.Equal(raw, b.lit)
 	case testPrefix:
@@ -494,7 +486,7 @@ func (b *bound) holds(raw []byte, null bool) bool {
 		return b.cmp&outcome(cmp) != 0
 	case testAny:
 		for i := range b.alts {
-			if b.alts[i].holds(raw, false) {
+			if b.alts[i].holds(raw) {
 				return true
 			}
 		}

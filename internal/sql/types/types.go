@@ -353,11 +353,13 @@ func Substring(s string, start, n int64) string {
 	return s[start : start+min(n, size-start)]
 }
 
-// Coerce parses the raw CSV field text into a Value of the column type.
-// Unparseable numerics become NULL (CSV data is dirty; the paper's ETL
-// storlet cleanses on upload, but the engine must still be safe).
+// Coerce parses the raw CSV field text into a Value of the column type. An
+// empty field is NULL in every type, as in Spark's CSV reader and as the
+// pushdown matcher reads it. Unparseable numerics become NULL too (CSV data
+// is dirty; the paper's ETL storlet cleanses on upload, but the engine must
+// still be safe).
 func Coerce(raw string, t Type) Value {
-	if t == String {
+	if t == String && raw != "" {
 		return Str(raw)
 	}
 	return coerceNumber(raw, t)
@@ -373,7 +375,9 @@ func Coerce(raw string, t Type) Value {
 func CoerceBytes(raw []byte, t Type) Value {
 	switch t {
 	case String:
-		return Str(string(raw))
+		if len(raw) > 0 {
+			return Str(string(raw))
+		}
 	case Int, Float:
 		if f, ok := csvio.FastFloat(raw); ok {
 			if t == Int {
@@ -385,7 +389,8 @@ func CoerceBytes(raw []byte, t Type) Value {
 	return coerceNumber(string(raw), t)
 }
 
-// coerceNumber is Coerce for the types whose values do not hold raw.
+// coerceNumber is Coerce for the types whose values do not hold raw, and
+// for an empty field.
 func coerceNumber(raw string, t Type) Value {
 	if raw == "" {
 		return NullValue()

@@ -152,8 +152,8 @@ func TestCoerceRoundTrip(t *testing.T) {
 }
 
 func TestCoerce(t *testing.T) {
-	if v := Coerce("", String); v.T != String || v.S != "" {
-		t.Errorf("Coerce empty string = %v", v)
+	if v := Coerce("", String); !v.IsNull() {
+		t.Errorf("Coerce empty string = %v, want NULL (an empty field is NULL in every type)", v)
 	}
 	if v := Coerce("", Int); !v.IsNull() {
 		t.Errorf("Coerce empty int = %v, want NULL", v)

@@ -127,10 +127,10 @@ func (t *table) value(fields [][]byte, term agg.Term) types.Value {
 }
 
 // appendKey appends t.value(fields, term) to key. The key copies the bytes of
-// a string field itself, so here the value aliases them and nothing is
-// allocated.
+// a non-empty string field itself, so here the value aliases them and
+// nothing is allocated; an empty field is NULL, as t.value reads it.
 func (t *table) appendKey(key []byte, fields [][]byte, term agg.Term) []byte {
-	if term.Col < len(fields) && t.schema.Columns[term.Col].Type == types.String {
+	if term.Col < len(fields) && len(fields[term.Col]) > 0 && t.schema.Columns[term.Col].Type == types.String {
 		return agg.AppendKey(key, term.Eval(types.Str(string(fields[term.Col]))))
 	}
 	return agg.AppendKey(key, t.value(fields, term))

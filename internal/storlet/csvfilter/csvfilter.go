@@ -41,14 +41,18 @@ const (
 	OptHeader = "header"
 )
 
-// compiled is the per-invocation execution plan.
-type compiled struct {
-	delim      byte
-	skipHeader bool
-	// projIdx are the field indexes to emit, in output order; nil = all.
-	projIdx []int
-	// match is the task's selection, bound to the schema's field positions.
-	match pushdown.Matcher
+// Selection is a csv task compiled for a record loop: the plan Invoke runs
+// per invocation, and the one a compute-side scan of raw records runs, so
+// both modes read the records alike.
+type Selection struct {
+	// Delim separates the fields.
+	Delim byte
+	// Header marks the object's first record as a header to skip.
+	Header bool
+	// Project lists the field indexes to emit, in output order; nil = all.
+	Project []int
+	// Match is the task's selection, bound to the schema's field positions.
+	Match pushdown.Matcher
 }
 
 // scanPool recycles the per-invocation field scanner (field-slice header
@@ -59,7 +63,7 @@ var scanPool = sync.Pool{New: func() any { return new(csvio.FieldScanner) }}
 
 // Invoke implements storlet.Filter.
 func (f *Filter) Invoke(ctx *storlet.Context, in io.Reader, out io.Writer) error {
-	c, err := compile(ctx.Task)
+	c, err := Compile(ctx.Task)
 	if err != nil {
 		return err
 	}
@@ -69,8 +73,8 @@ func (f *Filter) Invoke(ctx *storlet.Context, in io.Reader, out io.Writer) error
 	defer scanPool.Put(sc)
 	bw := storlet.AcquireWriter(out)
 	defer storlet.ReleaseWriter(bw)
-	projected := make([][]byte, len(c.projIdx))
-	skippedHeader := !c.skipHeader || ctx.RangeStart > 0
+	projected := make([][]byte, len(c.Project))
+	skippedHeader := !c.Header || ctx.RangeStart > 0
 	rows, kept := 0, 0
 	// The per-record loop: everything below runs once per CSV record, so it
 	// must stay allocation-free — setup above is per-invocation and exempt.
@@ -91,11 +95,11 @@ func (f *Filter) Invoke(ctx *storlet.Context, in io.Reader, out io.Writer) error
 		// A rejected record is read only as far as the column of the
 		// conjunct that rejects it, a kept one is split as far as its last
 		// projected column, a passthrough record not at all.
-		if !c.match.MatchRecord(rec, c.delim, sc) {
+		if !c.Match.MatchRecord(rec, c.Delim, sc) {
 			continue
 		}
 		kept++
-		if c.projIdx == nil {
+		if c.Project == nil {
 			// No projection: emit the record verbatim.
 			if _, err := bw.Write(rec); err != nil {
 				return err
@@ -105,11 +109,11 @@ func (f *Filter) Invoke(ctx *storlet.Context, in io.Reader, out io.Writer) error
 			}
 			continue
 		}
-		sc.Reset(rec, c.delim)
-		for i, idx := range c.projIdx {
+		sc.Reset(rec, c.Delim)
+		for i, idx := range c.Project {
 			projected[i], _ = sc.Field(idx) // a short record projects NULL as an empty field
 		}
-		if err := csvio.WriteRecord(bw, projected, c.delim); err != nil {
+		if err := csvio.WriteRecord(bw, projected, c.Delim); err != nil {
 			return err
 		}
 	}
@@ -117,21 +121,22 @@ func (f *Filter) Invoke(ctx *storlet.Context, in io.Reader, out io.Writer) error
 	return bw.Flush()
 }
 
-func compile(task *pushdown.Task) (*compiled, error) {
+// Compile checks a csv task and binds it to its schema.
+func Compile(task *pushdown.Task) (*Selection, error) {
 	if task == nil {
 		return nil, errors.New("csvfilter: nil task")
 	}
 	if err := task.Validate(); err != nil {
 		return nil, err
 	}
-	c := &compiled{delim: csvio.DefaultDelimiter}
+	c := &Selection{Delim: csvio.DefaultDelimiter}
 	if d := task.Options[OptDelimiter]; d != "" {
 		if len(d) != 1 {
 			return nil, fmt.Errorf("csvfilter: delimiter must be one byte, got %q", d)
 		}
-		c.delim = d[0]
+		c.Delim = d[0]
 	}
-	c.skipHeader = task.Options[OptHeader] == "true"
+	c.Header = task.Options[OptHeader] == "true"
 	if task.Schema == "" {
 		return nil, errors.New("csvfilter: task missing schema")
 	}
@@ -140,16 +145,16 @@ func compile(task *pushdown.Task) (*compiled, error) {
 		return nil, fmt.Errorf("csvfilter: %w", err)
 	}
 	if len(task.Columns) > 0 {
-		c.projIdx = make([]int, len(task.Columns))
+		c.Project = make([]int, len(task.Columns))
 		for i, name := range task.Columns {
 			idx := schema.Index(name)
 			if idx < 0 {
 				return nil, fmt.Errorf("csvfilter: projected column %q not in schema", name)
 			}
-			c.projIdx[i] = idx
+			c.Project[i] = idx
 		}
 	}
-	if c.match, err = pushdown.Bind(task.Predicates, schema.Index); err != nil {
+	if c.Match, err = pushdown.Bind(task.Predicates, schema.Index); err != nil {
 		return nil, fmt.Errorf("csvfilter: %w", err)
 	}
 	return c, nil
