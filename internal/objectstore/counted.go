@@ -7,11 +7,10 @@ import (
 
 // countedBody is the store's one byte-counting stream: it counts what Read
 // hands out and reports the total to onClose exactly once, on the first
-// Close, after the wrapped stream is shut.
-// Node, proxy, result-cache and load-balancer accounting all use it; only
-// the callback differs. The counter is atomic because on the proxy-stage
-// path a filter goroutine reads the stream while the client goroutine closes
-// it.
+// Close, after the wrapped stream is shut. Node, proxy and result-cache
+// accounting all use it; only the callback differs. The counter is atomic
+// because on the proxy-stage path a filter goroutine reads the stream while
+// the client goroutine closes it.
 type countedBody struct {
 	rc      io.ReadCloser
 	onClose func(n int64)

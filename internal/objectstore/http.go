@@ -47,7 +47,7 @@ const (
 
 // CacheStatuser is implemented by streams that know how the result cache
 // served them; the handler surfaces the status in HeaderCacheStatus and
-// wrapping readers (load-balancer accounting, client trailer checking)
+// wrapping readers (byte accounting, client trailer checking)
 // forward it.
 type CacheStatuser interface {
 	CacheStatus() string
