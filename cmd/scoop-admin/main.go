@@ -33,24 +33,26 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "scoop-admin:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	store := flag.String("store", "http://localhost:8080", "store URL")
-	flag.Parse()
-	args := flag.Args()
+func run(args []string, out io.Writer) error {
+	flags := flag.NewFlagSet("scoop-admin", flag.ExitOnError)
+	store := flags.String("store", "http://localhost:8080", "store URL")
+	_ = flags.Parse(args) // ExitOnError: a bad flag exits
+	args = flags.Args()
 	if len(args) == 0 {
-		flag.Usage()
+		flags.Usage()
 		return fmt.Errorf("missing command (containers, create-container, delete-container, list, deploy, sync, stats, ring, add-node, remove-node, drain-node)")
 	}
 	client := objectstore.NewHTTPClient(*store)
 	// One-shot CLI: commands run to completion or are killed with the
 	// process, so Background is the honest root context.
 	ctx := context.Background()
+	admin := strings.TrimRight(*store, "/") + "/admin/"
 	cmd, rest := args[0], args[1:]
 	switch cmd {
 	case "containers":
@@ -62,7 +64,7 @@ func run() error {
 			return err
 		}
 		for _, n := range names {
-			fmt.Println(n)
+			fmt.Fprintln(out, n)
 		}
 		return nil
 	case "create-container":
@@ -71,7 +73,7 @@ func run() error {
 		}
 		err := client.CreateContainer(ctx, rest[0], rest[1], nil)
 		if err == objectstore.ErrContainerExists {
-			fmt.Println("already exists")
+			fmt.Fprintln(out, "already exists")
 			return nil
 		}
 		return err
@@ -93,36 +95,21 @@ func run() error {
 			return err
 		}
 		for _, o := range objects {
-			fmt.Printf("%-40s %10d  %s\n", o.Name, o.Size, o.ETag)
+			fmt.Fprintf(out, "%-40s %10d  %s\n", o.Name, o.Size, o.ETag)
 		}
 		return nil
 	case "deploy":
 		if len(rest) != 2 {
 			return fmt.Errorf("usage: deploy <account> <manifest.json>")
 		}
-		return deploy(ctx, client, rest[0], rest[1])
+		return deploy(ctx, out, client, rest[0], rest[1])
 	case "sync":
 		if len(rest) != 1 {
 			return fmt.Errorf("usage: sync <account>")
 		}
-		resp, err := http.Post(strings.TrimRight(*store, "/")+"/admin/deploy?account="+rest[0], "", nil)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		if err != nil {
-			return fmt.Errorf("sync: read response: %w", err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("sync: http %d: %s", resp.StatusCode, body)
-		}
-		fmt.Print(string(body))
-		return nil
-	case "stats":
-		return stats(*store)
-	case "ring":
-		return ring(*store)
+		return call(out, http.MethodPost, admin+"deploy?account="+rest[0], "sync")
+	case "stats", "ring":
+		return call(out, http.MethodGet, admin+cmd, cmd+" endpoint")
 	case "add-node":
 		name := ""
 		if len(rest) == 1 {
@@ -130,17 +117,13 @@ func run() error {
 		} else if len(rest) > 1 {
 			return fmt.Errorf("usage: add-node [name]")
 		}
-		return nodeOp(*store, "add", name)
-	case "remove-node":
+		return nodeOp(out, admin, "add", name)
+	case "remove-node", "drain-node":
+		op := strings.TrimSuffix(cmd, "-node")
 		if len(rest) != 1 {
-			return fmt.Errorf("usage: remove-node <name>")
+			return fmt.Errorf("usage: %s <name>", cmd)
 		}
-		return nodeOp(*store, "remove", rest[0])
-	case "drain-node":
-		if len(rest) != 1 {
-			return fmt.Errorf("usage: drain-node <name>")
-		}
-		return nodeOp(*store, "drain", rest[0])
+		return nodeOp(out, admin, op, rest[0])
 	default:
 		return fmt.Errorf("unknown command %q", cmd)
 	}
@@ -148,7 +131,7 @@ func run() error {
 
 // deploy validates the manifest locally, stores it in the .storlets
 // container, and reminds the operator how the engine picks it up.
-func deploy(ctx context.Context, client *objectstore.HTTPClient, account, path string) error {
+func deploy(ctx context.Context, out io.Writer, client *objectstore.HTTPClient, account, path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -176,80 +159,51 @@ func deploy(ctx context.Context, client *objectstore.HTTPClient, account, path s
 	if err != nil {
 		return err
 	}
-	fmt.Printf("deployed %s as %s/%s (%d bytes)\n", m.Name, objectstore.StorletContainer, name, info.Size)
-	fmt.Println("run `scoop-admin sync <account>` to load it into the running engine")
-	return nil
-}
-
-// ring pretty-prints the /admin/ring membership snapshot.
-func ring(store string) error {
-	resp, err := http.Get(strings.TrimRight(store, "/") + "/admin/ring")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, err := io.ReadAll(io.LimitReader(resp.Body, 256))
-		if err != nil {
-			body = []byte(fmt.Sprintf("<error body unreadable: %v>", err))
-		}
-		return fmt.Errorf("ring endpoint: http %d: %s", resp.StatusCode, body)
-	}
-	var pretty map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&pretty); err != nil {
-		return err
-	}
-	out, err := json.MarshalIndent(pretty, "", "  ")
-	if err != nil {
-		return err
-	}
-	fmt.Println(string(out))
+	fmt.Fprintf(out, "deployed %s as %s/%s (%d bytes)\n", m.Name, objectstore.StorletContainer, name, info.Size)
+	fmt.Fprintln(out, "run `scoop-admin sync <account>` to load it into the running engine")
 	return nil
 }
 
 // nodeOp drives a membership change through POST /admin/nodes.
-func nodeOp(store, op, name string) error {
-	u := strings.TrimRight(store, "/") + "/admin/nodes?op=" + op
+func nodeOp(out io.Writer, admin, op, name string) error {
+	u := admin + "nodes?op=" + op
 	if name != "" {
 		u += "&name=" + name
 	}
-	resp, err := http.Post(u, "", nil)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 4096))
-	if err != nil {
-		return fmt.Errorf("%s-node: read response: %w", op, err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s-node: http %d: %s", op, resp.StatusCode, body)
-	}
-	fmt.Print(string(body))
-	return nil
+	return call(out, http.MethodPost, u, op+"-node")
 }
 
-func stats(store string) error {
-	resp, err := http.Get(strings.TrimRight(store, "/") + "/admin/stats")
+// call sends one admin request and prints the answer: a POST's text as it
+// is, a GET's JSON document indented. label prefixes its errors.
+func call(out io.Writer, method, url, label string) error {
+	req, err := http.NewRequest(method, url, nil)
+	if err != nil {
+		return err
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, err := io.ReadAll(io.LimitReader(resp.Body, 256))
-		if err != nil {
-			body = []byte(fmt.Sprintf("<error body unreadable: %v>", err))
-		}
-		return fmt.Errorf("stats endpoint: http %d: %s", resp.StatusCode, body)
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return fmt.Errorf("%s: read response: %w", label, err)
 	}
-	var pretty map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&pretty); err != nil {
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("%s: http %d: %s", label, resp.StatusCode, body)
+	}
+	if method != http.MethodGet {
+		_, err = out.Write(body)
 		return err
 	}
-	out, err := json.MarshalIndent(pretty, "", "  ")
+	var doc map[string]any
+	if err := json.Unmarshal(body, &doc); err != nil {
+		return err
+	}
+	indented, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		return err
 	}
-	fmt.Println(string(out))
-	return nil
+	_, err = fmt.Fprintln(out, string(indented))
+	return err
 }

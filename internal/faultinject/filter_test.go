@@ -60,7 +60,7 @@ func TestFilterFaultPanicIsContainedBySandbox(t *testing.T) {
 	}
 	// First invocation panics inside the sandbox: the caller sees a typed
 	// FilterError, not a crashed process.
-	rc, err := e.Run(&storlet.Context{Task: task("ident"), RangeEnd: 4, ObjectSize: 4}, strings.NewReader("data"))
+	rc, err := e.RunChain(&storlet.Context{RangeEnd: 4, ObjectSize: 4}, []*pushdown.Task{task("ident")}, strings.NewReader("data"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestFilterFaultPanicIsContainedBySandbox(t *testing.T) {
 		t.Fatalf("scripted panic surfaced as %v, want contained FilterError", err)
 	}
 	// Second invocation is past the window and works.
-	rc, err = e.Run(&storlet.Context{Task: task("ident"), RangeEnd: 4, ObjectSize: 4}, strings.NewReader("data"))
+	rc, err = e.RunChain(&storlet.Context{RangeEnd: 4, ObjectSize: 4}, []*pushdown.Task{task("ident")}, strings.NewReader("data"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -189,10 +189,9 @@ func TestChaosOverloadShedsToFallback(t *testing.T) {
 	}
 
 	// Park a long-running invocation on the engine's only slot.
-	rc, err := cluster.Engine().Run(&storlet.Context{
-		Ctx:  context.Background(),
-		Task: &pushdown.Task{Filter: "block"}, RangeEnd: 1, ObjectSize: 1,
-	}, strings.NewReader("x"))
+	rc, err := cluster.Engine().RunChain(&storlet.Context{
+		Ctx: context.Background(), RangeEnd: 1, ObjectSize: 1,
+	}, []*pushdown.Task{{Filter: "block"}}, strings.NewReader("x"))
 	if err != nil {
 		t.Fatal(err)
 	}

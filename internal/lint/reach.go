@@ -136,8 +136,8 @@ type filterRoot struct {
 	name  string
 	nodes []*callgraph.Node
 	// engine marks the storlet engine's own plumbing — a type the engine
-	// package declares (FilterFunc's generic wrapper, the pipeline) or
-	// registers itself. sandboxpure walks it; filterdet trusts it as runtime.
+	// package declares (FilterFunc's generic wrapper) or registers itself.
+	// sandboxpure walks it; filterdet trusts it as runtime.
 	engine bool
 }
 

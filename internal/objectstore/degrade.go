@@ -3,6 +3,7 @@ package objectstore
 import (
 	"errors"
 	"fmt"
+	"net/http"
 
 	"scoop/internal/storlet"
 )
@@ -79,6 +80,14 @@ func PushdownUnavailableReason(err error) string {
 	default:
 		return "unavailable"
 	}
+}
+
+// permanentRefusal reports whether resp refuses a pushdown for a reason no
+// retry changes: the filter is not deployed, or the container's policy
+// forbids pushdown. The connector falls back at once instead.
+func permanentRefusal(resp *http.Response) bool {
+	reason := resp.Header.Get(HeaderPushdownUnavailable)
+	return resp.StatusCode == http.StatusServiceUnavailable && (reason == "not-deployed" || reason == "disabled")
 }
 
 // pushdownUnavailableErr rebuilds the typed error from the wire reason.

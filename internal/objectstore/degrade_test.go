@@ -8,9 +8,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"scoop/internal/metrics"
 	"scoop/internal/pushdown"
 	"scoop/internal/storlet"
 )
@@ -231,5 +233,61 @@ func TestRetryAfterPacingCapped(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("Retry-After was not capped: took %v", elapsed)
+	}
+}
+
+// A pushdown refused as not-deployed or disabled is final: under the default
+// retry policy the client answers at once, without a retry, and the
+// connector falls back.
+func TestPermanentPushdownRefusalNotRetried(t *testing.T) {
+	_, cl := newHTTPStore(t)
+	cl.Metrics = metrics.NewRegistry()
+	ctx := context.Background()
+	_ = cl.CreateContainer(ctx, "gp", "meters", nil)
+	if err := cl.CreateContainer(ctx, "gp", "locked", &ContainerPolicy{DisablePushdown: true}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ container, filter, reason string }{
+		{"meters", "ghost", "not-deployed"},
+		{"locked", "csv", "disabled"},
+	} {
+		if _, err := cl.PutObject(ctx, "gp", c.container, "o.csv", strings.NewReader(meterCSV), nil); err != nil {
+			t.Fatal(err)
+		}
+		before := cl.Metrics.Counter("client.retries").Load()
+		start := time.Now()
+		_, _, err := cl.GetObject(ctx, "gp", c.container, "o.csv",
+			GetOptions{Pushdown: []*pushdown.Task{{Filter: c.filter}}})
+		took := time.Since(start)
+		if !IsPushdownUnavailable(err) || !strings.Contains(err.Error(), c.reason) {
+			t.Fatalf("%s: err = %v, want a %s refusal", c.reason, err, c.reason)
+		}
+		if n := cl.Metrics.Counter("client.retries").Load() - before; n != 0 || took > 500*time.Millisecond {
+			t.Errorf("%s: %d retries in %v, want none", c.reason, n, took)
+		}
+	}
+}
+
+// The refusals a later attempt may not meet stay retriable.
+func TestTransientPushdownRefusalRetried(t *testing.T) {
+	for _, reason := range []string{"overloaded", "breaker-open", "filter-failed"} {
+		var hits atomic.Int64
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			hits.Add(1)
+			w.Header().Set(HeaderPushdownUnavailable, reason)
+			http.Error(w, reason, http.StatusServiceUnavailable)
+		}))
+		c := NewHTTPClient(srv.URL)
+		c.Retry = fastRetry()
+		resp, err := c.doRetry(context.Background(), http.MethodGet, true, func() (*http.Request, error) {
+			return http.NewRequestWithContext(context.Background(), http.MethodGet, srv.URL, nil)
+		})
+		if err == nil {
+			resp.Body.Close()
+		}
+		srv.Close()
+		if want := int64(c.Retry.withDefaults().MaxAttempts); hits.Load() != want {
+			t.Errorf("%s: server saw %d requests, want %d", reason, hits.Load(), want)
+		}
 	}
 }

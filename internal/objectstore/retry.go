@@ -109,8 +109,9 @@ func retriableStatus(code int) bool {
 // must return a fresh *http.Request on every call (bodies are consumed by
 // failed attempts). Requests are retried only when the verb is idempotent
 // AND the body is replayable; retriable failures are transport errors and
-// retriable statuses. The final attempt's response is returned as-is so the
-// caller's status handling still applies.
+// retriable statuses, except a permanent pushdown refusal. The final
+// attempt's response is returned as-is so the caller's status handling
+// still applies.
 func (c *HTTPClient) doRetry(ctx context.Context, method string, replayable bool, build func() (*http.Request, error)) (*http.Response, error) {
 	p := c.Retry.withDefaults()
 	attempts := p.MaxAttempts
@@ -149,7 +150,7 @@ func (c *HTTPClient) doRetry(ctx context.Context, method string, replayable bool
 			}
 			continue
 		}
-		if retriableStatus(resp.StatusCode) && try < attempts-1 {
+		if retriableStatus(resp.StatusCode) && try < attempts-1 && !permanentRefusal(resp) {
 			lastErr = fmt.Errorf("objectstore: http %d on %s %s", resp.StatusCode, method, req.URL.Path)
 			retryAfter = retryAfterHint(resp)
 			drainClose(resp.Body)

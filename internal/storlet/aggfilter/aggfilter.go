@@ -91,7 +91,6 @@ func (f *Filter) Invoke(ctx *storlet.Context, in io.Reader, out io.Writer) error
 	defer storlet.ReleaseWriter(bw)
 	t := &table{spec: spec, schema: schema, index: make(map[string]*group)}
 	var sc csvio.FieldScanner
-	rows, records := 0, 0
 	for {
 		rec, err := rr.Next()
 		if err != nil {
@@ -100,20 +99,16 @@ func (f *Filter) Invoke(ctx *storlet.Context, in io.Reader, out io.Writer) error
 			}
 			return fmt.Errorf("aggfilter: read: %w", err)
 		}
-		rows++
 		t.fold(sc.Scan(rec, csvio.DefaultDelimiter))
 		if len(t.order) == maxGroups {
-			records += maxGroups
 			if err := t.flush(bw); err != nil {
 				return err
 			}
 		}
 	}
-	records += len(t.order)
 	if err := t.flush(bw); err != nil {
 		return err
 	}
-	ctx.Logf("aggfilter: %d rows in, %d records out", rows, records)
 	return bw.Flush()
 }
 

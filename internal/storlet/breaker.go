@@ -149,20 +149,6 @@ func (b *breaker) record(err error, probe, countable bool) {
 	}
 }
 
-// stateName reports the current state for diagnostics.
-func (b *breaker) stateName() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.state {
-	case breakerOpen:
-		return "open"
-	case breakerHalfOpen:
-		return "half-open"
-	default:
-		return "closed"
-	}
-}
-
 func (b *breaker) openCount() int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -47,11 +47,9 @@ func (*Filter) Invoke(ctx *storlet.Context, in io.Reader, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	n, err := io.Copy(fw, in)
-	if err != nil {
+	if _, err := io.Copy(fw, in); err != nil {
 		return fmt.Errorf("compress: %w", err)
 	}
-	ctx.Logf("compress: %d bytes in", n)
 	return fw.Close()
 }
 

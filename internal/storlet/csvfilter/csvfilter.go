@@ -75,7 +75,6 @@ func (f *Filter) Invoke(ctx *storlet.Context, in io.Reader, out io.Writer) error
 	defer storlet.ReleaseWriter(bw)
 	projected := make([][]byte, len(c.Project))
 	skippedHeader := !c.Header || ctx.RangeStart > 0
-	rows, kept := 0, 0
 	// The per-record loop: everything below runs once per CSV record, so it
 	// must stay allocation-free — setup above is per-invocation and exempt.
 	//scoop:hotpath
@@ -91,14 +90,12 @@ func (f *Filter) Invoke(ctx *storlet.Context, in io.Reader, out io.Writer) error
 			skippedHeader = true
 			continue
 		}
-		rows++
 		// A rejected record is read only as far as the column of the
 		// conjunct that rejects it, a kept one is split as far as its last
 		// projected column, a passthrough record not at all.
 		if !c.Match.MatchRecord(rec, c.Delim, sc) {
 			continue
 		}
-		kept++
 		if c.Project == nil {
 			// No projection: emit the record verbatim.
 			if _, err := bw.Write(rec); err != nil {
@@ -117,7 +114,6 @@ func (f *Filter) Invoke(ctx *storlet.Context, in io.Reader, out io.Writer) error
 			return err
 		}
 	}
-	ctx.Logf("csvfilter: range [%d,%d): %d rows in, %d rows out", ctx.RangeStart, ctx.RangeEnd, rows, kept)
 	return bw.Flush()
 }
 

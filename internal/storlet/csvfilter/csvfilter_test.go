@@ -202,7 +202,7 @@ func TestEngineIntegration(t *testing.T) {
 		Columns:    []string{"vid"},
 		Predicates: []pushdown.Predicate{{Column: "state", Op: pushdown.OpLike, Value: "U%"}}}
 	ctx := &storlet.Context{Task: task, RangeEnd: int64(len(testData)), ObjectSize: int64(len(testData))}
-	rc, err := e.Run(ctx, strings.NewReader(testData))
+	rc, err := e.RunChain(ctx, []*pushdown.Task{task}, strings.NewReader(testData))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func blocking(name string, release <-chan struct{}) Filter {
 func occupySlot(t *testing.T, e *Engine, name string) {
 	t.Helper()
 	ctx := &Context{Task: &pushdown.Task{Filter: name}}
-	rc, err := e.Run(ctx, strings.NewReader("x"))
+	rc, err := e.RunChain(ctx, []*pushdown.Task{ctx.Task}, strings.NewReader("x"))
 	if err != nil {
 		t.Fatalf("occupy slot: %v", err)
 	}
@@ -172,7 +172,7 @@ func TestQueueAbortOnContextCancel(t *testing.T) {
 	got := make(chan error, 1)
 	go func() {
 		ctx := &Context{Ctx: cctx, Task: &pushdown.Task{Filter: "upper"}}
-		_, err := e.Run(ctx, strings.NewReader("x"))
+		_, err := e.RunChain(ctx, []*pushdown.Task{ctx.Task}, strings.NewReader("x"))
 		got <- err
 	}()
 	for i := 0; e.waiting.Load() == 0 && i < 1000; i++ {
@@ -208,7 +208,7 @@ func TestSlotWaitGoroutineLeak(t *testing.T) {
 			errc := make(chan error, 1)
 			go func() {
 				ctx := &Context{Ctx: cctx, Task: &pushdown.Task{Filter: "upper"}}
-				_, err := e.Run(ctx, strings.NewReader("x"))
+				_, err := e.RunChain(ctx, []*pushdown.Task{ctx.Task}, strings.NewReader("x"))
 				errc <- err
 			}()
 			// The caller walks away: cancel and never touch the stream.
@@ -257,7 +257,7 @@ func TestBreakerOpensProbesRecloses(t *testing.T) {
 			t.Fatal("scripted failure did not surface")
 		}
 	}
-	if st := e.BreakerState("flaky"); st != "open" {
+	if st := breakerState(e, "flaky"); st != "open" {
 		t.Fatalf("state after threshold = %q, want open", st)
 	}
 	if s := e.StatsFor("flaky"); s.BreakerOpens != 1 {
@@ -297,7 +297,7 @@ func TestBreakerOpensProbesRecloses(t *testing.T) {
 	if !healed {
 		t.Fatal("breaker never admitted the healing probe")
 	}
-	if st := e.BreakerState("flaky"); st != "closed" {
+	if st := breakerState(e, "flaky"); st != "closed" {
 		t.Fatalf("state after healed probe = %q, want closed", st)
 	}
 	if _, err := runTask(t, e, "flaky", "x"); err != nil {
@@ -359,10 +359,31 @@ func TestBreakerRefusalNotCountedAgainstChainPropagation(t *testing.T) {
 	if _, err := e.RunChain(base, tasks, strings.NewReader("x")); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("want ErrBreakerOpen starting third chain, got %v", err)
 	}
-	if st := e.BreakerState("upper"); st != "closed" {
+	if st := breakerState(e, "upper"); st != "closed" {
 		t.Fatalf("upper's breaker = %q, want closed (propagated failures are uncountable)", st)
 	}
-	if st := e.BreakerState("flaky"); st != "open" {
+	if st := breakerState(e, "flaky"); st != "open" {
 		t.Fatalf("flaky's breaker = %q, want open", st)
+	}
+}
+
+// breakerState reports a filter's circuit-breaker state: "closed", "open" or
+// "half-open". A filter without a breaker reports "closed".
+func breakerState(e *Engine, name string) string {
+	e.mu.RLock()
+	br := e.breakers[name]
+	e.mu.RUnlock()
+	if br == nil {
+		return "closed"
+	}
+	br.mu.Lock()
+	defer br.mu.Unlock()
+	switch br.state {
+	case breakerOpen:
+		return "open"
+	case breakerHalfOpen:
+		return "half-open"
+	default:
+		return "closed"
 	}
 }

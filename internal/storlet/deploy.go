@@ -3,7 +3,6 @@ package storlet
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 
 	"scoop/internal/pushdown"
 )
@@ -13,8 +12,10 @@ import (
 // cannot load code at runtime, so filters are compiled in and registered
 // once (the sandbox images of real Storlets), and a *manifest* — a JSON
 // document stored as a regular object — deploys a named pipeline of
-// already-deployed filters (a macro) at runtime, without touching the
-// store's code. Tenants then invoke the pipeline as a single pushdown task.
+// deployed filters and pipelines (a macro) at runtime, without touching the
+// store's code. Tenants then invoke the pipeline as a single pushdown task,
+// which the engine expands into the pipeline's steps: a pipeline is a name
+// for a flat list of tasks, not a filter.
 
 // Manifest is the deployable description of a pipeline.
 type Manifest struct {
@@ -22,8 +23,8 @@ type Manifest struct {
 	Name string `json:"name"`
 	// Type is "pipeline" or empty; any other type is refused.
 	Type string `json:"type"`
-	// Chain holds the pipeline's steps: already-deployed filters with
-	// fixed options.
+	// Chain holds the pipeline's steps: deployed filters with fixed
+	// options, or pipelines deployed earlier, which deploy inlines.
 	Chain []ChainStep `json:"chain,omitempty"`
 }
 
@@ -54,64 +55,75 @@ func (e *Engine) DeployManifest(data []byte) error {
 	return e.deployPipeline(m)
 }
 
-// deployPipeline registers a named macro filter that runs a fixed chain of
-// already-deployed filters.
+// deployPipeline deploys m's steps as a flat task list. A step naming a
+// pipeline deployed earlier is replaced by that pipeline's steps, already
+// flat, with the step's options merged into the first of them, as at
+// invocation. Steps that lead back to m are refused, so every cycle is
+// refused at the deploy that would close it.
 func (e *Engine) deployPipeline(m Manifest) error {
 	if len(m.Chain) == 0 {
 		return fmt.Errorf("storlet: pipeline %q has no steps", m.Name)
 	}
-	tasks := make([]*pushdown.Task, len(m.Chain))
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if _, dup := e.filters[m.Name]; dup {
+		return fmt.Errorf("%w: %q", ErrAlreadyDeployed, m.Name)
+	}
+	var steps []*pushdown.Task
 	for i, step := range m.Chain {
 		if step.Filter == "" {
 			return fmt.Errorf("storlet: pipeline %q step %d missing filter", m.Name, i)
 		}
-		tasks[i] = &pushdown.Task{
+		task := &pushdown.Task{
 			Filter:     step.Filter,
 			Options:    step.Options,
 			Columns:    step.Columns,
 			Predicates: step.Predicates,
 			Schema:     step.Schema,
 		}
-		if err := tasks[i].Validate(); err != nil {
+		if err := task.Validate(); err != nil {
 			return fmt.Errorf("storlet: pipeline %q step %d: %w", m.Name, i, err)
 		}
+		steps = appendStep(steps, task, e.filters[task.Filter].steps)
 	}
-	return e.Register(&pipelineFilter{name: m.Name, engine: e, tasks: tasks})
+	if e.reaches(steps, m.Name) {
+		return fmt.Errorf("storlet: pipeline %q leads back to itself", m.Name)
+	}
+	e.filters[m.Name] = entry{steps: steps}
+	return nil
 }
 
-// pipelineFilter invokes a fixed chain through its engine.
-type pipelineFilter struct {
-	name   string
-	engine *Engine
-	tasks  []*pushdown.Task
+// reaches reports whether steps name name, directly or through the steps of
+// pipelines they name: a step naming a pipeline deployed after the one
+// holding it is not inlined. Each deploy refuses the cycle it would close,
+// so the walk ends. Caller holds e.mu.
+func (e *Engine) reaches(steps []*pushdown.Task, name string) bool {
+	for _, step := range steps {
+		if step.Filter == name || e.reaches(e.filters[step.Filter].steps, name) {
+			return true
+		}
+	}
+	return false
 }
 
-// Name implements Filter.
-func (p *pipelineFilter) Name() string { return p.name }
-
-// Invoke implements Filter by running the fixed chain. The invocation-time
-// task's options are merged into the FIRST step (so callers can still tune
-// a deployed pipeline per request).
-func (p *pipelineFilter) Invoke(ctx *Context, in io.Reader, out io.Writer) error {
-	tasks := make([]*pushdown.Task, len(p.tasks))
-	copy(tasks, p.tasks)
-	if ctx.Task != nil && len(ctx.Task.Options) > 0 {
-		first := *tasks[0]
-		merged := make(map[string]string, len(first.Options)+len(ctx.Task.Options))
+// appendStep appends task to a chain: task itself, or, when task names a
+// pipeline, that pipeline's steps with task's options merged into the first.
+func appendStep(chain []*pushdown.Task, task *pushdown.Task, pipeline []*pushdown.Task) []*pushdown.Task {
+	if pipeline == nil {
+		return append(chain, task)
+	}
+	first := pipeline[0]
+	if len(task.Options) > 0 {
+		merged := *first
+		merged.Options = make(map[string]string, len(first.Options)+len(task.Options))
 		for k, v := range first.Options {
-			merged[k] = v
+			merged.Options[k] = v
 		}
-		for k, v := range ctx.Task.Options {
-			merged[k] = v
+		for k, v := range task.Options {
+			merged.Options[k] = v
 		}
-		first.Options = merged
-		tasks[0] = &first
+		first = &merged
 	}
-	rc, err := p.engine.RunChain(ctx, tasks, in)
-	if err != nil {
-		return err
-	}
-	defer rc.Close()
-	_, err = io.Copy(out, rc)
-	return err
+	chain = append(chain, first)
+	return append(chain, pipeline[1:]...)
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"time"
 
 	"scoop/internal/pushdown"
 )
@@ -97,7 +98,7 @@ func TestPipelineManifestPropagatesContext(t *testing.T) {
 		Task:     &pushdown.Task{Filter: "p"},
 		RangeEnd: 2, ObjectSize: 2,
 	}
-	rc, err := e.Run(ctx, strings.NewReader("ok"))
+	rc, err := e.RunChain(ctx, []*pushdown.Task{ctx.Task}, strings.NewReader("ok"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestDeployPipelineManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := &Context{Task: &pushdown.Task{Filter: "shout-backwards"}, RangeEnd: 3, ObjectSize: 3}
-	rc, err := e.Run(ctx, strings.NewReader("abc"))
+	rc, err := e.RunChain(ctx, []*pushdown.Task{ctx.Task}, strings.NewReader("abc"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestPipelineOptionMerge(t *testing.T) {
 		Task:     &pushdown.Task{Filter: "macro", Options: map[string]string{"var": "V"}},
 		RangeEnd: 1, ObjectSize: 1,
 	}
-	rc, err := e.Run(ctx, strings.NewReader("x"))
+	rc, err := e.RunChain(ctx, []*pushdown.Task{ctx.Task}, strings.NewReader("x"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,5 +161,94 @@ func TestPipelineOptionMerge(t *testing.T) {
 	rc.Close()
 	if string(b) != "F/V" {
 		t.Errorf("got %q", b)
+	}
+}
+
+// A deployed pipeline runs as the stages of the one chain that names it: it
+// holds the chain's one slot, and its steps' filters do the accounting.
+func TestPipelineTakesOneSlot(t *testing.T) {
+	e := newTestEngine(t, Limits{MaxConcurrent: 1, QueueWait: 200 * time.Millisecond}, upper)
+	if err := e.DeployManifest([]byte(`{"name": "p", "chain": [{"filter": "upper"}]}`)); err != nil {
+		t.Fatal(err)
+	}
+	in := io.NopCloser(strings.NewReader("hi"))
+	rc, err := e.Open(context.Background(), []*pushdown.Task{{Filter: "p"}}, in, 0, 2, 2)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	b, err := io.ReadAll(rc)
+	rc.Close()
+	if err != nil || string(b) != "HI" {
+		t.Fatalf("read = %q, %v; want HI", b, err)
+	}
+	if s := e.StatsFor("upper"); s.Invocations != 1 || s.Rejections != 0 {
+		t.Errorf("upper stats = %+v, want 1 invocation, 0 rejections", s)
+	}
+	if s := e.StatsFor("p"); s.Invocations != 0 {
+		t.Errorf("pipeline stats = %+v, want no invocations of its own", s)
+	}
+	if f, ok := e.Get("p"); !ok || f != nil {
+		t.Errorf("Get(p) = %v, %v; want a deployed name without a filter", f, ok)
+	}
+}
+
+func TestDeployRefusesCycles(t *testing.T) {
+	e := newTestEngine(t, Limits{}, upper)
+	if err := e.DeployManifest([]byte(`{"name": "self", "chain": [{"filter": "upper"}, {"filter": "self"}]}`)); err == nil {
+		t.Error("self-referencing pipeline deployed")
+	}
+	// A two-cycle and a three-cycle, each closed by its last deploy.
+	for _, cycle := range [][]string{{"a", "b"}, {"x", "y", "z"}} {
+		for i, name := range cycle {
+			next := cycle[(i+1)%len(cycle)]
+			err := e.DeployManifest([]byte(fmt.Sprintf(`{"name": %q, "chain": [{"filter": %q}]}`, name, next)))
+			if closes := i == len(cycle)-1; closes != (err != nil) {
+				t.Errorf("deploy %s -> %s: err = %v, want refused only when it closes the cycle %v", name, next, err, cycle)
+			}
+		}
+	}
+	for _, name := range []string{"self", "b", "z"} {
+		if _, ok := e.Get(name); ok {
+			t.Errorf("refused pipeline %q is deployed", name)
+		}
+	}
+}
+
+func TestPipelineOfPipelineIsInlined(t *testing.T) {
+	e := newTestEngine(t, Limits{}, upper, reverse)
+	for _, m := range []string{
+		`{"name": "shout", "chain": [{"filter": "upper"}]}`,
+		`{"name": "shout-backwards", "chain": [{"filter": "shout"}, {"filter": "reverse"}]}`,
+	} {
+		if err := e.DeployManifest([]byte(m)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, err := runTask(t, e, "shout-backwards", "abc"); err != nil || got != "CBA" {
+		t.Fatalf("got %q, %v; want CBA", got, err)
+	}
+	if s := e.StatsFor("upper"); s.Invocations != 1 {
+		t.Errorf("upper invocations = %d, want 1", s.Invocations)
+	}
+}
+
+// A step naming a pipeline deployed after the pipeline holding it is not
+// expanded a second time: the chain is refused before any stage starts.
+func TestPipelineForwardReferenceRefused(t *testing.T) {
+	e := newTestEngine(t, Limits{}, upper)
+	for _, m := range []string{
+		`{"name": "outer", "chain": [{"filter": "upper"}, {"filter": "inner"}]}`,
+		`{"name": "inner", "chain": [{"filter": "upper"}]}`,
+	} {
+		if err := e.DeployManifest([]byte(m)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rc, err := e.RunChain(&Context{RangeEnd: 1, ObjectSize: 1}, []*pushdown.Task{{Filter: "outer"}}, strings.NewReader("x"))
+	if rc != nil || !errors.Is(err, ErrNotDeployed) || !strings.Contains(err.Error(), `"inner" is a pipeline`) {
+		t.Fatalf("forward reference: rc = %v, err = %v; want ErrNotDeployed naming inner, and no stream", rc, err)
+	}
+	if s := e.StatsFor("upper"); s.Invocations != 0 {
+		t.Errorf("upper invocations = %d, want 0 (refused before any stage)", s.Invocations)
 	}
 }

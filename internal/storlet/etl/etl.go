@@ -59,7 +59,6 @@ func (*Cleanse) Invoke(ctx *storlet.Context, in io.Reader, out io.Writer) error 
 	bw := storlet.AcquireWriter(out)
 	defer storlet.ReleaseWriter(bw)
 	var sc csvio.FieldScanner
-	total, dropped := 0, 0
 	for {
 		rec, err := rr.Next()
 		if errors.Is(err, io.EOF) {
@@ -68,10 +67,8 @@ func (*Cleanse) Invoke(ctx *storlet.Context, in io.Reader, out io.Writer) error 
 		if err != nil {
 			return err
 		}
-		total++
 		fields := sc.Scan(rec, csvio.DefaultDelimiter)
 		if len(fields) != want {
-			dropped++
 			continue
 		}
 		ok := true
@@ -85,14 +82,12 @@ func (*Cleanse) Invoke(ctx *storlet.Context, in io.Reader, out io.Writer) error 
 			}
 		}
 		if !ok {
-			dropped++
 			continue
 		}
 		if err := csvio.WriteRecord(bw, fields, csvio.DefaultDelimiter); err != nil {
 			return err
 		}
 	}
-	ctx.Logf("etl-cleanse: %d records, %d dropped", total, dropped)
 	return bw.Flush()
 }
 

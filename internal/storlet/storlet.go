@@ -44,15 +44,6 @@ type Context struct {
 	RangeStart, RangeEnd int64
 	// ObjectSize is the total size of the stored object.
 	ObjectSize int64
-	// Log records diagnostic lines (the StorletLogger analog).
-	Log func(format string, args ...any)
-}
-
-// Logf logs through ctx.Log when set.
-func (c *Context) Logf(format string, args ...any) {
-	if c.Log != nil {
-		c.Log(format, args...)
-	}
 }
 
 // Filter is the storlet interface (the paper's IStorlet.invoke): transform
@@ -125,8 +116,9 @@ type Limits struct {
 // piece that makes the object store "rich and extensible" (paper §I): new
 // filters can be deployed at runtime without touching the store.
 type Engine struct {
-	mu       sync.RWMutex
-	filters  map[string]Filter
+	mu sync.RWMutex
+	// filters is the one namespace of deployed filters and pipelines.
+	filters  map[string]entry
 	stats    map[string]*Stats
 	breakers map[string]*breaker
 	limits   Limits
@@ -136,10 +128,17 @@ type Engine struct {
 	waiting atomic.Int64
 }
 
+// entry is one deployed name: a filter, or a pipeline's flat steps, which
+// RunChain runs in its place.
+type entry struct {
+	filter Filter
+	steps  []*pushdown.Task
+}
+
 // NewEngine returns an engine with the given limits.
 func NewEngine(limits Limits) *Engine {
 	e := &Engine{
-		filters:  make(map[string]Filter),
+		filters:  make(map[string]entry),
 		stats:    make(map[string]*Stats),
 		breakers: make(map[string]*breaker),
 		limits:   limits,
@@ -165,12 +164,12 @@ func (e *Engine) Register(f Filter) error {
 	if _, dup := e.filters[f.Name()]; dup {
 		return fmt.Errorf("%w: %q", ErrAlreadyDeployed, f.Name())
 	}
-	e.filters[f.Name()] = f
+	e.filters[f.Name()] = entry{filter: f}
 	e.stats[f.Name()] = &Stats{}
 	return nil
 }
 
-// Unregister removes a deployed filter.
+// Unregister removes a deployed filter or pipeline.
 func (e *Engine) Unregister(name string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -181,15 +180,16 @@ func (e *Engine) Unregister(name string) error {
 	return nil
 }
 
-// Get looks up a deployed filter.
+// Get looks up a deployed name. A pipeline is deployed without a Filter of
+// its own: its Filter is nil.
 func (e *Engine) Get(name string) (Filter, bool) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	f, ok := e.filters[name]
-	return f, ok
+	d, ok := e.filters[name]
+	return d.filter, ok
 }
 
-// Names returns the deployed filter names, sorted.
+// Names returns the deployed filter and pipeline names, sorted.
 func (e *Engine) Names() []string {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -215,19 +215,6 @@ func (e *Engine) StatsFor(name string) Stats {
 		out.BreakerOpens = br.openCount()
 	}
 	return out
-}
-
-// BreakerState reports the circuit-breaker state for a filter: "closed",
-// "open", or "half-open". A filter without a breaker (policy disabled or
-// never invoked) reports "closed".
-func (e *Engine) BreakerState(name string) string {
-	e.mu.RLock()
-	br := e.breakers[name]
-	e.mu.RUnlock()
-	if br == nil {
-		return "closed"
-	}
-	return br.stateName()
 }
 
 // breakerFor returns the filter's breaker, creating it on first use, or nil
@@ -312,31 +299,15 @@ func (e *Engine) acquire(rctx context.Context) error {
 	}
 }
 
-// Run executes the task's filter over in, returning the filtered stream.
-// The filter runs in its own goroutine (the sandbox); a panic, timeout or
-// output overrun surfaces as a *FilterError from the returned reader. The
-// caller must drain and close the returned reader. Admission failures —
-// ErrOverloaded, ErrBreakerOpen, ErrNotDeployed — are returned up-front,
-// before any byte is produced.
-func (e *Engine) Run(ctx *Context, in io.Reader) (io.ReadCloser, error) {
-	return e.run(ctx, in, nil)
-}
-
-// run invokes one stage. upstream is nil for a chain's first stage, which
-// alone takes a slot: a pipelined chain counts as ONE request against
-// MaxConcurrent (its stages must run concurrently or the pipe between them
-// deadlocks). A later stage reads the previous stage's output, upstream, and
-// closes it when its filter returns, so a previous stage blocked on a write
-// ends too.
-func (e *Engine) run(ctx *Context, in io.Reader, upstream io.Closer) (io.ReadCloser, error) {
-	if ctx == nil || ctx.Task == nil {
-		return nil, errors.New("storlet: nil context or task")
-	}
+// run invokes one stage, f, in its own goroutine (the sandbox); a panic,
+// timeout or output overrun surfaces as a *FilterError from the returned
+// reader. upstream is nil for a chain's first stage, which alone takes a
+// slot: a pipelined chain counts as ONE request against MaxConcurrent (its
+// stages must run concurrently or the pipe between them deadlocks). A later
+// stage reads the previous stage's output, upstream, and closes it when its
+// filter returns, so a previous stage blocked on a write ends too.
+func (e *Engine) run(ctx *Context, f Filter, in io.Reader, upstream io.Closer) (io.ReadCloser, error) {
 	name := ctx.Task.Filter
-	f, ok := e.Get(name)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNotDeployed, name)
-	}
 	br := e.breakerFor(name)
 	var probe bool
 	if br != nil {
@@ -363,14 +334,25 @@ func (e *Engine) run(ctx *Context, in io.Reader, upstream io.Closer) (io.ReadClo
 	cin := &countingReader{r: in}
 	cout := &countingWriter{w: pw, max: e.limits.MaxOutputBytes}
 	start := time.Now()
-	done := make(chan struct{})
 	var timedOut atomic.Bool
+	var timer *time.Timer
+	if e.limits.Timeout > 0 {
+		// Closing only the write side delivers the timeout error to the
+		// reader (CloseWithError on the read side would mask it with
+		// ErrClosedPipe) and makes the runaway filter's next write fail.
+		timer = time.AfterFunc(e.limits.Timeout, func() {
+			timedOut.Store(true)
+			pw.CloseWithError(timeoutError(name, e.limits.Timeout))
+		})
+	}
 	go func() {
-		defer close(done)
 		if holdsSlot {
 			defer func() { <-e.slots }()
 		}
 		err := invokeSafely(f, ctx, cin, cout)
+		if timer != nil {
+			timer.Stop()
+		}
 		if upstream != nil {
 			upstream.Close()
 		}
@@ -386,19 +368,6 @@ func (e *Engine) run(ctx *Context, in io.Reader, upstream io.Closer) (io.ReadClo
 		}
 		pw.CloseWithError(err)
 	}()
-	if e.limits.Timeout > 0 {
-		// Closing only the write side delivers the timeout error to the
-		// reader (CloseWithError on the read side would mask it with
-		// ErrClosedPipe) and makes the runaway filter's next write fail.
-		timer := time.AfterFunc(e.limits.Timeout, func() {
-			timedOut.Store(true)
-			pw.CloseWithError(timeoutError(name, e.limits.Timeout))
-		})
-		go func() {
-			<-done
-			timer.Stop()
-		}()
-	}
 	return pr, nil
 }
 
@@ -442,23 +411,31 @@ func countableFailure(name string, err error) bool {
 // first reads.
 const Unbounded = int64(1) << 62
 
-// RunChain pipes in through each task's filter in order (pipelining). Every
-// stage gets its own sandbox goroutine; ranges apply to the first stage only
-// (later stages see the previous stage's output, not raw object bytes). The
-// chain never closes in; Open is the entry point that owns it.
+// RunChain pipes in through each task's filter in order (pipelining). A task
+// naming a pipeline is expanded into the pipeline's steps, once, with the
+// task's options merged into the first step. Every stage gets its own
+// sandbox goroutine; the chain takes one slot; ranges apply to the first
+// stage only (later stages see the previous stage's output, not raw object
+// bytes). A task naming no deployed filter, or a step naming a pipeline
+// deployed after the pipeline holding it, is refused with ErrNotDeployed
+// before any stage starts. The chain never closes in; it is Open's body.
 func (e *Engine) RunChain(base *Context, tasks []*pushdown.Task, in io.Reader) (io.ReadCloser, error) {
-	if len(tasks) == 0 {
-		return nil, errors.New("storlet: empty task chain")
+	if base == nil {
+		return nil, errors.New("storlet: nil context")
+	}
+	chain, filters, err := e.expand(tasks)
+	if err != nil {
+		return nil, err
 	}
 	var cur io.ReadCloser // the previous stage's output
-	for i, task := range tasks {
-		ctx := &Context{Ctx: base.Ctx, Task: task, RangeEnd: Unbounded, ObjectSize: base.ObjectSize, Log: base.Log}
+	for i, task := range chain {
+		ctx := &Context{Ctx: base.Ctx, Task: task, RangeEnd: Unbounded, ObjectSize: base.ObjectSize}
 		var src io.Reader = cur
 		if i == 0 {
 			ctx.RangeStart, ctx.RangeEnd = base.RangeStart, base.RangeEnd
 			src = in
 		}
-		next, err := e.run(ctx, src, cur)
+		next, err := e.run(ctx, filters[i], src, cur)
 		if err != nil {
 			if cur != nil {
 				cur.Close()
@@ -468,6 +445,33 @@ func (e *Engine) RunChain(base *Context, tasks []*pushdown.Task, in io.Reader) (
 		cur = next
 	}
 	return cur, nil
+}
+
+// expand resolves tasks into the chain's steps and the filter each runs.
+func (e *Engine) expand(tasks []*pushdown.Task) ([]*pushdown.Task, []Filter, error) {
+	if len(tasks) == 0 {
+		return nil, nil, errors.New("storlet: empty task chain")
+	}
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	chain := make([]*pushdown.Task, 0, len(tasks))
+	for _, task := range tasks {
+		if task == nil {
+			return nil, nil, errors.New("storlet: nil task")
+		}
+		chain = appendStep(chain, task, e.filters[task.Filter].steps)
+	}
+	filters := make([]Filter, len(chain))
+	for i, task := range chain {
+		d := e.filters[task.Filter]
+		if d.steps != nil {
+			return nil, nil, fmt.Errorf("%w: %q is a pipeline deployed after the pipeline naming it", ErrNotDeployed, task.Filter)
+		}
+		if filters[i] = d.filter; filters[i] == nil {
+			return nil, nil, fmt.Errorf("%w: %q", ErrNotDeployed, task.Filter)
+		}
+	}
+	return chain, filters, nil
 }
 
 // Open runs tasks as one chain over in: the first stage keeps the records

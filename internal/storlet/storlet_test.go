@@ -65,7 +65,7 @@ func runTask(t *testing.T, e *Engine, filter, input string) (string, error) {
 		Task:     &pushdown.Task{Filter: filter},
 		RangeEnd: int64(len(input)), ObjectSize: int64(len(input)),
 	}
-	rc, err := e.Run(ctx, strings.NewReader(input))
+	rc, err := e.RunChain(ctx, []*pushdown.Task{ctx.Task}, strings.NewReader(input))
 	if err != nil {
 		return "", err
 	}
@@ -114,13 +114,13 @@ func TestRegisterValidation(t *testing.T) {
 func TestRunUnknownFilter(t *testing.T) {
 	e := NewEngine(Limits{})
 	ctx := &Context{Task: &pushdown.Task{Filter: "ghost"}}
-	if _, err := e.Run(ctx, strings.NewReader("x")); err == nil {
+	if _, err := e.RunChain(ctx, []*pushdown.Task{ctx.Task}, strings.NewReader("x")); err == nil {
 		t.Error("unknown filter should fail")
 	}
-	if _, err := e.Run(nil, strings.NewReader("x")); err == nil {
+	if _, err := e.RunChain(nil, []*pushdown.Task{{Filter: "upper"}}, strings.NewReader("x")); err == nil {
 		t.Error("nil context should fail")
 	}
-	if _, err := e.Run(&Context{}, strings.NewReader("x")); err == nil {
+	if _, err := e.RunChain(&Context{}, []*pushdown.Task{nil}, strings.NewReader("x")); err == nil {
 		t.Error("nil task should fail")
 	}
 }
@@ -198,19 +198,6 @@ func TestRunChainErrors(t *testing.T) {
 	}
 }
 
-func TestContextLogf(t *testing.T) {
-	var lines []string
-	ctx := &Context{Log: func(format string, args ...any) {
-		lines = append(lines, fmt.Sprintf(format, args...))
-	}}
-	ctx.Logf("n=%d", 3)
-	if len(lines) != 1 || lines[0] != "n=3" {
-		t.Errorf("lines = %v", lines)
-	}
-	// Nil logger must not crash.
-	(&Context{}).Logf("ignored")
-}
-
 func TestStatsForUnknown(t *testing.T) {
 	e := NewEngine(Limits{})
 	if s := e.StatsFor("nope"); s.Invocations != 0 {
@@ -243,7 +230,7 @@ func TestMaxConcurrentLimitsParallelism(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			ctx := &Context{Task: &pushdown.Task{Filter: "slow"}, RangeEnd: 1, ObjectSize: 1}
-			rc, err := e.Run(ctx, strings.NewReader("x"))
+			rc, err := e.RunChain(ctx, []*pushdown.Task{ctx.Task}, strings.NewReader("x"))
 			if err != nil {
 				return
 			}
@@ -285,7 +272,7 @@ func TestConcurrentInvocations(t *testing.T) {
 				Task:     &pushdown.Task{Filter: "upper"},
 				RangeEnd: int64(len(input)), ObjectSize: int64(len(input)),
 			}
-			rc, err := e.Run(ctx, strings.NewReader(input))
+			rc, err := e.RunChain(ctx, []*pushdown.Task{ctx.Task}, strings.NewReader(input))
 			if err != nil {
 				done <- err
 				return
