@@ -302,6 +302,51 @@ type splitResult struct {
 	rows    int64
 }
 
+// iterator is a split's stream of rows, or of partial records' fields.
+type iterator[T any] interface {
+	Next() (T, error)
+	Close() error
+}
+
+// scanSplit opens a split's iterator and folds everything it yields, counting
+// the items in rows. The open returns once the response headers are in: the
+// task waits out the round trip without its worker slot.
+func scanSplit[T any, I iterator[T]](ctx context.Context, open func() (I, error), fold func(T) error, rows *int64) error {
+	var it I
+	opened := false
+	err := compute.Blocking(ctx, func() (err error) {
+		it, err = open()
+		opened = err == nil
+		return err
+	})
+	if opened {
+		defer it.Close()
+	}
+	if err != nil {
+		return err
+	}
+	for {
+		// The body read fails once ctx is cancelled; checking every
+		// 1 024 records keeps a job's tasks off the context's lock.
+		if *rows%1024 == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		r, err := it.Next()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		*rows++
+		if err := fold(r); err != nil {
+			return err
+		}
+	}
+}
+
 // analyze parses a SELECT, finds its table and plans the query over the
 // table's schema. The plan's aggregation stays at the compute side when the
 // table's delimiter is not the agg filter's comma, whatever the query's shape.
@@ -376,47 +421,20 @@ func (s *Scoop) Query(sql string, opts QueryOptions) (*Result, error) {
 			// Built here, not outside the closure, so that a retried task
 			// starts from an empty partial.
 			out := splitResult{partial: exec.NewPartial(p)}
-			var it exec.Iterator
-			fold := out.partial.Fold
+			var err error
 			if storeAgg {
-				fold = out.partial.MergeRecord
-			}
-			// The open returns once the response headers are in: the task
-			// waits out the round trip without its worker slot.
-			err := compute.Blocking(ctx, func() (err error) {
-				if storeAgg {
-					it, err = rel.ScanPartials(ctx, split, p.Required, p.Pushed, p.StoreAgg)
-				} else {
-					it, err = rel.ScanPrunedFiltered(ctx, split, p.Required, p.Pushed)
-				}
-				return err
-			})
-			if it != nil {
-				defer it.Close()
+				err = scanSplit(ctx, func() (exec.CellIterator, error) {
+					return rel.ScanPartials(ctx, split, p.Required, p.Pushed, p.StoreAgg)
+				}, out.partial.MergeCells, &out.rows)
+			} else {
+				err = scanSplit(ctx, func() (exec.Iterator, error) {
+					return rel.ScanPrunedFiltered(ctx, split, p.Required, p.Pushed)
+				}, out.partial.Fold, &out.rows)
 			}
 			if err != nil {
 				return nil, err
 			}
-			for {
-				// The body read fails once ctx is cancelled; checking every
-				// 1 024 records keeps a job's tasks off the context's lock.
-				if out.rows%1024 == 0 {
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
-				}
-				r, err := it.Next()
-				if err == io.EOF {
-					return out, nil
-				}
-				if err != nil {
-					return nil, err
-				}
-				out.rows++
-				if err := fold(r); err != nil {
-					return nil, err
-				}
-			}
+			return out, nil
 		}
 	}
 	results, cstats, err := s.driver.Run(qctx, tasks)

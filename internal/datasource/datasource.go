@@ -184,13 +184,13 @@ func (r *CSVRelation) ScanPrunedFiltered(ctx context.Context, split connector.Sp
 }
 
 // ScanPartials reads one split with the aggregation spec pushed to the store
-// as well: the chain is csv → agg, and the iterator yields the partial
-// records, one per group (see agg.Spec.Record), of the rows ScanPrunedFiltered
-// would have returned. Unlike a scan's rows, a record is only valid until the
-// next call of Next: exec.Partial.MergeRecord keeps nothing of it, so the
-// iterator fills one row over and over. Pushdown mode and the default
-// delimiter only.
-func (r *CSVRelation) ScanPartials(ctx context.Context, split connector.Split, columns []string, preds []pushdown.Predicate, spec *agg.Spec) (exec.Iterator, error) {
+// as well: the chain is csv → agg, and the iterator yields the fields of the
+// partial records, one per group (see agg.Spec.Record), of the rows
+// ScanPrunedFiltered would have returned. The fields are not typed:
+// exec.Partial.MergeCells reads them as the store wrote them and keeps
+// nothing of them, so they are only valid until the next call of Next.
+// Pushdown mode and the default delimiter only.
+func (r *CSVRelation) ScanPartials(ctx context.Context, split connector.Split, columns []string, preds []pushdown.Predicate, spec *agg.Spec) (exec.CellIterator, error) {
 	read, err := r.schema.Project(columns)
 	if err != nil {
 		return nil, err
@@ -207,8 +207,7 @@ func (r *CSVRelation) ScanPartials(ctx context.Context, split connector.Split, c
 	if err != nil {
 		return nil, err
 	}
-	it.reused = make(types.Row, record.Len())
-	return it, nil
+	return &cellIterator{csvIterator: it, cells: make([][]byte, record.Len())}, nil
 }
 
 // csvTask is the csv filter task that projects columns of the records that
@@ -279,9 +278,7 @@ type csvIterator struct {
 	sel        csvfilter.Selection
 	skipHeader bool
 	sc         csvio.FieldScanner
-	// reused, when set, is the row every Next fills and returns.
-	reused types.Row
-	closed bool
+	closed     bool
 }
 
 // Next implements exec.Iterator.
@@ -305,10 +302,7 @@ func (it *csvIterator) Next() (types.Row, error) {
 			continue
 		}
 		it.sc.Reset(rec, it.sel.Delim)
-		row := it.reused
-		if row == nil {
-			row = make(types.Row, it.schema.Len())
-		}
+		row := make(types.Row, it.schema.Len())
 		for i := range row {
 			idx := i
 			if it.sel.Project != nil {
@@ -319,6 +313,33 @@ func (it *csvIterator) Next() (types.Row, error) {
 		}
 		return row, nil
 	}
+}
+
+// cellIterator hands out the fields of the records of a stream the store
+// wrote, in one slice it refills: a record short of fields reads the missing
+// ones as empty, which is NULL.
+type cellIterator struct {
+	*csvIterator
+	cells [][]byte
+}
+
+// Next implements exec.CellIterator.
+func (it *cellIterator) Next() ([][]byte, error) {
+	if it.closed {
+		return nil, errClosed
+	}
+	rec, err := it.rr.Next()
+	if err != nil {
+		if errors.Is(err, io.EOF) {
+			return nil, io.EOF
+		}
+		return nil, err
+	}
+	it.sc.Reset(rec, it.sel.Delim)
+	for i := range it.cells {
+		it.cells[i], _ = it.sc.Field(i)
+	}
+	return it.cells, nil
 }
 
 // Close implements exec.Iterator.

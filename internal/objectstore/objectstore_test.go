@@ -618,3 +618,38 @@ func TestDeployFilterOnTheFly(t *testing.T) {
 		t.Errorf("got %q", got)
 	}
 }
+
+// A manifest naming a pipeline whose manifest object sorts after its own is
+// deployed after it, so the pipeline is inlined and the outer one runs.
+func TestDeployStorletsInDependencyOrder(t *testing.T) {
+	c := newTestCluster(t)
+	cl := c.Client()
+	upper := storlet.FilterFunc{FilterName: "upper", Fn: func(_ *storlet.Context, in io.Reader, out io.Writer) error {
+		b, err := io.ReadAll(in)
+		if err != nil {
+			return err
+		}
+		_, err = out.Write(bytes.ToUpper(b))
+		return err
+	}}
+	if err := c.Engine().Register(upper); err != nil {
+		t.Fatal(err)
+	}
+	_ = cl.CreateContainer(context.Background(), "gp", StorletContainer, nil)
+	mustPut(t, cl, "gp", StorletContainer, "a.json", `{"name":"outer","chain":[{"filter":"inner"}]}`)
+	mustPut(t, cl, "gp", StorletContainer, "b.json", `{"name":"inner","chain":[{"filter":"upper"}]}`)
+	if n, err := DeployStorlets(context.Background(), cl, "gp", c.Engine()); err != nil || n != 2 {
+		t.Fatalf("deploy = %d, %v; want 2", n, err)
+	}
+	_ = cl.CreateContainer(context.Background(), "gp", "logs", nil)
+	mustPut(t, cl, "gp", "logs", "app.log", "quiet words\n")
+	rc, _, err := cl.GetObject(context.Background(), "gp", "logs", "app.log", GetOptions{
+		Pushdown: []*pushdown.Task{{Filter: "outer"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := readAll(t, rc); got != "QUIET WORDS\n" {
+		t.Errorf("outer = %q, want QUIET WORDS", got)
+	}
+}

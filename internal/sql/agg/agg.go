@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"scoop/internal/csvio"
 	"scoop/internal/sql/types"
 )
 
@@ -160,10 +161,10 @@ func (a *Acc) Value(kind Kind) types.Value {
 }
 
 // Width is the number of cells a kind's accumulator takes in a partial
-// record: a count; a count and a sum; or the value so far. Cells render with
-// Value.AsString, which is round-trip exact for floats, and read back with
-// types.Coerce. The sum cell is a string: the exact sum as text (see
-// Acc.appendSum), which never passes through a float64.
+// record: a count; a count and a sum; or the value so far. Cells render as
+// AppendKey renders values, which is Value.AsString and round-trip exact for
+// floats. The sum cell is the exact sum as text (see Acc.appendSum), which
+// never passes through a float64.
 func (k Kind) Width() int {
 	switch k {
 	case Sum, Avg:
@@ -175,31 +176,115 @@ func (k Kind) Width() int {
 	}
 }
 
-// AppendCells appends a's state as Width cells.
-func (a *Acc) AppendCells(kind Kind, cells []types.Value) []types.Value {
+// appendCells appends a's state as Width cells, each encoded as AppendKey
+// encodes a value.
+func (a *Acc) appendCells(kind Kind, dst []byte) []byte {
 	switch kind {
 	case CountStar, Count:
-		return append(cells, types.IntV(a.N))
+		return AppendKey(dst, types.IntV(a.N))
 	case Sum, Avg:
-		return append(cells, types.IntV(a.N), types.Str(string(a.appendSum(nil))))
+		dst = append(AppendKey(dst, types.IntV(a.N)), 1, 0, 0, 0, 0)
+		start := len(dst)
+		dst = a.appendSum(dst)
+		binary.LittleEndian.PutUint32(dst[start-4:], uint32(len(dst)-start))
+		return dst
 	default:
-		return append(cells, a.V)
+		return AppendKey(dst, a.V)
 	}
 }
 
-// FromCells is the accumulator AppendCells rendered as cells. A cell that
-// did not parse as its type is NULL and reads as zero.
-func FromCells(kind Kind, cells []types.Value) Acc {
+// MergeCells merges the accumulator a partial record's cells hold, as the
+// agg filter wrote them (Width cells of the kind), into a, as Merge would
+// merge it. Counts and sums are read from the bytes. A MIN, MAX or
+// FIRST_VALUE cell is typed, as typ, only when it takes the place of the
+// value so far; before that a MIN or MAX cell compares as its bytes read.
+// An empty cell is NULL, and a count or sum cell that does not parse counts
+// as zero. The cells are not retained.
+func (a *Acc) MergeCells(kind Kind, cells [][]byte, typ types.Type) {
 	switch kind {
 	case CountStar, Count:
-		return Acc{N: cells[0].I}
+		a.N += parseCount(cells[0])
 	case Sum, Avg:
-		a := Acc{N: cells[0].I}
-		a.parseSum(cells[1].S)
-		return a
-	default:
-		return Acc{V: cells[0]}
+		a.N += parseCount(cells[0])
+		a.mergeSumCell(cells[1])
+	case First:
+		//scoop:cold typed once, when the group's first non-NULL value arrives
+		if a.V.IsNull() && len(cells[0]) > 0 {
+			a.V = types.CoerceBytes(cells[0], typ)
+		}
+	case Min, Max:
+		cell := cells[0]
+		switch {
+		case len(cell) == 0:
+		case a.V.T == types.String && typ == types.String:
+			if c := compareText(cell, a.V.S); (kind == Min && c < 0) || (kind == Max && c > 0) {
+				a.V = types.Str(string(cell)) //lint:ignore allocfree a value that takes the place of the MIN or MAX is copied out of the record
+			}
+		case (a.V.T == types.Float || a.V.T == types.Int) && (typ == types.Float || typ == types.Int):
+			cur := a.V.F
+			if a.V.T == types.Int {
+				cur = float64(a.V.I)
+			}
+			if f, ok := csvio.FastFloat(cell); ok {
+				v := types.FloatV(f) // the value types.CoerceBytes gives
+				if typ == types.Int {
+					v, f = types.IntV(int64(f)), float64(int64(f))
+				}
+				if (kind == Min && f < cur) || (kind == Max && f > cur) {
+					a.V = v
+				}
+				return
+			}
+			fallthrough
+		default:
+			//scoop:cold the group's first value, or a cell FastFloat does not read
+			a.mergeTyped(kind, cell, typ)
+		}
 	}
+}
+
+// mergeTyped merges a MIN or MAX cell typed as typ.
+func (a *Acc) mergeTyped(kind Kind, cell []byte, typ types.Type) {
+	if v := types.CoerceBytes(cell, typ); !v.IsNull() {
+		a.Add(kind, v)
+	}
+}
+
+// compareText is strings.Compare(string(b), s) without the conversion.
+func compareText(b []byte, s string) int {
+	for i := 0; i < len(b) && i < len(s); i++ {
+		if b[i] != s[i] {
+			if b[i] < s[i] {
+				return -1
+			}
+			return 1
+		}
+	}
+	switch {
+	case len(b) < len(s):
+		return -1
+	case len(b) > len(s):
+		return 1
+	}
+	return 0
+}
+
+// parseCount reads a count cell: a plain integer, as the filter writes it, in
+// place; any other text as types.Coerce reads a BIGINT, NULL being zero.
+func parseCount(cell []byte) int64 {
+	if len(cell) > 0 && len(cell) < 16 {
+		var n int64
+		for _, c := range cell {
+			if c < '0' || c > '9' {
+				//scoop:cold not the filter's rendering of a count
+				return types.CoerceBytes(cell, types.Int).I
+			}
+			n = 10*n + int64(c-'0')
+		}
+		return n
+	}
+	//scoop:cold an empty or long cell
+	return types.CoerceBytes(cell, types.Int).I
 }
 
 // AppendKey appends v to a group or DISTINCT key: NULL as one tag byte, any
@@ -252,6 +337,26 @@ func (t Term) Eval(v types.Value) types.Value {
 	return types.Str(types.Substring(v.AsString(), t.Start, t.Len))
 }
 
+// value is the term over a record's fields, each typed by schema as the
+// compute side's CSV scan types it, an empty or missing field being NULL. It
+// holds a copy of a string field, so it may be kept.
+func (t Term) value(schema *types.Schema, fields [][]byte) types.Value {
+	if t.Col >= len(fields) {
+		return types.NullValue()
+	}
+	return t.Eval(types.CoerceBytes(fields[t.Col], schema.Columns[t.Col].Type))
+}
+
+// appendKey appends t.value(schema, fields) to key. The key copies the bytes
+// of a non-empty string field itself, so here the value aliases them and
+// nothing is allocated.
+func (t Term) appendKey(key []byte, schema *types.Schema, fields [][]byte) []byte {
+	if t.Col < len(fields) && len(fields[t.Col]) > 0 && schema.Columns[t.Col].Type == types.String {
+		return AppendKey(key, t.Eval(types.Str(string(fields[t.Col]))))
+	}
+	return AppendKey(key, t.value(schema, fields))
+}
+
 // Call is one aggregate of a Spec; CountStar has no argument.
 type Call struct {
 	Kind Kind `json:"kind"`
@@ -264,6 +369,15 @@ type Spec struct {
 	Group  []Term `json:"-"`
 	Firsts []Term `json:"firsts,omitempty"`
 	Aggs   []Call `json:"aggs,omitempty"`
+}
+
+// NewTable returns an empty table for the spec's groups.
+func (s *Spec) NewTable() *Table {
+	kinds := make([]Kind, len(s.Aggs))
+	for i, c := range s.Aggs {
+		kinds[i] = c.Kind
+	}
+	return NewTable(len(s.Firsts), kinds)
 }
 
 // Option keys of the task that carries a Spec, as JSON.
@@ -347,24 +461,4 @@ func (s *Spec) Record(in *types.Schema) (*types.Schema, error) {
 		return nil, err
 	}
 	return types.NewSchema(cols...), nil
-}
-
-// Chunks hands out slices of T carved from chunks that double in size up to
-// maxChunk elements, so that the many small slices of a group table take
-// few allocations: a new group of exec.Partial or of the agg filter takes
-// its struct, its first-row values and its accumulators from three Chunks.
-// The zero value is ready to use.
-type Chunks[T any] struct{ chunk []T }
-
-// maxChunk bounds the elements of one chunk.
-const maxChunk = 1 << 10
-
-// Take returns n zero elements.
-func (c *Chunks[T]) Take(n int) []T {
-	if len(c.chunk)+n > cap(c.chunk) {
-		c.chunk = make([]T, 0, max(min(2*cap(c.chunk), maxChunk), n, 1))
-	}
-	i := len(c.chunk)
-	c.chunk = c.chunk[:i+n]
-	return c.chunk[i : i+n : i+n]
 }

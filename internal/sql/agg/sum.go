@@ -1,6 +1,7 @@
 package agg
 
 import (
+	"bytes"
 	"math"
 	"math/big"
 	"math/bits"
@@ -77,6 +78,13 @@ func (a *Acc) addDecimal(n int64) {
 		a.micros = t
 		return
 	}
+	//scoop:cold the fast path overflows int64 millionths
+	a.spill(n)
+}
+
+// spill moves the fast path's millionths to the slow path and starts the fast
+// path again at n.
+func (a *Acc) spill(n int64) {
 	r := &a.ext().sumRest
 	r.num.Add(&r.num, r.t.Lsh(r.t.SetInt64(a.micros), r.scale))
 	a.micros = n
@@ -157,10 +165,28 @@ func (a *Acc) appendSum(dst []byte) []byte {
 	return t.Denom().Append(dst, 10)
 }
 
+// mergeSumCell adds the sum a partial record's cell holds, in appendSum's
+// form, to a's. A plain decimal is read in place.
+func (a *Acc) mergeSumCell(cell []byte) {
+	if n, ok := parseMicros(cell); ok {
+		a.addDecimal(n)
+		return
+	}
+	//scoop:cold an exact p/q, NaN or ±Inf: a sum off the fast path
+	a.mergeSlowSum(string(cell))
+}
+
+// mergeSlowSum adds the sum text holds, in appendSum's form, to a's.
+func (a *Acc) mergeSlowSum(text string) {
+	var o Acc
+	o.parseSum(text)
+	a.mergeSum(&o)
+}
+
 // parseSum reads appendSum's form back into a; any other text, or a p/q
 // whose q does not divide 10⁶·2^k, is zero.
 func (a *Acc) parseSum(text string) {
-	if n, ok := parseMicros(text); ok {
+	if n, ok := parseMicros([]byte(text)); ok {
 		a.micros = n
 		return
 	}
@@ -190,12 +216,43 @@ func (a *Acc) parseSum(text string) {
 }
 
 // parseMicros reads a decimal with at most six fraction digits as an int64
-// of millionths, and false for anything else or when it does not fit.
-func parseMicros(text string) (int64, bool) {
-	whole, frac, _ := strings.Cut(text, ".")
+// of millionths, and false for anything else or when it does not fit: the
+// text is read as strconv.ParseInt reads its digits with the point taken out
+// and zeros put in for the missing fraction digits.
+func parseMicros(text []byte) (int64, bool) {
+	whole, frac := text, text[len(text):]
+	if i := bytes.IndexByte(text, '.'); i >= 0 {
+		whole, frac = text[:i], text[i+1:]
+	}
 	if len(frac) > 6 {
 		return 0, false
 	}
-	n, err := strconv.ParseInt(whole+frac+"000000"[len(frac):], 10, 64)
-	return n, err == nil
+	neg := false
+	if len(whole) > 0 && (whole[0] == '-' || whole[0] == '+') {
+		neg, whole = whole[0] == '-', whole[1:]
+	} else if len(whole) == 0 && len(frac) > 0 && (frac[0] == '-' || frac[0] == '+') {
+		neg, frac = frac[0] == '-', frac[1:]
+	}
+	var u uint64
+	for _, part := range [2][]byte{whole, frac} {
+		for _, c := range part {
+			if c < '0' || c > '9' || u > (math.MaxUint64-9)/10 {
+				return 0, false
+			}
+			u = 10*u + uint64(c-'0')
+		}
+	}
+	for range 6 - len(frac) {
+		if u > math.MaxUint64/10 {
+			return 0, false
+		}
+		u *= 10
+	}
+	switch {
+	case neg && u <= 1<<63:
+		return int64(-u), true
+	case !neg && u < 1<<63:
+		return int64(u), true
+	}
+	return 0, false
 }

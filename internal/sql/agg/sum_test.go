@@ -64,7 +64,7 @@ func TestSumExact(t *testing.T) {
 	if back := parsed(string(s.appendSum(nil))); back.sumFloat() != 1e13 {
 		t.Errorf("5000 × 2e9 read back as %v", back.sumFloat())
 	}
-	if n, ok := parseMicros("-9223372036854.775808"); !ok || n != math.MinInt64 {
+	if n, ok := parseMicros([]byte("-9223372036854.775808")); !ok || n != math.MinInt64 {
 		t.Errorf("parseMicros(MinInt64 millionths) = %d, %v", n, ok)
 	}
 
@@ -151,12 +151,7 @@ func FuzzSumOrderFree(f *testing.F) {
 		}
 		merged := &Acc{}
 		for _, i := range rng.Perm(len(parts)) {
-			var cells []types.Value
-			for _, v := range fold(parts[i]).AppendCells(Sum, nil) {
-				cells = append(cells, types.Coerce(v.AsString(), v.T))
-			}
-			o := FromCells(Sum, cells)
-			merged.Merge(Sum, &o)
+			merged.MergeCells(Sum, wire(fold(parts[i]), Sum), types.Float)
 		}
 		if !same(merged, want) {
 			t.Fatalf("%v in %d partials: sum %v, want %v", xs, len(parts), merged.Value(Sum), want.Value(Sum))

@@ -7,10 +7,17 @@
 package exec
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"testing"
 
+	"scoop/internal/csvio"
+	"scoop/internal/pushdown"
+	"scoop/internal/sql/plan"
 	"scoop/internal/sql/types"
+	"scoop/internal/storlet"
+	"scoop/internal/storlet/aggfilter"
 )
 
 // budgetRows returns rowsPerGroup rows for each of groups meters, in the
@@ -74,9 +81,9 @@ func TestAllocBudgetExecFold(t *testing.T) {
 	}
 
 	// Creating a group costs the same number of allocations whatever the
-	// number of select items: its key, plus the amortized growth of the
-	// map, of the order slice and of the chunks its struct, its first-row
-	// values and its accumulators are carved from (1.07 at 1000 groups).
+	// number of select items: the amortized growth of the table's index,
+	// of its key arena and of the pages its first-row values and its
+	// accumulators lie in (0.07 at 1000 groups).
 	created := func(q string) float64 {
 		p := analyze(t, q)
 		return testing.AllocsPerRun(5, func() { foldAll(t, NewPartial(p), rows[:groups]) })
@@ -85,17 +92,101 @@ func TestAllocBudgetExecFold(t *testing.T) {
 	if diff := narrow - wide; diff > groups/100 || -diff > groups/100 {
 		t.Errorf("creating %d groups: %v allocs with 2 select items, %v with 12", groups, narrow, wide)
 	}
-	if perGroup := wide / groups; perGroup > 1.5 {
-		t.Errorf("creating a group: %.2f allocs, want at most 1.5", perGroup)
+	if perGroup := wide / groups; perGroup > 0.1 {
+		t.Errorf("creating a group: %.2f allocs, want at most 0.1", perGroup)
 	}
 
-	// Finish allocates one vector per output row and a handful of slices; a
-	// per-group rewrite of the select items would show as a multiple.
+	// Finish allocates a handful of slices whatever the number of groups:
+	// the output rows' values share one, and a per-group allocation or
+	// rewrite of the select items would show as a multiple of the groups.
+	pt = NewPartial(analyze(t, budgetWide))
+	foldAll(t, pt, rows)
 	if avg := testing.AllocsPerRun(5, func() {
 		if _, err := pt.Finish(); err != nil {
 			t.Fatal(err)
 		}
-	}); avg > groups+8 {
-		t.Errorf("Finish over %d groups: %v allocs, want at most %d", groups, avg, groups+8)
+	}); avg > 5 {
+		t.Errorf("Finish over %d groups: %v allocs, want at most 5", groups, avg)
+	}
+}
+
+// storeRecords returns the fields of the partial records the agg filter
+// writes for p over rows, which are in the layout of the package's test
+// schema.
+func storeRecords(t *testing.T, p *plan.Plan, rows []types.Row) [][][]byte {
+	t.Helper()
+	var in, out bytes.Buffer
+	fields := make([][]byte, p.Read.Len())
+	for _, r := range rows {
+		for i, c := range p.Read.Columns {
+			fields[i] = []byte(r[schema.Index(c.Name)].AsString())
+		}
+		if err := csvio.WriteRecord(&in, fields, ','); err != nil {
+			t.Fatal(err)
+		}
+	}
+	task := &pushdown.Task{Filter: aggfilter.FilterName, Schema: p.Read.String(), Options: p.StoreAgg.Options()}
+	if err := aggfilter.New().Invoke(&storlet.Context{Task: task, RangeEnd: storlet.Unbounded}, &in, &out); err != nil {
+		t.Fatal(err)
+	}
+	var recs [][][]byte
+	rr := csvio.NewRangeReader(&out, 0, storlet.Unbounded)
+	var sc csvio.FieldScanner
+	for {
+		rec, err := rr.Next()
+		if err == io.EOF {
+			return recs
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cells [][]byte
+		for _, f := range sc.Scan(rec, ',') {
+			cells = append(cells, bytes.Clone(f))
+		}
+		recs = append(recs, cells)
+	}
+}
+
+func mergeAll(t *testing.T, pt *Partial, recs [][][]byte) {
+	for _, rec := range recs {
+		if err := pt.MergeCells(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// Merging the store's partial records: a record that lands in an existing
+// group allocates nothing (MergeCells is a //scoop:hotpath root, which
+// allocfree proves), and a new group costs the strings among its first-row
+// and FIRST_VALUE cells, each typed once, and the table's amortized growth.
+func TestAllocBudgetMergeCells(t *testing.T) {
+	const groups = 1000
+	p := analyze(t, budgetWide)
+	if p.StoreAgg == nil {
+		t.Fatalf("%s is not aggregated at the store: %s", budgetWide, p.AggRefused)
+	}
+	recs := storeRecords(t, p, budgetRows(groups, 2))
+	if len(recs) != groups {
+		t.Fatalf("%d records, want %d", len(recs), groups)
+	}
+	pt := NewPartial(p)
+	mergeAll(t, pt, recs)
+	if avg := testing.AllocsPerRun(10, func() { mergeAll(t, pt, recs) }); avg != 0 {
+		t.Errorf("merge into existing groups: %v allocs per %d records, want 0", avg, len(recs))
+	}
+	// Four strings are typed once: the first-row city and state and the
+	// first_value cells of city and state. The first-row vid and day are
+	// key cells, typed at Finish out of one copy of the keys.
+	created := testing.AllocsPerRun(5, func() { mergeAll(t, NewPartial(p), recs) })
+	if perGroup := created / groups; perGroup > 4.1 {
+		t.Errorf("creating a group from a record: %.2f allocs, want at most 4.1", perGroup)
+	}
+	if avg := testing.AllocsPerRun(5, func() {
+		if _, err := pt.Finish(); err != nil {
+			t.Fatal(err)
+		}
+	}); avg > 7 {
+		t.Errorf("Finish over %d merged groups: %v allocs, want at most 7", groups, avg)
 	}
 }

@@ -83,12 +83,23 @@ func Execute(p *plan.Plan, input Iterator) (*Result, error) {
 	}
 }
 
+// CellIterator yields the fields of records, which are only valid until the
+// next call of Next, until io.EOF.
+type CellIterator interface {
+	Next() ([][]byte, error)
+	Close() error
+}
+
 // NewPartial returns an empty partial result of p. A Partial belongs to one
 // goroutine at a time; the tasks of one query share the plan.
 func NewPartial(p *plan.Plan) *Partial {
 	pt := &Partial{p: p}
 	if p.Aggregate {
-		pt.groups = make(map[string]*group)
+		kinds := make([]agg.Kind, len(p.Aggs))
+		for i := range p.Aggs {
+			kinds[i] = p.Aggs[i].Kind
+		}
+		pt.t = agg.NewTable(len(p.Firsts), kinds)
 	}
 	return pt
 }
@@ -97,29 +108,12 @@ func NewPartial(p *plan.Plan) *Partial {
 // groups and their accumulators, or the projected rows.
 type Partial struct {
 	p *plan.Plan
-
-	groups map[string]*group
-	order  []*group // first-appearance order, which keeps output deterministic
-	key    []byte   // reused group-key scratch
-	// A new group is carved from these, so that it allocates its key only.
-	newGroups agg.Chunks[group]
-	firsts    agg.Chunks[types.Value]
-	accs      agg.Chunks[agg.Acc]
-
-	rows []keyedRow // non-aggregate queries
-}
-
-// keyedRow pairs an output row with its ORDER BY key values.
-type keyedRow struct {
-	row  types.Row
-	keys []types.Value
-}
-
-// group holds per-group state.
-type group struct {
-	key    string
-	firsts []types.Value
-	accs   []agg.Acc
+	t *agg.Table // aggregate queries: the groups, in first-appearance order
+	// records is set when the groups come from partial records: their
+	// first-row values that are key cells are typed from the keys at Finish.
+	records bool
+	key     []byte      // reused group-key scratch
+	rows    []types.Row // non-aggregate queries, as emit returns them
 }
 
 // Fold adds one input row: it applies the residual filter, then accumulates
@@ -133,11 +127,11 @@ func (pt *Partial) Fold(row types.Row) error {
 		}
 	}
 	if !p.Aggregate {
-		kr, err := pt.emit(row)
+		out, err := pt.emit(row, make([]types.Value, len(p.Items)+len(p.OrderBy)))
 		if err != nil {
 			return err
 		}
-		pt.rows = append(pt.rows, kr)
+		pt.rows = append(pt.rows, out)
 		return nil
 	}
 
@@ -150,16 +144,15 @@ func (pt *Partial) Fold(row types.Row) error {
 		key = agg.AppendKey(key, v)
 	}
 	pt.key = key
-	g, ok := pt.groups[string(key)]
-	if !ok {
-		g = pt.carve()
-		if err := firstRow(p, row, g.firsts); err != nil {
+	g, created := pt.t.Group(key)
+	if created {
+		if err := firstRow(p, row, pt.t.Firsts(g)); err != nil {
 			return err
 		}
-		pt.open(key, g)
 	}
+	accs := pt.t.Accs(g)
 	for i := range p.Aggs {
-		spec, a := &p.Aggs[i], &g.accs[i]
+		spec, a := &p.Aggs[i], &accs[i]
 		if spec.Kind == agg.CountStar {
 			a.N++
 			continue
@@ -178,62 +171,58 @@ func (pt *Partial) Fold(row types.Row) error {
 	return nil
 }
 
-// MergeRecord folds one partial record of the plan's StoreAgg, as the object
-// store emits it for a group of a split, into pt: the group's key values, its
-// first-row values that are not keys, then the cells of its accumulators. The group is keyed
-// and merged exactly as Merge would merge it out of a local partial over the
-// same rows, so records merged in stream order give the result of folding
-// the rows. rec is not retained.
-func (pt *Partial) MergeRecord(rec types.Row) error {
+// MergeCells folds one partial record of the plan's StoreAgg, the fields the
+// object store wrote for a group of a split, into pt: the group's key values,
+// its first-row values that are not keys, then the cells of its
+// accumulators. The group is keyed by the key cells' bytes
+// (agg.Table.GroupCells), a new group's first-row cells that are not keys
+// are typed, and those that are, at Finish; the accumulators
+// merge from their cells (agg.Acc.MergeCells) exactly as Merge would merge
+// them out of a local partial over the same rows, so records merged in
+// stream order give the result of folding the rows. An empty cell is NULL.
+// cells is not retained; merging into an existing group allocates nothing.
+//
+//scoop:hotpath
+func (pt *Partial) MergeCells(cells [][]byte) error {
 	p := pt.p
-	if p.StoreAgg == nil {
-		return errors.New("exec: partial record for a plan that aggregates at the compute side")
+	//scoop:cold a record of the wrong shape ends the query
+	if p.StoreAgg == nil || len(cells) != p.StoreRecord.Len() {
+		return pt.shapeError(len(cells))
 	}
-	nk, nf := len(p.GroupBy), len(p.StoreAgg.Firsts)
-	width := nk + nf
-	for i := range p.Aggs {
-		width += p.Aggs[i].Kind.Width()
+	nk := len(p.GroupBy)
+	pt.records = true
+	g, created := pt.t.GroupCells(cells[:nk])
+	//scoop:cold a new group's first-row cells are typed, once per group
+	if created {
+		pt.typeFirsts(g, cells[nk:])
 	}
-	if len(rec) != width {
-		return fmt.Errorf("exec: partial record of %d cells, want %d", len(rec), width)
-	}
-	key := pt.key[:0]
-	for _, v := range rec[:nk] {
-		key = agg.AppendKey(key, v)
-	}
-	pt.key = key
-	g, ok := pt.groups[string(key)]
-	if !ok {
-		g = pt.carve()
-		for i, cell := range p.FirstCells {
-			g.firsts[i] = rec[cell]
-		}
-		pt.open(key, g)
-	}
-	cells := rec[nk+nf:]
+	accs := pt.t.Accs(g)
+	at := nk + len(p.StoreAgg.Firsts)
 	for i := range p.Aggs {
 		kind := p.Aggs[i].Kind
-		o := agg.FromCells(kind, cells)
-		g.accs[i].Merge(kind, &o)
-		cells = cells[kind.Width():]
+		accs[i].MergeCells(kind, cells[at:], p.StoreRecord.Columns[at].Type)
+		at += kind.Width()
 	}
 	return nil
 }
 
-// carve returns an empty group, its first-row values and its accumulators
-// taken from the partial's chunks.
-func (pt *Partial) carve() *group {
-	g := &pt.newGroups.Take(1)[0]
-	g.firsts = pt.firsts.Take(len(pt.p.Firsts))
-	g.accs = pt.accs.Take(len(pt.p.Aggs))
-	return g
+// shapeError is MergeCells' refusal of a record of n cells.
+func (pt *Partial) shapeError(n int) error {
+	if pt.p.StoreAgg == nil {
+		return errors.New("exec: partial record for a plan that aggregates at the compute side")
+	}
+	return fmt.Errorf("exec: partial record of %d cells, want %d", n, pt.p.StoreRecord.Len())
 }
 
-// open adds g as the group of key.
-func (pt *Partial) open(key []byte, g *group) {
-	g.key = string(key)
-	pt.groups[g.key] = g
-	pt.order = append(pt.order, g)
+// typeFirsts sets group g's first-row values that are not key cells from
+// the cells that follow the keys in the record that opened it.
+func (pt *Partial) typeFirsts(g int, cells [][]byte) {
+	firsts, nk := pt.t.Firsts(g), len(pt.p.GroupBy)
+	for i, cell := range pt.p.FirstCells {
+		if cell >= nk {
+			firsts[i] = types.CoerceBytes(cells[cell-nk], pt.p.StoreRecord.Columns[cell].Type)
+		}
+	}
 }
 
 // firstRow evaluates into firsts the first-row values of the group that row
@@ -249,27 +238,31 @@ func firstRow(p *plan.Plan, row types.Row, firsts []types.Value) error {
 	return nil
 }
 
-// emit evaluates the select items and the ORDER BY keys against row.
-func (pt *Partial) emit(row types.Row) (keyedRow, error) {
+// emit evaluates the select items and the ORDER BY keys against row into
+// vals, which has room for both, and returns the output row: the items, with
+// the keys past its length, in its capacity, where orderKeys finds them.
+func (pt *Partial) emit(row types.Row, vals []types.Value) (types.Row, error) {
 	items, orderBy := pt.p.Items, pt.p.OrderBy
 	n := len(items)
-	vals := make([]types.Value, n+len(orderBy))
 	for i := range items {
 		v, err := items[i].Expr.Eval(row)
 		if err != nil {
-			return keyedRow{}, err
+			return nil, err
 		}
 		vals[i] = v
 	}
 	for i := range orderBy {
 		v, err := orderBy[i].Expr.Eval(row)
 		if err != nil {
-			return keyedRow{}, err
+			return nil, err
 		}
 		vals[n+i] = v
 	}
-	return keyedRow{row: vals[:n:n], keys: vals[n:]}, nil
+	return vals[:n:len(vals)], nil
 }
+
+// orderKeys is the ORDER BY key values of a row emit returned.
+func orderKeys(row types.Row) []types.Value { return row[len(row):cap(row)] }
 
 // Merge folds o, a partial of the same plan over input that follows
 // pt's, into pt; o must not be used afterwards. Sums are exact, so merge
@@ -280,22 +273,15 @@ func (pt *Partial) Merge(o *Partial) {
 	if pt.p != o.p {
 		panic("exec: Merge of partials of different plans")
 	}
-	if len(pt.order) == 0 && len(pt.rows) == 0 {
-		pt.groups, pt.order, pt.rows = o.groups, o.order, o.rows
-		return
+	if pt.p.Aggregate {
+		if pt.t.Len() == 0 {
+			pt.t = o.t
+		} else {
+			pt.t.Merge(o.t)
+		}
+		pt.records = pt.records || o.records
 	}
 	pt.rows = append(pt.rows, o.rows...)
-	for _, og := range o.order {
-		g, ok := pt.groups[og.key]
-		if !ok {
-			pt.groups[og.key] = og
-			pt.order = append(pt.order, og)
-			continue
-		}
-		for i := range g.accs {
-			g.accs[i].Merge(pt.p.Aggs[i].Kind, &og.accs[i])
-		}
-	}
 }
 
 // Finish turns the partial into the query result: HAVING and select-item
@@ -304,22 +290,28 @@ func (pt *Partial) Finish() (*Result, error) {
 	p := pt.p
 	out := pt.rows
 	if p.Aggregate {
-		order := pt.order
-		if len(order) == 0 && len(p.GroupBy) == 0 {
+		t := pt.t
+		if t.Len() == 0 && len(p.GroupBy) == 0 {
 			// Global aggregates over an empty input still produce one row
 			// (COUNT(*) = 0 etc.); its first-row values are those of NULLs.
-			g := pt.carve()
-			if err := firstRow(p, make(types.Row, p.Read.Len()), g.firsts); err != nil {
+			g, _ := t.Group(nil)
+			if err := firstRow(p, make(types.Row, p.Read.Len()), t.Firsts(g)); err != nil {
 				return nil, err
 			}
-			order = []*group{g}
 		}
-		out = make([]keyedRow, 0, len(order))
+		if pt.records {
+			t.FirstsFromKeys(p.FirstCells, p.StoreRecord)
+		}
+		// Every output row's values come from one allocation.
+		width := len(p.Items) + len(p.OrderBy)
+		vals := make([]types.Value, t.Len()*width)
+		out = make([]types.Row, 0, t.Len())
 		vec := make(types.Row, len(p.Firsts)+len(p.Aggs))
-		for _, g := range order {
-			n := copy(vec, g.firsts)
-			for i := range g.accs {
-				vec[n+i] = g.accs[i].Value(p.Aggs[i].Kind)
+		for g := range t.Len() {
+			n := copy(vec, t.Firsts(g))
+			accs := t.Accs(g)
+			for i := range accs {
+				vec[n+i] = accs[i].Value(p.Aggs[i].Kind)
 			}
 			if p.Having != nil {
 				ok, err := expr.EvalPredicate(p.Having, vec)
@@ -330,11 +322,12 @@ func (pt *Partial) Finish() (*Result, error) {
 					continue
 				}
 			}
-			kr, err := pt.emit(vec)
+			row, err := pt.emit(vec, vals[:width:width])
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, kr)
+			vals = vals[width:]
+			out = append(out, row)
 		}
 	}
 
@@ -342,9 +335,10 @@ func (pt *Partial) Finish() (*Result, error) {
 		out = distinct(out)
 	}
 	if orderBy := p.OrderBy; len(orderBy) > 0 {
-		slices.SortStableFunc(out, func(a, b keyedRow) int {
+		cmp := func(a, b types.Row) int {
+			ak, bk := orderKeys(a), orderKeys(b)
 			for k := range orderBy {
-				if cmp := a.keys[k].Compare(b.keys[k]); cmp != 0 {
+				if cmp := ak[k].Compare(bk[k]); cmp != 0 {
 					if orderBy[k].Desc {
 						return -cmp
 					}
@@ -352,31 +346,32 @@ func (pt *Partial) Finish() (*Result, error) {
 				}
 			}
 			return 0
-		})
+		}
+		// Groups often arrive in ORDER BY order already (Table I's do),
+		// and a stable sort of a sorted slice changes nothing.
+		if !slices.IsSortedFunc(out, cmp) {
+			slices.SortStableFunc(out, cmp)
+		}
 	}
 	if limit := p.Sel.Limit; limit >= 0 && int64(len(out)) > limit {
 		out = out[:limit]
 	}
-	rows := make([]types.Row, len(out))
-	for i, kr := range out {
-		rows[i] = kr.row
-	}
-	return &Result{Schema: p.Output, Rows: rows}, nil
+	return &Result{Schema: p.Output, Rows: out}, nil
 }
 
 // distinct drops rows equal to an earlier one, in place.
-func distinct(rows []keyedRow) []keyedRow {
+func distinct(rows []types.Row) []types.Row {
 	seen := make(map[string]struct{}, len(rows))
 	var key []byte
 	out := rows[:0]
-	for _, kr := range rows {
+	for _, row := range rows {
 		key = key[:0]
-		for _, v := range kr.row {
+		for _, v := range row {
 			key = agg.AppendKey(key, v)
 		}
 		if _, dup := seen[string(key)]; !dup {
 			seen[string(key)] = struct{}{}
-			out = append(out, kr)
+			out = append(out, row)
 		}
 	}
 	return out

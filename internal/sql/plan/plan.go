@@ -60,12 +60,14 @@ type Plan struct {
 
 	// StoreAgg is the same aggregation as the object store can run it over
 	// the scan's output, one partial record per group and split; nil when it
-	// cannot, and AggRefused then names the rule that says so. FirstCells[i]
-	// is the cell of such a record that holds Firsts[i]: a first-row value
-	// that is also a group key, as in all of Table I, travels once.
-	StoreAgg   *agg.Spec
-	FirstCells []int
-	AggRefused string
+	// cannot, and AggRefused then names the rule that says so. StoreRecord
+	// is the schema of such a record, and FirstCells[i] the cell of it that
+	// holds Firsts[i]: a first-row value that is also a group key, as in all
+	// of Table I, travels once.
+	StoreAgg    *agg.Spec
+	StoreRecord *types.Schema
+	FirstCells  []int
+	AggRefused  string
 
 	// Output is the schema of the result rows.
 	Output *types.Schema
@@ -365,6 +367,11 @@ func (p *Plan) storeAgg() (*agg.Spec, string) {
 	if refused != "" {
 		return nil, refused
 	}
+	record, err := spec.Record(p.Read)
+	if err != nil {
+		return nil, err.Error()
+	}
+	p.StoreRecord = record
 	return spec, ""
 }
 

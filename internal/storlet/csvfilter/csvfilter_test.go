@@ -2,9 +2,11 @@ package csvfilter
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"strings"
 	"testing"
+	"time"
 
 	"scoop/internal/pushdown"
 	"scoop/internal/storlet"
@@ -234,5 +236,32 @@ func TestQuotedFieldBeforeConjunctColumn(t *testing.T) {
 	want := []string{`"a,b",2015-01-17 10:20:00`, `"e""f",2015-01-18 10:20:00`}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("rows = %q, want %q", got, want)
+	}
+}
+
+// A reader that stops after one byte and closes the chain abandons the
+// stream: the filter's next write fails, which says nothing of the filter,
+// so its stats count the invocation and no error.
+func TestAbandonedStreamIsNoError(t *testing.T) {
+	e := storlet.NewEngine(storlet.Limits{})
+	if err := e.Register(New()); err != nil {
+		t.Fatal(err)
+	}
+	object := strings.Repeat(testData, 20000) // far more than the pipe holds
+	tasks := []*pushdown.Task{{Filter: FilterName, Schema: testSchema}}
+	out, err := e.Open(context.Background(), tasks, io.NopCloser(strings.NewReader(object)), 0, int64(len(object)), int64(len(object)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadFull(out, make([]byte, 1)); err != nil {
+		t.Fatal(err)
+	}
+	out.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for e.StatsFor(FilterName).Invocations == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if s := e.StatsFor(FilterName); s.Invocations != 1 || s.Errors != 0 {
+		t.Errorf("stats after an abandoned stream: %d invocations, %d errors; want 1 and 0", s.Invocations, s.Errors)
 	}
 }

@@ -73,10 +73,13 @@ func (f FilterFunc) Invoke(ctx *Context, in io.Reader, out io.Writer) error {
 // Stats aggregates resource accounting for one filter.
 type Stats struct {
 	Invocations int64
-	Errors      int64
-	BytesIn     int64
-	BytesOut    int64
-	WallTime    time.Duration
+	// Errors counts the invocations that failed in a way that counts
+	// against the filter's breaker (countableFailure): a stream its reader
+	// abandoned, or an upstream stage's failure passed on, is none.
+	Errors   int64
+	BytesIn  int64
+	BytesOut int64
+	WallTime time.Duration
 	// Rejections counts invocations refused before a sandbox goroutine was
 	// spawned: breaker-open refusals and admission-control overload.
 	Rejections int64
@@ -362,9 +365,10 @@ func (e *Engine) run(ctx *Context, f Filter, in io.Reader, upstream io.Closer) (
 			err = timeoutError(name, e.limits.Timeout)
 		}
 		err = wrapFilterError(name, err)
-		e.account(name, cin.n, cout.n, time.Since(start), err)
+		failed := countableFailure(name, err)
+		e.account(name, cin.n, cout.n, time.Since(start), failed)
 		if br != nil {
-			br.record(err, probe, countableFailure(name, err))
+			br.record(err, probe, failed)
 		}
 		pw.CloseWithError(err)
 	}()
@@ -389,7 +393,8 @@ func wrapFilterError(name string, err error) error {
 }
 
 // countableFailure reports whether err should count against the named
-// filter's breaker. Failures that say nothing about the filter's health do
+// filter's breaker and in its Stats.Errors. Failures that say nothing about
+// the filter's health do
 // not: the caller abandoned the stream (bare ErrClosedPipe), or an upstream
 // chain stage failed first and this stage merely propagated its error.
 func countableFailure(name string, err error) bool {
@@ -506,7 +511,7 @@ func (o *owned) Close() error {
 	return err
 }
 
-func (e *Engine) account(name string, in, out int64, wall time.Duration, err error) {
+func (e *Engine) account(name string, in, out int64, wall time.Duration, failed bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	s, ok := e.stats[name]
@@ -518,7 +523,7 @@ func (e *Engine) account(name string, in, out int64, wall time.Duration, err err
 	s.BytesIn += in
 	s.BytesOut += out
 	s.WallTime += wall
-	if err != nil {
+	if failed {
 		s.Errors++
 	}
 }
