@@ -250,40 +250,24 @@ func (a *Acc) mergeTyped(kind Kind, cell []byte, typ types.Type) {
 	}
 }
 
-// compareText is strings.Compare(string(b), s) without the conversion.
+// compareText orders string(b) against s, as strings.Compare does but by
+// sign only, without the conversion.
 func compareText(b []byte, s string) int {
-	for i := 0; i < len(b) && i < len(s); i++ {
+	for i := range min(len(b), len(s)) {
 		if b[i] != s[i] {
-			if b[i] < s[i] {
-				return -1
-			}
-			return 1
+			return int(b[i]) - int(s[i])
 		}
 	}
-	switch {
-	case len(b) < len(s):
-		return -1
-	case len(b) > len(s):
-		return 1
-	}
-	return 0
+	return len(b) - len(s)
 }
 
-// parseCount reads a count cell: a plain integer, as the filter writes it, in
-// place; any other text as types.Coerce reads a BIGINT, NULL being zero.
+// parseCount reads a count cell as types.CoerceBytes reads a BIGINT, NULL
+// being zero; the filter's plain integers are read in place.
 func parseCount(cell []byte) int64 {
-	if len(cell) > 0 && len(cell) < 16 {
-		var n int64
-		for _, c := range cell {
-			if c < '0' || c > '9' {
-				//scoop:cold not the filter's rendering of a count
-				return types.CoerceBytes(cell, types.Int).I
-			}
-			n = 10*n + int64(c-'0')
-		}
-		return n
+	if f, ok := csvio.FastFloat(cell); ok {
+		return int64(f)
 	}
-	//scoop:cold an empty or long cell
+	//scoop:cold not the filter's rendering of a count
 	return types.CoerceBytes(cell, types.Int).I
 }
 

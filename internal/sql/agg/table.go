@@ -201,42 +201,54 @@ func (t *Table) AppendRecord(dst []byte, g int) []byte {
 	return dst
 }
 
-// FirstsFromKeys sets first-row value i of every group to the value of its
-// key cell firstCells[i], typed as record types that cell, where that cell
-// is a key cell: keys hold the cells' text, so a record's key cells need no
-// typing until the groups are done. The strings set are substrings of one
-// copy of all the keys, so this allocates once whatever the number of
-// groups; they keep that copy alive.
-func (t *Table) FirstsFromKeys(firstCells []int, record *types.Schema) {
-	all := string(t.keys)
-	var cells [][2]int // each key cell's text in all; {-1, -1} for NULL
-	start := 0
-	for g := range t.Len() {
-		end := int(t.ends[g])
-		cells = cells[:0]
-		for i := start; i < end; {
-			if t.keys[i] == 0 {
-				cells = append(cells, [2]int{-1, -1})
-				i++
-				continue
-			}
-			n := int(binary.LittleEndian.Uint32(t.keys[i+1:]))
-			cells = append(cells, [2]int{i + 5, i + 5 + n})
-			i += 5 + n
+// KeyValues reads the values of groups' keys back from the text the table
+// keeps of them.
+type KeyValues struct {
+	t     *Table
+	all   string   // one copy of all the keys, made at the first Read
+	cells [][2]int // the key cells' text in all; {-1, -1} for NULL
+}
+
+// KeyValues returns a reader of t's key values. Its strings are substrings
+// of one copy of all the keys, so reading every group allocates once
+// whatever the number of groups; they keep that copy alive. Add no group
+// while reading.
+func (t *Table) KeyValues() KeyValues { return KeyValues{t: t} }
+
+// Read sets dst[i], for each i with keys[i] >= 0, to group g's key value
+// keys[i], typed as typs[keys[i]]: NULL, or what types.CoerceBytes reads
+// from its text, the text being the value's rendering.
+func (kv *KeyValues) Read(g int, keys []int, typs []types.Type, dst []types.Value) {
+	t := kv.t
+	if kv.all == "" {
+		kv.all = string(t.keys)
+	}
+	start := uint32(0)
+	if g > 0 {
+		start = t.ends[g-1]
+	}
+	cells := kv.cells[:0]
+	for i := int(start); i < int(t.ends[g]); {
+		if t.keys[i] == 0 {
+			cells = append(cells, [2]int{-1, -1})
+			i++
+			continue
 		}
-		firsts := t.Firsts(g)
-		for i, c := range firstCells {
-			switch {
-			case c >= len(cells):
-			case cells[c][0] < 0:
-				firsts[i] = types.NullValue()
-			case record.Columns[c].Type == types.String:
-				firsts[i] = types.Str(all[cells[c][0]:cells[c][1]])
-			default:
-				firsts[i] = types.CoerceBytes(t.keys[cells[c][0]:cells[c][1]], record.Columns[c].Type)
-			}
+		n := int(binary.LittleEndian.Uint32(t.keys[i+1:]))
+		cells = append(cells, [2]int{i + 5, i + 5 + n})
+		i += 5 + n
+	}
+	kv.cells = cells
+	for i, k := range keys {
+		switch {
+		case k < 0:
+		case cells[k][0] < 0:
+			dst[i] = types.NullValue()
+		case typs[k] == types.String:
+			dst[i] = types.Str(kv.all[cells[k][0]:cells[k][1]])
+		default:
+			dst[i] = types.CoerceBytes(t.keys[cells[k][0]:cells[k][1]], typs[k])
 		}
-		start = end
 	}
 }
 

@@ -97,16 +97,18 @@ func TestAllocBudgetExecFold(t *testing.T) {
 	}
 
 	// Finish allocates a handful of slices whatever the number of groups:
-	// the output rows' values share one, and a per-group allocation or
-	// rewrite of the select items would show as a multiple of the groups.
+	// the output rows' values share one, the first-row values that repeat a
+	// key (vid and the day) are read out of one copy of the keys, and a
+	// per-group allocation or rewrite of the select items would show as a
+	// multiple of the groups.
 	pt = NewPartial(analyze(t, budgetWide))
 	foldAll(t, pt, rows)
 	if avg := testing.AllocsPerRun(5, func() {
 		if _, err := pt.Finish(); err != nil {
 			t.Fatal(err)
 		}
-	}); avg > 5 {
-		t.Errorf("Finish over %d groups: %v allocs, want at most 5", groups, avg)
+	}); avg > 7 {
+		t.Errorf("Finish over %d groups: %v allocs, want at most 7", groups, avg)
 	}
 }
 

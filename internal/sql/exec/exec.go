@@ -99,7 +99,13 @@ func NewPartial(p *plan.Plan) *Partial {
 		for i := range p.Aggs {
 			kinds[i] = p.Aggs[i].Kind
 		}
-		pt.t = agg.NewTable(len(p.Firsts), kinds)
+		stored := 0
+		for _, k := range p.FirstKeys {
+			if k < 0 {
+				stored++
+			}
+		}
+		pt.t = agg.NewTable(stored, kinds)
 	}
 	return pt
 }
@@ -108,12 +114,11 @@ func NewPartial(p *plan.Plan) *Partial {
 // groups and their accumulators, or the projected rows.
 type Partial struct {
 	p *plan.Plan
-	t *agg.Table // aggregate queries: the groups, in first-appearance order
-	// records is set when the groups come from partial records: their
-	// first-row values that are key cells are typed from the keys at Finish.
-	records bool
-	key     []byte      // reused group-key scratch
-	rows    []types.Row // non-aggregate queries, as emit returns them
+	// t holds an aggregate query's groups, in first-appearance order, and
+	// of their first-row values those that repeat no key (Plan.FirstKeys).
+	t    *agg.Table
+	key  []byte      // reused group-key scratch
+	rows []types.Row // non-aggregate queries, as emit returns them
 }
 
 // Fold adds one input row: it applies the residual filter, then accumulates
@@ -175,8 +180,8 @@ func (pt *Partial) Fold(row types.Row) error {
 // object store wrote for a group of a split, into pt: the group's key values,
 // its first-row values that are not keys, then the cells of its
 // accumulators. The group is keyed by the key cells' bytes
-// (agg.Table.GroupCells), a new group's first-row cells that are not keys
-// are typed, and those that are, at Finish; the accumulators
+// (agg.Table.GroupCells) and a new group types its first-row cells that are
+// not keys; the accumulators
 // merge from their cells (agg.Acc.MergeCells) exactly as Merge would merge
 // them out of a local partial over the same rows, so records merged in
 // stream order give the result of folding the rows. An empty cell is NULL.
@@ -190,7 +195,6 @@ func (pt *Partial) MergeCells(cells [][]byte) error {
 		return pt.shapeError(len(cells))
 	}
 	nk := len(p.GroupBy)
-	pt.records = true
 	g, created := pt.t.GroupCells(cells[:nk])
 	//scoop:cold a new group's first-row cells are typed, once per group
 	if created {
@@ -214,26 +218,30 @@ func (pt *Partial) shapeError(n int) error {
 	return fmt.Errorf("exec: partial record of %d cells, want %d", n, pt.p.StoreRecord.Len())
 }
 
-// typeFirsts sets group g's first-row values that are not key cells from
-// the cells that follow the keys in the record that opened it.
+// typeFirsts sets group g's first-row values that repeat no key from the
+// cells that follow the keys in the record that opened it.
 func (pt *Partial) typeFirsts(g int, cells [][]byte) {
-	firsts, nk := pt.t.Firsts(g), len(pt.p.GroupBy)
-	for i, cell := range pt.p.FirstCells {
-		if cell >= nk {
-			firsts[i] = types.CoerceBytes(cells[cell-nk], pt.p.StoreRecord.Columns[cell].Type)
+	p, firsts := pt.p, pt.t.Firsts(g)
+	for i, cell := range p.FirstCells {
+		if p.FirstKeys[i] < 0 {
+			firsts[0] = types.CoerceBytes(cells[cell-len(p.GroupBy)], p.StoreRecord.Columns[cell].Type)
+			firsts = firsts[1:]
 		}
 	}
 }
 
-// firstRow evaluates into firsts the first-row values of the group that row
-// opens.
+// firstRow evaluates into firsts the first-row values that repeat no key of
+// the group that row opens.
 func firstRow(p *plan.Plan, row types.Row, firsts []types.Value) error {
 	for i, e := range p.Firsts {
+		if p.FirstKeys[i] >= 0 {
+			continue
+		}
 		v, err := e.Eval(row)
 		if err != nil {
 			return err
 		}
-		firsts[i] = v
+		firsts[0], firsts = v, firsts[1:]
 	}
 	return nil
 }
@@ -279,7 +287,6 @@ func (pt *Partial) Merge(o *Partial) {
 		} else {
 			pt.t.Merge(o.t)
 		}
-		pt.records = pt.records || o.records
 	}
 	pt.rows = append(pt.rows, o.rows...)
 }
@@ -299,16 +306,21 @@ func (pt *Partial) Finish() (*Result, error) {
 				return nil, err
 			}
 		}
-		if pt.records {
-			t.FirstsFromKeys(p.FirstCells, p.StoreRecord)
-		}
 		// Every output row's values come from one allocation.
 		width := len(p.Items) + len(p.OrderBy)
 		vals := make([]types.Value, t.Len()*width)
 		out = make([]types.Row, 0, t.Len())
 		vec := make(types.Row, len(p.Firsts)+len(p.Aggs))
+		keys := t.KeyValues()
 		for g := range t.Len() {
-			n := copy(vec, t.Firsts(g))
+			firsts := t.Firsts(g)
+			for i, k := range p.FirstKeys {
+				if k < 0 {
+					vec[i], firsts = firsts[0], firsts[1:]
+				}
+			}
+			keys.Read(g, p.FirstKeys, p.KeyTypes, vec)
+			n := len(p.Firsts)
 			accs := t.Accs(g)
 			for i := range accs {
 				vec[n+i] = accs[i].Value(p.Aggs[i].Kind)

@@ -57,6 +57,13 @@ type Plan struct {
 	// finishing a group rewrites and re-renders nothing.
 	Firsts []expr.Expr
 	Aggs   []Agg
+	// FirstKeys[i] is the GROUP BY key that Firsts[i] repeats, or -1. Where
+	// both are one term (a column, or SUBSTRING of a string column) the
+	// first-row value is the group's key value, which the group table keeps
+	// as text: it is not stored again, but typed from the key, as
+	// KeyTypes[FirstKeys[i]], when the groups are finished.
+	FirstKeys []int
+	KeyTypes  []types.Type
 
 	// StoreAgg is the same aggregation as the object store can run it over
 	// the scan's output, one partial record per group and split; nil when it
@@ -238,6 +245,7 @@ func Analyze(sel *parser.Select, schema *types.Schema, opts Options) (*Plan, err
 		if err := p.vectorize(); err != nil {
 			return nil, err
 		}
+		p.keyFirsts()
 		p.StoreAgg, p.AggRefused = p.storeAgg()
 	}
 	return p, nil
@@ -325,6 +333,33 @@ func newAgg(c *expr.Call) (Agg, error) {
 		}
 	}
 	return Agg{Kind: kind, Arg: arg}, nil
+}
+
+// keyFirsts finds the first-row values that repeat a group key.
+func (p *Plan) keyFirsts() {
+	keys := make([]agg.Term, len(p.GroupBy))
+	isTerm := make([]bool, len(p.GroupBy))
+	p.KeyTypes = make([]types.Type, len(p.GroupBy))
+	for j, e := range p.GroupBy {
+		if keys[j], isTerm[j] = p.term(e); isTerm[j] {
+			p.KeyTypes[j] = types.String
+			if !keys[j].Sub {
+				p.KeyTypes[j] = p.Read.Columns[keys[j].Col].Type
+			}
+		}
+	}
+	for _, e := range p.Firsts {
+		key := -1
+		if t, ok := p.term(e); ok {
+			for j := range keys {
+				if isTerm[j] && keys[j] == t {
+					key = j
+					break
+				}
+			}
+		}
+		p.FirstKeys = append(p.FirstKeys, key)
+	}
 }
 
 // storeAgg decomposes the aggregation: the store can fold the scan's output
