@@ -180,12 +180,12 @@ func (pt *Partial) Fold(row types.Row) error {
 // object store wrote for a group of a split, into pt: the group's key values,
 // its first-row values that are not keys, then the cells of its
 // accumulators. The group is keyed by the key cells' bytes
-// (agg.Table.GroupCells) and a new group types its first-row cells that are
-// not keys; the accumulators
-// merge from their cells (agg.Acc.MergeCells) exactly as Merge would merge
-// them out of a local partial over the same rows, so records merged in
-// stream order give the result of folding the rows. An empty cell is NULL.
-// cells is not retained; merging into an existing group allocates nothing.
+// (agg.Table.GroupCells) and a new group types its first-row cells that
+// repeat no key; the accumulators merge from their cells (agg.Acc.MergeCells)
+// exactly as Merge would merge them out of a local partial over the same
+// rows, so records merged in stream order give the result of folding the
+// rows. An empty cell is NULL. cells is not retained; merging into an
+// existing group allocates nothing.
 //
 //scoop:hotpath
 func (pt *Partial) MergeCells(cells [][]byte) error {
