@@ -196,7 +196,7 @@ func (c *Connector) Open(ctx context.Context, split Split, tasks []*pushdown.Tas
 	}
 	rc, _, err := c.client.GetObject(ctx, split.Account, split.Container, split.Object, opts)
 	if err != nil {
-		if len(tasks) > 0 && c.fbEngine != nil && degradable(err) && c.chainProven(tasks) {
+		if len(tasks) > 0 && c.fbEngine != nil && storlet.Classify(err).Fallback && c.chainProven(tasks) {
 			return c.openFallback(ctx, split, tasks, 0, err)
 		}
 		return nil, fmt.Errorf("connector: open %s: %w", split, err)

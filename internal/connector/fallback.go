@@ -11,11 +11,10 @@ import (
 	"scoop/internal/storlet"
 )
 
-// Compute-side fallback: the paper's baseline path, made automatic. When the
-// store refuses a pushdown request (503 + reason header: filter not
-// deployed, breaker open, engine overloaded, container policy) or a filter
-// dies mid-stream (error trailer), the connector re-issues a *plain* GET and
-// evaluates the same task chain locally on a compute-side storlet engine.
+// Compute-side fallback: the paper's baseline path, made automatic. When a
+// pushdown request fails, before its first byte or mid-stream, with a class
+// that falls back (storlet.Failures), the connector re-issues a *plain* GET
+// and evaluates the same task chain locally on a compute-side storlet engine.
 // The query still completes with identical bytes — the degradation cost is
 // ingest volume (whole split instead of filtered output), which is exactly
 // what the Fallbacks/FallbackBytes counters expose for EXPERIMENTS.
@@ -55,12 +54,6 @@ func (c *Connector) chainProven(tasks []*pushdown.Task) bool {
 		}
 	}
 	return true
-}
-
-// degradable reports whether a pushdown failure should be degraded to a
-// plain GET + local evaluation rather than surfaced.
-func degradable(err error) bool {
-	return objectstore.IsPushdownUnavailable(err) || objectstore.IsFilterFailure(err)
 }
 
 // openFallback opens the split plain and replays the task chain on the local
@@ -113,13 +106,14 @@ func (c *Connector) openFallback(ctx context.Context, split Split, tasks []*push
 }
 
 // fallbackOnce is the connector's reopen rule for a pushdown stream (see
-// objectstore.NewRecoveringReader): on a degradable failure it swaps in a
-// compute-side fallback stream resynced past the bytes already delivered,
-// once; any other or further failure is surfaced as it is.
+// objectstore.NewRecoveringReader): on a failure whose class falls back
+// (storlet.Failures) it swaps in a compute-side fallback stream resynced
+// past the bytes already delivered, once; any other or further failure is
+// surfaced as it is.
 func (c *Connector) fallbackOnce(ctx context.Context, split Split, tasks []*pushdown.Task) func(int64, error) (io.ReadCloser, error) {
 	fellBack := false
 	return func(delivered int64, cause error) (io.ReadCloser, error) {
-		if fellBack || !degradable(cause) {
+		if fellBack || !storlet.Classify(cause).Fallback {
 			return nil, cause
 		}
 		fellBack = true

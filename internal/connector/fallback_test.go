@@ -286,12 +286,12 @@ func TestUnprovenFilterDisablesFallback(t *testing.T) {
 	split := wholeSplit("jan.csv", int64(len(meterCSV)))
 
 	_, err := conn.Open(context.Background(), split, []*pushdown.Task{{Filter: "shady"}})
-	if err == nil || !objectstore.IsPushdownUnavailable(err) {
+	if err == nil || !errors.Is(err, storlet.ErrNotDeployed) {
 		t.Fatalf("unproven filter error = %v, want pushdown-unavailable (fallback must stay disarmed)", err)
 	}
 	// A mixed chain is as weak as its weakest link.
 	_, err = conn.Open(context.Background(), split, []*pushdown.Task{fraTask, {Filter: "shady"}})
-	if err == nil || !objectstore.IsPushdownUnavailable(err) {
+	if err == nil || !errors.Is(err, storlet.ErrNotDeployed) {
 		t.Fatalf("mixed chain error = %v, want pushdown-unavailable", err)
 	}
 	if st := conn.Stats(); st.Fallbacks != 0 {
@@ -325,7 +325,7 @@ func TestNoFallbackSurfacesTypedError(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err := conn.Open(context.Background(), wholeSplit("jan.csv", int64(len(meterCSV))), []*pushdown.Task{fraTask})
-	if err == nil || !objectstore.IsPushdownUnavailable(err) {
+	if err == nil || !errors.Is(err, storlet.ErrNotDeployed) {
 		t.Fatalf("unarmed connector error = %v, want pushdown-unavailable", err)
 	}
 }

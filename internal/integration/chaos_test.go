@@ -19,6 +19,7 @@ import (
 	"scoop/internal/meter"
 	"scoop/internal/metrics"
 	"scoop/internal/objectstore"
+	"scoop/internal/pushdown"
 	"scoop/internal/sql/types"
 )
 
@@ -178,6 +179,107 @@ func TestChaosGetFailoverDeadReplica(t *testing.T) {
 	}
 	if got := cluster.Metrics().Counter("proxy.get.failovers").Load(); got < 1 {
 		t.Errorf("proxy.get.failovers = %d, want >= 1", got)
+	}
+}
+
+// TestChaosPushdownGetFailoverTruncatedReplica cuts the first replica's
+// disk before its first byte under a csv pushdown GET. The failure is the
+// filter's input's, not the filter's: the proxy walks on to the next
+// replica as it does for a plain GET, the breaker every node shares does
+// not count it, and over HTTP the client sees the filtered body at once,
+// without a retry.
+func TestChaosPushdownGetFailoverTruncatedReplica(t *testing.T) {
+	skipInShort(t)
+	cluster, stores := newChaosCluster(t)
+	ctx := context.Background()
+	client := cluster.Client()
+	if err := client.CreateContainer(ctx, "gp", "c", nil); err != nil {
+		t.Fatal(err)
+	}
+	var object, want strings.Builder
+	for i := 0; i < 2000; i++ {
+		fmt.Fprintf(&object, "V%d,Lyon\n", i)
+		fmt.Fprintf(&want, "V%d\n", i)
+	}
+	if _, err := client.PutObject(ctx, "gp", "c", "obj", strings.NewReader(object.String()), nil); err != nil {
+		t.Fatal(err)
+	}
+	sched := faultinject.NewSchedule(faultinject.Rule{
+		From: 1, Op: faultinject.OpGet,
+		Fault: faultinject.Fault{Kind: faultinject.Truncate, AfterBytes: 0},
+	})
+	stores[firstReplicaOf(t, cluster, "/gp/c/obj")].Schedule = sched
+	opts := objectstore.GetOptions{Pushdown: []*pushdown.Task{
+		{Filter: "csv", Columns: []string{"vid"}, Schema: "vid string, city string"},
+	}}
+
+	srv := httptest.NewServer(objectstore.NewHandler(client))
+	t.Cleanup(srv.Close)
+	hc := objectstore.NewHTTPClient(srv.URL)
+	hc.Metrics = metrics.NewRegistry()
+	for _, c := range []struct {
+		name   string
+		client objectstore.Client
+	}{{"in process", client}, {"over HTTP", hc}} {
+		failovers := cluster.Metrics().Counter("proxy.get.failovers").Load()
+		rc, _, err := c.client.GetObject(ctx, "gp", "c", "obj", opts)
+		if err != nil {
+			t.Errorf("%s: pushdown GET with a truncated first replica must fail over: %v", c.name, err)
+			continue
+		}
+		got, err := io.ReadAll(rc)
+		rc.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if string(got) != want.String() {
+			t.Fatalf("%s: filtered body differs from the object's csv output", c.name)
+		}
+		if n := cluster.Metrics().Counter("proxy.get.failovers").Load() - failovers; n != 1 {
+			t.Errorf("%s: proxy.get.failovers rose by %d, want 1", c.name, n)
+		}
+	}
+	if got := sched.InjectedTotal(); got != 2 {
+		t.Errorf("schedule injected %d faults, want 2", got)
+	}
+	if n := cluster.Engine().StatsFor("csv").Errors; n != 0 {
+		t.Errorf("csv Errors = %d, want 0: a failed input is not the filter's failure", n)
+	}
+	if n := hc.Metrics.Counter("client.retries").Load(); n != 0 {
+		t.Errorf("client.retries = %d, want 0", n)
+	}
+}
+
+// TestChaosStoreFailureIs503 blacks out every replica's disk: a plain GET
+// over HTTP fails as the store's failure, 503, which the client retries,
+// never as a 400 it would not.
+func TestChaosStoreFailureIs503(t *testing.T) {
+	skipInShort(t)
+	cluster, stores := newChaosCluster(t)
+	ctx := context.Background()
+	client := cluster.Client()
+	if err := client.CreateContainer(ctx, "gp", "c", nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.PutObject(ctx, "gp", "c", "obj", strings.NewReader("V1,Lyon\n"), nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range stores {
+		s.Schedule = faultinject.NewSchedule(faultinject.Rule{
+			From: 1, Fault: faultinject.Fault{Kind: faultinject.Blackout},
+		})
+	}
+	srv := httptest.NewServer(objectstore.NewHandler(client))
+	t.Cleanup(srv.Close)
+	hc := objectstore.NewHTTPClient(srv.URL)
+	hc.Retry = chaosRetry()
+	hc.Metrics = metrics.NewRegistry()
+	_, _, err := hc.GetObject(ctx, "gp", "c", "obj", objectstore.GetOptions{})
+	if err == nil || !strings.HasPrefix(err.Error(), "objectstore: http 503: ") {
+		t.Errorf("GET with every replica down: err = %v, want objectstore: http 503", err)
+	}
+	if n, want := hc.Metrics.Counter("client.retries").Load(), int64(chaosRetry().MaxAttempts-1); n != want {
+		t.Errorf("client.retries = %d, want %d", n, want)
 	}
 }
 

@@ -25,19 +25,21 @@ func TestPushdownUnavailableReasonTokens(t *testing.T) {
 		{fmt.Errorf("%w: %q", storlet.ErrNotDeployed, "ghost"), "not-deployed"},
 		{&storlet.FilterError{Filter: "f", Err: storlet.ErrBreakerOpen}, "breaker-open"},
 		{&storlet.FilterError{Filter: "f", Err: storlet.ErrOverloaded}, "overloaded"},
-		{fmt.Errorf("%w: container a/c", ErrPushdownDisabled), "disabled"},
+		{fmt.Errorf("%w: container a/c", storlet.ErrPushdownDisabled), "disabled"},
 		{&storlet.FilterError{Filter: "f", Err: errors.New("boom")}, "filter-failed"},
-		{ErrPushdownUnavailable, "unavailable"},
+		{storlet.ErrUnavailable, "unavailable"},
 	}
 	for _, c := range cases {
-		if got := PushdownUnavailableReason(c.err); got != c.want {
+		if got := storlet.Classify(c.err).Reason; got != c.want {
 			t.Errorf("reason(%v) = %q, want %q", c.err, got, c.want)
 		}
 	}
 	// Round-trip: the wire reason decodes back to the typed sentinel.
-	err := pushdownUnavailableErr("breaker-open", 503, "refused")
-	if !errors.Is(err, ErrPushdownUnavailable) || !IsPushdownUnavailable(err) {
-		t.Errorf("decoded error lost its type: %v", err)
+	rec := httptest.NewRecorder()
+	writeErr(rec, &storlet.FilterError{Filter: "f", Err: storlet.ErrBreakerOpen})
+	err := statusErr(rec.Result())
+	if !errors.Is(err, storlet.ErrBreakerOpen) || storlet.Classify(err).Reason != "breaker-open" {
+		t.Errorf("decoded error lost its class: %v", err)
 	}
 }
 
@@ -78,8 +80,8 @@ func TestHTTPPushdownNotDeployed503(t *testing.T) {
 	// Client level: the refusal decodes to the typed sentinel.
 	_, _, err = cl.GetObject(context.Background(), "gp", "meters", "jan.csv",
 		GetOptions{Pushdown: []*pushdown.Task{task}})
-	if !errors.Is(err, ErrPushdownUnavailable) || !IsPushdownUnavailable(err) {
-		t.Fatalf("client error = %v, want ErrPushdownUnavailable", err)
+	if !errors.Is(err, storlet.ErrNotDeployed) {
+		t.Fatalf("client error = %v, want storlet.ErrNotDeployed", err)
 	}
 	if !strings.Contains(err.Error(), "not-deployed") {
 		t.Errorf("reason lost: %v", err)
@@ -98,7 +100,7 @@ func TestHTTPPushdownDisabledByPolicy503(t *testing.T) {
 	}
 	_, _, err := cl.GetObject(context.Background(), "gp", "locked", "o.csv",
 		GetOptions{Pushdown: []*pushdown.Task{{Filter: "anything"}}})
-	if !IsPushdownUnavailable(err) {
+	if !errors.Is(err, storlet.ErrPushdownDisabled) {
 		t.Fatalf("disabled pushdown error = %v", err)
 	}
 	if !strings.Contains(err.Error(), "disabled") {
@@ -116,7 +118,7 @@ func TestHTTPPushdownDisabledByPolicy503(t *testing.T) {
 
 // A filter that dies after producing output cannot change the status line:
 // the failure must travel in the HeaderFilterError trailer, and the client
-// must surface it as a typed ErrFilterFailed after the delivered bytes.
+// must surface it as a typed storlet.ErrFilterFailed after the delivered bytes.
 func TestHTTPTrailerMidStreamFilterFailure(t *testing.T) {
 	cluster, cl := newHTTPStore(t)
 	const partial = "vid,city\nV1,Rotterdam\n"
@@ -143,8 +145,8 @@ func TestHTTPTrailerMidStreamFilterFailure(t *testing.T) {
 	if string(b) != partial {
 		t.Errorf("delivered bytes = %q, want %q", b, partial)
 	}
-	if !errors.Is(err, ErrFilterFailed) || !IsFilterFailure(err) {
-		t.Fatalf("trailer error = %v, want ErrFilterFailed", err)
+	if !errors.Is(err, storlet.ErrFilterFailed) {
+		t.Fatalf("trailer error = %v, want storlet.ErrFilterFailed", err)
 	}
 	if !strings.Contains(err.Error(), "disk melted") {
 		t.Errorf("cause lost in trailer round-trip: %v", err)
@@ -259,7 +261,7 @@ func TestPermanentPushdownRefusalNotRetried(t *testing.T) {
 		_, _, err := cl.GetObject(ctx, "gp", c.container, "o.csv",
 			GetOptions{Pushdown: []*pushdown.Task{{Filter: c.filter}}})
 		took := time.Since(start)
-		if !IsPushdownUnavailable(err) || !strings.Contains(err.Error(), c.reason) {
+		if storlet.Classify(err).Reason != c.reason || !strings.Contains(err.Error(), c.reason) {
 			t.Fatalf("%s: err = %v, want a %s refusal", c.reason, err, c.reason)
 		}
 		if n := cl.Metrics.Counter("client.retries").Load() - before; n != 0 || took > 500*time.Millisecond {
@@ -289,5 +291,31 @@ func TestTransientPushdownRefusalRetried(t *testing.T) {
 		if want := int64(c.Retry.withDefaults().MaxAttempts); hits.Load() != want {
 			t.Errorf("%s: server saw %d requests, want %d", reason, hits.Load(), want)
 		}
+	}
+}
+
+// A task the filter's checks refuse is a bad task: 400 with reason
+// bad-task, at once, with no retry, and no error on the filter's breaker.
+func TestBadTaskIs400NotRetried(t *testing.T) {
+	cluster, cl := newHTTPStore(t)
+	cl.Metrics = metrics.NewRegistry()
+	ctx := context.Background()
+	_ = cl.CreateContainer(ctx, "gp", "meters", nil)
+	if _, err := cl.PutObject(ctx, "gp", "meters", "o.csv", strings.NewReader(meterCSV), nil); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	_, _, err := cl.GetObject(ctx, "gp", "meters", "o.csv", GetOptions{Pushdown: []*pushdown.Task{
+		{Filter: "csv", Schema: meterSchema, Columns: []string{"nosuch"}},
+	}})
+	took := time.Since(start)
+	if !errors.Is(err, storlet.ErrBadTask) || !strings.Contains(err.Error(), "http 400") {
+		t.Errorf("err = %v, want a bad-task 400", err)
+	}
+	if n := cl.Metrics.Counter("client.retries").Load(); n != 0 || took > 500*time.Millisecond {
+		t.Errorf("%d retries in %v, want none", n, took)
+	}
+	if n := cluster.Engine().StatsFor("csv").Errors; n != 0 {
+		t.Errorf("csv Errors = %d, want 0", n)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 
 	"scoop/internal/pushdown"
+	"scoop/internal/storlet"
 )
 
 // errStaleReplica marks a replica skipped because it holds a version other
@@ -80,27 +81,22 @@ func (p *Proxy) fetchReplica(ctx context.Context, nodes []*Node, path string, st
 			lastErr = err
 			continue
 		}
-		if err != nil {
-			// A pushdown refusal comes from the SHARED storlet engine, not
-			// this replica's disk — another replica would refuse identically.
-			// Abort the ring walk so the refusal surfaces once (typed, for
-			// the 503 path) instead of as N spurious failovers.
-			if IsPushdownUnavailable(err) || IsFilterFailure(err) {
-				return nil, ObjectInfo{}, 0, err
+		if err == nil {
+			var pk io.ReadCloser
+			if pk, err = peekFirst(rc); err == nil {
+				return pk, info, i, nil
 			}
-			lastErr = err
-			continue
-		}
-		pk, perr := peekFirst(rc)
-		if perr != nil {
 			rc.Close()
-			if IsPushdownUnavailable(perr) || IsFilterFailure(perr) {
-				return nil, ObjectInfo{}, 0, perr
-			}
-			lastErr = fmt.Errorf("objectstore: replica %s failed before first byte: %w", node.Name(), perr)
-			continue
+			err = fmt.Errorf("objectstore: replica %s failed before first byte: %w", node.Name(), err)
 		}
-		return pk, info, i, nil
+		// A failure whose class does not fail over comes from the SHARED
+		// storlet engine, not this replica's disk: another replica would
+		// fail identically. It surfaces once, typed, instead of as N
+		// spurious failovers.
+		if !storlet.Classify(err).Failover {
+			return nil, ObjectInfo{}, 0, err
+		}
+		lastErr = err
 	}
 	return nil, ObjectInfo{}, 0, lastErr
 }

@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"scoop/internal/pushdown"
+	"scoop/internal/storlet"
 )
 
 // HTTP API (Swift-flavored):
@@ -335,21 +336,23 @@ func parseRange(s string) (start, end int64, err error) {
 	return start, last + 1, nil
 }
 
+// writeErr answers err: what the client asked for wrongly (404, 416, an
+// invalid name's 400) first, anything else as its row of storlet.Failures
+// says, a pushdown failure with its reason token.
 func writeErr(w http.ResponseWriter, err error) {
+	c := storlet.Classify(err)
 	switch {
 	case IsNotFound(err):
-		http.Error(w, err.Error(), http.StatusNotFound)
+		c.Status = http.StatusNotFound
 	case errors.Is(err, ErrBadRange):
-		http.Error(w, err.Error(), http.StatusRequestedRangeNotSatisfiable)
-	case IsPushdownUnavailable(err) || IsFilterFailure(err):
-		// Pre-first-byte pushdown refusal (or a filter failure caught before
-		// any byte left): 503 so PR 3's retry machinery treats it as
-		// transient, Retry-After to pace it, and the reason header so the
-		// connector can decide to fall back compute-side instead.
-		w.Header().Set(HeaderPushdownUnavailable, PushdownUnavailableReason(err))
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-	default:
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		c.Status = http.StatusRequestedRangeNotSatisfiable
+	case errors.Is(err, errInvalidName):
+		c.Status = http.StatusBadRequest
+	case c.Reason != "":
+		w.Header().Set(HeaderPushdownUnavailable, c.Reason)
+		if c.Status == http.StatusServiceUnavailable {
+			w.Header().Set("Retry-After", "1")
+		}
 	}
+	http.Error(w, err.Error(), c.Status)
 }

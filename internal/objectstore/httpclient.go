@@ -15,6 +15,7 @@ import (
 
 	"scoop/internal/metrics"
 	"scoop/internal/pushdown"
+	"scoop/internal/storlet"
 )
 
 // HTTPClient implements Client against a store served by Handler — the
@@ -225,7 +226,7 @@ func (c *HTTPClient) GetObject(ctx context.Context, account, container, object s
 	if len(opts.Pushdown) > 0 {
 		// Filtered streams carry mid-stream failures in the error trailer
 		// (they have no Content-Length to check truncation against). Decode
-		// it into a typed ErrFilterFailed at EOF.
+		// it into a typed storlet.ErrFilterFailed at EOF.
 		tc := &trailerChecked{rc: resp.Body, resp: resp}
 		if status := resp.Header.Get(HeaderCacheStatus); status != "" {
 			tc.cacheStatus = status
@@ -334,7 +335,8 @@ func (c *HTTPClient) del(ctx context.Context, u string, conflict error) error {
 }
 
 // statusErr converts an error response to the store's sentinel errors where
-// possible so errors.Is works across the HTTP boundary.
+// possible so errors.Is works across the HTTP boundary: a reason token
+// decodes to its class's sentinel, the one an in-process caller gets.
 func statusErr(resp *http.Response) error {
 	body, err := io.ReadAll(io.LimitReader(resp.Body, 512))
 	msg := strings.TrimSpace(string(body))
@@ -342,7 +344,7 @@ func statusErr(resp *http.Response) error {
 		msg = "error body unreadable: " + err.Error()
 	}
 	if reason := resp.Header.Get(HeaderPushdownUnavailable); reason != "" {
-		return pushdownUnavailableErr(reason, resp.StatusCode, msg)
+		return fmt.Errorf("%w (%s): http %d: %s", storlet.ForReason(reason).Err, reason, resp.StatusCode, msg)
 	}
 	switch resp.StatusCode {
 	case http.StatusNotFound:
@@ -376,7 +378,7 @@ func (t *trailerChecked) Read(p []byte) (int, error) {
 	n, err := t.rc.Read(p)
 	if errors.Is(err, io.EOF) {
 		if msg := t.resp.Trailer.Get(HeaderFilterError); msg != "" {
-			t.err = fmt.Errorf("%w: %s", ErrFilterFailed, msg)
+			t.err = fmt.Errorf("%w: %s", storlet.ErrFilterFailed, msg)
 			if n > 0 {
 				return n, nil
 			}

@@ -227,11 +227,11 @@ func (p *Proxy) GetObject(ctx context.Context, account, container, object string
 		return nil, ObjectInfo{}, err
 	}
 	if len(opts.Pushdown) > 0 && policy.DisablePushdown {
-		return nil, ObjectInfo{}, fmt.Errorf("%w: container %s/%s", ErrPushdownDisabled, account, container)
+		return nil, ObjectInfo{}, fmt.Errorf("%w: container %s/%s", storlet.ErrPushdownDisabled, account, container)
 	}
 	for _, t := range opts.Pushdown {
 		if err := t.Validate(); err != nil {
-			return nil, ObjectInfo{}, err
+			return nil, ObjectInfo{}, fmt.Errorf("%w: %w", storlet.ErrBadTask, err)
 		}
 	}
 	if rc, info, served, err := p.cachedGet(ctx, account, container, object, opts); served {

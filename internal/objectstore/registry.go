@@ -2,6 +2,7 @@ package objectstore
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -34,9 +35,12 @@ func NewRegistry() *Registry {
 	return &Registry{accounts: make(map[string]*accountState)}
 }
 
+// errInvalidName is the error of a name validateName refuses.
+var errInvalidName = errors.New("objectstore: invalid name")
+
 func validateName(s string) error {
 	if s == "" || strings.ContainsAny(s, "/ \t\n") {
-		return fmt.Errorf("objectstore: invalid name %q", s)
+		return fmt.Errorf("%w %q", errInvalidName, s)
 	}
 	return nil
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"scoop/internal/clock"
+	"scoop/internal/storlet"
 )
 
 // ErrTruncated marks a response body that ended before delivering the
@@ -97,21 +98,24 @@ func idempotentMethod(method string) bool {
 	}
 }
 
-// retriableStatus reports whether the status signals a transient server
-// condition: request timeout, throttling, or any 5xx.
-func retriableStatus(code int) bool {
-	return code == http.StatusRequestTimeout ||
-		code == http.StatusTooManyRequests ||
-		code >= 500
+// retriable reports whether resp is worth another attempt: a pushdown
+// failure when its class says so, any other response when its status
+// signals a transient server condition (request timeout, throttling, any
+// 5xx).
+func retriable(resp *http.Response) bool {
+	if reason := resp.Header.Get(HeaderPushdownUnavailable); reason != "" {
+		return storlet.ForReason(reason).Retry
+	}
+	code := resp.StatusCode
+	return code == http.StatusRequestTimeout || code == http.StatusTooManyRequests || code >= 500
 }
 
 // doRetry runs one logical request with the client's retry policy. build
 // must return a fresh *http.Request on every call (bodies are consumed by
 // failed attempts). Requests are retried only when the verb is idempotent
 // AND the body is replayable; retriable failures are transport errors and
-// retriable statuses, except a permanent pushdown refusal. The final
-// attempt's response is returned as-is so the caller's status handling
-// still applies.
+// retriable responses. The final attempt's response is returned as-is so the
+// caller's status handling still applies.
 func (c *HTTPClient) doRetry(ctx context.Context, method string, replayable bool, build func() (*http.Request, error)) (*http.Response, error) {
 	p := c.Retry.withDefaults()
 	attempts := p.MaxAttempts
@@ -150,7 +154,7 @@ func (c *HTTPClient) doRetry(ctx context.Context, method string, replayable bool
 			}
 			continue
 		}
-		if retriableStatus(resp.StatusCode) && try < attempts-1 && !permanentRefusal(resp) {
+		if try < attempts-1 && retriable(resp) {
 			lastErr = fmt.Errorf("objectstore: http %d on %s %s", resp.StatusCode, method, req.URL.Path)
 			retryAfter = retryAfterHint(resp)
 			drainClose(resp.Body)
@@ -211,7 +215,7 @@ func (c *HTTPClient) resumeRanged(ctx context.Context, account, container, objec
 			if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusPartialContent {
 				lastErr = statusErr(resp)
 				drainClose(resp.Body)
-				if retriableStatus(resp.StatusCode) {
+				if retriable(resp) {
 					continue
 				}
 				break

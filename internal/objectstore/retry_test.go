@@ -51,8 +51,8 @@ func TestRetriableStatusMatrix(t *testing.T) {
 		{500, true}, {502, true}, {503, true}, {504, true}, {599, true},
 	}
 	for _, c := range cases {
-		if got := retriableStatus(c.code); got != c.want {
-			t.Errorf("retriableStatus(%d) = %v, want %v", c.code, got, c.want)
+		if got := retriable(&http.Response{StatusCode: c.code, Header: http.Header{}}); got != c.want {
+			t.Errorf("retriable(%d) = %v, want %v", c.code, got, c.want)
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strconv"
 
 	"scoop/internal/csvio"
@@ -82,7 +83,7 @@ func (a *Acc) Add(kind Kind, v types.Value) {
 	case Min, Max:
 		if a.V.IsNull() {
 			a.V = v
-		} else if c := v.Compare(a.V); (kind == Min && c < 0) || (kind == Max && c > 0) {
+		} else if c := compareNaNHigh(v, a.V); (kind == Min && c < 0) || (kind == Max && c > 0) {
 			a.V = v
 		}
 	case First:
@@ -230,7 +231,7 @@ func (a *Acc) MergeCells(kind Kind, cells [][]byte, typ types.Type) {
 				if typ == types.Int {
 					v, f = types.IntV(int64(f)), float64(int64(f))
 				}
-				if (kind == Min && f < cur) || (kind == Max && f > cur) {
+				if (kind == Min && (f < cur || math.IsNaN(cur))) || (kind == Max && f > cur) {
 					a.V = v
 				}
 				return
@@ -249,6 +250,27 @@ func (a *Acc) mergeTyped(kind Kind, cell []byte, typ types.Type) {
 		a.Add(kind, v)
 	}
 }
+
+// compareNaNHigh orders v against o as Value.Compare does, but with NaN
+// above every number, as PostgreSQL orders it, so that MIN and MAX over a
+// NaN do not depend on where the input is cut. WHERE predicates keep
+// Value.Compare, which pushdown's byte matcher agrees with.
+func compareNaNHigh(v, o types.Value) int {
+	if vn, on := isNaN(v), isNaN(o); (vn || on) && isNumber(v) && isNumber(o) {
+		switch {
+		case vn == on:
+			return 0
+		case vn:
+			return 1
+		default:
+			return -1
+		}
+	}
+	return v.Compare(o)
+}
+
+func isNaN(v types.Value) bool    { return v.T == types.Float && math.IsNaN(v.F) }
+func isNumber(v types.Value) bool { return v.T == types.Float || v.T == types.Int }
 
 // compareText orders string(b) against s, as strings.Compare does but by
 // sign only, without the conversion.

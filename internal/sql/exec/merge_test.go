@@ -79,9 +79,7 @@ type mergeCase struct {
 // columns or SUBSTRING(col, 0, n) of a string column, so a key is never an
 // empty string (which the partial record cannot tell from NULL, a wire
 // limit of its own), and numbers are short decimals, integers, text that is
-// no number, values whose exact sums leave the fast path, or empty. NaN is
-// left out: MIN and MAX compare it equal to every value, so over NaN they
-// depend on where the input is cut, whichever side merges.
+// no number, values whose exact sums leave the fast path, NaN, or empty.
 var (
 	fuzzKeys = []string{"", "vid", "SUBSTRING(date, 0, 7), vid", "SUBSTRING(date, 0, 10), vid", "state",
 		"SUBSTRING(date, 0, 10), state", "city, state", "vid, lat"}
@@ -89,7 +87,7 @@ var (
 		"min(sumHC) AS lo", "max(sumHP) AS hi", "min(city) AS mc", "first_value(lat) AS fl",
 		"first_value(city) AS fc", "max(lat) AS ml", "max(state) AS ms"}
 	fuzzNumbers = []string{"", "1.5", "0.1", "2", "-3.25", "n/a", "1e300", "0.3333333333333333", "12345678.123456",
-		"7", "-0", "0.2", "900719925474099.3"}
+		"7", "-0", "0.2", "900719925474099.3", "NaN"}
 	fuzzCities = []string{"", "Rotterdam", "Paris", "Nice", "a,b", `say "hi"`, " "}
 )
 
@@ -201,38 +199,61 @@ func FuzzMergeCellsEqualsFold(f *testing.F) {
 	f.Add([]byte{0x0d, 0x80, 0x04, 2, 4, 4, 12, 5, 3, 200, 3, 33, 4, 201, 6, 34})
 	e := storeEngine(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c := decodeMergeCase(data)
-		sel, err := parser.Parse(c.sql)
-		if err != nil {
-			t.Fatalf("%s: %v", c.sql, err)
-		}
-		p, err := plan.Analyze(sel, meterSchema, plan.Options{})
-		if err != nil || p.StoreAgg == nil {
-			t.Fatalf("%s: %v, refused: %s", c.sql, err, p.AggRefused)
-		}
-		scan, fold := storeChains(p)
-		want, err := exec.Execute(p, exec.NewSliceIterator(runChain(t, e, scan, c.object, p.Read)))
-		if err != nil {
-			t.Fatalf("%s: %v", c.sql, err)
-		}
-		merged := exec.NewPartial(p)
-		for _, part := range parts(c.object, c.cuts) {
-			pt := exec.NewPartial(p)
-			for _, rec := range chainFields(t, e, fold, part) {
-				if err := pt.MergeCells(rec); err != nil {
-					t.Fatalf("%s: %v", c.sql, err)
-				}
-			}
-			merged.Merge(pt)
-		}
-		got, err := merged.Finish()
-		if err != nil {
-			t.Fatalf("%s: %v", c.sql, err)
-		}
-		if err := sameRows(got.Rows, want.Rows); err != nil {
-			t.Fatalf("%s\ncut at %v: %v", c.sql, c.cuts, err)
-		}
+		checkMergeCase(t, e, decodeMergeCase(data))
 	})
+}
+
+// checkMergeCase fails t unless merging the store's partial records of c's
+// parts finishes as executing c's query over all its rows does.
+func checkMergeCase(t *testing.T, e *storlet.Engine, c mergeCase) {
+	t.Helper()
+	sel, err := parser.Parse(c.sql)
+	if err != nil {
+		t.Fatalf("%s: %v", c.sql, err)
+	}
+	p, err := plan.Analyze(sel, meterSchema, plan.Options{})
+	if err != nil || p.StoreAgg == nil {
+		t.Fatalf("%s: %v, refused: %s", c.sql, err, p.AggRefused)
+	}
+	scan, fold := storeChains(p)
+	want, err := exec.Execute(p, exec.NewSliceIterator(runChain(t, e, scan, c.object, p.Read)))
+	if err != nil {
+		t.Fatalf("%s: %v", c.sql, err)
+	}
+	merged := exec.NewPartial(p)
+	for _, part := range parts(c.object, c.cuts) {
+		pt := exec.NewPartial(p)
+		for _, rec := range chainFields(t, e, fold, part) {
+			if err := pt.MergeCells(rec); err != nil {
+				t.Fatalf("%s: %v", c.sql, err)
+			}
+		}
+		merged.Merge(pt)
+	}
+	got, err := merged.Finish()
+	if err != nil {
+		t.Fatalf("%s: %v", c.sql, err)
+	}
+	if err := sameRows(got.Rows, want.Rows); err != nil {
+		t.Fatalf("%s\ncut at %v: %v", c.sql, c.cuts, err)
+	}
+}
+
+// MIN and MAX order NaN above every number, so over 5, NaN, 3 they give 3
+// and NaN however the rows are cut.
+func TestMinMaxNaNIndependentOfCut(t *testing.T) {
+	e := storeEngine(t)
+	var object strings.Builder
+	for _, index := range []string{"5", "NaN", "3"} {
+		fmt.Fprintf(&object, "V1,2015-01-01 00:00:00,%s,1,1,elec,Paris,FRA,1,4.5\n", index)
+	}
+	for _, cuts := range [][]int{nil, {1}, {2}, {1, 2}} {
+		checkMergeCase(t, e, mergeCase{
+			sql:    "SELECT vid, min(index) AS lo, max(index) AS hi FROM largeMeter GROUP BY vid",
+			object: object.String(),
+			cuts:   cuts,
+		})
+	}
 }
 
 // BenchmarkMergeCellsHeatmonth merges the partial records of

@@ -50,18 +50,18 @@ func (*Filter) Name() string { return FilterName }
 func (*Filter) Invoke(ctx *storlet.Context, in io.Reader, out io.Writer) error {
 	task := ctx.Task
 	if task == nil || task.Schema == "" {
-		return errors.New("aggfilter: task needs a schema")
+		return fmt.Errorf("%w: aggfilter: task needs a schema", storlet.ErrBadTask)
 	}
 	schema, err := types.ParseSchema(task.Schema)
 	if err != nil {
-		return fmt.Errorf("aggfilter: %w", err)
+		return fmt.Errorf("%w: aggfilter: %w", storlet.ErrBadTask, err)
 	}
 	spec, err := agg.ParseSpec(task.Options)
 	if err == nil {
 		_, err = spec.Record(schema) // checks that the terms fit the schema
 	}
 	if err != nil {
-		return fmt.Errorf("aggfilter: %w", err)
+		return fmt.Errorf("%w: aggfilter: %w", storlet.ErrBadTask, err)
 	}
 
 	rr := csvio.AcquireRangeReader(in, ctx.RangeStart, ctx.RangeEnd)

@@ -114,8 +114,8 @@ func (b *breaker) open() {
 }
 
 // record reports the outcome of an admitted invocation. countable is false
-// for failures that say nothing about the filter's health (the caller
-// abandoned the stream, or an upstream chain stage failed first); those
+// for failures that say nothing about the filter's health (their class in
+// Failures does not count, or an upstream chain stage failed first); those
 // never trip the breaker, but a probe that ends uncountably re-arms the
 // open state so the next refusal retries the probe immediately.
 func (b *breaker) record(err error, probe, countable bool) {

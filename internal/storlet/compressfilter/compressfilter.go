@@ -39,7 +39,7 @@ func (*Filter) Invoke(ctx *storlet.Context, in io.Reader, out io.Writer) error {
 	if raw := ctx.Task.Options[OptLevel]; raw != "" {
 		v, err := strconv.Atoi(raw)
 		if err != nil || v < flate.BestSpeed || v > flate.BestCompression {
-			return fmt.Errorf("compress: bad level %q", raw)
+			return fmt.Errorf("%w: compress: bad level %q", storlet.ErrBadTask, raw)
 		}
 		level = v
 	}

@@ -65,7 +65,7 @@ var scanPool = sync.Pool{New: func() any { return new(csvio.FieldScanner) }}
 func (f *Filter) Invoke(ctx *storlet.Context, in io.Reader, out io.Writer) error {
 	c, err := Compile(ctx.Task)
 	if err != nil {
-		return err
+		return fmt.Errorf("%w: %w", storlet.ErrBadTask, err)
 	}
 	rr := csvio.AcquireRangeReader(in, ctx.RangeStart, ctx.RangeEnd)
 	defer rr.Release()

@@ -49,7 +49,7 @@ func (*Cleanse) Invoke(ctx *storlet.Context, in io.Reader, out io.Writer) error 
 		for _, part := range strings.Split(raw, ",") {
 			i, err := strconv.Atoi(strings.TrimSpace(part))
 			if err != nil || i < 0 || i >= want {
-				return fmt.Errorf("etl: bad required index %q", part)
+				return fmt.Errorf("%w: etl: bad required index %q", storlet.ErrBadTask, part)
 			}
 			required = append(required, i)
 		}
@@ -121,7 +121,7 @@ func (*Split) Invoke(ctx *storlet.Context, in io.Reader, out io.Writer) error {
 	if raw := ctx.Task.Options["parts"]; raw != "" {
 		parts, err = strconv.Atoi(raw)
 		if err != nil || parts < 2 {
-			return fmt.Errorf("etl: bad parts %q", raw)
+			return fmt.Errorf("%w: etl: bad parts %q", storlet.ErrBadTask, raw)
 		}
 	}
 	rr := csvio.AcquireRangeReader(in, ctx.RangeStart, ctx.RangeEnd)
@@ -165,11 +165,11 @@ func (*Split) Invoke(ctx *storlet.Context, in io.Reader, out io.Writer) error {
 func intOption(ctx *storlet.Context, key string) (int, error) {
 	raw, ok := ctx.Task.Options[key]
 	if !ok {
-		return 0, fmt.Errorf("etl: missing option %q", key)
+		return 0, fmt.Errorf("%w: etl: missing option %q", storlet.ErrBadTask, key)
 	}
 	v, err := strconv.Atoi(raw)
 	if err != nil || v < 0 {
-		return 0, fmt.Errorf("etl: bad option %s=%q", key, raw)
+		return 0, fmt.Errorf("%w: etl: bad option %s=%q", storlet.ErrBadTask, key, raw)
 	}
 	return v, nil
 }

@@ -13,8 +13,9 @@
 // The engine is also the first rung of the degradation ladder (DESIGN §8):
 // when the store cannot run a filter — saturated, persistently failing,
 // not deployed — it says so *before* producing any bytes, with a typed
-// error the HTTP layer turns into a retriable 503 and the connector turns
-// into a compute-side fallback.
+// error. Failures is the one table that says what every layer does with
+// such an error: the handler's status, the client's retry, the proxy's
+// failover, the connector's fallback and the engine's own accounting.
 package storlet
 
 import (
@@ -73,9 +74,10 @@ func (f FilterFunc) Invoke(ctx *Context, in io.Reader, out io.Writer) error {
 // Stats aggregates resource accounting for one filter.
 type Stats struct {
 	Invocations int64
-	// Errors counts the invocations that failed in a way that counts
-	// against the filter's breaker (countableFailure): a stream its reader
-	// abandoned, or an upstream stage's failure passed on, is none.
+	// Errors counts the invocations that failed with a class that counts
+	// (Class.Counts) and is attributed to this filter: a failed input, a
+	// stream its reader abandoned, or an upstream stage's failure passed
+	// on, is none.
 	Errors   int64
 	BytesIn  int64
 	BytesOut int64
@@ -364,8 +366,9 @@ func (e *Engine) run(ctx *Context, f Filter, in io.Reader, upstream io.Closer) (
 			// writes saw ErrClosedPipe but the real cause is the timeout.
 			err = timeoutError(name, e.limits.Timeout)
 		}
-		err = wrapFilterError(name, err)
-		failed := countableFailure(name, err)
+		err = wrapFilterError(name, err, cin.err)
+		var fe *FilterError
+		failed := errors.As(err, &fe) && fe.Filter == name && Classify(err).Counts
 		e.account(name, cin.n, cout.n, time.Since(start), failed)
 		if br != nil {
 			br.record(err, probe, failed)
@@ -380,8 +383,10 @@ func timeoutError(name string, d time.Duration) error {
 }
 
 // wrapFilterError attributes err to the named filter unless it is already a
-// *FilterError (its own, or one propagated from an upstream chain stage).
-func wrapFilterError(name string, err error) error {
+// *FilterError (its own, or one propagated from an upstream chain stage). An
+// error that wraps input, the first error the filter's input returned, is
+// marked ErrInputFailed: the input failed, not the filter.
+func wrapFilterError(name string, err, input error) error {
 	if err == nil {
 		return nil
 	}
@@ -389,26 +394,10 @@ func wrapFilterError(name string, err error) error {
 	if errors.As(err, &fe) {
 		return err
 	}
+	if input != nil && errors.Is(err, input) {
+		err = fmt.Errorf("%w: %w", ErrInputFailed, err)
+	}
 	return &FilterError{Filter: name, Err: err}
-}
-
-// countableFailure reports whether err should count against the named
-// filter's breaker and in its Stats.Errors. Failures that say nothing about
-// the filter's health do
-// not: the caller abandoned the stream (bare ErrClosedPipe), or an upstream
-// chain stage failed first and this stage merely propagated its error.
-func countableFailure(name string, err error) bool {
-	if err == nil {
-		return false
-	}
-	if errors.Is(err, io.ErrClosedPipe) && !errors.Is(err, ErrFilterTimeout) {
-		return false
-	}
-	var fe *FilterError
-	if errors.As(err, &fe) && fe.Filter != name {
-		return false
-	}
-	return true
 }
 
 // Unbounded is the range end of a stream whose records all count: the PUT
@@ -539,13 +528,17 @@ func invokeSafely(f Filter, ctx *Context, in io.Reader, out io.Writer) (err erro
 }
 
 type countingReader struct {
-	r io.Reader
-	n int64
+	r   io.Reader
+	n   int64
+	err error // the first error other than io.EOF that r returned
 }
 
 func (c *countingReader) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
 	c.n += int64(n)
+	if err != nil && c.err == nil && !errors.Is(err, io.EOF) {
+		c.err = err
+	}
 	return n, err
 }
 
