@@ -9,12 +9,9 @@ package compute
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"scoop/internal/clock"
 )
 
 // Task is one schedulable unit. Implementations must be safe to retry.
@@ -26,16 +23,10 @@ type Config struct {
 	// (paper testbed: 25); tasks in Blocking hold none.
 	Workers int
 	// Retries is how many times a failing task is re-run before the job
-	// fails (Spark's spark.task.maxFailures - 1).
+	// fails (Spark's spark.task.maxFailures - 1). A re-run starts at once:
+	// the pacing of a failed request is the client's retry policy, inside
+	// the task.
 	Retries int
-	// RetryBackoff is the full-jitter ceiling for the pause before a task
-	// re-attempt, so a store shedding load (503 + Retry-After at the
-	// connector layer, ErrOverloaded at the engine) is not hammered in
-	// lock-step by every worker. 0 keeps the historical immediate retry.
-	RetryBackoff time.Duration
-	// Seed seeds the backoff jitter (0 means 1); fixed seeds keep chaos
-	// runs deterministic.
-	Seed int64
 }
 
 // DefaultConfig matches a small local deployment.
@@ -110,31 +101,18 @@ func (d *Driver) Run(ctx context.Context, tasks []Task) ([]any, Stats, error) {
 		})
 	}
 	slots := make(chan struct{}, d.cfg.Workers)
-	for w := 0; w < min(2*d.cfg.Workers-1, len(tasks)); w++ {
+	for range min(2*d.cfg.Workers-1, len(tasks)) {
 		wg.Add(1)
-		go func(worker int) {
+		go func() {
 			defer wg.Done()
 			sl := &slot{slots: slots, busyNs: &busyNs}
 			taskCtx := context.WithValue(jobCtx, slotKey{}, sl)
-			var rng *rand.Rand
-			if d.cfg.RetryBackoff > 0 {
-				seed := d.cfg.Seed
-				if seed == 0 {
-					seed = 1
-				}
-				rng = rand.New(rand.NewSource(seed + int64(worker)))
-			}
 			for j := range jobs {
 				var lastErr error
 				ok := false
 				for attempt := 0; attempt <= d.cfg.Retries; attempt++ {
 					if jobCtx.Err() != nil {
 						return
-					}
-					if attempt > 0 && rng != nil {
-						if clock.Sleep(jobCtx, time.Duration(rng.Int63n(int64(d.cfg.RetryBackoff)))) != nil {
-							return
-						}
 					}
 					if !sl.acquire(jobCtx) {
 						return
@@ -155,7 +133,7 @@ func (d *Driver) Run(ctx context.Context, tasks []Task) ([]any, Stats, error) {
 					return
 				}
 			}
-		}(w)
+		}()
 	}
 feed:
 	for i := range tasks {

@@ -185,43 +185,6 @@ func TestManyTasksFewWorkers(t *testing.T) {
 	}
 }
 
-func TestRetryBackoffStillSucceeds(t *testing.T) {
-	d, _ := NewDriver(Config{Workers: 1, Retries: 2, RetryBackoff: 2 * time.Millisecond, Seed: 7})
-	var calls atomic.Int64
-	flaky := func(context.Context) (any, error) {
-		if calls.Add(1) < 2 {
-			return nil, errors.New("overloaded")
-		}
-		return "ok", nil
-	}
-	res, stats, err := d.Run(context.Background(), []Task{flaky})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0] != "ok" || stats.Attempts != 2 || stats.Failures != 1 {
-		t.Errorf("res=%v stats=%+v", res, stats)
-	}
-}
-
-func TestRetryBackoffAbortsOnCancel(t *testing.T) {
-	// A huge backoff ceiling must not hold a cancelled job hostage: the
-	// pause honors the job context.
-	d, _ := NewDriver(Config{Workers: 1, Retries: 1, RetryBackoff: time.Hour, Seed: 7})
-	ctx, cancel := context.WithCancel(context.Background())
-	bad := func(context.Context) (any, error) {
-		cancel() // fail once the job is running, then die during the backoff
-		return nil, errors.New("always broken")
-	}
-	start := time.Now()
-	_, _, err := d.Run(ctx, []Task{bad})
-	if err == nil {
-		t.Fatal("cancelled job should fail")
-	}
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("backoff ignored cancellation: %v", elapsed)
-	}
-}
-
 // maxGauge tracks a counter and the highest value it reached.
 type maxGauge struct{ cur, max atomic.Int64 }
 

@@ -80,7 +80,7 @@ func runCacheChaos(t *testing.T, cacheBytes int64) cacheChaosResult {
 	hc.Retry = chaosRetry()
 	s, err := core.New(core.Config{
 		Client: hc, Account: "gp", ChunkSize: 32 << 10,
-		Compute: compute.Config{Workers: 1, Retries: 1, RetryBackoff: 2 * time.Millisecond, Seed: 5},
+		Compute: compute.Config{Workers: 1, Retries: 1},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"scoop/internal/compute"
 	"scoop/internal/core"
@@ -68,7 +67,7 @@ func runFilterChaos(t *testing.T, rules ...faultinject.Rule) filterChaosResult {
 	hc.Retry = chaosRetry()
 	s, err := core.New(core.Config{
 		Client: hc, Account: "gp", ChunkSize: 32 << 10,
-		Compute: compute.Config{Workers: 1, Retries: 1, RetryBackoff: 2 * time.Millisecond, Seed: 5},
+		Compute: compute.Config{Workers: 1, Retries: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +172,7 @@ func TestChaosOverloadShedsToFallback(t *testing.T) {
 	hc.Retry = chaosRetry()
 	s, err := core.New(core.Config{
 		Client: hc, Account: "gp", ChunkSize: 32 << 10,
-		Compute: compute.Config{Workers: 1, Retries: 1, RetryBackoff: 2 * time.Millisecond, Seed: 5},
+		Compute: compute.Config{Workers: 1, Retries: 1},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -44,11 +44,11 @@ func TestPushdownUnavailableReasonTokens(t *testing.T) {
 }
 
 // A pushdown request naming a filter the store never deployed must be
-// refused pre-first-byte: 503, Retry-After, and the machine-readable reason
-// header — the shape PR 3's retries and the connector's fallback key on.
+// refused pre-first-byte: 503 and the machine-readable reason header, the
+// shape the client's retries and the connector's fallback key on.
 func TestHTTPPushdownNotDeployed503(t *testing.T) {
 	_, cl := newHTTPStore(t)
-	cl.Retry = RetryPolicy{Disabled: true} // a 503 is retriable; keep the test fast
+	cl.Retry = RetryPolicy{MaxAttempts: 1} // a 503 is retriable; keep the test fast
 	_ = cl.CreateContainer(context.Background(), "gp", "meters", nil)
 	if _, err := cl.PutObject(context.Background(), "gp", "meters", "jan.csv", strings.NewReader(meterCSV), nil); err != nil {
 		t.Fatal(err)
@@ -59,7 +59,7 @@ func TestHTTPPushdownNotDeployed503(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Wire level: status, reason header, Retry-After, all before any body.
+	// Wire level: status and reason header, before any body.
 	req, _ := http.NewRequest(http.MethodGet, cl.BaseURL+"/v1/gp/meters/jan.csv", nil)
 	req.Header.Set(pushdown.HeaderName, enc)
 	resp, err := http.DefaultClient.Do(req)
@@ -72,9 +72,6 @@ func TestHTTPPushdownNotDeployed503(t *testing.T) {
 	}
 	if got := resp.Header.Get(HeaderPushdownUnavailable); got != "not-deployed" {
 		t.Errorf("%s = %q, want not-deployed", HeaderPushdownUnavailable, got)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("503 missing Retry-After")
 	}
 
 	// Client level: the refusal decodes to the typed sentinel.
@@ -90,7 +87,7 @@ func TestHTTPPushdownNotDeployed503(t *testing.T) {
 
 func TestHTTPPushdownDisabledByPolicy503(t *testing.T) {
 	_, cl := newHTTPStore(t)
-	cl.Retry = RetryPolicy{Disabled: true}
+	cl.Retry = RetryPolicy{MaxAttempts: 1}
 	policy := &ContainerPolicy{DisablePushdown: true}
 	if err := cl.CreateContainer(context.Background(), "gp", "locked", policy); err != nil {
 		t.Fatal(err)
@@ -178,66 +175,6 @@ func TestHTTPTrailerCleanOnSuccess(t *testing.T) {
 	}
 }
 
-func TestRetryAfterHintParsing(t *testing.T) {
-	mk := func(v string) *http.Response {
-		h := http.Header{}
-		if v != "" {
-			h.Set("Retry-After", v)
-		}
-		return &http.Response{Header: h}
-	}
-	cases := []struct {
-		in   string
-		want time.Duration
-	}{
-		{"", 0},
-		{"2", 2 * time.Second},
-		{"0", 0},
-		{"-3", 0},
-		{"bogus", 0},
-		{"Wed, 21 Oct 2015 07:28:00 GMT", 0}, // HTTP-date form is ignored
-	}
-	for _, c := range cases {
-		if got := retryAfterHint(mk(c.in)); got != c.want {
-			t.Errorf("retryAfterHint(%q) = %v, want %v", c.in, got, c.want)
-		}
-	}
-}
-
-// A server-requested Retry-After paces the retry but is capped at the
-// policy's MaxDelay, so a confused server cannot park the client.
-func TestRetryAfterPacingCapped(t *testing.T) {
-	var calls int
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls++
-		if calls == 1 {
-			w.Header().Set("Retry-After", "30") // way past MaxDelay
-			http.Error(w, "busy", http.StatusServiceUnavailable)
-			return
-		}
-		w.Header().Set("Content-Length", "2")
-		w.WriteHeader(http.StatusOK)
-		_, _ = io.WriteString(w, "ok")
-	}))
-	defer srv.Close()
-	cl := NewHTTPClient(srv.URL)
-	cl.Retry = RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 20 * time.Millisecond, Seed: 1}
-	start := time.Now()
-	rc, _, err := cl.GetObject(context.Background(), "a", "c", "o", GetOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := readAll(t, rc); got != "ok" {
-		t.Errorf("body = %q", got)
-	}
-	if calls != 2 {
-		t.Errorf("calls = %d, want 2", calls)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Errorf("Retry-After was not capped: took %v", elapsed)
-	}
-}
-
 // A pushdown refused as not-deployed or disabled is final: under the default
 // retry policy the client answers at once, without a retry, and the
 // connector falls back.
@@ -267,6 +204,55 @@ func TestPermanentPushdownRefusalNotRetried(t *testing.T) {
 		if n := cl.Metrics.Counter("client.retries").Load() - before; n != 0 || took > 500*time.Millisecond {
 			t.Errorf("%s: %d retries in %v, want none", c.reason, n, took)
 		}
+	}
+}
+
+// A filter that fails before its first byte is retried as its row says,
+// paced by the client's backoff alone: the 503 carries no Retry-After, so
+// the refusal reaches the connector's fallback in milliseconds.
+func TestFilterFailureRetriesAreNotPaced(t *testing.T) {
+	cluster, cl := newHTTPStore(t)
+	cl.Metrics = metrics.NewRegistry()
+	bug := storlet.FilterFunc{FilterName: "bug", Fn: func(*storlet.Context, io.Reader, io.Writer) error {
+		return errors.New("bug")
+	}}
+	if err := cluster.Engine().Register(bug); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	_ = cl.CreateContainer(ctx, "gp", "meters", nil)
+	if _, err := cl.PutObject(ctx, "gp", "meters", "jan.csv", strings.NewReader(meterCSV), nil); err != nil {
+		t.Fatal(err)
+	}
+	tasks := []*pushdown.Task{{Filter: "bug"}}
+
+	start := time.Now()
+	_, _, err := cl.GetObject(ctx, "gp", "meters", "jan.csv", GetOptions{Pushdown: tasks})
+	took := time.Since(start)
+	if storlet.Classify(err).Reason != "filter-failed" {
+		t.Fatalf("err = %v, want a filter-failed refusal", err)
+	}
+	if n := cl.Metrics.Counter("client.retries").Load(); n != 3 || took > 500*time.Millisecond {
+		t.Errorf("%d retries in %v, want 3 in under 500ms", n, took)
+	}
+
+	enc, err := pushdown.EncodeChain(tasks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, _ := http.NewRequest(http.MethodGet, cl.BaseURL+"/v1/gp/meters/jan.csv", nil)
+	req.Header.Set(pushdown.HeaderName, enc)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drainClose(resp.Body)
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get(HeaderPushdownUnavailable) != "filter-failed" {
+		t.Errorf("wire: %d %s=%q, want 503 filter-failed", resp.StatusCode,
+			HeaderPushdownUnavailable, resp.Header.Get(HeaderPushdownUnavailable))
+	}
+	if v, ok := resp.Header["Retry-After"]; ok {
+		t.Errorf("503 carries Retry-After %q", v)
 	}
 }
 

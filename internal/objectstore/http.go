@@ -350,9 +350,6 @@ func writeErr(w http.ResponseWriter, err error) {
 		c.Status = http.StatusBadRequest
 	case c.Reason != "":
 		w.Header().Set(HeaderPushdownUnavailable, c.Reason)
-		if c.Status == http.StatusServiceUnavailable {
-			w.Header().Set("Retry-After", "1")
-		}
 	}
 	http.Error(w, err.Error(), c.Status)
 }

@@ -23,20 +23,24 @@ import (
 // inter-cluster network. Every request carries the caller's context, so a
 // cancelled query aborts its in-flight round-trips.
 //
-// The client owns the connector-side half of the fault model: idempotent
-// requests are retried with capped exponential backoff and seeded full
-// jitter, retriable statuses (408/429/5xx) and transport errors count as
-// transient, and plain GET bodies that end short of their Content-Length
-// are transparently resumed with a ranged re-read. Pushdown (storlet)
-// streams are never resumed mid-flight: filtered bytes are not
-// byte-addressable, so only the pre-first-byte request is retried.
+// The client owns the connector-side half of the fault model, in one
+// attempt loop (doRetry) with one pacing rule: idempotent requests are
+// retried with capped exponential backoff and seeded full jitter, and
+// nothing the server sends changes the delay. Retriable statuses
+// (408/429/5xx) and transport errors count as transient; a pushdown refusal
+// is retried as its row of storlet.Failures says. Plain GET bodies that end
+// short of their Content-Length are resumed with a ranged GET through the
+// same loop. Pushdown (storlet) streams are never resumed mid-flight:
+// filtered bytes are not byte-addressable, so only the pre-first-byte
+// request is retried.
 type HTTPClient struct {
 	// BaseURL is the store endpoint, e.g. "http://lb.storage:8080".
 	BaseURL string
 	// HTTP is the underlying client; http.DefaultClient when nil.
 	HTTP *http.Client
 	// Retry is the transient-failure policy; the zero value enables the
-	// defaults (4 attempts, 25ms–1s full-jitter backoff).
+	// defaults (4 attempts, 25ms–1s full-jitter backoff), and MaxAttempts 1
+	// turns retries off.
 	Retry RetryPolicy
 	// Metrics, when set, counts retries and resumes ("client.retries",
 	// "client.resumes"); nil disables counting.
@@ -189,11 +193,42 @@ func (c *HTTPClient) PutObject(ctx context.Context, account, container, object s
 
 // GetObject implements Client.
 func (c *HTTPClient) GetObject(ctx context.Context, account, container, object string, opts GetOptions) (io.ReadCloser, ObjectInfo, error) {
+	resp, err := c.get(ctx, account, container, object, opts)
+	if err != nil {
+		return nil, ObjectInfo{}, err
+	}
+	info := infoFromResponse(resp, account, container, object)
+	body := resp.Body
+	if len(opts.Pushdown) > 0 {
+		// Filtered streams carry mid-stream failures in the error trailer
+		// (they have no Content-Length to check truncation against). Decode
+		// it into a typed storlet.ErrFilterFailed at EOF.
+		tc := &trailerChecked{rc: resp.Body, resp: resp}
+		if status := resp.Header.Get(HeaderCacheStatus); status != "" {
+			tc.cacheStatus = status
+			c.Metrics.Counter("client.cache." + status).Inc()
+		}
+		body = tc
+	}
+	// Plain streams with a known length get mid-stream resume: a short body
+	// is detected against Content-Length and re-read from the break via a
+	// Range request. Filtered streams are exempt (not byte-addressable).
+	if len(opts.Pushdown) == 0 && resp.ContentLength > 0 {
+		end := opts.RangeStart + resp.ContentLength
+		body = NewRecoveringReader(resp.Body, opts.RangeStart, end,
+			c.resumeRanged(ctx, account, container, object, info.ETag, end))
+	}
+	return body, info, nil
+}
+
+// get sends one GET under the retry policy, with opts' Range and pushdown
+// headers. Any status but 200 and 206 comes back as statusErr's error.
+func (c *HTTPClient) get(ctx context.Context, account, container, object string, opts GetOptions) (*http.Response, error) {
 	var pushdownEnc string
 	if len(opts.Pushdown) > 0 {
 		enc, err := pushdown.EncodeChain(opts.Pushdown)
 		if err != nil {
-			return nil, ObjectInfo{}, err
+			return nil, err
 		}
 		pushdownEnc = enc
 	}
@@ -215,34 +250,13 @@ func (c *HTTPClient) GetObject(ctx context.Context, account, container, object s
 		return req, nil
 	})
 	if err != nil {
-		return nil, ObjectInfo{}, err
+		return nil, err
 	}
 	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusPartialContent {
 		defer drainClose(resp.Body)
-		return nil, ObjectInfo{}, statusErr(resp)
+		return nil, statusErr(resp)
 	}
-	info := infoFromResponse(resp, account, container, object)
-	body := resp.Body
-	if len(opts.Pushdown) > 0 {
-		// Filtered streams carry mid-stream failures in the error trailer
-		// (they have no Content-Length to check truncation against). Decode
-		// it into a typed storlet.ErrFilterFailed at EOF.
-		tc := &trailerChecked{rc: resp.Body, resp: resp}
-		if status := resp.Header.Get(HeaderCacheStatus); status != "" {
-			tc.cacheStatus = status
-			c.Metrics.Counter("client.cache." + status).Inc()
-		}
-		body = tc
-	}
-	// Plain streams with a known length get mid-stream resume: a short body
-	// is detected against Content-Length and re-read from the break via a
-	// Range request. Filtered streams are exempt (not byte-addressable).
-	if len(opts.Pushdown) == 0 && resp.ContentLength > 0 && !c.Retry.Disabled {
-		end := opts.RangeStart + resp.ContentLength
-		body = NewRecoveringReader(resp.Body, opts.RangeStart, end,
-			c.resumeRanged(ctx, account, container, object, info.ETag, end))
-	}
-	return body, info, nil
+	return resp, nil
 }
 
 // HeadObject implements Client.

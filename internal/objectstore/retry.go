@@ -7,7 +7,6 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -23,10 +22,13 @@ var ErrTruncated = errors.New("objectstore: response body truncated")
 
 // RetryPolicy configures the HTTP client's handling of transient failures:
 // capped exponential backoff with full jitter (AWS-style), applied only to
-// idempotent, replayable requests and only to retriable failures. The zero
-// value means "defaults", so existing constructors keep working.
+// idempotent, replayable requests and only to retriable failures. It is the
+// client's one pacing rule: no server hint overrides it. The zero value
+// means "defaults", so existing constructors keep working.
 type RetryPolicy struct {
-	// MaxAttempts bounds total tries including the first; 0 means 4.
+	// MaxAttempts bounds the tries of one request, the first included; 0
+	// means 4, and 1 means no retry. A resume of a cut body is a new ranged
+	// request with the same bound.
 	MaxAttempts int
 	// BaseDelay is the first backoff ceiling; 0 means 25ms. Attempt k
 	// sleeps a uniformly random duration in [0, min(MaxDelay, BaseDelay<<k)).
@@ -36,8 +38,6 @@ type RetryPolicy struct {
 	// Seed seeds the jitter source; 0 means 1. A fixed seed makes the
 	// delay sequence deterministic, which the chaos suite relies on.
 	Seed int64
-	// Disabled turns retries off entirely (single attempt, no resume).
-	Disabled bool
 }
 
 func (p RetryPolicy) withDefaults() RetryPolicy {
@@ -52,9 +52,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	}
 	if p.Seed == 0 {
 		p.Seed = 1
-	}
-	if p.Disabled {
-		p.MaxAttempts = 1
 	}
 	return p
 }
@@ -110,12 +107,13 @@ func retriable(resp *http.Response) bool {
 	return code == http.StatusRequestTimeout || code == http.StatusTooManyRequests || code >= 500
 }
 
-// doRetry runs one logical request with the client's retry policy. build
-// must return a fresh *http.Request on every call (bodies are consumed by
-// failed attempts). Requests are retried only when the verb is idempotent
-// AND the body is replayable; retriable failures are transport errors and
-// retriable responses. The final attempt's response is returned as-is so the
-// caller's status handling still applies.
+// doRetry runs one logical request with the client's retry policy; it is
+// the client's one attempt loop. build must return a fresh *http.Request on
+// every call (bodies are consumed by failed attempts). Requests are retried
+// only when the verb is idempotent AND the body is replayable; retriable
+// failures are transport errors and retriable responses. The final
+// attempt's response is returned as-is so the caller's status handling
+// still applies.
 func (c *HTTPClient) doRetry(ctx context.Context, method string, replayable bool, build func() (*http.Request, error)) (*http.Response, error) {
 	p := c.Retry.withDefaults()
 	attempts := p.MaxAttempts
@@ -123,21 +121,10 @@ func (c *HTTPClient) doRetry(ctx context.Context, method string, replayable bool
 		attempts = 1
 	}
 	var lastErr error
-	var retryAfter time.Duration
 	for try := 0; try < attempts; try++ {
 		if try > 0 {
 			c.Metrics.Counter("client.retries").Inc()
-			// Honor a server-requested pacing hint (Retry-After on the failed
-			// response) when it exceeds our own backoff, capped at MaxDelay so
-			// a hostile or confused server cannot park the client.
-			delay := c.jit().backoff(p, try-1)
-			if retryAfter > delay {
-				delay = retryAfter
-				if delay > p.MaxDelay {
-					delay = p.MaxDelay
-				}
-			}
-			if err := clock.Sleep(ctx, delay); err != nil {
+			if err := clock.Sleep(ctx, c.jit().backoff(p, try-1)); err != nil {
 				return nil, fmt.Errorf("objectstore: retry aborted: %w (last failure: %w)", err, lastErr)
 			}
 		}
@@ -148,7 +135,6 @@ func (c *HTTPClient) doRetry(ctx context.Context, method string, replayable bool
 		resp, err := c.httpc().Do(req)
 		if err != nil {
 			lastErr = err
-			retryAfter = 0
 			if ctx.Err() != nil {
 				return nil, err
 			}
@@ -156,7 +142,6 @@ func (c *HTTPClient) doRetry(ctx context.Context, method string, replayable bool
 		}
 		if try < attempts-1 && retriable(resp) {
 			lastErr = fmt.Errorf("objectstore: http %d on %s %s", resp.StatusCode, method, req.URL.Path)
-			retryAfter = retryAfterHint(resp)
 			drainClose(resp.Body)
 			continue
 		}
@@ -168,65 +153,29 @@ func (c *HTTPClient) doRetry(ctx context.Context, method string, replayable bool
 	return nil, lastErr
 }
 
-// retryAfterHint parses a delay-seconds Retry-After header (0 when absent or
-// unparseable; HTTP-date forms are ignored — the store only emits seconds).
-func retryAfterHint(resp *http.Response) time.Duration {
-	v := resp.Header.Get("Retry-After")
-	if v == "" {
-		return 0
-	}
-	secs, err := strconv.Atoi(v)
-	if err != nil || secs < 0 {
-		return 0
-	}
-	return time.Duration(secs) * time.Second
-}
-
 // resumeRanged is the client's reopen rule for plain (unfiltered) GET bodies
-// (see recoveringReader): after a mid-stream failure the rest of the body,
-// [off, end), is re-requested with a Range GET under the backoff policy. It
-// is only ever used when the response advertised a Content-Length, so every
-// short read is detectable, and never for pushdown streams, whose filtered
-// bytes are not byte-addressable and must not be re-requested mid-flight.
-// etag is the version guard: a resume must not splice another version onto
-// the delivered prefix.
+// (see recoveringReader): after a mid-stream failure, and one backoff, the
+// rest of the body, [off, end), is re-requested as a ranged GET through the
+// same attempt loop. It is only ever used when the response advertised a
+// Content-Length, so every short read is detectable, and never for pushdown
+// streams, whose filtered bytes are not byte-addressable and must not be
+// re-requested mid-flight. etag is the version guard: a resume must not
+// splice another version onto the delivered prefix.
 func (c *HTTPClient) resumeRanged(ctx context.Context, account, container, object, etag string, end int64) func(int64, error) (io.ReadCloser, error) {
 	return func(off int64, cause error) (io.ReadCloser, error) {
-		p := c.Retry.withDefaults()
-		lastErr := cause
-		for try := 0; try < p.MaxAttempts; try++ {
-			if err := clock.Sleep(ctx, c.jit().backoff(p, try)); err != nil {
-				return nil, fmt.Errorf("objectstore: resume aborted: %w (last failure: %w)", err, lastErr)
-			}
-			c.Metrics.Counter("client.resumes").Inc()
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url(account, container, object), nil)
-			if err != nil {
-				return nil, err
-			}
-			req.Header.Set("Range", fmt.Sprintf("bytes=%d-%d", off, end-1))
-			resp, err := c.httpc().Do(req)
-			if err != nil {
-				lastErr = err
-				if ctx.Err() != nil {
-					return nil, err
-				}
-				continue
-			}
-			if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusPartialContent {
-				lastErr = statusErr(resp)
-				drainClose(resp.Body)
-				if retriable(resp) {
-					continue
-				}
-				break
-			}
-			if got := resp.Header.Get("ETag"); got != "" && etag != "" && got != etag {
-				drainClose(resp.Body)
-				return nil, fmt.Errorf("%w at offset %d: object changed mid-read (etag %s -> %s)",
-					ErrTruncated, off, etag, got)
-			}
-			return resp.Body, nil
+		c.Metrics.Counter("client.resumes").Inc()
+		if err := clock.Sleep(ctx, c.jit().backoff(c.Retry, 0)); err != nil {
+			return nil, fmt.Errorf("objectstore: resume aborted: %w (last failure: %w)", err, cause)
 		}
-		return nil, fmt.Errorf("%w at offset %d: %w", ErrTruncated, off, lastErr)
+		resp, err := c.get(ctx, account, container, object, GetOptions{RangeStart: off, RangeEnd: end})
+		if err != nil {
+			return nil, fmt.Errorf("%w at offset %d: %w", ErrTruncated, off, err)
+		}
+		if got := resp.Header.Get("ETag"); got != "" && etag != "" && got != etag {
+			drainClose(resp.Body)
+			return nil, fmt.Errorf("%w at offset %d: object changed mid-read (etag %s -> %s)",
+				ErrTruncated, off, etag, got)
+		}
+		return resp.Body, nil
 	}
 }

@@ -289,38 +289,49 @@ func proxyTo(w http.ResponseWriter, r *http.Request, baseURL string, client *htt
 	_, _ = io.Copy(w, resp.Body)
 }
 
-// TestGetObjectResumesTruncatedBody: a body cut mid-stream is resumed with
-// a ranged re-read and the caller sees the complete, byte-identical object.
-func TestGetObjectResumesTruncatedBody(t *testing.T) {
-	payload := strings.Repeat("0123456789", 400) // 4000 bytes
-	var gets atomic.Int64
+// cutServer serves payload as version v1 and cuts the first plain GET's
+// body after 1000 bytes; ranged re-reads are answered by ranged.
+func cutServer(t *testing.T, payload string, ranged func(w http.ResponseWriter, start, end int64)) *httptest.Server {
+	t.Helper()
+	var cut atomic.Bool
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		n := gets.Add(1)
 		if rng := r.Header.Get("Range"); rng != "" {
 			start, end, err := parseRange(rng)
 			if err != nil || end > int64(len(payload)) || end == 0 {
 				http.Error(w, "bad range", http.StatusRequestedRangeNotSatisfiable)
 				return
 			}
-			w.Header().Set("ETag", "v1")
-			w.Header().Set("Content-Length", fmt.Sprint(end-start))
-			w.WriteHeader(http.StatusPartialContent)
-			_, _ = io.WriteString(w, payload[start:end])
+			ranged(w, start, end)
 			return
 		}
 		w.Header().Set("ETag", "v1")
 		w.Header().Set("Content-Length", fmt.Sprint(len(payload)))
-		if n == 1 {
-			// First attempt: deliver 1000 bytes (flushed, so the client has
-			// them), then die mid-body.
+		if !cut.Swap(true) {
 			_, _ = io.WriteString(w, payload[:1000])
 			w.(http.Flusher).Flush()
 			panic(http.ErrAbortHandler)
 		}
 		_, _ = io.WriteString(w, payload)
 	}))
-	defer srv.Close()
+	t.Cleanup(srv.Close)
+	return srv
+}
 
+// serveRange answers a ranged read with body[start:end] as version etag.
+func serveRange(w http.ResponseWriter, etag, body string, start, end int64) {
+	w.Header().Set("ETag", etag)
+	w.Header().Set("Content-Length", fmt.Sprint(end-start))
+	w.WriteHeader(http.StatusPartialContent)
+	_, _ = io.WriteString(w, body[start:end])
+}
+
+// TestGetObjectResumesTruncatedBody: a body cut mid-stream is resumed with
+// a ranged re-read and the caller sees the complete, byte-identical object.
+func TestGetObjectResumesTruncatedBody(t *testing.T) {
+	payload := strings.Repeat("0123456789", 400) // 4000 bytes
+	srv := cutServer(t, payload, func(w http.ResponseWriter, start, end int64) {
+		serveRange(w, "v1", payload, start, end)
+	})
 	c := NewHTTPClient(srv.URL)
 	c.Retry = fastRetry()
 	c.Metrics = metrics.NewRegistry()
@@ -341,6 +352,75 @@ func TestGetObjectResumesTruncatedBody(t *testing.T) {
 	}
 	if got := c.Metrics.Counter("client.resumes").Load(); got < 1 {
 		t.Errorf("client.resumes = %d, want >= 1", got)
+	}
+}
+
+// readCut GETs srv's object under fastRetry and reads it to the end.
+func readCut(t *testing.T, srv *httptest.Server) (string, *metrics.Registry, error) {
+	t.Helper()
+	c := NewHTTPClient(srv.URL)
+	c.Retry = fastRetry()
+	c.Metrics = metrics.NewRegistry()
+	rc, _, err := c.GetObject(context.Background(), "gp", "c", "obj", GetOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	data, err := io.ReadAll(rc)
+	return string(data), c.Metrics, err
+}
+
+// A resume that meets another version gives up rather than splice it on.
+func TestResumeRefusesAnotherVersion(t *testing.T) {
+	payload := strings.Repeat("0123456789", 400)
+	srv := cutServer(t, payload, func(w http.ResponseWriter, start, end int64) {
+		serveRange(w, "v2", strings.Repeat("abcdefghij", 400), start, end)
+	})
+	data, _, err := readCut(t, srv)
+	if !errors.Is(err, ErrTruncated) || !strings.Contains(err.Error(), "object changed mid-read") {
+		t.Fatalf("err = %v, want ErrTruncated for a changed object", err)
+	}
+	if len(data) > 1000 || !strings.HasPrefix(payload, data) {
+		t.Errorf("delivered %d bytes that are not a prefix of the first version", len(data))
+	}
+}
+
+// A resume is a ranged request through the one attempt loop: a 503 on it
+// is one retry of one resume.
+func TestResumeRetriesThroughTheAttemptLoop(t *testing.T) {
+	payload := strings.Repeat("0123456789", 400)
+	var ranged atomic.Int64
+	srv := cutServer(t, payload, func(w http.ResponseWriter, start, end int64) {
+		if ranged.Add(1) == 1 {
+			http.Error(w, "blip", http.StatusServiceUnavailable)
+			return
+		}
+		serveRange(w, "v1", payload, start, end)
+	})
+	data, m, err := readCut(t, srv)
+	if err != nil || data != payload {
+		t.Fatalf("read %d bytes, err %v; want the whole %d-byte body", len(data), err, len(payload))
+	}
+	if r, n := m.Counter("client.resumes").Load(), m.Counter("client.retries").Load(); r != 1 || n != 1 {
+		t.Errorf("client.resumes = %d, client.retries = %d, want 1 and 1", r, n)
+	}
+}
+
+// A resume whose every attempt fails gives up after MaxAttempts requests,
+// with an error that wraps ErrTruncated.
+func TestResumeGivesUpTruncated(t *testing.T) {
+	payload := strings.Repeat("0123456789", 400)
+	var ranged atomic.Int64
+	srv := cutServer(t, payload, func(w http.ResponseWriter, _, _ int64) {
+		ranged.Add(1)
+		http.Error(w, "down", http.StatusInternalServerError)
+	})
+	_, _, err := readCut(t, srv)
+	if !errors.Is(err, ErrTruncated) {
+		t.Fatalf("err = %v, want ErrTruncated", err)
+	}
+	if want := int64(fastRetry().MaxAttempts); ranged.Load() != want {
+		t.Errorf("ranged requests = %d, want MaxAttempts = %d", ranged.Load(), want)
 	}
 }
 
