@@ -3,7 +3,9 @@
 // discovery (dividing each object's size by the chunk size, as the Hadoop
 // RDD does), issues ranged GETs for each partition, and — the Scoop
 // extension — injects pushdown tasks into those requests so filters execute
-// at the store.
+// at the store. It runs no filter itself: a pushdown read that fails comes
+// back as the store's typed error, and the query reads the split again the
+// baseline way (OpenFallback).
 package connector
 
 import (
@@ -16,7 +18,6 @@ import (
 	"scoop/internal/csvio"
 	"scoop/internal/objectstore"
 	"scoop/internal/pushdown"
-	"scoop/internal/storlet"
 )
 
 // DefaultChunkSize mirrors the HDFS default split size the paper discusses
@@ -47,11 +48,12 @@ type Stats struct {
 	BytesIngested int64
 	// Requests is the number of GETs issued.
 	Requests int64
-	// Fallbacks counts pushdown requests degraded to plain GET + local
-	// (compute-side) filter evaluation.
+	// Fallbacks counts splits read again the baseline way (OpenFallback)
+	// after their pushdown read failed.
 	Fallbacks int64
-	// FallbackBytes is the raw ingest volume attributable to fallbacks —
-	// bytes that pushdown would have filtered at the store.
+	// FallbackBytes is the raw ingest volume of those reads — bytes that
+	// pushdown would have filtered at the store. BytesIngested counts them
+	// too.
 	FallbackBytes int64
 }
 
@@ -60,14 +62,6 @@ type Connector struct {
 	client    objectstore.Client
 	account   string
 	chunkSize int64
-
-	// fbEngine, when set via EnableFallback, evaluates pushdown chains
-	// compute-side after the store refuses or aborts them.
-	fbEngine *storlet.Engine
-	// determinism gates fallback per chain: replaying a filter (and
-	// discarding its delivered prefix) is only sound when the filter is
-	// proven deterministic. Defaults to the generated detmanifest.
-	determinism func(name string) bool
 
 	bytesIngested atomic.Int64
 	requests      atomic.Int64
@@ -184,10 +178,8 @@ func (s Split) follows(p Split) bool {
 
 // Open issues the ranged GET for a split, tagging it with the pushdown chain
 // when given. The returned stream is either raw object bytes (tasks == nil;
-// record alignment is then the reader's job) or the filter output. With a
-// fallback engine armed (EnableFallback), a pushdown request the store
-// refuses or aborts mid-stream is transparently degraded to a plain GET
-// evaluated compute-side — the caller still sees the filtered bytes.
+// record alignment is then the reader's job) or the filter output. A request
+// the store refuses fails with the store's typed error (storlet.Classify).
 func (c *Connector) Open(ctx context.Context, split Split, tasks []*pushdown.Task) (io.ReadCloser, error) {
 	opts := objectstore.GetOptions{
 		RangeStart: split.Start,
@@ -196,18 +188,22 @@ func (c *Connector) Open(ctx context.Context, split Split, tasks []*pushdown.Tas
 	}
 	rc, _, err := c.client.GetObject(ctx, split.Account, split.Container, split.Object, opts)
 	if err != nil {
-		if len(tasks) > 0 && c.fbEngine != nil && storlet.Classify(err).Fallback && c.chainProven(tasks) {
-			return c.openFallback(ctx, split, tasks, 0, err)
-		}
 		return nil, fmt.Errorf("connector: open %s: %w", split, err)
 	}
 	c.requests.Add(1)
-	stream := &counted{rc: rc, n: &c.bytesIngested}
-	if len(tasks) > 0 && c.fbEngine != nil && c.chainProven(tasks) {
-		return objectstore.NewRecoveringReader(stream, 0, objectstore.UnknownEnd,
-			c.fallbackOnce(ctx, split, tasks)), nil
+	return &counted{rc: rc, n: &c.bytesIngested}, nil
+}
+
+// OpenFallback is Open with no tasks, for a split whose pushdown read
+// failed: it counts one Fallbacks, and the stream's bytes in FallbackBytes
+// as well as BytesIngested.
+func (c *Connector) OpenFallback(ctx context.Context, split Split) (io.ReadCloser, error) {
+	c.fallbacks.Add(1)
+	rc, err := c.Open(ctx, split, nil)
+	if err != nil {
+		return nil, err
 	}
-	return stream, nil
+	return &counted{rc: rc, n: &c.bytesFallback}, nil
 }
 
 // Upload stores an object through the connector's account.

@@ -108,9 +108,8 @@ func (d tableDef) newRelation(conn *connector.Connector, pushdownMode bool) (*da
 	return datasource.NewCSV(conn, d.container, d.prefix, d.decl, opts)
 }
 
-// RegisterStandardFilters deploys the stock filter set on an engine — the
-// same list for the store's engine and the connector's fallback engine, so a
-// degraded chain always finds its filters locally.
+// RegisterStandardFilters deploys the stock filter set on a store's engine:
+// the in-process cluster New builds, scoopd's and the benchmark's.
 func RegisterStandardFilters(e *storlet.Engine) error {
 	filters := []storlet.Filter{
 		csvfilter.New(),
@@ -154,14 +153,6 @@ func New(cfg Config) (*Scoop, error) {
 		s.client = cluster.Client()
 	}
 	s.conn = connector.New(s.client, cfg.Account, cfg.ChunkSize)
-	// The degradation ladder's last rung (DESIGN §8): a compute-side engine
-	// with the standard filters, so refused/aborted pushdown degrades to the
-	// paper's baseline path (plain GET + local evaluation) instead of failing.
-	fe := storlet.NewEngine(storlet.Limits{})
-	if err := RegisterStandardFilters(fe); err != nil {
-		return nil, err
-	}
-	s.conn.EnableFallback(fe)
 	driver, err := compute.NewDriver(cfg.Compute)
 	if err != nil {
 		return nil, err
@@ -412,24 +403,41 @@ func (s *Scoop) Query(sql string, opts QueryOptions) (*Result, error) {
 		splits = connector.Coalesce(splits, 2*s.driver.Workers()-1)
 	}
 
-	storeAgg := effMode == ModePushdown && p.StoreAgg != nil
+	pushdownMode := effMode == ModePushdown
+	// scan folds a split's rows into a fresh partial, so that a retried
+	// task, or a split read again the baseline way, starts from an empty
+	// one.
+	scan := func(ctx context.Context, split connector.Split, fallback bool) (splitResult, error) {
+		out := splitResult{partial: exec.NewPartial(p)}
+		var err error
+		switch {
+		case fallback:
+			err = scanSplit(ctx, func() (exec.Iterator, error) {
+				return rel.ScanFallback(ctx, split, p.Required, p.Pushed)
+			}, out.partial.Fold, &out.rows)
+		case pushdownMode && p.StoreAgg != nil:
+			err = scanSplit(ctx, func() (exec.CellIterator, error) {
+				return rel.ScanPartials(ctx, split, p.Required, p.Pushed, p.StoreAgg)
+			}, out.partial.MergeCells, &out.rows)
+		default:
+			err = scanSplit(ctx, func() (exec.Iterator, error) {
+				return rel.ScanPrunedFiltered(ctx, split, p.Required, p.Pushed)
+			}, out.partial.Fold, &out.rows)
+		}
+		return out, err
+	}
 	before := s.conn.Stats()
 	tasks := make([]compute.Task, len(splits))
 	for i, split := range splits {
 		split := split
 		tasks[i] = func(ctx context.Context) (any, error) {
-			// Built here, not outside the closure, so that a retried task
-			// starts from an empty partial.
-			out := splitResult{partial: exec.NewPartial(p)}
-			var err error
-			if storeAgg {
-				err = scanSplit(ctx, func() (exec.CellIterator, error) {
-					return rel.ScanPartials(ctx, split, p.Required, p.Pushed, p.StoreAgg)
-				}, out.partial.MergeCells, &out.rows)
-			} else {
-				err = scanSplit(ctx, func() (exec.Iterator, error) {
-					return rel.ScanPrunedFiltered(ctx, split, p.Required, p.Pushed)
-				}, out.partial.Fold, &out.rows)
+			out, err := scan(ctx, split, false)
+			// The degradation ladder's last rung (DESIGN §8): a pushdown
+			// read the store refused or aborted, before its first byte or
+			// mid-stream, is read again the baseline way. Nothing of the
+			// failed read is kept.
+			if err != nil && pushdownMode && storlet.Classify(err).Fallback && ctx.Err() == nil {
+				out, err = scan(ctx, split, true)
 			}
 			if err != nil {
 				return nil, err

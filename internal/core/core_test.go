@@ -320,9 +320,9 @@ func TestMetricsSelectivityClamp(t *testing.T) {
 	}
 }
 
-// The connector's fallback and the result cache trust only filters the
-// determinism manifest lists, and drop the rest without a message: every
-// filter the store and the fallback engine deploy must be in it.
+// The result cache trusts only filters the determinism manifest lists, and
+// serves the rest uncached without a message: every filter the store
+// deploys must be in it.
 func TestStandardFiltersProvenDeterministic(t *testing.T) {
 	e := storlet.NewEngine(storlet.Limits{})
 	if err := RegisterStandardFilters(e); err != nil {

@@ -146,31 +146,56 @@ func (r *CSVRelation) ScanPruned(ctx context.Context, split connector.Split, col
 // tags the split's GET with a CSV filter task; otherwise it ingests the raw
 // range and prunes/filters after parsing, at the compute side.
 func (r *CSVRelation) ScanPrunedFiltered(ctx context.Context, split connector.Split, columns []string, preds []pushdown.Predicate) (exec.Iterator, error) {
-	outSchema := r.schema
-	if len(columns) > 0 {
-		var err error
-		outSchema, err = r.schema.Project(columns)
-		if err != nil {
-			return nil, err
-		}
+	if !r.opts.Pushdown {
+		return r.scanRaw(ctx, split, columns, preds, false)
 	}
-	if r.opts.Pushdown {
-		return r.openChain(ctx, split, columns, preds, nil, outSchema)
+	outSchema, err := r.project(columns)
+	if err != nil {
+		return nil, err
 	}
+	return r.openChain(ctx, split, columns, preds, nil, outSchema)
+}
 
-	// Baseline: raw ranged GET; alignment, header skip, parse, prune and
-	// filter all happen here at the compute node, compiled from the task
-	// pushdown mode would send. The GET extends to the object's end so the
-	// record straddling the split boundary can be finished; the range reader
-	// stops just past End and the lazy HTTP body means the tail is never
-	// actually transferred.
+// ScanFallback reads one split the baseline way whatever the relation's
+// mode, opening it through Connector.OpenFallback: it is how a query reads
+// again a split whose pushdown read failed. It returns the rows
+// ScanPrunedFiltered returns.
+func (r *CSVRelation) ScanFallback(ctx context.Context, split connector.Split, columns []string, preds []pushdown.Predicate) (exec.Iterator, error) {
+	return r.scanRaw(ctx, split, columns, preds, true)
+}
+
+// project is the schema of the named columns, all of them when none are
+// named.
+func (r *CSVRelation) project(columns []string) (*types.Schema, error) {
+	if len(columns) == 0 {
+		return r.schema, nil
+	}
+	return r.schema.Project(columns)
+}
+
+// scanRaw is the baseline read: raw ranged GET; alignment, header skip,
+// parse, prune and filter all happen here at the compute node, compiled from
+// the task pushdown mode would send. The GET extends to the object's end so
+// the record straddling the split boundary can be finished; the range reader
+// stops just past End and the lazy HTTP body means the tail is never
+// actually transferred. fallback opens through Connector.OpenFallback.
+func (r *CSVRelation) scanRaw(ctx context.Context, split connector.Split, columns []string, preds []pushdown.Predicate, fallback bool) (exec.Iterator, error) {
+	outSchema, err := r.project(columns)
+	if err != nil {
+		return nil, err
+	}
 	sel, err := csvfilter.Compile(r.csvTask(columns, preds))
 	if err != nil {
 		return nil, fmt.Errorf("datasource: %w", err)
 	}
 	open := split
 	open.End = split.ObjectSize
-	rc, err := r.conn.Open(ctx, open, nil)
+	var rc io.ReadCloser
+	if fallback {
+		rc, err = r.conn.OpenFallback(ctx, open)
+	} else {
+		rc, err = r.conn.Open(ctx, open, nil)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -34,8 +34,8 @@ type cacheChaosResult struct {
 
 // runCacheChaos stands up the chaos deployment — every node store wrapped in
 // a faultinject.Store, the store-side CSV filter wrapped in a FilterFault
-// with a seeded panic window, a count-based breaker, compute-side fallback
-// armed — with the result cache sized by cacheBytes (0 disables it). It then
+// with a seeded panic window, a count-based breaker, failed pushdown splits
+// read again the baseline way — with the result cache sized by cacheBytes (0 disables it). It then
 // runs the repeated-dashboard script: each fixed query twice (the repeat is
 // what the cache collapses to a hit), a mid-run overwrite of one dataset
 // object, and each query twice again against the new content. A node

@@ -39,10 +39,10 @@ type filterChaosResult struct {
 }
 
 // runFilterChaos stands up the disaggregated deployment with the store's CSV
-// filter wrapped in a FilterFault driven by rules, a count-based breaker on
-// the store engine, and the connector's compute-side fallback armed (core's
-// default). It runs the fixed query batch and returns everything a
-// determinism or degradation assertion needs.
+// filter wrapped in a FilterFault driven by rules and a count-based breaker
+// on the store engine; a failed pushdown read is read again the baseline way
+// (core.Query's fallback). It runs the fixed query batch and returns
+// everything a determinism or degradation assertion needs.
 func runFilterChaos(t *testing.T, rules ...faultinject.Rule) filterChaosResult {
 	t.Helper()
 	sched := faultinject.NewSchedule(rules...)
@@ -96,8 +96,8 @@ func runFilterChaos(t *testing.T, rules ...faultinject.Rule) filterChaosResult {
 // TestChaosFilterPanicFallback is the PR's acceptance scenario: a seeded
 // FilterFault panics the store-side CSV filter for a window of invocations
 // mid-run. The breaker opens after Threshold consecutive failures, refusals
-// surface as 503 + reason header, the connector degrades to compute-side
-// evaluation, the breaker probes and re-closes once the window passes — and
+// surface as 503 + reason header, the query reads those splits again the
+// baseline way, the breaker probes and re-closes once the window passes — and
 // every query still returns the fault-free answer with zero client-visible
 // errors. Two same-seed runs must be byte-identical.
 func TestChaosFilterPanicFallback(t *testing.T) {
@@ -145,7 +145,7 @@ func TestChaosFilterPanicFallback(t *testing.T) {
 // TestChaosOverloadShedsToFallback saturates the store engine's single
 // execution slot (MaxQueue < 0: shed instead of queue) and runs pushdown
 // queries against it: every filtered GET is refused with a typed overload
-// 503 and the connector completes the queries compute-side. Releasing the
+// 503 and the queries complete by reading the splits the baseline way. Releasing the
 // slot restores pushdown service.
 func TestChaosOverloadShedsToFallback(t *testing.T) {
 	skipInShort(t)

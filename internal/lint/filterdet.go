@@ -10,9 +10,8 @@ import (
 )
 
 // AnalyzerFilterDet proves registered storlet filters deterministic. The
-// connector's fallback resync (discard the delivered prefix of a re-run) and
-// the roadmap's pushdown result cache are sound only if a filter chain maps
-// identical input bytes to identical output bytes on every run. This analyzer
+// pushdown result cache is sound only if a filter chain maps identical input
+// bytes to identical output bytes on every run. This analyzer
 // turns that assumption from a comment into a machine-checked proof: every
 // filter reachable from an Engine.Register call site must be free of
 // nondeterminism sources — time.Now/time.Since, math/rand (v1 and v2),
@@ -28,8 +27,8 @@ import (
 //
 // The verdict is exported as a generated manifest (internal/detmanifest,
 // written by `scoop-lint -write-manifest`) keyed by the filter's registered
-// name, which the connector consults before arming compute-side fallback —
-// a chain with an unproven filter surfaces the store's typed error instead.
+// name, which the result cache consults before it stores a chain's output —
+// a chain with an unproven filter is served uncached.
 var AnalyzerFilterDet = &Analyzer{
 	Name:      "filterdet",
 	Doc:       "storlet filters must be deterministic: no clock, rand, env, global state, or unordered map iteration",
@@ -132,7 +131,7 @@ func runFilterDet(pass *ModulePass) {
 				chain = "in " + v.in.Name()
 			}
 			pass.ReportPathf(v.pos, v.pathNames(),
-				"filter %s is not provably deterministic: %s (%s); fallback resync and result caching need byte-identical re-runs",
+				"filter %s is not provably deterministic: %s (%s); result caching needs byte-identical re-runs",
 				p.root.label, v.what, chain)
 		}
 	}

@@ -12,8 +12,8 @@ package objectstore
 //     reason in HeaderPushdownUnavailable, BEFORE any body byte.
 //   - mid-stream: the filter failed after the 200/206 was on the wire.
 //     The handler appends the error to the HeaderFilterError trailer so
-//     the client can tell truncation from success; the connector restarts
-//     the split on its fallback path.
+//     the client can tell truncation from success; the query reads the
+//     split again the baseline way.
 
 // Headers used by the degradation ladder.
 const (

@@ -45,7 +45,7 @@ func TestPushdownUnavailableReasonTokens(t *testing.T) {
 
 // A pushdown request naming a filter the store never deployed must be
 // refused pre-first-byte: 503 and the machine-readable reason header, the
-// shape the client's retries and the connector's fallback key on.
+// shape the client's retries and the query's fallback key on.
 func TestHTTPPushdownNotDeployed503(t *testing.T) {
 	_, cl := newHTTPStore(t)
 	cl.Retry = RetryPolicy{MaxAttempts: 1} // a 503 is retriable; keep the test fast
@@ -175,12 +175,19 @@ func TestHTTPTrailerCleanOnSuccess(t *testing.T) {
 	}
 }
 
-// A pushdown refused as not-deployed or disabled is final: under the default
-// retry policy the client answers at once, without a retry, and the
-// connector falls back.
+// A pushdown refused as not-deployed or disabled, or whose filter failed,
+// is final: under the default retry policy the client answers at once,
+// without a retry, and the query falls back. A failed filter is invoked
+// once, so it counts once against its breaker.
 func TestPermanentPushdownRefusalNotRetried(t *testing.T) {
-	_, cl := newHTTPStore(t)
+	cluster, cl := newHTTPStore(t)
 	cl.Metrics = metrics.NewRegistry()
+	bug := storlet.FilterFunc{FilterName: "bug", Fn: func(*storlet.Context, io.Reader, io.Writer) error {
+		return errors.New("bug")
+	}}
+	if err := cluster.Engine().Register(bug); err != nil {
+		t.Fatal(err)
+	}
 	ctx := context.Background()
 	_ = cl.CreateContainer(ctx, "gp", "meters", nil)
 	if err := cl.CreateContainer(ctx, "gp", "locked", &ContainerPolicy{DisablePushdown: true}); err != nil {
@@ -189,6 +196,7 @@ func TestPermanentPushdownRefusalNotRetried(t *testing.T) {
 	for _, c := range []struct{ container, filter, reason string }{
 		{"meters", "ghost", "not-deployed"},
 		{"locked", "csv", "disabled"},
+		{"meters", "bug", "filter-failed"},
 	} {
 		if _, err := cl.PutObject(ctx, "gp", c.container, "o.csv", strings.NewReader(meterCSV), nil); err != nil {
 			t.Fatal(err)
@@ -205,14 +213,15 @@ func TestPermanentPushdownRefusalNotRetried(t *testing.T) {
 			t.Errorf("%s: %d retries in %v, want none", c.reason, n, took)
 		}
 	}
+	if n := cluster.Engine().StatsFor("bug").Errors; n != 1 {
+		t.Errorf("bug Errors = %d, want 1 (one invocation per GET)", n)
+	}
 }
 
-// A filter that fails before its first byte is retried as its row says,
-// paced by the client's backoff alone: the 503 carries no Retry-After, so
-// the refusal reaches the connector's fallback in milliseconds.
+// A filter that fails before its first byte is answered on the wire as a
+// 503 with the filter-failed token and no Retry-After.
 func TestFilterFailureRetriesAreNotPaced(t *testing.T) {
 	cluster, cl := newHTTPStore(t)
-	cl.Metrics = metrics.NewRegistry()
 	bug := storlet.FilterFunc{FilterName: "bug", Fn: func(*storlet.Context, io.Reader, io.Writer) error {
 		return errors.New("bug")
 	}}
@@ -224,19 +233,7 @@ func TestFilterFailureRetriesAreNotPaced(t *testing.T) {
 	if _, err := cl.PutObject(ctx, "gp", "meters", "jan.csv", strings.NewReader(meterCSV), nil); err != nil {
 		t.Fatal(err)
 	}
-	tasks := []*pushdown.Task{{Filter: "bug"}}
-
-	start := time.Now()
-	_, _, err := cl.GetObject(ctx, "gp", "meters", "jan.csv", GetOptions{Pushdown: tasks})
-	took := time.Since(start)
-	if storlet.Classify(err).Reason != "filter-failed" {
-		t.Fatalf("err = %v, want a filter-failed refusal", err)
-	}
-	if n := cl.Metrics.Counter("client.retries").Load(); n != 3 || took > 500*time.Millisecond {
-		t.Errorf("%d retries in %v, want 3 in under 500ms", n, took)
-	}
-
-	enc, err := pushdown.EncodeChain(tasks)
+	enc, err := pushdown.EncodeChain([]*pushdown.Task{{Filter: "bug"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +255,7 @@ func TestFilterFailureRetriesAreNotPaced(t *testing.T) {
 
 // The refusals a later attempt may not meet stay retriable.
 func TestTransientPushdownRefusalRetried(t *testing.T) {
-	for _, reason := range []string{"overloaded", "breaker-open", "filter-failed"} {
+	for _, reason := range []string{"overloaded", "breaker-open"} {
 		var hits atomic.Int64
 		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			hits.Add(1)

@@ -215,7 +215,7 @@ func (c *HTTPClient) GetObject(ctx context.Context, account, container, object s
 	// Range request. Filtered streams are exempt (not byte-addressable).
 	if len(opts.Pushdown) == 0 && resp.ContentLength > 0 {
 		end := opts.RangeStart + resp.ContentLength
-		body = NewRecoveringReader(resp.Body, opts.RangeStart, end,
+		body = newRecoveringReader(resp.Body, opts.RangeStart, end,
 			c.resumeRanged(ctx, account, container, object, info.ETag, end))
 	}
 	return body, info, nil

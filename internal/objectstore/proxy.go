@@ -338,7 +338,7 @@ func (p *Proxy) getUncached(ctx context.Context, account, container, object stri
 			end = info.Size
 		}
 		if start < end {
-			rc = NewRecoveringReader(rc, start, end, p.resumeOnReplicas(ctx, nodes, idx, path, info.ETag, end))
+			rc = newRecoveringReader(rc, start, end, p.resumeOnReplicas(ctx, nodes, idx, path, info.ETag, end))
 		}
 	}
 	p.statMu.Lock()

@@ -5,34 +5,30 @@ import (
 	"io"
 )
 
-// UnknownEnd is the end offset of a stream whose length is not known up
-// front (filter output): every EOF on it is a clean end.
-const UnknownEnd int64 = -1
-
 // recoveringReader is the one "deliver bytes, then reopen at offset N" Read
 // loop. It counts delivered bytes, hands bytes out before any error, treats
-// an EOF short of a known end as a failure, and on failure closes the broken
+// an EOF short of its end as a failure, and on failure closes the broken
 // stream and asks reopen for a replacement positioned at the current offset.
 // A reopen error is terminal and sticky, and the reader fails closed after
-// it.
+// it. Its two callers, HTTPClient.GetObject and the proxy's plain GET, both
+// know where the stream ends.
 //
 // The mechanics are all that is shared. WHEN resuming is legal — never
-// offset-resume a filtered stream, never splice versions, fall back only on
-// a proven-deterministic chain, how often and how long to retry — is the
-// caller's business and lives in its reopen function.
+// offset-resume a filtered stream, never splice versions, how often and how
+// long to retry — is the caller's business and lives in its reopen function.
 type recoveringReader struct {
 	rc     io.ReadCloser
 	off    int64 // offset of the next byte to deliver
-	end    int64 // exclusive end offset, or UnknownEnd
+	end    int64 // exclusive end offset
 	reopen func(off int64, cause error) (io.ReadCloser, error)
 	err    error // sticky terminal error
 }
 
-// NewRecoveringReader wraps rc, whose next byte is at offset off of a stream
-// ending at end (UnknownEnd when the length is not known). reopen is called
-// with the offset reached and the failure that interrupted the stream; it
-// returns a stream continuing at that offset, or the error to surface.
-func NewRecoveringReader(rc io.ReadCloser, off, end int64, reopen func(off int64, cause error) (io.ReadCloser, error)) io.ReadCloser {
+// newRecoveringReader wraps rc, whose next byte is at offset off of a stream
+// ending at end. reopen is called with the offset reached and the failure
+// that interrupted the stream; it returns a stream continuing at that
+// offset, or the error to surface.
+func newRecoveringReader(rc io.ReadCloser, off, end int64, reopen func(off int64, cause error) (io.ReadCloser, error)) io.ReadCloser {
 	return &recoveringReader{rc: rc, off: off, end: end, reopen: reopen}
 }
 
@@ -46,7 +42,7 @@ func (r *recoveringReader) Read(p []byte) (int, error) {
 		if err == nil {
 			return n, nil
 		}
-		if errors.Is(err, io.EOF) && (r.end == UnknownEnd || r.off >= r.end) {
+		if errors.Is(err, io.EOF) && r.off >= r.end {
 			return n, io.EOF
 		}
 		// Mid-stream failure or short EOF. Bytes already in p go out first;

@@ -81,14 +81,6 @@ func TestRecoveringReader(t *testing.T) {
 			after: io.EOF,
 		},
 		{
-			name:  "clean EOF with an unknown end",
-			first: []step{{"ab", nil}, {"", io.EOF}},
-			end:   UnknownEnd,
-			want:  "ab",
-			reads: []read{{2, nil}, {0, io.EOF}},
-			after: io.EOF,
-		},
-		{
 			name:  "reopen failure is sticky and later reads fail closed",
 			first: []step{{"ab", errLink}},
 			end:   4,
@@ -103,7 +95,7 @@ func TestRecoveringReader(t *testing.T) {
 		{
 			name:  "one-shot reopen: the second failure surfaces",
 			first: []step{{"a", errLink}},
-			end:   UnknownEnd,
+			end:   4,
 			reopens: []func(int64, error) (io.ReadCloser, error){
 				func(int64, error) (io.ReadCloser, error) { return &scripted{steps: []step{{"b", errLink}}}, nil },
 				func(_ int64, cause error) (io.ReadCloser, error) { return nil, cause },
@@ -129,7 +121,7 @@ func TestRecoveringReader(t *testing.T) {
 			first := &scripted{steps: tc.first}
 			var offs []int64
 			reopens := tc.reopens
-			r := NewRecoveringReader(first, 0, tc.end, func(off int64, cause error) (io.ReadCloser, error) {
+			r := newRecoveringReader(first, 0, tc.end, func(off int64, cause error) (io.ReadCloser, error) {
 				offs = append(offs, off)
 				if !first.closed {
 					t.Error("reopen called before the broken stream was closed")

@@ -118,8 +118,7 @@ func TestChainHashDistinguishesSemantics(t *testing.T) {
 }
 
 // TestCacheableChainDetmanifestGate: only chains whose every filter carries
-// a machine-checked determinism proof may be cached — the same oracle that
-// gates connector fallback.
+// a machine-checked determinism proof may be cached.
 func TestCacheableChainDetmanifestGate(t *testing.T) {
 	proven := []*Task{{Filter: "csv"}, {Filter: "compress"}}
 	if !CacheableChain(proven, detmanifest.IsProven) {

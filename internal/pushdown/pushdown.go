@@ -100,10 +100,8 @@ const (
 )
 
 // SplitByStage partitions a chain by execution tier, preserving order within
-// each tier. The default stage is the object server (data locality). Both the
-// proxy and the connector's compute-side fallback use this rule, so a chain
-// degraded to local execution runs its stages in the exact order the store
-// would have: object-stage filters first, then proxy-stage filters.
+// each tier. The default stage is the object server (data locality): the
+// proxy runs object-stage filters first, then proxy-stage filters.
 func SplitByStage(tasks []*Task) (objectStage, proxyStage []*Task) {
 	for _, t := range tasks {
 		if t.Stage == StageProxy {

@@ -76,9 +76,9 @@ func (e *FilterError) Is(target error) bool { return target == ErrFilterFailed }
 // the row matches with errors.Is, nil for any error no earlier row matches;
 // Cause says what failed; Status is the handler's HTTP answer. Retry: the
 // client tries again. Failover: the proxy walks on to the next replica.
-// Fallback: the connector replays the chain at the compute side over a
-// plain GET. Counts: the failure counts against the breaker and in
-// Stats.Errors of the filter it is attributed to.
+// Fallback: the query reads the split again the baseline way, a plain GET
+// parsed and filtered at the compute side. Counts: the failure counts
+// against the breaker and in Stats.Errors of the filter it is attributed to.
 type Class struct {
 	Reason                            string
 	Err                               error
@@ -100,7 +100,7 @@ var Failures = []Class{
 	{"input-failed", ErrInputFailed, "the filter's input failed: a replica's disk, its node or the link", http.StatusServiceUnavailable, true, true, true, false},
 	{"closed", io.ErrClosedPipe, "the stream's reader closed it before its end", http.StatusServiceUnavailable, true, false, true, false},
 	{"unavailable", ErrUnavailable, "a refusal whose token the client does not know", http.StatusServiceUnavailable, true, false, true, false},
-	{"filter-failed", ErrFilterFailed, "the filter failed: its own error, a panic, the timeout or the output limit", http.StatusServiceUnavailable, true, false, true, true},
+	{"filter-failed", ErrFilterFailed, "the filter failed: its own error, a panic, the timeout or the output limit", http.StatusServiceUnavailable, false, false, true, true},
 	{"", nil, "the store: a node down, no replica left, write quorum missed", http.StatusServiceUnavailable, true, true, false, false},
 }
 

@@ -32,7 +32,7 @@ func renderFailures(t *testing.T) string {
 		return "no"
 	}
 	var b strings.Builder
-	b.WriteString("| Reason | Matches | What failed | Status | Client retries | Proxy fails over | Connector falls back | Counts against the filter |\n")
+	b.WriteString("| Reason | Matches | What failed | Status | Client retries | Proxy fails over | Query falls back | Counts against the filter |\n")
 	b.WriteString("|---|---|---|---|---|---|---|---|\n")
 	for _, c := range Failures {
 		name, ok := sentinelNames[c.Err]

@@ -15,7 +15,7 @@
 // not deployed — it says so *before* producing any bytes, with a typed
 // error. Failures is the one table that says what every layer does with
 // such an error: the handler's status, the client's retry, the proxy's
-// failover, the connector's fallback and the engine's own accounting.
+// failover, the query's fallback and the engine's own accounting.
 package storlet
 
 import (
