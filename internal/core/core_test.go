@@ -13,7 +13,6 @@ import (
 	"scoop/internal/detmanifest"
 	"scoop/internal/meter"
 	"scoop/internal/sql/types"
-	"scoop/internal/storlet"
 )
 
 // newScoop builds an in-process instance with a small uploaded dataset and
@@ -324,11 +323,11 @@ func TestMetricsSelectivityClamp(t *testing.T) {
 // serves the rest uncached without a message: every filter the store
 // deploys must be in it.
 func TestStandardFiltersProvenDeterministic(t *testing.T) {
-	e := storlet.NewEngine(storlet.Limits{})
-	if err := RegisterStandardFilters(e); err != nil {
+	s, err := New(Config{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	names := e.Names()
+	names := s.Cluster().Engine().Names()
 	if len(names) == 0 {
 		t.Fatal("no standard filters registered")
 	}
