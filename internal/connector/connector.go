@@ -46,7 +46,8 @@ func (s Split) String() string {
 type Stats struct {
 	// BytesIngested is the total data pulled from the object store.
 	BytesIngested int64
-	// Requests is the number of GETs issued.
+	// Requests is the number of GETs issued, those the store refused
+	// included.
 	Requests int64
 	// Fallbacks counts splits read again the baseline way (OpenFallback)
 	// after their pushdown read failed.
@@ -179,18 +180,19 @@ func (s Split) follows(p Split) bool {
 // Open issues the ranged GET for a split, tagging it with the pushdown chain
 // when given. The returned stream is either raw object bytes (tasks == nil;
 // record alignment is then the reader's job) or the filter output. A request
-// the store refuses fails with the store's typed error (storlet.Classify).
+// the store refuses fails with the store's typed error (storlet.Classify),
+// and counts in Requests all the same.
 func (c *Connector) Open(ctx context.Context, split Split, tasks []*pushdown.Task) (io.ReadCloser, error) {
 	opts := objectstore.GetOptions{
 		RangeStart: split.Start,
 		RangeEnd:   split.End,
 		Pushdown:   tasks,
 	}
+	c.requests.Add(1)
 	rc, _, err := c.client.GetObject(ctx, split.Account, split.Container, split.Object, opts)
 	if err != nil {
 		return nil, fmt.Errorf("connector: open %s: %w", split, err)
 	}
-	c.requests.Add(1)
 	return &counted{rc: rc, n: &c.bytesIngested}, nil
 }
 

@@ -40,7 +40,8 @@ var fraTask = &pushdown.Task{
 }
 
 // The connector runs no filter: a refused pushdown surfaces as the store's
-// typed error, with nothing read and nothing counted.
+// typed error, with nothing read and no fallback counted; the refused GET
+// counts as a request.
 func TestNoFallbackSurfacesTypedError(t *testing.T) {
 	cl := bareStore(t)
 	conn := New(cl, "gp", 0)
@@ -51,8 +52,8 @@ func TestNoFallbackSurfacesTypedError(t *testing.T) {
 	if err == nil || !errors.Is(err, storlet.ErrNotDeployed) {
 		t.Fatalf("error = %v, want pushdown-unavailable", err)
 	}
-	if st := conn.Stats(); st.Fallbacks != 0 || st.Requests != 0 {
-		t.Errorf("Fallbacks = %d, Requests = %d, want 0 and 0", st.Fallbacks, st.Requests)
+	if st := conn.Stats(); st.Fallbacks != 0 || st.Requests != 1 || st.BytesIngested != 0 {
+		t.Errorf("Fallbacks = %d, Requests = %d, BytesIngested = %d, want 0, 1 and 0", st.Fallbacks, st.Requests, st.BytesIngested)
 	}
 }
 

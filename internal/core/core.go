@@ -30,7 +30,6 @@ import (
 	"scoop/internal/sql/plan"
 	"scoop/internal/sql/types"
 	"scoop/internal/storlet"
-	"scoop/internal/storlet/aggfilter"
 	"scoop/internal/storlet/compressfilter"
 	"scoop/internal/storlet/csvfilter"
 	"scoop/internal/storlet/etl"
@@ -116,7 +115,6 @@ func RegisterStandardFilters(e *storlet.Engine) error {
 		etl.NewCleanse(),
 		etl.NewSplit(),
 		compressfilter.New(),
-		aggfilter.New(),
 	}
 	for _, f := range filters {
 		if err := e.Register(f); err != nil {
@@ -236,7 +234,8 @@ type Metrics struct {
 	// BytesIngested is the data moved from the store to compute for this
 	// query — the quantity pushdown shrinks.
 	BytesIngested int64
-	// Requests is the number of object GETs issued.
+	// Requests is the number of object GETs issued, those the store refused
+	// included.
 	Requests int64
 	// Splits is the partition count.
 	Splits int
@@ -340,7 +339,7 @@ func scanSplit[T any, I iterator[T]](ctx context.Context, open func() (I, error)
 
 // analyze parses a SELECT, finds its table and plans the query over the
 // table's schema. The plan's aggregation stays at the compute side when the
-// table's delimiter is not the agg filter's comma, whatever the query's shape.
+// table's delimiter is not a comma, whatever the query's shape.
 func (s *Scoop) analyze(sql string) (tableDef, *plan.Plan, error) {
 	sel, err := parser.Parse(sql)
 	if err != nil {

@@ -18,12 +18,11 @@ import (
 	"scoop/internal/objectstore"
 	"scoop/internal/pushdown"
 	"scoop/internal/storlet"
-	"scoop/internal/storlet/aggfilter"
 	"scoop/internal/storlet/csvfilter"
 )
 
-// The query of the fallback tests aggregates at the store (csv → agg); the
-// filter-only one runs the csv stage alone.
+// The query of the fallback tests aggregates at the store (the csv task
+// folds); the filter-only one selects and projects.
 const (
 	fallbackAggQuery    = "SELECT city, count(*) AS n, sum(index) AS s FROM largeMeter WHERE state LIKE 'U%' GROUP BY city ORDER BY city"
 	fallbackFilterQuery = "SELECT vid, date, index FROM largeMeter WHERE city LIKE 'Rotterdam' ORDER BY vid, date"
@@ -104,27 +103,30 @@ func pushdownMatchesBaseline(t *testing.T, s *core.Scoop, q string) (*core.Resul
 
 type connectorDelta struct{ fallbacks, bytes int64 }
 
-// A store without the agg filter refuses the csv → agg chain before its
-// first byte (not-deployed), and every split is read again the baseline way.
-func TestFallbackAggNotDeployed(t *testing.T) {
-	s := fallbackStore(t, 2, "meters", nil, inProcess, csvfilter.New())
-	res, d := pushdownMatchesBaseline(t, s, fallbackAggQuery)
-	if res.Plan.StoreAgg == nil {
-		t.Fatalf("aggregation stayed at the compute side: %s", res.Plan.AggRefused)
-	}
-	if d.fallbacks != int64(res.Metrics.Splits) || d.bytes == 0 {
-		t.Errorf("%d fallbacks over %d bytes at %d splits, want one per split", d.fallbacks, d.bytes, res.Metrics.Splits)
-	}
-}
-
 // A container whose policy disables pushdown answers every split the
 // baseline way, with the same rows.
 func TestFallbackDisabledContainer(t *testing.T) {
-	s := fallbackStore(t, 2, "locked", &objectstore.ContainerPolicy{DisablePushdown: true}, inProcess, csvfilter.New(), aggfilter.New())
+	s := fallbackStore(t, 2, "locked", &objectstore.ContainerPolicy{DisablePushdown: true}, inProcess, csvfilter.New())
 	for _, q := range []string{fallbackAggQuery, fallbackFilterQuery} {
 		res, d := pushdownMatchesBaseline(t, s, q)
 		if d.fallbacks != int64(res.Metrics.Splits) {
 			t.Errorf("%s: %d fallbacks at %d splits, want one per split", q, d.fallbacks, res.Metrics.Splits)
+		}
+	}
+}
+
+// Every GET a query issues counts in its Requests, a refused one too: over a
+// container that disables pushdown each split sends its pushdown GET, which
+// the store refuses, then its plain one.
+func TestFallbackRequestsCountRefusedGets(t *testing.T) {
+	s := fallbackStore(t, 2, "locked", &objectstore.ContainerPolicy{DisablePushdown: true}, overHandler(t), csvfilter.New())
+	for _, q := range []string{fallbackAggQuery, fallbackFilterQuery} {
+		res, err := s.Query(q, core.QueryOptions{Mode: core.ModePushdown})
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if res.Metrics.Requests != 2*int64(res.Metrics.Splits) {
+			t.Errorf("%s: %d requests at %d splits, want two per split", q, res.Metrics.Requests, res.Metrics.Splits)
 		}
 	}
 }
@@ -152,27 +154,27 @@ func dying(f storlet.Filter, n int) storlet.Filter {
 	}}
 }
 
-// A store stage that dies mid-stream, the csv stage of a filter-only query or
-// the agg stage of a store aggregation, fails the pushdown read of every
-// split; each is read again the baseline way into an empty partial, so the
-// rows the failed read delivered (after 300 bytes, several) count for
+// A csv task that dies mid-stream, whether it selects and projects or folds
+// a store aggregation, fails the pushdown read of every split; each is read
+// again the baseline way into an empty partial, so the rows or partial
+// records the failed read delivered (after 300 bytes, several) count for
 // nothing.
 func TestFallbackMidStreamFailure(t *testing.T) {
 	for _, c := range []struct {
-		stage   string
-		filters []storlet.Filter
-		q       string
+		name  string
+		after int
+		q     string
 	}{
-		{"csv", []storlet.Filter{dying(csvfilter.New(), 7), aggfilter.New()}, fallbackFilterQuery},
-		{"csv", []storlet.Filter{dying(csvfilter.New(), 300), aggfilter.New()}, fallbackFilterQuery},
-		{"agg", []storlet.Filter{csvfilter.New(), dying(aggfilter.New(), 7)}, fallbackAggQuery},
+		{"filter", 7, fallbackFilterQuery},
+		{"filter", 300, fallbackFilterQuery},
+		{"fold", 7, fallbackAggQuery},
 	} {
-		s := fallbackStore(t, 2, "meters", nil, overHandler(t), c.filters...)
+		s := fallbackStore(t, 2, "meters", nil, overHandler(t), dying(csvfilter.New(), c.after))
 		res, d := pushdownMatchesBaseline(t, s, c.q)
 		if d.fallbacks != int64(res.Metrics.Splits) || d.bytes == 0 {
-			t.Errorf("%s stage: %d fallbacks over %d bytes at %d splits, want one per split", c.stage, d.fallbacks, d.bytes, res.Metrics.Splits)
+			t.Errorf("%s dying after %d bytes: %d fallbacks over %d bytes at %d splits, want one per split", c.name, c.after, d.fallbacks, d.bytes, res.Metrics.Splits)
 		}
-		if c.stage == "agg" && res.Plan.StoreAgg == nil {
+		if c.name == "fold" && res.Plan.StoreAgg == nil {
 			t.Fatalf("aggregation stayed at the compute side: %s", res.Plan.AggRefused)
 		}
 	}

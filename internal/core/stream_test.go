@@ -192,8 +192,8 @@ func TestPushdownBaselineBitIdentical(t *testing.T) {
 	}
 }
 
-// The agg filter reads and writes comma-separated records, so a table with
-// another delimiter keeps its aggregation at the compute side: the plan names
+// The store folds only comma-separated records, so a table with another
+// delimiter keeps its aggregation at the compute side: the plan names
 // the refusal, and the query runs on filter pushdown to the same bits as the
 // baseline.
 func TestStoreAggregationRefusedForOtherDelimiters(t *testing.T) {

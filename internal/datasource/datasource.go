@@ -19,7 +19,6 @@ import (
 	"scoop/internal/sql/exec"
 	"scoop/internal/sql/types"
 	"scoop/internal/storlet"
-	"scoop/internal/storlet/aggfilter"
 	"scoop/internal/storlet/compressfilter"
 	"scoop/internal/storlet/csvfilter"
 )
@@ -85,8 +84,8 @@ type CSVOptions struct {
 }
 
 // StoreAggregates reports whether the store can aggregate the records of a
-// relation with these options (ScanPartials): the agg filter reads and writes
-// comma-separated records.
+// relation with these options (ScanPartials): only records separated by
+// commas are folded at the store.
 func (o CSVOptions) StoreAggregates() bool {
 	return o.Delimiter == 0 || o.Delimiter == csvio.DefaultDelimiter
 }
@@ -153,7 +152,7 @@ func (r *CSVRelation) ScanPrunedFiltered(ctx context.Context, split connector.Sp
 	if err != nil {
 		return nil, err
 	}
-	return r.openChain(ctx, split, columns, preds, nil, outSchema)
+	return r.openChain(ctx, split, r.csvTask(columns, preds), outSchema)
 }
 
 // ScanFallback reads one split the baseline way whatever the relation's
@@ -209,9 +208,9 @@ func (r *CSVRelation) scanRaw(ctx context.Context, split connector.Split, column
 }
 
 // ScanPartials reads one split with the aggregation spec pushed to the store
-// as well: the chain is csv → agg, and the iterator yields the fields of the
-// partial records, one per group (see agg.Spec.Record), of the rows
-// ScanPrunedFiltered would have returned. The fields are not typed:
+// as well: the csv task carries it (csvfilter.FoldTask), and the iterator
+// yields the fields of the partial records, one per group (see
+// agg.Spec.Record), of the rows ScanPrunedFiltered would have returned. The fields are not typed:
 // exec.Partial.MergeCells reads them as the store wrote them and keeps
 // nothing of them, so they are only valid until the next call of Next.
 // Pushdown mode and the default delimiter only.
@@ -225,10 +224,9 @@ func (r *CSVRelation) ScanPartials(ctx context.Context, split connector.Split, c
 		return nil, err
 	}
 	if !r.opts.Pushdown || !r.opts.StoreAggregates() {
-		return nil, errors.New("datasource: the agg filter serves pushdown relations of comma-separated records")
+		return nil, errors.New("datasource: the store folds pushdown relations of comma-separated records only")
 	}
-	task := &pushdown.Task{Filter: aggfilter.FilterName, Schema: read.String(), Stage: r.opts.Stage, Options: spec.Options()}
-	it, err := r.openChain(ctx, split, columns, preds, task, record)
+	it, err := r.openChain(ctx, split, csvfilter.FoldTask(r.csvTask(columns, preds), spec), record)
 	if err != nil {
 		return nil, err
 	}
@@ -256,14 +254,11 @@ func (r *CSVRelation) csvTask(columns []string, preds []pushdown.Predicate) *pus
 	return task
 }
 
-// openChain opens the split with the csv filter task, then the given task if
-// any, then transfer compression if configured, and parses the chain's output
-// as records of outSchema.
-func (r *CSVRelation) openChain(ctx context.Context, split connector.Split, columns []string, preds []pushdown.Predicate, after *pushdown.Task, outSchema *types.Schema) (*csvIterator, error) {
-	chain := []*pushdown.Task{r.csvTask(columns, preds)}
-	if after != nil {
-		chain = append(chain, after)
-	}
+// openChain opens the split with the csv filter task, then transfer
+// compression if configured, and parses the chain's output as records of
+// outSchema.
+func (r *CSVRelation) openChain(ctx context.Context, split connector.Split, csv *pushdown.Task, outSchema *types.Schema) (*csvIterator, error) {
+	chain := []*pushdown.Task{csv}
 	if r.opts.CompressTransfer {
 		chain = append(chain, &pushdown.Task{Filter: compressfilter.FilterName, Stage: r.opts.Stage})
 	}

@@ -13,8 +13,6 @@ import (
 	"scoop/internal/sql/agg"
 	"scoop/internal/sql/exec"
 	"scoop/internal/sql/types"
-	"scoop/internal/storlet"
-	"scoop/internal/storlet/aggfilter"
 	"scoop/internal/storlet/compressfilter"
 	"scoop/internal/storlet/csvfilter"
 )
@@ -337,9 +335,8 @@ func TestIteratorCloseIdempotent(t *testing.T) {
 	}
 }
 
-// ScanPartials appends the agg stage to the chain the relation builds, with
-// or without transfer compression, and hands out the partial records'
-// fields: quoted group keys and values survive (the scanner unescapes into a
+// ScanPartials sends the csv task carrying the aggregation, with or without
+// transfer compression, and hands out the partial records' fields: quoted group keys and values survive (the scanner unescapes into a
 // buffer it reuses), and each record lives in the one slice the iterator
 // refills.
 func TestScanPartials(t *testing.T) {
@@ -356,10 +353,8 @@ func TestScanPartials(t *testing.T) {
 	preds := []pushdown.Predicate{{Column: "state", Op: pushdown.OpEq, Value: "NED"}}
 	for _, compress := range []bool{false, true} {
 		fx := newFixture(t, 0)
-		for _, f := range []storlet.Filter{aggfilter.New(), compressfilter.New()} {
-			if err := fx.cluster.Engine().Register(f); err != nil {
-				t.Fatal(err)
-			}
+		if err := fx.cluster.Engine().Register(compressfilter.New()); err != nil {
+			t.Fatal(err)
 		}
 		if err := fx.cluster.Client().CreateContainer(context.Background(), "gp", "quoted", nil); err != nil {
 			t.Fatal(err)
@@ -407,8 +402,8 @@ func TestScanPartials(t *testing.T) {
 			t.Errorf("compress=%v: records\n%s\nwant\n%s", compress, strings.Join(got, "\n"), strings.Join(want, "\n"))
 		}
 
-		// A term that does not fit the projection, and relations the agg
-		// filter cannot serve, are refused before any request.
+		// A term that does not fit the projection, and relations the store
+		// does not fold for, are refused before any request.
 		bad := &agg.Spec{Aggs: []agg.Call{{Kind: agg.Sum, Arg: agg.Term{Col: 7}}}}
 		if _, err := rel.ScanPartials(context.Background(), splits[0], columns, preds, bad); err == nil {
 			t.Error("term outside the projection accepted")

@@ -6,7 +6,6 @@ package detmanifest
 
 // Proven maps each statically-proven-deterministic filter name to true.
 var Proven = map[string]bool{
-	"agg":          true,
 	"compress":     true,
 	"csv":          true,
 	"etl-cleanse":  true,

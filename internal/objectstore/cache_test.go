@@ -16,7 +16,6 @@ import (
 	"scoop/internal/resultcache"
 	"scoop/internal/sql/agg"
 	"scoop/internal/storlet"
-	"scoop/internal/storlet/aggfilter"
 	"scoop/internal/storlet/csvfilter"
 )
 
@@ -383,25 +382,19 @@ func TestCachePutInvalidationFreshness(t *testing.T) {
 		Columns:    []string{"vid"},
 		Predicates: []pushdown.Predicate{{Column: "state", Op: pushdown.OpLike, Value: "U%"}},
 	}
-	// The aggregation chain is keyed, cached and invalidated as any chain is:
-	// its second stage is in the determinism manifest and its options hash in.
-	count := &pushdown.Task{
-		Filter: aggfilter.FilterName, Schema: "vid string",
-		Options: (&agg.Spec{Aggs: []agg.Call{{Kind: agg.CountStar}, {Kind: agg.Max}}}).Options(),
-	}
+	// The fold task is keyed, cached and invalidated as the csv task it
+	// extends is: its options, which carry the aggregation, hash in.
+	count := csvfilter.FoldTask(scan, &agg.Spec{Aggs: []agg.Call{{Kind: agg.CountStar}, {Kind: agg.Max}}})
 	for _, tc := range []struct {
 		name        string
 		chain       []*pushdown.Task
 		cold, fresh string
 	}{
 		{"csv", []*pushdown.Task{scan}, "V3\n", "V3\nV4\n"},
-		{"csv-agg", []*pushdown.Task{scan, count}, "1,V3\n", "2,V4\n"},
+		{"csv-agg", []*pushdown.Task{count}, "1,V3\n", "2,V4\n"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := newCacheCluster(t)
-			if err := c.Engine().Register(aggfilter.New()); err != nil {
-				t.Fatal(err)
-			}
 			cl := c.Client()
 			ctx := context.Background()
 			_ = cl.CreateContainer(ctx, "gp", "meters", nil)

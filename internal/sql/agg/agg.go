@@ -2,12 +2,13 @@
 // description of an aggregation simple enough to run at the object store.
 //
 // sql/exec folds rows and merges partial results with Acc at the compute
-// side; storlet/aggfilter folds with the same Acc at the store, for the Spec
-// sql/plan derives from a query. A Spec travels as JSON in two task options
-// and its output is plain CSV: one record per group holding the group's key
-// values, its first-row values and the cells of its accumulators, which exec
-// merges as it merges a partial of its own. The package depends on sql/types
-// only, so the store side does not import the SQL engine.
+// side; storlet/csvfilter folds the raw records it keeps with the same Acc at
+// the store, for the Spec sql/plan derives from a query. A Spec travels as
+// JSON in two options of the csv task and its output is plain CSV: one record
+// per group holding the group's key values, its first-row values and the
+// cells of its accumulators, which exec merges as it merges a partial of its
+// own. The package depends on sql/types and csvio only, so the store side
+// does not import the SQL engine.
 package agg
 
 import (
@@ -177,25 +178,24 @@ func (k Kind) Width() int {
 	}
 }
 
-// appendCells appends a's state as Width cells, each encoded as AppendKey
-// encodes a value.
-func (a *Acc) appendCells(kind Kind, dst []byte) []byte {
+// appendCells appends a's state to dst as Width cells, each rendered as
+// AppendKey renders a value, and the end of each in dst to ends.
+func (a *Acc) appendCells(kind Kind, dst []byte, ends []int) ([]byte, []int) {
 	switch kind {
 	case CountStar, Count:
-		return AppendKey(dst, types.IntV(a.N))
+		dst = strconv.AppendInt(dst, a.N, 10)
 	case Sum, Avg:
-		dst = append(AppendKey(dst, types.IntV(a.N)), 1, 0, 0, 0, 0)
-		start := len(dst)
+		dst = strconv.AppendInt(dst, a.N, 10)
+		ends = append(ends, len(dst))
 		dst = a.appendSum(dst)
-		binary.LittleEndian.PutUint32(dst[start-4:], uint32(len(dst)-start))
-		return dst
 	default:
-		return AppendKey(dst, a.V)
+		dst = appendText(dst, a.V)
 	}
+	return dst, append(ends, len(dst))
 }
 
 // MergeCells merges the accumulator a partial record's cells hold, as the
-// agg filter wrote them (Width cells of the kind), into a, as Merge would
+// store wrote them (Width cells of the kind), into a, as Merge would
 // merge it. Counts and sums are read from the bytes. A MIN, MAX or
 // FIRST_VALUE cell is typed, as typ, only when it takes the place of the
 // value so far; before that a MIN or MAX cell compares as its bytes read.
@@ -214,33 +214,40 @@ func (a *Acc) MergeCells(kind Kind, cells [][]byte, typ types.Type) {
 			a.V = types.CoerceBytes(cells[0], typ)
 		}
 	case Min, Max:
-		cell := cells[0]
-		switch {
-		case len(cell) == 0:
-		case a.V.T == types.String && typ == types.String:
-			if c := compareText(cell, a.V.S); (kind == Min && c < 0) || (kind == Max && c > 0) {
-				a.V = types.Str(string(cell)) //lint:ignore allocfree a value that takes the place of the MIN or MAX is copied out of the record
-			}
-		case (a.V.T == types.Float || a.V.T == types.Int) && (typ == types.Float || typ == types.Int):
-			cur := a.V.F
-			if a.V.T == types.Int {
-				cur = float64(a.V.I)
-			}
-			if f, ok := csvio.FastFloat(cell); ok {
-				v := types.FloatV(f) // the value types.CoerceBytes gives
-				if typ == types.Int {
-					v, f = types.IntV(int64(f)), float64(int64(f))
-				}
-				if (kind == Min && (f < cur || math.IsNaN(cur))) || (kind == Max && f > cur) {
-					a.V = v
-				}
-				return
-			}
-			fallthrough
-		default:
-			//scoop:cold the group's first value, or a cell FastFloat does not read
-			a.mergeTyped(kind, cell, typ)
+		if len(cells[0]) > 0 {
+			a.mergeMinMax(kind, cells[0], typ)
 		}
+	}
+}
+
+// mergeMinMax merges a MIN or MAX cell that is not empty, typed as typ, into
+// a. A string cell is copied only when it takes the place of the value so
+// far, and a number is read in place.
+func (a *Acc) mergeMinMax(kind Kind, cell []byte, typ types.Type) {
+	switch {
+	case a.V.T == types.String && typ == types.String:
+		if c := compareText(cell, a.V.S); (kind == Min && c < 0) || (kind == Max && c > 0) {
+			a.V = types.Str(string(cell)) //lint:ignore allocfree a value that takes the place of the MIN or MAX is copied out of the record
+		}
+	case (a.V.T == types.Float || a.V.T == types.Int) && (typ == types.Float || typ == types.Int):
+		cur := a.V.F
+		if a.V.T == types.Int {
+			cur = float64(a.V.I)
+		}
+		if f, ok := csvio.FastFloat(cell); ok {
+			v := types.FloatV(f) // the value types.CoerceBytes gives
+			if typ == types.Int {
+				v, f = types.IntV(int64(f)), float64(int64(f))
+			}
+			if (kind == Min && (f < cur || math.IsNaN(cur))) || (kind == Max && f > cur) {
+				a.V = v
+			}
+			return
+		}
+		fallthrough
+	default:
+		//scoop:cold the group's first value, or a cell FastFloat does not read
+		a.mergeTyped(kind, cell, typ)
 	}
 }
 
@@ -302,18 +309,25 @@ func AppendKey(key []byte, v types.Value) []byte {
 	}
 	key = append(key, 1, 0, 0, 0, 0)
 	start := len(key)
-	switch v.T {
-	case types.String:
-		key = append(key, v.S...)
-	case types.Int:
-		key = strconv.AppendInt(key, v.I, 10)
-	case types.Float:
-		key = strconv.AppendFloat(key, v.F, 'g', -1, 64)
-	case types.Bool:
-		key = strconv.AppendBool(key, v.B)
-	}
+	key = appendText(key, v)
 	binary.LittleEndian.PutUint32(key[start-4:], uint32(len(key)-start))
 	return key
+}
+
+// appendText appends v's rendering, which is what Value.AsString gives and
+// nothing for NULL.
+func appendText(dst []byte, v types.Value) []byte {
+	switch v.T {
+	case types.String:
+		return append(dst, v.S...)
+	case types.Int:
+		return strconv.AppendInt(dst, v.I, 10)
+	case types.Float:
+		return strconv.AppendFloat(dst, v.F, 'g', -1, 64)
+	case types.Bool:
+		return strconv.AppendBool(dst, v.B)
+	}
+	return dst
 }
 
 // CutKey splits a key AppendKey built into the rendering of its first value,
@@ -327,7 +341,7 @@ func CutKey(key []byte) (text, rest []byte) {
 }
 
 // Term is a value the store computes from one field of a record: the field
-// at position Col of the stage's input, or, with Sub, SUBSTRING of it.
+// at position Col of the aggregation's input, or, with Sub, SUBSTRING of it.
 type Term struct {
 	Col   int   `json:"col"`
 	Sub   bool  `json:"sub,omitempty"`
@@ -343,30 +357,113 @@ func (t Term) Eval(v types.Value) types.Value {
 	return types.Str(types.Substring(v.AsString(), t.Start, t.Len))
 }
 
-// value is the term over a record's fields, each typed by schema as the
-// compute side's CSV scan types it, an empty or missing field being NULL. It
-// holds a copy of a string field, so it may be kept.
-func (t Term) value(schema *types.Schema, fields [][]byte) types.Value {
-	if t.Col >= len(fields) {
-		return types.NullValue()
+// typ is the type of the term's values over records of schema.
+func (t Term) typ(schema *types.Schema) types.Type {
+	if t.Sub {
+		return types.String
 	}
-	return t.Eval(types.CoerceBytes(fields[t.Col], schema.Columns[t.Col].Type))
+	return schema.Columns[t.Col].Type
 }
 
-// appendKey appends t.value(schema, fields) to key. The key copies the bytes
-// of a non-empty string field itself, so here the value aliases them and
-// nothing is allocated.
-func (t Term) appendKey(key []byte, schema *types.Schema, fields [][]byte) []byte {
-	if t.Col < len(fields) && len(fields[t.Col]) > 0 && schema.Columns[t.Col].Type == types.String {
-		return AppendKey(key, t.Eval(types.Str(string(fields[t.Col]))))
+// text is what the term reads of the record sc holds: the field at Col, or
+// the SUBSTRING of it, and false when that field is empty or missing, which
+// is NULL. A SUBSTRING of a field that is not NULL is not NULL either, empty
+// or not. The text aliases the record or sc's scratch.
+func (t Term) text(sc *csvio.FieldScanner) ([]byte, bool) {
+	f, ok := sc.Field(t.Col)
+	if !ok || len(f) == 0 {
+		return nil, false
 	}
-	return AppendKey(key, t.value(schema, fields))
+	if t.Sub {
+		lo, hi := types.SubstringRange(int64(len(f)), t.Start, t.Len)
+		f = f[lo:hi]
+	}
+	return f, true
+}
+
+// value types text, what the term read of a record of schema, as the
+// compute side's CSV scan types it. It holds a copy of a string, so it may
+// be kept.
+func (t Term) value(schema *types.Schema, text []byte) types.Value {
+	if t.Sub {
+		return types.Str(string(text))
+	}
+	return types.CoerceBytes(text, schema.Columns[t.Col].Type)
+}
+
+// number types text, the text of a field of type typ that is not a string,
+// as types.CoerceBytes types it, reading a plain decimal in place.
+func number(text []byte, typ types.Type) types.Value {
+	if f, ok := csvio.FastFloat(text); ok && (typ == types.Float || typ == types.Int) {
+		if typ == types.Int {
+			return types.IntV(int64(f))
+		}
+		return types.FloatV(f)
+	}
+	//scoop:cold syntax FastFloat does not read, or a BOOLEAN, typed by the slow path
+	return types.CoerceBytes(text, typ)
 }
 
 // Call is one aggregate of a Spec; CountStar has no argument.
 type Call struct {
 	Kind Kind `json:"kind"`
 	Arg  Term `json:"arg"`
+}
+
+// fold adds the call's argument over the record sc holds, a record of
+// schema, to a, as a.Add(c.Kind, v) adds the argument's value v when that is
+// not NULL. A number is read in place with FastFloat where it can be, and a
+// string is copied only when it becomes the MIN or MAX.
+func (c *Call) fold(a *Acc, schema *types.Schema, sc *csvio.FieldScanner) {
+	if c.Kind == CountStar {
+		a.N++
+		return
+	}
+	if c.Kind == First && !a.V.IsNull() {
+		return
+	}
+	text, ok := c.Arg.text(sc)
+	if !ok {
+		return
+	}
+	typ := c.Arg.typ(schema)
+	switch c.Kind {
+	case Count:
+		if typ == types.String || !number(text, typ).IsNull() {
+			a.N++
+		}
+	case Sum, Avg:
+		// FastFloat reads what Value.AsFloat reads of a number or a string,
+		// where it reads anything; an INT takes the whole part, as
+		// types.CoerceBytes types it.
+		if f, ok := csvio.FastFloat(text); ok && typ != types.Bool {
+			if typ == types.Int {
+				f = float64(int64(f))
+			}
+			a.addSum(f)
+			a.N++
+			return
+		}
+		//scoop:cold text FastFloat does not read is typed as the compute side types it
+		if v := c.Arg.value(schema, text); !v.IsNull() {
+			a.Add(c.Kind, v)
+		}
+	case Min, Max:
+		switch {
+		case typ != types.String:
+			a.mergeMinMax(c.Kind, text, typ)
+		case a.V.IsNull():
+			//scoop:cold the group's first value
+			a.V = types.Str(string(text))
+		default:
+			if cmp := compareText(text, a.V.S); (c.Kind == Min && cmp < 0) || (c.Kind == Max && cmp > 0) {
+				a.V = types.Str(string(text)) //lint:ignore allocfree a value that takes the place of the MIN or MAX is copied out of the record
+			}
+		}
+	case First:
+		//scoop:cold the group's first value that is not NULL, typed once
+		a.V = c.Arg.value(schema, text)
+	}
 }
 
 // Spec is an aggregation over the records of one stream: group by the Group
@@ -377,13 +474,38 @@ type Spec struct {
 	Aggs   []Call `json:"aggs,omitempty"`
 }
 
-// NewTable returns an empty table for the spec's groups.
-func (s *Spec) NewTable() *Table {
-	kinds := make([]Kind, len(s.Aggs))
-	for i, c := range s.Aggs {
-		kinds[i] = c.Kind
+// Over rebinds s, in place, to records whose field cols[c] is column c of
+// the stream s read: each term's column c becomes cols[c]. s must fit that
+// stream (Check).
+func (s *Spec) Over(cols []int) {
+	for i := range s.Group {
+		s.Group[i].Col = cols[s.Group[i].Col]
 	}
-	return NewTable(len(s.Firsts), kinds)
+	for i := range s.Firsts {
+		s.Firsts[i].Col = cols[s.Firsts[i].Col]
+	}
+	for i := range s.Aggs {
+		if s.Aggs[i].Kind != CountStar {
+			s.Aggs[i].Arg.Col = cols[s.Aggs[i].Arg.Col]
+		}
+	}
+}
+
+// ResetTable empties t and shapes it for the spec's groups, keeping the
+// memory of t's earlier use where it fits them: a pool of tables serves
+// aggregations of any spec.
+func (s *Spec) ResetTable(t *Table) {
+	t.Reset()
+	t.kinds = t.kinds[:0]
+	for _, c := range s.Aggs {
+		t.kinds = append(t.kinds, c.Kind)
+	}
+	if t.firsts.n != len(s.Firsts) {
+		t.firsts = pages[types.Value]{n: len(s.Firsts)}
+	}
+	if t.accs.n != len(s.Aggs) {
+		t.accs = pages[Acc]{n: len(s.Aggs)}
+	}
 }
 
 // Option keys of the task that carries a Spec, as JSON.
@@ -425,10 +547,25 @@ func ParseSpec(opts map[string]string) (*Spec, error) {
 // cells. It fails when a term does not fit in.
 func (s *Spec) Record(in *types.Schema) (*types.Schema, error) {
 	var cols []types.Column
-	var err error
-	add := func(typ types.Type) {
+	err := s.cells(in, func(typ types.Type) {
 		cols = append(cols, types.Column{Name: "c" + strconv.Itoa(len(cols)), Type: typ})
+	})
+	if err != nil {
+		return nil, err
 	}
+	return types.NewSchema(cols...), nil
+}
+
+// Check fails when a term of s does not fit a stream of schema in, as
+// Record does, without building the record's schema.
+func (s *Spec) Check(in *types.Schema) error {
+	return s.cells(in, func(types.Type) {})
+}
+
+// cells calls add with the type of each cell of the records s emits over a
+// stream of schema in, in order, and fails when a term does not fit in.
+func (s *Spec) cells(in *types.Schema, add func(types.Type)) error {
+	var err error
 	typeOf := func(t Term) types.Type {
 		switch {
 		case t.Col < 0 || t.Col >= in.Len():
@@ -463,8 +600,5 @@ func (s *Spec) Record(in *types.Schema) (*types.Schema, error) {
 			add(typeOf(c.Arg))
 		}
 	}
-	if err != nil {
-		return nil, err
-	}
-	return types.NewSchema(cols...), nil
+	return err
 }

@@ -35,18 +35,19 @@ func TestSpecOptionsRoundTrip(t *testing.T) {
 	}
 }
 
-// wire is a's cells as the agg filter writes them.
+// wire is a's cells as the store writes them.
 func wire(a *Acc, kind Kind) [][]byte {
+	text, ends := a.appendCells(kind, nil, nil)
 	var cells [][]byte
-	for enc := a.appendCells(kind, nil); len(enc) > 0; {
-		var cell []byte
-		cell, enc = CutKey(enc)
-		cells = append(cells, cell)
+	start := 0
+	for _, end := range ends {
+		cells = append(cells, text[start:end])
+		start = end
 	}
 	return cells
 }
 
-// An accumulator's cells, rendered as the agg filter writes them and merged
+// An accumulator's cells, rendered as the store writes them and merged
 // from their bytes, with the value cell typed as the record schema types it,
 // are the accumulator: float sums to the bit.
 func TestCellsRoundTrip(t *testing.T) {

@@ -55,6 +55,13 @@ func (a *Acc) addSum(x float64) {
 		a.addDecimal(n)
 		return
 	}
+	//scoop:cold a value that is no whole number of millionths: a sum off the fast path
+	a.addBinary(x)
+}
+
+// addBinary adds x, which is no whole number of millionths, to the slow
+// path of the sum.
+func (a *Acc) addBinary(x float64) {
 	r := &a.ext().sumRest
 	if math.IsInf(x, 0) || math.IsNaN(x) {
 		r.special += x

@@ -1,18 +1,22 @@
 package agg
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"math/bits"
+	"strconv"
 
+	"scoop/internal/csvio"
 	"scoop/internal/sql/types"
 )
 
 // Table is the module's one group table: the groups of an aggregation, each
 // with its key, its first-row values and its accumulators, numbered 0, 1, ...
-// in the order they first appear, which is the order of the output. The agg
-// filter folds a split's rows into one at the store; exec.Partial folds rows,
-// or merges the store's partial records, into one at the compute side.
+// in the order they first appear, which is the order of the output. The csv
+// filter folds the records of a split it keeps into one at the store
+// (FoldRecord, WriteRecords); exec.Partial folds rows, or merges the store's
+// partial records, into one at the compute side.
 //
 // The index is open addressing over group numbers, and each group's hash is
 // kept, so growing the index re-hashes no key. Keys lie back to back in one
@@ -26,7 +30,12 @@ type Table struct {
 	keys   []byte
 	firsts pages[types.Value]
 	accs   pages[Acc]
-	key    []byte // GroupCells' key scratch
+	key    []byte // GroupCells' and FoldRecord's key scratch
+	// WriteRecords' scratch: a record's cells, and the text and ends of
+	// those it renders.
+	cells    [][]byte
+	text     []byte
+	textEnds []int
 }
 
 // NewTable returns an empty table whose groups hold firsts first-row values
@@ -60,11 +69,12 @@ func (t *Table) Group(key []byte) (g int, created bool) {
 }
 
 // GroupCells is Group for a partial record whose cells open with the group's
-// key values as the agg filter writes them: an empty cell is NULL and any
-// other is the text of a value, keyed as AppendKey keys that value. The
-// filter renders every key cell from a typed value with AppendKey, so these
-// are the bytes its own table keyed the group by, and the compute side types
-// no key cell (DESIGN §5). The scratch the key is built in is the table's.
+// key values as the store writes them: an empty cell is NULL and any other
+// is the text of a value, keyed as AppendKey keys that value. The store keys
+// its own table by AppendKey's encoding of the values and writes each key
+// cell as the text in that encoding, so these are the bytes its table keyed
+// the group by, and the compute side types no key cell (DESIGN §5). The
+// scratch the key is built in is the table's.
 func (t *Table) GroupCells(cells [][]byte) (g int, created bool) {
 	key := t.key[:0]
 	for _, cell := range cells {
@@ -80,36 +90,62 @@ func (t *Table) GroupCells(cells [][]byte) (g int, created bool) {
 	return t.Group(key)
 }
 
-// FoldFields adds a record of the stream s aggregates, given as its fields
-// and typed by schema as the compute side's CSV scan types them, to its
-// group, as exec.Partial.Fold adds a row.
-func (t *Table) FoldFields(s *Spec, schema *types.Schema, fields [][]byte) {
-	key := t.key[:0]
+// FoldRecord adds the record sc holds, a raw record of schema whose fields
+// s's terms index, to its group, as exec.Partial.Fold adds the row the
+// compute side's CSV scan types from it. Only the fields the terms read are
+// split; a string goes into the key or a MIN or MAX as its bytes lie, a sum
+// reads its number in place, and the first-row values are typed only when
+// a group opens.
+func (t *Table) FoldRecord(s *Spec, schema *types.Schema, sc *csvio.FieldScanner) {
+	t.key = t.key[:0]
 	for _, term := range s.Group {
-		key = term.appendKey(key, schema, fields)
+		t.keyTerm(term, schema, sc)
 	}
-	t.key = key
-	g, created := t.Group(key)
+	g, created := t.Group(t.key)
+	//scoop:cold a new group's first-row values, typed once per group
 	if created {
 		firsts := t.Firsts(g)
 		for i, term := range s.Firsts {
-			firsts[i] = term.value(schema, fields)
+			if text, ok := term.text(sc); ok {
+				firsts[i] = term.value(schema, text)
+			}
 		}
 	}
 	accs := t.Accs(g)
-	for i, call := range s.Aggs {
-		a := &accs[i]
-		if call.Kind == CountStar {
-			a.N++
-			continue
-		}
-		if call.Kind == First && !a.V.IsNull() {
-			continue
-		}
-		if v := call.Arg.value(schema, fields); !v.IsNull() {
-			a.Add(call.Kind, v)
-		}
+	for i := range s.Aggs {
+		s.Aggs[i].fold(&accs[i], schema, sc)
 	}
+}
+
+// keyTerm appends term's value over the record sc holds to the key scratch,
+// encoded as AppendKey encodes it: a string as its bytes lie in the record,
+// a number typed in place and rendered.
+func (t *Table) keyTerm(term Term, schema *types.Schema, sc *csvio.FieldScanner) {
+	text, ok := term.text(sc)
+	typ := term.typ(schema)
+	var v types.Value
+	if ok && typ != types.String {
+		v = number(text, typ)
+		ok = !v.IsNull()
+	}
+	if !ok {
+		t.key = append(t.key, 0)
+		return
+	}
+	t.key = append(t.key, 1, 0, 0, 0, 0)
+	start := len(t.key)
+	switch {
+	case typ == types.String:
+		t.key = append(t.key, text...)
+	case v.T == types.Int:
+		t.key = strconv.AppendInt(t.key, v.I, 10)
+	case v.T == types.Float:
+		t.key = strconv.AppendFloat(t.key, v.F, 'g', -1, 64)
+	default:
+		t.key = strconv.AppendBool(t.key, v.B)
+	}
+	n := len(t.key) - start
+	t.key[start-4], t.key[start-3], t.key[start-2], t.key[start-1] = byte(n), byte(n>>8), byte(n>>16), byte(n>>24)
 }
 
 func (t *Table) group(key []byte, h uint32) (int, bool) {
@@ -186,19 +222,38 @@ func (t *Table) Merge(o *Table) {
 	}
 }
 
-// AppendRecord appends group g's partial record, each cell encoded as
-// AppendKey encodes a value: its key values, its first-row values, then each
-// accumulator's Width cells.
-func (t *Table) AppendRecord(dst []byte, g int) []byte {
-	dst = append(dst, t.Key(g)...)
-	for _, v := range t.Firsts(g) {
-		dst = AppendKey(dst, v)
+// WriteRecords writes each group's partial record to w as one CSV record,
+// in group order, and empties the table. A record's cells are the group's
+// key values, its first-row values, then each accumulator's Width cells,
+// each rendered as AppendKey renders a value, NULL as an empty cell.
+func (t *Table) WriteRecords(w *bufio.Writer, delim byte) error {
+	for g := range t.Len() {
+		cells, text, ends := t.cells[:0], t.text[:0], t.textEnds[:0]
+		for key := t.Key(g); len(key) > 0; {
+			var cell []byte
+			cell, key = CutKey(key)
+			cells = append(cells, cell)
+		}
+		for _, v := range t.Firsts(g) {
+			text = appendText(text, v)
+			ends = append(ends, len(text))
+		}
+		accs := t.Accs(g)
+		for i, kind := range t.kinds {
+			text, ends = accs[i].appendCells(kind, text, ends)
+		}
+		start := 0
+		for _, end := range ends {
+			cells = append(cells, text[start:end])
+			start = end
+		}
+		t.cells, t.text, t.textEnds = cells, text, ends
+		if err := csvio.WriteRecord(w, cells, delim); err != nil {
+			return err
+		}
 	}
-	accs := t.Accs(g)
-	for i, kind := range t.kinds {
-		dst = accs[i].appendCells(kind, dst)
-	}
-	return dst
+	t.Reset()
+	return nil
 }
 
 // KeyValues reads the values of groups' keys back from the text the table

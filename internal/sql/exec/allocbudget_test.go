@@ -17,7 +17,7 @@ import (
 	"scoop/internal/sql/plan"
 	"scoop/internal/sql/types"
 	"scoop/internal/storlet"
-	"scoop/internal/storlet/aggfilter"
+	"scoop/internal/storlet/csvfilter"
 )
 
 // budgetRows returns rowsPerGroup rows for each of groups meters, in the
@@ -112,23 +112,24 @@ func TestAllocBudgetExecFold(t *testing.T) {
 	}
 }
 
-// storeRecords returns the fields of the partial records the agg filter
-// writes for p over rows, which are in the layout of the package's test
-// schema.
+// storeRecords returns the fields of the partial records the store's fold
+// task, built as ScanPartials builds it, writes for p over rows, which are
+// in the layout of the package's test schema.
 func storeRecords(t *testing.T, p *plan.Plan, rows []types.Row) [][][]byte {
 	t.Helper()
 	var in, out bytes.Buffer
-	fields := make([][]byte, p.Read.Len())
+	fields := make([][]byte, schema.Len())
 	for _, r := range rows {
-		for i, c := range p.Read.Columns {
-			fields[i] = []byte(r[schema.Index(c.Name)].AsString())
+		for i, v := range r {
+			fields[i] = []byte(v.AsString())
 		}
 		if err := csvio.WriteRecord(&in, fields, ','); err != nil {
 			t.Fatal(err)
 		}
 	}
-	task := &pushdown.Task{Filter: aggfilter.FilterName, Schema: p.Read.String(), Options: p.StoreAgg.Options()}
-	if err := aggfilter.New().Invoke(&storlet.Context{Task: task, RangeEnd: storlet.Unbounded}, &in, &out); err != nil {
+	scan := &pushdown.Task{Filter: csvfilter.FilterName, Schema: schema.String(), Columns: p.Required, Predicates: p.Pushed}
+	ctx := &storlet.Context{Task: csvfilter.FoldTask(scan, p.StoreAgg), RangeEnd: storlet.Unbounded}
+	if err := csvfilter.New().Invoke(ctx, &in, &out); err != nil {
 		t.Fatal(err)
 	}
 	var recs [][][]byte

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -17,34 +18,41 @@ import (
 	"scoop/internal/sql/parser"
 	"scoop/internal/sql/plan"
 	"scoop/internal/storlet"
-	"scoop/internal/storlet/aggfilter"
 	"scoop/internal/storlet/csvfilter"
 )
 
 func storeEngine(tb testing.TB) *storlet.Engine {
 	e := storlet.NewEngine(storlet.Limits{})
-	for _, f := range []storlet.Filter{csvfilter.New(), aggfilter.New()} {
-		if err := e.Register(f); err != nil {
-			tb.Fatal(err)
-		}
+	if err := e.Register(csvfilter.New()); err != nil {
+		tb.Fatal(err)
 	}
 	return e
 }
 
-// storeChains returns the csv task alone and the csv → agg chain the store
-// runs for p.
-func storeChains(p *plan.Plan) (scan, fold []*pushdown.Task) {
+// storeChains returns the one-task chains the store runs for p over meter
+// records: the csv task that selects and projects them, and the fold task
+// that also folds them into partial records, built as ScanPartials builds
+// it. With header the objects open with a header record.
+func storeChains(p *plan.Plan, header bool) (scan, fold []*pushdown.Task) {
 	csv := &pushdown.Task{Filter: csvfilter.FilterName, Schema: meter.SchemaDecl, Columns: p.Required, Predicates: p.Pushed}
-	agg := &pushdown.Task{Filter: aggfilter.FilterName, Schema: p.Read.String(), Options: p.StoreAgg.Options()}
-	return []*pushdown.Task{csv}, []*pushdown.Task{csv, agg}
+	if header {
+		csv.Options = map[string]string{csvfilter.OptHeader: "true"}
+	}
+	return []*pushdown.Task{csv}, []*pushdown.Task{csvfilter.FoldTask(csv, p.StoreAgg)}
 }
 
 // chainFields runs chain over object and returns the fields of its output
 // records, as the store wrote them.
 func chainFields(tb testing.TB, e *storlet.Engine, chain []*pushdown.Task, object string) [][][]byte {
+	return rangeFields(tb, e, chain, object, 0, int64(len(object)))
+}
+
+// rangeFields is chainFields over the split [start, end) of object, which
+// the store reads from start on.
+func rangeFields(tb testing.TB, e *storlet.Engine, chain []*pushdown.Task, object string, start, end int64) [][][]byte {
 	tb.Helper()
-	ctx := &storlet.Context{Ctx: context.Background(), RangeEnd: int64(len(object)), ObjectSize: int64(len(object))}
-	rc, err := e.RunChain(ctx, chain, strings.NewReader(object))
+	ctx := &storlet.Context{Ctx: context.Background(), RangeStart: start, RangeEnd: end, ObjectSize: int64(len(object))}
+	rc, err := e.RunChain(ctx, chain, strings.NewReader(object[start:]))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -73,6 +81,21 @@ type mergeCase struct {
 	sql    string
 	object string
 	cuts   []int // record indexes at which the object is cut into parts
+	// header opens the object, and each part, with a header record; bytes
+	// cuts the object into splits at byte offsets (cuts scaled to its size)
+	// instead of parts, which mostly fall inside a record.
+	header, bytes bool
+}
+
+// meterHeader is the header record of a meter object.
+const meterHeader = "vid,date,index,sumHC,sumHP,type,city,state,lat,long\n"
+
+// withHeader is records, opened with a header record if c has one.
+func (c mergeCase) withHeader(records string) string {
+	if c.header {
+		return meterHeader + records
+	}
+	return records
 }
 
 // Group keys, aggregates and cells of the shapes Table I has: keys are
@@ -85,7 +108,7 @@ var (
 		"SUBSTRING(date, 0, 10), state", "city, state", "vid, lat"}
 	fuzzAggs = []string{"sum(index) AS s", "avg(index) AS a", "count(*) AS n", "count(city) AS c",
 		"min(sumHC) AS lo", "max(sumHP) AS hi", "min(city) AS mc", "first_value(lat) AS fl",
-		"first_value(city) AS fc", "max(lat) AS ml", "max(state) AS ms"}
+		"first_value(city) AS fc", "max(lat) AS ml", "max(state) AS ms", "count(SUBSTRING(city, 7, 3)) AS cs"}
 	fuzzNumbers = []string{"", "1.5", "0.1", "2", "-3.25", "n/a", "1e300", "0.3333333333333333", "12345678.123456",
 		"7", "-0", "0.2", "900719925474099.3", "NaN"}
 	fuzzCities = []string{"", "Rotterdam", "Paris", "Nice", "a,b", `say "hi"`, " "}
@@ -93,9 +116,10 @@ var (
 
 // decodeMergeCase reads a case out of data. The first byte picks the keys,
 // whether the first-row city is selected, ORDER BY and, with its top three
-// bits, a table of more groups than the agg filter holds, keyed by vid; the
-// second picks the aggregates; the third the cuts; every further four bytes
-// are one row.
+// bits, a table of more groups than the store's table holds, keyed by vid;
+// the second and third pick the aggregates; the fourth the cuts, a header
+// (bit 2) and cuts at byte offsets (bit 3); every further four bytes are one
+// row.
 func decodeMergeCase(data []byte) mergeCase {
 	at := func(i int) byte {
 		if i < len(data) {
@@ -164,13 +188,17 @@ func decodeMergeCase(data []byte) mergeCase {
 		}
 		rows += 1<<14 + 350
 	}
-	var cuts []int
+	c := mergeCase{sql: sql, header: cutter&4 != 0, bytes: cutter&8 != 0}
+	c.object = c.withHeader(sb.String())
 	for p := 0; p < int(cutter%3); p++ {
-		if rows > 0 {
-			cuts = append(cuts, int(at(5+p*4))*rows/256)
+		switch {
+		case c.bytes:
+			c.cuts = append(c.cuts, int(at(5+p*4))*len(c.object)/256)
+		case rows > 0:
+			c.cuts = append(c.cuts, int(at(5+p*4))*rows/256)
 		}
 	}
-	return mergeCase{sql: sql, object: sb.String(), cuts: cuts}
+	return c
 }
 
 // parts cuts object before the given record indexes, in order.
@@ -188,15 +216,27 @@ func parts(object string, cuts []int) []string {
 
 // The store's partial records, merged from their raw cells, finish as
 // folding the rows the csv filter lets through into a Partial does: for
-// Table I-shaped aggregations, NULL cells, quoted cells, objects cut into
-// parts, and more groups than the agg filter holds, which split a group
-// over several records.
+// Table I-shaped aggregations, NULL cells, quoted cells, objects with a
+// header, objects cut into parts or into splits at any byte, and more
+// groups than the store's table holds, which split a group over several
+// records.
 func FuzzMergeCellsEqualsFold(f *testing.F) {
 	f.Add([]byte{3, 0xff, 0x07, 1, 1, 2, 3, 4, 2, 2, 3, 4, 1, 9, 8, 7, 1, 2, 3, 4})
 	f.Add([]byte{0, 0x0f, 0, 0, 7, 255, 5, 0, 1, 1, 1, 1})
 	f.Add([]byte{0xe6, 0x33, 0x01, 2, 9, 9, 9, 9, 200, 10, 11, 12})
 	f.Add([]byte{0x1e, 0xc1, 0x06, 1, 0, 0, 0, 0, 1, 100, 7, 3, 6, 30, 6, 16, 7, 7, 7, 7})
 	f.Add([]byte{0x0d, 0x80, 0x04, 2, 4, 4, 12, 5, 3, 200, 3, 33, 4, 201, 6, 34})
+	// A header record, cut inside it and inside a later record.
+	f.Add([]byte{0x11, 0x07, 0x00, 0x0e, 1, 24, 3, 4, 2, 180, 6, 7, 3, 8, 9, 10})
+	// A split that starts inside a record, which the split before reads.
+	f.Add([]byte{0x01, 0x0f, 0x00, 0x0a, 1, 120, 3, 4, 1, 7, 9, 11, 2, 8, 10, 12})
+	// SUM and AVG over an empty index and one that is no number ("n/a").
+	f.Add([]byte{0x01, 0x03, 0x00, 0x00, 1, 0, 0, 0, 1, 0, 5, 0, 2, 0, 5, 1, 2, 0, 1, 2})
+	// SUBSTRING(city, 7, 3) starts past the end of "Paris" and "Nice": an
+	// empty string, counted as COUNT counts any value that is not NULL.
+	f.Add([]byte{0x01, 0x00, 0x08, 0x00, 1, 0, 0, 1, 1, 0, 0, 2, 2, 0, 0, 3, 2, 0, 0, 5})
+	// A key city holding a comma ("a,b"), which leaves the store quoted.
+	f.Add([]byte{0x06, 0x05, 0x00, 0x01, 1, 0, 4, 4, 2, 0, 5, 4, 3, 0, 6, 20, 1, 0, 7, 4})
 	e := storeEngine(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkMergeCase(t, e, decodeMergeCase(data))
@@ -215,20 +255,36 @@ func checkMergeCase(t *testing.T, e *storlet.Engine, c mergeCase) {
 	if err != nil || p.StoreAgg == nil {
 		t.Fatalf("%s: %v, refused: %s", c.sql, err, p.AggRefused)
 	}
-	scan, fold := storeChains(p)
+	scan, fold := storeChains(p, c.header)
 	want, err := exec.Execute(p, exec.NewSliceIterator(runChain(t, e, scan, c.object, p.Read)))
 	if err != nil {
 		t.Fatalf("%s: %v", c.sql, err)
 	}
 	merged := exec.NewPartial(p)
-	for _, part := range parts(c.object, c.cuts) {
+	mergeRecords := func(recs [][][]byte) {
 		pt := exec.NewPartial(p)
-		for _, rec := range chainFields(t, e, fold, part) {
+		for _, rec := range recs {
 			if err := pt.MergeCells(rec); err != nil {
 				t.Fatalf("%s: %v", c.sql, err)
 			}
 		}
 		merged.Merge(pt)
+	}
+	if c.bytes {
+		ends := append(slices.Clone(c.cuts), len(c.object))
+		slices.Sort(ends)
+		start := 0
+		for _, end := range ends {
+			if end > start {
+				mergeRecords(rangeFields(t, e, fold, c.object, int64(start), int64(end)))
+				start = end
+			}
+		}
+	} else {
+		records := strings.TrimPrefix(c.object, c.withHeader(""))
+		for _, part := range parts(records, c.cuts) {
+			mergeRecords(chainFields(t, e, fold, c.withHeader(part)))
+		}
 	}
 	got, err := merged.Finish()
 	if err != nil {
@@ -280,7 +336,7 @@ func BenchmarkMergeCellsHeatmonth(b *testing.B) {
 	if err != nil || p.StoreAgg == nil {
 		b.Fatalf("%v, refused: %s", err, p.AggRefused)
 	}
-	_, fold := storeChains(p)
+	_, fold := storeChains(p, false)
 	recs := chainFields(b, storeEngine(b), fold, buf.String())
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -18,8 +18,6 @@ import (
 	"scoop/internal/sql/plan"
 	"scoop/internal/sql/types"
 	"scoop/internal/storlet"
-	"scoop/internal/storlet/aggfilter"
-	"scoop/internal/storlet/csvfilter"
 )
 
 // partitionQueries are the Table I queries plus one query per aggregate,
@@ -286,16 +284,11 @@ func runChain(t *testing.T, e *storlet.Engine, chain []*pushdown.Task, object st
 }
 
 // The same property with the aggregation at the object store: for any cut of
-// the input into contiguous objects, merging the partial records the csv → agg
-// chain emits for each, in order, finishes as Execute over the rows the csv
-// filter alone lets through. Every Table I query decomposes this way.
+// the input into contiguous objects, merging the partial records the fold
+// task emits for each, in order, finishes as Execute over the rows the csv
+// task alone lets through. Every Table I query decomposes this way.
 func TestPartitionInvarianceStorePartials(t *testing.T) {
-	e := storlet.NewEngine(storlet.Limits{})
-	for _, f := range []storlet.Filter{csvfilter.New(), aggfilter.New()} {
-		if err := e.Register(f); err != nil {
-			t.Fatal(err)
-		}
-	}
+	e := storeEngine(t)
 	rng := rand.New(rand.NewSource(17))
 	atStore := 0
 	for _, q := range partitionQueries() {
@@ -315,11 +308,10 @@ func TestPartitionInvarianceStorePartials(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		scan := &pushdown.Task{Filter: csvfilter.FilterName, Schema: meter.SchemaDecl, Columns: p.Required, Predicates: p.Pushed}
-		fold := &pushdown.Task{Filter: aggfilter.FilterName, Schema: p.Read.String(), Options: p.StoreAgg.Options()}
+		scan, fold := storeChains(p, false)
 		for _, n := range []int{0, 1, 40, 300} {
 			rows := randomMeterRows(rng, n)
-			want, err := exec.Execute(p, exec.NewSliceIterator(runChain(t, e, []*pushdown.Task{scan}, csvOf(rows), p.Read)))
+			want, err := exec.Execute(p, exec.NewSliceIterator(runChain(t, e, scan, csvOf(rows), p.Read)))
 			if err != nil {
 				t.Fatalf("%s: %v", q, err)
 			}
@@ -328,7 +320,7 @@ func TestPartitionInvarianceStorePartials(t *testing.T) {
 				merged := exec.NewPartial(p)
 				for i := 0; i < parts; i++ {
 					pt := exec.NewPartial(p)
-					for _, rec := range runChain(t, e, []*pushdown.Task{scan, fold}, csvOf(rows[bounds[i]:bounds[i+1]]), record) {
+					for _, rec := range runChain(t, e, fold, csvOf(rows[bounds[i]:bounds[i+1]]), record) {
 						if err := pt.MergeRecord(rec); err != nil {
 							t.Fatalf("%s: %v", q, err)
 						}
@@ -373,16 +365,11 @@ func TestMergeRecordRejectsOtherShapes(t *testing.T) {
 }
 
 // Past the store's group bound the answer keeps its bits: with more groups
-// in one object than the agg filter holds and keys that come back after the
-// table was written out, a group's tenths arrive in two records, whose exact
-// sums merge to what folding the rows gives.
+// in one object than the store's table holds and keys that come back after
+// the table was written out, a group's tenths arrive in two records, whose
+// exact sums merge to what folding the rows gives.
 func TestStorePartialsExactPastTheGroupBound(t *testing.T) {
-	e := storlet.NewEngine(storlet.Limits{})
-	for _, f := range []storlet.Filter{csvfilter.New(), aggfilter.New()} {
-		if err := e.Register(f); err != nil {
-			t.Fatal(err)
-		}
-	}
+	e := storeEngine(t)
 	// 1000 keys twice over, then 17000 new ones (the bound is 1<<14 groups),
 	// then the first 1000 twice over again.
 	const rows = 21000
@@ -406,13 +393,12 @@ func TestStorePartialsExactPastTheGroupBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan := &pushdown.Task{Filter: csvfilter.FilterName, Schema: meter.SchemaDecl, Columns: p.Required}
-	fold := &pushdown.Task{Filter: aggfilter.FilterName, Schema: p.Read.String(), Options: p.StoreAgg.Options()}
-	want, err := exec.Execute(p, exec.NewSliceIterator(runChain(t, e, []*pushdown.Task{scan}, sb.String(), p.Read)))
+	scan, fold := storeChains(p, false)
+	want, err := exec.Execute(p, exec.NewSliceIterator(runChain(t, e, scan, sb.String(), p.Read)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	records := runChain(t, e, []*pushdown.Task{scan, fold}, sb.String(), record)
+	records := runChain(t, e, fold, sb.String(), record)
 	if len(records) <= len(want.Rows) || len(records) >= rows {
 		t.Fatalf("%d records for %d groups of %d rows: the bound was not crossed after some folding", len(records), len(want.Rows), rows)
 	}

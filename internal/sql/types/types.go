@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"scoop/internal/csvio"
 )
@@ -48,16 +49,25 @@ func (t Type) String() string {
 // ParseType maps a schema declaration name to a Type. It accepts the
 // spellings used by the CSV data source schema strings.
 func ParseType(s string) (Type, error) {
-	switch strings.ToUpper(strings.TrimSpace(s)) {
-	case "STRING", "TEXT", "VARCHAR":
+	name := strings.TrimSpace(s)
+	is := func(names ...string) bool {
+		for _, n := range names {
+			if strings.EqualFold(name, n) {
+				return true
+			}
+		}
+		return false
+	}
+	switch {
+	case is("STRING", "TEXT", "VARCHAR"):
 		return String, nil
-	case "INT", "INTEGER", "BIGINT", "LONG":
+	case is("INT", "INTEGER", "BIGINT", "LONG"):
 		return Int, nil
-	case "FLOAT", "DOUBLE", "REAL", "DECIMAL":
+	case is("FLOAT", "DOUBLE", "REAL", "DECIMAL"):
 		return Float, nil
-	case "BOOL", "BOOLEAN":
+	case is("BOOL", "BOOLEAN"):
 		return Bool, nil
-	case "NULL":
+	case is("NULL"):
 		return Null, nil
 	default:
 		return Null, fmt.Errorf("types: unknown type %q", s)
@@ -265,26 +275,38 @@ func NewSchema(cols ...Column) *Schema {
 // ParseSchema parses "name type, name type, ..." declarations, e.g.
 // "vid string, index double, date string".
 func ParseSchema(decl string) (*Schema, error) {
-	parts := strings.Split(decl, ",")
-	cols := make([]Column, 0, len(parts))
-	for _, p := range parts {
-		fields := strings.Fields(p)
-		if len(fields) == 0 {
+	cols := make([]Column, 0, strings.Count(decl, ",")+1)
+	for rest := decl; rest != ""; {
+		var p string
+		p, rest, _ = strings.Cut(rest, ",")
+		name, more := cutWord(p)
+		if name == "" {
 			continue
 		}
-		if len(fields) != 2 {
+		typ, more := cutWord(more)
+		if typ == "" || strings.TrimSpace(more) != "" {
 			return nil, fmt.Errorf("types: bad column declaration %q", strings.TrimSpace(p))
 		}
-		t, err := ParseType(fields[1])
+		t, err := ParseType(typ)
 		if err != nil {
 			return nil, err
 		}
-		cols = append(cols, Column{Name: fields[0], Type: t})
+		cols = append(cols, Column{Name: name, Type: t})
 	}
 	if len(cols) == 0 {
 		return nil, fmt.Errorf("types: empty schema declaration")
 	}
 	return NewSchema(cols...), nil
+}
+
+// cutWord cuts the first whitespace-separated word off s, returning the
+// word, empty when there is none, and what follows it.
+func cutWord(s string) (word, rest string) {
+	s = strings.TrimLeftFunc(s, unicode.IsSpace)
+	if i := strings.IndexFunc(s, unicode.IsSpace); i >= 0 {
+		return s[:i], s[i:]
+	}
+	return s, ""
 }
 
 // Len returns the number of columns.
@@ -341,16 +363,22 @@ func (s *Schema) String() string {
 // which the Table I queries rely on, so 0 counts as 1. A negative start counts
 // from the end and a negative n is empty.
 func Substring(s string, start, n int64) string {
-	size := int64(len(s))
+	lo, hi := SubstringRange(int64(len(s)), start, n)
+	return s[lo:hi]
+}
+
+// SubstringRange is the byte range [lo, hi) that Substring cuts out of a
+// string of size bytes, so a caller holding the bytes cuts them itself.
+func SubstringRange(size, start, n int64) (lo, hi int64) {
 	if start > 0 {
 		start--
 	} else if start < 0 {
 		start = max(size+start, 0)
 	}
 	if start >= size || n <= 0 {
-		return ""
+		return 0, 0
 	}
-	return s[start : start+min(n, size-start)]
+	return start, start + min(n, size-start)
 }
 
 // Coerce parses the raw CSV field text into a Value of the column type. An

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"scoop/internal/pushdown"
+	"scoop/internal/sql/agg"
 	"scoop/internal/storlet"
 )
 
@@ -108,5 +109,28 @@ func TestAllocBudgetQuotedFields(t *testing.T) {
 	}
 	if avg := budgetRunOn(t, task, budgetData(2)); avg > invokeBudget {
 		t.Fatalf("quoted fields: %v allocs per 1000-record Invoke, budget %v", avg, invokeBudget)
+	}
+}
+
+// A fold task folds 1000 records, every other one quoted, into the two
+// groups the first two open: a substring and a string key, a first-row
+// value, exact sums, a count and a MIN and MAX. Past the groups' opening a
+// folded record allocates nothing (the loop is an allocfree root, the
+// opening cold), so the invocation stays within the fixed budget.
+func TestAllocBudgetFold(t *testing.T) {
+	scan := &pushdown.Task{
+		Filter:     FilterName,
+		Schema:     testSchema,
+		Columns:    []string{"vid", "date", "index", "city"},
+		Predicates: []pushdown.Predicate{{Column: "state", Op: pushdown.OpEq, Value: "NED"}},
+	}
+	task := FoldTask(scan, &agg.Spec{
+		Group:  []agg.Term{{Col: 1, Sub: true, Start: 0, Len: 10}, {Col: 0}},
+		Firsts: []agg.Term{{Col: 3}},
+		Aggs: []agg.Call{{Kind: agg.Sum, Arg: agg.Term{Col: 2}}, {Kind: agg.Avg, Arg: agg.Term{Col: 2}},
+			{Kind: agg.CountStar}, {Kind: agg.Min, Arg: agg.Term{Col: 2}}, {Kind: agg.Max, Arg: agg.Term{Col: 3}}},
+	})
+	if avg := budgetRunOn(t, task, budgetData(2)); avg > invokeBudget {
+		t.Fatalf("fold: %v allocs per 1000-record Invoke, budget %v", avg, invokeBudget)
 	}
 }

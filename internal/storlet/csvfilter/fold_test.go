@@ -1,4 +1,4 @@
-package aggfilter
+package csvfilter
 
 import (
 	"bytes"
@@ -11,12 +11,11 @@ import (
 	"scoop/internal/pushdown"
 	"scoop/internal/sql/agg"
 	"scoop/internal/storlet"
-	"scoop/internal/storlet/csvfilter"
 )
 
-const schema = "vid string, date string, index double, city string, state string"
+const foldSchema = "vid string, date string, index double, city string, state string"
 
-const data = "V1,2015-01-01,10,Rotterdam,NED\n" +
+const foldData = "V1,2015-01-01,10,Rotterdam,NED\n" +
 	"V1,2015-01-02,20,Rotterdam,NED\n" +
 	"V2,2015-01-01,5,Paris,FRA\n" +
 	"V2,2015-01-02,7,Paris,FRA\n" +
@@ -32,25 +31,31 @@ func term(s string) agg.Term {
 
 var kinds = map[string]agg.Kind{"count": agg.Count, "sum": agg.Sum, "avg": agg.Avg, "min": agg.Min, "max": agg.Max, "first": agg.First}
 
-// task builds an agg task from shorthand: group terms "1:0:7,0"; first-row
+// spec reads an aggregation from shorthand: group terms "1:0:7,0"; first-row
 // terms and aggregates "row:0,sum:2,count", a bare count being COUNT(*).
-func task(group, aggs string) *pushdown.Task {
-	spec := &agg.Spec{}
+func spec(group, aggs string) *agg.Spec {
+	s := &agg.Spec{}
 	for _, g := range strings.FieldsFunc(group, func(r rune) bool { return r == ',' }) {
-		spec.Group = append(spec.Group, term(g))
+		s.Group = append(s.Group, term(g))
 	}
 	for _, a := range strings.FieldsFunc(aggs, func(r rune) bool { return r == ',' }) {
 		name, arg, _ := strings.Cut(a, ":")
 		switch {
 		case a == "count":
-			spec.Aggs = append(spec.Aggs, agg.Call{Kind: agg.CountStar})
+			s.Aggs = append(s.Aggs, agg.Call{Kind: agg.CountStar})
 		case name == "row":
-			spec.Firsts = append(spec.Firsts, term(arg))
+			s.Firsts = append(s.Firsts, term(arg))
 		default:
-			spec.Aggs = append(spec.Aggs, agg.Call{Kind: kinds[name], Arg: term(arg)})
+			s.Aggs = append(s.Aggs, agg.Call{Kind: kinds[name], Arg: term(arg)})
 		}
 	}
-	return &pushdown.Task{Filter: FilterName, Schema: schema, Options: spec.Options()}
+	return s
+}
+
+// foldTask builds a fold task over every column of foldSchema from
+// shorthand (see spec).
+func foldTask(group, aggs string) *pushdown.Task {
+	return FoldTask(&pushdown.Task{Filter: FilterName, Schema: foldSchema}, spec(group, aggs))
 }
 
 func records(t *testing.T, out string) [][]string {
@@ -74,14 +79,9 @@ func records(t *testing.T, out string) [][]string {
 	}
 }
 
-func invoke(t *testing.T, task *pushdown.Task, input string) [][]string {
+func fold(t *testing.T, task *pushdown.Task, input string) [][]string {
 	t.Helper()
-	ctx := &storlet.Context{Task: task, RangeEnd: int64(len(input)), ObjectSize: int64(len(input))}
-	var out bytes.Buffer
-	if err := New().Invoke(ctx, strings.NewReader(input), &out); err != nil {
-		t.Fatal(err)
-	}
-	return records(t, out.String())
+	return records(t, fullRange(t, task, input))
 }
 
 func wantRecords(t *testing.T, got [][]string, want ...string) {
@@ -99,18 +99,18 @@ func wantRecords(t *testing.T, got [][]string, want ...string) {
 // One record per group in first-appearance order: the key, then a count and
 // a sum for SUM, a count for COUNT(*).
 func TestGroupedAggregation(t *testing.T) {
-	wantRecords(t, invoke(t, task("0", "sum:2,count"), data), "V1|2|30|2", "V2|2|12|2", "V3|1|1|1")
+	wantRecords(t, fold(t, foldTask("0", "sum:2,count"), foldData), "V1|2|30|2", "V2|2|12|2", "V3|1|1|1")
 }
 
 func TestGlobalAggregation(t *testing.T) {
-	wantRecords(t, invoke(t, task("", "sum:2,avg:2,min:2,max:2,count:3,first:4"), data), "5|43|5|43|1|20|5|NED")
+	wantRecords(t, fold(t, foldTask("", "sum:2,avg:2,min:2,max:2,count:3,first:4"), foldData), "5|43|5|43|1|20|5|NED")
 }
 
 // Group keys may be substrings; first-row values are those of the row that
 // opened the group, and FIRST_VALUE skips NULLs where they do not.
 func TestTermsAndFirstRowValues(t *testing.T) {
-	input := "V1,2015-01-01,,Rotterdam,NED\n" + data
-	wantRecords(t, invoke(t, task("1:0:7", "row:0,row:2,first:2,max:1:9:2"), input),
+	input := "V1,2015-01-01,,Rotterdam,NED\n" + foldData
+	wantRecords(t, fold(t, foldTask("1:0:7", "row:0,row:2,first:2,max:1:9:2"), input),
 		"2015-01|V1||10|02", "2015-02|V3|1|1|01")
 }
 
@@ -121,15 +121,11 @@ func TestQuotedFieldsOutliveTheirRecord(t *testing.T) {
 	input := `V1,d,1,"a,b",NED` + "\n" +
 		`V2,d,2,"say ""hi""",NED` + "\n" +
 		`V3,d,4,"a,b",NED` + "\n"
-	ctx := &storlet.Context{Task: task("3", "sum:2,min:3,max:3"), RangeEnd: int64(len(input))}
-	var out bytes.Buffer
-	if err := New().Invoke(ctx, strings.NewReader(input), &out); err != nil {
-		t.Fatal(err)
+	out := fullRange(t, foldTask("3", "sum:2,min:3,max:3"), input)
+	if !strings.HasPrefix(out, `"a,b",2,5,"a,b","a,b"`+"\n") {
+		t.Errorf("output = %q", out)
 	}
-	if !strings.HasPrefix(out.String(), `"a,b",2,5,"a,b","a,b"`+"\n") {
-		t.Errorf("output = %q", out.String())
-	}
-	wantRecords(t, records(t, out.String()), "a,b|2|5|a,b|a,b", `say "hi"|1|2|say "hi"|say "hi"`)
+	wantRecords(t, records(t, out), "a,b|2|5|a,b|a,b", `say "hi"|1|2|say "hi"|say "hi"`)
 }
 
 // A global aggregate whose only cell renders empty (a maximum over no numeric
@@ -137,21 +133,17 @@ func TestQuotedFieldsOutliveTheirRecord(t *testing.T) {
 // the compute side would skip.
 func TestEmptyOnlyCellIsARecord(t *testing.T) {
 	input := "V1,d,n/a,Paris,FRA\nV2,d,,Rome,ITA\n"
-	ctx := &storlet.Context{Task: task("", "max:2"), RangeEnd: int64(len(input)), ObjectSize: int64(len(input))}
-	var out bytes.Buffer
-	if err := New().Invoke(ctx, strings.NewReader(input), &out); err != nil {
-		t.Fatal(err)
+	out := fullRange(t, foldTask("", "max:2"), input)
+	if out != "\"\"\n" {
+		t.Fatalf("output = %q, want one record holding one empty field", out)
 	}
-	if out.String() != "\"\"\n" {
-		t.Fatalf("output = %q, want one record holding one empty field", out.String())
-	}
-	wantRecords(t, records(t, out.String()), "")
+	wantRecords(t, records(t, out), "")
 }
 
 // No rows, no groups: a global aggregate over an empty stream is the compute
 // side's to produce, which knows the first-row values are NULLs.
 func TestEmptyInputEmitsNothing(t *testing.T) {
-	wantRecords(t, invoke(t, task("", "count"), ""))
+	wantRecords(t, fold(t, foldTask("", "count"), ""))
 }
 
 // firstWrite records how much of the input had been read when the filter
@@ -182,7 +174,7 @@ func TestUniqueKeysLeaveBeforeTheInputEnds(t *testing.T) {
 	// fold into one more record, which the compute side merges.
 	sb.WriteString("V0000000,d,0.1,Paris,FRA\nV0000000,d,0.2,Paris,FRA\n")
 	w := &firstWrite{in: strings.NewReader(sb.String())}
-	ctx := &storlet.Context{Task: task("0", "sum:2"), RangeEnd: int64(sb.Len())}
+	ctx := &storlet.Context{Task: foldTask("0", "sum:2"), RangeEnd: int64(sb.Len())}
 	if err := New().Invoke(ctx, w.in, w); err != nil {
 		t.Fatal(err)
 	}
@@ -204,8 +196,8 @@ func TestUniqueKeysLeaveBeforeTheInputEnds(t *testing.T) {
 // The headline property: aggregation pushdown moves one record per group
 // instead of every matching row.
 func TestTransferReduction(t *testing.T) {
-	big := strings.Repeat(data, 500) // 2500 rows, 3 groups
-	recs := invoke(t, task("0", "sum:2,count"), big)
+	big := strings.Repeat(foldData, 500) // 2500 rows, 3 groups
+	recs := fold(t, foldTask("0", "sum:2,count"), big)
 	if len(recs) != 3 || recs[0][3] != "1000" { // V1 appears twice per repetition
 		t.Fatalf("records = %v", recs)
 	}
@@ -218,18 +210,25 @@ func TestTransferReduction(t *testing.T) {
 	}
 }
 
+// A fold task is refused whole when its aggregation is malformed or does
+// not fit the columns it reads.
 func TestInvokeErrors(t *testing.T) {
+	opts := func(o map[string]string) *pushdown.Task {
+		return &pushdown.Task{Filter: FilterName, Schema: foldSchema, Options: o}
+	}
+	projected := func(s *agg.Spec) *pushdown.Task {
+		return FoldTask(&pushdown.Task{Filter: FilterName, Schema: foldSchema, Columns: []string{"vid", "index"}}, s)
+	}
 	bad := []*pushdown.Task{
-		nil,
-		{Filter: FilterName},
-		{Filter: FilterName, Schema: "broken decl here x"},
-		{Filter: FilterName, Schema: schema},
-		{Filter: FilterName, Schema: schema, Options: map[string]string{agg.OptGroup: "[0]", agg.OptAggs: "sum:2"}},
-		task("", "sum:9"),      // no such column
-		task("9", "count"),     // no such column
-		task("-1", "count"),    // no such column
-		task("2:0:3", "count"), // substring of a double column
-		{Filter: FilterName, Schema: schema, Options: (&agg.Spec{Aggs: []agg.Call{{Kind: agg.CountDistinct, Arg: agg.Term{Col: 2}}}}).Options()},
+		opts(map[string]string{agg.OptGroup: "[0]"}),
+		opts(map[string]string{agg.OptGroup: "[0]", agg.OptAggs: "sum:2"}),
+		foldTask("", "sum:9"),               // no such column
+		foldTask("9", "count"),              // no such column
+		foldTask("-1", "count"),             // no such column
+		foldTask("2:0:3", "count"),          // substring of a double column
+		projected(spec("2", "count")),       // the projection has two columns
+		projected(spec("0", "sum:1,max:2")), // likewise
+		opts((&agg.Spec{Aggs: []agg.Call{{Kind: agg.CountDistinct, Arg: agg.Term{Col: 2}}}}).Options()),
 	}
 	for i, tk := range bad {
 		ctx := &storlet.Context{Task: tk, RangeEnd: 4, ObjectSize: 4}
@@ -239,29 +238,10 @@ func TestInvokeErrors(t *testing.T) {
 	}
 }
 
-// The filter is a chain stage: csv projects and selects, agg folds what is
-// left, and the agg task's schema is that of the projection.
-func TestChainAfterCSVFilter(t *testing.T) {
-	e := storlet.NewEngine(storlet.Limits{})
-	for _, f := range []storlet.Filter{csvfilter.New(), New()} {
-		if err := e.Register(f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	chain := []*pushdown.Task{
-		{Filter: csvfilter.FilterName, Schema: schema, Columns: []string{"index", "state"},
-			Predicates: []pushdown.Predicate{{Column: "state", Op: pushdown.OpNe, Value: "UKR"}}},
-		{Filter: FilterName, Schema: "index double, state string", Options: task("1", "sum:0,count").Options},
-	}
-	ctx := &storlet.Context{RangeEnd: int64(len(data)), ObjectSize: int64(len(data))}
-	rc, err := e.RunChain(ctx, chain, strings.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := io.ReadAll(rc)
-	rc.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantRecords(t, records(t, string(b)), "NED|2|30|2", "FRA|2|12|2")
+// The fold reads what the task's projection and selection leave: its terms
+// index the projected columns, and a rejected record folds into no group.
+func TestFoldAfterProjectionAndSelection(t *testing.T) {
+	scan := &pushdown.Task{Filter: FilterName, Schema: foldSchema, Columns: []string{"index", "state"},
+		Predicates: []pushdown.Predicate{{Column: "state", Op: pushdown.OpNe, Value: "UKR"}}}
+	wantRecords(t, fold(t, FoldTask(scan, spec("1", "sum:0,count")), foldData), "NED|2|30|2", "FRA|2|12|2")
 }

@@ -1,4 +1,4 @@
-package aggfilter_test
+package csvfilter_test
 
 import (
 	"bytes"
@@ -19,7 +19,6 @@ import (
 	"scoop/internal/sql/plan"
 	"scoop/internal/sql/types"
 	"scoop/internal/storlet"
-	"scoop/internal/storlet/aggfilter"
 	"scoop/internal/storlet/csvfilter"
 )
 
@@ -48,15 +47,15 @@ func januaryPart(tb testing.TB) []byte {
 	return data[start:end]
 }
 
-// tableIChains returns, per Table I query, the csv and agg tasks the store
-// runs for it.
-func tableIChains(tb testing.TB) [][]*pushdown.Task {
+// tableIFolds returns, per Table I query, the fold task the store runs for
+// it.
+func tableIFolds(tb testing.TB) []*pushdown.Task {
 	tb.Helper()
 	schema, err := types.ParseSchema(meter.SchemaDecl)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	var chains [][]*pushdown.Task
+	var folds []*pushdown.Task
 	for _, q := range experiment.GridPocketQueries {
 		sel, err := parser.Parse(q.SQL)
 		if err != nil {
@@ -66,28 +65,24 @@ func tableIChains(tb testing.TB) [][]*pushdown.Task {
 		if err != nil || p.StoreAgg == nil {
 			tb.Fatalf("%s: %v, refused: %s", q.Name, err, p.AggRefused)
 		}
-		chains = append(chains, []*pushdown.Task{
-			{Filter: csvfilter.FilterName, Schema: meter.SchemaDecl, Columns: p.Required, Predicates: p.Pushed},
-			{Filter: aggfilter.FilterName, Schema: p.Read.String(), Options: p.StoreAgg.Options()},
-		})
+		scan := &pushdown.Task{Filter: csvfilter.FilterName, Schema: meter.SchemaDecl, Columns: p.Required, Predicates: p.Pushed}
+		folds = append(folds, csvfilter.FoldTask(scan, p.StoreAgg))
 	}
-	return chains
+	return folds
 }
 
 func engine(tb testing.TB) *storlet.Engine {
 	e := storlet.NewEngine(storlet.Limits{})
-	for _, f := range []storlet.Filter{csvfilter.New(), aggfilter.New()} {
-		if err := e.Register(f); err != nil {
-			tb.Fatal(err)
-		}
+	if err := e.Register(csvfilter.New()); err != nil {
+		tb.Fatal(err)
 	}
 	return e
 }
 
-func runChain(tb testing.TB, e *storlet.Engine, chain []*pushdown.Task, object []byte) []byte {
+func runTask(tb testing.TB, e *storlet.Engine, task *pushdown.Task, object []byte) []byte {
 	tb.Helper()
 	ctx := &storlet.Context{Ctx: context.Background(), RangeEnd: int64(len(object)), ObjectSize: int64(len(object))}
-	rc, err := e.RunChain(ctx, chain, bytes.NewReader(object))
+	rc, err := e.RunChain(ctx, []*pushdown.Task{task}, bytes.NewReader(object))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -99,15 +94,15 @@ func runChain(tb testing.TB, e *storlet.Engine, chain []*pushdown.Task, object [
 	return out
 }
 
-// The agg stage's output for the seven Table I queries over the benchmark's
+// The fold's output for the seven Table I queries over the benchmark's
 // January part is pinned byte for byte: the records, their order and every
 // cell's rendering. The golden file holds each output's record count, size
 // and SHA-256.
 func TestTableIJanuaryGolden(t *testing.T) {
 	part, e := januaryPart(t), engine(t)
 	var got strings.Builder
-	for i, chain := range tableIChains(t) {
-		out := runChain(t, e, chain, part)
+	for i, task := range tableIFolds(t) {
+		out := runTask(t, e, task, part)
 		fmt.Fprintf(&got, "%s records=%d bytes=%d sha256=%x\n", experiment.GridPocketQueries[i].Name,
 			bytes.Count(out, []byte{'\n'}), len(out), sha256.Sum256(out))
 	}
@@ -122,26 +117,26 @@ func TestTableIJanuaryGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.String() != string(want) {
-		t.Errorf("agg output over the January part:\n%s\nwant\n%s", got.String(), want)
+		t.Errorf("fold output over the January part:\n%s\nwant\n%s", got.String(), want)
 	}
 }
 
-// BenchmarkAggFilterJanuary times the agg stage alone over the csv stage's
-// output for each Table I query on the January part.
-func BenchmarkAggFilterJanuary(b *testing.B) {
-	part, e := januaryPart(b), engine(b)
-	chains := tableIChains(b)
-	inputs := make([][]byte, len(chains))
-	for i, chain := range chains {
-		inputs[i] = runChain(b, e, chain[:1], part)
-	}
-	f := aggfilter.New()
+// BenchmarkFoldJanuary times the store's whole work for each Table I query
+// on the January part: one fold task over the raw part, selecting,
+// projecting and folding its records.
+func BenchmarkFoldJanuary(b *testing.B) {
+	part := januaryPart(b)
+	folds := tableIFolds(b)
+	f := csvfilter.New()
+	var rd bytes.Reader
+	b.SetBytes(int64(len(folds) * len(part)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		for i, chain := range chains {
-			ctx := &storlet.Context{Task: chain[1], RangeEnd: storlet.Unbounded}
-			if err := f.Invoke(ctx, bytes.NewReader(inputs[i]), io.Discard); err != nil {
+		for _, task := range folds {
+			rd.Reset(part)
+			ctx := &storlet.Context{Task: task, RangeEnd: int64(len(part)), ObjectSize: int64(len(part))}
+			if err := f.Invoke(ctx, &rd, io.Discard); err != nil {
 				b.Fatal(err)
 			}
 		}
