@@ -338,8 +338,7 @@ func scanSplit[T any, I iterator[T]](ctx context.Context, open func() (I, error)
 }
 
 // analyze parses a SELECT, finds its table and plans the query over the
-// table's schema. The plan's aggregation stays at the compute side when the
-// table's delimiter is not a comma, whatever the query's shape.
+// table's schema.
 func (s *Scoop) analyze(sql string) (tableDef, *plan.Plan, error) {
 	sel, err := parser.Parse(sql)
 	if err != nil {
@@ -358,9 +357,6 @@ func (s *Scoop) analyze(sql string) (tableDef, *plan.Plan, error) {
 	p, err := plan.Analyze(sel, schema, plan.Options{})
 	if err != nil {
 		return tableDef{}, nil, err
-	}
-	if p.StoreAgg != nil && !def.opts.StoreAggregates() {
-		p.StoreAgg, p.AggRefused = nil, "the table is not comma-separated CSV"
 	}
 	return def, p, nil
 }

@@ -23,18 +23,11 @@ import (
 	"scoop/internal/storlet/csvfilter"
 )
 
-// chainCloser closes a decompressor (when present) before the transport.
-type chainCloser struct {
-	rc    io.ReadCloser
-	extra io.Closer
-}
+// chainCloser closes a decompressor before the transport.
+type chainCloser struct{ dec, rc io.Closer }
 
-func (c *chainCloser) Read(p []byte) (int, error) { return c.rc.Read(p) }
-
-func (c *chainCloser) Close() error {
-	if c.extra != nil {
-		c.extra.Close()
-	}
+func (c chainCloser) Close() error {
+	c.dec.Close()
 	return c.rc.Close()
 }
 
@@ -81,13 +74,6 @@ type CSVOptions struct {
 	// "combination of data filtering and compression" for low-selectivity
 	// queries. Only effective in pushdown mode.
 	CompressTransfer bool
-}
-
-// StoreAggregates reports whether the store can aggregate the records of a
-// relation with these options (ScanPartials): only records separated by
-// commas are folded at the store.
-func (o CSVOptions) StoreAggregates() bool {
-	return o.Delimiter == 0 || o.Delimiter == csvio.DefaultDelimiter
 }
 
 // CSVRelation reads CSV objects under a container prefix.
@@ -213,7 +199,8 @@ func (r *CSVRelation) scanRaw(ctx context.Context, split connector.Split, column
 // agg.Spec.Record), of the rows ScanPrunedFiltered would have returned. The fields are not typed:
 // exec.Partial.MergeCells reads them as the store wrote them and keeps
 // nothing of them, so they are only valid until the next call of Next.
-// Pushdown mode and the default delimiter only.
+// Pushdown mode only; the store writes the records with the relation's
+// delimiter.
 func (r *CSVRelation) ScanPartials(ctx context.Context, split connector.Split, columns []string, preds []pushdown.Predicate, spec *agg.Spec) (exec.CellIterator, error) {
 	read, err := r.schema.Project(columns)
 	if err != nil {
@@ -223,8 +210,8 @@ func (r *CSVRelation) ScanPartials(ctx context.Context, split connector.Split, c
 	if err != nil {
 		return nil, err
 	}
-	if !r.opts.Pushdown || !r.opts.StoreAggregates() {
-		return nil, errors.New("datasource: the store folds pushdown relations of comma-separated records only")
+	if !r.opts.Pushdown {
+		return nil, errors.New("datasource: the store folds the records of pushdown relations only")
 	}
 	it, err := r.openChain(ctx, split, csvfilter.FoldTask(r.csvTask(columns, preds), spec), record)
 	if err != nil {
@@ -266,17 +253,15 @@ func (r *CSVRelation) openChain(ctx context.Context, split connector.Split, csv 
 	if err != nil {
 		return nil, err
 	}
-	stream := io.Reader(rc)
-	var extra io.Closer
+	stream, closer := io.Reader(rc), io.Closer(rc)
 	if r.opts.CompressTransfer {
 		fr := compressfilter.NewReader(rc)
-		stream = fr
-		extra = fr
+		stream, closer = fr, chainCloser{dec: fr, rc: rc}
 	}
 	// The store returns exactly the projected columns of matching rows;
 	// the whole stream is complete records (no split re-alignment).
 	return &csvIterator{
-		rc:     &chainCloser{rc: rc, extra: extra},
+		rc:     closer,
 		rr:     csvio.AcquireRangeReader(stream, 0, storlet.Unbounded),
 		schema: outSchema,
 		sel:    csvfilter.Selection{Delim: r.opts.Delimiter},
@@ -290,7 +275,7 @@ var errClosed = errors.New("datasource: Next on a closed iterator")
 // csvIterator parses a CSV stream into typed rows. Its range reader comes
 // from csvio's pool and goes back on Close.
 type csvIterator struct {
-	rc     io.ReadCloser
+	rc     io.Closer
 	rr     *csvio.RangeReader
 	schema *types.Schema // output schema (pruned or full)
 	// sel reads the records. In pushdown mode only its delimiter is set: the

@@ -4,7 +4,7 @@
 // sql/exec folds rows and merges partial results with Acc at the compute
 // side; storlet/csvfilter folds the raw records it keeps with the same Acc at
 // the store, for the Spec sql/plan derives from a query. A Spec travels as
-// JSON in two options of the csv task and its output is plain CSV: one record
+// JSON in one option of the csv task and its output is plain CSV: one record
 // per group holding the group's key values, its first-row values and the
 // cells of its accumulators, which exec merges as it merges a partial of its
 // own. The package depends on sql/types and csvio only, so the store side
@@ -82,9 +82,7 @@ func (a *Acc) Add(kind Kind, v types.Value) {
 			a.N++
 		}
 	case Min, Max:
-		if a.V.IsNull() {
-			a.V = v
-		} else if c := compareNaNHigh(v, a.V); (kind == Min && c < 0) || (kind == Max && c > 0) {
+		if a.V.IsNull() || wins(kind, compareNaNHigh(v, a.V)) {
 			a.V = v
 		}
 	case First:
@@ -204,9 +202,9 @@ func (a *Acc) appendCells(kind Kind, dst []byte, ends []int) ([]byte, []int) {
 func (a *Acc) MergeCells(kind Kind, cells [][]byte, typ types.Type) {
 	switch kind {
 	case CountStar, Count:
-		a.N += parseCount(cells[0])
+		a.N += types.Number(cells[0], types.Int).I
 	case Sum, Avg:
-		a.N += parseCount(cells[0])
+		a.N += types.Number(cells[0], types.Int).I
 		a.mergeSumCell(cells[1])
 	case First:
 		//scoop:cold typed once, when the group's first non-NULL value arrives
@@ -220,64 +218,58 @@ func (a *Acc) MergeCells(kind Kind, cells [][]byte, typ types.Type) {
 	}
 }
 
-// mergeMinMax merges a MIN or MAX cell that is not empty, typed as typ, into
-// a. A string cell is copied only when it takes the place of the value so
-// far, and a number is read in place.
-func (a *Acc) mergeMinMax(kind Kind, cell []byte, typ types.Type) {
-	switch {
-	case a.V.T == types.String && typ == types.String:
-		if c := compareText(cell, a.V.S); (kind == Min && c < 0) || (kind == Max && c > 0) {
-			a.V = types.Str(string(cell)) //lint:ignore allocfree a value that takes the place of the MIN or MAX is copied out of the record
+// mergeMinMax merges text, a MIN or MAX cell or argument that is not empty,
+// of type typ, into a, as a.Add(kind, v) adds its value v when that is not
+// NULL. A string is copied only when it takes the place of the value so far,
+// and a number is read in place.
+func (a *Acc) mergeMinMax(kind Kind, text []byte, typ types.Type) {
+	if typ == types.String {
+		if a.V.IsNull() || wins(kind, compareText(text, a.V.S)) {
+			a.V = types.Str(string(text)) //lint:ignore allocfree a value that takes the place of the MIN or MAX is copied out of the record
 		}
-	case (a.V.T == types.Float || a.V.T == types.Int) && (typ == types.Float || typ == types.Int):
-		cur := a.V.F
-		if a.V.T == types.Int {
-			cur = float64(a.V.I)
-		}
-		if f, ok := csvio.FastFloat(cell); ok {
-			v := types.FloatV(f) // the value types.CoerceBytes gives
-			if typ == types.Int {
-				v, f = types.IntV(int64(f)), float64(int64(f))
-			}
-			if (kind == Min && (f < cur || math.IsNaN(cur))) || (kind == Max && f > cur) {
-				a.V = v
-			}
-			return
-		}
-		fallthrough
-	default:
-		//scoop:cold the group's first value, or a cell FastFloat does not read
-		a.mergeTyped(kind, cell, typ)
+		return
+	}
+	if v := types.Number(text, typ); !v.IsNull() && (a.V.IsNull() || wins(kind, compareNaNHigh(v, a.V))) {
+		a.V = v
 	}
 }
 
-// mergeTyped merges a MIN or MAX cell typed as typ.
-func (a *Acc) mergeTyped(kind Kind, cell []byte, typ types.Type) {
-	if v := types.CoerceBytes(cell, typ); !v.IsNull() {
-		a.Add(kind, v)
-	}
-}
+// wins reports whether a value that compares c to a MIN's or MAX's value so
+// far takes its place.
+func wins(kind Kind, c int) bool { return (kind == Min && c < 0) || (kind == Max && c > 0) }
 
 // compareNaNHigh orders v against o as Value.Compare does, but with NaN
 // above every number, as PostgreSQL orders it, so that MIN and MAX over a
 // NaN do not depend on where the input is cut. WHERE predicates keep
 // Value.Compare, which pushdown's byte matcher agrees with.
 func compareNaNHigh(v, o types.Value) int {
-	if vn, on := isNaN(v), isNaN(o); (vn || on) && isNumber(v) && isNumber(o) {
-		switch {
-		case vn == on:
-			return 0
-		case vn:
-			return 1
-		default:
-			return -1
-		}
+	if !isNumber(v) || !isNumber(o) {
+		//scoop:cold a BOOLEAN, or a value that is not a number
+		return v.Compare(o)
 	}
-	return v.Compare(o)
+	x, y := number(v), number(o)
+	switch {
+	case x < y:
+		return -1
+	case x > y:
+		return 1
+	case math.IsNaN(x) == math.IsNaN(y):
+		return 0
+	case math.IsNaN(x):
+		return 1
+	}
+	return -1
 }
 
-func isNaN(v types.Value) bool    { return v.T == types.Float && math.IsNaN(v.F) }
 func isNumber(v types.Value) bool { return v.T == types.Float || v.T == types.Int }
+
+// number is the float of an INT or DOUBLE value, as Value.AsFloat reads it.
+func number(v types.Value) float64 {
+	if v.T == types.Int {
+		return float64(v.I)
+	}
+	return v.F
+}
 
 // compareText orders string(b) against s, as strings.Compare does but by
 // sign only, without the conversion.
@@ -288,16 +280,6 @@ func compareText(b []byte, s string) int {
 		}
 	}
 	return len(b) - len(s)
-}
-
-// parseCount reads a count cell as types.CoerceBytes reads a BIGINT, NULL
-// being zero; the filter's plain integers are read in place.
-func parseCount(cell []byte) int64 {
-	if f, ok := csvio.FastFloat(cell); ok {
-		return int64(f)
-	}
-	//scoop:cold not the filter's rendering of a count
-	return types.CoerceBytes(cell, types.Int).I
 }
 
 // AppendKey appends v to a group or DISTINCT key: NULL as one tag byte, any
@@ -349,14 +331,6 @@ type Term struct {
 	Len   int64 `json:"len,omitempty"`
 }
 
-// Eval returns the term's value given the value of its column.
-func (t Term) Eval(v types.Value) types.Value {
-	if !t.Sub || v.IsNull() {
-		return v
-	}
-	return types.Str(types.Substring(v.AsString(), t.Start, t.Len))
-}
-
 // typ is the type of the term's values over records of schema.
 func (t Term) typ(schema *types.Schema) types.Type {
 	if t.Sub {
@@ -391,19 +365,6 @@ func (t Term) value(schema *types.Schema, text []byte) types.Value {
 	return types.CoerceBytes(text, schema.Columns[t.Col].Type)
 }
 
-// number types text, the text of a field of type typ that is not a string,
-// as types.CoerceBytes types it, reading a plain decimal in place.
-func number(text []byte, typ types.Type) types.Value {
-	if f, ok := csvio.FastFloat(text); ok && (typ == types.Float || typ == types.Int) {
-		if typ == types.Int {
-			return types.IntV(int64(f))
-		}
-		return types.FloatV(f)
-	}
-	//scoop:cold syntax FastFloat does not read, or a BOOLEAN, typed by the slow path
-	return types.CoerceBytes(text, typ)
-}
-
 // Call is one aggregate of a Spec; CountStar has no argument.
 type Call struct {
 	Kind Kind `json:"kind"`
@@ -429,7 +390,7 @@ func (c *Call) fold(a *Acc, schema *types.Schema, sc *csvio.FieldScanner) {
 	typ := c.Arg.typ(schema)
 	switch c.Kind {
 	case Count:
-		if typ == types.String || !number(text, typ).IsNull() {
+		if typ == types.String || !types.Number(text, typ).IsNull() {
 			a.N++
 		}
 	case Sum, Avg:
@@ -449,17 +410,7 @@ func (c *Call) fold(a *Acc, schema *types.Schema, sc *csvio.FieldScanner) {
 			a.Add(c.Kind, v)
 		}
 	case Min, Max:
-		switch {
-		case typ != types.String:
-			a.mergeMinMax(c.Kind, text, typ)
-		case a.V.IsNull():
-			//scoop:cold the group's first value
-			a.V = types.Str(string(text))
-		default:
-			if cmp := compareText(text, a.V.S); (c.Kind == Min && cmp < 0) || (c.Kind == Max && cmp > 0) {
-				a.V = types.Str(string(text)) //lint:ignore allocfree a value that takes the place of the MIN or MAX is copied out of the record
-			}
-		}
+		a.mergeMinMax(c.Kind, text, typ)
 	case First:
 		//scoop:cold the group's first value that is not NULL, typed once
 		a.V = c.Arg.value(schema, text)
@@ -469,7 +420,7 @@ func (c *Call) fold(a *Acc, schema *types.Schema, sc *csvio.FieldScanner) {
 // Spec is an aggregation over the records of one stream: group by the Group
 // terms, keep the Firsts terms of the row that opens a group, fold Aggs.
 type Spec struct {
-	Group  []Term `json:"-"`
+	Group  []Term `json:"group,omitempty"`
 	Firsts []Term `json:"firsts,omitempty"`
 	Aggs   []Call `json:"aggs,omitempty"`
 }
@@ -508,27 +459,20 @@ func (s *Spec) ResetTable(t *Table) {
 	}
 }
 
-// Option keys of the task that carries a Spec, as JSON.
-const (
-	OptGroup = "group" // the list of group terms; none aggregates the whole stream into one group
-	OptAggs  = "aggs"  // the first-row terms and the aggregates
-)
+// OptFold is the key of the task option that carries a Spec, as JSON. No
+// group terms aggregate the whole stream into one group.
+const OptFold = "fold"
 
 // Options renders the spec as task options.
 func (s *Spec) Options() map[string]string {
-	group, _ := json.Marshal(s.Group) // plain data: cannot fail
-	aggs, _ := json.Marshal(s)
-	return map[string]string{OptGroup: string(group), OptAggs: string(aggs)}
+	b, _ := json.Marshal(s) // plain data: cannot fail
+	return map[string]string{OptFold: string(b)}
 }
 
 // ParseSpec reads a spec back from task options.
 func ParseSpec(opts map[string]string) (*Spec, error) {
 	s := &Spec{}
-	err := json.Unmarshal([]byte(opts[OptAggs]), s)
-	if err == nil {
-		err = json.Unmarshal([]byte(opts[OptGroup]), &s.Group)
-	}
-	if err != nil {
+	if err := json.Unmarshal([]byte(opts[OptFold]), s); err != nil {
 		return nil, fmt.Errorf("agg: bad spec: %w", err)
 	}
 	for _, c := range s.Aggs {

@@ -24,11 +24,11 @@ func TestSpecOptionsRoundTrip(t *testing.T) {
 			t.Errorf("ParseSpec(%v) = %+v, %v, want %+v", want.Options(), got, err, want)
 		}
 	}
-	for _, opts := range []map[string]string{
-		{}, {OptAggs: "{}", OptGroup: "[]"}, {OptAggs: "sum:1", OptGroup: "[]"}, {OptAggs: `{"aggs":[{"kind":1}]}`, OptGroup: "0"},
-		{OptAggs: `{"aggs":[{"kind":7,"arg":{"col":1}}]}`, OptGroup: "[]"}, {OptAggs: `{"aggs":[{"kind":99}]}`, OptGroup: "[]"},
-		{OptAggs: `{"aggs":[{"kind":"sum"}]}`, OptGroup: "[]"},
+	for _, fold := range []string{
+		"", "{}", "sum:1", `{"aggs":[{"kind":1}],"group":0}`, `{"aggs":[{"kind":7,"arg":{"col":1}}]}`,
+		`{"aggs":[{"kind":99}]}`, `{"aggs":[{"kind":"sum"}]}`,
 	} {
+		opts := map[string]string{OptFold: fold}
 		if s, err := ParseSpec(opts); err == nil {
 			t.Errorf("ParseSpec(%v) accepted: %+v", opts, s)
 		}
@@ -95,18 +95,5 @@ func TestCutKey(t *testing.T) {
 	}
 	if len(key) != 0 {
 		t.Errorf("%d bytes left", len(key))
-	}
-}
-
-func TestTermEval(t *testing.T) {
-	sub := Term{Col: 0, Sub: true, Start: 0, Len: 7}
-	if got := sub.Eval(types.Str("2015-01-17 10:20:00")); got != types.Str("2015-01") {
-		t.Errorf("substring = %v", got)
-	}
-	if got := sub.Eval(types.NullValue()); !got.IsNull() {
-		t.Errorf("substring of NULL = %v", got)
-	}
-	if got := (Term{Col: 0}).Eval(types.FloatV(1.5)); got != types.FloatV(1.5) {
-		t.Errorf("column = %v", got)
 	}
 }

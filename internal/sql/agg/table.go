@@ -76,18 +76,11 @@ func (t *Table) Group(key []byte) (g int, created bool) {
 // the group by, and the compute side types no key cell (DESIGN §5). The
 // scratch the key is built in is the table's.
 func (t *Table) GroupCells(cells [][]byte) (g int, created bool) {
-	key := t.key[:0]
+	t.key = t.key[:0]
 	for _, cell := range cells {
-		if len(cell) == 0 {
-			key = append(key, 0)
-			continue
-		}
-		n := len(cell)
-		key = append(key, 1, byte(n), byte(n>>8), byte(n>>16), byte(n>>24))
-		key = append(key, cell...)
+		t.keyText(cell, len(cell) > 0, types.String)
 	}
-	t.key = key
-	return t.Group(key)
+	return t.Group(t.key)
 }
 
 // FoldRecord adds the record sc holds, a raw record of schema whose fields
@@ -99,7 +92,8 @@ func (t *Table) GroupCells(cells [][]byte) (g int, created bool) {
 func (t *Table) FoldRecord(s *Spec, schema *types.Schema, sc *csvio.FieldScanner) {
 	t.key = t.key[:0]
 	for _, term := range s.Group {
-		t.keyTerm(term, schema, sc)
+		text, ok := term.text(sc)
+		t.keyText(text, ok, term.typ(schema))
 	}
 	g, created := t.Group(t.key)
 	//scoop:cold a new group's first-row values, typed once per group
@@ -117,15 +111,13 @@ func (t *Table) FoldRecord(s *Spec, schema *types.Schema, sc *csvio.FieldScanner
 	}
 }
 
-// keyTerm appends term's value over the record sc holds to the key scratch,
-// encoded as AppendKey encodes it: a string as its bytes lie in the record,
-// a number typed in place and rendered.
-func (t *Table) keyTerm(term Term, schema *types.Schema, sc *csvio.FieldScanner) {
-	text, ok := term.text(sc)
-	typ := term.typ(schema)
+// keyText appends to the key scratch the value of text, a field of type typ
+// (NULL when !ok), encoded as AppendKey encodes it: a string as its bytes
+// lie, a number typed as types.Number types it and rendered.
+func (t *Table) keyText(text []byte, ok bool, typ types.Type) {
 	var v types.Value
 	if ok && typ != types.String {
-		v = number(text, typ)
+		v = types.Number(text, typ)
 		ok = !v.IsNull()
 	}
 	if !ok {

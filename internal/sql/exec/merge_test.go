@@ -30,15 +30,27 @@ func storeEngine(tb testing.TB) *storlet.Engine {
 }
 
 // storeChains returns the one-task chains the store runs for p over meter
-// records: the csv task that selects and projects them, and the fold task
-// that also folds them into partial records, built as ScanPartials builds
-// it. With header the objects open with a header record.
-func storeChains(p *plan.Plan, header bool) (scan, fold []*pushdown.Task) {
-	csv := &pushdown.Task{Filter: csvfilter.FilterName, Schema: meter.SchemaDecl, Columns: p.Required, Predicates: p.Pushed}
+// records separated by delim: the csv task that selects and projects them,
+// and the fold task that also folds them into partial records, built as
+// ScanPartials builds it. With header the objects open with a header record.
+func storeChains(p *plan.Plan, header bool, delim byte) (scan, fold []*pushdown.Task) {
+	csv := &pushdown.Task{Filter: csvfilter.FilterName, Schema: meter.SchemaDecl, Columns: p.Required, Predicates: p.Pushed,
+		Options: map[string]string{}}
 	if header {
-		csv.Options = map[string]string{csvfilter.OptHeader: "true"}
+		csv.Options[csvfilter.OptHeader] = "true"
+	}
+	if delim != ',' {
+		csv.Options[csvfilter.OptDelimiter] = string(delim)
 	}
 	return []*pushdown.Task{csv}, []*pushdown.Task{csvfilter.FoldTask(csv, p.StoreAgg)}
+}
+
+// delimOf is the delimiter of the records chain's csv task reads and writes.
+func delimOf(chain []*pushdown.Task) byte {
+	if d := chain[0].Options[csvfilter.OptDelimiter]; d != "" {
+		return d[0]
+	}
+	return ','
 }
 
 // chainFields runs chain over object and returns the fields of its output
@@ -69,7 +81,7 @@ func rangeFields(tb testing.TB, e *storlet.Engine, chain []*pushdown.Task, objec
 			tb.Fatal(err)
 		}
 		var cells [][]byte
-		for _, f := range sc.Scan(rec, ',') {
+		for _, f := range sc.Scan(rec, delimOf(chain)) {
 			cells = append(cells, bytes.Clone(f))
 		}
 		recs = append(recs, cells)
@@ -85,6 +97,7 @@ type mergeCase struct {
 	// cuts the object into splits at byte offsets (cuts scaled to its size)
 	// instead of parts, which mostly fall inside a record.
 	header, bytes bool
+	delim         byte // separates the fields
 }
 
 // meterHeader is the header record of a meter object.
@@ -93,7 +106,7 @@ const meterHeader = "vid,date,index,sumHC,sumHP,type,city,state,lat,long\n"
 // withHeader is records, opened with a header record if c has one.
 func (c mergeCase) withHeader(records string) string {
 	if c.header {
-		return meterHeader + records
+		return strings.ReplaceAll(meterHeader, ",", string(c.delim)) + records
 	}
 	return records
 }
@@ -102,7 +115,8 @@ func (c mergeCase) withHeader(records string) string {
 // columns or SUBSTRING(col, 0, n) of a string column, so a key is never an
 // empty string (which the partial record cannot tell from NULL, a wire
 // limit of its own), and numbers are short decimals, integers, text that is
-// no number, values whose exact sums leave the fast path, NaN, or empty.
+// no number, values whose exact sums leave the fast path, NaN, or empty. The
+// city "a,b" holds the table's delimiter in place of its comma.
 var (
 	fuzzKeys = []string{"", "vid", "SUBSTRING(date, 0, 7), vid", "SUBSTRING(date, 0, 10), vid", "state",
 		"SUBSTRING(date, 0, 10), state", "city, state", "vid, lat"}
@@ -118,8 +132,8 @@ var (
 // whether the first-row city is selected, ORDER BY and, with its top three
 // bits, a table of more groups than the store's table holds, keyed by vid;
 // the second and third pick the aggregates; the fourth the cuts, a header
-// (bit 2) and cuts at byte offsets (bit 3); every further four bytes are one
-// row.
+// (bit 2), cuts at byte offsets (bit 3) and, with bits 4 and 5, the
+// delimiter: ',', ';', '|' or a tab; every further four bytes are one row.
 func decodeMergeCase(data []byte) mergeCase {
 	at := func(i int) byte {
 		if i < len(data) {
@@ -128,6 +142,7 @@ func decodeMergeCase(data []byte) mergeCase {
 		return 0
 	}
 	shape, mask, cutter := at(0), uint16(at(1))|uint16(at(2))<<8, at(3)
+	delim := []byte{',', ';', '|', '\t'}[cutter>>4&3]
 	keys := fuzzKeys[shape&7]
 	many := shape&0xe0 == 0xe0
 	if many {
@@ -162,12 +177,12 @@ func decodeMergeCase(data []byte) mergeCase {
 		if b1 == 255 {
 			date = ""
 		}
-		city := fuzzCities[int(b3)%len(fuzzCities)]
+		city := strings.ReplaceAll(fuzzCities[int(b3)%len(fuzzCities)], ",", string(delim))
 		state := []string{"", "NED", "FRA"}[b3/16%3]
 		fields := [][]byte{[]byte(vid), []byte(date), []byte(fuzzNumbers[int(b2)%len(fuzzNumbers)]),
 			[]byte(fuzzNumbers[int(b2/4+b0)%len(fuzzNumbers)]), []byte(fuzzNumbers[int(b2/16+b3)%len(fuzzNumbers)]),
 			[]byte("elec"), []byte(city), []byte(state), []byte(fuzzNumbers[int(b0/8)%len(fuzzNumbers)]), []byte("4.5")}
-		csvio.WriteRecord(&sb, fields, ',')
+		csvio.WriteRecord(&sb, fields, delim)
 	}
 	rows := 0
 	for i := 4; i+4 <= len(data); i += 4 {
@@ -188,7 +203,7 @@ func decodeMergeCase(data []byte) mergeCase {
 		}
 		rows += 1<<14 + 350
 	}
-	c := mergeCase{sql: sql, header: cutter&4 != 0, bytes: cutter&8 != 0}
+	c := mergeCase{sql: sql, header: cutter&4 != 0, bytes: cutter&8 != 0, delim: delim}
 	c.object = c.withHeader(sb.String())
 	for p := 0; p < int(cutter%3); p++ {
 		switch {
@@ -237,6 +252,11 @@ func FuzzMergeCellsEqualsFold(f *testing.F) {
 	f.Add([]byte{0x01, 0x00, 0x08, 0x00, 1, 0, 0, 1, 1, 0, 0, 2, 2, 0, 0, 3, 2, 0, 0, 5})
 	// A key city holding a comma ("a,b"), which leaves the store quoted.
 	f.Add([]byte{0x06, 0x05, 0x00, 0x01, 1, 0, 4, 4, 2, 0, 5, 4, 3, 0, 6, 20, 1, 0, 7, 4})
+	// The same over records separated by semicolons, cut into two parts: the
+	// key city "a;b".
+	f.Add([]byte{0x06, 0x05, 0x00, 0x11, 1, 128, 4, 4, 2, 0, 5, 4, 3, 0, 6, 20, 1, 0, 7, 4})
+	// Tab-separated records with a header, cut at byte offsets.
+	f.Add([]byte{0x0e, 0xff, 0x0f, 0x3d, 1, 90, 3, 4, 2, 160, 5, 4, 3, 7, 6, 20, 5, 1, 7, 11})
 	e := storeEngine(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkMergeCase(t, e, decodeMergeCase(data))
@@ -255,7 +275,7 @@ func checkMergeCase(t *testing.T, e *storlet.Engine, c mergeCase) {
 	if err != nil || p.StoreAgg == nil {
 		t.Fatalf("%s: %v, refused: %s", c.sql, err, p.AggRefused)
 	}
-	scan, fold := storeChains(p, c.header)
+	scan, fold := storeChains(p, c.header, c.delim)
 	want, err := exec.Execute(p, exec.NewSliceIterator(runChain(t, e, scan, c.object, p.Read)))
 	if err != nil {
 		t.Fatalf("%s: %v", c.sql, err)
@@ -308,6 +328,7 @@ func TestMinMaxNaNIndependentOfCut(t *testing.T) {
 			sql:    "SELECT vid, min(index) AS lo, max(index) AS hi FROM largeMeter GROUP BY vid",
 			object: object.String(),
 			cuts:   cuts,
+			delim:  ',',
 		})
 	}
 }
@@ -336,7 +357,7 @@ func BenchmarkMergeCellsHeatmonth(b *testing.B) {
 	if err != nil || p.StoreAgg == nil {
 		b.Fatalf("%v, refused: %s", err, p.AggRefused)
 	}
-	_, fold := storeChains(p, false)
+	_, fold := storeChains(p, false, ',')
 	recs := chainFields(b, storeEngine(b), fold, buf.String())
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -271,7 +271,7 @@ func runChain(t *testing.T, e *storlet.Engine, chain []*pushdown.Task, object st
 		if err != nil {
 			t.Fatal(err)
 		}
-		fields := sc.Scan(rec, ',')
+		fields := sc.Scan(rec, delimOf(chain))
 		if len(fields) != out.Len() {
 			t.Fatalf("record %q has %d fields, want %d", rec, len(fields), out.Len())
 		}
@@ -308,7 +308,7 @@ func TestPartitionInvarianceStorePartials(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		scan, fold := storeChains(p, false)
+		scan, fold := storeChains(p, false, ',')
 		for _, n := range []int{0, 1, 40, 300} {
 			rows := randomMeterRows(rng, n)
 			want, err := exec.Execute(p, exec.NewSliceIterator(runChain(t, e, scan, csvOf(rows), p.Read)))
@@ -393,7 +393,7 @@ func TestStorePartialsExactPastTheGroupBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan, fold := storeChains(p, false)
+	scan, fold := storeChains(p, false, ',')
 	want, err := exec.Execute(p, exec.NewSliceIterator(runChain(t, e, scan, sb.String(), p.Read)))
 	if err != nil {
 		t.Fatal(err)

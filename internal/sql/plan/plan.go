@@ -412,8 +412,10 @@ func (p *Plan) storeAgg() (*agg.Spec, string) {
 
 // term recognizes what the store evaluates without the SQL engine: a column
 // of the scan, or SUBSTRING(column, k, n) of a string column with integer
-// literals. (A string field is never NULL, so neither is its substring, and
-// an empty cell of a partial record reads back as the value it was.)
+// literals. A partial record writes an empty string and NULL alike, as an
+// empty cell, which the compute side reads as NULL: an empty SUBSTRING of a
+// field that is not empty, such as SUBSTRING('V1', 3, 2), is NULL in
+// pushdown mode and "" in baseline mode (ROADMAP item 2).
 func (p *Plan) term(e expr.Expr) (agg.Term, bool) {
 	switch n := e.(type) {
 	case *expr.Column:

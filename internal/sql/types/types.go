@@ -401,19 +401,23 @@ func Coerce(raw string, t Type) Value {
 // (its mantissa stays below 2^53), so an INT cell reads as strconv.ParseInt
 // would. Other syntax falls back to strconv.
 func CoerceBytes(raw []byte, t Type) Value {
-	switch t {
-	case String:
-		if len(raw) > 0 {
-			return Str(string(raw))
-		}
-	case Int, Float:
-		if f, ok := csvio.FastFloat(raw); ok {
-			if t == Int {
-				return IntV(int64(f))
-			}
-			return FloatV(f)
-		}
+	if t == String && len(raw) > 0 {
+		return Str(string(raw))
 	}
+	return Number(raw, t)
+}
+
+// Number is CoerceBytes for a field whose type is not STRING, or which is
+// empty: its value holds nothing of raw, and a plain decimal is read in place
+// without allocating.
+func Number(raw []byte, t Type) Value {
+	if f, ok := csvio.FastFloat(raw); ok && (t == Int || t == Float) {
+		if t == Int {
+			return IntV(int64(f))
+		}
+		return FloatV(f)
+	}
+	//scoop:cold syntax FastFloat does not read, or a BOOLEAN, typed by the slow path
 	return coerceNumber(string(raw), t)
 }
 

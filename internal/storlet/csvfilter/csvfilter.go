@@ -217,7 +217,7 @@ func Compile(task *pushdown.Task) (*Selection, error) {
 	if c.Match, err = pushdown.Bind(task.Predicates, schema.Index); err != nil {
 		return nil, fmt.Errorf("csvfilter: %w", err)
 	}
-	if task.Options[agg.OptGroup] != "" || task.Options[agg.OptAggs] != "" {
+	if task.Options[agg.OptFold] != "" {
 		if c.Fold, err = bindFold(task, schema, c.Project); err != nil {
 			return nil, fmt.Errorf("csvfilter: %w", err)
 		}

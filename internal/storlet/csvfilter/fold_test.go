@@ -220,8 +220,8 @@ func TestInvokeErrors(t *testing.T) {
 		return FoldTask(&pushdown.Task{Filter: FilterName, Schema: foldSchema, Columns: []string{"vid", "index"}}, s)
 	}
 	bad := []*pushdown.Task{
-		opts(map[string]string{agg.OptGroup: "[0]"}),
-		opts(map[string]string{agg.OptGroup: "[0]", agg.OptAggs: "sum:2"}),
+		opts(map[string]string{agg.OptFold: `{"group":[0]}`}),
+		opts(map[string]string{agg.OptFold: "sum:2"}),
 		foldTask("", "sum:9"),               // no such column
 		foldTask("9", "count"),              // no such column
 		foldTask("-1", "count"),             // no such column

@@ -22,8 +22,8 @@
 #                                     verdicts to a temporary file. It must
 #                                     equal the committed
 #                                     internal/detmanifest/manifest.go: the
-#                                     result cache and the compute-side
-#                                     fallback trust its entries ("csv": true)
+#                                     result cache trusts its entries
+#                                     ("csv": true)
 #   5. go test -race -short ./...   fast-tier suite under the race detector
 #   6. go test -run TestAllocBudget   zero-allocation budgets for the record
 #                                     hot path and for the SQL fold (a row
